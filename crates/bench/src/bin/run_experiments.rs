@@ -36,7 +36,7 @@ use pathix_bench::report::ToJson;
 use pathix_bench::{
     amortization, automaton_comparison, backend_comparison, bench_scale, datalog_speedup, fig2,
     histogram_ablation, incremental_maintenance, index_construction, ingest, live_updates,
-    paged_index, parallel, scaling, scan_join, serving, sql_comparison,
+    paged_index, scaling, scan_join, serving, sql_comparison,
 };
 
 /// Writes a report to `name` in the current directory (best effort).
@@ -96,9 +96,6 @@ fn main() {
         "amortization" => {
             amortization(scale, 2);
         }
-        "parallel" => {
-            parallel(scale);
-        }
         "incremental" => {
             incremental_maintenance(scale);
         }
@@ -137,7 +134,6 @@ fn main() {
             paged_index(scale);
             backend_comparison(scale, 2);
             amortization(scale, 2);
-            parallel(scale);
             incremental_maintenance(scale);
             let report = live_updates(scale, 2);
             if json {
@@ -159,7 +155,7 @@ fn main() {
         other => {
             eprintln!(
                 "unknown experiment `{other}`; expected one of: fig2, datalog, automaton, \
-                 index, scaling, ablation, sql, paged, backends, amortization, parallel, \
+                 index, scaling, ablation, sql, paged, backends, amortization, \
                  incremental, updates, scan-join, ingest, serving, all"
             );
             std::process::exit(2);

@@ -1,6 +1,6 @@
 //! Experiment **X7** (extension): the same RPQ workload executed against the
 //! three index backends the query pipeline is generic over — the in-memory
-//! B+tree, the buffer-pool-backed paged B+tree and the compressed per-path
+//! chunk runs, the buffer-pool-backed paged B+tree and the compressed per-path
 //! pair blocks.
 //!
 //! The paper's index is storage-agnostic; its companion study (ref. \[14\])

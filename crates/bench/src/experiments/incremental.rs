@@ -10,7 +10,7 @@
 use crate::datasets::build_advogato;
 use crate::report::{write_json, Table};
 use pathix_graph::{Graph, LabelId, NodeId};
-use pathix_index::{IncrementalKPathIndex, KPathIndex};
+use pathix_index::{IncrementalKPathIndex, PathIndexBackend, SharedKPathIndex};
 use std::time::Instant;
 
 /// One `(k, batch)` measurement.
@@ -26,7 +26,7 @@ pub struct IncrementalRow {
     pub delete_us: f64,
     /// Mean time of one incremental insertion, in microseconds.
     pub insert_us: f64,
-    /// Time of one full `KPathIndex::build` over the same graph, in
+    /// Time of one full `SharedKPathIndex::build` over the same graph, in
     /// milliseconds.
     pub rebuild_ms: f64,
     /// `rebuild_ms * 1000 / insert_us` — how many incremental insertions one
@@ -74,13 +74,13 @@ pub fn incremental_maintenance(scale: f64) -> IncrementalReport {
     ]);
     for k in [1usize, 2] {
         let start = Instant::now();
-        let rebuilt = KPathIndex::build(&graph, k);
+        let rebuilt = SharedKPathIndex::build(&graph, k);
         let rebuild_ms = start.elapsed().as_secs_f64() * 1e3;
 
         let mut live = IncrementalKPathIndex::from_graph(&graph, k);
         let entries = live.entry_count();
         assert_eq!(
-            entries,
+            entries as u64,
             rebuilt.stats().entries,
             "seeding must match a rebuild"
         );

@@ -10,7 +10,6 @@ pub mod incremental;
 pub mod index_build;
 pub mod ingest;
 pub mod paged;
-pub mod parallel;
 pub mod scaling;
 pub mod scan_join;
 pub mod serving;

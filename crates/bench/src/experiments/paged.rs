@@ -3,7 +3,7 @@
 //!
 //! For k ∈ {1, 2, 3} the k-path index is materialized three ways:
 //!
-//! * the in-memory B+tree the query pipeline uses (approximate key bytes),
+//! * the in-memory chunk runs the query pipeline uses (approximate bytes),
 //! * a paged B+tree in 4 KiB pages behind a buffer pool (pages / bytes on
 //!   disk),
 //! * delta/varint-compressed per-path pair blocks (bytes + compression
@@ -15,7 +15,7 @@
 use crate::datasets::build_advogato;
 use crate::report::{write_json, Table};
 use pathix_graph::SignedLabel;
-use pathix_index::KPathIndex;
+use pathix_index::{PathIndexBackend, SharedKPathIndex};
 use pathix_pagestore::{CompressedPathStore, PagedPathIndex};
 use std::time::Instant;
 
@@ -73,17 +73,17 @@ pub fn paged_index(scale: f64) -> PagedReport {
         "paged build (ms)",
     ]);
     for k in 1..=3usize {
-        let memory = KPathIndex::build(&graph, k);
+        let memory = SharedKPathIndex::build(&graph, k);
         let start = Instant::now();
         let paged = PagedPathIndex::build_in_memory(&graph, k, 256).unwrap();
         let paged_build_ms = start.elapsed().as_secs_f64() * 1e3;
-        let compressed = CompressedPathStore::from_index(&memory);
+        let compressed = CompressedPathStore::build(&graph, k);
         let cstats = compressed.stats();
         let stats = paged.stats();
         let row = PagedRow {
             k,
             entries: stats.entries,
-            memory_bytes: memory.stats().approx_bytes as u64,
+            memory_bytes: memory.stats().approx_bytes,
             pages: stats.tree.pages,
             disk_bytes: stats.tree.bytes_on_disk,
             compressed_bytes: cstats.compressed_bytes,

@@ -1,7 +1,7 @@
 //! Experiment **X5** (extension): the relational deployment of the paper's
 //! prototype. The same queries are answered three ways —
 //!
-//! * natively (minSupport plans over the in-memory B+tree index),
+//! * natively (minSupport plans over the in-memory index),
 //! * through the paper's RPQ→SQL translation over a `path_index` table
 //!   executed by the `pathix-sql` engine, and
 //! * through the recursive-SQL-views baseline (approach 2) over the raw

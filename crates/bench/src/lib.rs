@@ -4,12 +4,8 @@
 //! of the paper's evaluation (see DESIGN.md §3 for the experiment index and
 //! EXPERIMENTS.md for paper-vs-measured numbers).
 //!
-//! Two entry points:
-//!
-//! * the `run_experiments` binary prints the tables directly
-//!   (`cargo run -p pathix-bench --release --bin run_experiments -- all`);
-//! * the Criterion benches under `benches/` measure the same workloads with
-//!   statistical rigor (`cargo bench`).
+//! One entry point: the `run_experiments` binary prints the tables directly
+//! (`cargo run -p pathix-bench --release --bin run_experiments -- all`).
 //!
 //! The graph scale is controlled by the `PATHIX_BENCH_SCALE` environment
 //! variable (a fraction of the real Advogato's 6,541 nodes / 51,127 edges).
@@ -25,7 +21,7 @@ pub use experiments::{
     ablation::histogram_ablation, amortization::amortization, automaton::automaton_comparison,
     backends::backend_comparison, datalog::datalog_speedup, fig2::fig2,
     incremental::incremental_maintenance, index_build::index_construction, ingest::ingest,
-    paged::paged_index, parallel::parallel, scaling::scaling, scan_join::scan_join,
-    serving::serving, sql::sql_comparison, updates::live_updates,
+    paged::paged_index, scaling::scaling, scan_join::scan_join, serving::serving,
+    sql::sql_comparison, updates::live_updates,
 };
 pub use report::{format_duration_ms, Table};

@@ -67,7 +67,7 @@ use std::sync::{Arc, Mutex, RwLock};
 /// absorbs them).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum BackendChoice {
-    /// The in-memory B+tree index (`pathix-index`): fastest, bounded by RAM.
+    /// The in-memory chunk-run index (`pathix-index`): fastest, bounded by RAM.
     #[default]
     Memory,
     /// The paged B+tree behind a buffer pool with an **in-memory** page
@@ -96,6 +96,26 @@ pub enum BackendChoice {
 /// value (no lifetime or allocation games), while still implementing
 /// [`PathIndexBackend`] itself — the pipeline underneath is generic and never
 /// looks inside.
+///
+/// ```
+/// use pathix_core::{BackendChoice, PathDb, PathDbConfig, PathIndexBackend};
+/// use pathix_datagen::paper_example_graph;
+///
+/// let compressed = PathDb::build(
+///     paper_example_graph(),
+///     PathDbConfig::with_k(2).with_backend(BackendChoice::Compressed),
+/// );
+/// let memory = PathDb::build(paper_example_graph(), PathDbConfig::with_k(2));
+/// let (c, m) = (compressed.index(), memory.index());
+///
+/// // Exactly one accessor answers, per backend …
+/// assert!(c.as_compressed().is_some() && c.as_memory().is_none() && c.as_paged().is_none());
+/// assert!(m.as_memory().is_some() && m.as_compressed().is_none());
+/// // … and the trait they all implement does not care which.
+/// assert_eq!(c.per_path_counts(), m.per_path_counts());
+/// assert_eq!(c.paths_k_size(), m.paths_k_size());
+/// assert!(c.stats().approx_bytes < m.stats().approx_bytes);
+/// ```
 #[derive(Debug)]
 pub enum IndexBackend {
     /// In-memory chunked-run index with structural sharing across epochs.
@@ -207,6 +227,27 @@ impl StructuralAudit for IndexBackend {
 /// always execute against the current snapshot — but they steer the
 /// `minSupport`/`minJoin` cost model. The policy trades that plan quality
 /// against the rebuild cost.
+///
+/// ```
+/// use pathix_core::{GraphUpdate, HistogramRefresh, PathDb, PathDbConfig};
+/// use pathix_datagen::paper_example_graph;
+///
+/// let update = [GraphUpdate::insert_named("sue", "knows", "tim")];
+///
+/// // The default keeps the statistics exact after every effective batch.
+/// assert_eq!(HistogramRefresh::default(), HistogramRefresh::EveryUpdates(1));
+/// let eager = PathDb::build(paper_example_graph(), PathDbConfig::with_k(2));
+/// assert!(eager.apply(&update).unwrap().histogram_refreshed);
+///
+/// // Manual: the answer is fresh, the statistics wait for the owner.
+/// let config = PathDbConfig::with_k(2).with_histogram_refresh(HistogramRefresh::Manual);
+/// let lazy = PathDb::build(paper_example_graph(), config);
+/// assert!(!lazy.apply(&update).unwrap().histogram_refreshed);
+/// assert!(lazy.query("knows").unwrap().contains_named(&lazy, "sue", "tim"));
+/// let epoch = lazy.epoch();
+/// assert!(lazy.refresh_histogram());
+/// assert_eq!(lazy.epoch(), epoch + 1); // cached plans are replanned on next use
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HistogramRefresh {
     /// Rebuild once at least `n` effective updates (no-ops excluded) have
@@ -291,6 +332,31 @@ impl PathDbConfig {
     }
 
     /// This configuration with a different storage backend.
+    ///
+    /// ```
+    /// use pathix_core::{BackendChoice, PathDb, PathDbConfig};
+    /// use pathix_datagen::paper_example_graph;
+    ///
+    /// let dir = std::env::temp_dir().join(format!("pathix-doc-backends-{}", std::process::id()));
+    /// std::fs::create_dir_all(&dir).unwrap();
+    /// let choices = [
+    ///     (BackendChoice::Memory, "memory"),
+    ///     (BackendChoice::PagedInMemory { pool_frames: 32 }, "paged"),
+    ///     (BackendChoice::OnDisk { path: dir.join("index.pages"), pool_frames: 32 }, "paged"),
+    ///     (BackendChoice::Compressed, "compressed"),
+    /// ];
+    /// for (choice, name) in choices {
+    ///     let config = PathDbConfig::with_k(2).with_backend(choice.clone());
+    ///     assert_eq!(config.backend, choice);
+    ///     let db = PathDb::try_build(paper_example_graph(), config).unwrap();
+    ///     assert_eq!(db.backend_name(), name);
+    ///     // Same pipeline, same answer, wherever the entries live.
+    ///     assert_eq!(db.query("supervisor/worksFor-").unwrap().len(), 1);
+    /// }
+    /// // The on-disk backend keeps a graph checkpoint and its log next to the page file.
+    /// assert!(dir.join("index.pages.graph").exists() && dir.join("index.pages.wal").is_dir());
+    /// std::fs::remove_dir_all(&dir).unwrap();
+    /// ```
     pub fn with_backend(mut self, backend: BackendChoice) -> Self {
         self.backend = backend;
         self
@@ -725,6 +791,17 @@ impl PathDb {
     /// # Panics
     /// Panics if the configured backend fails to initialize (I/O on the
     /// paged backends). Use [`PathDb::try_build`] to handle that case.
+    ///
+    /// ```
+    /// use pathix_core::{PathDb, PathDbConfig};
+    /// use pathix_datagen::paper_example_graph;
+    ///
+    /// let db = PathDb::build(paper_example_graph(), PathDbConfig::with_k(2));
+    /// assert_eq!((db.k(), db.epoch(), db.backend_name()), (2, 0, "memory"));
+    /// // Section 2.2 of the paper: supervisor ∘ worksFor⁻ = {(kim, sue)}.
+    /// let answer = db.query("supervisor/worksFor-").unwrap();
+    /// assert_eq!(answer.named_pairs(&db), [("kim".to_string(), "sue".to_string())]);
+    /// ```
     pub fn build(graph: Graph, config: PathDbConfig) -> Self {
         Self::try_build(graph, config).expect("index backend construction failed")
     }
@@ -739,6 +816,23 @@ impl PathDb {
     /// entry point for pure-streaming ingest, where every node, label and
     /// edge arrives through [`PathDb::apply`] batches of name-based updates
     /// ([`GraphUpdate::InsertEdgeNamed`]).
+    ///
+    /// ```
+    /// use pathix_core::{GraphUpdate, PathDb, PathDbConfig};
+    ///
+    /// let db = PathDb::empty(PathDbConfig::with_k(2)).unwrap();
+    /// assert_eq!((db.stats().nodes, db.stats().labels), (0, 0));
+    /// // Nothing is known yet, so nothing binds.
+    /// assert!(db.query("knows").is_err());
+    ///
+    /// db.apply(&[
+    ///     GraphUpdate::insert_named("ada", "knows", "jan"),
+    ///     GraphUpdate::insert_named("jan", "worksFor", "acme"),
+    /// ])
+    /// .unwrap();
+    /// assert_eq!((db.stats().nodes, db.stats().labels), (3, 2));
+    /// assert!(db.query("knows/worksFor").unwrap().contains_named(&db, "ada", "acme"));
+    /// ```
     pub fn empty(config: PathDbConfig) -> Result<Self, QueryError> {
         Self::try_build(Graph::empty(), config)
     }
@@ -763,6 +857,34 @@ impl PathDb {
     /// Requires [`BackendChoice::OnDisk`] in `config`; anything else (and any
     /// missing, torn or inconsistent durable state) is
     /// [`QueryError::Recovery`].
+    ///
+    /// ```
+    /// use pathix_core::{BackendChoice, GraphUpdate, PathDb, PathDbConfig, QueryError};
+    /// use pathix_datagen::paper_example_graph;
+    ///
+    /// let dir = std::env::temp_dir().join(format!("pathix-doc-open-{}", std::process::id()));
+    /// std::fs::create_dir_all(&dir).unwrap();
+    /// let config = PathDbConfig::with_k(2)
+    ///     .with_backend(BackendChoice::OnDisk { path: dir.join("index.pages"), pool_frames: 32 });
+    ///
+    /// let db = PathDb::try_build(paper_example_graph(), config.clone()).unwrap();
+    /// db.apply(&[GraphUpdate::insert_named("max", "knows", "ada")]).unwrap();
+    /// let before = db.query("knows/knows").unwrap();
+    /// // The process dies here: no close, no checkpoint, no destructor.
+    /// std::mem::forget(db);
+    ///
+    /// // The acknowledged batch comes back from the log — interned name included.
+    /// let reopened = PathDb::open(config).unwrap();
+    /// assert!(reopened.graph().node_id("max").is_some());
+    /// assert_eq!(reopened.query("knows/knows").unwrap().pairs(), before.pairs());
+    /// assert!(reopened.audit().is_clean());
+    /// reopened.close().unwrap();
+    ///
+    /// // Only the on-disk backend has durable state to open.
+    /// let err = PathDb::open(PathDbConfig::with_k(2)).unwrap_err();
+    /// assert!(matches!(err, QueryError::Recovery(_)));
+    /// std::fs::remove_dir_all(&dir).unwrap();
+    /// ```
     pub fn open(config: PathDbConfig) -> Result<Self, QueryError> {
         let BackendChoice::OnDisk { path, pool_frames } = config.backend.clone() else {
             return Err(QueryError::Recovery(
@@ -914,6 +1036,22 @@ impl PathDb {
 
     /// A consistent view of the database as of now. All read accessors below
     /// are shorthands over this.
+    ///
+    /// ```
+    /// use pathix_core::{GraphUpdate, PathDb, PathDbConfig, PathIndexBackend};
+    /// use pathix_datagen::paper_example_graph;
+    ///
+    /// let db = PathDb::build(paper_example_graph(), PathDbConfig::with_k(2));
+    /// let old = db.snapshot();
+    /// db.apply(&[GraphUpdate::insert_named("sue", "knows", "tim")]).unwrap();
+    /// let new = db.snapshot();
+    ///
+    /// // The old view is untouched by the batch published next to it.
+    /// assert_eq!((old.epoch(), new.epoch()), (0, 1));
+    /// assert_eq!(old.graph().edge_count() + 1, new.graph().edge_count());
+    /// assert!(old.index().stats().entries < new.index().stats().entries);
+    /// assert_eq!(old.index().k(), old.histogram().k());
+    /// ```
     pub fn snapshot(&self) -> Snapshot {
         // Snapshots are immutable once published, so even a poisoned lock
         // (a writer panicked mid-swap of the `Snapshot` *pointer*, which is
@@ -1029,6 +1167,39 @@ impl PathDb {
     /// database is rebuilt; reads are unaffected on every backend —
     /// published snapshots pin their own pages, which the failed writer
     /// never touched.
+    ///
+    /// ```
+    /// use pathix_core::{GraphUpdate, NodeId, PathDb, PathDbConfig, QueryError};
+    /// use pathix_datagen::paper_example_graph;
+    ///
+    /// let db = PathDb::build(paper_example_graph(), PathDbConfig::with_k(2));
+    /// let g = db.graph();
+    /// let (kim, liz) = (g.node_id("kim").unwrap(), g.node_id("liz").unwrap());
+    /// let supervisor = g.label_id("supervisor").unwrap();
+    ///
+    /// let stats = db
+    ///     .apply(&[
+    ///         GraphUpdate::delete(kim, supervisor, liz),
+    ///         GraphUpdate::insert_named("liz", "supervisor", "kim"),
+    ///         GraphUpdate::insert_named("liz", "supervisor", "kim"), // already there by now
+    ///     ])
+    ///     .unwrap();
+    /// assert_eq!((stats.inserted, stats.deleted, stats.no_ops, stats.epoch), (1, 1, 1, 1));
+    /// assert!(stats.delta_entries > 0);
+    /// assert!(db.query("supervisor").unwrap().contains(liz, kim));
+    /// // supervisor ∘ worksFor⁻ follows: it was {(kim, sue)}, now liz oversees kim's staff.
+    /// let staff = db.query("supervisor/worksFor-").unwrap();
+    /// assert!(!staff.contains_named(&db, "kim", "sue"));
+    /// assert!(staff.contains_named(&db, "liz", "tim") && staff.contains_named(&db, "liz", "joe"));
+    ///
+    /// // An id nobody interned rejects the whole batch before anything is applied.
+    /// let bad = [
+    ///     GraphUpdate::insert_named("ada", "knows", "liz"),
+    ///     GraphUpdate::insert(NodeId(999), supervisor, kim),
+    /// ];
+    /// assert!(matches!(db.apply(&bad), Err(QueryError::InvalidUpdate(_))));
+    /// assert_eq!(db.epoch(), 1);
+    /// ```
     pub fn apply(&self, updates: &[GraphUpdate]) -> Result<UpdateStats, QueryError> {
         // Writers serialize on the live-state lock; the snapshot lock is only
         // taken (briefly) to read the current state and to publish the result.
@@ -1330,9 +1501,29 @@ impl PathDb {
         self.run(query, QueryOptions::new())
     }
 
-    /// Evaluates a query under explicit [`QueryOptions`] (strategy, worker
-    /// threads, limit, bindings, count-only) — the single execution entry
-    /// point.
+    /// Evaluates a query under explicit [`QueryOptions`] (strategy, limit,
+    /// bindings, count-only) — the single execution entry point.
+    ///
+    /// ```
+    /// use pathix_core::{PathDb, PathDbConfig, QueryOptions, Strategy};
+    /// use pathix_datagen::paper_example_graph;
+    ///
+    /// let db = PathDb::build(paper_example_graph(), PathDbConfig::with_k(2));
+    /// let full = db.run("knows/knows", QueryOptions::new()).unwrap();
+    ///
+    /// // Every strategy plans differently and answers identically.
+    /// for strategy in Strategy::all() {
+    ///     let result = db.run("knows/knows", QueryOptions::with_strategy(strategy)).unwrap();
+    ///     assert_eq!((result.pairs(), result.strategy), (full.pairs(), strategy));
+    /// }
+    ///
+    /// // Example 3.1's lookup shapes: bind the source, or just ask whether.
+    /// let jan = db.graph().node_id("jan").unwrap();
+    /// let from_jan = db.run("knows/knows", QueryOptions::new().source(jan)).unwrap();
+    /// assert_eq!(from_jan.targets(), full.targets_of(jan));
+    /// let probe = db.run("knows/knows", QueryOptions::new().source(jan).exists()).unwrap();
+    /// assert_eq!((probe.stats.result_pairs, probe.len()), (1, 0));
+    /// ```
     pub fn run(&self, query: &str, options: QueryOptions) -> Result<QueryResult, QueryError> {
         self.prepare(query)?.run(self, options)
     }
@@ -1365,6 +1556,28 @@ impl PathDb {
     /// Aggregated statistics about the graph, index and histogram, plus —
     /// on the paged backends — the buffer-pool and copy-on-write counters of
     /// the storage layer.
+    ///
+    /// ```
+    /// use pathix_core::{BackendChoice, PathDb, PathDbConfig};
+    /// use pathix_datagen::paper_example_graph;
+    ///
+    /// let db = PathDb::build(paper_example_graph(), PathDbConfig::with_k(2));
+    /// let stats = db.stats();
+    /// assert_eq!((stats.nodes, stats.edges, stats.labels), (9, 16, 3));
+    /// assert_eq!((stats.index.backend, stats.index.k), ("memory", 2));
+    /// assert_eq!(stats.index.distinct_paths, stats.histogram_paths);
+    /// assert!(stats.storage.pool.is_none() && !stats.storage.flush_failed);
+    ///
+    /// // The paged backends add their buffer-pool and copy-on-write counters.
+    /// let config = PathDbConfig::with_k(2)
+    ///     .with_backend(BackendChoice::PagedInMemory { pool_frames: 8 });
+    /// let paged = PathDb::build(paper_example_graph(), config);
+    /// paged.query("knows/knows/worksFor").unwrap();
+    /// let storage = paged.stats().storage;
+    /// assert!(storage.pool.is_some_and(|pool| pool.hits + pool.misses > 0));
+    /// assert!(storage.cow.is_some());
+    /// assert_eq!(paged.stats().index.entries, stats.index.entries);
+    /// ```
     pub fn stats(&self) -> DbStats {
         let snapshot = self.snapshot();
         let index = snapshot.index();
@@ -1405,6 +1618,21 @@ impl PathDb {
     /// reclamation, and statistics that match a full recount. The
     /// differential test harnesses call this after every applied batch; the
     /// CLI exposes it as `\audit`.
+    ///
+    /// ```
+    /// use pathix_core::{GraphUpdate, PathDb, PathDbConfig};
+    /// use pathix_datagen::paper_example_graph;
+    ///
+    /// let db = PathDb::build(paper_example_graph(), PathDbConfig::with_k(2));
+    /// let as_built = db.audit();
+    /// assert!(as_built.is_clean(), "{:?}", as_built.violations());
+    ///
+    /// // Once updates flow, the live counting index is audited as well.
+    /// db.apply(&[GraphUpdate::insert_named("sue", "knows", "tim")]).unwrap();
+    /// let live = db.audit();
+    /// assert!(live.is_clean(), "{:?}", live.violations());
+    /// assert!(live.checks() > as_built.checks());
+    /// ```
     pub fn audit(&self) -> AuditReport {
         let mut report = AuditReport::new();
         let snapshot = self.snapshot();

@@ -6,7 +6,7 @@
 //!
 //! * [`PathDb::prepare`] compiles a query once into a [`PreparedQuery`]
 //!   (plans are cached lazily per strategy);
-//! * [`QueryOptions`] selects strategy, worker threads, limits and the
+//! * [`QueryOptions`] selects strategy, limits, cancellation and the
 //!   paper's Example 3.1 source/target bindings for one execution;
 //! * [`PreparedQuery::run`] materializes an answer, [`PreparedQuery::cursor`]
 //!   streams it through a [`Cursor`] with early termination;
@@ -66,7 +66,7 @@ pub use pathix_exec::CancelToken;
 pub use pathix_graph::{Graph, GraphBuilder, LabelId, NodeId, SignedLabel};
 pub use pathix_index::{
     BackendError, BackendStats, DeltaBatch, EntryChange, EntryDeltas, EstimationMode, GraphUpdate,
-    IndexStats, MutablePathIndexBackend, PathIndexBackend, RunPublishStats, SharedKPathIndex,
+    MutablePathIndexBackend, PathIndexBackend, RunPublishStats, SharedKPathIndex,
 };
 pub use pathix_pagestore::{CowStats, PoolStats};
 pub use pathix_plan::{ExecutionStats, PhysicalPlan, Strategy};

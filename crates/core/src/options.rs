@@ -1,4 +1,4 @@
-//! Per-execution options: strategy, worker threads, limits and the paper's
+//! Per-execution options: strategy, limits, cancellation and the paper's
 //! Example 3.1 source/target bindings, as one reusable builder.
 
 use pathix_exec::CancelToken;
@@ -33,7 +33,6 @@ use pathix_plan::Strategy;
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QueryOptions {
     strategy: Option<Strategy>,
-    threads: usize,
     limit: Option<usize>,
     count_only: bool,
     source: Option<NodeId>,
@@ -42,8 +41,8 @@ pub struct QueryOptions {
 }
 
 impl QueryOptions {
-    /// Default options: the database's default strategy, sequential
-    /// execution, no limit, no bindings, materialized pairs.
+    /// Default options: the database's default strategy, no limit, no
+    /// bindings, materialized pairs.
     pub fn new() -> Self {
         Self::default()
     }
@@ -60,16 +59,8 @@ impl QueryOptions {
         self
     }
 
-    /// Run the disjunct plans concurrently on up to `threads` worker threads
-    /// (1 = sequential). Parallel execution materializes every disjunct, so
-    /// `limit`/`exists` early termination only applies to sequential runs.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Stop after `limit` distinct answer pairs. On the sequential path the
-    /// operator tree stops being pulled as soon as the limit is reached.
+    /// Stop after `limit` distinct answer pairs: the operator tree stops
+    /// being pulled as soon as the limit is reached.
     pub fn limit(mut self, limit: usize) -> Self {
         self.limit = Some(limit);
         self
@@ -109,9 +100,7 @@ impl QueryOptions {
     /// a fully unbound query — so the token is checked at every batch
     /// boundary and a tripped token surfaces as
     /// [`crate::QueryError::Cancelled`] or
-    /// [`crate::QueryError::DeadlineExceeded`]. Parallel (`threads > 1`)
-    /// runs materialize per-disjunct answers on worker threads and do not
-    /// observe the token mid-disjunct.
+    /// [`crate::QueryError::DeadlineExceeded`].
     pub fn cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
         self
@@ -125,11 +114,6 @@ impl QueryOptions {
     /// The explicit strategy, if one was set.
     pub fn strategy_override(&self) -> Option<Strategy> {
         self.strategy
-    }
-
-    /// The worker thread count (1 = sequential).
-    pub fn thread_count(&self) -> usize {
-        self.threads.max(1)
     }
 
     /// The answer-pair limit, if one was set.
@@ -177,11 +161,9 @@ mod tests {
     fn builder_accumulates_settings() {
         let options = QueryOptions::new()
             .strategy(Strategy::MinJoin)
-            .threads(4)
             .limit(100)
             .count_only();
         assert_eq!(options.strategy_override(), Some(Strategy::MinJoin));
-        assert_eq!(options.thread_count(), 4);
         assert_eq!(options.limit_value(), Some(100));
         assert!(options.is_count_only());
         assert!(!options.is_full_materialization());
@@ -191,7 +173,6 @@ mod tests {
     fn defaults_are_a_full_materialization() {
         let options = QueryOptions::new();
         assert_eq!(options.strategy_override(), None);
-        assert_eq!(options.thread_count(), 1);
         assert!(options.is_full_materialization());
         assert!(options.admits((NodeId(1), NodeId(2))));
     }
@@ -225,10 +206,5 @@ mod tests {
             options,
             QueryOptions::new().cancel_token(CancelToken::new())
         );
-    }
-
-    #[test]
-    fn zero_threads_normalizes_to_sequential() {
-        assert_eq!(QueryOptions::new().threads(0).thread_count(), 1);
     }
 }

@@ -6,12 +6,9 @@ use crate::db::{PathDb, Snapshot};
 use crate::error::QueryError;
 use crate::options::QueryOptions;
 use crate::result::QueryResult;
-use pathix_plan::{
-    execute_parallel_with_stats, execute_with_stats, ExecutionStats, PhysicalPlan, Strategy,
-};
+use pathix_plan::{execute_with_stats, PhysicalPlan, Strategy};
 use pathix_rpq::LabelPath;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A query whose parse → bind → rewrite work has been done once, up front.
 ///
@@ -118,18 +115,15 @@ impl PreparedQuery {
     /// answer. The whole execution runs against one [`Snapshot`], taken at
     /// entry.
     ///
-    /// * Unrestricted runs (`threads(1)`, no limit/bindings/count) behave
-    ///   exactly like [`PathDb::query`]: the full sorted, duplicate-free pair
-    ///   set.
-    /// * `threads(n > 1)` evaluates the disjunct plans concurrently.
-    /// * `limit`/`source`/`target` restrict the answer; on the sequential
-    ///   path execution stops as soon as the limit is satisfied.
+    /// * Unrestricted runs (no limit/bindings/count/token) behave exactly
+    ///   like [`PathDb::query`]: the full sorted, duplicate-free pair set.
+    /// * `limit`/`source`/`target` restrict the answer; execution stops as
+    ///   soon as the limit is satisfied.
     /// * `count_only` reports the distinct-answer count in
     ///   `stats.result_pairs` while leaving the pair list empty.
     pub fn run(&self, db: &PathDb, options: QueryOptions) -> Result<QueryResult, QueryError> {
         // An already-tripped token never starts executing. Mid-run checks
-        // happen on the cursor path (which a token-bearing sequential run
-        // always takes); parallel runs only observe the token here.
+        // happen on the cursor path, which a token-bearing run always takes.
         if let Some(token) = options.cancel_token_ref() {
             if token.deadline_exceeded() {
                 return Err(QueryError::DeadlineExceeded);
@@ -144,43 +138,15 @@ impl PreparedQuery {
         let snapshot = db.snapshot();
         let plan = self.plan_on(db, &snapshot, strategy)?;
 
-        if options.thread_count() > 1 {
-            // Parallel disjunct execution materializes the full answer; the
-            // options then restrict it after the fact.
-            let start = Instant::now();
-            let (pairs, pulled) = execute_parallel_with_stats(
-                plan.as_ref(),
-                snapshot.index(),
-                options.thread_count(),
-            )?;
-            db.record_pulled(pulled);
-            let mut pairs: Vec<_> = pairs.into_iter().filter(|&p| options.admits(p)).collect();
-            if let Some(limit) = options.limit_value() {
-                pairs.truncate(limit);
-            }
-            let count = pairs.len();
-            if options.is_count_only() {
-                pairs.clear();
-            }
-            let stats = ExecutionStats {
-                elapsed: start.elapsed(),
-                result_pairs: count,
-                pairs_pulled: pulled,
-                joins: plan.join_count(),
-                merge_joins: plan.merge_join_count(),
-            };
-            return Ok(QueryResult::new(pairs, stats, strategy));
-        }
-
         if options.is_full_materialization() {
             let (pairs, stats) = execute_with_stats(plan.as_ref(), snapshot.index())?;
             db.record_pulled(stats.pairs_pulled);
             return Ok(QueryResult::new(pairs, stats, strategy));
         }
 
-        // Restricted sequential runs stream through a cursor so limits
-        // terminate early. The cursor owns the snapshot, so it observes
-        // exactly the state this run planned against.
+        // Restricted runs stream through a cursor so limits terminate early.
+        // The cursor owns the snapshot, so it observes exactly the state this
+        // run planned against.
         let mut cursor = Cursor::open(snapshot, plan, options.clone(), db.pulled_sink())?;
         if options.is_count_only() {
             // Count without materializing: drain the cursor, keep nothing.
@@ -204,8 +170,7 @@ impl PreparedQuery {
     ///
     /// The cursor owns a [`Snapshot`] taken at open — see the
     /// snapshot-at-open contract on [`Cursor`] — so it needs no borrow of
-    /// the database and never blocks concurrent updates; `threads` is
-    /// ignored — cursors are sequential by construction.
+    /// the database and never blocks concurrent updates.
     pub fn cursor(&self, db: &PathDb, options: QueryOptions) -> Result<Cursor, QueryError> {
         let strategy = options
             .strategy_override()

@@ -76,6 +76,21 @@ impl AdvogatoConfig {
 }
 
 /// Generates an Advogato-like trust network.
+///
+/// ```
+/// use pathix_datagen::{advogato_like, AdvogatoConfig};
+///
+/// let config = AdvogatoConfig::scaled(0.01);
+/// let graph = advogato_like(config);
+/// assert_eq!(graph.node_count(), config.node_count()); // 65 of the 6,541
+/// assert_eq!(graph.label_names(), ["apprentice", "journeyer", "master"]);
+/// // Duplicate rejection may fall a little short of the edge target.
+/// assert!(graph.edge_count() <= config.edge_count());
+/// assert!(graph.edge_count() * 100 >= config.edge_count() * 95);
+/// // Same configuration, same graph.
+/// let again = advogato_like(config);
+/// assert!(graph.labels().all(|l| graph.edges(l).eq(again.edges(l))));
+/// ```
 pub fn advogato_like(config: AdvogatoConfig) -> Graph {
     let n = config.node_count();
     let m = config.edge_count();

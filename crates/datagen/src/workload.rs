@@ -43,6 +43,21 @@ pub enum QueryFamily {
 ///
 /// Labels refer to the Advogato trust levels `apprentice`, `journeyer`,
 /// `master` produced by [`crate::advogato_like`].
+///
+/// ```
+/// use pathix_datagen::{advogato_like, advogato_queries, AdvogatoConfig};
+///
+/// let queries = advogato_queries();
+/// let names: Vec<_> = queries.iter().map(|q| q.name.as_str()).collect();
+/// assert_eq!(names, ["A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8"]);
+/// assert_eq!(queries[0].text, "journeyer/master");
+///
+/// // Every query binds against the generated graph's vocabulary.
+/// let graph = advogato_like(AdvogatoConfig::scaled(0.005));
+/// for query in &queries {
+///     assert!(pathix_rpq::parse(&query.text).unwrap().bind(&graph).is_ok(), "{}", query.name);
+/// }
+/// ```
 pub fn advogato_queries() -> Vec<NamedQuery> {
     let q = |name: &str, text: &str, family| NamedQuery {
         name: name.to_owned(),
@@ -109,6 +124,24 @@ impl Default for WorkloadConfig {
 }
 
 /// Generates random RPQ texts over the vocabulary of a given graph.
+///
+/// ```
+/// use pathix_datagen::{paper_example_graph, QueryFamily, WorkloadConfig, WorkloadGenerator};
+///
+/// let graph = paper_example_graph();
+/// let config = WorkloadConfig { max_chain_len: 3, seed: 7, ..WorkloadConfig::default() };
+/// let workload = WorkloadGenerator::new(&graph, config).generate_mixed(8);
+///
+/// // Deterministic for a seed, cycling through the four families …
+/// assert_eq!(workload, WorkloadGenerator::new(&graph, config).generate_mixed(8));
+/// assert_eq!(workload[0].family, QueryFamily::Chain);
+/// assert_eq!(workload[3].family, QueryFamily::BoundedRecursion);
+/// assert_eq!(workload[4].family, QueryFamily::Chain);
+/// // … and every text is a query over the graph's own labels.
+/// for query in &workload {
+///     assert!(pathix_rpq::parse(&query.text).unwrap().bind(&graph).is_ok(), "{}", query.text);
+/// }
+/// ```
 #[derive(Debug)]
 pub struct WorkloadGenerator {
     labels: Vec<String>,

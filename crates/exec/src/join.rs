@@ -39,12 +39,6 @@ fn gallop_lower_bound(keys: &[NodeId], key: NodeId) -> usize {
     lo + keys[lo..hi].partition_point(|&k| k < key)
 }
 
-/// First index in `keys` whose value is ≥ `key`, by linear scan — the
-/// pre-galloping advancement, kept for benchmarking the difference.
-fn linear_lower_bound(keys: &[NodeId], key: NodeId) -> usize {
-    keys.iter().position(|&k| k >= key).unwrap_or(keys.len())
-}
-
 /// A buffered batch-at-a-time reader over one join input, exposing peeking,
 /// key-directed skipping and whole-group extraction over the batch's sorted
 /// key column.
@@ -101,15 +95,9 @@ impl<'a> BatchReader<'a> {
 
     /// Consumes every pair whose key is < `key` (the key column must be
     /// non-decreasing, which the merge join's sortedness contract provides).
-    fn skip_until(&mut self, key: NodeId, col: KeyCol, gallop: bool) -> BackendResult<()> {
+    fn skip_until(&mut self, key: NodeId, col: KeyCol) -> BackendResult<()> {
         while self.fill()? {
-            let keys = &self.keys(col)[self.pos..];
-            let off = if gallop {
-                gallop_lower_bound(keys, key)
-            } else {
-                linear_lower_bound(keys, key)
-            };
-            self.pos += off;
+            self.pos += gallop_lower_bound(&self.keys(col)[self.pos..], key);
             if self.pos < self.buf.len() {
                 return Ok(());
             }
@@ -150,7 +138,6 @@ impl<'a> BatchReader<'a> {
 pub struct MergeJoinOp<'a> {
     left: BatchReader<'a>,
     right: BatchReader<'a>,
-    gallop: bool,
     // Scratch buffers reused across matching groups — refilling must not
     // allocate per group.
     left_group: Vec<NodeId>,
@@ -163,21 +150,10 @@ pub struct MergeJoinOp<'a> {
 }
 
 impl<'a> MergeJoinOp<'a> {
-    /// Creates a merge join with galloping advancement. Panics if the inputs
-    /// do not provide the required sort orders — the planner must only emit
-    /// valid merge joins. (Input *errors* are deferred to the first pull.)
+    /// Creates a merge join. Panics if the inputs do not provide the
+    /// required sort orders — the planner must only emit valid merge joins.
+    /// (Input *errors* are deferred to the first pull.)
     pub fn new(left: BoxedPairStream<'a>, right: BoxedPairStream<'a>) -> Self {
-        Self::with_advancement(left, right, true)
-    }
-
-    /// Creates a merge join choosing the advancement policy: galloping
-    /// (`true`, the default) or linear scanning (`false`, the pre-vectorized
-    /// behavior, kept for benchmarking). Both produce identical output.
-    pub fn with_advancement(
-        left: BoxedPairStream<'a>,
-        right: BoxedPairStream<'a>,
-        gallop: bool,
-    ) -> Self {
         assert!(
             left.sortedness().is_by_target(),
             "merge join requires the left input sorted by target"
@@ -189,7 +165,6 @@ impl<'a> MergeJoinOp<'a> {
         MergeJoinOp {
             left: BatchReader::new(left),
             right: BatchReader::new(right),
-            gallop,
             left_group: Vec::new(),
             right_group: Vec::new(),
             out_buf: Vec::new(),
@@ -208,9 +183,9 @@ impl<'a> MergeJoinOp<'a> {
             };
             let (lkey, rkey) = (lp.1, rp.0);
             if lkey < rkey {
-                self.left.skip_until(rkey, KeyCol::Target, self.gallop)?;
+                self.left.skip_until(rkey, KeyCol::Target)?;
             } else if rkey < lkey {
-                self.right.skip_until(lkey, KeyCol::Source, self.gallop)?;
+                self.right.skip_until(lkey, KeyCol::Source)?;
             } else {
                 // Collect the full group on both sides, then cross-product.
                 self.left_group.clear();
@@ -571,7 +546,7 @@ mod tests {
     }
 
     #[test]
-    fn galloping_and_linear_advancement_agree_on_skewed_runs() {
+    fn galloping_advancement_matches_the_reference_on_skewed_runs() {
         // One side has long runs of keys the other side never matches — the
         // workload galloping exists for. Include runs that straddle batch
         // boundaries (well over BATCH_CAPACITY pairs per key).
@@ -583,14 +558,8 @@ mod tests {
         }
         let right: Vec<Pair> = (0..3000).map(|i| (n(2 * i), n(i))).collect();
         let expected = compose(&left, &right);
-        for gallop in [false, true] {
-            let join = MergeJoinOp::with_advancement(
-                Box::new(by_target(left.clone())),
-                Box::new(by_source(right.clone())),
-                gallop,
-            );
-            assert_eq!(collect_pairs(join).unwrap(), expected, "gallop={gallop}");
-        }
+        let join = MergeJoinOp::new(Box::new(by_target(left)), Box::new(by_source(right)));
+        assert_eq!(collect_pairs(join).unwrap(), expected);
     }
 
     #[test]
@@ -602,7 +571,6 @@ mod tests {
         for probe in 0..=100u32 {
             let expected = keys.partition_point(|&k| k < n(probe));
             assert_eq!(gallop_lower_bound(&keys, n(probe)), expected, "{probe}");
-            assert_eq!(linear_lower_bound(&keys, n(probe)), expected, "{probe}");
         }
         assert_eq!(gallop_lower_bound(&[], n(1)), 0);
     }

@@ -47,6 +47,44 @@ impl Sortedness {
 /// `next_pair` serves cursor streaming and `limit`/`exists` early
 /// termination. Both pulls draw from the same underlying position — mixing
 /// them observes each pair exactly once, in the same order.
+///
+/// An implementor that only knows how to produce one pair at a time gets
+/// the batch pull for free:
+///
+/// ```
+/// use pathix_exec::{Pair, PairBatch, PairStream, Sortedness};
+/// use pathix_graph::NodeId;
+/// use pathix_index::BackendResult;
+///
+/// /// The pairs (0, 1), (1, 2), … (n − 1, n).
+/// struct Chain {
+///     next: u32,
+///     n: u32,
+/// }
+///
+/// impl PairStream for Chain {
+///     fn next_pair(&mut self) -> BackendResult<Option<Pair>> {
+///         if self.next == self.n {
+///             return Ok(None);
+///         }
+///         self.next += 1;
+///         Ok(Some((NodeId(self.next - 1), NodeId(self.next))))
+///     }
+///
+///     fn sortedness(&self) -> Sortedness {
+///         Sortedness::BySource
+///     }
+/// }
+///
+/// let mut chain = Chain { next: 0, n: 5 };
+/// assert_eq!(chain.next_pair().unwrap(), Some((NodeId(0), NodeId(1))));
+/// let mut batch = PairBatch::with_capacity(3);
+/// assert_eq!(chain.next_batch(&mut batch).unwrap(), 3);
+/// assert_eq!(batch.get(0), (NodeId(1), NodeId(2)));
+/// assert_eq!(chain.next_batch(&mut batch).unwrap(), 1); // a short batch …
+/// assert_eq!(chain.next_batch(&mut batch).unwrap(), 0); // … then exhausted
+/// assert_eq!(chain.next_pair().unwrap(), None);
+/// ```
 pub trait PairStream {
     /// Produces the next pair, `Ok(None)` when exhausted, or the backend
     /// error that interrupted the scan.

@@ -24,7 +24,7 @@ pub enum ScanOrientation {
 /// A prefix scan of a k-path index backend for one label path.
 ///
 /// The operator is built against any [`PathIndexBackend`] — the in-memory
-/// B+tree, the buffer-pool-backed paged index or the compressed pair blocks —
+/// chunk runs, the buffer-pool-backed paged index or the compressed pair blocks —
 /// and streams whatever the backend streams, surfacing its errors.
 pub struct IndexScanOp<'a> {
     scan: BackendBatchScan<'a>,
@@ -197,12 +197,12 @@ mod tests {
     use super::*;
     use crate::operator::collect_pairs;
     use pathix_datagen::paper_example_graph;
-    use pathix_index::{naive_path_eval, KPathIndex};
+    use pathix_index::{naive_path_eval, SharedKPathIndex};
 
     #[test]
     fn forward_scan_is_source_sorted_and_complete() {
         let g = paper_example_graph();
-        let index = KPathIndex::build(&g, 2);
+        let index = SharedKPathIndex::build(&g, 2);
         let knows = SignedLabel::forward(g.label_id("knows").unwrap());
         let path = vec![knows, knows];
         let mut scan = IndexScanOp::new(&index, &path, ScanOrientation::Forward).unwrap();
@@ -218,7 +218,7 @@ mod tests {
     #[test]
     fn inverse_scan_yields_same_relation_target_sorted() {
         let g = paper_example_graph();
-        let index = KPathIndex::build(&g, 2);
+        let index = SharedKPathIndex::build(&g, 2);
         let knows = SignedLabel::forward(g.label_id("knows").unwrap());
         let works = SignedLabel::forward(g.label_id("worksFor").unwrap());
         let path = vec![knows, works];
@@ -241,7 +241,7 @@ mod tests {
     #[test]
     fn scans_work_through_a_trait_object() {
         let g = paper_example_graph();
-        let index = KPathIndex::build(&g, 2);
+        let index = SharedKPathIndex::build(&g, 2);
         let backend: &dyn PathIndexBackend = &index;
         let knows = SignedLabel::forward(g.label_id("knows").unwrap());
         let path = vec![knows];
@@ -252,7 +252,7 @@ mod tests {
     #[test]
     fn contract_violations_surface_as_errors() {
         let g = paper_example_graph();
-        let index = KPathIndex::build(&g, 1);
+        let index = SharedKPathIndex::build(&g, 1);
         let knows = SignedLabel::forward(g.label_id("knows").unwrap());
         let err = IndexScanOp::new(&index, &[knows, knows], ScanOrientation::Forward);
         assert!(err.is_err(), "scanning past k must error, not panic");
@@ -270,7 +270,7 @@ mod tests {
     #[test]
     fn mixed_pair_and_batch_pulls_observe_each_pair_once() {
         let g = paper_example_graph();
-        let index = KPathIndex::build(&g, 2);
+        let index = SharedKPathIndex::build(&g, 2);
         let knows = SignedLabel::forward(g.label_id("knows").unwrap());
         let works = SignedLabel::forward(g.label_id("worksFor").unwrap());
         let path = vec![knows, works];

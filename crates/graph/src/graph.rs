@@ -20,6 +20,34 @@ pub(crate) struct LabelAdjacency {
 }
 
 /// One edge mutation, already resolved to interned ids.
+///
+/// Within one [`Graph::commit_batch`] the ops of a `(label, src, dst)` key
+/// net out by their first and last transition:
+///
+/// ```
+/// use pathix_graph::{EdgeOp, GraphBuilder};
+///
+/// let mut b = GraphBuilder::new();
+/// b.add_edge_named("ada", "knows", "jan");
+/// let g = b.build();
+/// let (ada, jan) = (g.node_id("ada").unwrap(), g.node_id("jan").unwrap());
+/// let knows = g.label_id("knows").unwrap();
+///
+/// let next = g.commit_batch(
+///     g.vocab_batch(),
+///     &[
+///         EdgeOp::delete(ada, knows, jan),
+///         EdgeOp::insert(jan, knows, ada),
+///         // Inserted and deleted again inside the batch: a net no-op.
+///         EdgeOp::insert(jan, knows, jan),
+///         EdgeOp::delete(jan, knows, jan),
+///     ],
+/// );
+/// assert!(!next.has_edge(ada, knows, jan));
+/// assert!(next.has_edge(jan, knows, ada));
+/// assert!(!next.has_edge(jan, knows, jan));
+/// assert_eq!(next.edge_count(), 1);
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EdgeOp {
     pub src: NodeId,
@@ -134,6 +162,28 @@ impl VocabBatch {
 ///
 /// [`Graph::insert_edge`] / [`Graph::remove_edge`] keep the historical
 /// edge-at-a-time mutation API as thin wrappers over a one-op batch.
+///
+/// Committing a batch returns the next epoch and leaves this one untouched;
+/// names the batch interns become visible only in the committed graph:
+///
+/// ```
+/// use pathix_graph::{EdgeOp, Graph, SignedLabel};
+///
+/// let g0 = Graph::empty();
+/// let mut vocab = g0.vocab_batch();
+/// let (ada, jan) = (vocab.intern_node("ada"), vocab.intern_node("jan"));
+/// let knows = vocab.intern_label("knows");
+/// let g1 = g0.commit_batch(vocab, &[EdgeOp::insert(ada, knows, jan)]);
+///
+/// assert_eq!((g0.node_count(), g0.edge_count()), (0, 0));
+/// assert_eq!(g0.node_id("ada"), None);
+/// assert_eq!((g1.node_count(), g1.edge_count(), g1.label_count()), (2, 1, 1));
+/// assert_eq!(g1.node_name(ada), Some("ada"));
+/// assert_eq!(g1.edges(knows).collect::<Vec<_>>(), [(ada, jan)]);
+/// // Both directions of a label are navigable.
+/// let back: Vec<_> = g1.neighbors(jan, SignedLabel::backward(knows)).collect();
+/// assert_eq!(back, [ada]);
+/// ```
 #[derive(Debug, Clone)]
 pub struct Graph {
     pub(crate) vocab: Arc<Vocabulary>,

@@ -97,6 +97,19 @@ impl Direction {
 /// `SignedLabel` is `Copy`, small (4 bytes) and totally ordered by
 /// `(label, direction)` with `Forward < Backward`, which makes sequences of
 /// signed labels directly usable as ordered index-key components.
+///
+/// ```
+/// use pathix_graph::{LabelId, SignedLabel};
+///
+/// let (knows, likes) = (LabelId(0), LabelId(1));
+/// let fwd = SignedLabel::forward(knows);
+/// assert_eq!(fwd.inverse(), SignedLabel::backward(knows));
+/// assert_eq!(fwd.inverse().inverse(), fwd);
+/// assert!(fwd.inverse().is_backward() && !fwd.is_backward());
+/// // Ordered by (label, direction), forward first — and `code` keeps that order.
+/// let ordered = [fwd, fwd.inverse(), likes.into(), SignedLabel::backward(likes)];
+/// assert!(ordered.windows(2).all(|w| w[0] < w[1] && w[0].code() < w[1].code()));
+/// ```
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SignedLabel {
     /// The underlying vocabulary label.

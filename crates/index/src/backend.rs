@@ -2,8 +2,8 @@
 //!
 //! The paper's k-path index is storage-agnostic: the same search key
 //! `⟨label path, sourceID, targetID⟩` and the same three lookup shapes
-//! (Example 3.1) can be served by an in-memory B+tree, a buffer-pool-backed
-//! paged B+tree, or compressed per-path pair blocks — the three
+//! (Example 3.1) can be served by in-memory sorted chunk runs, a
+//! buffer-pool-backed paged B+tree, or compressed per-path pair blocks — the
 //! representations studied by the paper and its companion work (ref. \[14\]).
 //!
 //! [`PathIndexBackend`] captures exactly the contract the layers above
@@ -88,6 +88,26 @@ pub const BATCH_CAPACITY: usize = 1024;
 /// tuples. A batch has a fixed fill target (`capacity`); producers append up
 /// to that many pairs per call and the buffer's allocations are reused across
 /// refills.
+///
+/// ```
+/// use pathix_graph::NodeId;
+/// use pathix_index::PairBatch;
+///
+/// let mut batch = PairBatch::with_capacity(2);
+/// batch.push((NodeId(1), NodeId(7)));
+/// assert_eq!((batch.len(), batch.remaining_capacity(), batch.is_full()), (1, 1, false));
+/// batch.push((NodeId(2), NodeId(5)));
+/// assert!(batch.is_full());
+/// assert_eq!(batch.sources(), [NodeId(1), NodeId(2)]);
+/// assert_eq!(batch.targets(), [NodeId(7), NodeId(5)]);
+///
+/// // An inverse-path scan restores (source, target) orientation in O(1).
+/// batch.swap_columns();
+/// assert_eq!(batch.get(0), (NodeId(7), NodeId(1)));
+/// assert_eq!(batch.iter().count(), 2);
+/// batch.clear();
+/// assert!(batch.is_empty() && batch.capacity() == 2);
+/// ```
 #[derive(Debug, Clone)]
 pub struct PairBatch {
     sources: Vec<NodeId>,
@@ -194,6 +214,28 @@ impl PairBatch {
 /// A batched scan: repeatedly fills a [`PairBatch`] with the next pairs of
 /// one backend scan, in the same `(source, target)` order [`BackendScan`]
 /// streams them.
+///
+/// Every call clears the batch first, a short batch is not the end, and
+/// `Ok(0)` is:
+///
+/// ```
+/// use pathix_graph::NodeId;
+/// use pathix_index::{BackendResult, BatchScan, IterBatchScan, PairBatch};
+///
+/// let pairs: Vec<BackendResult<_>> = (0..5).map(|i| Ok((NodeId(i), NodeId(i + 1)))).collect();
+/// let mut scan = IterBatchScan::new(Box::new(pairs.into_iter()));
+/// let mut batch = PairBatch::with_capacity(2);
+/// let mut sizes = Vec::new();
+/// loop {
+///     let n = scan.next_batch(&mut batch).unwrap();
+///     assert_eq!(n, batch.len());
+///     if n == 0 {
+///         break;
+///     }
+///     sizes.push(n);
+/// }
+/// assert_eq!(sizes, [2, 2, 1]);
+/// ```
 pub trait BatchScan {
     /// Clears `batch` and refills it with up to `batch.capacity()` pairs.
     /// Returns the number of pairs produced; `Ok(0)` means the scan is
@@ -276,6 +318,33 @@ pub trait PathIndexBackend {
     /// the streaming scan; backends with a batch-friendly physical layout
     /// (chunked runs, varint blocks) override it to copy/decode whole slices
     /// per call.
+    ///
+    /// ```
+    /// use pathix_datagen::paper_example_graph;
+    /// use pathix_graph::SignedLabel;
+    /// use pathix_index::{PairBatch, PathIndexBackend, SharedKPathIndex};
+    ///
+    /// let g = paper_example_graph();
+    /// let index = SharedKPathIndex::build(&g, 2);
+    /// let knows = SignedLabel::forward(g.label_id("knows").unwrap());
+    /// let works_for = SignedLabel::forward(g.label_id("worksFor").unwrap());
+    /// let path = [knows, works_for];
+    ///
+    /// let mut scan = index.scan_path_batches(&path).unwrap();
+    /// let mut batch = PairBatch::new();
+    /// let mut batched = Vec::new();
+    /// while scan.next_batch(&mut batch).unwrap() > 0 {
+    ///     batched.extend(batch.iter());
+    /// }
+    /// let streamed: Vec<_> = PathIndexBackend::scan_path(&index, &path)
+    ///     .unwrap()
+    ///     .collect::<Result<_, _>>()
+    ///     .unwrap();
+    /// assert_eq!(batched, streamed);
+    /// assert_eq!(batched.len() as u64, index.path_cardinality(&path).unwrap());
+    /// // Longer than k: an error, not a panic.
+    /// assert!(index.scan_path_batches(&[knows, knows, knows]).is_err());
+    /// ```
     fn scan_path_batches(&self, path: &[SignedLabel]) -> BackendResult<BackendBatchScan<'_>> {
         Ok(Box::new(IterBatchScan::new(self.scan_path(path)?)))
     }
@@ -408,9 +477,9 @@ pub struct DeltaBatch<'a> {
 /// The counting delta enumeration happens once, backend-agnostically, in
 /// [`crate::IncrementalKPathIndex::apply_logged`]; implementors only replay
 /// the resulting [`DeltaBatch`] against their own storage. All three physical
-/// representations implement this: the in-memory B+tree (via the counting
-/// index itself), the paged B+tree (key inserts/deletes with page splits and
-/// merges) and the compressed store (a delta overlay compacted into block
+/// representations implement this: the in-memory chunk runs (rebuilding only
+/// the touched chunks), the paged B+tree (key inserts/deletes with page splits
+/// and merges) and the compressed store (a delta overlay compacted into block
 /// rewrites).
 pub trait MutablePathIndexBackend: PathIndexBackend {
     /// Replays one batch of key transitions and adopts the batch's fresh

@@ -19,9 +19,9 @@
 //! updated edge, a single update touches only that neighborhood rather than
 //! the whole index.
 //!
-//! The maintained key set is identical to [`crate::KPathIndex`] built from
-//! scratch over the same graph (property-tested in this module and in the
-//! integration suite); the histogram is *not* maintained incrementally —
+//! The maintained key set is identical to [`crate::SharedKPathIndex`] built
+//! from scratch over the same graph (property-tested in this module and in
+//! the integration suite); the histogram is *not* maintained incrementally —
 //! callers refresh [`crate::PathHistogram`] from
 //! [`IncrementalKPathIndex::per_path_counts`] at whatever cadence their
 //! optimizer needs.
@@ -33,14 +33,14 @@ use crate::backend::{
 use crate::pathkey::{
     decode_entry, decode_pair, encode_entry, encode_path_prefix, encode_path_source_prefix,
 };
-use crate::KPathIndex;
 use pathix_audit::{AuditReport, StructuralAudit};
 use pathix_graph::{EdgeOp, Graph, LabelId, NodeId, SignedLabel};
 use pathix_rpq::ast::inverse_path;
-use pathix_storage::BPlusTree;
+use pathix_storage::prefix_successor;
 use std::cmp::Ordering;
+use std::collections::btree_map::{self, BTreeMap, Entry};
 use std::collections::HashMap;
-use std::time::Instant;
+use std::ops::Bound;
 
 /// An edge update applied to an [`IncrementalKPathIndex`] (id variants) or to
 /// a `PathDb` (all variants; the named forms intern unseen vocabulary on the
@@ -101,6 +101,22 @@ impl GraphUpdate {
     }
 
     /// Shorthand for a name-based insertion.
+    ///
+    /// ```
+    /// use pathix_index::GraphUpdate;
+    ///
+    /// let update = GraphUpdate::insert_named("ada", "knows", String::from("jan"));
+    /// assert_eq!(
+    ///     update,
+    ///     GraphUpdate::InsertEdgeNamed {
+    ///         src: "ada".into(),
+    ///         label: "knows".into(),
+    ///         dst: "jan".into(),
+    ///     }
+    /// );
+    /// // Names resolve against a database's live vocabulary, not here.
+    /// assert_eq!(update.as_op(), None);
+    /// ```
     pub fn insert_named(
         src: impl Into<String>,
         label: impl Into<String>,
@@ -241,10 +257,10 @@ struct DeltaScratch {
 
 /// A k-path index that stays consistent under edge insertions and deletions.
 ///
-/// Unlike [`crate::KPathIndex`] (bulk-built, read-only), this index stores a
-/// walk count per `⟨p, a, b⟩` entry and applies counting delta rules on every
-/// update, so the visible pair sets always equal what a full rebuild over the
-/// current edge set would produce.
+/// Unlike [`crate::SharedKPathIndex`] (which stores the bare pairs), this
+/// index stores a walk count per `⟨p, a, b⟩` entry and applies counting delta
+/// rules on every update, so the visible pair sets always equal what a full
+/// rebuild over the current edge set would produce.
 ///
 /// ```
 /// use pathix_graph::{LabelId, NodeId};
@@ -263,10 +279,13 @@ struct DeltaScratch {
 pub struct IncrementalKPathIndex {
     k: usize,
     adj: DynAdjacency,
-    /// `⟨p, a, b⟩ → walk count` (count stored as little-endian `u64`).
-    tree: BPlusTree,
+    /// `⟨p, a, b⟩ → walk count`, keyed by the [`crate::pathkey`] encoding.
+    tree: BTreeMap<Vec<u8>, u64>,
+    /// Total length of the stored keys, maintained so
+    /// [`PathIndexBackend::stats`] is O(1).
+    key_bytes: u64,
     /// Distinct pair count per indexed path (only non-empty paths), sorted by
-    /// `(length, path)` — the same order [`crate::KPathIndex`] reports.
+    /// `(length, path)` — the order every backend reports.
     per_path: Vec<(Vec<SignedLabel>, u64)>,
     /// `packed (a, b) → number of label paths currently realizing the pair`:
     /// the bookkeeping behind the `|paths_k(G)|` selectivity denominator.
@@ -289,7 +308,8 @@ impl IncrementalKPathIndex {
         IncrementalKPathIndex {
             k,
             adj: DynAdjacency::default(),
-            tree: BPlusTree::new(),
+            tree: BTreeMap::new(),
+            key_bytes: 0,
             per_path: Vec::new(),
             pair_refs: HashMap::new(),
             linked_pairs: 0,
@@ -302,7 +322,7 @@ impl IncrementalKPathIndex {
 
     /// Builds the index over an existing graph by replaying its edges as
     /// insertions. The resulting pair sets are identical to
-    /// [`crate::KPathIndex::build`] over the same graph.
+    /// [`crate::SharedKPathIndex::build`] over the same graph.
     ///
     /// Each replayed edge pays the full delta computation; prefer
     /// [`IncrementalKPathIndex::bulk_from_graph`] when seeding from a large
@@ -319,8 +339,8 @@ impl IncrementalKPathIndex {
     }
 
     /// Builds the index over an existing graph with bulk counted path
-    /// enumeration — the same level-by-level joins [`crate::KPathIndex`] uses,
-    /// except carrying walk multiplicities — and a single sorted bulk load.
+    /// enumeration — the same level-by-level joins [`crate::enumerate_paths`]
+    /// runs, except carrying walk multiplicities — and a single bulk load.
     ///
     /// The result is identical to [`IncrementalKPathIndex::from_graph`]
     /// (property-tested) at a fraction of the seeding cost, which is what
@@ -332,11 +352,14 @@ impl IncrementalKPathIndex {
         let mut per_path = Vec::with_capacity(relations.len());
         let mut pair_refs: HashMap<u64, u32> = HashMap::new();
         let mut linked_pairs = 0u64;
-        let mut entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+        let mut key_bytes = 0u64;
+        let mut entries: Vec<(Vec<u8>, u64)> = Vec::new();
         for (path, pairs) in &relations {
             per_path.push((path.clone(), pairs.len() as u64));
             for &((a, b), walks) in pairs {
-                entries.push((encode_entry(path, a, b), encode_count(walks)));
+                let key = encode_entry(path, a, b);
+                key_bytes += key.len() as u64;
+                entries.push((key, walks));
                 let refs = pair_refs.entry(pack_pair(a, b)).or_insert(0);
                 *refs += 1;
                 if *refs == 1 && a != b {
@@ -344,11 +367,14 @@ impl IncrementalKPathIndex {
                 }
             }
         }
+        // Paths of different lengths interleave in key order; sorting in
+        // place first makes the map's bulk build a single linear pass.
         entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         IncrementalKPathIndex {
             k,
             adj: DynAdjacency::from_graph(graph),
-            tree: BPlusTree::bulk_load(entries),
+            tree: entries.into_iter().collect(),
+            key_bytes,
             per_path,
             pair_refs,
             linked_pairs,
@@ -365,7 +391,7 @@ impl IncrementalKPathIndex {
     ///
     /// This is the restart path: instead of re-enumerating every counted path
     /// relation of the graph ([`IncrementalKPathIndex::bulk_from_graph`]),
-    /// the entries stream straight into a sorted bulk load while one linear
+    /// the entries stream straight into a bulk load while one linear
     /// pass recounts the per-path cardinalities and the `|paths_k(G)|`
     /// bookkeeping. `entries` must arrive in ascending key order (the order
     /// any tree scan yields) with strictly positive counts.
@@ -384,7 +410,8 @@ impl IncrementalKPathIndex {
         let mut per_path: Vec<(Vec<SignedLabel>, u64)> = Vec::new();
         let mut pair_refs: HashMap<u64, u32> = HashMap::new();
         let mut linked_pairs = 0u64;
-        let mut loaded: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+        let mut key_bytes = 0u64;
+        let mut loaded: Vec<(Vec<u8>, u64)> = Vec::new();
         for (key, count) in entries {
             let Some((path, a, b)) = decode_entry(&key) else {
                 return Err(format!(
@@ -411,12 +438,14 @@ impl IncrementalKPathIndex {
             if *refs == 1 && a != b {
                 linked_pairs += 1;
             }
-            loaded.push((key, encode_count(count)));
+            key_bytes += key.len() as u64;
+            loaded.push((key, count));
         }
         Ok(IncrementalKPathIndex {
             k,
             adj: DynAdjacency::from_graph(graph),
-            tree: BPlusTree::bulk_load(loaded),
+            tree: loaded.into_iter().collect(),
+            key_bytes,
             per_path,
             pair_refs,
             linked_pairs,
@@ -425,24 +454,6 @@ impl IncrementalKPathIndex {
             deletes_applied: 0,
             scratch: DeltaScratch::default(),
         })
-    }
-
-    /// Freezes the current state into a read-optimized [`crate::KPathIndex`]
-    /// (walk counts dropped, entries bulk-loaded in key order). This is how a
-    /// live database publishes immutable read snapshots after a batch of
-    /// updates without re-enumerating any path relation.
-    pub fn freeze(&self) -> KPathIndex {
-        let start = Instant::now();
-        let mut entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(self.tree.len());
-        entries.extend(self.tree.iter().map(|(key, _)| (key.to_vec(), Vec::new())));
-        KPathIndex::from_raw_parts(
-            self.k,
-            self.node_count,
-            BPlusTree::bulk_load(entries),
-            self.per_path.clone(),
-            self.paths_k_size(),
-            start,
-        )
     }
 
     /// The locality parameter k.
@@ -500,31 +511,30 @@ impl IncrementalKPathIndex {
     /// `I_{G,k}(⟨p⟩)`: the current pairs of `p(G)` in `(source, target)`
     /// order.
     ///
-    /// Panics if `path` is empty or longer than k, mirroring
-    /// [`crate::KPathIndex::scan_path`].
+    /// Panics if `path` is empty or longer than k.
     pub fn scan_path(&self, path: &[SignedLabel]) -> Vec<(NodeId, NodeId)> {
         assert!(
             !path.is_empty() && path.len() <= self.k,
             "scan_path expects a path of length 1..=k"
         );
-        let prefix = encode_path_prefix(path);
-        self.tree
-            .scan_prefix(&prefix)
+        prefix_range(&self.tree, &encode_path_prefix(path))
             .map(|(key, _)| decode_pair(key))
             .collect()
     }
 
     /// Membership test for `⟨p, a, b⟩`.
     pub fn contains(&self, path: &[SignedLabel], source: NodeId, target: NodeId) -> bool {
-        self.tree.contains_key(&encode_entry(path, source, target))
+        self.tree
+            .contains_key(encode_entry(path, source, target).as_slice())
     }
 
     /// Number of distinct walks of shape `path` from `source` to `target`
     /// (zero if the pair is not in the index).
     pub fn walk_count(&self, path: &[SignedLabel], source: NodeId, target: NodeId) -> u64 {
         self.tree
-            .get(&encode_entry(path, source, target))
-            .map_or(0, decode_count)
+            .get(encode_entry(path, source, target).as_slice())
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Applies a single update, returning `true` if it changed the graph.
@@ -583,7 +593,7 @@ impl IncrementalKPathIndex {
         let mut scratch = std::mem::take(&mut self.scratch);
         self.edge_delta(src, label, dst, &mut scratch);
         for (key, count) in scratch.out.drain(..) {
-            self.add_to_entry(&key, count, log.as_deref_mut());
+            self.add_to_entry(key, count, log.as_deref_mut());
         }
         self.scratch = scratch;
         self.inserts_applied += 1;
@@ -743,24 +753,23 @@ impl IncrementalKPathIndex {
         result
     }
 
-    fn add_to_entry(&mut self, key: &[u8], delta: u64, log: Option<&mut EntryDeltas>) {
+    fn add_to_entry(&mut self, key: Vec<u8>, delta: u64, log: Option<&mut EntryDeltas>) {
         debug_assert!(delta > 0);
-        let existing = self.tree.get(key).map(decode_count);
-        match existing {
-            Some(count) => {
+        match self.tree.entry(key) {
+            Entry::Occupied(mut slot) => {
+                *slot.get_mut() += delta;
                 if let Some(log) = log {
-                    log.record_count(key, count + delta);
+                    log.record_count(slot.key(), *slot.get());
                 }
-                self.tree.insert(key.to_vec(), encode_count(count + delta));
             }
-            None => {
+            Entry::Vacant(slot) => {
                 if let Some(log) = log {
-                    log.record(key, EntryChange::Added);
-                    log.record_count(key, delta);
+                    log.record(slot.key(), EntryChange::Added);
+                    log.record_count(slot.key(), delta);
                 }
-                self.tree.insert(key.to_vec(), encode_count(delta));
-                let (path, a, b) =
-                    crate::pathkey::decode_entry(key).expect("index keys are well-formed");
+                let (path, a, b) = decode_entry(slot.key()).expect("index keys are well-formed");
+                self.key_bytes += slot.key().len() as u64;
+                slot.insert(delta);
                 match self.path_slot(&path) {
                     Ok(i) => self.per_path[i].1 += 1,
                     Err(i) => self.per_path.insert(i, (path, 1)),
@@ -777,23 +786,22 @@ impl IncrementalKPathIndex {
     fn subtract_from_entry(&mut self, key: &[u8], delta: u64, log: Option<&mut EntryDeltas>) {
         let count = self
             .tree
-            .get(key)
-            .map(decode_count)
+            .get_mut(key)
             .expect("deletion delta must target an existing entry");
-        debug_assert!(count >= delta, "walk counts must not go negative");
-        if count > delta {
+        debug_assert!(*count >= delta, "walk counts must not go negative");
+        if *count > delta {
+            *count -= delta;
             if let Some(log) = log {
-                log.record_count(key, count - delta);
+                log.record_count(key, *count);
             }
-            self.tree.insert(key.to_vec(), encode_count(count - delta));
         } else {
             if let Some(log) = log {
                 log.record(key, EntryChange::Removed);
                 log.record_count(key, 0);
             }
-            self.tree.delete(key);
-            let (path, a, b) =
-                crate::pathkey::decode_entry(key).expect("index keys are well-formed");
+            self.tree.remove(key);
+            self.key_bytes -= key.len() as u64;
+            let (path, a, b) = decode_entry(key).expect("index keys are well-formed");
             if let Ok(i) = self.path_slot(&path) {
                 self.per_path[i].1 -= 1;
                 if self.per_path[i].1 == 0 {
@@ -899,22 +907,19 @@ impl PathIndexBackend for IncrementalKPathIndex {
 
     fn scan_path(&self, path: &[SignedLabel]) -> BackendResult<BackendScan<'_>> {
         check_scan_path(PathIndexBackend::backend_name(self), self.k, path)?;
-        let prefix = encode_path_prefix(path);
         Ok(Box::new(
-            self.tree
-                .scan_prefix(&prefix)
+            prefix_range(&self.tree, &encode_path_prefix(path))
                 .map(|(key, _)| Ok(decode_pair(key))),
         ))
     }
 
     fn scan_path_from(&self, path: &[SignedLabel], source: NodeId) -> BackendResult<Vec<NodeId>> {
         check_scan_path(PathIndexBackend::backend_name(self), self.k, path)?;
-        let prefix = encode_path_source_prefix(path, source);
-        Ok(self
-            .tree
-            .scan_prefix(&prefix)
-            .map(|(key, _)| decode_pair(key).1)
-            .collect())
+        Ok(
+            prefix_range(&self.tree, &encode_path_source_prefix(path, source))
+                .map(|(key, _)| decode_pair(key).1)
+                .collect(),
+        )
     }
 
     fn contains(
@@ -939,14 +944,14 @@ impl PathIndexBackend for IncrementalKPathIndex {
     }
 
     fn stats(&self) -> BackendStats {
-        let tree_stats = self.tree.stats();
+        let entries = self.tree.len() as u64;
         BackendStats {
             backend: PathIndexBackend::backend_name(self),
             k: self.k,
-            entries: tree_stats.len as u64,
+            entries,
             distinct_paths: self.per_path.len(),
             paths_k_size: IncrementalKPathIndex::paths_k_size(self),
-            approx_bytes: tree_stats.approx_key_bytes as u64,
+            approx_bytes: self.key_bytes + 8 * entries,
         }
     }
 }
@@ -955,8 +960,8 @@ impl StructuralAudit for IncrementalKPathIndex {
     /// Recomputes the counting index's derived state from the entry tree and
     /// compares it with the maintained copies:
     ///
-    /// * `entry-decodable` / `walk-count-encoding` — every stored key is a
-    ///   well-formed `⟨p, a, b⟩` entry with an 8-byte count value;
+    /// * `entry-decodable` — every stored key is a well-formed `⟨p, a, b⟩`
+    ///   entry;
     /// * `walk-count-positive` — no entry survives at a zero walk count (the
     ///   delta rules must remove a pair exactly when its last walk dies);
     /// * `counts-consistent` — the maintained per-path cardinalities equal a
@@ -969,17 +974,14 @@ impl StructuralAudit for IncrementalKPathIndex {
         let mut per_path: Vec<(Vec<SignedLabel>, u64)> = Vec::new();
         let mut refs: HashMap<u64, u32> = HashMap::new();
         let mut undecodable = 0u64;
-        let mut bad_value = 0u64;
         let mut zero_count = 0u64;
         let mut first_zero = String::new();
-        for (key, value) in self.tree.iter() {
+        for (key, &count) in &self.tree {
             let Some((path, a, b)) = decode_entry(key) else {
                 undecodable += 1;
                 continue;
             };
-            if value.len() != 8 {
-                bad_value += 1;
-            } else if decode_count(value) == 0 {
+            if count == 0 {
                 zero_count += 1;
                 if first_zero.is_empty() {
                     first_zero = format!("path {path:?} pair ({a:?}, {b:?})");
@@ -993,9 +995,6 @@ impl StructuralAudit for IncrementalKPathIndex {
         }
         report.check("entry-decodable", "tree", undecodable == 0, || {
             format!("{undecodable} stored key(s) are not well-formed index entries")
-        });
-        report.check("walk-count-encoding", "tree", bad_value == 0, || {
-            format!("{bad_value} entry value(s) are not 8-byte walk counts")
         });
         report.check("walk-count-positive", "tree", zero_count == 0, || {
             format!("{zero_count} entry(ies) stored with a zero walk count, first at {first_zero}")
@@ -1075,22 +1074,24 @@ fn is_excluded(
     }
 }
 
-#[inline]
-fn encode_count(count: u64) -> Vec<u8> {
-    count.to_le_bytes().to_vec()
-}
-
-#[inline]
-fn decode_count(value: &[u8]) -> u64 {
-    let mut bytes = [0u8; 8];
-    bytes.copy_from_slice(value);
-    u64::from_le_bytes(bytes)
+/// The entries of `tree` whose key starts with `prefix`, in key order: the
+/// half-open range `[prefix, prefix_successor(prefix))`, unbounded above when
+/// no successor exists (an empty or all-`0xFF` prefix).
+fn prefix_range<'a>(
+    tree: &'a BTreeMap<Vec<u8>, u64>,
+    prefix: &[u8],
+) -> btree_map::Range<'a, Vec<u8>, u64> {
+    let successor = prefix_successor(prefix);
+    let upper = successor
+        .as_deref()
+        .map_or(Bound::Unbounded, Bound::Excluded);
+    tree.range::<[u8], _>((Bound::Included(prefix), upper))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::KPathIndex;
+    use crate::enumerate_paths;
     use pathix_datagen::paper_example_graph;
     use std::collections::BTreeSet;
 
@@ -1167,22 +1168,28 @@ mod tests {
     }
 
     #[test]
-    fn from_graph_matches_bulk_built_index() {
+    fn from_graph_matches_the_bulk_enumeration() {
         let g = paper_example_graph();
         for k in 1..=3 {
-            let bulk = KPathIndex::build(&g, k);
+            let relations = enumerate_paths(&g, k);
             let incremental = IncrementalKPathIndex::from_graph(&g, k);
-            assert_eq!(incremental.entry_count(), bulk.stats().entries);
-            assert_eq!(incremental.distinct_paths(), bulk.stats().distinct_paths);
-            for (path, count) in bulk.per_path_counts() {
-                let expected: Vec<_> = bulk.scan_path(path).collect();
-                assert_eq!(incremental.scan_path(path), expected, "path {path:?}");
-                let incr_count = incremental
-                    .per_path_counts()
-                    .iter()
-                    .find(|(p, _)| p == path)
-                    .map(|(_, c)| *c);
-                assert_eq!(incr_count, Some(*count));
+            assert_eq!(
+                incremental.entry_count(),
+                relations.iter().map(|r| r.pairs.len()).sum::<usize>()
+            );
+            assert_eq!(incremental.distinct_paths(), relations.len());
+            for rel in &relations {
+                assert!(rel.pairs.windows(2).all(|w| w[0] < w[1]));
+                assert_eq!(
+                    incremental.scan_path(&rel.path),
+                    rel.pairs,
+                    "path {:?}",
+                    rel.path
+                );
+                assert_eq!(
+                    incremental.path_cardinality(&rel.path),
+                    Some(rel.pairs.len() as u64)
+                );
             }
         }
     }
@@ -1356,34 +1363,10 @@ mod tests {
     }
 
     #[test]
-    fn freeze_matches_a_full_bulk_rebuild() {
-        let g = paper_example_graph();
-        let mut index = IncrementalKPathIndex::bulk_from_graph(&g, 2);
-        let knows = g.label_id("knows").unwrap();
-        let sue = g.node_id("sue").unwrap();
-        let tim = g.node_id("tim").unwrap();
-        assert!(index.insert_edge(sue, knows, tim));
-
-        let frozen = index.freeze();
-        let mut updated = g.clone();
-        assert!(updated.insert_edge(sue, knows, tim));
-        let rebuilt = KPathIndex::build(&updated, 2);
-        assert_eq!(frozen.stats().entries, rebuilt.stats().entries);
-        assert_eq!(frozen.per_path_counts(), rebuilt.per_path_counts());
-        assert_eq!(frozen.paths_k_size(), rebuilt.paths_k_size());
-        assert_eq!(frozen.node_count(), rebuilt.node_count());
-        for (path, _) in rebuilt.per_path_counts() {
-            let expected: Vec<_> = rebuilt.scan_path(path).collect();
-            let actual: Vec<_> = frozen.scan_path(path).collect();
-            assert_eq!(actual, expected, "path {path:?}");
-        }
-    }
-
-    #[test]
     fn paths_k_size_matches_the_enumeration_denominator() {
         let g = paper_example_graph();
         for k in 1..=3 {
-            let expected = crate::paths_k_cardinality(&g, &crate::enumerate_paths(&g, k));
+            let expected = crate::paths_k_cardinality(&g, &enumerate_paths(&g, k));
             assert_eq!(
                 IncrementalKPathIndex::from_graph(&g, k).paths_k_size(),
                 expected,
@@ -1486,7 +1469,7 @@ mod tests {
         use std::collections::BTreeSet;
         let g = paper_example_graph();
         let mut index = IncrementalKPathIndex::bulk_from_graph(&g, 2);
-        let mut shadow: BTreeSet<Vec<u8>> = index.tree.iter().map(|(k, _)| k.to_vec()).collect();
+        let mut shadow: BTreeSet<Vec<u8>> = index.tree.keys().cloned().collect();
 
         let mut rng_edges: Vec<Edge> = g
             .labels()
@@ -1520,7 +1503,7 @@ mod tests {
                 EntryChange::Removed => assert!(shadow.remove(key), "remove of absent key"),
             }
         }
-        let live: BTreeSet<Vec<u8>> = index.tree.iter().map(|(k, _)| k.to_vec()).collect();
+        let live: BTreeSet<Vec<u8>> = index.tree.keys().cloned().collect();
         assert_eq!(shadow, live, "log replay diverged from the index");
     }
 
@@ -1554,6 +1537,193 @@ mod tests {
     #[should_panic(expected = "k ≥ 1")]
     fn k_zero_is_rejected() {
         let _ = IncrementalKPathIndex::new(0);
+    }
+
+    /// Keys of `tree` under `prefix`, via the range helper.
+    fn keys_under(tree: &BTreeMap<Vec<u8>, u64>, prefix: &[u8]) -> Vec<Vec<u8>> {
+        prefix_range(tree, prefix).map(|(k, _)| k.clone()).collect()
+    }
+
+    fn key_map<const N: usize>(keys: [&[u8]; N]) -> BTreeMap<Vec<u8>, u64> {
+        keys.into_iter().map(|key| (key.to_vec(), 1)).collect()
+    }
+
+    #[test]
+    fn prefix_range_is_unbounded_above_when_the_prefix_has_no_successor() {
+        let tree = key_map([&[0xFE, 0xFF], &[0xFF], &[0xFF, 0x00], &[0xFF, 0xFF, 0x03]]);
+        assert_eq!(prefix_successor(&[0xFF, 0xFF]), None);
+        assert_eq!(
+            keys_under(&tree, &[0xFF]),
+            [vec![0xFF], vec![0xFF, 0x00], vec![0xFF, 0xFF, 0x03]]
+        );
+        assert_eq!(keys_under(&tree, &[0xFF, 0xFF]), [vec![0xFF, 0xFF, 0x03]]);
+        assert_eq!(keys_under(&tree, &[]).len(), tree.len());
+    }
+
+    #[test]
+    fn prefix_range_with_a_carrying_successor_excludes_the_shorter_upper_bound() {
+        // [0x01, 0xFF] carries to [0x02]: the upper bound is shorter than the
+        // prefix, and both it and everything above it must stay out.
+        let tree = key_map([
+            &[0x01, 0xFE, 0xFF],
+            &[0x01, 0xFF],
+            &[0x01, 0xFF, 0x00],
+            &[0x01, 0xFF, 0xFF, 0xFF],
+            &[0x02],
+            &[0x02, 0x00],
+        ]);
+        assert_eq!(prefix_successor(&[0x01, 0xFF]), Some(vec![0x02]));
+        assert_eq!(
+            keys_under(&tree, &[0x01, 0xFF]),
+            [
+                vec![0x01, 0xFF],
+                vec![0x01, 0xFF, 0x00],
+                vec![0x01, 0xFF, 0xFF, 0xFF]
+            ]
+        );
+    }
+
+    #[test]
+    fn scans_stop_at_a_neighbour_differing_in_the_last_prefix_byte() {
+        // Labels 0 and 1 give the signed steps +0, 0⁻, +1, 1⁻: the path
+        // prefixes of adjacent steps differ only in their last byte, and so do
+        // the source prefixes of adjacent node ids.
+        let (l0, l1) = (LabelId(0), LabelId(1));
+        let mut index = IncrementalKPathIndex::new(1);
+        for src in [NodeId(6), NodeId(7), NodeId(8)] {
+            for (label, dst) in [(l0, NodeId(1)), (l0, NodeId(2)), (l1, NodeId(3))] {
+                index.insert_edge(src, label, dst);
+            }
+        }
+        let fwd0 = [SignedLabel::forward(l0)];
+        let expected: Vec<_> = [6, 7, 8]
+            .into_iter()
+            .flat_map(|s| [(NodeId(s), NodeId(1)), (NodeId(s), NodeId(2))])
+            .collect();
+        assert_eq!(index.scan_path(&fwd0), expected);
+        let backend: &dyn PathIndexBackend = &index;
+        assert_eq!(
+            backend.scan_path_from(&fwd0, NodeId(7)).unwrap(),
+            [NodeId(1), NodeId(2)]
+        );
+        assert_eq!(
+            backend
+                .scan_path_from(&[SignedLabel::forward(l1)], NodeId(7))
+                .unwrap(),
+            [NodeId(3)]
+        );
+    }
+
+    #[test]
+    fn scan_path_from_the_largest_node_id_carries_the_successor() {
+        // The source prefix of NodeId(u32::MAX) ends in four 0xFF bytes, so
+        // its successor must carry into the path bytes.
+        let l = LabelId(0);
+        let max = NodeId(u32::MAX);
+        let mut index = IncrementalKPathIndex::new(2);
+        index.insert_edge(max, l, NodeId(4));
+        index.insert_edge(max, l, max);
+        index.insert_edge(NodeId(u32::MAX - 1), l, NodeId(5));
+        let fwd = [SignedLabel::forward(l)];
+        let prefix = encode_path_source_prefix(&fwd, max);
+        assert!(prefix.ends_with(&[0xFF; 4]));
+        assert!(prefix_successor(&prefix).is_some_and(|s| s.len() < prefix.len()));
+        let backend: &dyn PathIndexBackend = &index;
+        assert_eq!(backend.scan_path_from(&fwd, max).unwrap(), [NodeId(4), max]);
+        assert_eq!(
+            backend.scan_path_from(&fwd, NodeId(u32::MAX - 1)).unwrap(),
+            [NodeId(5)]
+        );
+        // The next path in key order (0⁻) starts right after max's entries.
+        assert_eq!(
+            backend
+                .scan_path_from(&[SignedLabel::backward(l)], NodeId(4))
+                .unwrap(),
+            [max]
+        );
+    }
+
+    /// The paper graph with the `(key, walk count)` stream a durable backend
+    /// would hand back for it at k = 2.
+    fn persisted_fixture() -> (Graph, IncrementalKPathIndex, Vec<(Vec<u8>, u64)>) {
+        let g = paper_example_graph();
+        let reference = IncrementalKPathIndex::bulk_from_graph(&g, 2);
+        let entries = reference
+            .tree
+            .iter()
+            .map(|(k, &c)| (k.clone(), c))
+            .collect();
+        (g, reference, entries)
+    }
+
+    #[test]
+    fn a_faithful_persisted_stream_reloads_the_identical_index() {
+        let (g, reference, entries) = persisted_fixture();
+        let reloaded = IncrementalKPathIndex::from_persisted_entries(&g, 2, entries)
+            .expect("a faithful entry stream reloads");
+        assert_eq!(reloaded.tree, reference.tree);
+        assert_eq!(reloaded.per_path_counts(), reference.per_path_counts());
+        assert_eq!(reloaded.paths_k_size(), reference.paths_k_size());
+        assert_eq!(reloaded.stats(), reference.stats());
+        assert_eq!(violated(&reloaded), Vec::<&str>::new());
+    }
+
+    #[test]
+    fn persisted_entries_out_of_key_order_are_rejected() {
+        let (g, _, mut entries) = persisted_fixture();
+        entries.swap(0, 1);
+        let err = IncrementalKPathIndex::from_persisted_entries(&g, 2, entries).unwrap_err();
+        assert!(err.contains("ascending key order"), "{err}");
+    }
+
+    #[test]
+    fn a_duplicated_persisted_entry_is_rejected() {
+        // A `collect()` into the map would silently keep the last count.
+        let (g, _, mut entries) = persisted_fixture();
+        entries[1] = entries[0].clone();
+        let err = IncrementalKPathIndex::from_persisted_entries(&g, 2, entries).unwrap_err();
+        assert!(err.contains("ascending key order"), "{err}");
+    }
+
+    #[test]
+    fn a_zero_count_persisted_entry_is_rejected() {
+        let (g, _, mut entries) = persisted_fixture();
+        entries[2].1 = 0;
+        let err = IncrementalKPathIndex::from_persisted_entries(&g, 2, entries).unwrap_err();
+        assert!(err.contains("zero walk count"), "{err}");
+    }
+
+    #[test]
+    fn approx_bytes_equals_a_recount_after_mixed_updates() {
+        let recount = |index: &IncrementalKPathIndex| -> u64 {
+            index.tree.keys().map(|k| k.len() as u64 + 8).sum()
+        };
+        let g = paper_example_graph();
+        let mut index = IncrementalKPathIndex::bulk_from_graph(&g, 3);
+        assert_eq!(index.stats().approx_bytes, recount(&index), "after seed");
+        let edges: Vec<Edge> = g
+            .labels()
+            .flat_map(|l| g.edges(l).map(move |(s, d)| (s, l, d)))
+            .collect();
+        for (i, &(s, l, d)) in edges.iter().enumerate() {
+            if i % 2 == 0 {
+                assert!(index.delete_edge(s, l, d));
+            } else {
+                // A fresh edge out of an existing node: new keys of every
+                // length up to k.
+                index.insert_edge(s, l, NodeId(1_000 + i as u32));
+            }
+            assert_eq!(index.stats().approx_bytes, recount(&index), "step {i}");
+        }
+        for &(s, l, d) in edges.iter().step_by(2) {
+            assert!(index.insert_edge(s, l, d));
+        }
+        assert_eq!(
+            index.stats().approx_bytes,
+            recount(&index),
+            "after re-insert"
+        );
+        assert!(index.stats().approx_bytes > 0);
     }
 
     mod property {
@@ -1658,16 +1828,16 @@ mod tests {
         let g = paper_example_graph();
         let clean = IncrementalKPathIndex::bulk_from_graph(&g, 2);
 
-        // A zero walk count left behind in the tree (the delta rules must
+        // A zero walk count left behind in the map (the delta rules must
         // delete the key instead).
         let mut corrupt = clean.clone();
         let key = corrupt
             .tree
-            .iter()
+            .keys()
             .next()
-            .map(|(k, _)| k.to_vec())
+            .cloned()
             .expect("non-empty index");
-        corrupt.tree.insert(key, encode_count(0));
+        corrupt.tree.insert(key, 0);
         assert!(
             violated(&corrupt).contains(&"walk-count-positive"),
             "a zero-count entry must trip the auditor"

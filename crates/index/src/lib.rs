@@ -6,11 +6,13 @@
 //!
 //! The index materializes, for every label path `p` of length ≤ k over the
 //! signed alphabet `{ℓ, ℓ⁻}`, every node pair `(a, b) ∈ p(G)`, and stores the
-//! triples `⟨p, a, b⟩` as composite keys in a B+tree
-//! ([`pathix_storage::BPlusTree`]). A prefix scan over `⟨p⟩` therefore yields
-//! `p(G)` ordered by `(source, target)`; a prefix scan over `⟨p, a⟩` yields
-//! the targets reachable from `a`; a point lookup over `⟨p, a, b⟩` answers
-//! membership — exactly the three lookup shapes of Example 3.1 in the paper.
+//! triples `⟨p, a, b⟩` in `(path, source, target)` order — as sorted,
+//! `Arc`-shared chunk runs in memory ([`SharedKPathIndex`]) and as composite
+//! [`pathkey`] keys in the paged B+tree of `pathix-pagestore` on disk. A scan
+//! over `⟨p⟩` therefore yields `p(G)` ordered by `(source, target)`; a scan
+//! over `⟨p, a⟩` yields the targets reachable from `a`; a point lookup over
+//! `⟨p, a, b⟩` answers membership — exactly the three lookup shapes of
+//! Example 3.1 in the paper.
 //!
 //! The histogram records (estimates of) `|p(G)| / |paths_k(G)|` for every
 //! indexed path and is what the `minSupport` / `minJoin` planners use to pick
@@ -18,11 +20,11 @@
 //!
 //! ```
 //! use pathix_datagen::paper_example_graph;
-//! use pathix_index::KPathIndex;
+//! use pathix_index::SharedKPathIndex;
 //! use pathix_graph::SignedLabel;
 //!
 //! let g = paper_example_graph();
-//! let index = KPathIndex::build(&g, 2);
+//! let index = SharedKPathIndex::build(&g, 2);
 //! let knows = SignedLabel::forward(g.label_id("knows").unwrap());
 //! let pairs: Vec<_> = index.scan_path(&[knows, knows]).collect();
 //! assert!(!pairs.is_empty());
@@ -33,8 +35,6 @@ pub mod enumerate;
 pub mod estimate;
 pub mod histogram;
 pub mod incremental;
-pub mod kpath;
-pub mod parallel;
 pub mod pathkey;
 pub mod runs;
 
@@ -49,6 +49,4 @@ pub use histogram::{EstimationMode, PathHistogram};
 pub use incremental::{
     enumerate_counted_paths, CountedRelation, GraphUpdate, IncrementalKPathIndex,
 };
-pub use kpath::{IndexStats, KPathIndex};
-pub use parallel::enumerate_paths_parallel;
 pub use runs::{RunPublishStats, SharedKPathIndex};

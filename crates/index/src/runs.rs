@@ -1,13 +1,13 @@
 //! The structurally-shared, read-optimized k-path index that live databases
 //! publish as their memory-backend snapshots.
 //!
-//! [`crate::KPathIndex`] is bulk-built and read-only; republishing it after a
-//! batch of updates means rebuilding a B+tree over the **whole** entry set —
-//! an O(index) "freeze" per publish that throws away the locality the paper's
-//! update rules guarantee (an update only touches the k-neighborhood of the
-//! changed edge). [`SharedKPathIndex`] keeps the same logical content — every
-//! `⟨p, a, b⟩` triple, served in `(source, target)` order per path — but
-//! stores each path relation as a sequence of bounded, immutable **chunks**
+//! Republishing a bulk-loaded tree after a batch of updates would mean
+//! rebuilding it over the **whole** entry set — an O(index) cost per publish
+//! that throws away the locality the paper's update rules guarantee (an
+//! update only touches the k-neighborhood of the changed edge).
+//! [`SharedKPathIndex`] holds the index's logical content — every
+//! `⟨p, a, b⟩` triple, served in `(source, target)` order per path — with
+//! each path relation stored as a sequence of bounded, immutable **chunks**
 //! held behind `Arc`s:
 //!
 //! ```text
@@ -183,9 +183,33 @@ pub struct SharedKPathIndex {
 }
 
 impl SharedKPathIndex {
-    /// Builds the index over `graph` for locality parameter `k ≥ 1` — the
-    /// same enumeration [`crate::KPathIndex::build`] runs, chunked instead of
-    /// bulk-loaded into a B+tree.
+    /// Builds the index over `graph` for locality parameter `k ≥ 1`:
+    /// [`enumerate_paths`], cut into chunks.
+    ///
+    /// The three lookup shapes of the paper's Example 3.1:
+    ///
+    /// ```
+    /// use pathix_datagen::paper_example_graph;
+    /// use pathix_graph::SignedLabel;
+    /// use pathix_index::SharedKPathIndex;
+    ///
+    /// let g = paper_example_graph();
+    /// let index = SharedKPathIndex::build(&g, 2);
+    /// let path = [
+    ///     SignedLabel::forward(g.label_id("supervisor").unwrap()),
+    ///     SignedLabel::backward(g.label_id("worksFor").unwrap()),
+    /// ];
+    /// let (kim, sue) = (g.node_id("kim").unwrap(), g.node_id("sue").unwrap());
+    ///
+    /// // ⟨p⟩: the whole relation, in (source, target) order.
+    /// assert_eq!(index.scan_path(&path).collect::<Vec<_>>(), [(kim, sue)]);
+    /// // ⟨p, s⟩: the targets of one source.
+    /// assert_eq!(index.scan_path_from(&path, kim), [sue]);
+    /// assert!(index.scan_path_from(&path, sue).is_empty());
+    /// // ⟨p, s, t⟩: membership.
+    /// assert!(index.contains(&path, kim, sue));
+    /// assert!(!index.contains(&path, sue, kim));
+    /// ```
     pub fn build(graph: &Graph, k: usize) -> Self {
         assert!(k >= 1, "the k-path index requires k ≥ 1");
         let relations = enumerate_paths(graph, k);
@@ -813,9 +837,10 @@ impl StructuralAudit for SharedKPathIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EntryDeltas, GraphUpdate, IncrementalKPathIndex, KPathIndex};
-    use pathix_datagen::paper_example_graph;
+    use crate::{naive_path_eval, EntryDeltas, GraphUpdate, IncrementalKPathIndex};
+    use pathix_datagen::{paper_example_graph, social_network, SocialConfig};
     use pathix_graph::LabelId;
+    use pathix_rpq::ast::inverse_path;
 
     fn delta_batch<'a>(
         oracle: &'a IncrementalKPathIndex,
@@ -835,28 +860,163 @@ mod tests {
     }
 
     #[test]
-    fn build_matches_the_bulk_index() {
+    fn build_matches_the_reference_evaluation() {
         let g = paper_example_graph();
         for k in 1..=3 {
-            let bulk = KPathIndex::build(&g, k);
+            let relations = enumerate_paths(&g, k);
             let shared = SharedKPathIndex::build(&g, k);
-            assert_eq!(shared.stats().entries, bulk.stats().entries as u64);
-            assert_eq!(shared.per_path_counts(), bulk.per_path_counts());
             assert_eq!(
                 PathIndexBackend::paths_k_size(&shared),
-                bulk.paths_k_size(),
+                paths_k_cardinality(&g, &relations),
                 "k = {k}"
             );
-            for (path, _) in bulk.per_path_counts() {
-                let expected: Vec<_> = bulk.scan_path(path).collect();
+            let mut counts = Vec::new();
+            for rel in &relations {
+                let path = &rel.path;
+                let expected = naive_path_eval(&g, path);
                 let actual: Vec<_> = shared.scan_path(path).collect();
                 assert_eq!(actual, expected, "path {path:?}");
                 for &(a, b) in &expected {
                     assert!(shared.contains(path, a, b));
-                    assert_eq!(shared.scan_path_from(path, a), bulk.scan_path_from(path, a));
+                    let targets: Vec<_> = expected
+                        .iter()
+                        .filter(|&&(s, _)| s == a)
+                        .map(|&(_, t)| t)
+                        .collect();
+                    assert_eq!(shared.scan_path_from(path, a), targets);
                 }
+                counts.push((path.clone(), expected.len() as u64));
             }
+            assert_eq!(shared.per_path_counts(), counts);
+            assert_eq!(
+                shared.stats().entries,
+                counts.iter().map(|(_, c)| c).sum::<u64>()
+            );
         }
+    }
+
+    fn sl(g: &Graph, name: &str, backward: bool) -> SignedLabel {
+        let id = g.label_id(name).unwrap();
+        if backward {
+            SignedLabel::backward(id)
+        } else {
+            SignedLabel::forward(id)
+        }
+    }
+
+    #[test]
+    fn a_bulk_built_multi_chunk_run_scans_in_source_target_order() {
+        let g = social_network(SocialConfig {
+            people: 150,
+            companies: 8,
+            ..Default::default()
+        });
+        let index = SharedKPathIndex::build(&g, 2);
+        let knows = sl(&g, "knows", false);
+        let path = [knows, knows];
+        assert!(
+            index.run(&path).unwrap().chunks.len() > 1,
+            "the relation must span several chunks to exercise the build-time cut"
+        );
+        let pairs: Vec<_> = index.scan_path(&path).collect();
+        assert!(pairs.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(pairs, naive_path_eval(&g, &path));
+    }
+
+    #[test]
+    fn scan_path_from_returns_exactly_the_targets_of_every_node() {
+        let g = paper_example_graph();
+        let index = SharedKPathIndex::build(&g, 3);
+        let path = [sl(&g, "knows", false), sl(&g, "worksFor", false)];
+        let reference = naive_path_eval(&g, &path);
+        // Includes nodes that are no source of the relation: the bloom and
+        // the fences must answer "nothing", not a neighbour's targets.
+        for node in g.nodes() {
+            let expected: Vec<NodeId> = reference
+                .iter()
+                .filter(|&&(a, _)| a == node)
+                .map(|&(_, b)| b)
+                .collect();
+            assert_eq!(index.scan_path_from(&path, node), expected, "{node:?}");
+        }
+    }
+
+    #[test]
+    fn contains_answers_membership() {
+        let g = paper_example_graph();
+        let index = SharedKPathIndex::build(&g, 2);
+        let path = [sl(&g, "supervisor", false), sl(&g, "worksFor", true)];
+        let kim = g.node_id("kim").unwrap();
+        let sue = g.node_id("sue").unwrap();
+        let ada = g.node_id("ada").unwrap();
+        // supervisor ∘ worksFor⁻ = {(kim, sue)} by construction.
+        assert!(index.contains(&path, kim, sue));
+        assert!(!index.contains(&path, kim, ada));
+        assert!(!index.contains(&path, sue, kim));
+    }
+
+    #[test]
+    fn inverse_paths_are_converse_relations_in_the_index() {
+        let g = paper_example_graph();
+        let index = SharedKPathIndex::build(&g, 2);
+        let p = vec![sl(&g, "knows", false), sl(&g, "worksFor", false)];
+        let q = inverse_path(&p);
+        let mut swapped: Vec<_> = index.scan_path(&q).map(|(a, b)| (b, a)).collect();
+        swapped.sort_unstable();
+        let direct: Vec<_> = index.scan_path(&p).collect();
+        assert!(!direct.is_empty());
+        assert_eq!(direct, swapped);
+    }
+
+    #[test]
+    fn k1_index_has_only_single_labels() {
+        let g = paper_example_graph();
+        let index = SharedKPathIndex::build(&g, 1);
+        assert!(index.per_path_counts().iter().all(|(p, _)| p.len() == 1));
+        let stats = index.stats();
+        assert_eq!(stats.k, 1);
+        assert_eq!(stats.distinct_paths, 6);
+        assert_eq!(
+            stats.entries,
+            index.per_path_counts().iter().map(|(_, c)| *c).sum::<u64>()
+        );
+    }
+
+    #[test]
+    fn stats_grow_with_k() {
+        let g = paper_example_graph();
+        let s1 = SharedKPathIndex::build(&g, 1).stats();
+        let s2 = SharedKPathIndex::build(&g, 2).stats();
+        let s3 = SharedKPathIndex::build(&g, 3).stats();
+        assert!(s1.entries < s2.entries && s2.entries < s3.entries);
+        assert!(s1.distinct_paths < s2.distinct_paths);
+        assert!(s2.paths_k_size <= s3.paths_k_size);
+        assert!(s1.approx_bytes < s3.approx_bytes);
+    }
+
+    #[test]
+    fn path_cardinality_is_exact_and_absent_beyond_k() {
+        let g = paper_example_graph();
+        let index = SharedKPathIndex::build(&g, 2);
+        let knows = sl(&g, "knows", false);
+        let expected = naive_path_eval(&g, &[knows]).len() as u64;
+        assert_eq!(index.path_cardinality(&[knows]), Some(expected));
+        assert_eq!(index.path_cardinality(&[knows, knows, knows]), None);
+    }
+
+    #[test]
+    fn scanning_a_path_longer_than_k_is_a_backend_error() {
+        let g = paper_example_graph();
+        let index = SharedKPathIndex::build(&g, 1);
+        let backend: &dyn PathIndexBackend = &index;
+        let knows = sl(&g, "knows", false);
+        let too_long = [knows, knows];
+        assert!(backend.scan_path(&too_long).is_err());
+        assert!(backend.scan_path_batches(&too_long).is_err());
+        assert!(backend
+            .scan_path_from(&too_long, g.node_id("sue").unwrap())
+            .is_err());
+        assert!(backend.scan_path(&[knows]).is_ok());
     }
 
     #[test]
@@ -897,7 +1057,7 @@ mod tests {
         // The old value is untouched: full snapshot isolation.
         assert_eq!(
             shared.per_path_counts(),
-            KPathIndex::build(&g, k).per_path_counts()
+            SharedKPathIndex::build(&g, k).per_path_counts()
         );
     }
 

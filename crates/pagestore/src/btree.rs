@@ -1,12 +1,10 @@
 //! A disk-oriented B+tree over slotted pages and a buffer pool.
 //!
-//! This is the paged counterpart of the in-memory
-//! [`pathix_storage::BPlusTree`]: the same ordered-dictionary contract
-//! (byte-string keys, point lookups, range and prefix scans, sorted bulk
-//! load), but with nodes stored in fixed-size pages behind a
-//! [`BufferPool`], so the index can be larger than memory and its I/O
-//! behaviour can be measured — the dimension the paper's companion work
-//! (reference \[14\]) studies.
+//! The repository's one B+tree: an ordered dictionary (byte-string keys,
+//! point lookups, range and prefix scans, sorted bulk load) with nodes
+//! stored in fixed-size pages behind a [`BufferPool`], so the index can be
+//! larger than memory and its I/O behaviour can be measured — the dimension
+//! the paper's companion work (reference \[14\]) studies.
 //!
 //! Layout:
 //!

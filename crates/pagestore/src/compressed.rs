@@ -34,7 +34,7 @@ use pathix_index::backend::{
     PathIndexBackend,
 };
 use pathix_index::pathkey::{decode_entry, encode_path_prefix};
-use pathix_index::{enumerate_paths, paths_k_cardinality, KPathIndex};
+use pathix_index::{enumerate_paths, paths_k_cardinality};
 use std::collections::btree_map;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -166,34 +166,6 @@ impl CompressedPathStore {
             node_count: graph.node_count(),
             per_path_counts,
             paths_k_size,
-            blocks,
-            overlays: BTreeMap::new(),
-            compaction_threshold: Self::DEFAULT_COMPACTION_THRESHOLD,
-            compactions: 0,
-            inserts_applied: 0,
-            deletes_applied: 0,
-            blocks_skipped: Arc::default(),
-        }
-    }
-
-    /// Builds the store from an already-constructed [`KPathIndex`] (avoids
-    /// re-enumerating paths when both representations are wanted).
-    pub fn from_index(index: &KPathIndex) -> Self {
-        let mut per_path_counts = Vec::with_capacity(index.per_path_counts().len());
-        let mut blocks = BTreeMap::new();
-        for (path, _) in index.per_path_counts() {
-            let mut pairs: Vec<(u32, u32)> =
-                index.scan_path(path).map(|(s, t)| (s.0, t.0)).collect();
-            pairs.sort_unstable();
-            pairs.dedup();
-            per_path_counts.push((path.clone(), pairs.len() as u64));
-            blocks.insert(encode_path_prefix(path), Arc::new(encode_block(&pairs)));
-        }
-        CompressedPathStore {
-            k: index.k(),
-            node_count: index.node_count(),
-            per_path_counts,
-            paths_k_size: index.paths_k_size(),
             blocks,
             overlays: BTreeMap::new(),
             compaction_threshold: Self::DEFAULT_COMPACTION_THRESHOLD,
@@ -755,7 +727,7 @@ mod tests {
     use super::*;
     use pathix_datagen::paper_example_graph;
     use pathix_graph::SignedLabel;
-    use pathix_index::{EntryDeltas, GraphUpdate, IncrementalKPathIndex};
+    use pathix_index::{EntryDeltas, GraphUpdate, IncrementalKPathIndex, SharedKPathIndex};
 
     fn knows(g: &Graph) -> SignedLabel {
         SignedLabel::forward(g.label_id("knows").unwrap())
@@ -765,7 +737,7 @@ mod tests {
     fn matches_the_uncompressed_index_on_the_paper_example() {
         let g = paper_example_graph();
         let k = 3;
-        let index = KPathIndex::build(&g, k);
+        let index = SharedKPathIndex::build(&g, k);
         let store = CompressedPathStore::build(&g, k);
         assert_eq!(store.k(), k);
         assert_eq!(store.path_count(), index.per_path_counts().len());
@@ -774,18 +746,6 @@ mod tests {
             let from_store = store.pairs(path);
             assert_eq!(from_index, from_store, "path {path:?}");
             assert_eq!(store.path_cardinality(path), Some(*count));
-        }
-    }
-
-    #[test]
-    fn from_index_equals_build() {
-        let g = paper_example_graph();
-        let index = KPathIndex::build(&g, 2);
-        let a = CompressedPathStore::build(&g, 2);
-        let b = CompressedPathStore::from_index(&index);
-        assert_eq!(a.path_count(), b.path_count());
-        for (path, _) in index.per_path_counts() {
-            assert_eq!(a.pairs(path), b.pairs(path));
         }
     }
 

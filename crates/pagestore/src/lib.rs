@@ -7,9 +7,9 @@
 //! The EDBT 2016 paper prototypes `I_{G,k}` on PostgreSQL B+tree tables; its
 //! companion work (reference \[14\]) builds the index from scratch and studies
 //! *index size, compression and performance*. The in-memory
-//! [`pathix_storage::BPlusTree`] answers the query-planning questions of the
-//! paper itself; this crate answers the storage questions of that companion
-//! study without leaving the repository:
+//! `pathix_index::SharedKPathIndex` answers the query-planning questions of
+//! the paper itself; this crate answers the storage questions of that
+//! companion study without leaving the repository:
 //!
 //! * how large is the index on disk as k grows ([`PagedPathIndex`]),
 //! * how much does delta/varint compression of the pair sets save

@@ -1,9 +1,10 @@
 //! A disk-resident k-path index: `I_{G,k}` stored in a [`PagedBTree`].
 //!
-//! This is the paged counterpart of [`pathix_index::KPathIndex`]: the same
-//! search key `⟨label path, sourceID, targetID⟩` and the same three lookup
-//! shapes (Example 3.1 of the paper), but entries live in buffer-pool pages
-//! so the index can be (much) larger than memory and its I/O behaviour can be
+//! This is the paged counterpart of [`pathix_index::SharedKPathIndex`] and the
+//! B+tree of the paper's §3.1: the same search key
+//! `⟨label path, sourceID, targetID⟩` and the same three lookup shapes
+//! (Example 3.1 of the paper), but entries live in buffer-pool pages so the
+//! index can be (much) larger than memory and its I/O behaviour can be
 //! measured — the questions studied by the companion work the paper cites
 //! (ref. \[14\]).
 //!
@@ -36,8 +37,8 @@ use std::collections::HashSet;
 use std::io;
 
 /// Walk counts are stored as the entry value: 8 bytes, little endian — the
-/// same encoding [`pathix_index::IncrementalKPathIndex`] keeps in memory, so
-/// a persisted tree can reseed a live writer without recomputation.
+/// counts [`pathix_index::IncrementalKPathIndex`] keeps in memory, so a
+/// persisted tree can reseed a live writer without recomputation.
 fn encode_walks(count: u64) -> Vec<u8> {
     count.to_le_bytes().to_vec()
 }
@@ -586,16 +587,16 @@ impl MutablePathIndexBackend for PagedPathIndex {
 mod tests {
     use super::*;
     use pathix_datagen::paper_example_graph;
-    use pathix_index::KPathIndex;
+    use pathix_index::SharedKPathIndex;
 
     #[test]
     fn paged_index_matches_in_memory_index() {
         let g = paper_example_graph();
         let k = 2;
-        let mem = KPathIndex::build(&g, k);
+        let mem = SharedKPathIndex::build(&g, k);
         let paged = PagedPathIndex::build_in_memory(&g, k, 8).unwrap();
         assert_eq!(paged.k(), k);
-        assert_eq!(paged.len(), mem.stats().entries as u64);
+        assert_eq!(paged.len(), mem.stats().entries);
         for (path, _) in mem.per_path_counts() {
             let expected: Vec<_> = mem.scan_path(path).collect();
             assert_eq!(paged.scan_path(path).unwrap(), expected, "path {path:?}");

@@ -248,6 +248,40 @@ pub struct WalStats {
 }
 
 /// An append-only, segmented write-ahead log rooted at a directory.
+///
+/// ```
+/// use pathix_graph::{EdgeOp, LabelId, NodeId};
+/// use pathix_pagestore::{CommitRecord, Wal};
+///
+/// let dir = std::env::temp_dir().join(format!("pathix-doc-wal-{}", std::process::id()));
+/// let record = |seq: u64| CommitRecord {
+///     seq,
+///     ops: vec![EdgeOp::insert(NodeId(0), LabelId(0), NodeId(seq as u32))],
+///     inserted_edges: 1,
+///     ..CommitRecord::default()
+/// };
+///
+/// let mut wal = Wal::open(&dir).unwrap();
+/// wal.append(&record(1).encode()).unwrap();
+/// wal.append(&record(2).encode()).unwrap();
+/// wal.sync().unwrap(); // only now are the two records durable
+/// assert_eq!((wal.stats().records_appended, wal.stats().syncs), (2, 1));
+/// drop(wal);
+///
+/// // A restart replays every committed record, oldest first …
+/// let replayed: Vec<_> = Wal::replay(&dir)
+///     .unwrap()
+///     .iter()
+///     .map(|payload| CommitRecord::decode(payload).unwrap())
+///     .collect();
+/// assert_eq!(replayed, [record(1), record(2)]);
+///
+/// // … and a checkpoint truncates the log.
+/// let mut wal = Wal::open(&dir).unwrap();
+/// wal.reset().unwrap();
+/// assert!(Wal::replay(&dir).unwrap().is_empty());
+/// std::fs::remove_dir_all(&dir).unwrap();
+/// ```
 #[derive(Debug)]
 pub struct Wal {
     dir: PathBuf,

@@ -96,6 +96,39 @@ pub fn execute_pairwise<B: PathIndexBackend + ?Sized>(
 /// (cursors, `limit`, `exists`) pull pairs one at a time instead of
 /// materializing the whole answer via [`execute`]. The stream borrows both
 /// the plan and the index.
+///
+/// ```
+/// use pathix_datagen::paper_example_graph;
+/// use pathix_exec::{PairBatch, PairStream};
+/// use pathix_index::{EstimationMode, PathHistogram, PathIndexBackend, SharedKPathIndex};
+/// use pathix_plan::{execute, open_stream, plan_query, PlannerContext, Strategy};
+/// use pathix_rpq::{parse, to_disjuncts, RewriteOptions};
+///
+/// let g = paper_example_graph();
+/// let index = SharedKPathIndex::build(&g, 2);
+/// let histogram = PathHistogram::build(
+///     index.per_path_counts(), index.paths_k_size(), 2, EstimationMode::default());
+/// let ctx = PlannerContext::new(&index, &histogram);
+/// let expr = parse("knows/knows/worksFor").unwrap().bind(&g).unwrap();
+/// let plan = plan_query(
+///     Strategy::MinSupport, &to_disjuncts(&expr, RewriteOptions::default()).unwrap(), &ctx);
+///
+/// // Pull one pair and stop: nothing else is computed.
+/// let mut stream = open_stream(&plan, &index).unwrap();
+/// let first = stream.next_pair().unwrap().expect("the query has answers");
+///
+/// // Or drain batch-at-a-time; sorted and deduplicated this is `execute`.
+/// let mut stream = open_stream(&plan, &index).unwrap();
+/// let mut batch = PairBatch::new();
+/// let mut pairs = Vec::new();
+/// while stream.next_batch(&mut batch).unwrap() > 0 {
+///     pairs.extend(batch.iter());
+/// }
+/// assert!(pairs.contains(&first));
+/// pairs.sort_unstable();
+/// pairs.dedup();
+/// assert_eq!(pairs, execute(&plan, &index).unwrap());
+/// ```
 pub fn open_stream<'a, B: PathIndexBackend + ?Sized>(
     plan: &'a PhysicalPlan,
     index: &'a B,
@@ -159,12 +192,12 @@ mod tests {
     use crate::planner::{plan_query, PlannerContext, Strategy};
     use pathix_datagen::paper_example_graph;
     use pathix_graph::{Graph, NodeId};
-    use pathix_index::{naive_path_eval, EstimationMode, KPathIndex, PathHistogram};
+    use pathix_index::{naive_path_eval, EstimationMode, PathHistogram, SharedKPathIndex};
     use pathix_rpq::{parse, to_disjuncts, RewriteOptions};
 
-    fn fixture(k: usize) -> (Graph, KPathIndex, PathHistogram) {
+    fn fixture(k: usize) -> (Graph, SharedKPathIndex, PathHistogram) {
         let g = paper_example_graph();
-        let index = KPathIndex::build(&g, k);
+        let index = SharedKPathIndex::build(&g, k);
         let hist = PathHistogram::build(
             index.per_path_counts(),
             index.paths_k_size(),

@@ -85,13 +85,13 @@ mod tests {
     use super::*;
     use crate::planner::{plan_query, PlannerContext, Strategy};
     use pathix_datagen::paper_example_graph;
-    use pathix_index::{EstimationMode, KPathIndex, PathHistogram};
+    use pathix_index::{EstimationMode, PathHistogram, SharedKPathIndex};
     use pathix_rpq::{parse, to_disjuncts, RewriteOptions};
 
     #[test]
     fn explain_mentions_labels_joins_and_estimates() {
         let g = paper_example_graph();
-        let index = KPathIndex::build(&g, 2);
+        let index = SharedKPathIndex::build(&g, 2);
         let hist = PathHistogram::build(
             index.per_path_counts(),
             index.paths_k_size(),
@@ -119,7 +119,7 @@ mod tests {
     #[test]
     fn explain_epsilon_plan() {
         let g = paper_example_graph();
-        let index = KPathIndex::build(&g, 1);
+        let index = SharedKPathIndex::build(&g, 1);
         let hist = PathHistogram::build(
             index.per_path_counts(),
             index.paths_k_size(),

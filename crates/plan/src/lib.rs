@@ -19,12 +19,12 @@
 //!
 //! ```
 //! use pathix_datagen::paper_example_graph;
-//! use pathix_index::{EstimationMode, KPathIndex, PathHistogram};
+//! use pathix_index::{EstimationMode, PathHistogram, PathIndexBackend, SharedKPathIndex};
 //! use pathix_plan::{plan_query, execute, PlannerContext, Strategy};
 //! use pathix_rpq::{parse, to_disjuncts, RewriteOptions};
 //!
 //! let g = paper_example_graph();
-//! let index = KPathIndex::build(&g, 2);
+//! let index = SharedKPathIndex::build(&g, 2);
 //! let hist = PathHistogram::build(
 //!     index.per_path_counts(), index.paths_k_size(), 2, EstimationMode::default());
 //! let ctx = PlannerContext::new(&index, &hist);
@@ -42,7 +42,6 @@ pub mod explain;
 pub mod min_join;
 pub mod min_support;
 pub mod naive;
-pub mod parallel;
 pub mod plan;
 pub mod planner;
 pub mod semi_naive;
@@ -53,6 +52,5 @@ pub use executor::{
     ExecutionStats,
 };
 pub use explain::explain;
-pub use parallel::{execute_parallel, execute_parallel_with_stats};
 pub use plan::{JoinAlgorithm, PhysicalPlan};
 pub use planner::{plan_disjunct, plan_query, PlannerContext, Strategy};

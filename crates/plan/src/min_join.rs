@@ -152,11 +152,11 @@ mod tests {
     use super::*;
     use pathix_datagen::paper_example_graph;
     use pathix_graph::Graph;
-    use pathix_index::{EstimationMode, KPathIndex, PathHistogram};
+    use pathix_index::{EstimationMode, PathHistogram, SharedKPathIndex};
 
-    fn fixture(k: usize) -> (Graph, KPathIndex, PathHistogram) {
+    fn fixture(k: usize) -> (Graph, SharedKPathIndex, PathHistogram) {
         let g = paper_example_graph();
-        let index = KPathIndex::build(&g, k);
+        let index = SharedKPathIndex::build(&g, k);
         let hist = PathHistogram::build(
             index.per_path_counts(),
             index.paths_k_size(),

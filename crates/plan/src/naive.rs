@@ -32,11 +32,11 @@ mod tests {
     use crate::planner::PlannerContext;
     use pathix_datagen::paper_example_graph;
     use pathix_graph::SignedLabel;
-    use pathix_index::{EstimationMode, KPathIndex, PathHistogram};
+    use pathix_index::{EstimationMode, PathHistogram, SharedKPathIndex};
 
-    fn ctx_fixture(k: usize) -> (KPathIndex, PathHistogram) {
+    fn ctx_fixture(k: usize) -> (SharedKPathIndex, PathHistogram) {
         let g = paper_example_graph();
-        let index = KPathIndex::build(&g, k);
+        let index = SharedKPathIndex::build(&g, k);
         let hist = PathHistogram::build(
             index.per_path_counts(),
             index.paths_k_size(),

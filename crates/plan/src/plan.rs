@@ -15,6 +15,34 @@ pub enum JoinAlgorithm {
 }
 
 /// A physical execution plan for an RPQ (or one of its disjuncts).
+///
+/// Composing two leaf scans flips the left one to its inverse path so both
+/// inputs arrive sorted on the shared middle node — the paper's trick for
+/// getting a merge join out of one `(source, target)`-ordered index:
+///
+/// ```
+/// use pathix_exec::ScanOrientation;
+/// use pathix_graph::{LabelId, SignedLabel};
+/// use pathix_plan::{JoinAlgorithm, PhysicalPlan};
+///
+/// let (a, b) = (SignedLabel::forward(LabelId(0)), SignedLabel::forward(LabelId(1)));
+/// let join = PhysicalPlan::compose(PhysicalPlan::scan(vec![a, b]), PhysicalPlan::scan(vec![a]));
+/// let PhysicalPlan::Join { algorithm, left, right } = &join else {
+///     panic!("compose builds a join");
+/// };
+/// assert_eq!(*algorithm, JoinAlgorithm::Merge);
+/// assert!(matches!(
+///     &**left,
+///     PhysicalPlan::IndexScan { path, orientation: ScanOrientation::Inverse } if path[..] == [a, b]
+/// ));
+/// assert!(matches!(&**right, PhysicalPlan::IndexScan { orientation: ScanOrientation::Forward, .. }));
+///
+/// // A join's output is unsorted, so stacking another one on top hashes.
+/// let deeper = PhysicalPlan::compose(join.clone(), PhysicalPlan::scan(vec![b]));
+/// assert_eq!((deeper.join_count(), deeper.merge_join_count()), (2, 1));
+/// let union = PhysicalPlan::Union(vec![join, PhysicalPlan::Epsilon]);
+/// assert_eq!(union.join_count(), 1);
+/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PhysicalPlan {
     /// A prefix scan of the k-path index for one label path of length ≤ k.

@@ -21,6 +21,14 @@ pub enum Strategy {
 
 impl Strategy {
     /// All strategies in the order the paper reports them.
+    ///
+    /// ```
+    /// use pathix_plan::Strategy;
+    ///
+    /// let names: Vec<_> = Strategy::all().iter().map(Strategy::name).collect();
+    /// assert_eq!(names, ["naive", "semi-naive", "minSupport", "minJoin"]);
+    /// assert_eq!(Strategy::MinSupport.to_string(), "minSupport");
+    /// ```
     pub fn all() -> [Strategy; 4] {
         [
             Strategy::Naive,
@@ -78,6 +86,23 @@ impl<B: PathIndexBackend + ?Sized> std::fmt::Debug for PlannerContext<'_, B> {
 
 impl<'a, B: PathIndexBackend + ?Sized> PlannerContext<'a, B> {
     /// Creates a context over an index backend and its histogram.
+    ///
+    /// ```
+    /// use pathix_datagen::paper_example_graph;
+    /// use pathix_index::{EstimationMode, PathHistogram, PathIndexBackend, SharedKPathIndex};
+    /// use pathix_plan::PlannerContext;
+    ///
+    /// let g = paper_example_graph();
+    /// let index = SharedKPathIndex::build(&g, 2);
+    /// let histogram = PathHistogram::build(
+    ///     index.per_path_counts(), index.paths_k_size(), 2, EstimationMode::default());
+    ///
+    /// let ctx = PlannerContext::new(&index, &histogram);
+    /// assert_eq!((ctx.k(), ctx.node_count()), (2, g.node_count()));
+    /// // `?Sized`: the same context plans against a trait object.
+    /// let backend: &dyn PathIndexBackend = &index;
+    /// assert_eq!(PlannerContext::new(backend, &histogram).k(), 2);
+    /// ```
     pub fn new(index: &'a B, histogram: &'a PathHistogram) -> Self {
         PlannerContext { index, histogram }
     }
@@ -127,6 +152,36 @@ pub fn plan_disjunct<B: PathIndexBackend + ?Sized>(
 
 /// Plans a whole query given its disjuncts: the union of the per-disjunct
 /// plans (a single disjunct skips the union node).
+///
+/// ```
+/// use pathix_datagen::paper_example_graph;
+/// use pathix_index::{EstimationMode, PathHistogram, PathIndexBackend, SharedKPathIndex};
+/// use pathix_plan::{execute, plan_query, PhysicalPlan, PlannerContext, Strategy};
+/// use pathix_rpq::{parse, to_disjuncts, RewriteOptions};
+///
+/// let g = paper_example_graph();
+/// let index = SharedKPathIndex::build(&g, 2);
+/// let histogram = PathHistogram::build(
+///     index.per_path_counts(), index.paths_k_size(), 2, EstimationMode::default());
+/// let ctx = PlannerContext::new(&index, &histogram);
+/// let disjuncts = |query: &str| {
+///     to_disjuncts(&parse(query).unwrap().bind(&g).unwrap(), RewriteOptions::default()).unwrap()
+/// };
+///
+/// // One disjunct of length 3 at k = 2: a join, no union node. Naive (k = 1
+/// // scans only) needs one join more than the strategies that use 2-paths.
+/// let chain = disjuncts("knows/knows/worksFor");
+/// let naive = plan_query(Strategy::Naive, &chain, &ctx);
+/// let min_join = plan_query(Strategy::MinJoin, &chain, &ctx);
+/// assert!(matches!(min_join, PhysicalPlan::Join { .. }));
+/// assert_eq!((naive.join_count(), min_join.join_count()), (2, 1));
+/// // Plans differ, answers do not.
+/// assert_eq!(execute(&naive, &index).unwrap(), execute(&min_join, &index).unwrap());
+///
+/// // Several disjuncts: the union of their plans.
+/// let union = plan_query(Strategy::MinSupport, &disjuncts("knows|worksFor-"), &ctx);
+/// assert!(matches!(&union, PhysicalPlan::Union(children) if children.len() == 2));
+/// ```
 pub fn plan_query<B: PathIndexBackend + ?Sized>(
     strategy: Strategy,
     disjuncts: &[LabelPath],
@@ -148,11 +203,11 @@ mod tests {
     use super::*;
     use pathix_datagen::paper_example_graph;
     use pathix_graph::SignedLabel;
-    use pathix_index::{EstimationMode, KPathIndex};
+    use pathix_index::{EstimationMode, SharedKPathIndex};
 
-    fn fixture() -> (KPathIndex, PathHistogram) {
+    fn fixture() -> (SharedKPathIndex, PathHistogram) {
         let g = paper_example_graph();
-        let index = KPathIndex::build(&g, 2);
+        let index = SharedKPathIndex::build(&g, 2);
         let hist = PathHistogram::build(
             index.per_path_counts(),
             index.paths_k_size(),

@@ -44,11 +44,11 @@ mod tests {
     use pathix_datagen::paper_example_graph;
     use pathix_exec::ScanOrientation;
     use pathix_graph::SignedLabel;
-    use pathix_index::{EstimationMode, KPathIndex, PathHistogram};
+    use pathix_index::{EstimationMode, PathHistogram, SharedKPathIndex};
 
-    fn fixture(k: usize) -> (KPathIndex, PathHistogram) {
+    fn fixture(k: usize) -> (SharedKPathIndex, PathHistogram) {
         let g = paper_example_graph();
-        let index = KPathIndex::build(&g, k);
+        let index = SharedKPathIndex::build(&g, k);
         let hist = PathHistogram::build(
             index.per_path_counts(),
             index.paths_k_size(),

@@ -18,6 +18,47 @@ use std::time::Duration;
 /// [`DeadlineExceeded`]: ServeError::DeadlineExceeded
 /// [`Cancelled`]: ServeError::Cancelled
 /// [`Query`]: ServeError::Query
+///
+/// A shed and an interruption, end to end:
+///
+/// ```
+/// use pathix_core::{GraphBuilder, PathDb, PathDbConfig, QueryOptions};
+/// use pathix_serve::{retry_with_backoff, RetryPolicy, ServeConfig, ServeError, Server};
+/// use std::sync::Arc;
+/// use std::time::Duration;
+///
+/// // Dense enough that `(e|e-){4,6}` would run for minutes.
+/// let mut b = GraphBuilder::new();
+/// for i in 0..150u32 {
+///     for j in 1..=8u32 {
+///         b.add_edge_named(&format!("v{i}"), "e", &format!("v{}", (i * j + j * j) % 150));
+///     }
+/// }
+/// let db = Arc::new(PathDb::build(b.build(), PathDbConfig::with_k(2)));
+/// let config = ServeConfig { workers: 1, max_in_flight: 1, ..ServeConfig::default() };
+/// let server = Server::new(db, config);
+///
+/// let running = server.submit_query("(e|e-){4,6}", QueryOptions::new()).unwrap();
+/// // One request in flight is this tier's limit: the next is shed, never queued.
+/// let shed = server.query("e", QueryOptions::new().limit(1)).unwrap_err();
+/// assert!(matches!(shed, ServeError::Overloaded { queue_depth: 1, .. }), "{shed}");
+/// assert!(shed.is_transient());
+///
+/// // The submitter gives up; the worker stops at its next batch boundary.
+/// running.cancel();
+/// assert_eq!(running.wait().unwrap_err(), ServeError::Cancelled);
+/// assert!(!ServeError::Cancelled.is_transient());
+///
+/// // A shed is safe to retry: the slot frees up and the lookup goes through.
+/// let policy = RetryPolicy {
+///     attempts: 100,
+///     initial_backoff: Duration::from_millis(1),
+///     max_backoff: Duration::from_millis(20),
+/// };
+/// let reply = retry_with_backoff(&policy, || server.query("e", QueryOptions::new().limit(1)));
+/// assert_eq!(reply.unwrap().result.len(), 1);
+/// assert!(server.health().counters.shed_overload >= 1);
+/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
     /// Admission control rejected the request: the submission queue or the

@@ -171,6 +171,25 @@ pub struct WriteReply {
 }
 
 /// A handle on one in-flight request: await the reply, or cancel it.
+///
+/// ```
+/// use pathix_core::{GraphUpdate, PathDb, PathDbConfig, QueryOptions};
+/// use pathix_datagen::paper_example_graph;
+/// use pathix_serve::{QueryTicket, ServeConfig, Server, WriteTicket};
+/// use std::sync::Arc;
+/// use std::time::Duration;
+///
+/// let db = Arc::new(PathDb::build(paper_example_graph(), PathDbConfig::with_k(2)));
+/// let server = Server::new(db, ServeConfig::default());
+///
+/// // Submitting does not block; the tickets are redeemed in any order.
+/// let write: WriteTicket =
+///     server.submit_write(vec![GraphUpdate::insert_named("sue", "knows", "tim")]).unwrap();
+/// let read: QueryTicket = server.submit_query("worksFor", QueryOptions::new()).unwrap();
+/// assert_eq!(read.wait().unwrap().result.len(), 6);
+/// let ack = write.wait_timeout(Duration::from_secs(30)).expect("acknowledged well in time");
+/// assert_eq!(ack.unwrap().stats.inserted, 1);
+/// ```
 #[derive(Debug)]
 pub struct Ticket<T> {
     receiver: Receiver<Result<T, ServeError>>,
@@ -326,6 +345,21 @@ pub struct Server {
 
 impl Server {
     /// Starts a worker pool over an already-open database.
+    ///
+    /// ```
+    /// use pathix_core::{PathDb, PathDbConfig};
+    /// use pathix_datagen::paper_example_graph;
+    /// use pathix_serve::{Mode, ServeConfig, Server};
+    /// use std::sync::Arc;
+    ///
+    /// let db = Arc::new(PathDb::build(paper_example_graph(), PathDbConfig::with_k(2)));
+    /// let server = Server::new(Arc::clone(&db), ServeConfig { workers: 2, ..ServeConfig::default() });
+    /// assert!(Arc::ptr_eq(&server.db(), &db)); // requests share its plan cache
+    /// let health = server.health();
+    /// assert_eq!((health.mode, health.queue_depth, health.executing), (Mode::Normal, 0, 0));
+    /// assert_eq!(health.epoch, db.epoch());
+    /// server.shutdown().unwrap(); // drains, joins the workers, closes the database
+    /// ```
     pub fn new(db: Arc<PathDb>, config: ServeConfig) -> Server {
         let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
@@ -450,11 +484,55 @@ impl Server {
     }
 
     /// Submit + wait convenience for queries.
+    ///
+    /// ```
+    /// use pathix_core::{PathDb, PathDbConfig, QueryError, QueryOptions};
+    /// use pathix_datagen::paper_example_graph;
+    /// use pathix_serve::{ServeConfig, ServeError, Server};
+    /// use std::sync::Arc;
+    ///
+    /// let db = Arc::new(PathDb::build(paper_example_graph(), PathDbConfig::with_k(2)));
+    /// let server = Server::new(Arc::clone(&db), ServeConfig::default());
+    ///
+    /// let reply = server.query("supervisor/worksFor-", QueryOptions::new()).unwrap();
+    /// assert!(reply.result.contains_named(&db, "kim", "sue"));
+    /// assert_eq!(reply.result.len(), 1);
+    /// assert!(reply.finished_at.elapsed() >= std::time::Duration::ZERO);
+    /// assert_eq!(server.health().counters.queries_ok, 1);
+    ///
+    /// // The database's own errors come back wrapped, not as a shed.
+    /// let err = server.query("noSuchLabel", QueryOptions::new()).unwrap_err();
+    /// assert!(matches!(err, ServeError::Query(QueryError::Bind(_))), "{err}");
+    /// assert!(!err.is_transient());
+    /// ```
     pub fn query(&self, text: &str, options: QueryOptions) -> Result<QueryReply, ServeError> {
         self.submit_query(text, options)?.wait()
     }
 
     /// Submit + wait convenience for writes.
+    ///
+    /// ```
+    /// use pathix_core::{GraphUpdate, PathDb, PathDbConfig, QueryOptions};
+    /// use pathix_serve::{ServeConfig, Server};
+    /// use std::sync::Arc;
+    ///
+    /// // Grown from empty, entirely through the tier.
+    /// let db = Arc::new(PathDb::empty(PathDbConfig::with_k(2)).unwrap());
+    /// let server = Server::new(db, ServeConfig::default());
+    /// let ack = server
+    ///     .write(vec![
+    ///         GraphUpdate::insert_named("ada", "knows", "jan"),
+    ///         GraphUpdate::insert_named("jan", "knows", "kim"),
+    ///         GraphUpdate::insert_named("ada", "knows", "jan"), // duplicate
+    ///     ])
+    ///     .unwrap();
+    /// assert_eq!((ack.stats.inserted, ack.stats.no_ops, ack.stats.epoch), (2, 1, 1));
+    ///
+    /// // An acknowledged write is visible to every later read.
+    /// let reply = server.query("knows/knows", QueryOptions::new()).unwrap();
+    /// assert!(reply.result.contains_named(&server.db(), "ada", "kim"));
+    /// assert_eq!(server.health().epoch, 1);
+    /// ```
     pub fn write(&self, updates: Vec<GraphUpdate>) -> Result<WriteReply, ServeError> {
         self.submit_write(updates)?.wait()
     }

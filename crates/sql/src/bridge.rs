@@ -12,7 +12,7 @@ use crate::engine::{ResultSet, SqlEngine, SqlError};
 use crate::translate::{path_string, rpq_to_path_index_sql, rpq_to_recursive_sql};
 use pathix_core::PathDb;
 use pathix_graph::Graph;
-use pathix_index::{BackendError, KPathIndex, PathIndexBackend};
+use pathix_index::{BackendError, PathIndexBackend, SharedKPathIndex};
 use pathix_rpq::{parse, to_disjuncts, RewriteOptions};
 
 impl From<BackendError> for SqlError {
@@ -97,7 +97,7 @@ impl SqlPathDb {
     /// Builds the relational tables (nodes, edges, path index, histogram) for
     /// `graph` with locality `k` and loads them into a fresh SQL engine.
     pub fn build(graph: Graph, k: usize) -> Self {
-        let index = KPathIndex::build(&graph, k);
+        let index = SharedKPathIndex::build(&graph, k);
         Self::from_parts(graph, &index, k)
             .expect("in-memory index scans cannot fail while bridging")
     }
@@ -235,7 +235,7 @@ mod tests {
     #[test]
     fn tables_have_the_expected_shapes() {
         let g = paper_example_graph();
-        let index = KPathIndex::build(&g, 2);
+        let index = SharedKPathIndex::build(&g, 2);
         assert_eq!(nodes_table(&g).len(), g.node_count());
         assert_eq!(edge_table(&g).len(), g.edge_count());
         let pi = path_index_table(&index, &g).unwrap();

@@ -1,47 +1,39 @@
 //! # pathix-storage
 //!
-//! A from-scratch, in-memory B+tree over order-preserving byte-string keys.
+//! Order-preserving composite byte-string keys: the [`KeyBuf`] builder the
+//! k-path index encodes `⟨label path, sourceID, targetID⟩` entries with, and
+//! [`prefix_successor`], which turns a prefix scan over such keys into a
+//! half-open range scan of any ordered map.
 //!
-//! The EDBT 2016 paper prototypes its k-path index on top of PostgreSQL
-//! B+tree tables; its companion work (reference \[14\] in the paper) builds the
-//! same index "from scratch". This crate is that from-scratch substrate: an
-//! ordered dictionary with
-//!
-//! * point lookups ([`BPlusTree::get`]),
-//! * ordered insertion ([`BPlusTree::insert`]) and deletion
-//!   ([`BPlusTree::delete`]),
-//! * **range scans** ([`BPlusTree::range`]) and **prefix scans**
-//!   ([`BPlusTree::scan_prefix`]) over linked leaves — the operation the
-//!   k-path index uses to answer `I_{G,k}(p)`, `I_{G,k}(p, a)` and
-//!   `I_{G,k}(p, a, b)` lookups,
-//! * sorted **bulk loading** ([`BPlusTree::bulk_load`]) used when the index is
-//!   first constructed,
-//! * a binary file snapshot ([`BPlusTree::write_snapshot`] /
-//!   [`BPlusTree::read_snapshot`]).
-//!
-//! Deletion is *lazy*: keys are removed from their leaf but leaves are not
-//! merged or rebalanced. The k-path index workload is bulk-load-then-read, so
-//! structural rebalancing would add complexity without measurable benefit;
-//! the tree remains correct (searches and scans skip empty leaves).
-//!
-//! Keys are arbitrary byte strings compared lexicographically; helpers for
-//! building order-preserving composite keys live in [`keys`].
+//! The crate is a leaf with no dependencies; the ordered maps themselves live
+//! with their owners (`std::collections::BTreeMap` in `pathix-index`, the
+//! paged B+tree in `pathix-pagestore`).
 //!
 //! ```
-//! use pathix_storage::BPlusTree;
+//! use pathix_storage::{prefix_successor, KeyBuf};
+//! use std::collections::BTreeMap;
 //!
-//! let mut t = BPlusTree::new();
-//! t.insert(b"knows/1/2".to_vec(), vec![]);
-//! t.insert(b"knows/1/3".to_vec(), vec![]);
-//! t.insert(b"worksFor/2/1".to_vec(), vec![]);
-//! let hits: Vec<_> = t.scan_prefix(b"knows/").map(|(k, _)| k.to_vec()).collect();
-//! assert_eq!(hits.len(), 2);
+//! // ⟨label, source, target⟩ keys: big-endian fields sort like the tuple.
+//! let key = |label: u16, src: u32, dst: u32| {
+//!     let mut k = KeyBuf::new();
+//!     k.push_u16(label).push_u32(src).push_u32(dst);
+//!     k.finish()
+//! };
+//! let map: BTreeMap<Vec<u8>, ()> =
+//!     [key(1, 1, 2), key(1, 1, 3), key(1, 2, 1), key(2, 1, 1)]
+//!         .into_iter()
+//!         .map(|k| (k, ()))
+//!         .collect();
+//!
+//! // Everything under ⟨label 1, source 1⟩ is one half-open range.
+//! let mut prefix = KeyBuf::new();
+//! prefix.push_u16(1).push_u32(1);
+//! let prefix = prefix.finish();
+//! let upper = prefix_successor(&prefix).expect("the prefix is not all 0xFF");
+//! let hits: Vec<_> = map.range(prefix..upper).map(|(k, _)| k.clone()).collect();
+//! assert_eq!(hits, [key(1, 1, 2), key(1, 1, 3)]);
 //! ```
 
-pub mod btree;
 pub mod keys;
-pub mod node;
-pub mod snapshot;
 
-pub use btree::{BPlusTree, TreeStats};
 pub use keys::{prefix_successor, KeyBuf};

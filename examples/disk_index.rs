@@ -9,9 +9,9 @@
 //! ```
 
 use pathix::datagen::{advogato_like, AdvogatoConfig};
-use pathix::index::KPathIndex;
+use pathix::index::SharedKPathIndex;
 use pathix::pagestore::{CompressedPathStore, PagedPathIndex};
-use pathix::SignedLabel;
+use pathix::{PathIndexBackend, SignedLabel};
 use std::time::Instant;
 
 fn main() {
@@ -36,7 +36,7 @@ fn main() {
     for k in 1..=3usize {
         // 1. The in-memory index (what the query pipeline uses).
         let t = Instant::now();
-        let memory_index = KPathIndex::build(&graph, k);
+        let memory_index = SharedKPathIndex::build(&graph, k);
         let build = t.elapsed();
 
         // 2. The same index bulk-loaded into 4 KiB pages behind a 64-frame
@@ -46,12 +46,12 @@ fn main() {
         let stats = paged.stats();
 
         // 3. The compressed per-path representation (delta + varint blocks).
-        let compressed = CompressedPathStore::from_index(&memory_index);
+        let compressed = CompressedPathStore::build(&graph, k);
         let cstats = compressed.stats();
 
         println!(
             "{k:>3}  {:>10}  {:>8}  {:>10.1}  {:>10.1} KiB  {:>11.2}x  {:>6.0?}",
-            stats.entries,
+            memory_index.stats().entries,
             stats.tree.pages,
             stats.tree.bytes_on_disk as f64 / 1024.0,
             cstats.compressed_bytes as f64 / 1024.0,

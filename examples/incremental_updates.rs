@@ -13,8 +13,8 @@
 //! ```
 
 use pathix::datagen::{social_network, SocialConfig};
-use pathix::index::{IncrementalKPathIndex, KPathIndex};
-use pathix::{Graph, GraphBuilder, LabelId, NodeId};
+use pathix::index::{IncrementalKPathIndex, SharedKPathIndex};
+use pathix::{Graph, GraphBuilder, LabelId, NodeId, PathIndexBackend};
 use std::time::Instant;
 
 /// Collects the labeled edge list of a graph.
@@ -100,7 +100,7 @@ fn main() {
         .collect();
     let final_graph = graph_from_edges(&full, &final_edges);
     let start = Instant::now();
-    let rebuilt = KPathIndex::build(&final_graph, K);
+    let rebuilt = SharedKPathIndex::build(&final_graph, K);
     let rebuild_time = start.elapsed();
     println!(
         "full rebuild of the final graph: {} entries in {rebuild_time:?}",
@@ -116,7 +116,7 @@ fn main() {
     );
 
     // 4. Verify both routes agree on every indexed path relation.
-    assert_eq!(live.entry_count(), rebuilt.stats().entries);
+    assert_eq!(live.entry_count() as u64, rebuilt.stats().entries);
     for (path, _) in rebuilt.per_path_counts() {
         let expected: Vec<_> = rebuilt.scan_path(path).collect();
         assert_eq!(live.scan_path(path), expected, "path {path:?} diverged");

@@ -57,8 +57,8 @@
 //! execute flow runs against any of the built-in index representations.
 //! Select one with [`PathDbConfig::backend`] / [`BackendChoice`]:
 //!
-//! * [`BackendChoice::Memory`] (the default) — the in-memory B+tree; fastest
-//!   scans, bounded by RAM.
+//! * [`BackendChoice::Memory`] (the default) — the in-memory chunk-run index;
+//!   fastest scans, bounded by RAM.
 //! * [`BackendChoice::PagedInMemory`] — the paged B+tree behind a
 //!   clock-eviction buffer pool with an in-memory page store; exercises the
 //!   full paging machinery (useful for tests and cache measurements).
@@ -86,10 +86,10 @@
 pub use pathix_core::{
     AuditReport, AuditSection, AuditViolation, BackendChoice, BackendError, BackendStats, Cursor,
     DbStats, DeltaBatch, EntryChange, EntryDeltas, EstimationMode, ExecutionStats, Graph,
-    GraphBuilder, GraphUpdate, HistogramRefresh, IndexBackend, IndexStats, LabelId,
-    MutablePathIndexBackend, NodeId, PathDb, PathDbConfig, PathIndexBackend, PhysicalPlan,
-    PlanCacheStats, PreparedQuery, QueryError, QueryOptions, QueryResult, Session, SignedLabel,
-    Snapshot, Strategy, StructuralAudit, UpdateStats,
+    GraphBuilder, GraphUpdate, HistogramRefresh, IndexBackend, LabelId, MutablePathIndexBackend,
+    NodeId, PathDb, PathDbConfig, PathIndexBackend, PhysicalPlan, PlanCacheStats, PreparedQuery,
+    QueryError, QueryOptions, QueryResult, Session, SignedLabel, Snapshot, Strategy,
+    StructuralAudit, UpdateStats,
 };
 
 /// The graph substrate crate.

@@ -1,7 +1,7 @@
 //! Cross-backend differential property harness for live updates.
 //!
 //! The k-path index `I_{G,k}` has four storage representations (in-memory
-//! B+tree, paged B+tree over an in-memory page store, paged B+tree on disk,
+//! chunk runs, paged B+tree over an in-memory page store, paged B+tree on disk,
 //! compressed blocks with a delta overlay), and since the mutable-backend PR
 //! all four absorb [`PathDb::apply`] batches. This harness is the acceptance
 //! gate for that claim: over random graphs and random update scripts

@@ -1,11 +1,9 @@
-//! Integration tests for the data-in/data-out paths: edge-list loading,
-//! graph snapshots, and B+tree snapshot persistence feeding the query
-//! pipeline.
+//! Integration tests for the data-in/data-out paths: edge-list loading and
+//! graph snapshots feeding the query pipeline.
 
 use pathix::graph::loader::{load_edge_list_str, to_edge_list_string};
 use pathix::graph::GraphSnapshot;
 use pathix::{PathDb, PathDbConfig, QueryOptions, Strategy};
-use pathix_storage::BPlusTree;
 
 const EDGES: &str = "\
 # a tiny project/person graph
@@ -72,24 +70,4 @@ fn graph_snapshot_roundtrip_preserves_query_answers() {
             .unwrap();
         assert_eq!(a.pairs(), b.pairs());
     }
-}
-
-#[test]
-fn btree_snapshot_survives_disk_roundtrip() {
-    // The storage layer's persistence path, exercised end to end.
-    let mut tree = BPlusTree::new();
-    for i in 0..5_000u32 {
-        tree.insert(i.to_be_bytes().to_vec(), vec![(i % 7) as u8]);
-    }
-    let dir = std::env::temp_dir().join("pathix_integration_snapshots");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("tree.pxbt");
-    tree.write_snapshot(&path).unwrap();
-    let restored = BPlusTree::read_snapshot(&path).unwrap();
-    assert_eq!(restored.len(), tree.len());
-    assert_eq!(
-        restored.scan_prefix(&[0, 0]).count(),
-        tree.scan_prefix(&[0, 0]).count()
-    );
-    restored.check_invariants();
 }

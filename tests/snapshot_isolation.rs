@@ -2,7 +2,7 @@
 //! is **bit-stable** across arbitrarily many later batches, on all four
 //! storage backends.
 //!
-//! This pins the acceptance criterion of the copy-on-write work: memory and
+//! This pins what the copy-on-write work had to deliver: memory and
 //! compressed snapshots were always isolated (they own their data), but
 //! paged/on-disk snapshots used to share pages with the writer, so a view
 //! taken before a batch observed later page rewrites. Page-level

@@ -1,5 +1,5 @@
 //! Cross-crate equivalence of the three index representations: the in-memory
-//! B+tree index (`pathix-index`), the paged on-disk index and the compressed
+//! chunk-run index (`pathix-index`), the paged on-disk index and the compressed
 //! per-path blocks (`pathix-pagestore`) must expose identical contents — and,
 //! through the `PathIndexBackend` trait, the full `PathDb` query pipeline
 //! must return identical `QueryResult`s on every backend under every
@@ -8,19 +8,19 @@
 use pathix::datagen::{
     advogato_like, barabasi_albert, AdvogatoConfig, WorkloadConfig, WorkloadGenerator,
 };
-use pathix::index::KPathIndex;
+use pathix::index::SharedKPathIndex;
 use pathix::pagestore::{BufferPool, CompressedPathStore, DiskManager, PagedBTree, PagedPathIndex};
-use pathix::{BackendChoice, PathDb, PathDbConfig, QueryOptions, Strategy};
+use pathix::{BackendChoice, PathDb, PathDbConfig, PathIndexBackend, QueryOptions, Strategy};
 
 #[test]
 fn paged_and_compressed_indexes_match_the_memory_index() {
     let graph = barabasi_albert(300, 3, &["a", "b", "c"], 42);
     for k in 1..=2usize {
-        let memory = KPathIndex::build(&graph, k);
+        let memory = SharedKPathIndex::build(&graph, k);
         let paged = PagedPathIndex::build_in_memory(&graph, k, 32).unwrap();
-        let compressed = CompressedPathStore::from_index(&memory);
+        let compressed = CompressedPathStore::build(&graph, k);
 
-        assert_eq!(paged.len(), memory.stats().entries as u64, "k = {k}");
+        assert_eq!(paged.len(), memory.stats().entries, "k = {k}");
         assert_eq!(compressed.path_count(), memory.per_path_counts().len());
 
         for (path, count) in memory.per_path_counts() {
