@@ -1,164 +1,175 @@
 //! Regenerates the paper's figures and claims as plain-text tables.
 //!
 //! ```text
-//! cargo run -p pathix-bench --release --bin run_experiments -- [experiment] [--json]
-//!
-//! experiments:
-//!   fig2       Figure 2: 8 Advogato queries × 4 strategies × k ∈ {1,2,3}
-//!   datalog    §6 claim: speedup over Datalog-based evaluation
-//!   automaton  extension: speedup over the automaton product-BFS baseline
-//!   index      extension: index construction cost/size vs k
-//!   scaling    extension: query time vs graph size
-//!   ablation   extension: equi-depth histogram vs exact statistics
-//!   incremental extension: incremental index maintenance vs rebuild
-//!   amortization extension: parse-per-call vs plan-cache vs prepared throughput
-//!   updates    extension: live PathDb::apply throughput vs full rebuild
-//!   scan-join  extension: vectorized scan/join engine vs pair-at-a-time
-//!   ingest     extension: streaming ingest from an empty database
-//!   serving    extension: serving-tier read latency under write load
-//!   all        everything above (default)
+//! cargo run -p pathix-bench --release --bin run_experiments -- [experiment]
 //! ```
 //!
-//! The dataset scale is `PATHIX_BENCH_SCALE` (default 0.15 of the real
-//! Advogato); the Datalog/automaton comparisons automatically use a smaller
-//! graph because the baselines are orders of magnitude slower.
+//! [`EXPERIMENTS`] is the one place experiments are named: dispatch, `all`
+//! (the default), the usage text and the unknown-name error are all driven
+//! from it. An unknown name prints the usage text and exits with status 2.
 //!
-//! `--json` additionally writes the `updates`, `scan-join`, `ingest` and
-//! `serving` experiments' machine-readable results to `BENCH_updates.json`,
-//! `BENCH_scan_join.json`, `BENCH_ingest.json` and `BENCH_serving.json` in
-//! the current directory (apply throughput, publish latency, per-backend
-//! scan/join speedups and skip counters, streaming-ingest throughput and
-//! append-latency flatness, serving-tier p50/p99 read latency vs write rate
-//! and group-commit batch) so CI can archive the perf trajectory run over
-//! run.
+//! The dataset scale is `PATHIX_BENCH_SCALE` (default
+//! [`pathix_bench::datasets::DEFAULT_SCALE`] of the real Advogato); the
+//! Datalog/automaton/SQL comparisons automatically use a smaller graph
+//! because the baselines are orders of magnitude slower.
 
-use pathix_bench::report::ToJson;
 use pathix_bench::{
-    amortization, automaton_comparison, backend_comparison, bench_scale, datalog_speedup, fig2,
-    histogram_ablation, incremental_maintenance, index_construction, ingest, live_updates,
-    paged_index, scaling, scan_join, serving, sql_comparison,
+    automaton_comparison, bench_scale, datalog_speedup, fig2, histogram_ablation,
+    index_construction, scaling, sql_comparison,
 };
+use std::process::ExitCode;
 
-/// Writes a report to `name` in the current directory (best effort).
-fn write_bench_json<T: ToJson>(name: &str, report: &T) {
-    match std::fs::write(name, report.to_json()) {
-        Ok(()) => println!("(machine-readable results written to {name})"),
-        Err(e) => eprintln!("warning: could not write {name}: {e}"),
-    }
+/// The graph scales of one invocation.
+#[derive(Debug, Clone, Copy)]
+struct Scales {
+    /// `PATHIX_BENCH_SCALE`, for the experiments that only run the index.
+    main: f64,
+    /// The baselines recompute everything per query, so they run on a
+    /// smaller sample to keep the harness finishing in minutes.
+    baseline: f64,
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = args.iter().any(|a| a == "--json");
-    let arg = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "all".to_owned());
-    let scale = bench_scale();
-    // The baselines recompute everything per query, so run them on a smaller
-    // sample to keep the harness finishing in minutes.
-    let baseline_scale = (scale * 0.2).clamp(0.005, 0.02);
-    println!(
-        "pathix experiment harness — scale {scale} (set PATHIX_BENCH_SCALE to change), \
-         baseline comparisons at scale {baseline_scale}\n"
-    );
-    let ks = [1usize, 2, 3];
+struct Experiment {
+    name: &'static str,
+    about: &'static str,
+    run: fn(Scales),
+}
 
-    match arg.as_str() {
-        "fig2" => {
-            fig2(scale, &ks);
-        }
-        "datalog" => {
-            datalog_speedup(baseline_scale);
-        }
-        "automaton" => {
-            automaton_comparison(baseline_scale);
-        }
-        "index" => {
-            index_construction(scale, &ks);
-        }
-        "scaling" => {
-            scaling(&[500, 1_000, 2_000, 4_000]);
-        }
-        "ablation" => {
-            histogram_ablation(scale);
-        }
-        "sql" => {
-            sql_comparison(baseline_scale);
-        }
-        "paged" => {
-            paged_index(scale);
-        }
-        "backends" => {
-            backend_comparison(scale, 2);
-        }
-        "amortization" => {
-            amortization(scale, 2);
-        }
-        "incremental" => {
-            incremental_maintenance(scale);
-        }
-        "updates" => {
-            let report = live_updates(scale, 2);
-            if json {
-                write_bench_json("BENCH_updates.json", &report);
-            }
-        }
-        "scan-join" => {
-            let report = scan_join(scale, 2);
-            if json {
-                write_bench_json("BENCH_scan_join.json", &report);
-            }
-        }
-        "ingest" => {
-            let report = ingest(scale, 2);
-            if json {
-                write_bench_json("BENCH_ingest.json", &report);
-            }
-        }
-        "serving" => {
-            let report = serving(scale, 2);
-            if json {
-                write_bench_json("BENCH_serving.json", &report);
-            }
-        }
-        "all" => {
-            fig2(scale, &ks);
-            datalog_speedup(baseline_scale);
-            automaton_comparison(baseline_scale);
-            index_construction(scale, &ks);
-            scaling(&[500, 1_000, 2_000, 4_000]);
-            histogram_ablation(scale);
-            sql_comparison(baseline_scale);
-            paged_index(scale);
-            backend_comparison(scale, 2);
-            amortization(scale, 2);
-            incremental_maintenance(scale);
-            let report = live_updates(scale, 2);
-            if json {
-                write_bench_json("BENCH_updates.json", &report);
-            }
-            let report = scan_join(scale, 2);
-            if json {
-                write_bench_json("BENCH_scan_join.json", &report);
-            }
-            let report = ingest(scale, 2);
-            if json {
-                write_bench_json("BENCH_ingest.json", &report);
-            }
-            let report = serving(scale, 2);
-            if json {
-                write_bench_json("BENCH_serving.json", &report);
-            }
-        }
-        other => {
-            eprintln!(
-                "unknown experiment `{other}`; expected one of: fig2, datalog, automaton, \
-                 index, scaling, ablation, sql, paged, backends, amortization, \
-                 incremental, updates, scan-join, ingest, serving, all"
+const KS: [usize; 3] = [1, 2, 3];
+
+const EXPERIMENTS: &[Experiment] = &[
+    Experiment {
+        name: "fig2",
+        about: "Figure 2: 8 Advogato queries × 4 strategies × k ∈ {1,2,3}",
+        run: |s| {
+            fig2(s.main, &KS);
+        },
+    },
+    Experiment {
+        name: "datalog",
+        about: "§6 claim: speedup over Datalog-based evaluation",
+        run: |s| {
+            datalog_speedup(s.baseline);
+        },
+    },
+    Experiment {
+        name: "automaton",
+        about: "extension: speedup over the automaton product-BFS baseline",
+        run: |s| {
+            automaton_comparison(s.baseline);
+        },
+    },
+    Experiment {
+        name: "index",
+        about: "extension: index construction cost/size vs k",
+        run: |s| {
+            index_construction(s.main, &KS);
+        },
+    },
+    Experiment {
+        name: "scaling",
+        about: "extension: query time vs graph size",
+        run: |s| {
+            scaling(&scaling_sizes(s.main));
+        },
+    },
+    Experiment {
+        name: "ablation",
+        about: "extension: equi-depth histogram vs exact statistics",
+        run: |s| {
+            histogram_ablation(s.main);
+        },
+    },
+    Experiment {
+        name: "sql",
+        about: "§5: native pipeline vs the SQL translation vs recursive SQL views",
+        run: |s| {
+            sql_comparison(s.baseline);
+        },
+    },
+];
+
+/// Node counts for the scaling experiment: 500 to 4 000 at the default
+/// scale, shrinking and growing with it like every other dataset.
+fn scaling_sizes(scale: f64) -> [usize; 4] {
+    let base = ((5_000.0 * scale).round() as usize).max(50);
+    [base, 2 * base, 4 * base, 8 * base]
+}
+
+/// The experiments `name` selects: one table entry, or the whole table for
+/// `all`.
+fn select(name: &str) -> Option<&'static [Experiment]> {
+    if name == "all" {
+        return Some(EXPERIMENTS);
+    }
+    let at = EXPERIMENTS.iter().position(|e| e.name == name)?;
+    Some(&EXPERIMENTS[at..=at])
+}
+
+fn usage() -> String {
+    let mut text = String::from("usage: run_experiments [experiment]\n\nexperiments:\n");
+    for e in EXPERIMENTS {
+        text.push_str(&format!("  {:<10} {}\n", e.name, e.about));
+    }
+    text.push_str("  all        everything above (default)\n");
+    text
+}
+
+fn main() -> ExitCode {
+    let name = std::env::args().nth(1).unwrap_or_else(|| "all".to_owned());
+    let Some(selected) = select(&name) else {
+        eprintln!("unknown experiment `{name}`\n\n{}", usage());
+        return ExitCode::from(2);
+    };
+    let main = bench_scale();
+    let scales = Scales {
+        main,
+        baseline: (main * 0.2).clamp(0.005, 0.02),
+    };
+    println!(
+        "pathix experiment harness — scale {} (set PATHIX_BENCH_SCALE to change), \
+         baseline comparisons at scale {}\n",
+        scales.main, scales.baseline
+    );
+    for experiment in selected {
+        (experiment.run)(scales);
+    }
+    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_table_entry_runs_at_tiny_scale() {
+        let tiny = Scales {
+            main: 0.01,
+            baseline: 0.005,
+        };
+        for experiment in EXPERIMENTS {
+            let name = experiment.name;
+            assert_eq!(select(name).map(<[_]>::len), Some(1), "{name}");
+            assert_eq!(
+                EXPERIMENTS.iter().filter(|e| e.name == name).count(),
+                1,
+                "`{name}` names two table entries"
             );
-            std::process::exit(2);
+            (experiment.run)(tiny);
+        }
+    }
+
+    #[test]
+    fn all_selects_the_whole_table_and_usage_names_every_entry() {
+        let all: Vec<&str> = select("all").unwrap().iter().map(|e| e.name).collect();
+        assert_eq!(all, EXPERIMENTS.iter().map(|e| e.name).collect::<Vec<_>>());
+        assert!(select("nope").is_none());
+        let usage = usage();
+        for name in EXPERIMENTS.iter().map(|e| e.name).chain(["all"]) {
+            assert!(
+                usage.contains(&format!("\n  {name} ")),
+                "usage omits `{name}`:\n{usage}"
+            );
         }
     }
 }

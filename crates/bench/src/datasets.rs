@@ -1,5 +1,4 @@
-//! Dataset construction shared by the experiment runners and Criterion
-//! benches.
+//! Dataset construction shared by the experiment runners.
 
 use pathix_core::{PathDb, PathDbConfig};
 use pathix_datagen::{advogato_like, barabasi_albert, AdvogatoConfig};

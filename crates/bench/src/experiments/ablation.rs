@@ -5,7 +5,7 @@
 //! statistics to show the cheap summary loses almost nothing.
 
 use crate::datasets::build_advogato;
-use crate::report::{write_json, Table};
+use crate::report::Table;
 use pathix_core::{EstimationMode, PathDb, PathDbConfig, QueryOptions, Strategy};
 use pathix_datagen::advogato_queries;
 
@@ -95,18 +95,8 @@ pub fn histogram_ablation(scale: f64) -> AblationReport {
          equi-depth summary performs like exact statistics (the paper's \"value of the \
          lightweight histogram\").\n"
     );
-    let report = AblationReport { scale, k, rows };
-    write_json("histogram_ablation", &report);
-    report
+    AblationReport { scale, k, rows }
 }
-
-crate::impl_to_json!(AblationRow {
-    query,
-    no_histogram_ms,
-    equi_depth_ms,
-    exact_ms
-});
-crate::impl_to_json!(AblationReport { scale, k, rows });
 
 #[cfg(test)]
 mod tests {

@@ -2,7 +2,7 @@
 //! (approach 1 of the paper's introduction) against the path index.
 
 use crate::datasets::build_advogato;
-use crate::report::{write_json, Table};
+use crate::report::Table;
 use pathix_core::{PathDb, PathDbConfig, QueryOptions, Strategy};
 use pathix_datagen::advogato_queries;
 use std::time::Instant;
@@ -74,26 +74,12 @@ pub fn automaton_comparison(scale: f64) -> AutomatonReport {
     println!("{}", table.render());
     let mean_speedup = rows.iter().map(|r| r.speedup).sum::<f64>() / rows.len() as f64;
     println!("average speedup over the automaton baseline: {mean_speedup:.0}x\n");
-    let report = AutomatonReport {
+    AutomatonReport {
         scale,
         rows,
         mean_speedup,
-    };
-    write_json("automaton_comparison", &report);
-    report
+    }
 }
-
-crate::impl_to_json!(AutomatonRow {
-    query,
-    index_ms,
-    automaton_ms,
-    speedup
-});
-crate::impl_to_json!(AutomatonReport {
-    scale,
-    rows,
-    mean_speedup
-});
 
 #[cfg(test)]
 mod tests {

@@ -3,7 +3,7 @@
 //! the Advogato queries.
 
 use crate::datasets::build_advogato;
-use crate::report::{write_json, Table};
+use crate::report::Table;
 use pathix_core::{PathDb, PathDbConfig, QueryOptions, Strategy};
 use pathix_datagen::advogato_queries;
 use std::time::Instant;
@@ -97,31 +97,14 @@ pub fn datalog_speedup(scale: f64) -> DatalogReport {
         "average speedup: {mean_speedup:.0}x (arithmetic), {geometric_mean_speedup:.0}x (geometric); \
          the paper reports ~1200x on the full dataset.\n"
     );
-    let report = DatalogReport {
+    DatalogReport {
         scale,
         k,
         rows,
         geometric_mean_speedup,
         mean_speedup,
-    };
-    write_json("datalog_speedup", &report);
-    report
+    }
 }
-
-crate::impl_to_json!(DatalogRow {
-    query,
-    index_ms,
-    datalog_ms,
-    speedup,
-    answers
-});
-crate::impl_to_json!(DatalogReport {
-    scale,
-    k,
-    rows,
-    geometric_mean_speedup,
-    mean_speedup
-});
 
 #[cfg(test)]
 mod tests {

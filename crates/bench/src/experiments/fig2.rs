@@ -3,7 +3,7 @@
 //! §5 aggregate observations (S5-k and S5-order).
 
 use crate::datasets::build_advogato;
-use crate::report::{format_duration_ms, write_json, Table};
+use crate::report::{format_duration_ms, Table};
 use pathix_core::{PathDb, PathDbConfig, QueryOptions, Strategy};
 use pathix_datagen::advogato_queries;
 use std::collections::HashMap;
@@ -95,15 +95,13 @@ pub fn fig2(scale: f64, ks: &[usize]) -> Fig2Report {
     }
 
     print_summary(&rows, ks);
-    let report = Fig2Report {
+    Fig2Report {
         scale,
         nodes: graph.node_count(),
         edges: graph.edge_count(),
         index_build_ms,
         rows,
-    };
-    write_json("fig2_advogato", &report);
-    report
+    }
 }
 
 /// Prints the §5 observations: per-strategy totals per k (S5-order) and the
@@ -132,21 +130,6 @@ fn print_summary(rows: &[Fig2Row], ks: &[usize]) {
          minSupport and minJoin are fastest and similar.\n"
     );
 }
-
-crate::impl_to_json!(Fig2Row {
-    query,
-    k,
-    strategy,
-    millis,
-    answers
-});
-crate::impl_to_json!(Fig2Report {
-    scale,
-    nodes,
-    edges,
-    index_build_ms,
-    rows
-});
 
 #[cfg(test)]
 mod tests {

@@ -3,7 +3,7 @@
 //! Barabási–Albert graph.
 
 use crate::datasets::{build_advogato, build_ba};
-use crate::report::{write_json, Table};
+use crate::report::Table;
 use pathix_core::{PathDb, PathDbConfig};
 use pathix_graph::Graph;
 use std::time::Instant;
@@ -105,23 +105,8 @@ pub fn index_construction(scale: f64, ks: &[usize]) -> IndexBuildReport {
         "expected shape: entries and build time grow sharply with k (the price paid for the \
          query-time speedups of F2).\n"
     );
-    let report = IndexBuildReport { scale, rows };
-    write_json("index_construction", &report);
-    report
+    IndexBuildReport { scale, rows }
 }
-
-crate::impl_to_json!(IndexBuildRow {
-    dataset,
-    nodes,
-    edges,
-    k,
-    entries,
-    paths,
-    chunks,
-    approx_bytes,
-    build_ms
-});
-crate::impl_to_json!(IndexBuildReport { scale, rows });
 
 #[cfg(test)]
 mod tests {

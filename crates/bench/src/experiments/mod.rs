@@ -1,17 +1,10 @@
-//! Experiment runners, one module per experiment id in DESIGN.md §3.
+//! Experiment runners, one module per experiment of the paper's evaluation
+//! (§6) and its direct extensions; `run_experiments` lists them.
 
 pub mod ablation;
-pub mod amortization;
 pub mod automaton;
-pub mod backends;
 pub mod datalog;
 pub mod fig2;
-pub mod incremental;
 pub mod index_build;
-pub mod ingest;
-pub mod paged;
 pub mod scaling;
-pub mod scan_join;
-pub mod serving;
 pub mod sql;
-pub mod updates;

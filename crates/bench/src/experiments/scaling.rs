@@ -2,7 +2,7 @@
 //! graph size on Barabási–Albert graphs, for the four strategies.
 
 use crate::datasets::build_ba;
-use crate::report::{write_json, Table};
+use crate::report::Table;
 use pathix_core::{PathDb, PathDbConfig, QueryOptions, Strategy};
 use pathix_datagen::{WorkloadConfig, WorkloadGenerator};
 
@@ -88,23 +88,11 @@ pub fn scaling(sizes: &[usize]) -> ScalingReport {
         "expected shape: all strategies grow with graph size; the histogram-guided strategies \
          stay below naive throughout.\n"
     );
-    let report = ScalingReport {
+    ScalingReport {
         sizes: sizes.to_vec(),
         rows,
-    };
-    write_json("scaling", &report);
-    report
+    }
 }
-
-crate::impl_to_json!(ScalingRow {
-    nodes,
-    edges,
-    k,
-    strategy,
-    mean_ms,
-    total_answers
-});
-crate::impl_to_json!(ScalingReport { sizes, rows });
 
 #[cfg(test)]
 mod tests {

@@ -13,7 +13,7 @@
 //! query, tighter operators).
 
 use crate::datasets::build_advogato;
-use crate::report::{write_json, Table};
+use crate::report::Table;
 use pathix_core::{PathDb, PathDbConfig, QueryOptions, Strategy};
 use pathix_datagen::advogato_queries;
 use pathix_sql::SqlPathDb;
@@ -114,19 +114,8 @@ pub fn sql_comparison(scale: f64) -> SqlReport {
          (approach 2), and the native pipeline is faster than the interpreted SQL route by a \
          modest constant factor.\n"
     );
-    let report = SqlReport { scale, k, rows };
-    write_json("sql_comparison", &report);
-    report
+    SqlReport { scale, k, rows }
 }
-
-crate::impl_to_json!(SqlRow {
-    query,
-    pairs,
-    native_ms,
-    sql_ms,
-    recursive_sql_ms
-});
-crate::impl_to_json!(SqlReport { scale, k, rows });
 
 #[cfg(test)]
 mod tests {

@@ -1,11 +1,15 @@
 //! # pathix-bench
 //!
-//! The benchmark harness that regenerates every figure and quantitative claim
-//! of the paper's evaluation (see DESIGN.md §3 for the experiment index and
-//! EXPERIMENTS.md for paper-vs-measured numbers).
+//! The experiment harness that reproduces the paper's evaluation (§6): Figure
+//! 2, the index build/size table, the Datalog and automaton baselines, the §5
+//! SQL translation, and the histogram and graph-size extensions. Each
+//! experiment prints its tables with the shape the paper predicts next to
+//! them.
 //!
-//! One entry point: the `run_experiments` binary prints the tables directly
+//! One entry point: the `run_experiments` binary
 //! (`cargo run -p pathix-bench --release --bin run_experiments -- all`).
+//! Performance of the live system — durable ingest, on-disk probes, the
+//! serving tier — is measured by the `benchmark/` package, not here.
 //!
 //! The graph scale is controlled by the `PATHIX_BENCH_SCALE` environment
 //! variable (a fraction of the real Advogato's 6,541 nodes / 51,127 edges).
@@ -18,10 +22,7 @@ pub mod report;
 
 pub use datasets::{bench_scale, build_advogato, build_advogato_db};
 pub use experiments::{
-    ablation::histogram_ablation, amortization::amortization, automaton::automaton_comparison,
-    backends::backend_comparison, datalog::datalog_speedup, fig2::fig2,
-    incremental::incremental_maintenance, index_build::index_construction, ingest::ingest,
-    paged::paged_index, scaling::scaling, scan_join::scan_join, serving::serving,
-    sql::sql_comparison, updates::live_updates,
+    ablation::histogram_ablation, automaton::automaton_comparison, datalog::datalog_speedup,
+    fig2::fig2, index_build::index_construction, scaling::scaling, sql::sql_comparison,
 };
 pub use report::{format_duration_ms, Table};

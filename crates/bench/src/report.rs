@@ -1,135 +1,6 @@
-//! Plain-text table rendering and JSON result persistence.
-//!
-//! Serialization is hand-rolled: the build environment is offline, so instead
-//! of serde the harness uses the tiny [`ToJson`] trait plus the
-//! [`impl_to_json!`](crate::impl_to_json) macro to turn experiment result
-//! structs into pretty-printed JSON.
+//! Plain-text table rendering for the experiment runners.
 
-use std::path::PathBuf;
 use std::time::Duration;
-
-/// A value that can render itself as a JSON document.
-pub trait ToJson {
-    /// Renders the value as JSON text.
-    fn to_json(&self) -> String;
-}
-
-macro_rules! impl_to_json_int {
-    ($($t:ty),*) => {$(
-        impl ToJson for $t {
-            fn to_json(&self) -> String {
-                self.to_string()
-            }
-        }
-    )*};
-}
-impl_to_json_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, bool);
-
-impl ToJson for f64 {
-    fn to_json(&self) -> String {
-        if self.is_finite() {
-            // `{:?}` keeps enough digits to round-trip.
-            format!("{self:?}")
-        } else {
-            "null".to_owned()
-        }
-    }
-}
-
-impl ToJson for f32 {
-    fn to_json(&self) -> String {
-        f64::from(*self).to_json()
-    }
-}
-
-impl ToJson for String {
-    fn to_json(&self) -> String {
-        str::to_json(self)
-    }
-}
-
-impl ToJson for str {
-    fn to_json(&self) -> String {
-        let mut out = String::with_capacity(self.len() + 2);
-        out.push('"');
-        for c in self.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-        out
-    }
-}
-
-impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> String {
-        self.as_slice().to_json()
-    }
-}
-
-impl<T: ToJson> ToJson for [T] {
-    fn to_json(&self) -> String {
-        let items: Vec<String> = self.iter().map(ToJson::to_json).collect();
-        format!("[{}]", items.join(", "))
-    }
-}
-
-impl<A: ToJson, B: ToJson> ToJson for (A, B) {
-    /// Pairs serialize as two-element arrays.
-    fn to_json(&self) -> String {
-        format!("[{}, {}]", self.0.to_json(), self.1.to_json())
-    }
-}
-
-impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> String {
-        match self {
-            Some(v) => v.to_json(),
-            None => "null".to_owned(),
-        }
-    }
-}
-
-impl<T: ToJson + ?Sized> ToJson for &T {
-    fn to_json(&self) -> String {
-        (**self).to_json()
-    }
-}
-
-impl ToJson for Duration {
-    /// Durations serialize as fractional seconds.
-    fn to_json(&self) -> String {
-        self.as_secs_f64().to_json()
-    }
-}
-
-/// Implements [`ToJson`] for a struct by listing its fields, e.g.
-/// `impl_to_json!(Row { k, entries, ratio });` — the offline replacement for
-/// `#[derive(Serialize)]`.
-#[macro_export]
-macro_rules! impl_to_json {
-    ($ty:ty { $($field:ident),+ $(,)? }) => {
-        impl $crate::report::ToJson for $ty {
-            fn to_json(&self) -> String {
-                let fields: Vec<String> = vec![$(
-                    format!(
-                        "\"{}\": {}",
-                        stringify!($field),
-                        $crate::report::ToJson::to_json(&self.$field)
-                    ),
-                )+];
-                format!("{{ {} }}", fields.join(", "))
-            }
-        }
-    };
-}
 
 /// A simple fixed-width text table.
 #[derive(Debug, Clone, Default)]
@@ -196,23 +67,6 @@ impl Table {
 /// Formats a duration as fractional milliseconds with three decimals.
 pub fn format_duration_ms(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64() * 1e3)
-}
-
-/// Writes a serializable experiment result to
-/// `target/experiment-results/<name>.json` (best effort — failures are
-/// reported but do not abort the experiment run).
-pub fn write_json<T: ToJson + ?Sized>(name: &str, value: &T) {
-    let dir = PathBuf::from("target").join("experiment-results");
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: could not create {dir:?}: {e}");
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    if let Err(e) = std::fs::write(&path, value.to_json()) {
-        eprintln!("warning: could not write {path:?}: {e}");
-    } else {
-        println!("(raw results written to {})", path.display());
-    }
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 use crate::dict::{Dictionary, Vocabulary};
 use crate::graph::{Graph, LabelAdjacency};
 use crate::ids::{LabelId, NodeId};
-use crate::runs::{EdgeRun, GraphPublishStats};
+use crate::runs::{GraphPublishStats, PairRun};
 use std::sync::Arc;
 
 /// Incrementally accumulates nodes and labeled edges, then freezes them into
@@ -108,8 +108,8 @@ impl GraphBuilder {
                 per_label.iter().map(|&(s, d)| (d, s)).collect();
             reversed.sort_unstable();
             labels.push(LabelAdjacency {
-                forward: EdgeRun::from_sorted(per_label),
-                backward: EdgeRun::from_sorted(reversed),
+                forward: PairRun::from_sorted(per_label),
+                backward: PairRun::from_sorted(reversed),
             });
         }
         let vocab = Arc::new(Vocabulary::from_dictionaries(

@@ -3,7 +3,7 @@
 
 use crate::dict::{DictView, Vocabulary};
 use crate::ids::{LabelId, NodeId, SignedLabel};
-use crate::runs::{EdgeRun, GraphPublishStats, Pair};
+use crate::runs::{GraphPublishStats, Pair, PairRun};
 use pathix_audit::{AuditReport, StructuralAudit};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -13,10 +13,10 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LabelAdjacency {
     /// `(source, target)` pairs, ascending.
-    pub(crate) forward: EdgeRun,
+    pub(crate) forward: PairRun,
     /// `(target, source)` pairs, ascending — the converse relation, so `ℓ⁻`
     /// navigation is as cheap as `ℓ`.
-    pub(crate) backward: EdgeRun,
+    pub(crate) backward: PairRun,
 }
 
 /// One edge mutation, already resolved to interned ids.
@@ -77,14 +77,6 @@ impl EdgeOp {
             insert: false,
         }
     }
-}
-
-/// First and last transition a `(label, src, dst)` key went through inside
-/// one batch: equal means apply, opposed means the key ended where it began.
-#[derive(Debug, Clone, Copy)]
-struct NetOp {
-    first: bool,
-    last: bool,
 }
 
 /// The vocabulary side of an in-flight update batch: the next epoch's node
@@ -377,7 +369,7 @@ impl Graph {
             Arc::ptr_eq(&self.vocab, &batch.vocab),
             "vocab batch belongs to a different graph lineage"
         );
-        let mut net: BTreeMap<(LabelId, Pair), NetOp> = BTreeMap::new();
+        let mut by_label: BTreeMap<LabelId, Vec<(Pair, bool)>> = BTreeMap::new();
         for op in ops {
             assert!(
                 op.src.0 < batch.node_len && op.dst.0 < batch.node_len,
@@ -387,28 +379,21 @@ impl Graph {
                 (op.label.0 as u32) < batch.label_len,
                 "edge label was not interned in this graph"
             );
-            net.entry((op.label, (op.src, op.dst)))
-                .and_modify(|n| n.last = op.insert)
-                .or_insert(NetOp {
-                    first: op.insert,
-                    last: op.insert,
-                });
+            by_label
+                .entry(op.label)
+                .or_default()
+                .push(((op.src, op.dst), op.insert));
         }
-        // Per label, the net ops that actually change the stored relation
-        // (BTreeMap iteration keeps each label's pairs ascending).
-        let mut per_label: BTreeMap<LabelId, Vec<(Pair, bool)>> = BTreeMap::new();
-        for ((label, pair), op) in net {
-            if op.first != op.last {
-                continue;
-            }
-            let present = self
-                .adjacency(label)
-                .is_some_and(|a| a.forward.contains(pair));
-            if op.first == present {
-                continue;
-            }
-            per_label.entry(label).or_default().push((pair, op.first));
-        }
+        // Per label, the net ops that actually change the stored relation.
+        let per_label: BTreeMap<LabelId, Vec<(Pair, bool)>> = by_label
+            .into_iter()
+            .filter_map(|(label, transitions)| {
+                let stored = self.adjacency(label).map(|a| &a.forward);
+                let mut net = PairRun::net_ops(transitions);
+                net.retain(|&(pair, insert)| insert != stored.is_some_and(|r| r.contains(pair)));
+                (!net.is_empty()).then_some((label, net))
+            })
+            .collect();
 
         let mut stats = GraphPublishStats::default();
         let mut edge_count = self.edge_count;
@@ -432,8 +417,16 @@ impl Graph {
                         }
                     }
                     labels.push(LabelAdjacency {
-                        forward: base.forward.apply(label_ops, &mut stats),
-                        backward: base.backward.apply(&converse, &mut stats),
+                        forward: base.forward.apply(
+                            label_ops,
+                            &mut stats.chunks_shared,
+                            &mut stats.chunks_rebuilt,
+                        ),
+                        backward: base.backward.apply(
+                            &converse,
+                            &mut stats.chunks_shared,
+                            &mut stats.chunks_rebuilt,
+                        ),
                     });
                 }
                 None => {
@@ -441,7 +434,7 @@ impl Graph {
                     match prev {
                         Some(adj) => {
                             stats.chunks_shared +=
-                                adj.forward.chunks.len() + adj.backward.chunks.len();
+                                adj.forward.chunks().len() + adj.backward.chunks().len();
                             labels.push(adj.clone());
                         }
                         None => labels.push(LabelAdjacency::default()),
@@ -483,7 +476,7 @@ impl Graph {
     pub fn chunk_count(&self) -> usize {
         self.labels
             .iter()
-            .map(|a| a.forward.chunks.len() + a.backward.chunks.len())
+            .map(|a| a.forward.chunks().len() + a.backward.chunks().len())
             .sum()
     }
 
@@ -817,14 +810,14 @@ mod tests {
         let next = g.commit_batch(g.vocab_batch(), &[EdgeOp::insert(n0, tiny, n2)]);
         assert_eq!(next.edge_count(), g.edge_count() + 1);
         let big = g.label_id("big").unwrap();
-        assert!(Arc::ptr_eq(
-            &g.labels[big.index()].forward.chunks,
-            &next.labels[big.index()].forward.chunks,
+        assert!(std::ptr::eq(
+            g.labels[big.index()].forward.chunks(),
+            next.labels[big.index()].forward.chunks(),
         ));
         let stats = next.last_publish_stats();
         assert_eq!(stats.labels_shared, 1);
         assert_eq!(stats.labels_rebuilt, 1);
-        assert!(stats.chunks_shared >= g.labels[big.index()].forward.chunks.len());
+        assert!(stats.chunks_shared >= g.labels[big.index()].forward.chunks().len());
         // The old epoch is untouched.
         assert!(!g.has_edge(n0, tiny, n2));
         assert!(next.has_edge(n0, tiny, n2));
@@ -933,30 +926,19 @@ mod tests {
         let knows = clean.label_id("knows").unwrap();
         assert_eq!(violated(&clean), Vec::<&str>::new());
 
-        // Swapped entries inside a chunk.
-        let mut corrupt = clean.clone();
-        {
-            let labels = Arc::make_mut(&mut corrupt.labels);
-            let chunks = Arc::make_mut(&mut labels[knows.index()].forward.chunks);
-            Arc::make_mut(&mut chunks[0]).swap(0, 1);
-        }
-        assert!(
-            violated(&corrupt).contains(&"chunk-sorted"),
-            "swapped pairs must trip the sortedness audit"
-        );
-
-        // A stale fence that silently breaks chunk skipping.
+        // One chunk-level corruption (each run-level check is seeded beside
+        // `PairRun` itself): the graph audit must reach into every run.
         let mut corrupt = clean.clone();
         {
             let labels = Arc::make_mut(&mut corrupt.labels);
             let run = &mut labels[knows.index()].forward;
-            let mut fences = run.fences.as_ref().clone();
-            fences[0].0 .0 = NodeId(fences[0].0 .0 .0.wrapping_add(1));
-            run.fences = Arc::new(fences);
+            let mut pairs: Vec<Pair> = run.iter().collect();
+            pairs.swap(0, 1);
+            *run = PairRun::from_chunks_unchecked(vec![pairs]);
         }
         assert!(
-            violated(&corrupt).contains(&"fence-tight"),
-            "a fence off the true bounds must trip the tightness audit"
+            violated(&corrupt).contains(&"chunk-sorted"),
+            "swapped pairs must trip the sortedness audit"
         );
 
         // A backward run that is no longer the forward run's converse.
@@ -966,7 +948,7 @@ mod tests {
             let adj = &mut labels[knows.index()];
             let mut pairs: Vec<_> = adj.backward.iter().collect();
             pairs.pop();
-            adj.backward = EdgeRun::from_sorted(pairs);
+            adj.backward = PairRun::from_sorted(pairs);
         }
         assert!(
             violated(&corrupt).contains(&"forward-backward-agree"),

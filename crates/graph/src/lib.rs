@@ -13,8 +13,9 @@
 //! shared storage:
 //!
 //! * per-label edge relations (and their converses, so backwards navigation
-//!   `ℓ⁻` is as cheap as forwards `ℓ`) held as bounded immutable chunks
-//!   behind `Arc`s ([`runs`]), with min/max fences for chunk skipping;
+//!   `ℓ⁻` is as cheap as forwards `ℓ`) each held in a [`PairRun`] — bounded
+//!   immutable chunks behind `Arc`s with exact fences for chunk skipping,
+//!   the same container the k-path index keeps its path relations in;
 //! * an append-only shared vocabulary ([`dict`]) — each epoch resolves names
 //!   lock-free through a frozen prefix view while a writer interns new
 //!   nodes and labels live.
@@ -57,5 +58,5 @@ pub use dict::{DictView, Dictionary, SharedDictionary, Vocabulary};
 pub use graph::{EdgeOp, Graph, VocabBatch};
 pub use ids::{Direction, LabelId, NodeId, SignedLabel};
 pub use loader::{load_edge_list, load_edge_list_str, LoadError};
-pub use runs::GraphPublishStats;
+pub use runs::{GraphPublishStats, PairRun};
 pub use snapshot::GraphSnapshot;

@@ -1,23 +1,29 @@
-//! Chunked, structurally-shared edge storage — the adjacency representation
-//! behind [`crate::Graph`].
+//! The one chunked, structurally-shared sorted pair relation — [`PairRun`].
 //!
-//! Each label stores its edge relation (and its converse) as a sequence of
-//! bounded, immutable **chunks** of `(first, second)` pairs held behind
-//! `Arc`s, the same shape the shared k-path index uses for its per-path runs:
+//! The paper has a single sorted relation per label path (§3.1: `⟨p⟩(G)` in
+//! `(source, target)` order; the length-1 paths are the graph's own
+//! `⟨ℓ⟩(G)` / `⟨ℓ⁻⟩(G)`), and this is its single container: [`crate::Graph`]
+//! keeps each label's forward and backward adjacency in one, and the shared
+//! k-path index keeps each path relation in one. A run is a sequence of
+//! bounded, immutable **chunks** of `(first, second)` pairs behind `Arc`s,
+//! with the exact `(first pair, last pair)` of every chunk kept as a fence:
 //!
 //! ```text
 //! run   : [Arc<chunk>, Arc<chunk>, …]          (ascending, disjoint)
 //! chunk : sorted Vec<(first, second)>, ≤ CHUNK_MAX pairs
+//! fence : (first pair, last pair) per chunk    (probes skip by fence alone)
 //! ```
 //!
-//! Applying a batch of edge mutations (`EdgeRun::apply`) rebuilds only the
+//! Applying a batch of pair changes ([`PairRun::apply`]) rebuilds only the
 //! chunks that contain a changed pair and re-shares every other chunk by
-//! bumping its refcount, so a graph publish costs **O(Δ · chunk)** instead of
-//! O(V + E). Old graph snapshots keep their `Arc`s untouched, which is what
-//! makes every published epoch fully isolated for free.
+//! bumping its refcount, so a publish costs **O(Δ · chunk)** instead of
+//! O(relation). Old epochs keep their `Arc`s untouched, which is what makes
+//! every published snapshot fully isolated for free.
 
 use crate::ids::NodeId;
 use pathix_audit::AuditReport;
+use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Preferred number of pairs per chunk: rebuilt chunk groups are re-cut to
@@ -31,15 +37,16 @@ pub(crate) const CHUNK_MAX: usize = 2 * CHUNK_TARGET;
 
 /// A rebuilt region smaller than this absorbs its untouched right neighbor
 /// instead of being emitted as its own chunk, so delete-heavy churn cannot
-/// fragment a run into ever-tinier chunks.
+/// fragment a run into ever-tinier chunks: the chunk count stays
+/// proportional to the live pairs, not to the run's historical peak.
 pub(crate) const CHUNK_MIN: usize = CHUNK_TARGET / 2;
 
-/// A sorted pair inside a run: `(source, target)` for forward adjacency,
-/// `(target, source)` for the converse.
+/// A sorted pair inside a run: `(source, target)` for a path relation or
+/// forward adjacency, `(target, source)` for the converse.
 pub(crate) type Pair = (NodeId, NodeId);
 
-/// One immutable, sorted slice of an edge relation.
-pub(crate) type Chunk = Vec<Pair>;
+/// One immutable, sorted slice of a pair relation.
+type Chunk = Vec<Pair>;
 
 /// What one graph publish reused versus rebuilt — the observable evidence
 /// that the publish was proportional to the touched neighborhood, not the
@@ -56,21 +63,46 @@ pub struct GraphPublishStats {
     pub chunks_rebuilt: usize,
 }
 
-/// One direction of one label's edge relation: bounded chunks in ascending
-/// pair order, plus per-chunk `(min, max)` pair fences for chunk skipping.
-/// Both the chunk list and the fence list live behind `Arc`s so an untouched
-/// run is re-shared across epochs with two refcount bumps.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct EdgeRun {
-    pub(crate) chunks: Arc<Vec<Arc<Chunk>>>,
-    /// `(first pair, last pair)` per chunk, parallel to the chunk list.
-    pub(crate) fences: Arc<Vec<(Pair, Pair)>>,
-    pub(crate) len: usize,
+/// First and last transition a pair went through inside one batch: equal
+/// means apply it, opposed means the pair ended where it began.
+#[derive(Debug, Clone, Copy)]
+struct NetOp {
+    first: bool,
+    last: bool,
 }
 
-impl EdgeRun {
+/// One sorted pair relation: bounded chunks in ascending pair order, plus
+/// per-chunk `(first pair, last pair)` fences for chunk skipping. Both the
+/// chunk list and the fence list live behind `Arc`s so an untouched run is
+/// re-shared across epochs with two refcount bumps — publish cost stays
+/// O(touched chunks), with no O(total chunks) pointer copying.
+///
+/// ```
+/// use pathix_graph::{NodeId, PairRun};
+///
+/// let pair = |a, b| (NodeId(a), NodeId(b));
+/// let run = PairRun::from_sorted(vec![pair(0, 1), pair(0, 2), pair(3, 0)]);
+/// assert!(run.contains(pair(0, 2)));
+/// assert_eq!(run.seconds_for(NodeId(0)).collect::<Vec<_>>(), [NodeId(1), NodeId(2)]);
+///
+/// // The next epoch: sorted real transitions in, a new run out.
+/// let (mut shared, mut rebuilt) = (0, 0);
+/// let ops = PairRun::net_ops([(pair(0, 2), false), (pair(2, 2), true)]);
+/// let next = run.apply(&ops, &mut shared, &mut rebuilt);
+/// assert_eq!(next.iter().collect::<Vec<_>>(), [pair(0, 1), pair(2, 2), pair(3, 0)]);
+/// assert_eq!(run.len(), 3, "the old epoch is untouched");
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct PairRun {
+    chunks: Arc<Vec<Arc<Chunk>>>,
+    /// `(first pair, last pair)` per chunk, parallel to the chunk list.
+    fences: Arc<Vec<(Pair, Pair)>>,
+    len: usize,
+}
+
+impl PairRun {
     /// Builds a run from pairs already sorted ascending and deduplicated.
-    pub(crate) fn from_sorted(pairs: Vec<Pair>) -> EdgeRun {
+    pub fn from_sorted(pairs: Vec<(NodeId, NodeId)>) -> PairRun {
         debug_assert!(pairs.windows(2).all(|w| w[0] < w[1]), "unsorted run input");
         Self::from_chunks(cut_chunks(pairs))
     }
@@ -81,32 +113,52 @@ impl EdgeRun {
     /// appear anyway, its fence is simply omitted (leaving `fences` shorter
     /// than the chunk list), which the structural audit reports instead of
     /// panicking mid-publish.
-    fn from_chunks(chunks: Vec<Arc<Chunk>>) -> EdgeRun {
+    fn from_chunks(chunks: Vec<Arc<Chunk>>) -> PairRun {
         let fences = chunks
             .iter()
             .filter_map(|c| Some((*c.first()?, *c.last()?)))
             .collect();
         let len = chunks.iter().map(|c| c.len()).sum();
-        EdgeRun {
+        PairRun {
             chunks: Arc::new(chunks),
             fences: Arc::new(fences),
             len,
         }
     }
 
+    /// [`PairRun::from_sorted`] without the cut and without any check: the
+    /// chunks are stored as given. This is how the seeded-corruption tests of
+    /// the auditors built on [`PairRun::audit`] obtain a run that violates a
+    /// chunk invariant. Not for production use.
+    #[doc(hidden)]
+    pub fn from_chunks_unchecked(chunks: Vec<Vec<(NodeId, NodeId)>>) -> PairRun {
+        Self::from_chunks(chunks.into_iter().map(Arc::new).collect())
+    }
+
     /// Number of pairs stored.
-    pub(crate) fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.len
     }
 
-    /// All pairs in ascending order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = Pair> + '_ {
+    /// `true` when the run stores no pair.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// All pairs in ascending order, streamed chunk by chunk.
+    pub fn iter(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
         self.chunks.iter().flat_map(|c| c.iter().copied())
+    }
+
+    /// The chunk list, ascending and disjoint — batched scans copy whole
+    /// chunk slices, and `Arc::ptr_eq` on two epochs' chunks shows sharing.
+    pub fn chunks(&self) -> &[Arc<Vec<(NodeId, NodeId)>>] {
+        &self.chunks
     }
 
     /// `true` if `pair` is stored. Fences narrow the probe to at most one
     /// chunk without touching pair data.
-    pub(crate) fn contains(&self, pair: Pair) -> bool {
+    pub fn contains(&self, pair: (NodeId, NodeId)) -> bool {
         let i = self.fences.partition_point(|&(_, max)| max < pair);
         self.chunks
             .get(i)
@@ -114,24 +166,25 @@ impl EdgeRun {
     }
 
     /// The second components of every pair whose first component is `first`,
-    /// in ascending order — forward or backward neighbors, depending on which
-    /// run this is. Fences skip every chunk that cannot contain `first`.
-    pub(crate) fn seconds_for(&self, first: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        let (start, stop) = self.covering_chunks(first);
-        self.chunks[start..stop].iter().flat_map(move |chunk| {
-            let lo = chunk.partition_point(|&(a, _)| a < first);
-            chunk[lo..]
-                .iter()
-                .take_while(move |&&(a, _)| a == first)
-                .map(|&(_, b)| b)
-        })
+    /// in ascending order — the targets of a source, or forward/backward
+    /// neighbors, depending on which run this is. Fences skip every chunk
+    /// that cannot contain `first`.
+    pub fn seconds_for(&self, first: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.chunks[self.covering_chunks(first)]
+            .iter()
+            .flat_map(move |chunk| {
+                let lo = chunk.partition_point(|&(a, _)| a < first);
+                chunk[lo..]
+                    .iter()
+                    .take_while(move |&&(a, _)| a == first)
+                    .map(|&(_, b)| b)
+            })
     }
 
     /// Number of pairs whose first component is `first` (a degree count),
     /// via partition points only.
-    pub(crate) fn count_first(&self, first: NodeId) -> usize {
-        let (start, stop) = self.covering_chunks(first);
-        self.chunks[start..stop]
+    pub fn count_first(&self, first: NodeId) -> usize {
+        self.chunks[self.covering_chunks(first)]
             .iter()
             .map(|chunk| {
                 chunk.partition_point(|&(a, _)| a <= first)
@@ -141,19 +194,49 @@ impl EdgeRun {
     }
 
     /// The chunk range whose fences admit pairs starting with `first` (both
-    /// fence bounds are non-decreasing across the run).
-    fn covering_chunks(&self, first: NodeId) -> (usize, usize) {
+    /// fence bounds are non-decreasing across the run); every chunk outside
+    /// it is skipped by a bound probe without being read.
+    pub fn covering_chunks(&self, first: NodeId) -> Range<usize> {
         let start = self.fences.partition_point(|&(_, (max, _))| max < first);
         let stop = start + self.fences[start..].partition_point(|&((min, _), _)| min <= first);
-        (start.min(self.chunks.len()), stop.min(self.chunks.len()))
+        start.min(self.chunks.len())..stop.min(self.chunks.len())
+    }
+
+    /// Nets the transitions one run saw inside one batch (`true` = the pair
+    /// appeared, `false` = it disappeared, in arrival order) down to the
+    /// sorted ops [`PairRun::apply`] takes. Relative to the pre-batch state a
+    /// pair's net effect is determined by its first and last transition:
+    /// equal means apply it, opposed means the pair ended where it started.
+    pub fn net_ops(
+        transitions: impl IntoIterator<Item = ((NodeId, NodeId), bool)>,
+    ) -> Vec<((NodeId, NodeId), bool)> {
+        let mut net: BTreeMap<Pair, NetOp> = BTreeMap::new();
+        for (pair, insert) in transitions {
+            net.entry(pair)
+                .and_modify(|op| op.last = insert)
+                .or_insert(NetOp {
+                    first: insert,
+                    last: insert,
+                });
+        }
+        net.into_iter()
+            .filter_map(|(pair, op)| (op.first == op.last).then_some((pair, op.first)))
+            .collect()
     }
 
     /// Applies net pair changes (`true` = insert, `false` = remove; sorted by
     /// pair, each a real transition relative to this run) and returns the next
     /// epoch's run. Untouched chunks are re-shared; touched ones are merged
     /// with their changes and re-cut, with undersized rebuilt regions
-    /// coalescing into their right neighbor.
-    pub(crate) fn apply(&self, ops: &[(Pair, bool)], stats: &mut GraphPublishStats) -> EdgeRun {
+    /// coalescing into their right neighbor. Every chunk of `self` is added
+    /// to exactly one of `shared` (same allocation in the result) and
+    /// `rebuilt` (copied into a new chunk).
+    pub fn apply(
+        &self,
+        ops: &[((NodeId, NodeId), bool)],
+        shared: &mut usize,
+        rebuilt: &mut usize,
+    ) -> PairRun {
         let prev = self.chunks.as_slice();
         let mut out: Vec<Arc<Chunk>> = Vec::with_capacity(prev.len() + 1);
         let mut pending: Vec<Pair> = Vec::new();
@@ -171,18 +254,18 @@ impl EdgeRun {
                 if pending.is_empty() || pending.len() >= CHUNK_MIN {
                     flush_pending(&mut pending, &mut out);
                     out.push(Arc::clone(chunk));
-                    stats.chunks_shared += 1;
+                    *shared += 1;
                 } else {
                     // The rebuilt region to our left came out undersized:
                     // coalesce this neighbor into it rather than emitting a
-                    // sliver.
+                    // sliver — copying one extra chunk keeps the run compact.
                     pending.extend_from_slice(chunk);
-                    stats.chunks_rebuilt += 1;
+                    *rebuilt += 1;
                 }
                 continue;
             }
             merge_chunk(chunk, my_ops, &mut pending);
-            stats.chunks_rebuilt += 1;
+            *rebuilt += 1;
             emit_full_chunks(&mut pending, &mut out);
         }
         // A previously-empty run takes all its ops here.
@@ -195,12 +278,22 @@ impl EdgeRun {
             }
         }
         flush_pending(&mut pending, &mut out);
-        EdgeRun::from_chunks(out)
+        PairRun::from_chunks(out)
     }
 
     /// Audits this run's chunk/fence invariants under `loc` — the checks the
-    /// scan, probe and publish paths silently rely on.
-    pub(crate) fn audit(&self, loc: &str, report: &mut AuditReport) {
+    /// scan, probe and publish paths silently rely on:
+    ///
+    /// * `fence-parallel` / `fence-tight` — one fence per chunk, equal to the
+    ///   chunk's true `(first, last)` pair (a loose fence silently breaks
+    ///   chunk skipping on bound probes);
+    /// * `chunk-nonempty` / `chunk-size-max` / `chunk-coalesced` — every
+    ///   chunk holds `1..=CHUNK_MAX` pairs, and every non-final chunk holds
+    ///   at least `CHUNK_MIN` (the anti-fragmentation coalescing bound);
+    /// * `chunk-sorted` / `chunk-disjoint` — pairs strictly ascending inside
+    ///   each chunk and across chunk boundaries;
+    /// * `run-count` — the cached length matches what the chunks hold.
+    pub fn audit(&self, loc: &str, report: &mut AuditReport) {
         report.check(
             "fence-parallel",
             loc,
@@ -327,7 +420,7 @@ fn merge_chunk(chunk: &[Pair], ops: &[(Pair, bool)], pending: &mut Vec<Pair>) {
 mod tests {
     use super::*;
 
-    fn pairs_of(run: &EdgeRun) -> Vec<Pair> {
+    fn pairs_of(run: &PairRun) -> Vec<Pair> {
         run.iter().collect()
     }
 
@@ -335,10 +428,15 @@ mod tests {
         (0..n).map(|i| (NodeId(i), NodeId(i + 1))).collect()
     }
 
+    /// `run.apply(ops)` with the reuse counters discarded.
+    fn applied(run: &PairRun, ops: &[(Pair, bool)]) -> PairRun {
+        run.apply(ops, &mut 0, &mut 0)
+    }
+
     #[test]
     fn from_sorted_roundtrips_and_cuts_chunks() {
         let pairs = chain(3 * CHUNK_MAX as u32);
-        let run = EdgeRun::from_sorted(pairs.clone());
+        let run = PairRun::from_sorted(pairs.clone());
         assert_eq!(run.len(), pairs.len());
         assert_eq!(pairs_of(&run), pairs);
         assert!(run.chunks.len() > 1, "a long run must span several chunks");
@@ -347,7 +445,7 @@ mod tests {
 
     #[test]
     fn contains_and_seconds_use_fences() {
-        let run = EdgeRun::from_sorted(chain(4 * CHUNK_MAX as u32));
+        let run = PairRun::from_sorted(chain(4 * CHUNK_MAX as u32));
         assert!(run.contains((NodeId(0), NodeId(1))));
         assert!(!run.contains((NodeId(0), NodeId(2))));
         let mid = 2 * CHUNK_MAX as u32;
@@ -361,26 +459,29 @@ mod tests {
 
     #[test]
     fn apply_shares_untouched_chunks() {
-        let run = EdgeRun::from_sorted(chain(4 * CHUNK_MAX as u32));
-        let mut stats = GraphPublishStats::default();
+        let run = PairRun::from_sorted(chain(4 * CHUNK_MAX as u32));
+        let (mut shared, mut rebuilt) = (0, 0);
         // Touch one pair near the front: every later chunk must be the same
         // allocation in the next epoch.
-        let next = run.apply(&[((NodeId(0), NodeId(7)), true)], &mut stats);
+        let next = run.apply(&[((NodeId(0), NodeId(7)), true)], &mut shared, &mut rebuilt);
         assert_eq!(next.len(), run.len() + 1);
-        assert!(stats.chunks_rebuilt >= 1);
-        assert!(stats.chunks_shared >= run.chunks.len() - 2);
-        let shared = next
+        assert!(rebuilt >= 1);
+        assert!(shared >= run.chunks.len() - 2);
+        let same_allocation = next
             .chunks
             .iter()
             .filter(|c| run.chunks.iter().any(|o| Arc::ptr_eq(o, c)))
             .count();
-        assert!(shared >= run.chunks.len() - 2, "chunks were not re-shared");
+        assert!(
+            same_allocation >= run.chunks.len() - 2,
+            "chunks were not re-shared"
+        );
     }
 
     #[test]
     fn apply_matches_a_sorted_rebuild_under_churn() {
         let mut reference: Vec<Pair> = chain(3 * CHUNK_MAX as u32);
-        let mut run = EdgeRun::from_sorted(reference.clone());
+        let mut run = PairRun::from_sorted(reference.clone());
         for round in 0..4u32 {
             let mut ops: Vec<(Pair, bool)> = Vec::new();
             for i in (round..3 * CHUNK_MAX as u32).step_by(5) {
@@ -395,24 +496,23 @@ mod tests {
                 }
             }
             ops.sort_unstable_by_key(|&(p, _)| p);
-            let mut stats = GraphPublishStats::default();
-            run = run.apply(&ops, &mut stats);
+            let mut rebuilt = 0;
+            run = run.apply(&ops, &mut 0, &mut rebuilt);
             assert_eq!(pairs_of(&run), reference, "round {round}");
-            assert!(stats.chunks_rebuilt > 0, "round {round}");
+            assert!(rebuilt > 0, "round {round}");
         }
     }
 
     #[test]
     fn delete_heavy_churn_does_not_fragment() {
         let n = 8 * CHUNK_MAX as u32;
-        let mut run = EdgeRun::from_sorted(chain(n));
+        let mut run = PairRun::from_sorted(chain(n));
         for offset in 0..15u32 {
             let ops: Vec<(Pair, bool)> = (offset..n)
                 .step_by(16)
                 .map(|i| ((NodeId(i), NodeId(i + 1)), false))
                 .collect();
-            let mut stats = GraphPublishStats::default();
-            run = run.apply(&ops, &mut stats);
+            run = applied(&run, &ops);
         }
         let live = run.len();
         assert_eq!(live, n as usize / 16);
@@ -424,13 +524,121 @@ mod tests {
     }
 
     #[test]
-    fn audit_is_clean_on_built_and_churned_runs() {
-        let mut run = EdgeRun::from_sorted(chain(3 * CHUNK_MAX as u32));
+    fn net_ops_keeps_agreeing_first_and_last_transitions_sorted() {
+        let pair = |a, b| (NodeId(a), NodeId(b));
+        let net = PairRun::net_ops([
+            (pair(5, 0), true),
+            (pair(1, 1), false),
+            // In and out again: ended where it started.
+            (pair(3, 3), true),
+            (pair(3, 3), false),
+            // Out, in, out: a net removal.
+            (pair(2, 0), false),
+            (pair(2, 0), true),
+            (pair(2, 0), false),
+        ]);
+        assert_eq!(
+            net,
+            [(pair(1, 1), false), (pair(2, 0), false), (pair(5, 0), true)]
+        );
+    }
+
+    /// The invariant names the audit reports for `run`, in discovery order.
+    fn violated(run: &PairRun) -> Vec<&'static str> {
         let mut report = AuditReport::new();
-        run.audit("fresh", &mut report);
-        let mut stats = GraphPublishStats::default();
-        run = run.apply(&[((NodeId(1), NodeId(9)), true)], &mut stats);
-        run.audit("churned", &mut report);
-        assert!(report.is_clean(), "{:?}", report.violations());
+        run.audit("run", &mut report);
+        report.violations().iter().map(|v| v.invariant).collect()
+    }
+
+    /// A clean three-chunk run to corrupt, one invariant at a time.
+    fn clean() -> PairRun {
+        let run = PairRun::from_sorted(chain(3 * CHUNK_TARGET as u32 + 40));
+        assert_eq!(run.chunks.len(), 4);
+        assert_eq!(violated(&run), Vec::<&str>::new());
+        run
+    }
+
+    /// `run` with chunk `ci` replaced by `chunk`, fences and length recomputed
+    /// — so only the chunk-level checks can fire.
+    fn with_chunk(run: &PairRun, ci: usize, chunk: Chunk) -> PairRun {
+        let mut chunks = run.chunks.as_ref().clone();
+        chunks[ci] = Arc::new(chunk);
+        PairRun::from_chunks(chunks)
+    }
+
+    #[test]
+    fn audit_is_clean_on_built_and_churned_runs() {
+        let run = clean();
+        let churned = applied(&run, &[((NodeId(1), NodeId(9)), true)]);
+        assert_eq!(violated(&churned), Vec::<&str>::new());
+        assert_eq!(violated(&PairRun::default()), Vec::<&str>::new());
+    }
+
+    #[test]
+    fn seeded_corruption_trips_fence_parallel() {
+        let mut run = clean();
+        Arc::make_mut(&mut run.fences).pop();
+        assert_eq!(violated(&run), ["fence-parallel"]);
+    }
+
+    #[test]
+    fn seeded_corruption_trips_chunk_nonempty() {
+        // `from_chunks` omits the fence of an empty chunk, so the fence list
+        // comes out short as well.
+        let run = with_chunk(&clean(), 3, Vec::new());
+        assert_eq!(violated(&run), ["fence-parallel", "chunk-nonempty"]);
+    }
+
+    #[test]
+    fn seeded_corruption_trips_chunk_size_max() {
+        let run = clean();
+        let mut fat = run.chunks[3].as_ref().clone();
+        let from = fat.last().unwrap().0 .0 + 1;
+        fat.extend((from..from + CHUNK_MAX as u32).map(|i| (NodeId(i), NodeId(i))));
+        assert_eq!(violated(&with_chunk(&run, 3, fat)), ["chunk-size-max"]);
+    }
+
+    #[test]
+    fn seeded_corruption_trips_chunk_coalesced() {
+        let run = clean();
+        let sliver = run.chunks[1][..CHUNK_MIN - 1].to_vec();
+        assert_eq!(violated(&with_chunk(&run, 1, sliver)), ["chunk-coalesced"]);
+    }
+
+    #[test]
+    fn seeded_corruption_trips_chunk_sorted() {
+        let run = clean();
+        let mut swapped = run.chunks[1].as_ref().clone();
+        swapped.swap(10, 11);
+        assert_eq!(violated(&with_chunk(&run, 1, swapped)), ["chunk-sorted"]);
+    }
+
+    #[test]
+    fn seeded_corruption_trips_chunk_disjoint() {
+        // Chunk 2 starts again at chunk 1's last pair: sorted inside, tight
+        // fences, but overlapping its left neighbor.
+        let run = clean();
+        let mut overlapping = run.chunks[2].as_ref().clone();
+        overlapping.insert(0, *run.chunks[1].last().unwrap());
+        assert_eq!(
+            violated(&with_chunk(&run, 2, overlapping)),
+            ["chunk-disjoint"]
+        );
+    }
+
+    #[test]
+    fn seeded_corruption_trips_fence_tight() {
+        // A loose fence silently widens (or narrows) what bound probes read.
+        let mut run = clean();
+        let fence = &mut Arc::make_mut(&mut run.fences)[1];
+        fence.1 .0 = NodeId(fence.1 .0 .0 - 1);
+        assert_eq!(violated(&run), ["fence-tight"]);
+    }
+
+    #[test]
+    fn seeded_corruption_trips_run_count() {
+        let mut run = clean();
+        run.len += 1;
+        assert_eq!(violated(&run), ["run-count"]);
     }
 }

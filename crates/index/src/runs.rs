@@ -6,19 +6,23 @@
 //! that throws away the locality the paper's update rules guarantee (an
 //! update only touches the k-neighborhood of the changed edge).
 //! [`SharedKPathIndex`] holds the index's logical content — every
-//! `⟨p, a, b⟩` triple, served in `(source, target)` order per path — with
-//! each path relation stored as a sequence of bounded, immutable **chunks**
-//! held behind `Arc`s:
+//! `⟨p, a, b⟩` triple, served in `(source, target)` order per path — as a
+//! map from label paths to pair relations:
 //!
 //! ```text
-//! runs  : [ path₁ → [Arc<chunk>, Arc<chunk>, …],  path₂ → […], … ]
-//! chunk : sorted Vec<(source, target)>, ≤ CHUNK_MAX pairs
+//! runs : [ path₁ → (PairRun, source bloom),  path₂ → (…), … ]   by (length, path)
 //! ```
 //!
+//! Each relation is a [`PairRun`] — the same chunked, `Arc`-shared sorted
+//! run the graph keeps its adjacency in; chunk cutting, fences, net apply
+//! and the chunk-level audit all live there. This module adds what is the
+//! index's own: the path directory, a per-run bloom filter over source
+//! nodes, the published per-path cardinalities and the skip counter.
+//!
 //! Publishing a batch ([`SharedKPathIndex::apply_delta_batch`], driven by the
-//! [`EntryDeltas`](crate::EntryDeltas) log the counting rules emit) rebuilds
-//! only the chunks that contain a changed key and re-shares every other chunk
-//! by bumping its refcount, so the publish cost is **O(Δ · chunk)** — flat in
+//! [`EntryDeltas`](crate::EntryDeltas) log the counting rules emit) hands each
+//! touched path's net key changes to [`PairRun::apply`] and re-shares every
+//! untouched run wholesale, so the publish cost is **O(Δ · chunk)** — flat in
 //! the index size. Old snapshots keep their `Arc`s, which is what makes every
 //! published epoch fully isolated for free: nothing a reader holds is ever
 //! mutated.
@@ -31,34 +35,17 @@ use crate::enumerate::enumerate_paths;
 use crate::pathkey::decode_entry;
 use crate::paths_k_cardinality;
 use pathix_audit::{AuditReport, StructuralAudit};
-use pathix_graph::{Graph, NodeId, SignedLabel};
+use pathix_graph::{Graph, NodeId, PairRun, SignedLabel};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Preferred number of pairs per chunk: rebuilt chunk groups are re-cut to
-/// this size. Smaller chunks shrink the publish ceiling (Δ scattered keys
-/// rebuild at most Δ chunks of this size) at the price of more `Arc` bumps
-/// per re-shared run; 256 pairs ≈ 2 KiB keeps both cheap.
-const CHUNK_TARGET: usize = 256;
-
-/// A chunk never exceeds this many pairs; larger merge results are split.
-const CHUNK_MAX: usize = 2 * CHUNK_TARGET;
-
-/// A rebuilt region smaller than this absorbs its untouched right neighbor
-/// instead of being emitted as its own chunk, so delete-heavy churn cannot
-/// fragment a run into ever-tinier chunks: the chunk count stays
-/// proportional to the live entries, not to the run's historical peak.
-const CHUNK_MIN: usize = CHUNK_TARGET / 2;
-
-/// One immutable, sorted slice of a path relation.
-type Chunk = Vec<(NodeId, NodeId)>;
-
 /// A path keyed for `(length, path)` ordering.
 type PathKey = (usize, Vec<SignedLabel>);
 
-/// The net key changes of one path, sorted by pair.
-type PathOps = Vec<((NodeId, NodeId), EntryChange)>;
+/// The net key changes of one path, sorted by pair (`true` = the key
+/// appeared) — what [`PairRun::apply`] takes.
+type PathOps = Vec<((NodeId, NodeId), bool)>;
 
 /// A tiny blocked bloom filter over a run's source nodes (512 bits, two
 /// multiplicative hashes). Rebuilds OR the batch's added sources into the
@@ -92,58 +79,15 @@ impl SourceBloom {
     }
 }
 
-/// Per-run skip metadata for bound-source probes, shared across epochs like
-/// the chunk list itself (untouched runs bump one more refcount; rebuilt runs
-/// recompute fences in O(chunks) and extend the bloom in O(Δ)).
-#[derive(Debug, Default)]
-struct RunMeta {
-    /// `(min source, max source)` per chunk, parallel to the chunk list.
-    fences: Vec<(NodeId, NodeId)>,
-    /// Superset filter over the run's source nodes.
-    bloom: SourceBloom,
-}
-
-/// One path relation: bounded chunks in ascending `(source, target)` order.
-/// The chunk list itself lives behind an `Arc` so an untouched run is
-/// re-shared across epochs with a single refcount bump — publish cost stays
-/// O(touched chunks + paths), with no O(total chunks) pointer copying.
+/// One path relation: its pairs in ascending `(source, target)` order plus a
+/// superset filter over its source nodes. An untouched run is re-shared
+/// across epochs by cloning the [`PairRun`] (two refcount bumps) and copying
+/// the bloom.
 #[derive(Debug, Clone)]
 struct Run {
     path: Vec<SignedLabel>,
-    chunks: Arc<Vec<Arc<Chunk>>>,
-    meta: Arc<RunMeta>,
-}
-
-impl Run {
-    /// Builds a run over `chunks`, computing per-chunk source fences and
-    /// adopting `bloom` (exact at build time, a superset across epochs).
-    ///
-    /// Chunks are never empty by construction; should a corrupt empty chunk
-    /// appear anyway, its fence is simply omitted (leaving `fences` shorter
-    /// than the chunk list), which the structural audit reports instead of
-    /// panicking mid-publish.
-    fn with_meta(path: Vec<SignedLabel>, chunks: Arc<Vec<Arc<Chunk>>>, bloom: SourceBloom) -> Run {
-        let fences = chunks
-            .iter()
-            .filter_map(|c| Some((c.first()?.0, c.last()?.0)))
-            .collect();
-        Run {
-            path,
-            chunks,
-            meta: Arc::new(RunMeta { fences, bloom }),
-        }
-    }
-}
-
-/// The exact source bloom of a chunk list — used at bulk build time.
-fn bloom_from_chunks(chunks: &[Arc<Chunk>]) -> SourceBloom {
-    let mut bloom = SourceBloom::default();
-    for chunk in chunks {
-        for &(s, _) in chunk.iter() {
-            bloom.insert(s);
-        }
-    }
-    bloom
+    pairs: PairRun,
+    bloom: SourceBloom,
 }
 
 /// What one publish reused versus rebuilt — the observable evidence that a
@@ -184,7 +128,7 @@ pub struct SharedKPathIndex {
 
 impl SharedKPathIndex {
     /// Builds the index over `graph` for locality parameter `k ≥ 1`:
-    /// [`enumerate_paths`], cut into chunks.
+    /// [`enumerate_paths`], one [`PairRun`] per non-empty relation.
     ///
     /// The three lookup shapes of the paper's Example 3.1:
     ///
@@ -223,9 +167,15 @@ impl SharedKPathIndex {
             pairs.dedup();
             entries += pairs.len() as u64;
             per_path_counts.push((rel.path.clone(), pairs.len() as u64));
-            let chunks = Arc::new(cut_chunks(pairs));
-            let bloom = bloom_from_chunks(&chunks);
-            runs.push(Run::with_meta(rel.path, chunks, bloom));
+            let mut bloom = SourceBloom::default();
+            for &(s, _) in &pairs {
+                bloom.insert(s);
+            }
+            runs.push(Run {
+                path: rel.path,
+                pairs: PairRun::from_sorted(pairs),
+                bloom,
+            });
         }
         SharedKPathIndex {
             k,
@@ -264,7 +214,7 @@ impl SharedKPathIndex {
 
     /// Total number of chunks across all runs.
     pub fn chunk_count(&self) -> usize {
-        self.runs.iter().map(|r| r.chunks.len()).sum()
+        self.runs.iter().map(|r| r.pairs.chunks().len()).sum()
     }
 
     /// Number of non-empty path relations stored.
@@ -282,66 +232,36 @@ impl SharedKPathIndex {
 
     /// `I_{G,k}(⟨p⟩)` as a chunk-streaming iterator.
     pub fn scan_path(&self, path: &[SignedLabel]) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.run(path)
-            .map(|r| r.chunks.as_slice())
-            .unwrap_or(&[])
-            .iter()
-            .flat_map(|chunk| chunk.iter().copied())
+        self.run(path).into_iter().flat_map(|r| r.pairs.iter())
     }
 
     /// `I_{G,k}(⟨p, source⟩)`: targets reachable from `source` via `p`.
     ///
     /// Bound probes never read a chunk that cannot hold `source`: the per-run
-    /// bloom filter rejects absent sources outright, and the per-chunk
-    /// `(min, max)` source fences narrow the rest to the covering chunk range
-    /// without touching pair data. Skipped chunks are counted.
+    /// bloom filter rejects absent sources outright, and the run's fences
+    /// narrow the rest to the covering chunk range without touching pair
+    /// data. Skipped chunks are counted.
     pub fn scan_path_from(&self, path: &[SignedLabel], source: NodeId) -> Vec<NodeId> {
         let Some(run) = self.run(path) else {
             return Vec::new();
         };
-        if !run.meta.bloom.maybe_contains(source) {
+        let chunks = run.pairs.chunks().len();
+        if !run.bloom.maybe_contains(source) {
             self.chunks_skipped
-                .fetch_add(run.chunks.len() as u64, Ordering::Relaxed);
+                .fetch_add(chunks as u64, Ordering::Relaxed);
             return Vec::new();
         }
-        // Fences: chunks whose max source is below `source` or whose min
-        // source is above it cannot contain it (both bounds non-decreasing).
-        let fences = &run.meta.fences;
-        let start = fences.partition_point(|&(_, max)| max < source);
-        let stop = start + fences[start..].partition_point(|&(min, _)| min <= source);
-        self.chunks_skipped.fetch_add(
-            (start + (run.chunks.len() - stop)) as u64,
-            Ordering::Relaxed,
-        );
-        let lo = (source, NodeId(0));
-        let mut out = Vec::new();
-        for chunk in &run.chunks[start..stop] {
-            let from = chunk.partition_point(|&p| p < lo);
-            for &(s, t) in &chunk[from..] {
-                if s != source {
-                    break;
-                }
-                out.push(t);
-            }
-        }
-        out
+        let covering = run.pairs.covering_chunks(source);
+        self.chunks_skipped
+            .fetch_add((chunks - covering.len()) as u64, Ordering::Relaxed);
+        run.pairs.seconds_for(source).collect()
     }
 
     /// `I_{G,k}(⟨p, source, target⟩)`: membership test.
     pub fn contains(&self, path: &[SignedLabel], source: NodeId, target: NodeId) -> bool {
-        let Some(run) = self.run(path) else {
-            return false;
-        };
-        if !run.meta.bloom.maybe_contains(source) {
-            return false;
-        }
-        let key = (source, target);
-        let i = run
-            .chunks
-            .partition_point(|c| c.last().is_some_and(|&last| last < key));
-        run.chunks
-            .get(i)
-            .is_some_and(|chunk| chunk.binary_search(&key).is_ok())
+        self.run(path).is_some_and(|run| {
+            run.bloom.maybe_contains(source) && run.pairs.contains((source, target))
+        })
     }
 
     /// Rebuilds only the chunks whose keys the batch changed, sharing every
@@ -349,11 +269,9 @@ impl SharedKPathIndex {
     /// reused; callers publish the result and keep serving the old value to
     /// existing readers.
     fn with_batch(&self, batch: &DeltaBatch<'_>) -> BackendResult<SharedKPathIndex> {
-        // The log records transitions in order; relative to the pre-batch
-        // state a key's *net* effect is determined by its first and last
-        // transition — equal means apply, opposed means the key ended where it
-        // started.
-        let mut net: BTreeMap<PathKey, BTreeMap<(NodeId, NodeId), NetOp>> = BTreeMap::new();
+        // The log records key transitions in order; each path's nets down to
+        // the sorted real changes of its run.
+        let mut by_path: BTreeMap<PathKey, PathOps> = BTreeMap::new();
         for (key, change) in batch.deltas.ops() {
             let (path, a, b) = decode_entry(key).ok_or_else(|| {
                 BackendError::new(
@@ -361,24 +279,14 @@ impl SharedKPathIndex {
                     format!("malformed delta key {key:?} in batch log"),
                 )
             })?;
-            net.entry((path.len(), path))
+            by_path
+                .entry((path.len(), path))
                 .or_default()
-                .entry((a, b))
-                .and_modify(|op| op.last = *change)
-                .or_insert(NetOp {
-                    first: *change,
-                    last: *change,
-                });
+                .push(((a, b), *change == EntryChange::Added));
         }
-        let touched: Vec<(PathKey, PathOps)> = net
+        let touched: Vec<(PathKey, PathOps)> = by_path
             .into_iter()
-            .map(|(path, ops)| {
-                let ops = ops
-                    .into_iter()
-                    .filter_map(|(pair, op)| (op.first == op.last).then_some((pair, op.first)))
-                    .collect();
-                (path, ops)
-            })
+            .map(|(path, transitions)| (path, PairRun::net_ops(transitions)))
             .collect();
 
         let mut stats = RunPublishStats::default();
@@ -404,52 +312,39 @@ impl SharedKPathIndex {
             {
                 ops_at += 1;
             }
-            let ops: &[((NodeId, NodeId), EntryChange)] = match touched.get(ops_at) {
+            let ops: &[((NodeId, NodeId), bool)] = match touched.get(ops_at) {
                 Some(((len, p), ops)) if *len == path.len() && p.as_slice() == path.as_slice() => {
                     ops
                 }
                 _ => &[],
             };
-            let run = if ops.is_empty() {
+            let (pairs, mut bloom) = prev.map(|r| (r.pairs.clone(), r.bloom)).unwrap_or_default();
+            let pairs = if ops.is_empty() {
                 stats.runs_shared += 1;
-                stats.chunks_shared += prev.map_or(0, |r| r.chunks.len());
-                match prev {
-                    // Share chunk list AND skip metadata with one bump each.
-                    Some(r) => Run {
-                        path: path.clone(),
-                        chunks: Arc::clone(&r.chunks),
-                        meta: Arc::clone(&r.meta),
-                    },
-                    None => Run {
-                        path: path.clone(),
-                        chunks: Arc::new(Vec::new()),
-                        meta: Arc::new(RunMeta::default()),
-                    },
-                }
+                stats.chunks_shared += pairs.chunks().len();
+                pairs
             } else {
                 stats.runs_rebuilt += 1;
-                let chunks = Arc::new(apply_ops(
-                    prev.map_or(&[][..], |r| r.chunks.as_slice()),
-                    ops,
-                    &mut stats,
-                ));
                 // Extend the previous epoch's bloom with the added sources —
                 // O(Δ), keeping it a superset of the live sources.
-                let mut bloom = prev.map_or_else(SourceBloom::default, |r| r.meta.bloom);
-                for &((s, _), change) in ops {
-                    if change == EntryChange::Added {
+                for &((s, _), added) in ops {
+                    if added {
                         bloom.insert(s);
                     }
                 }
-                Run::with_meta(path.clone(), chunks, bloom)
+                pairs.apply(ops, &mut stats.chunks_shared, &mut stats.chunks_rebuilt)
             };
             debug_assert_eq!(
-                run.chunks.iter().map(|c| c.len() as u64).sum::<u64>(),
+                pairs.len() as u64,
                 *count,
                 "run for {path:?} diverged from the batch statistics"
             );
             entries += count;
-            runs.push(run);
+            runs.push(Run {
+                path: path.clone(),
+                pairs,
+                bloom,
+            });
         }
 
         Ok(SharedKPathIndex {
@@ -467,134 +362,11 @@ impl SharedKPathIndex {
     }
 }
 
-/// First and last transition a key went through inside one batch.
-#[derive(Debug, Clone, Copy)]
-struct NetOp {
-    first: EntryChange,
-    last: EntryChange,
-}
-
-/// Cuts a sorted pair list into chunks of at most [`CHUNK_MAX`] (re-cut at
-/// [`CHUNK_TARGET`] so freshly built chunks leave headroom).
-fn cut_chunks(pairs: Vec<(NodeId, NodeId)>) -> Vec<Arc<Chunk>> {
-    if pairs.len() <= CHUNK_MAX {
-        return if pairs.is_empty() {
-            Vec::new()
-        } else {
-            vec![Arc::new(pairs)]
-        };
-    }
-    pairs
-        .chunks(CHUNK_TARGET)
-        .map(|c| Arc::new(c.to_vec()))
-        .collect()
-}
-
-/// Applies the net key changes of one path to its previous chunk sequence:
-/// untouched chunks are re-shared, touched ones are merged with their changes
-/// and re-cut. `ops` must be sorted by key.
-fn apply_ops(
-    prev: &[Arc<Chunk>],
-    ops: &[((NodeId, NodeId), EntryChange)],
-    stats: &mut RunPublishStats,
-) -> Vec<Arc<Chunk>> {
-    let mut out: Vec<Arc<Chunk>> = Vec::with_capacity(prev.len() + 1);
-    let mut pending: Vec<(NodeId, NodeId)> = Vec::new();
-    let mut oi = 0usize;
-    for (ci, chunk) in prev.iter().enumerate() {
-        // Keys strictly below the next chunk's first key belong to this
-        // chunk (the first chunk also takes everything below it).
-        let upper = prev.get(ci + 1).and_then(|c| c.first()).copied();
-        let start = oi;
-        while oi < ops.len() && upper.is_none_or(|u| ops[oi].0 < u) {
-            oi += 1;
-        }
-        let my_ops = &ops[start..oi];
-        if my_ops.is_empty() {
-            if pending.is_empty() || pending.len() >= CHUNK_MIN {
-                flush_pending(&mut pending, &mut out);
-                out.push(Arc::clone(chunk));
-                stats.chunks_shared += 1;
-            } else {
-                // The rebuilt region to our left came out undersized:
-                // coalesce this neighbor into it rather than emitting a
-                // sliver — copying one extra chunk keeps the run compact.
-                pending.extend_from_slice(chunk);
-                stats.chunks_rebuilt += 1;
-            }
-            continue;
-        }
-        merge_chunk(chunk, my_ops, &mut pending);
-        stats.chunks_rebuilt += 1;
-        emit_full_chunks(&mut pending, &mut out);
-    }
-    // A brand-new path (no previous chunks) takes all its ops here.
-    if prev.is_empty() {
-        for &(pair, change) in ops {
-            debug_assert_eq!(change, EntryChange::Added, "removal from an empty run");
-            if change == EntryChange::Added {
-                pending.push(pair);
-            }
-        }
-    }
-    flush_pending(&mut pending, &mut out);
-    out
-}
-
-/// Emits target-sized chunks while `pending` is at or over [`CHUNK_MAX`] —
-/// the single size invariant every emitted chunk obeys.
-fn emit_full_chunks(pending: &mut Vec<(NodeId, NodeId)>, out: &mut Vec<Arc<Chunk>>) {
-    while pending.len() >= CHUNK_MAX {
-        let rest = pending.split_off(CHUNK_TARGET);
-        out.push(Arc::new(std::mem::replace(pending, rest)));
-    }
-}
-
-/// Emits all of `pending` as chunks (target-sized while full, then the rest).
-fn flush_pending(pending: &mut Vec<(NodeId, NodeId)>, out: &mut Vec<Arc<Chunk>>) {
-    emit_full_chunks(pending, out);
-    if !pending.is_empty() {
-        out.push(Arc::new(std::mem::take(pending)));
-    }
-}
-
-/// Merges one chunk's pairs with its sorted net changes into `pending`.
-fn merge_chunk(
-    chunk: &[(NodeId, NodeId)],
-    ops: &[((NodeId, NodeId), EntryChange)],
-    pending: &mut Vec<(NodeId, NodeId)>,
-) {
-    let mut pi = 0usize;
-    for &(key, change) in ops {
-        while pi < chunk.len() && chunk[pi] < key {
-            pending.push(chunk[pi]);
-            pi += 1;
-        }
-        let present = pi < chunk.len() && chunk[pi] == key;
-        match change {
-            EntryChange::Added => {
-                debug_assert!(!present, "added key {key:?} already present");
-                pending.push(key);
-                if present {
-                    pi += 1;
-                }
-            }
-            EntryChange::Removed => {
-                debug_assert!(present, "removed key {key:?} not present");
-                if present {
-                    pi += 1;
-                }
-            }
-        }
-    }
-    pending.extend_from_slice(&chunk[pi..]);
-}
-
 /// Batched scan over a run's chunk list: whole chunk slices are copied into
 /// the batch columns per call instead of iterating pair-at-a-time — the
 /// chunked layout's native bulk extraction path.
 struct ChunkBatchScan<'a> {
-    chunks: &'a [Arc<Chunk>],
+    chunks: &'a [Arc<Vec<(NodeId, NodeId)>>],
     chunk: usize,
     offset: usize,
 }
@@ -636,7 +408,7 @@ impl PathIndexBackend for SharedKPathIndex {
 
     fn scan_path_batches(&self, path: &[SignedLabel]) -> BackendResult<BackendBatchScan<'_>> {
         check_scan_path(self.backend_name(), self.k, path)?;
-        let chunks = self.run(path).map(|r| r.chunks.as_slice()).unwrap_or(&[]);
+        let chunks = self.run(path).map(|r| r.pairs.chunks()).unwrap_or(&[]);
         Ok(Box::new(ChunkBatchScan {
             chunks,
             chunk: 0,
@@ -699,24 +471,19 @@ impl MutablePathIndexBackend for SharedKPathIndex {
 }
 
 impl StructuralAudit for SharedKPathIndex {
-    /// Walks every run, chunk and pair, verifying the invariants the scan and
-    /// probe paths silently rely on:
+    /// Walks every run and pair, verifying the invariants the scan and probe
+    /// paths silently rely on:
     ///
     /// * `runs-ordered` — runs strictly ascending by `(length, path)` (the
     ///   binary search in `SharedKPathIndex::run` assumes it);
-    /// * `chunk-nonempty` / `chunk-size-max` / `chunk-coalesced` — every
-    ///   chunk holds `1..=CHUNK_MAX` pairs, and every non-final chunk holds
-    ///   at least `CHUNK_MIN` (the anti-fragmentation coalescing bound);
-    /// * `chunk-sorted` / `chunk-disjoint` — pairs strictly ascending inside
-    ///   each chunk and across chunk boundaries;
-    /// * `fence-parallel` / `fence-tight` — one fence per chunk, equal to the
-    ///   chunk's true `(min, max)` source (a loose fence silently breaks
-    ///   chunk skipping on bound probes);
+    /// * per run, everything [`PairRun::audit`] checks: `chunk-nonempty` /
+    ///   `chunk-size-max` / `chunk-coalesced` / `chunk-sorted` /
+    ///   `chunk-disjoint` / `fence-parallel` / `fence-tight` / `run-count`;
     /// * `bloom-sound` — every present source passes the run's bloom filter
     ///   (the superset property: deletions may leave stale bits, but a live
     ///   source must never be rejected);
     /// * `counts-consistent` / `entry-count` — the published per-path
-    ///   cardinalities and the entry total match what the chunks hold.
+    ///   cardinalities and the entry total match what the runs hold.
     fn audit(&self, report: &mut AuditReport) {
         for pair in self.runs.windows(2) {
             report.check(
@@ -746,68 +513,12 @@ impl StructuralAudit for SharedKPathIndex {
         let mut entries = 0u64;
         for run in &self.runs {
             let loc = format!("path {:?}", run.path);
-            report.check(
-                "fence-parallel",
-                &loc,
-                run.meta.fences.len() == run.chunks.len(),
-                || {
-                    format!(
-                        "{} fences for {} chunks",
-                        run.meta.fences.len(),
-                        run.chunks.len()
-                    )
-                },
-            );
+            run.pairs.audit(&loc, report);
             let mut run_entries = 0u64;
             let mut bloom_misses = 0u64;
-            let mut prev_last: Option<(NodeId, NodeId)> = None;
-            for (ci, chunk) in run.chunks.iter().enumerate() {
-                let cloc = format!("path {:?} chunk {ci}", run.path);
-                report.check("chunk-nonempty", &cloc, !chunk.is_empty(), || {
-                    "empty chunk stored in run".to_string()
-                });
-                report.check("chunk-size-max", &cloc, chunk.len() <= CHUNK_MAX, || {
-                    format!(
-                        "{} pairs exceed the CHUNK_MAX bound of {CHUNK_MAX}",
-                        chunk.len()
-                    )
-                });
-                if ci + 1 < run.chunks.len() {
-                    report.check("chunk-coalesced", &cloc, chunk.len() >= CHUNK_MIN, || {
-                        format!(
-                            "non-final chunk of {} pairs is below the CHUNK_MIN coalescing \
-                             bound of {CHUNK_MIN}",
-                            chunk.len()
-                        )
-                    });
-                }
-                report.check(
-                    "chunk-sorted",
-                    &cloc,
-                    chunk.windows(2).all(|w| w[0] < w[1]),
-                    || "pairs are not strictly ascending".to_string(),
-                );
-                if let (Some(prev), Some(&first)) = (prev_last, chunk.first()) {
-                    report.check("chunk-disjoint", &cloc, prev < first, || {
-                        format!("first pair {first:?} does not follow previous chunk's {prev:?}")
-                    });
-                }
-                prev_last = chunk.last().copied();
-                if let (Some(&fence), Some(first), Some(last)) =
-                    (run.meta.fences.get(ci), chunk.first(), chunk.last())
-                {
-                    report.check("fence-tight", &cloc, fence == (first.0, last.0), || {
-                        format!(
-                            "fence {fence:?} but true source bounds are {:?}",
-                            (first.0, last.0)
-                        )
-                    });
-                }
-                bloom_misses += chunk
-                    .iter()
-                    .filter(|&&(s, _)| !run.meta.bloom.maybe_contains(s))
-                    .count() as u64;
-                run_entries += chunk.len() as u64;
+            for (s, _) in run.pairs.iter() {
+                run_entries += 1;
+                bloom_misses += u64::from(!run.bloom.maybe_contains(s));
             }
             report.check("bloom-sound", &loc, bloom_misses == 0, || {
                 format!("{bloom_misses} present source(s) rejected by the run's bloom filter")
@@ -819,7 +530,7 @@ impl StructuralAudit for SharedKPathIndex {
                 recorded == Some(run_entries),
                 || {
                     format!(
-                        "chunks hold {run_entries} pairs but the published count is {recorded:?}"
+                        "the run holds {run_entries} pairs but the published count is {recorded:?}"
                     )
                 },
             );
@@ -827,7 +538,7 @@ impl StructuralAudit for SharedKPathIndex {
         }
         report.check("entry-count", "index", entries == self.entries, || {
             format!(
-                "chunks hold {entries} pairs but the index claims {}",
+                "runs hold {entries} pairs but the index claims {}",
                 self.entries
             )
         });
@@ -841,6 +552,11 @@ mod tests {
     use pathix_datagen::{paper_example_graph, social_network, SocialConfig};
     use pathix_graph::LabelId;
     use pathix_rpq::ast::inverse_path;
+
+    /// Pairs in the synthetic relations below: far past the bound at which
+    /// [`PairRun`] cuts a chunk, so the runs span several (each test asserts
+    /// the chunk count it needs).
+    const MANY: u32 = 1536;
 
     fn delta_batch<'a>(
         oracle: &'a IncrementalKPathIndex,
@@ -915,7 +631,7 @@ mod tests {
         let knows = sl(&g, "knows", false);
         let path = [knows, knows];
         assert!(
-            index.run(&path).unwrap().chunks.len() > 1,
+            index.run(&path).unwrap().pairs.chunks().len() > 1,
             "the relation must span several chunks to exercise the build-time cut"
         );
         let pairs: Vec<_> = index.scan_path(&path).collect();
@@ -1103,7 +819,7 @@ mod tests {
         let l = LabelId(0);
         let mut oracle = IncrementalKPathIndex::new(1);
         let mut deltas = EntryDeltas::new();
-        for i in 0..(3 * CHUNK_MAX as u32) {
+        for i in 0..(MANY) {
             oracle.apply_logged(
                 GraphUpdate::InsertEdge {
                     src: NodeId(i),
@@ -1126,7 +842,7 @@ mod tests {
             chunks_skipped: Arc::default(),
         };
         let mut shared = empty
-            .with_batch(&delta_batch(&oracle, &deltas, 3 * CHUNK_MAX as u64, 0))
+            .with_batch(&delta_batch(&oracle, &deltas, MANY as u64, 0))
             .unwrap();
         assert!(shared.chunk_count() > 1, "chain must span several chunks");
 
@@ -1134,7 +850,7 @@ mod tests {
             deltas.clear();
             let mut deleted = 0;
             let mut inserted = 0;
-            for i in (round..(3 * CHUNK_MAX as u32)).step_by(7) {
+            for i in (round..(MANY)).step_by(7) {
                 let update = if i % 2 == 0 {
                     GraphUpdate::DeleteEdge {
                         src: NodeId(i),
@@ -1181,7 +897,7 @@ mod tests {
         // entries (undersized rebuilt regions absorb their neighbors)
         // instead of staying at the run's historical peak.
         let l = LabelId(0);
-        let n = 8 * CHUNK_MAX as u32;
+        let n = 4 * MANY;
         let mut oracle = IncrementalKPathIndex::new(1);
         let mut deltas = EntryDeltas::new();
         for i in 0..n {
@@ -1235,8 +951,12 @@ mod tests {
         // Self-loops index under both signed directions: two runs.
         let live = shared.stats().entries as usize;
         assert_eq!(live, 2 * (n as usize / 16));
+        // The audit's `chunk-coalesced` check is the bound itself (every
+        // non-final chunk keeps at least the run primitive's minimum fill);
+        // with a sixteenth of the entries left, so is a fraction of the peak.
+        assert_eq!(violated(&shared), Vec::<&str>::new());
         assert!(
-            shared.chunk_count() <= live / CHUNK_MIN + 2,
+            4 * shared.chunk_count() <= peak_chunks,
             "run stayed fragmented: {} chunks for {live} live entries (peak {peak_chunks})",
             shared.chunk_count()
         );
@@ -1250,7 +970,7 @@ mod tests {
         let l1 = LabelId(1);
         let mut oracle = IncrementalKPathIndex::new(1);
         let mut deltas = EntryDeltas::new();
-        for i in 0..(2 * CHUNK_MAX as u32) {
+        for i in 0..(MANY) {
             oracle.apply_logged(
                 GraphUpdate::InsertEdge {
                     src: NodeId(i),
@@ -1280,7 +1000,7 @@ mod tests {
             deletes_applied: 0,
             chunks_skipped: Arc::default(),
         }
-        .with_batch(&delta_batch(&oracle, &deltas, 2 * CHUNK_MAX as u64 + 1, 0))
+        .with_batch(&delta_batch(&oracle, &deltas, MANY as u64 + 1, 0))
         .unwrap();
 
         // Touch only label 1: every chunk of the big label-0 runs must be the
@@ -1301,7 +1021,7 @@ mod tests {
         let before = base.run(&fwd0).unwrap();
         let after = next.run(&fwd0).unwrap();
         assert!(
-            Arc::ptr_eq(&before.chunks, &after.chunks),
+            std::ptr::eq(before.pairs.chunks(), after.pairs.chunks()),
             "an untouched run must re-share its whole chunk list"
         );
         assert!(next.last_publish_stats().runs_shared >= 1);
@@ -1314,7 +1034,7 @@ mod tests {
         let l = LabelId(0);
         let mut oracle = IncrementalKPathIndex::new(1);
         let mut deltas = EntryDeltas::new();
-        let n_edges = 4 * CHUNK_MAX as u32;
+        let n_edges = 2 * MANY;
         for i in 0..n_edges {
             oracle.apply_logged(
                 GraphUpdate::InsertEdge {
@@ -1341,7 +1061,7 @@ mod tests {
             .with_batch(&delta_batch(&oracle, &deltas, n_edges as u64, 0))
             .unwrap();
         let path = [SignedLabel::forward(l)];
-        let chunk_count = shared.run(&path).unwrap().chunks.len();
+        let chunk_count = shared.run(&path).unwrap().pairs.chunks().len();
         assert!(chunk_count >= 4, "need several chunks, got {chunk_count}");
 
         let before = shared.chunks_skipped();
@@ -1499,46 +1219,34 @@ mod tests {
         let fat = clean
             .runs
             .iter()
-            .position(|r| r.chunks.first().is_some_and(|c| c.len() >= 2))
+            .position(|r| r.pairs.len() >= 2)
             .expect("the paper graph has a multi-pair run");
 
-        // An out-of-order pair inside a chunk.
+        // Two runs out of (length, path) order: `run` binary-searches them.
+        let mut corrupt = clean.clone();
+        corrupt.runs.swap(0, 1);
+        assert!(
+            violated(&corrupt).contains(&"runs-ordered"),
+            "swapped runs must trip the directory-order audit"
+        );
+
+        // One chunk-level corruption (each run-level check is seeded beside
+        // `PairRun` itself): the index audit must reach into every run.
         let mut corrupt = clean.clone();
         {
             let run = &mut corrupt.runs[fat];
-            let chunks = Arc::make_mut(&mut run.chunks);
-            Arc::make_mut(&mut chunks[0]).swap(0, 1);
+            let mut pairs: Vec<_> = run.pairs.iter().collect();
+            pairs.swap(0, 1);
+            run.pairs = PairRun::from_chunks_unchecked(vec![pairs]);
         }
         assert!(
             violated(&corrupt).contains(&"chunk-sorted"),
             "swapped pairs must trip the sortedness audit"
         );
 
-        // A stale (loose) fence that silently breaks probe skipping.
-        let mut corrupt = clean.clone();
-        {
-            let run = &mut corrupt.runs[fat];
-            let mut fences = run.meta.fences.clone();
-            fences[0].0 = NodeId(fences[0].0 .0.wrapping_add(1));
-            run.meta = Arc::new(RunMeta {
-                fences,
-                bloom: run.meta.bloom,
-            });
-        }
-        assert!(
-            violated(&corrupt).contains(&"fence-tight"),
-            "a fence off the true min/max must trip the tightness audit"
-        );
-
         // A wiped bloom: present sources become false negatives.
         let mut corrupt = clean.clone();
-        {
-            let run = &mut corrupt.runs[fat];
-            run.meta = Arc::new(RunMeta {
-                fences: run.meta.fences.clone(),
-                bloom: SourceBloom::default(),
-            });
-        }
+        corrupt.runs[fat].bloom = SourceBloom::default();
         assert!(
             violated(&corrupt).contains(&"bloom-sound"),
             "a lost bloom bit must trip the soundness audit"
@@ -1561,7 +1269,7 @@ mod tests {
         // false negatives ever — and (b) each surviving run's bloom bits are
         // a superset of the previous epoch's (rebuilds only OR bits in).
         let l = LabelId(0);
-        let n = 2 * CHUNK_MAX as u32;
+        let n = MANY;
         let mut oracle = IncrementalKPathIndex::new(1);
         let mut deltas = EntryDeltas::new();
         for i in 0..n {
@@ -1620,24 +1328,22 @@ mod tests {
             let prev_blooms: Vec<(Vec<SignedLabel>, [u64; 8])> = shared
                 .runs
                 .iter()
-                .map(|r| (r.path.clone(), r.meta.bloom.bits))
+                .map(|r| (r.path.clone(), r.bloom.bits))
                 .collect();
             let next = shared
                 .with_batch(&delta_batch(&oracle, &deltas, inserted, deleted))
                 .unwrap();
 
             for run in &next.runs {
-                for chunk in run.chunks.iter() {
-                    for &(s, _) in chunk.iter() {
-                        assert!(
-                            run.meta.bloom.maybe_contains(s),
-                            "round {round}: live source {s:?} rejected by the bloom of {:?}",
-                            run.path
-                        );
-                    }
+                for (s, _) in run.pairs.iter() {
+                    assert!(
+                        run.bloom.maybe_contains(s),
+                        "round {round}: live source {s:?} rejected by the bloom of {:?}",
+                        run.path
+                    );
                 }
                 if let Some((_, before)) = prev_blooms.iter().find(|(p, _)| *p == run.path) {
-                    for (now, before) in run.meta.bloom.bits.iter().zip(before) {
+                    for (now, before) in run.bloom.bits.iter().zip(before) {
                         assert_eq!(
                             now & before,
                             *before,

@@ -71,9 +71,8 @@ pub fn execute_with_stats<B: PathIndexBackend + ?Sized>(
 /// returning the sorted, duplicate-free answer plus the number of pairs
 /// pulled from the root.
 ///
-/// This is the pre-vectorization execution mode, kept as the reference for
-/// differential tests and as the baseline the `scan_join` experiment
-/// measures the batched engine against.
+/// This is the pre-vectorization execution mode, kept as the reference
+/// `tests/vectorized_equivalence.rs` holds the batched engine to.
 pub fn execute_pairwise<B: PathIndexBackend + ?Sized>(
     plan: &PhysicalPlan,
     index: &B,
