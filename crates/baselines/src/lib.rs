@@ -11,21 +11,14 @@
 //!   bottom-up with semi-naive fixpoint iteration — the stand-in for
 //!   "recursive Datalog programs or recursive SQL views".
 //!
-//! * **Approach (3), reachability-index-based** ([`reachability`]): the
-//!   *restricted* strategy the paper's introduction describes — Kleene-starred
-//!   label sets answered through an SCC-condensation reachability index; it
-//!   rejects arbitrary RPQs, which is exactly the limitation the paper cites.
-//!
-//! Both full baselines return exactly the same answers as the path-index pipeline
+//! Both baselines return exactly the same answers as the path-index pipeline
 //! (they are cross-checked in tests and used as oracles); the benchmark
 //! harness uses them to reproduce the paper's speed-up claims.
 
 pub mod automaton;
 pub mod datalog;
-pub mod reachability;
 pub mod translate;
 
 pub use automaton::evaluate_automaton;
 pub use datalog::{Atom, DatalogEngine, Program, Rule, Term};
-pub use reachability::{evaluate_reachability, ReachabilityIndex};
 pub use translate::{evaluate_datalog, rpq_to_datalog};

@@ -45,9 +45,9 @@ use pathix_audit::{AuditReport, StructuralAudit};
 use pathix_baselines::{evaluate_automaton, evaluate_datalog};
 use pathix_graph::{EdgeOp, Graph, GraphPublishStats, LabelId, NodeId, SignedLabel, VocabBatch};
 use pathix_index::{
-    BackendBatchScan, BackendError, BackendResult, BackendScan, BackendStats, DeltaBatch,
-    EntryDeltas, EstimationMode, GraphUpdate, IncrementalKPathIndex, MutablePathIndexBackend,
-    PathHistogram, PathIndexBackend, SharedKPathIndex,
+    BackendBatchScan, BackendError, BackendResult, BackendStats, DeltaBatch, EntryDeltas,
+    EstimationMode, GraphUpdate, IncrementalKPathIndex, MutablePathIndexBackend, PathHistogram,
+    PathIndexBackend, SharedKPathIndex,
 };
 use pathix_pagestore::{
     CommitRecord, CompressedPathStore, CowStats, PagedPathIndex, PoolStats, Wal,
@@ -95,7 +95,9 @@ pub enum BackendChoice {
 /// One enum rather than a boxed trait object so the database stays a plain
 /// value (no lifetime or allocation games), while still implementing
 /// [`PathIndexBackend`] itself — the pipeline underneath is generic and never
-/// looks inside.
+/// looks inside. The same enum serves both sides of the database: published
+/// snapshots hold a reader view, the writer holds the mutable original those
+/// views were taken from.
 ///
 /// ```
 /// use pathix_core::{BackendChoice, PathDb, PathDbConfig, PathIndexBackend};
@@ -176,10 +178,6 @@ impl PathIndexBackend for IndexBackend {
         delegate!(self, b => PathIndexBackend::node_count(b))
     }
 
-    fn scan_path(&self, path: &[SignedLabel]) -> BackendResult<BackendScan<'_>> {
-        delegate!(self, b => PathIndexBackend::scan_path(b, path))
-    }
-
     fn scan_path_batches(&self, path: &[SignedLabel]) -> BackendResult<BackendBatchScan<'_>> {
         delegate!(self, b => PathIndexBackend::scan_path_batches(b, path))
     }
@@ -197,10 +195,6 @@ impl PathIndexBackend for IndexBackend {
         delegate!(self, b => PathIndexBackend::contains(b, path, source, target))
     }
 
-    fn path_cardinality(&self, path: &[SignedLabel]) -> Option<u64> {
-        delegate!(self, b => PathIndexBackend::path_cardinality(b, path))
-    }
-
     fn per_path_counts(&self) -> &[(Vec<SignedLabel>, u64)] {
         delegate!(self, b => PathIndexBackend::per_path_counts(b))
     }
@@ -211,6 +205,24 @@ impl PathIndexBackend for IndexBackend {
 
     fn stats(&self) -> BackendStats {
         delegate!(self, b => PathIndexBackend::stats(b))
+    }
+}
+
+impl IndexBackend {
+    /// Writer side: replays one delta batch into this backend and returns the
+    /// reader view to publish — a view no later batch changes.
+    fn publish(&mut self, batch: &DeltaBatch<'_>) -> BackendResult<IndexBackend> {
+        delegate!(self, b => b.apply_delta_batch(batch))?;
+        Ok(self.reader_view())
+    }
+
+    /// The payload's own `reader_view`, wrapped back into the enum.
+    fn reader_view(&mut self) -> IndexBackend {
+        match self {
+            IndexBackend::Memory(index) => IndexBackend::Memory(index.reader_view()),
+            IndexBackend::Paged(index) => IndexBackend::Paged(index.reader_view()),
+            IndexBackend::Compressed(store) => IndexBackend::Compressed(store.reader_view()),
+        }
     }
 }
 
@@ -284,8 +296,7 @@ pub struct PathDbConfig {
     pub backend: BackendChoice,
     /// Maximum number of compiled queries the plan cache keeps resident
     /// (query text → disjuncts + per-strategy plans). 0 disables caching, so
-    /// every ad-hoc call recompiles — useful for one-shot workloads and as
-    /// the baseline of the amortization experiment.
+    /// every ad-hoc call recompiles — useful for one-shot workloads.
     pub plan_cache_capacity: usize,
     /// When [`PathDb::apply`] refreshes the histogram from the live index.
     pub histogram_refresh: HistogramRefresh,
@@ -532,53 +543,6 @@ impl Snapshot {
     }
 }
 
-/// The writer-side handle of a physical backend that absorbs key deltas: it
-/// owns the mutable index whose reader views the published snapshots hold.
-#[derive(Debug)]
-enum WriterBackend {
-    /// Mutable chunked-run index (publishes `Arc`-shared reader views).
-    Memory(SharedKPathIndex),
-    /// Mutable paged B+tree index (in-memory or on-disk page store).
-    Paged(PagedPathIndex),
-    /// Mutable compressed store (blocks + delta overlays).
-    Compressed(CompressedPathStore),
-}
-
-impl WriterBackend {
-    fn backend_name(&self) -> &'static str {
-        match self {
-            WriterBackend::Memory(_) => "memory",
-            WriterBackend::Paged(_) => "paged",
-            WriterBackend::Compressed(_) => "compressed",
-        }
-    }
-
-    /// Replays one delta batch and publishes the resulting reader view.
-    fn publish(&mut self, batch: &DeltaBatch<'_>) -> BackendResult<IndexBackend> {
-        match self {
-            WriterBackend::Memory(index) => index
-                .apply_delta_batch(batch)
-                .map(|()| IndexBackend::Memory(index.reader_view())),
-            WriterBackend::Paged(index) => index
-                .apply_delta_batch(batch)
-                .map(|()| IndexBackend::Paged(index.reader_view())),
-            WriterBackend::Compressed(store) => store
-                .apply_delta_batch(batch)
-                .map(|()| IndexBackend::Compressed(store.reader_view())),
-        }
-    }
-}
-
-impl StructuralAudit for WriterBackend {
-    fn audit(&self, report: &mut AuditReport) {
-        match self {
-            WriterBackend::Memory(index) => index.audit(report),
-            WriterBackend::Paged(index) => index.audit(report),
-            WriterBackend::Compressed(store) => store.audit(report),
-        }
-    }
-}
-
 /// Writer-side state: the counting index the delta rules maintain (built
 /// lazily on the first update), the mutable physical backend, the reusable
 /// delta-log allocation and the histogram-refresh bookkeeping.
@@ -589,7 +553,8 @@ struct LiveState {
     /// The key-transition log of the current batch, reused across batches so
     /// steady-state applies stop reallocating it.
     deltas: EntryDeltas,
-    writer: WriterBackend,
+    /// The mutable backend whose reader views the published snapshots hold.
+    writer: IndexBackend,
     /// Set when a delta batch failed midway on a disk-resident backend: the
     /// tree may hold a partial batch, so later applies fail loudly until the
     /// database is rebuilt. Reads keep serving the last published snapshot.
@@ -717,38 +682,20 @@ impl PathDb {
     /// failure is reported as [`QueryError::Backend`].
     pub fn try_build(graph: Graph, config: PathDbConfig) -> Result<Self, QueryError> {
         let k = config.k;
-        let (backend, writer) = match &config.backend {
-            BackendChoice::Memory => {
-                let index = SharedKPathIndex::build(&graph, k);
-                (
-                    IndexBackend::Memory(index.reader_view()),
-                    WriterBackend::Memory(index),
-                )
-            }
-            BackendChoice::PagedInMemory { pool_frames } => {
-                let mut index = PagedPathIndex::build_in_memory(&graph, k, *pool_frames)
-                    .map_err(|e| BackendError::io("paged", &e))?;
-                (
-                    IndexBackend::Paged(index.reader_view()),
-                    WriterBackend::Paged(index),
-                )
-            }
-            BackendChoice::OnDisk { path, pool_frames } => {
-                let mut index = PagedPathIndex::build_on_disk(&graph, k, path, *pool_frames)
-                    .map_err(|e| BackendError::io("paged", &e))?;
-                (
-                    IndexBackend::Paged(index.reader_view()),
-                    WriterBackend::Paged(index),
-                )
-            }
-            BackendChoice::Compressed => {
-                let store = CompressedPathStore::build(&graph, k)
-                    .with_compaction_threshold(config.compressed_compaction_threshold);
-                (
-                    IndexBackend::Compressed(store.reader_view()),
-                    WriterBackend::Compressed(store),
-                )
-            }
+        let writer = match &config.backend {
+            BackendChoice::Memory => IndexBackend::Memory(SharedKPathIndex::build(&graph, k)),
+            BackendChoice::PagedInMemory { pool_frames } => IndexBackend::Paged(
+                PagedPathIndex::build_in_memory(&graph, k, *pool_frames)
+                    .map_err(|e| BackendError::io("paged", &e))?,
+            ),
+            BackendChoice::OnDisk { path, pool_frames } => IndexBackend::Paged(
+                PagedPathIndex::build_on_disk(&graph, k, path, *pool_frames)
+                    .map_err(|e| BackendError::io("paged", &e))?,
+            ),
+            BackendChoice::Compressed => IndexBackend::Compressed(
+                CompressedPathStore::build(&graph, k)
+                    .with_compaction_threshold(config.compressed_compaction_threshold),
+            ),
         };
         // The on-disk backend is durable from the first commit: checkpoint
         // the built graph and open an empty write-ahead log next to the page
@@ -760,15 +707,29 @@ impl PathDb {
             ),
             _ => None,
         };
+        Ok(Self::assemble(graph, writer, config, 0, durable))
+    }
+
+    /// The constructor tail [`PathDb::try_build`] and [`PathDb::open`] share:
+    /// publishes the writer's first reader view with a histogram built from
+    /// it, at epoch 0.
+    fn assemble(
+        graph: Graph,
+        mut writer: IndexBackend,
+        config: PathDbConfig,
+        commit_seq: u64,
+        durability: Option<Durability>,
+    ) -> Self {
+        let backend = writer.reader_view();
         let histogram = PathHistogram::build(
             backend.per_path_counts(),
             backend.paths_k_size(),
-            k,
+            config.k,
             config.estimation,
         );
         let plan_cache = PlanCache::new(config.plan_cache_capacity);
         let snapshot = Snapshot::new(Arc::new(graph), Arc::new(backend), Arc::new(histogram), 0);
-        Ok(PathDb {
+        PathDb {
             state: RwLock::new(snapshot),
             live: Mutex::new(LiveState {
                 index: None,
@@ -776,14 +737,14 @@ impl PathDb {
                 deltas: EntryDeltas::new(),
                 writer,
                 failed: None,
-                commit_seq: 0,
-                durability: durable,
+                commit_seq,
+                durability,
             }),
             config,
             plan_cache,
             pulled_total: Arc::new(AtomicU64::new(0)),
             instance_id: NEXT_INSTANCE_ID.fetch_add(1, Ordering::Relaxed),
-        })
+        }
     }
 
     /// Builds the index and histogram for `graph` under `config`.
@@ -967,36 +928,14 @@ impl PathDb {
         wal.reset()
             .map_err(|e| QueryError::Recovery(format!("truncating the write-ahead log: {e}")))?;
 
-        let backend = IndexBackend::Paged(paged.reader_view());
-        let histogram = PathHistogram::build(
-            backend.per_path_counts(),
-            backend.paths_k_size(),
-            config.k,
-            config.estimation,
-        );
-        let plan_cache = PlanCache::new(config.plan_cache_capacity);
-        let snapshot = Snapshot::new(Arc::new(graph), Arc::new(backend), Arc::new(histogram), 0);
-        Ok(PathDb {
-            state: RwLock::new(snapshot),
-            live: Mutex::new(LiveState {
-                index: None,
-                updates_since_refresh: 0,
-                deltas: EntryDeltas::new(),
-                writer: WriterBackend::Paged(paged),
-                failed: None,
-                commit_seq: seq,
-                durability: Some(Durability {
-                    wal,
-                    checkpoint_path,
-                    records_since_checkpoint: 0,
-                    checkpoint_every: config.wal_checkpoint_every.max(1),
-                }),
-            }),
-            config,
-            plan_cache,
-            pulled_total: Arc::new(AtomicU64::new(0)),
-            instance_id: NEXT_INSTANCE_ID.fetch_add(1, Ordering::Relaxed),
-        })
+        let durability = Durability {
+            wal,
+            checkpoint_path,
+            records_since_checkpoint: 0,
+            checkpoint_every: config.wal_checkpoint_every.max(1),
+        };
+        let writer = IndexBackend::Paged(paged);
+        Ok(Self::assemble(graph, writer, config, seq, Some(durability)))
     }
 
     /// Flushes and closes the writer-side storage, surfacing any I/O failure
@@ -1012,7 +951,7 @@ impl PathDb {
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
         let live_state = &mut *live;
-        if let WriterBackend::Paged(index) = &mut live_state.writer {
+        if let IndexBackend::Paged(index) = &mut live_state.writer {
             index
                 .close()
                 .map_err(|e| QueryError::Backend(BackendError::io("paged", &e)))?;
@@ -1243,7 +1182,7 @@ impl PathDb {
             // graph; any read or validation failure falls back to the
             // from-graph rebuild below.
             let persisted = match &live_state.writer {
-                WriterBackend::Paged(paged) => paged.counted_entries().ok().and_then(|entries| {
+                IndexBackend::Paged(paged) => paged.counted_entries().ok().and_then(|entries| {
                     IncrementalKPathIndex::from_persisted_entries(
                         current.graph(),
                         self.config.k,
@@ -1271,7 +1210,7 @@ impl PathDb {
                 no_ops += 1;
                 continue;
             };
-            if !live_index.apply_logged(GraphUpdate::from_op(op), &mut live_state.deltas) {
+            if !live_index.apply_logged(op, &mut live_state.deltas) {
                 no_ops += 1;
                 continue;
             }
@@ -1877,6 +1816,70 @@ mod tests {
     /// ([`pathix_pagestore::fault`]) is process-global, so a test arming it
     /// must not overlap any other test doing real durable I/O.
     static DISK_LOCK: Mutex<()> = Mutex::new(());
+
+    #[test]
+    fn a_published_view_is_not_changed_by_the_next_publish() {
+        let _disk = DISK_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let dir = TempDir::new("publish-views");
+        let g = paper_example_graph();
+        let writers = [
+            IndexBackend::Memory(SharedKPathIndex::build(&g, 2)),
+            IndexBackend::Paged(PagedPathIndex::build_in_memory(&g, 2, 8).unwrap()),
+            IndexBackend::Paged(
+                PagedPathIndex::build_on_disk(&g, 2, dir.path("views.pages"), 8).unwrap(),
+            ),
+            IndexBackend::Compressed(CompressedPathStore::build(&g, 2)),
+        ];
+        let (sue, tim) = (g.node_id("sue").unwrap(), g.node_id("tim").unwrap());
+        let (kim, liz) = (g.node_id("kim").unwrap(), g.node_id("liz").unwrap());
+        let knows = g.label_id("knows").unwrap();
+        let supervisor = g.label_id("supervisor").unwrap();
+        let batches = [
+            EdgeOp::insert(sue, knows, tim),
+            EdgeOp::delete(kim, supervisor, liz),
+        ];
+
+        /// Everything a reader can ask a view.
+        fn contents(view: &IndexBackend) -> Vec<(u64, Vec<(NodeId, NodeId)>)> {
+            let mut all = Vec::new();
+            for (path, count) in view.per_path_counts() {
+                all.push((*count, view.collect_path(path).unwrap()));
+            }
+            all
+        }
+
+        for mut writer in writers {
+            let name = writer.backend_name();
+            let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, 2);
+            let mut views = vec![writer.reader_view()];
+            for (seq, &op) in batches.iter().enumerate() {
+                let mut deltas = EntryDeltas::new();
+                assert!(oracle.apply_logged(op, &mut deltas));
+                let batch = DeltaBatch {
+                    deltas: &deltas,
+                    per_path_counts: oracle.per_path_counts(),
+                    paths_k_size: oracle.paths_k_size(),
+                    node_count: oracle.node_count(),
+                    inserted_edges: op.insert as u64,
+                    deleted_edges: !op.insert as u64,
+                    seq: seq as u64 + 1,
+                };
+                let before: Vec<_> = views.iter().map(contents).collect();
+                views.push(writer.publish(&batch).unwrap());
+                let after: Vec<_> = views.iter().map(contents).collect();
+                assert_eq!(after[..before.len()], before[..], "{name}, batch {seq}");
+                // The new view is the writer's state, and it did change.
+                assert_eq!(after[before.len()], contents(&writer), "{name}");
+                assert_ne!(after[before.len()], before[before.len() - 1], "{name}");
+            }
+            let mut report = AuditReport::new();
+            report.run("writer", &writer);
+            for view in &views {
+                report.run("view", view);
+            }
+            report.assert_clean(name);
+        }
+    }
 
     #[test]
     fn on_disk_backend_runs_the_pipeline() {

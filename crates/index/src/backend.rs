@@ -7,15 +7,16 @@
 //! representations studied by the paper and its companion work (ref. \[14\]).
 //!
 //! [`PathIndexBackend`] captures exactly the contract the layers above
-//! storage rely on: forward prefix scans in `(source, target)` order (the
-//! inverse-path trick for target-major order goes through the same entry
-//! point), point membership, per-path cardinalities for the histogram, and a
-//! couple of structural numbers (`k`, node count, `|paths_k(G)|`). Everything
-//! in `pathix-exec`, `pathix-plan` and `pathix-core` is generic over this
-//! trait, so the identical RPQ → rewrite → plan → execute pipeline runs
-//! unchanged on every backend.
+//! storage rely on: one batched forward prefix scan in `(source, target)`
+//! order (the inverse-path trick for target-major order goes through the same
+//! entry point) and two probes — targets of one source, point membership —
+//! plus per-path cardinalities for the histogram and a couple of structural
+//! numbers (`k`, node count, `|paths_k(G)|`). Everything in `pathix-exec`,
+//! `pathix-plan` and `pathix-core` is generic over this trait, so the
+//! identical RPQ → rewrite → plan → execute pipeline runs unchanged on every
+//! backend.
 //!
-//! Scans stream `Result` items: disk-resident backends can fail mid-scan, and
+//! Every batch is a `Result`: disk-resident backends can fail mid-scan, and
 //! those failures must surface as query errors rather than panics.
 
 use pathix_graph::{NodeId, SignedLabel};
@@ -67,11 +68,6 @@ impl std::error::Error for BackendError {}
 
 /// Result alias used throughout the backend-facing pipeline.
 pub type BackendResult<T> = Result<T, BackendError>;
-
-/// A streaming scan over the `(source, target)` pairs of one label path, in
-/// ascending `(source, target)` order. Items are `Result`s because
-/// disk-resident backends can fail while the scan is being drained.
-pub type BackendScan<'a> = Box<dyn Iterator<Item = BackendResult<(NodeId, NodeId)>> + 'a>;
 
 /// Default capacity of a [`PairBatch`]: the number of pairs moved per
 /// operator call in the batch-at-a-time engine. Large enough to amortize
@@ -212,18 +208,22 @@ impl PairBatch {
 }
 
 /// A batched scan: repeatedly fills a [`PairBatch`] with the next pairs of
-/// one backend scan, in the same `(source, target)` order [`BackendScan`]
-/// streams them.
+/// one label path, in ascending `(source, target)` order.
 ///
 /// Every call clears the batch first, a short batch is not the end, and
 /// `Ok(0)` is:
 ///
 /// ```
-/// use pathix_graph::NodeId;
-/// use pathix_index::{BackendResult, BatchScan, IterBatchScan, PairBatch};
+/// use pathix_datagen::paper_example_graph;
+/// use pathix_graph::SignedLabel;
+/// use pathix_index::{BatchScan, PairBatch, PathIndexBackend, SharedKPathIndex};
 ///
-/// let pairs: Vec<BackendResult<_>> = (0..5).map(|i| Ok((NodeId(i), NodeId(i + 1)))).collect();
-/// let mut scan = IterBatchScan::new(Box::new(pairs.into_iter()));
+/// let g = paper_example_graph();
+/// let index = SharedKPathIndex::build(&g, 1);
+/// let knows = [SignedLabel::forward(g.label_id("knows").unwrap())];
+/// let total = index.path_cardinality(&knows).unwrap() as usize;
+///
+/// let mut scan = index.scan_path_batches(&knows).unwrap();
 /// let mut batch = PairBatch::with_capacity(2);
 /// let mut sizes = Vec::new();
 /// loop {
@@ -234,7 +234,8 @@ impl PairBatch {
 ///     }
 ///     sizes.push(n);
 /// }
-/// assert_eq!(sizes, [2, 2, 1]);
+/// assert!(sizes.iter().all(|&n| n <= 2));
+/// assert_eq!(sizes.iter().sum::<usize>(), total);
 /// ```
 pub trait BatchScan {
     /// Clears `batch` and refills it with up to `batch.capacity()` pairs.
@@ -246,33 +247,6 @@ pub trait BatchScan {
 
 /// Owned, dynamically dispatched batched scan tied to the backend it reads.
 pub type BackendBatchScan<'a> = Box<dyn BatchScan + 'a>;
-
-/// Adapts a pair-at-a-time [`BackendScan`] to the [`BatchScan`] protocol —
-/// the default used by backends without a native batch extraction path.
-pub struct IterBatchScan<'a> {
-    inner: BackendScan<'a>,
-}
-
-impl<'a> IterBatchScan<'a> {
-    /// Wraps a streaming scan.
-    pub fn new(inner: BackendScan<'a>) -> Self {
-        IterBatchScan { inner }
-    }
-}
-
-impl BatchScan for IterBatchScan<'_> {
-    fn next_batch(&mut self, batch: &mut PairBatch) -> BackendResult<usize> {
-        batch.clear();
-        while !batch.is_full() {
-            match self.inner.next() {
-                Some(Ok(pair)) => batch.push(pair),
-                Some(Err(e)) => return Err(e),
-                None => break,
-            }
-        }
-        Ok(batch.len())
-    }
-}
 
 /// Structural statistics common to every backend.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -306,18 +280,14 @@ pub trait PathIndexBackend {
     /// Number of nodes of the indexed graph.
     fn node_count(&self) -> usize;
 
-    /// `I_{G,k}(⟨p⟩)`: all pairs of `p(G)` in `(source, target)` order.
+    /// `I_{G,k}(⟨p⟩)`: all pairs of `p(G)` in `(source, target)` order,
+    /// delivered a [`PairBatch`] at a time — every backend copies or decodes
+    /// whole slices of its physical layout (chunks, leaf pages, varint
+    /// segments) per call.
     ///
     /// Paths of length 0 or longer than k are a planner contract violation
-    /// and produce an error (never a panic). A well-formed path that simply
-    /// has no matches yields an empty scan.
-    fn scan_path(&self, path: &[SignedLabel]) -> BackendResult<BackendScan<'_>>;
-
-    /// Batched form of [`scan_path`](Self::scan_path): the same pairs in the
-    /// same order, delivered a [`PairBatch`] at a time. The default adapts
-    /// the streaming scan; backends with a batch-friendly physical layout
-    /// (chunked runs, varint blocks) override it to copy/decode whole slices
-    /// per call.
+    /// and produce an error (never a panic), here and from both probes. A
+    /// well-formed path that simply has no matches yields an empty scan.
     ///
     /// ```
     /// use pathix_datagen::paper_example_graph;
@@ -336,17 +306,23 @@ pub trait PathIndexBackend {
     /// while scan.next_batch(&mut batch).unwrap() > 0 {
     ///     batched.extend(batch.iter());
     /// }
-    /// let streamed: Vec<_> = PathIndexBackend::scan_path(&index, &path)
-    ///     .unwrap()
-    ///     .collect::<Result<_, _>>()
-    ///     .unwrap();
-    /// assert_eq!(batched, streamed);
+    /// assert_eq!(batched, index.collect_path(&path).unwrap());
     /// assert_eq!(batched.len() as u64, index.path_cardinality(&path).unwrap());
     /// // Longer than k: an error, not a panic.
     /// assert!(index.scan_path_batches(&[knows, knows, knows]).is_err());
     /// ```
-    fn scan_path_batches(&self, path: &[SignedLabel]) -> BackendResult<BackendBatchScan<'_>> {
-        Ok(Box::new(IterBatchScan::new(self.scan_path(path)?)))
+    fn scan_path_batches(&self, path: &[SignedLabel]) -> BackendResult<BackendBatchScan<'_>>;
+
+    /// Drains [`scan_path_batches`](Self::scan_path_batches) into one
+    /// vector: all of `p(G)` in `(source, target)` order.
+    fn collect_path(&self, path: &[SignedLabel]) -> BackendResult<Vec<(NodeId, NodeId)>> {
+        let mut scan = self.scan_path_batches(path)?;
+        let mut batch = PairBatch::new();
+        let mut pairs = Vec::new();
+        while scan.next_batch(&mut batch)? > 0 {
+            pairs.extend(batch.iter());
+        }
+        Ok(pairs)
     }
 
     /// `I_{G,k}(⟨p, source⟩)`: targets reachable from `source` via `p`, in
@@ -358,11 +334,19 @@ pub trait PathIndexBackend {
         -> BackendResult<bool>;
 
     /// Exact `|p(G)|` for an indexed path (`None` when `|p| > k` or the
-    /// relation is empty).
-    fn path_cardinality(&self, path: &[SignedLabel]) -> Option<u64>;
+    /// relation is empty): a binary search of
+    /// [`per_path_counts`](Self::per_path_counts).
+    fn path_cardinality(&self, path: &[SignedLabel]) -> Option<u64> {
+        let counts = self.per_path_counts();
+        counts
+            .binary_search_by(|(p, _)| (p.len(), p.as_slice()).cmp(&(path.len(), path)))
+            .ok()
+            .map(|i| counts[i].1)
+    }
 
-    /// Exact per-path cardinalities `(p, |p(G)|)` gathered at build time —
-    /// the raw material for the k-path histogram.
+    /// Exact per-path cardinalities `(p, |p(G)|)` of the non-empty indexed
+    /// paths, strictly ascending by `(length, path)` — the raw material for
+    /// the k-path histogram.
     fn per_path_counts(&self) -> &[(Vec<SignedLabel>, u64)];
 
     /// `|paths_k(G)|` — the selectivity denominator.
@@ -519,10 +503,6 @@ impl<B: PathIndexBackend + ?Sized> PathIndexBackend for &B {
         (**self).node_count()
     }
 
-    fn scan_path(&self, path: &[SignedLabel]) -> BackendResult<BackendScan<'_>> {
-        (**self).scan_path(path)
-    }
-
     fn scan_path_batches(&self, path: &[SignedLabel]) -> BackendResult<BackendBatchScan<'_>> {
         (**self).scan_path_batches(path)
     }
@@ -538,10 +518,6 @@ impl<B: PathIndexBackend + ?Sized> PathIndexBackend for &B {
         target: NodeId,
     ) -> BackendResult<bool> {
         (**self).contains(path, source, target)
-    }
-
-    fn path_cardinality(&self, path: &[SignedLabel]) -> Option<u64> {
-        (**self).path_cardinality(path)
     }
 
     fn per_path_counts(&self) -> &[(Vec<SignedLabel>, u64)] {
@@ -580,25 +556,6 @@ mod tests {
         batch.clear();
         assert!(batch.is_empty());
         assert_eq!(batch.capacity(), 2);
-    }
-
-    #[test]
-    fn iter_batch_scan_chunks_a_stream_and_surfaces_errors() {
-        let pairs: Vec<BackendResult<(NodeId, NodeId)>> =
-            (0..5).map(|i| Ok((NodeId(i), NodeId(i + 100)))).collect();
-        let mut scan = IterBatchScan::new(Box::new(pairs.into_iter()));
-        let mut batch = PairBatch::with_capacity(3);
-        assert_eq!(scan.next_batch(&mut batch).unwrap(), 3);
-        assert_eq!(batch.sources(), &[NodeId(0), NodeId(1), NodeId(2)]);
-        assert_eq!(scan.next_batch(&mut batch).unwrap(), 2);
-        assert_eq!(scan.next_batch(&mut batch).unwrap(), 0);
-
-        let failing: Vec<BackendResult<(NodeId, NodeId)>> = vec![
-            Ok((NodeId(0), NodeId(0))),
-            Err(BackendError::new("test", "torn")),
-        ];
-        let mut scan = IterBatchScan::new(Box::new(failing.into_iter()));
-        assert!(scan.next_batch(&mut batch).is_err());
     }
 
     #[test]

@@ -26,13 +26,8 @@
 //! [`IncrementalKPathIndex::per_path_counts`] at whatever cadence their
 //! optimizer needs.
 
-use crate::backend::{
-    check_scan_path, BackendResult, BackendScan, BackendStats, EntryChange, EntryDeltas,
-    PathIndexBackend,
-};
-use crate::pathkey::{
-    decode_entry, decode_pair, encode_entry, encode_path_prefix, encode_path_source_prefix,
-};
+use crate::backend::{EntryChange, EntryDeltas};
+use crate::pathkey::{decode_entry, decode_pair, encode_entry, encode_path_prefix};
 use pathix_audit::{AuditReport, StructuralAudit};
 use pathix_graph::{EdgeOp, Graph, LabelId, NodeId, SignedLabel};
 use pathix_rpq::ast::inverse_path;
@@ -42,9 +37,9 @@ use std::collections::btree_map::{self, BTreeMap, Entry};
 use std::collections::HashMap;
 use std::ops::Bound;
 
-/// An edge update applied to an [`IncrementalKPathIndex`] (id variants) or to
-/// a `PathDb` (all variants; the named forms intern unseen vocabulary on the
-/// fly before reaching the index).
+/// An edge update applied to a `PathDb`: by id, or by name (the named forms
+/// intern unseen vocabulary on the fly). `PathDb::apply` resolves every
+/// variant to an [`EdgeOp`] before it reaches the [`IncrementalKPathIndex`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GraphUpdate {
     /// Insert the edge `src --label--> dst` (no-op if already present).
@@ -66,9 +61,7 @@ pub enum GraphUpdate {
         dst: NodeId,
     },
     /// Insert an edge by external names, interning any unseen node or label
-    /// name into the database's live vocabulary (streaming ingest). The
-    /// incremental index itself cannot resolve names — `PathDb::apply` lowers
-    /// this to an id-based insertion first.
+    /// name into the database's live vocabulary (streaming ingest).
     InsertEdgeNamed {
         /// Source node name.
         src: String,
@@ -149,15 +142,6 @@ impl GraphUpdate {
             GraphUpdate::InsertEdge { src, label, dst } => Some(EdgeOp::insert(src, label, dst)),
             GraphUpdate::DeleteEdge { src, label, dst } => Some(EdgeOp::delete(src, label, dst)),
             GraphUpdate::InsertEdgeNamed { .. } | GraphUpdate::DeleteEdgeNamed { .. } => None,
-        }
-    }
-
-    /// Lifts a resolved edge operation back into an id-based update.
-    pub fn from_op(op: EdgeOp) -> Self {
-        if op.insert {
-            GraphUpdate::insert(op.src, op.label, op.dst)
-        } else {
-            GraphUpdate::delete(op.src, op.label, op.dst)
         }
     }
 }
@@ -281,9 +265,6 @@ pub struct IncrementalKPathIndex {
     adj: DynAdjacency,
     /// `⟨p, a, b⟩ → walk count`, keyed by the [`crate::pathkey`] encoding.
     tree: BTreeMap<Vec<u8>, u64>,
-    /// Total length of the stored keys, maintained so
-    /// [`PathIndexBackend::stats`] is O(1).
-    key_bytes: u64,
     /// Distinct pair count per indexed path (only non-empty paths), sorted by
     /// `(length, path)` — the order every backend reports.
     per_path: Vec<(Vec<SignedLabel>, u64)>,
@@ -309,7 +290,6 @@ impl IncrementalKPathIndex {
             k,
             adj: DynAdjacency::default(),
             tree: BTreeMap::new(),
-            key_bytes: 0,
             per_path: Vec::new(),
             pair_refs: HashMap::new(),
             linked_pairs: 0,
@@ -352,13 +332,11 @@ impl IncrementalKPathIndex {
         let mut per_path = Vec::with_capacity(relations.len());
         let mut pair_refs: HashMap<u64, u32> = HashMap::new();
         let mut linked_pairs = 0u64;
-        let mut key_bytes = 0u64;
         let mut entries: Vec<(Vec<u8>, u64)> = Vec::new();
         for (path, pairs) in &relations {
             per_path.push((path.clone(), pairs.len() as u64));
             for &((a, b), walks) in pairs {
                 let key = encode_entry(path, a, b);
-                key_bytes += key.len() as u64;
                 entries.push((key, walks));
                 let refs = pair_refs.entry(pack_pair(a, b)).or_insert(0);
                 *refs += 1;
@@ -374,7 +352,6 @@ impl IncrementalKPathIndex {
             k,
             adj: DynAdjacency::from_graph(graph),
             tree: entries.into_iter().collect(),
-            key_bytes,
             per_path,
             pair_refs,
             linked_pairs,
@@ -410,7 +387,6 @@ impl IncrementalKPathIndex {
         let mut per_path: Vec<(Vec<SignedLabel>, u64)> = Vec::new();
         let mut pair_refs: HashMap<u64, u32> = HashMap::new();
         let mut linked_pairs = 0u64;
-        let mut key_bytes = 0u64;
         let mut loaded: Vec<(Vec<u8>, u64)> = Vec::new();
         for (key, count) in entries {
             let Some((path, a, b)) = decode_entry(&key) else {
@@ -438,14 +414,12 @@ impl IncrementalKPathIndex {
             if *refs == 1 && a != b {
                 linked_pairs += 1;
             }
-            key_bytes += key.len() as u64;
             loaded.push((key, count));
         }
         Ok(IncrementalKPathIndex {
             k,
             adj: DynAdjacency::from_graph(graph),
             tree: loaded.into_iter().collect(),
-            key_bytes,
             per_path,
             pair_refs,
             linked_pairs,
@@ -537,36 +511,30 @@ impl IncrementalKPathIndex {
             .unwrap_or(0)
     }
 
-    /// Applies a single update, returning `true` if it changed the graph.
-    pub fn apply(&mut self, update: GraphUpdate) -> bool {
-        self.apply_inner(update, None)
+    /// Applies a single edge operation, returning `true` if it changed the
+    /// graph.
+    pub fn apply(&mut self, op: EdgeOp) -> bool {
+        self.apply_op(op, None)
     }
 
-    /// Applies a single update like [`IncrementalKPathIndex::apply`], but
-    /// additionally records every key-level transition (entry appeared /
+    /// Applies a single edge operation like [`IncrementalKPathIndex::apply`],
+    /// but additionally records every key-level transition (entry appeared /
     /// entry disappeared) in `log`.
     ///
-    /// This is the bridge that makes the other storage backends mutable: the
+    /// This is the bridge that makes the storage backends mutable: the
     /// counting delta enumeration runs once here, and the resulting
-    /// [`EntryDeltas`] are replayed verbatim against the paged B+tree and the
-    /// compressed overlay (see
+    /// [`EntryDeltas`] are replayed verbatim against the chunk runs, the
+    /// paged B+tree and the compressed overlay (see
     /// [`MutablePathIndexBackend`](crate::MutablePathIndexBackend)).
-    pub fn apply_logged(&mut self, update: GraphUpdate, log: &mut EntryDeltas) -> bool {
-        self.apply_inner(update, Some(log))
+    pub fn apply_logged(&mut self, op: EdgeOp, log: &mut EntryDeltas) -> bool {
+        self.apply_op(op, Some(log))
     }
 
-    fn apply_inner(&mut self, update: GraphUpdate, log: Option<&mut EntryDeltas>) -> bool {
-        match update {
-            GraphUpdate::InsertEdge { src, label, dst } => {
-                self.insert_edge_inner(src, label, dst, log)
-            }
-            GraphUpdate::DeleteEdge { src, label, dst } => {
-                self.delete_edge_inner(src, label, dst, log)
-            }
-            GraphUpdate::InsertEdgeNamed { .. } | GraphUpdate::DeleteEdgeNamed { .. } => panic!(
-                "named graph updates must be resolved against a vocabulary before \
-                 reaching the incremental index"
-            ),
+    fn apply_op(&mut self, op: EdgeOp, log: Option<&mut EntryDeltas>) -> bool {
+        if op.insert {
+            self.insert_edge_inner(op.src, op.label, op.dst, log)
+        } else {
+            self.delete_edge_inner(op.src, op.label, op.dst, log)
         }
     }
 
@@ -768,7 +736,6 @@ impl IncrementalKPathIndex {
                     log.record_count(slot.key(), delta);
                 }
                 let (path, a, b) = decode_entry(slot.key()).expect("index keys are well-formed");
-                self.key_bytes += slot.key().len() as u64;
                 slot.insert(delta);
                 match self.path_slot(&path) {
                     Ok(i) => self.per_path[i].1 += 1,
@@ -800,7 +767,6 @@ impl IncrementalKPathIndex {
                 log.record_count(key, 0);
             }
             self.tree.remove(key);
-            self.key_bytes -= key.len() as u64;
             let (path, a, b) = decode_entry(key).expect("index keys are well-formed");
             if let Ok(i) = self.path_slot(&path) {
                 self.per_path[i].1 -= 1;
@@ -890,70 +856,6 @@ pub fn enumerate_counted_paths(graph: &Graph, k: usize) -> Vec<CountedRelation> 
     result.append(&mut prev);
     result.sort_by(|a, b| (a.0.len(), &a.0).cmp(&(b.0.len(), &b.0)));
     result
-}
-
-impl PathIndexBackend for IncrementalKPathIndex {
-    fn backend_name(&self) -> &'static str {
-        "incremental"
-    }
-
-    fn k(&self) -> usize {
-        self.k
-    }
-
-    fn node_count(&self) -> usize {
-        self.node_count
-    }
-
-    fn scan_path(&self, path: &[SignedLabel]) -> BackendResult<BackendScan<'_>> {
-        check_scan_path(PathIndexBackend::backend_name(self), self.k, path)?;
-        Ok(Box::new(
-            prefix_range(&self.tree, &encode_path_prefix(path))
-                .map(|(key, _)| Ok(decode_pair(key))),
-        ))
-    }
-
-    fn scan_path_from(&self, path: &[SignedLabel], source: NodeId) -> BackendResult<Vec<NodeId>> {
-        check_scan_path(PathIndexBackend::backend_name(self), self.k, path)?;
-        Ok(
-            prefix_range(&self.tree, &encode_path_source_prefix(path, source))
-                .map(|(key, _)| decode_pair(key).1)
-                .collect(),
-        )
-    }
-
-    fn contains(
-        &self,
-        path: &[SignedLabel],
-        source: NodeId,
-        target: NodeId,
-    ) -> BackendResult<bool> {
-        Ok(IncrementalKPathIndex::contains(self, path, source, target))
-    }
-
-    fn path_cardinality(&self, path: &[SignedLabel]) -> Option<u64> {
-        self.path_slot(path).ok().map(|i| self.per_path[i].1)
-    }
-
-    fn per_path_counts(&self) -> &[(Vec<SignedLabel>, u64)] {
-        &self.per_path
-    }
-
-    fn paths_k_size(&self) -> u64 {
-        IncrementalKPathIndex::paths_k_size(self)
-    }
-
-    fn stats(&self) -> BackendStats {
-        let entries = self.tree.len() as u64;
-        BackendStats {
-            backend: PathIndexBackend::backend_name(self),
-            k: self.k,
-            entries,
-            distinct_paths: self.per_path.len(),
-            paths_k_size: IncrementalKPathIndex::paths_k_size(self),
-            approx_bytes: self.key_bytes + 8 * entries,
-        }
-    }
 }
 
 impl StructuralAudit for IncrementalKPathIndex {
@@ -1092,6 +994,7 @@ fn prefix_range<'a>(
 mod tests {
     use super::*;
     use crate::enumerate_paths;
+    use crate::pathkey::encode_path_source_prefix;
     use pathix_datagen::paper_example_graph;
     use std::collections::BTreeSet;
 
@@ -1186,10 +1089,9 @@ mod tests {
                     "path {:?}",
                     rel.path
                 );
-                assert_eq!(
-                    incremental.path_cardinality(&rel.path),
-                    Some(rel.pairs.len() as u64)
-                );
+                assert!(incremental
+                    .per_path_counts()
+                    .contains(&(rel.path.clone(), rel.pairs.len() as u64)));
             }
         }
     }
@@ -1381,40 +1283,6 @@ mod tests {
     }
 
     #[test]
-    fn the_incremental_index_serves_as_a_backend() {
-        let g = paper_example_graph();
-        let index = IncrementalKPathIndex::bulk_from_graph(&g, 2);
-        let backend: &dyn PathIndexBackend = &index;
-        assert_eq!(backend.backend_name(), "incremental");
-        assert_eq!(backend.k(), 2);
-        assert_eq!(backend.node_count(), g.node_count());
-        let knows = SignedLabel::forward(g.label_id("knows").unwrap());
-        let via_trait: Vec<_> = backend
-            .scan_path(&[knows])
-            .unwrap()
-            .collect::<BackendResult<_>>()
-            .unwrap();
-        assert_eq!(via_trait, index.scan_path(&[knows]));
-        let (a, b) = via_trait[0];
-        assert!(backend.contains(&[knows], a, b).unwrap());
-        assert_eq!(
-            backend.scan_path_from(&[knows], a).unwrap(),
-            via_trait
-                .iter()
-                .filter(|&&(s, _)| s == a)
-                .map(|&(_, t)| t)
-                .collect::<Vec<_>>()
-        );
-        assert_eq!(
-            backend.path_cardinality(&[knows]),
-            Some(via_trait.len() as u64)
-        );
-        assert!(backend.scan_path(&[knows, knows, knows]).is_err());
-        let stats = backend.stats();
-        assert_eq!(stats.entries as usize, index.entry_count());
-    }
-
-    #[test]
     fn apply_logged_records_key_transitions() {
         let knows = LabelId(0);
         let mut index = IncrementalKPathIndex::new(2);
@@ -1422,14 +1290,7 @@ mod tests {
 
         // A fresh edge creates entries: every logged op is an Added key that
         // the index now contains.
-        assert!(index.apply_logged(
-            GraphUpdate::InsertEdge {
-                src: NodeId(0),
-                label: knows,
-                dst: NodeId(1),
-            },
-            &mut log,
-        ));
+        assert!(index.apply_logged(EdgeOp::insert(NodeId(0), knows, NodeId(1)), &mut log,));
         assert_eq!(log.len(), index.entry_count());
         for (key, change) in log.ops() {
             assert_eq!(*change, EntryChange::Added);
@@ -1440,27 +1301,13 @@ mod tests {
         // Deleting the edge reverses every transition; replaying the log in
         // order over a set reproduces the index's key set at each point.
         log.clear();
-        assert!(index.apply_logged(
-            GraphUpdate::DeleteEdge {
-                src: NodeId(0),
-                label: knows,
-                dst: NodeId(1),
-            },
-            &mut log,
-        ));
+        assert!(index.apply_logged(EdgeOp::delete(NodeId(0), knows, NodeId(1)), &mut log,));
         assert!(log.ops().iter().all(|(_, c)| *c == EntryChange::Removed));
         assert_eq!(index.entry_count(), 0);
 
         // A no-op update logs nothing.
         log.clear();
-        assert!(!index.apply_logged(
-            GraphUpdate::DeleteEdge {
-                src: NodeId(0),
-                label: knows,
-                dst: NodeId(1),
-            },
-            &mut log,
-        ));
+        assert!(!index.apply_logged(EdgeOp::delete(NodeId(0), knows, NodeId(1)), &mut log,));
         assert!(log.is_empty());
     }
 
@@ -1478,24 +1325,10 @@ mod tests {
         rng_edges.truncate(6);
         let mut log = EntryDeltas::new();
         for &(s, l, d) in &rng_edges {
-            index.apply_logged(
-                GraphUpdate::DeleteEdge {
-                    src: s,
-                    label: l,
-                    dst: d,
-                },
-                &mut log,
-            );
+            index.apply_logged(EdgeOp::delete(s, l, d), &mut log);
         }
         for &(s, l, d) in &rng_edges {
-            index.apply_logged(
-                GraphUpdate::InsertEdge {
-                    src: s,
-                    label: l,
-                    dst: d,
-                },
-                &mut log,
-            );
+            index.apply_logged(EdgeOp::insert(s, l, d), &mut log);
         }
         for (key, change) in log.ops() {
             match change {
@@ -1511,17 +1344,9 @@ mod tests {
     fn apply_dispatches_updates() {
         let l = LabelId(0);
         let mut index = IncrementalKPathIndex::new(1);
-        assert!(index.apply(GraphUpdate::InsertEdge {
-            src: NodeId(0),
-            label: l,
-            dst: NodeId(1),
-        }));
+        assert!(index.apply(EdgeOp::insert(NodeId(0), l, NodeId(1))));
         assert!(index.has_edge(NodeId(0), l, NodeId(1)));
-        assert!(index.apply(GraphUpdate::DeleteEdge {
-            src: NodeId(0),
-            label: l,
-            dst: NodeId(1),
-        }));
+        assert!(index.apply(EdgeOp::delete(NodeId(0), l, NodeId(1))));
         assert!(!index.has_edge(NodeId(0), l, NodeId(1)));
     }
 
@@ -1542,6 +1367,17 @@ mod tests {
     /// Keys of `tree` under `prefix`, via the range helper.
     fn keys_under(tree: &BTreeMap<Vec<u8>, u64>, prefix: &[u8]) -> Vec<Vec<u8>> {
         prefix_range(tree, prefix).map(|(k, _)| k.clone()).collect()
+    }
+
+    /// Targets under the `⟨p, source⟩` prefix, via the range helper.
+    fn targets_from(
+        index: &IncrementalKPathIndex,
+        path: &[SignedLabel],
+        source: NodeId,
+    ) -> Vec<NodeId> {
+        prefix_range(&index.tree, &encode_path_source_prefix(path, source))
+            .map(|(key, _)| decode_pair(key).1)
+            .collect()
     }
 
     fn key_map<const N: usize>(keys: [&[u8]; N]) -> BTreeMap<Vec<u8>, u64> {
@@ -1601,15 +1437,12 @@ mod tests {
             .flat_map(|s| [(NodeId(s), NodeId(1)), (NodeId(s), NodeId(2))])
             .collect();
         assert_eq!(index.scan_path(&fwd0), expected);
-        let backend: &dyn PathIndexBackend = &index;
         assert_eq!(
-            backend.scan_path_from(&fwd0, NodeId(7)).unwrap(),
+            targets_from(&index, &fwd0, NodeId(7)),
             [NodeId(1), NodeId(2)]
         );
         assert_eq!(
-            backend
-                .scan_path_from(&[SignedLabel::forward(l1)], NodeId(7))
-                .unwrap(),
+            targets_from(&index, &[SignedLabel::forward(l1)], NodeId(7)),
             [NodeId(3)]
         );
     }
@@ -1628,17 +1461,14 @@ mod tests {
         let prefix = encode_path_source_prefix(&fwd, max);
         assert!(prefix.ends_with(&[0xFF; 4]));
         assert!(prefix_successor(&prefix).is_some_and(|s| s.len() < prefix.len()));
-        let backend: &dyn PathIndexBackend = &index;
-        assert_eq!(backend.scan_path_from(&fwd, max).unwrap(), [NodeId(4), max]);
+        assert_eq!(targets_from(&index, &fwd, max), [NodeId(4), max]);
         assert_eq!(
-            backend.scan_path_from(&fwd, NodeId(u32::MAX - 1)).unwrap(),
+            targets_from(&index, &fwd, NodeId(u32::MAX - 1)),
             [NodeId(5)]
         );
         // The next path in key order (0⁻) starts right after max's entries.
         assert_eq!(
-            backend
-                .scan_path_from(&[SignedLabel::backward(l)], NodeId(4))
-                .unwrap(),
+            targets_from(&index, &[SignedLabel::backward(l)], NodeId(4)),
             [max]
         );
     }
@@ -1664,7 +1494,6 @@ mod tests {
         assert_eq!(reloaded.tree, reference.tree);
         assert_eq!(reloaded.per_path_counts(), reference.per_path_counts());
         assert_eq!(reloaded.paths_k_size(), reference.paths_k_size());
-        assert_eq!(reloaded.stats(), reference.stats());
         assert_eq!(violated(&reloaded), Vec::<&str>::new());
     }
 
@@ -1693,39 +1522,6 @@ mod tests {
         assert!(err.contains("zero walk count"), "{err}");
     }
 
-    #[test]
-    fn approx_bytes_equals_a_recount_after_mixed_updates() {
-        let recount = |index: &IncrementalKPathIndex| -> u64 {
-            index.tree.keys().map(|k| k.len() as u64 + 8).sum()
-        };
-        let g = paper_example_graph();
-        let mut index = IncrementalKPathIndex::bulk_from_graph(&g, 3);
-        assert_eq!(index.stats().approx_bytes, recount(&index), "after seed");
-        let edges: Vec<Edge> = g
-            .labels()
-            .flat_map(|l| g.edges(l).map(move |(s, d)| (s, l, d)))
-            .collect();
-        for (i, &(s, l, d)) in edges.iter().enumerate() {
-            if i % 2 == 0 {
-                assert!(index.delete_edge(s, l, d));
-            } else {
-                // A fresh edge out of an existing node: new keys of every
-                // length up to k.
-                index.insert_edge(s, l, NodeId(1_000 + i as u32));
-            }
-            assert_eq!(index.stats().approx_bytes, recount(&index), "step {i}");
-        }
-        for &(s, l, d) in edges.iter().step_by(2) {
-            assert!(index.insert_edge(s, l, d));
-        }
-        assert_eq!(
-            index.stats().approx_bytes,
-            recount(&index),
-            "after re-insert"
-        );
-        assert!(index.stats().approx_bytes > 0);
-    }
-
     mod property {
         use super::*;
         use rand::rngs::StdRng;
@@ -1734,14 +1530,14 @@ mod tests {
         /// A random update over ≤ 5 nodes and 2 labels; deletions pick
         /// arbitrary edges and are skipped when absent, so scripts freely mix
         /// effective and no-op updates.
-        fn random_update(rng: &mut StdRng) -> GraphUpdate {
+        fn random_update(rng: &mut StdRng) -> EdgeOp {
             let src = NodeId(rng.gen_range(0..5u32));
             let label = LabelId(rng.gen_range(0..2u32) as u16);
             let dst = NodeId(rng.gen_range(0..5u32));
             if rng.gen_bool(0.5) {
-                GraphUpdate::InsertEdge { src, label, dst }
+                EdgeOp::insert(src, label, dst)
             } else {
-                GraphUpdate::DeleteEdge { src, label, dst }
+                EdgeOp::delete(src, label, dst)
             }
         }
 
@@ -1756,14 +1552,11 @@ mod tests {
                 let mut edges: BTreeSet<Edge> = BTreeSet::new();
                 for _ in 0..rng.gen_range(1..40usize) {
                     let update = random_update(&mut rng);
-                    let expected_change = match &update {
-                        GraphUpdate::InsertEdge { src, label, dst } => {
-                            edges.insert((*src, *label, *dst))
-                        }
-                        GraphUpdate::DeleteEdge { src, label, dst } => {
-                            edges.remove(&(*src, *label, *dst))
-                        }
-                        other => unreachable!("random_update yields id variants, got {other:?}"),
+                    let edge = (update.src, update.label, update.dst);
+                    let expected_change = if update.insert {
+                        edges.insert(edge)
+                    } else {
+                        edges.remove(&edge)
                     };
                     let changed = index.apply(update);
                     assert_eq!(changed, expected_change, "case {case}");

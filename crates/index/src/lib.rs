@@ -39,9 +39,8 @@ pub mod pathkey;
 pub mod runs;
 
 pub use backend::{
-    BackendBatchScan, BackendError, BackendResult, BackendScan, BackendStats, BatchScan,
-    DeltaBatch, EntryChange, EntryDeltas, IterBatchScan, MutablePathIndexBackend, PairBatch,
-    PathIndexBackend, BATCH_CAPACITY,
+    BackendBatchScan, BackendError, BackendResult, BackendStats, BatchScan, DeltaBatch,
+    EntryChange, EntryDeltas, MutablePathIndexBackend, PairBatch, PathIndexBackend, BATCH_CAPACITY,
 };
 pub use enumerate::{enumerate_paths, naive_path_eval, paths_k_cardinality, PathRelation};
 pub use estimate::CardinalityEstimator;

@@ -28,8 +28,8 @@
 //! mutated.
 
 use crate::backend::{
-    check_scan_path, BackendBatchScan, BackendError, BackendResult, BackendScan, BackendStats,
-    BatchScan, DeltaBatch, EntryChange, MutablePathIndexBackend, PairBatch, PathIndexBackend,
+    check_scan_path, BackendBatchScan, BackendError, BackendResult, BackendStats, BatchScan,
+    DeltaBatch, EntryChange, MutablePathIndexBackend, PairBatch, PathIndexBackend,
 };
 use crate::enumerate::enumerate_paths;
 use crate::pathkey::decode_entry;
@@ -401,11 +401,6 @@ impl PathIndexBackend for SharedKPathIndex {
         self.node_count
     }
 
-    fn scan_path(&self, path: &[SignedLabel]) -> BackendResult<BackendScan<'_>> {
-        check_scan_path(self.backend_name(), self.k, path)?;
-        Ok(Box::new(SharedKPathIndex::scan_path(self, path).map(Ok)))
-    }
-
     fn scan_path_batches(&self, path: &[SignedLabel]) -> BackendResult<BackendBatchScan<'_>> {
         check_scan_path(self.backend_name(), self.k, path)?;
         let chunks = self.run(path).map(|r| r.pairs.chunks()).unwrap_or(&[]);
@@ -427,14 +422,8 @@ impl PathIndexBackend for SharedKPathIndex {
         source: NodeId,
         target: NodeId,
     ) -> BackendResult<bool> {
+        check_scan_path(self.backend_name(), self.k, path)?;
         Ok(SharedKPathIndex::contains(self, path, source, target))
-    }
-
-    fn path_cardinality(&self, path: &[SignedLabel]) -> Option<u64> {
-        self.per_path_counts
-            .binary_search_by(|(p, _)| (p.len(), p.as_slice()).cmp(&(path.len(), path)))
-            .ok()
-            .map(|i| self.per_path_counts[i].1)
     }
 
     fn per_path_counts(&self) -> &[(Vec<SignedLabel>, u64)] {
@@ -548,9 +537,9 @@ impl StructuralAudit for SharedKPathIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{naive_path_eval, EntryDeltas, GraphUpdate, IncrementalKPathIndex};
+    use crate::{naive_path_eval, EntryDeltas, IncrementalKPathIndex};
     use pathix_datagen::{paper_example_graph, social_network, SocialConfig};
-    use pathix_graph::LabelId;
+    use pathix_graph::{EdgeOp, LabelId};
     use pathix_rpq::ast::inverse_path;
 
     /// Pairs in the synthetic relations below: far past the bound at which
@@ -727,12 +716,12 @@ mod tests {
         let backend: &dyn PathIndexBackend = &index;
         let knows = sl(&g, "knows", false);
         let too_long = [knows, knows];
-        assert!(backend.scan_path(&too_long).is_err());
+        assert!(backend.collect_path(&too_long).is_err());
         assert!(backend.scan_path_batches(&too_long).is_err());
         assert!(backend
             .scan_path_from(&too_long, g.node_id("sue").unwrap())
             .is_err());
-        assert!(backend.scan_path(&[knows]).is_ok());
+        assert!(backend.collect_path(&[knows]).is_ok());
     }
 
     #[test]
@@ -746,14 +735,7 @@ mod tests {
         let sue = g.node_id("sue").unwrap();
         let tim = g.node_id("tim").unwrap();
         let mut deltas = EntryDeltas::new();
-        assert!(oracle.apply_logged(
-            GraphUpdate::InsertEdge {
-                src: sue,
-                label: knows,
-                dst: tim,
-            },
-            &mut deltas,
-        ));
+        assert!(oracle.apply_logged(EdgeOp::insert(sue, knows, tim), &mut deltas,));
         let next = shared
             .with_batch(&delta_batch(&oracle, &deltas, 1, 0))
             .unwrap();
@@ -786,16 +768,8 @@ mod tests {
         let sue = g.node_id("sue").unwrap();
         let tim = g.node_id("tim").unwrap();
         let mut deltas = EntryDeltas::new();
-        let insert = GraphUpdate::InsertEdge {
-            src: sue,
-            label: knows,
-            dst: tim,
-        };
-        let delete = GraphUpdate::DeleteEdge {
-            src: sue,
-            label: knows,
-            dst: tim,
-        };
+        let insert = EdgeOp::insert(sue, knows, tim);
+        let delete = EdgeOp::delete(sue, knows, tim);
         assert!(oracle.apply_logged(insert, &mut deltas));
         assert!(oracle.apply_logged(delete, &mut deltas));
         assert!(!deltas.is_empty(), "transitions were logged both ways");
@@ -820,14 +794,7 @@ mod tests {
         let mut oracle = IncrementalKPathIndex::new(1);
         let mut deltas = EntryDeltas::new();
         for i in 0..(MANY) {
-            oracle.apply_logged(
-                GraphUpdate::InsertEdge {
-                    src: NodeId(i),
-                    label: l,
-                    dst: NodeId(i + 1),
-                },
-                &mut deltas,
-            );
+            oracle.apply_logged(EdgeOp::insert(NodeId(i), l, NodeId(i + 1)), &mut deltas);
         }
         let empty = SharedKPathIndex {
             k: 1,
@@ -852,21 +819,12 @@ mod tests {
             let mut inserted = 0;
             for i in (round..(MANY)).step_by(7) {
                 let update = if i % 2 == 0 {
-                    GraphUpdate::DeleteEdge {
-                        src: NodeId(i),
-                        label: l,
-                        dst: NodeId(i + 1),
-                    }
+                    EdgeOp::delete(NodeId(i), l, NodeId(i + 1))
                 } else {
-                    GraphUpdate::InsertEdge {
-                        src: NodeId(i),
-                        label: l,
-                        dst: NodeId(i + 1),
-                    }
+                    EdgeOp::insert(NodeId(i), l, NodeId(i + 1))
                 };
-                let is_insert = matches!(update, GraphUpdate::InsertEdge { .. });
                 if oracle.apply_logged(update, &mut deltas) {
-                    if is_insert {
+                    if update.insert {
                         inserted += 1;
                     } else {
                         deleted += 1;
@@ -901,14 +859,7 @@ mod tests {
         let mut oracle = IncrementalKPathIndex::new(1);
         let mut deltas = EntryDeltas::new();
         for i in 0..n {
-            oracle.apply_logged(
-                GraphUpdate::InsertEdge {
-                    src: NodeId(i),
-                    label: l,
-                    dst: NodeId(i),
-                },
-                &mut deltas,
-            );
+            oracle.apply_logged(EdgeOp::insert(NodeId(i), l, NodeId(i)), &mut deltas);
         }
         let empty = SharedKPathIndex {
             k: 1,
@@ -933,14 +884,7 @@ mod tests {
             deltas.clear();
             let mut deleted = 0;
             for i in ((offset)..n).step_by(16) {
-                if oracle.apply_logged(
-                    GraphUpdate::DeleteEdge {
-                        src: NodeId(i),
-                        label: l,
-                        dst: NodeId(i),
-                    },
-                    &mut deltas,
-                ) {
+                if oracle.apply_logged(EdgeOp::delete(NodeId(i), l, NodeId(i)), &mut deltas) {
                     deleted += 1;
                 }
             }
@@ -971,23 +915,9 @@ mod tests {
         let mut oracle = IncrementalKPathIndex::new(1);
         let mut deltas = EntryDeltas::new();
         for i in 0..(MANY) {
-            oracle.apply_logged(
-                GraphUpdate::InsertEdge {
-                    src: NodeId(i),
-                    label: l0,
-                    dst: NodeId(i),
-                },
-                &mut deltas,
-            );
+            oracle.apply_logged(EdgeOp::insert(NodeId(i), l0, NodeId(i)), &mut deltas);
         }
-        oracle.apply_logged(
-            GraphUpdate::InsertEdge {
-                src: NodeId(0),
-                label: l1,
-                dst: NodeId(1),
-            },
-            &mut deltas,
-        );
+        oracle.apply_logged(EdgeOp::insert(NodeId(0), l1, NodeId(1)), &mut deltas);
         let base = SharedKPathIndex {
             k: 1,
             node_count: 0,
@@ -1006,14 +936,7 @@ mod tests {
         // Touch only label 1: every chunk of the big label-0 runs must be the
         // same allocation in the next epoch.
         deltas.clear();
-        oracle.apply_logged(
-            GraphUpdate::InsertEdge {
-                src: NodeId(2),
-                label: l1,
-                dst: NodeId(3),
-            },
-            &mut deltas,
-        );
+        oracle.apply_logged(EdgeOp::insert(NodeId(2), l1, NodeId(3)), &mut deltas);
         let next = base
             .with_batch(&delta_batch(&oracle, &deltas, 1, 0))
             .unwrap();
@@ -1036,14 +959,7 @@ mod tests {
         let mut deltas = EntryDeltas::new();
         let n_edges = 2 * MANY;
         for i in 0..n_edges {
-            oracle.apply_logged(
-                GraphUpdate::InsertEdge {
-                    src: NodeId(i),
-                    label: l,
-                    dst: NodeId(i + 1),
-                },
-                &mut deltas,
-            );
+            oracle.apply_logged(EdgeOp::insert(NodeId(i), l, NodeId(i + 1)), &mut deltas);
         }
         let empty = SharedKPathIndex {
             k: 1,
@@ -1089,14 +1005,7 @@ mod tests {
         let sue = g.node_id("sue").unwrap();
         let tim = g.node_id("tim").unwrap();
         let mut deltas = EntryDeltas::new();
-        assert!(oracle.apply_logged(
-            GraphUpdate::InsertEdge {
-                src: sue,
-                label: knows,
-                dst: tim,
-            },
-            &mut deltas,
-        ));
+        assert!(oracle.apply_logged(EdgeOp::insert(sue, knows, tim), &mut deltas,));
         let next = shared
             .with_batch(&delta_batch(&oracle, &deltas, 1, 0))
             .unwrap();
@@ -1148,16 +1057,12 @@ mod tests {
         assert_eq!(backend.k(), 2);
         assert_eq!(backend.node_count(), g.node_count());
         let (path, count) = backend.per_path_counts()[0].clone();
-        let via_trait: Vec<_> = backend
-            .scan_path(&path)
-            .unwrap()
-            .collect::<BackendResult<Vec<_>>>()
-            .unwrap();
+        let via_trait = backend.collect_path(&path).unwrap();
         assert_eq!(via_trait.len() as u64, count);
         assert_eq!(backend.path_cardinality(&path), Some(count));
-        assert!(backend.scan_path(&[]).is_err());
+        assert!(backend.collect_path(&[]).is_err());
         let missing = [SignedLabel::forward(LabelId(999))];
-        assert_eq!(backend.scan_path(&missing).unwrap().count(), 0);
+        assert!(backend.collect_path(&missing).unwrap().is_empty());
         assert_eq!(backend.path_cardinality(&missing), None);
         assert!(backend.stats().entries > 0);
     }
@@ -1187,17 +1092,9 @@ mod tests {
         for (i, (src, dst)) in rng_edges.into_iter().enumerate() {
             deltas.clear();
             let update = if i < 3 {
-                GraphUpdate::InsertEdge {
-                    src,
-                    label: knows,
-                    dst,
-                }
+                EdgeOp::insert(src, knows, dst)
             } else {
-                GraphUpdate::DeleteEdge {
-                    src,
-                    label: knows,
-                    dst,
-                }
+                EdgeOp::delete(src, knows, dst)
             };
             if oracle.apply_logged(update, &mut deltas) {
                 let (ins, del) = if i < 3 { (1, 0) } else { (0, 1) };
@@ -1274,11 +1171,7 @@ mod tests {
         let mut deltas = EntryDeltas::new();
         for i in 0..n {
             oracle.apply_logged(
-                GraphUpdate::InsertEdge {
-                    src: NodeId(2 * i),
-                    label: l,
-                    dst: NodeId(2 * i + 1),
-                },
+                EdgeOp::insert(NodeId(2 * i), l, NodeId(2 * i + 1)),
                 &mut deltas,
             );
         }
@@ -1304,21 +1197,12 @@ mod tests {
             let mut deleted = 0;
             for i in (round..n).step_by(5) {
                 let update = if i % 2 == 0 {
-                    GraphUpdate::DeleteEdge {
-                        src: NodeId(2 * i),
-                        label: l,
-                        dst: NodeId(2 * i + 1),
-                    }
+                    EdgeOp::delete(NodeId(2 * i), l, NodeId(2 * i + 1))
                 } else {
-                    GraphUpdate::InsertEdge {
-                        src: NodeId(2 * i + 1),
-                        label: l,
-                        dst: NodeId(2 * i),
-                    }
+                    EdgeOp::insert(NodeId(2 * i + 1), l, NodeId(2 * i))
                 };
-                let is_insert = matches!(update, GraphUpdate::InsertEdge { .. });
                 if oracle.apply_logged(update, &mut deltas) {
-                    if is_insert {
+                    if update.insert {
                         inserted += 1;
                     } else {
                         deleted += 1;

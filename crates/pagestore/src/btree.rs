@@ -641,15 +641,6 @@ impl PagedBTree {
         cell
     }
 
-    fn decode_leaf_cell(cell: &[u8]) -> (Vec<u8>, Vec<u8>) {
-        let klen = u16::from_le_bytes([cell[0], cell[1]]) as usize;
-        let key = cell[2..2 + klen].to_vec();
-        let voff = 2 + klen;
-        let vlen = u16::from_le_bytes([cell[voff], cell[voff + 1]]) as usize;
-        let value = cell[voff + 2..voff + 2 + vlen].to_vec();
-        (key, value)
-    }
-
     fn encode_internal_cell(key: &[u8], child: PageId) -> Vec<u8> {
         let mut cell = Vec::with_capacity(6 + key.len());
         cell.extend_from_slice(&(key.len() as u16).to_le_bytes());
@@ -670,7 +661,8 @@ impl PagedBTree {
         self.pool.with_page(pid, |p| {
             debug_assert_eq!(slotted::kind(p), slotted::KIND_LEAF, "{pid} is not a leaf");
             (0..slotted::cell_count(p))
-                .map(|i| Self::decode_leaf_cell(slotted::cell(p, i)))
+                .map(|i| leaf_cell_parts(slotted::cell(p, i)))
+                .map(|(key, value)| (key.to_vec(), value.to_vec()))
                 .collect()
         })
     }
@@ -1238,13 +1230,22 @@ impl PagedBTree {
     // ------------------------------------------------------------------
 
     /// Iterates entries with `start ≤ key < end` (unbounded when `end` is
-    /// `None`) in key order.
+    /// `None`) in key order, decoding each into an owned `(key, value)`.
+    pub fn range(&self, start: &[u8], end: Option<&[u8]>) -> io::Result<PagedRangeIter<'_>> {
+        Ok(PagedRangeIter {
+            cursor: self.leaf_cursor(start, end)?,
+            entries: Vec::new().into_iter(),
+        })
+    }
+
+    /// Positions a [`LeafCursor`] on the leaf that owns `start`, for the
+    /// range `start ≤ key < end` (unbounded when `end` is `None`).
     ///
-    /// The iterator keeps a cursor stack of internal positions instead of
-    /// following leaf sibling pointers (leaves are not chained — a relocated
+    /// The cursor keeps a stack of internal positions instead of following
+    /// leaf sibling pointers (leaves are not chained — a relocated
     /// copy-on-write leaf could not update its predecessor), so it always
     /// walks exactly the tree rooted at this handle's root.
-    pub fn range(&self, start: &[u8], end: Option<&[u8]>) -> io::Result<PagedRangeIter<'_>> {
+    fn leaf_cursor(&self, start: &[u8], end: Option<&[u8]>) -> io::Result<LeafCursor<'_>> {
         let mut stack = Vec::with_capacity(self.height.saturating_sub(1) as usize);
         let mut current = self.root;
         for level in 1..self.height {
@@ -1258,13 +1259,10 @@ impl PagedBTree {
             stack.push((current, ordinal + 1));
             current = child;
         }
-        let entries = self.read_leaf(current)?;
-        let pos = entries.partition_point(|(k, _)| k.as_slice() < start);
-        Ok(PagedRangeIter {
+        Ok(LeafCursor {
             tree: self,
             stack,
-            entries,
-            pos,
+            first: Some((current, start.to_vec())),
             end: end.map(<[u8]>::to_vec),
             done: false,
         })
@@ -1278,9 +1276,9 @@ impl PagedBTree {
     /// Issues buffer-pool read-ahead for up to [`READ_AHEAD`] leaf children
     /// of a leaf-parent internal node, starting at child `from_ordinal`.
     ///
-    /// Leaves are not sibling-chained (see [`Self::range`]), so sequential
-    /// leaf prefetch goes through the parent's cells instead of a next
-    /// pointer. Best effort: errors surface on the demand read.
+    /// Leaves are not sibling-chained (see [`Self::leaf_cursor`]), so
+    /// sequential leaf prefetch goes through the parent's cells instead of a
+    /// next pointer. Best effort: errors surface on the demand read.
     fn prefetch_leaves(&self, cells: &[InternalCell], leftmost: PageId, from_ordinal: usize) {
         // Valid ordinals are 0..=cells.len().
         if from_ordinal > cells.len() {
@@ -1293,103 +1291,20 @@ impl PagedBTree {
         self.pool.prefetch(&pids);
     }
 
-    /// Iterates entries whose key starts with `prefix`.
-    pub fn scan_prefix(&self, prefix: &[u8]) -> io::Result<PagedRangeIter<'_>> {
+    /// A [`LeafCursor`] over the entries whose key starts with `prefix`.
+    pub(crate) fn prefix_cursor(&self, prefix: &[u8]) -> io::Result<LeafCursor<'_>> {
         let end = prefix_successor(prefix);
-        self.range(prefix, end.as_deref())
-    }
-
-    // ------------------------------------------------------------------
-    // Invariant checking (used by tests)
-    // ------------------------------------------------------------------
-
-    /// Walks the entire tree asserting structural invariants: node kinds,
-    /// key ordering inside nodes, separator bounds, leaf-chain ordering and
-    /// the entry count. Intended for tests; panics on violation.
-    pub fn check_invariants(&self) -> io::Result<()> {
-        let mut leaf_count = 0u64;
-        self.check_node(self.root, self.height, None, None, &mut leaf_count)?;
-        assert_eq!(
-            leaf_count, self.entries,
-            "entry count drifted: meta says {}, leaves hold {leaf_count}",
-            self.entries
-        );
-        // Full scan: strictly ascending keys across the whole tree.
-        let mut prev: Option<Vec<u8>> = None;
-        for item in self.iter()? {
-            let (k, _) = item?;
-            if let Some(p) = &prev {
-                assert!(p < &k, "scan keys out of order");
-            }
-            prev = Some(k);
-        }
-        Ok(())
-    }
-
-    fn check_node(
-        &self,
-        pid: PageId,
-        level: u32,
-        lower: Option<&[u8]>,
-        upper: Option<&[u8]>,
-        leaf_entries: &mut u64,
-    ) -> io::Result<()> {
-        if level == 1 {
-            let entries = self.read_leaf(pid)?;
-            for w in entries.windows(2) {
-                assert!(w[0].0 < w[1].0, "leaf {pid} keys out of order");
-            }
-            for (k, _) in &entries {
-                if let Some(lo) = lower {
-                    assert!(k.as_slice() >= lo, "leaf {pid} key below separator");
-                }
-                if let Some(hi) = upper {
-                    assert!(k.as_slice() < hi, "leaf {pid} key above separator");
-                }
-            }
-            *leaf_entries += entries.len() as u64;
-            return Ok(());
-        }
-        let (cells, leftmost) = self.read_internal(pid)?;
-        assert!(!cells.is_empty(), "internal node {pid} has no separators");
-        for w in cells.windows(2) {
-            assert!(w[0].0 < w[1].0, "internal {pid} separators out of order");
-        }
-        // Leftmost child: keys < cells[0].key.
-        self.check_node(
-            leftmost,
-            level - 1,
-            lower,
-            Some(cells[0].0.as_slice()),
-            leaf_entries,
-        )?;
-        for i in 0..cells.len() {
-            let child_lower = Some(cells[i].0.as_slice());
-            let child_upper = if i + 1 < cells.len() {
-                Some(cells[i + 1].0.as_slice())
-            } else {
-                upper
-            };
-            self.check_node(
-                cells[i].1,
-                level - 1,
-                child_lower,
-                child_upper,
-                leaf_entries,
-            )?;
-        }
-        Ok(())
+        self.leaf_cursor(prefix, end.as_deref())
     }
 
     // ------------------------------------------------------------------
     // Structural audit
     // ------------------------------------------------------------------
 
-    /// Non-panicking counterpart of [`PagedBTree::check_node`]: records
-    /// every invariant evaluation into `report` and collects the reachable
-    /// page set. A wrong page kind stops the descent into that node (its
-    /// cells cannot be decoded safely), leaving the `node-kind` violation as
-    /// the finding.
+    /// The one recursive invariant walker: records every invariant
+    /// evaluation into `report` and collects the reachable page set. A wrong
+    /// page kind stops the descent into that node (its cells cannot be
+    /// decoded safely), leaving the `node-kind` violation as the finding.
     #[allow(clippy::too_many_arguments)]
     fn audit_node(
         &self,
@@ -1480,6 +1395,23 @@ impl PagedBTree {
             )?;
         }
         Ok(())
+    }
+
+    /// Whether a full [`PagedBTree::iter`] yields exactly `len()` entries in
+    /// strictly ascending key order. The tree walk checks each node against
+    /// its separators; this checks the cursor scans are actually served by.
+    fn scan_is_ascending(&self) -> io::Result<bool> {
+        let mut prev: Option<Vec<u8>> = None;
+        let mut yielded = 0u64;
+        for item in self.iter()? {
+            let (key, _) = item?;
+            if prev.is_some_and(|prev| prev >= key) {
+                return Ok(false);
+            }
+            yielded += 1;
+            prev = Some(key);
+        }
+        Ok(yielded == self.entries)
     }
 
     /// Kind-checked reachability walk from a pinned snapshot's root. Only
@@ -1620,10 +1552,11 @@ impl PagedBTree {
 ///
 /// Every handle audits the tree reachable from its own root: page kinds
 /// (which doubles as depth uniformity), in-node key ordering, separator
-/// bounds, child aliasing, and the entry count. Writer handles additionally
-/// audit the page lifecycle — free-list shape, disjointness of free and
-/// retired pages from the writer root and from every pinned snapshot root,
-/// and full coverage of the page file.
+/// bounds, child aliasing, the entry count, and that the range cursor's full
+/// scan yields exactly that many keys in ascending order. Writer handles
+/// additionally audit the page lifecycle — free-list shape, disjointness of
+/// free and retired pages from the writer root and from every pinned snapshot
+/// root, and full coverage of the page file.
 impl StructuralAudit for PagedBTree {
     fn audit(&self, report: &mut AuditReport) {
         let mut reachable = HashSet::new();
@@ -1647,6 +1580,15 @@ impl StructuralAudit for PagedBTree {
                 self.entries
             )
         });
+        match self.scan_is_ascending() {
+            Ok(ascending) => report.check("scan-ascending", "cursor", ascending, || {
+                format!(
+                    "a full scan is not strictly ascending or does not yield {} entries",
+                    self.entries
+                )
+            }),
+            Err(e) => report.violation("audit-io", "cursor-scan", e.to_string()),
+        }
         if self._pin.is_none() {
             if let Err(e) = self.audit_lifecycle(report, &reachable) {
                 report.violation("audit-io", "lifecycle", e.to_string());
@@ -1684,30 +1626,38 @@ fn balanced_split<T>(items: &[T], cell_size: impl Fn(&T) -> usize) -> usize {
     items.len() / 2
 }
 
-/// Ordered iterator over a key range of a [`PagedBTree`].
-///
-/// Each item is `io::Result<(key, value)>`; an I/O error ends the iteration
-/// after yielding the error once.
+/// Splits a leaf cell into its key and value bytes, in place.
+fn leaf_cell_parts(cell: &[u8]) -> (&[u8], &[u8]) {
+    let klen = u16::from_le_bytes([cell[0], cell[1]]) as usize;
+    let voff = 2 + klen;
+    let vlen = u16::from_le_bytes([cell[voff], cell[voff + 1]]) as usize;
+    (&cell[2..voff], &cell[voff + 2..voff + 2 + vlen])
+}
+
+/// The leaf cursor every range scan of a [`PagedBTree`] sits on: visits the
+/// leaves of a key range in key order, one `with_page` per leaf, handing each
+/// in-range cell's key and value bytes to the caller without copying them.
 #[derive(Debug)]
-pub struct PagedRangeIter<'a> {
+pub(crate) struct LeafCursor<'a> {
     tree: &'a PagedBTree,
-    /// Cursor: `(internal page, next child ordinal to visit)` per level,
-    /// root first. Ordinal 0 is the leftmost child, `j ≥ 1` is cell `j - 1`.
+    /// `(internal page, next child ordinal to visit)` per level, root first.
+    /// Ordinal 0 is the leftmost child, `j ≥ 1` is cell `j - 1`.
     stack: Vec<(PageId, usize)>,
-    entries: Vec<(Vec<u8>, Vec<u8>)>,
-    pos: usize,
+    /// The leaf the descent ended on and the range's first key, until that
+    /// leaf has been visited.
+    first: Option<(PageId, Vec<u8>)>,
     end: Option<Vec<u8>>,
     done: bool,
 }
 
-impl PagedRangeIter<'_> {
-    /// Moves the cursor to the next leaf in key order: pops exhausted
-    /// internal levels, then descends the leftmost spine under the next
-    /// unvisited child. Returns `false` when the tree is exhausted.
-    fn advance_leaf(&mut self) -> io::Result<bool> {
+impl LeafCursor<'_> {
+    /// Moves to the next leaf in key order: pops exhausted internal levels,
+    /// then descends the leftmost spine under the next unvisited child.
+    /// Returns `None` when the tree is exhausted.
+    fn advance_leaf(&mut self) -> io::Result<Option<PageId>> {
         loop {
             let Some((pid, ordinal)) = self.stack.pop() else {
-                return Ok(false);
+                return Ok(None);
             };
             let (cells, leftmost) = self.tree.read_internal(pid)?;
             if ordinal > cells.len() {
@@ -1730,44 +1680,80 @@ impl PagedRangeIter<'_> {
                 }
                 current = child_leftmost;
             }
-            self.entries = self.tree.read_leaf(current)?;
-            self.pos = 0;
-            return Ok(true);
+            return Ok(Some(current));
         }
     }
+
+    /// Reads the next leaf of the range and calls `visit(key, value)` on each
+    /// of its in-range cells, in key order. Returns `false` — from then on,
+    /// without touching a page — once the range is exhausted: a key at or
+    /// past `end` was seen, or the tree ran out of leaves. An error (from the
+    /// pool or from `visit`) also ends the scan.
+    pub(crate) fn visit_leaf(
+        &mut self,
+        mut visit: impl FnMut(&[u8], &[u8]) -> io::Result<()>,
+    ) -> io::Result<bool> {
+        if self.done {
+            return Ok(false);
+        }
+        // Every early return below — an error, or no leaf left — ends the scan.
+        self.done = true;
+        let (leaf, start) = match self.first.take() {
+            Some((leaf, start)) => (leaf, Some(start)),
+            None => match self.advance_leaf()? {
+                Some(leaf) => (leaf, None),
+                None => return Ok(false),
+            },
+        };
+        let end = self.end.as_deref();
+        let ended = self.tree.pool.with_page(leaf, |p| -> io::Result<bool> {
+            debug_assert_eq!(slotted::kind(p), slotted::KIND_LEAF, "{leaf} is not a leaf");
+            for i in 0..slotted::cell_count(p) {
+                let (key, value) = leaf_cell_parts(slotted::cell(p, i));
+                // Only the first leaf can hold keys below the range.
+                if start.as_deref().is_some_and(|start| key < start) {
+                    continue;
+                }
+                if end.is_some_and(|end| key >= end) {
+                    return Ok(true);
+                }
+                visit(key, value)?;
+            }
+            Ok(false)
+        })??;
+        self.done = ended;
+        Ok(true)
+    }
+}
+
+/// Ordered iterator over a key range of a [`PagedBTree`], decoding one leaf
+/// at a time into owned entries.
+///
+/// Each item is `io::Result<(key, value)>`; an I/O error ends the iteration
+/// after yielding the error once.
+#[derive(Debug)]
+pub struct PagedRangeIter<'a> {
+    cursor: LeafCursor<'a>,
+    entries: std::vec::IntoIter<LeafEntry>,
 }
 
 impl Iterator for PagedRangeIter<'_> {
     type Item = io::Result<(Vec<u8>, Vec<u8>)>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
         loop {
-            if self.pos < self.entries.len() {
-                let (key, value) = self.entries[self.pos].clone();
-                self.pos += 1;
-                if let Some(end) = &self.end {
-                    if key.as_slice() >= end.as_slice() {
-                        // Past the end of the range: stop for good.
-                        self.done = true;
-                        self.entries.clear();
-                        return None;
-                    }
-                }
-                return Some(Ok((key, value)));
+            if let Some(entry) = self.entries.next() {
+                return Some(Ok(entry));
             }
-            match self.advance_leaf() {
-                Ok(true) => {}
-                Ok(false) => {
-                    self.done = true;
-                    return None;
-                }
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
+            let mut entries = Vec::new();
+            let more = self.cursor.visit_leaf(|key, value| {
+                entries.push((key.to_vec(), value.to_vec()));
+                Ok(())
+            });
+            match more {
+                Ok(true) => self.entries = entries.into_iter(),
+                Ok(false) => return None,
+                Err(e) => return Some(Err(e)),
             }
         }
     }
@@ -1793,7 +1779,7 @@ mod tests {
         assert_eq!(tree.height(), 1);
         assert_eq!(tree.get(b"anything").unwrap(), None);
         assert_eq!(tree.iter().unwrap().count(), 0);
-        tree.check_invariants().unwrap();
+        assert_audit_clean(&tree);
     }
 
     #[test]
@@ -1812,7 +1798,7 @@ mod tests {
         assert_eq!(tree.get(b"a").unwrap(), Some(b"one".to_vec()));
         assert!(tree.contains_key(b"c").unwrap());
         assert!(!tree.contains_key(b"d").unwrap());
-        tree.check_invariants().unwrap();
+        assert_audit_clean(&tree);
     }
 
     #[test]
@@ -1835,7 +1821,7 @@ mod tests {
         let all: Vec<_> = tree.iter().unwrap().map(Result::unwrap).collect();
         assert_eq!(all.len(), n as usize);
         assert!(all.windows(2).all(|w| w[0].0 < w[1].0));
-        tree.check_invariants().unwrap();
+        assert_audit_clean(&tree);
     }
 
     #[test]
@@ -1843,7 +1829,7 @@ mod tests {
         let n = 3_000u32;
         let pairs: Vec<_> = (0..n).map(|i| (key(i), val(i))).collect();
         let loaded = PagedBTree::bulk_load(BufferPool::in_memory(64), pairs.clone()).unwrap();
-        loaded.check_invariants().unwrap();
+        assert_audit_clean(&loaded);
         assert_eq!(loaded.len(), n as u64);
 
         let mut inserted = PagedBTree::create(BufferPool::in_memory(64)).unwrap();
@@ -1859,12 +1845,12 @@ mod tests {
     fn bulk_load_empty_and_single() {
         let tree = PagedBTree::bulk_load(BufferPool::in_memory(8), Vec::new()).unwrap();
         assert!(tree.is_empty());
-        tree.check_invariants().unwrap();
+        assert_audit_clean(&tree);
 
         let tree = PagedBTree::bulk_load(BufferPool::in_memory(8), vec![(key(1), val(1))]).unwrap();
         assert_eq!(tree.len(), 1);
         assert_eq!(tree.get(&key(1)).unwrap(), Some(val(1)));
-        tree.check_invariants().unwrap();
+        assert_audit_clean(&tree);
     }
 
     #[test]
@@ -1883,7 +1869,13 @@ mod tests {
 
         // All keys share the "key-0000" prefix for i in 0..10 … use a prefix
         // that selects exactly the 1000..1999 block.
-        let hits = tree.scan_prefix(b"key-00001").unwrap().count();
+        let mut hits = 0;
+        let mut cursor = tree.prefix_cursor(b"key-00001").unwrap();
+        let mut count = |_: &[u8], _: &[u8]| {
+            hits += 1;
+            Ok(())
+        };
+        while cursor.visit_leaf(&mut count).unwrap() {}
         assert_eq!(hits, 1000);
 
         // Range starting before the first key and ending after the last.
@@ -1909,7 +1901,7 @@ mod tests {
             let expected = if i % 2 == 0 { None } else { Some(val(i)) };
             assert_eq!(tree.get(&key(i)).unwrap(), expected, "key {i}");
         }
-        tree.check_invariants().unwrap();
+        assert_audit_clean(&tree);
     }
 
     #[test]
@@ -1930,7 +1922,7 @@ mod tests {
             1,
             "merges must cascade until the root is a single leaf"
         );
-        tree.check_invariants().unwrap();
+        assert_audit_clean(&tree);
         // Every page except the meta page and the root leaf is on the free
         // list — nothing leaked.
         let free = tree.free_page_count().unwrap();
@@ -1944,7 +1936,7 @@ mod tests {
             grown_pages,
             "inserts after deletes must recycle the free list"
         );
-        tree.check_invariants().unwrap();
+        assert_audit_clean(&tree);
     }
 
     #[test]
@@ -1979,10 +1971,10 @@ mod tests {
                 );
             }
             if round % 500 == 0 {
-                tree.check_invariants().unwrap();
+                assert_audit_clean(&tree);
             }
         }
-        tree.check_invariants().unwrap();
+        assert_audit_clean(&tree);
         assert_eq!(tree.len() as usize, oracle.len());
         let scanned: Vec<_> = tree.iter().unwrap().map(Result::unwrap).collect();
         let expected: Vec<_> = oracle.into_iter().collect();
@@ -2010,10 +2002,10 @@ mod tests {
             "4-entry pages must grow several levels, got height {}",
             tree.height()
         );
-        tree.check_invariants().unwrap();
+        assert_audit_clean(&tree);
         for i in (0..n).rev() {
             assert_eq!(tree.delete(&big_key(i)).unwrap().as_ref(), Some(&big_val));
-            tree.check_invariants().unwrap();
+            assert_audit_clean(&tree);
         }
         assert!(tree.is_empty());
         assert_eq!(tree.height(), 1);
@@ -2051,7 +2043,7 @@ mod tests {
                 };
                 assert_eq!(tree.get(&key(i)).unwrap(), expected, "key {i}");
             }
-            tree.check_invariants().unwrap();
+            assert_audit_clean(&tree);
             // The persisted free list is usable after reopen.
             let pages_before = tree.stats().pages;
             let freed = tree.free_page_count().unwrap();
@@ -2105,13 +2097,13 @@ mod tests {
         for i in 1_500..1_800u32 {
             tree.insert(key(i), val(i)).unwrap();
         }
-        tree.check_invariants().unwrap();
+        assert_audit_clean(&tree);
 
         // The snapshot is bit-stable: same keys, same values, same order.
         let again: Vec<_> = snapshot.iter().unwrap().map(Result::unwrap).collect();
         assert_eq!(again, frozen, "snapshot content drifted under churn");
         assert_eq!(snapshot.get(&key(3)).unwrap(), Some(val(3)));
-        snapshot.check_invariants().unwrap();
+        assert_audit_clean(&snapshot);
 
         let stats = tree.cow_stats();
         assert!(stats.page_copies > 0, "churn must copy-on-write: {stats:?}");
@@ -2154,7 +2146,7 @@ mod tests {
             pages_before,
             "in-place churn without snapshots must not grow the store"
         );
-        tree.check_invariants().unwrap();
+        assert_audit_clean(&tree);
     }
 
     #[test]
@@ -2209,7 +2201,7 @@ mod tests {
         {
             let pool = BufferPool::new(crate::DiskManager::open(&path).unwrap(), 16);
             let mut tree = PagedBTree::open(pool).unwrap();
-            tree.check_invariants().unwrap();
+            assert_audit_clean(&tree);
             assert!(
                 tree.free_page_count().unwrap() > 0,
                 "retired pages must survive into the reopened free list"
@@ -2245,7 +2237,7 @@ mod tests {
             let again: Vec<_> = snapshot.iter().unwrap().map(Result::unwrap).collect();
             assert_eq!(again, frozen, "snapshot pages changed on disk");
             assert_eq!(tree.len(), 700);
-            tree.check_invariants().unwrap();
+            assert_audit_clean(&tree);
         }
         std::fs::remove_file(&path).ok();
     }
@@ -2267,7 +2259,7 @@ mod tests {
             assert_eq!(tree.len(), n as u64);
             assert_eq!(tree.get(&key(777)).unwrap(), Some(val(777)));
             assert_eq!(tree.iter().unwrap().count(), n as usize);
-            tree.check_invariants().unwrap();
+            assert_audit_clean(&tree);
         }
         std::fs::remove_file(&path).ok();
     }
@@ -2310,6 +2302,11 @@ mod tests {
             stats.misses > stats.hits / 100,
             "pool is too small to mostly hit"
         );
+    }
+
+    /// The auditor finds nothing wrong with `tree`.
+    fn assert_audit_clean(tree: &PagedBTree) {
+        assert_eq!(violated(tree), Vec::<&str>::new());
     }
 
     /// Names of the invariants a full audit of `tree` finds violated.
@@ -2407,5 +2404,25 @@ mod tests {
         assert!(violated(&tree).contains(&"snapshot-retired-disjoint"));
         drop(snapshot);
         tree.retired.clear(); // the seeded entries must not reach Drop's flush
+    }
+
+    #[test]
+    fn seeded_corruption_trips_scan_ascending() {
+        let pairs: Vec<_> = (0..1_200u32).map(|i| (key(i), val(i))).collect();
+        let tree = PagedBTree::bulk_load(BufferPool::in_memory(64), pairs).unwrap();
+        assert!(tree.height() >= 2);
+        assert!(violated(&tree).is_empty(), "baseline tree must be clean");
+
+        // The root routes two ordinals to the same leaf: the tree walk refuses
+        // to enter the alias, but the cursor scans are served from reads it
+        // twice — its second visit restarts below the keys already yielded.
+        let (mut cells, leftmost) = tree.read_internal(tree.root).unwrap();
+        assert!(cells.len() >= 2);
+        cells[1].1 = cells[0].1;
+        tree.write_internal(tree.root, &cells, leftmost).unwrap();
+        let names = violated(&tree);
+        assert!(names.contains(&"scan-ascending"), "{names:?}");
+        let keys: Vec<_> = tree.iter().unwrap().map(|e| e.unwrap().0).collect();
+        assert!(keys.windows(2).any(|w| w[0] >= w[1]));
     }
 }

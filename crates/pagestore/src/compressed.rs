@@ -29,9 +29,8 @@ use pathix_audit::{AuditReport, StructuralAudit};
 use pathix_graph::Graph;
 use pathix_graph::{NodeId, SignedLabel};
 use pathix_index::backend::{
-    check_scan_path, BackendBatchScan, BackendError, BackendResult, BackendScan, BackendStats,
-    BatchScan, DeltaBatch, EntryChange, IterBatchScan, MutablePathIndexBackend, PairBatch,
-    PathIndexBackend,
+    check_scan_path, BackendBatchScan, BackendError, BackendResult, BackendStats, BatchScan,
+    DeltaBatch, EntryChange, MutablePathIndexBackend, PairBatch, PathIndexBackend,
 };
 use pathix_index::pathkey::{decode_entry, encode_path_prefix};
 use pathix_index::{enumerate_paths, paths_k_cardinality};
@@ -210,16 +209,9 @@ impl CompressedPathStore {
     /// Decodes and returns `p(G)` in `(source, target)` order, or an empty
     /// vector when the path is not stored (unknown label or `|p| > k`).
     pub fn pairs(&self, path: &[SignedLabel]) -> Vec<(NodeId, NodeId)> {
-        self.scan_path(path)
+        self.scan_prefix(&encode_path_prefix(path))
             .map(|(s, t)| (NodeId(s), NodeId(t)))
             .collect()
-    }
-
-    /// Streaming scan of `p(G)` as raw `u32` pairs in `(source, target)`
-    /// order (empty when the path is not stored): the block decode merged
-    /// with the path's overlay on the fly.
-    pub fn scan_path(&self, path: &[SignedLabel]) -> CompressedPairScan<'_> {
-        self.scan_prefix(&encode_path_prefix(path))
     }
 
     fn segments(&self, prefix: &[u8]) -> &[Segment] {
@@ -229,6 +221,9 @@ impl CompressedPathStore {
             .unwrap_or(&[])
     }
 
+    /// Streaming scan of one path's pairs as raw `u32`s in `(source, target)`
+    /// order (empty when the path is not stored): the block decode merged
+    /// with the path's overlay on the fly.
     fn scan_prefix(&self, prefix: &[u8]) -> CompressedPairScan<'_> {
         static EMPTY_OVERLAY: Overlay = Overlay::new();
         let base = SegmentCursor::new(self.segments(prefix));
@@ -290,14 +285,6 @@ impl CompressedPathStore {
             }
         }
         self.targets_from(path, source).contains(&target)
-    }
-
-    /// Number of pairs stored for `path`, if it is stored.
-    pub fn path_cardinality(&self, path: &[SignedLabel]) -> Option<u64> {
-        self.per_path_counts
-            .iter()
-            .find(|(p, _)| p == path)
-            .map(|(_, c)| *c)
     }
 
     /// Folds `prefix`'s overlay into a freshly encoded block (or removes the
@@ -434,7 +421,7 @@ impl BatchScan for SegmentBatchScan<'_> {
 /// Streaming merge of one path's block decode with its overlay side-table,
 /// in ascending `(source, target)` order.
 #[derive(Debug, Clone)]
-pub struct CompressedPairScan<'a> {
+struct CompressedPairScan<'a> {
     base: SegmentCursor<'a>,
     base_next: Option<(u32, u32)>,
     overlay: btree_map::Iter<'a, (u32, u32), bool>,
@@ -492,6 +479,19 @@ impl Iterator for CompressedPairScan<'_> {
                 }
             }
         }
+    }
+}
+
+/// The merged scan as a batch producer: overlaid paths fill the caller's
+/// batch straight from the merge.
+impl BatchScan for CompressedPairScan<'_> {
+    fn next_batch(&mut self, batch: &mut PairBatch) -> BackendResult<usize> {
+        batch.clear();
+        while !batch.is_full() {
+            let Some((s, t)) = self.next() else { break };
+            batch.push((NodeId(s), NodeId(t)));
+        }
+        Ok(batch.len())
     }
 }
 
@@ -619,29 +619,16 @@ impl PathIndexBackend for CompressedPathStore {
         self.node_count
     }
 
-    fn scan_path(&self, path: &[SignedLabel]) -> BackendResult<BackendScan<'_>> {
-        check_scan_path(self.backend_name(), self.k, path)?;
-        Ok(Box::new(
-            CompressedPathStore::scan_path(self, path).map(|(s, t)| Ok((NodeId(s), NodeId(t)))),
-        ))
-    }
-
     fn scan_path_batches(&self, path: &[SignedLabel]) -> BackendResult<BackendBatchScan<'_>> {
         check_scan_path(self.backend_name(), self.k, path)?;
         let prefix = encode_path_prefix(path);
-        let overlay_is_empty = match self.overlays.get(&prefix) {
-            Some(overlay) => overlay.is_empty(),
-            None => true,
-        };
-        if overlay_is_empty {
+        if self.overlays.get(&prefix).is_none_or(Overlay::is_empty) {
             // No overrides to merge: decode segments straight into batches.
             Ok(Box::new(SegmentBatchScan {
                 cursor: SegmentCursor::new(self.segments(&prefix)),
             }))
         } else {
-            Ok(Box::new(IterBatchScan::new(PathIndexBackend::scan_path(
-                self, path,
-            )?)))
+            Ok(Box::new(self.scan_prefix(&prefix)))
         }
     }
 
@@ -656,11 +643,8 @@ impl PathIndexBackend for CompressedPathStore {
         source: NodeId,
         target: NodeId,
     ) -> BackendResult<bool> {
+        check_scan_path(self.backend_name(), self.k, path)?;
         Ok(CompressedPathStore::contains(self, path, source, target))
-    }
-
-    fn path_cardinality(&self, path: &[SignedLabel]) -> Option<u64> {
-        CompressedPathStore::path_cardinality(self, path)
     }
 
     fn per_path_counts(&self) -> &[(Vec<SignedLabel>, u64)] {
@@ -726,8 +710,8 @@ impl MutablePathIndexBackend for CompressedPathStore {
 mod tests {
     use super::*;
     use pathix_datagen::paper_example_graph;
-    use pathix_graph::SignedLabel;
-    use pathix_index::{EntryDeltas, GraphUpdate, IncrementalKPathIndex, SharedKPathIndex};
+    use pathix_graph::{EdgeOp, SignedLabel};
+    use pathix_index::{EntryDeltas, IncrementalKPathIndex, SharedKPathIndex};
 
     fn knows(g: &Graph) -> SignedLabel {
         SignedLabel::forward(g.label_id("knows").unwrap())
@@ -795,15 +779,14 @@ mod tests {
     fn apply_updates(
         store: &mut CompressedPathStore,
         oracle: &mut IncrementalKPathIndex,
-        updates: &[GraphUpdate],
+        updates: &[EdgeOp],
     ) {
         let mut deltas = EntryDeltas::new();
         let mut inserted = 0;
         let mut deleted = 0;
-        for update in updates {
-            let is_insert = matches!(update, GraphUpdate::InsertEdge { .. });
-            if oracle.apply_logged(update.clone(), &mut deltas) {
-                if is_insert {
+        for &update in updates {
+            if oracle.apply_logged(update, &mut deltas) {
+                if update.insert {
                     inserted += 1;
                 } else {
                     deleted += 1;
@@ -837,16 +820,8 @@ mod tests {
         let knows_l = g.label_id("knows").unwrap();
         let supervisor = g.label_id("supervisor").unwrap();
         let updates = [
-            GraphUpdate::InsertEdge {
-                src: sue,
-                label: knows_l,
-                dst: tim,
-            },
-            GraphUpdate::DeleteEdge {
-                src: kim,
-                label: supervisor,
-                dst: liz,
-            },
+            EdgeOp::insert(sue, knows_l, tim),
+            EdgeOp::delete(kim, supervisor, liz),
         ];
         apply_updates(&mut store, &mut oracle, &updates);
         assert_eq!(store.updates_applied(), (1, 1));
@@ -874,11 +849,7 @@ mod tests {
         apply_updates(
             &mut store,
             &mut oracle,
-            &[GraphUpdate::DeleteEdge {
-                src: sue,
-                label: knows_l,
-                dst: tim,
-            }],
+            &[EdgeOp::delete(sue, knows_l, tim)],
         );
         let kn = knows(&g);
         assert!(view.pairs(&[kn]).contains(&(sue, tim)));
@@ -896,11 +867,7 @@ mod tests {
         apply_updates(
             &mut store,
             &mut oracle,
-            &[GraphUpdate::InsertEdge {
-                src: sue,
-                label: knows_l,
-                dst: tim,
-            }],
+            &[EdgeOp::insert(sue, knows_l, tim)],
         );
         let stats = store.overlay_stats();
         assert_eq!(
@@ -914,15 +881,11 @@ mod tests {
         assert!(store.pairs(&[kn]).contains(&(sue, tim)));
         // Deleting every pair of a path through compaction drops its block.
         let blocks_with_path = store.blocks.len();
-        let deletions: Vec<GraphUpdate> = g
+        let deletions: Vec<EdgeOp> = g
             .labels()
             .flat_map(|l| g.edges(l).map(move |(s, d)| (s, l, d)))
-            .map(|(src, label, dst)| GraphUpdate::DeleteEdge { src, label, dst })
-            .chain(std::iter::once(GraphUpdate::DeleteEdge {
-                src: sue,
-                label: knows_l,
-                dst: tim,
-            }))
+            .map(|(src, label, dst)| EdgeOp::delete(src, label, dst))
+            .chain(std::iter::once(EdgeOp::delete(sue, knows_l, tim)))
             .collect();
         apply_updates(&mut store, &mut oracle, &deletions);
         assert_eq!(store.path_count(), 0);
@@ -992,14 +955,68 @@ mod tests {
         apply_updates(
             &mut store,
             &mut oracle,
-            &[GraphUpdate::InsertEdge {
-                src: sue,
-                label: g.label_id("knows").unwrap(),
-                dst: tim,
-            }],
+            &[EdgeOp::insert(sue, g.label_id("knows").unwrap(), tim)],
         );
         assert!(store.overlay_stats().overlay_entries > 0);
         check(&store);
+    }
+
+    #[test]
+    fn merged_batch_scan_across_a_segment_boundary_equals_a_rebuild() {
+        // l(G) is a chain of three segments; m has no edge (hence no block)
+        // until the batch below.
+        let mut b = pathix_graph::GraphBuilder::new();
+        let n = 3 * SEGMENT_PAIRS as u32;
+        for i in 0..n {
+            b.add_edge_named(&format!("n{i}"), "l", &format!("n{}", i + 1));
+        }
+        b.add_label("m");
+        let g = b.build();
+        let (l, m) = (g.label_id("l").unwrap(), g.label_id("m").unwrap());
+        let mut store = CompressedPathStore::build(&g, 1);
+        let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, 1);
+        let born = encode_path_prefix(&[SignedLabel::forward(m)]);
+        assert!(!store.blocks.contains_key(&born));
+
+        // Around the first segment boundary (source 512): tombstones for
+        // block pairs, overlay-only pairs between and after them, plus the
+        // first pairs of a path born in the overlay.
+        let edge = SEGMENT_PAIRS as u32;
+        let mut updates = Vec::new();
+        let mut updated = g.clone();
+        for i in (edge - 4..edge + 4).map(NodeId) {
+            let next = NodeId(i.0 + 1);
+            updates.push(EdgeOp::delete(i, l, next));
+            assert!(updated.remove_edge(i, l, next));
+        }
+        for i in (edge - 8..edge + 8).step_by(2).map(NodeId) {
+            let far = NodeId(i.0 + 7);
+            updates.extend([EdgeOp::insert(i, l, far), EdgeOp::insert(far, m, i)]);
+            assert!(updated.insert_edge(i, l, far) && updated.insert_edge(far, m, i));
+        }
+        apply_updates(&mut store, &mut oracle, &updates);
+        assert!(
+            store.overlay_stats().overlaid_paths >= 4,
+            "nothing compacted"
+        );
+        assert!(!store.blocks.contains_key(&born));
+
+        let rebuilt = CompressedPathStore::build(&updated, 1);
+        assert_eq!(store.per_path_counts(), rebuilt.per_path_counts());
+        for (path, count) in rebuilt.per_path_counts() {
+            for capacity in [1, 100, SEGMENT_PAIRS - 1] {
+                let mut scan = store.scan_path_batches(path).unwrap();
+                let mut batch = PairBatch::with_capacity(capacity);
+                let mut merged = Vec::new();
+                while scan.next_batch(&mut batch).unwrap() > 0 {
+                    assert!(batch.len() <= capacity);
+                    merged.extend(batch.iter());
+                }
+                assert_eq!(scan.next_batch(&mut batch).unwrap(), 0, "sticky end");
+                assert_eq!(merged, rebuilt.pairs(path), "{path:?} at {capacity}");
+                assert_eq!(merged.len() as u64, *count);
+            }
+        }
     }
 
     #[test]
@@ -1015,15 +1032,7 @@ mod tests {
         let l = g.label_id("l").unwrap();
         let bb = g.node_id("b").unwrap();
         let cc = g.node_id("c").unwrap();
-        apply_updates(
-            &mut store,
-            &mut oracle,
-            &[GraphUpdate::InsertEdge {
-                src: bb,
-                label: l,
-                dst: cc,
-            }],
-        );
+        apply_updates(&mut store, &mut oracle, &[EdgeOp::insert(bb, l, cc)]);
         let fwd = SignedLabel::forward(l);
         let aa = g.node_id("a").unwrap();
         assert_eq!(store.pairs(&[fwd, fwd]), vec![(aa, cc)]);
@@ -1050,28 +1059,12 @@ mod tests {
         let liz = g.node_id("liz").unwrap();
         let knows_l = g.label_id("knows").unwrap();
         let supervisor = g.label_id("supervisor").unwrap();
-        let scripts: [&[GraphUpdate]; 3] = [
-            &[GraphUpdate::InsertEdge {
-                src: sue,
-                label: knows_l,
-                dst: tim,
-            }],
-            &[GraphUpdate::DeleteEdge {
-                src: kim,
-                label: supervisor,
-                dst: liz,
-            }],
+        let scripts: [&[EdgeOp]; 3] = [
+            &[EdgeOp::insert(sue, knows_l, tim)],
+            &[EdgeOp::delete(kim, supervisor, liz)],
             &[
-                GraphUpdate::DeleteEdge {
-                    src: sue,
-                    label: knows_l,
-                    dst: tim,
-                },
-                GraphUpdate::InsertEdge {
-                    src: kim,
-                    label: supervisor,
-                    dst: liz,
-                },
+                EdgeOp::delete(sue, knows_l, tim),
+                EdgeOp::insert(kim, supervisor, liz),
             ],
         ];
         for (i, updates) in scripts.iter().enumerate() {

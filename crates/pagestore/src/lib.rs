@@ -41,7 +41,7 @@ pub mod wal;
 
 pub use btree::{CowStats, PagedBTree, PagedRangeIter, PagedTreeStats, MAX_ENTRY_SIZE};
 pub use buffer::{BufferPool, PoolStats};
-pub use compressed::{CompressedPairScan, CompressedPathStore, CompressionStats, OverlayStats};
+pub use compressed::{CompressedPathStore, CompressionStats, OverlayStats};
 pub use disk::{DiskManager, DiskStats};
 pub use page::{PageBuf, PageId, PAGE_SIZE};
 pub use paged_index::{PagedIndexStats, PagedPathIndex};

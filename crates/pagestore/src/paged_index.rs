@@ -10,8 +10,9 @@
 //!
 //! The index implements [`PathIndexBackend`], so the whole query pipeline
 //! (`pathix-exec` operators, every `pathix-plan` strategy, `PathDb`) runs
-//! directly against it; scans stream page by page and surface I/O errors as
-//! [`BackendError`]s instead of materializing or panicking.
+//! directly against it; scans decode one leaf page at a time straight into
+//! the caller's batch and surface I/O errors as [`BackendError`]s instead of
+//! materializing or panicking.
 //!
 //! The index is also **mutable** ([`MutablePathIndexBackend`]): the key-level
 //! deltas of a live update batch — computed once, backend-agnostically, by
@@ -20,18 +21,18 @@
 //! free-list recycling included) and written back through the buffer pool,
 //! so an on-disk index stays durable across batches.
 
-use crate::btree::{PagedBTree, PagedRangeIter, PagedTreeStats};
+use crate::btree::{LeafCursor, PagedBTree, PagedTreeStats};
 use crate::buffer::{BufferPool, PoolStats};
 use crate::disk::DiskManager;
 use pathix_audit::{AuditReport, StructuralAudit};
 use pathix_graph::{Graph, NodeId, SignedLabel};
 use pathix_index::backend::{
-    check_scan_path, BackendError, BackendResult, BackendScan, BackendStats, DeltaBatch,
-    MutablePathIndexBackend, PathIndexBackend,
+    check_scan_path, BackendBatchScan, BackendError, BackendResult, BackendStats, BatchScan,
+    DeltaBatch, MutablePathIndexBackend, PairBatch, PathIndexBackend,
 };
 use pathix_index::enumerate_counted_paths;
 use pathix_index::pathkey::{
-    decode_entry, encode_entry, encode_path_prefix, encode_path_source_prefix,
+    decode_entry, decode_pair, encode_entry, encode_path_prefix, encode_path_source_prefix,
 };
 use std::collections::HashSet;
 use std::io;
@@ -230,13 +231,7 @@ impl PagedPathIndex {
     ) -> io::Result<bool> {
         let fresh = seq > self.tree.applied_seq();
         if fresh {
-            for (key, count) in counts {
-                if *count == 0 {
-                    self.tree.delete(key)?;
-                } else {
-                    self.tree.insert(key.clone(), encode_walks(*count))?;
-                }
-            }
+            self.write_counts(counts)?;
             self.tree.set_applied_seq(seq);
             self.inserts_applied += inserted_edges;
             self.deletes_applied += deleted_edges;
@@ -247,6 +242,19 @@ impl PagedPathIndex {
             self.tree.flush()?;
         }
         Ok(fresh)
+    }
+
+    /// Replays absolute `(key, walk count)` writes as B+tree inserts and
+    /// deletes (a count of 0 deletes the key).
+    fn write_counts(&mut self, counts: &[(Vec<u8>, u64)]) -> io::Result<()> {
+        for (key, count) in counts {
+            if *count == 0 {
+                self.tree.delete(key)?;
+            } else {
+                self.tree.insert(key.clone(), encode_walks(*count))?;
+            }
+        }
+        Ok(())
     }
 
     /// Streams every stored `(entry key, walk count)` pair in key order —
@@ -355,32 +363,28 @@ impl PagedPathIndex {
         self.tree.pool().reset_stats()
     }
 
-    /// `I_{G,k}(p)`: a **streaming** scan of every pair connected by label
-    /// path `p`, ordered by `(source, target)`. Pages are pulled through the
-    /// buffer pool as the iterator advances; I/O failures surface as items.
-    pub fn stream_path(&self, path: &[SignedLabel]) -> io::Result<PagedPairScan<'_>> {
-        let prefix = encode_path_prefix(path);
-        Ok(PagedPairScan {
-            inner: self.tree.scan_prefix(&prefix)?,
-        })
-    }
-
     /// `I_{G,k}(p)`: every pair connected by label path `p`, materialized in
-    /// `(source, target)` order. Convenience wrapper over
-    /// [`PagedPathIndex::stream_path`].
+    /// `(source, target)` order — the batch scan, drained.
     pub fn scan_path(&self, path: &[SignedLabel]) -> io::Result<Vec<(NodeId, NodeId)>> {
-        self.stream_path(path)?.collect()
+        let prefix = encode_path_prefix(path);
+        let mut scan = PagedBatchScan::open(&self.tree, &prefix, prefix.len() + 8)?;
+        let mut batch = PairBatch::new();
+        let mut out = Vec::new();
+        while scan.fill(&mut batch)? > 0 {
+            out.extend(batch.iter());
+        }
+        Ok(out)
     }
 
-    /// `I_{G,k}(p, a)`: targets reachable from `source` via `p`, in order.
+    /// `I_{G,k}(p, a)`: targets reachable from `source` via `p`, in order —
+    /// the same scan over the `⟨p, source⟩` prefix.
     pub fn scan_path_from(&self, path: &[SignedLabel], source: NodeId) -> io::Result<Vec<NodeId>> {
         let prefix = encode_path_source_prefix(path, source);
+        let mut scan = PagedBatchScan::open(&self.tree, &prefix, prefix.len() + 4)?;
+        let mut batch = PairBatch::new();
         let mut out = Vec::new();
-        for item in self.tree.scan_prefix(&prefix)? {
-            let (key, _) = item?;
-            if let Some((_, _, t)) = decode_entry(&key) {
-                out.push(t);
-            }
+        while scan.fill(&mut batch)? > 0 {
+            out.extend_from_slice(batch.targets());
         }
         Ok(out)
     }
@@ -396,28 +400,76 @@ impl PagedPathIndex {
     }
 }
 
-/// Streaming iterator over the `(source, target)` pairs of one indexed path
-/// in a [`PagedPathIndex`], pulling pages through the buffer pool on demand.
-pub struct PagedPairScan<'a> {
-    inner: PagedRangeIter<'a>,
+/// Batched scan over the entries under one key prefix of a
+/// [`PagedPathIndex`]: each leaf is read once, and its cells' `(source,
+/// target)` key tails are decoded inside the pool's page access straight
+/// into the caller's batch — no per-entry allocation.
+struct PagedBatchScan<'a> {
+    cursor: LeafCursor<'a>,
+    /// Length of a well-formed entry key under the scanned path.
+    key_len: usize,
+    /// The pairs of the last leaf read that did not fit the caller's batch
+    /// (at most one leaf's worth); `spill[spilled..]` leads the next batch.
+    spill: Vec<(NodeId, NodeId)>,
+    spilled: usize,
 }
 
-impl Iterator for PagedPairScan<'_> {
-    type Item = io::Result<(NodeId, NodeId)>;
+impl<'a> PagedBatchScan<'a> {
+    /// Opens the scan over the keys that start with `prefix` — `⟨p⟩` or
+    /// `⟨p, source⟩` of a path whose entry keys are `key_len` bytes long —
+    /// and reads its first leaf.
+    fn open(tree: &'a PagedBTree, prefix: &[u8], key_len: usize) -> io::Result<Self> {
+        let mut scan = PagedBatchScan {
+            cursor: tree.prefix_cursor(prefix)?,
+            key_len,
+            spill: Vec::new(),
+            spilled: 0,
+        };
+        scan.read_leaf(None)?;
+        Ok(scan)
+    }
 
-    fn next(&mut self) -> Option<Self::Item> {
-        match self.inner.next()? {
-            Ok((key, _)) => Some(match decode_entry(&key) {
-                Some((_, s, t)) => Ok((s, t)),
-                // Malformed keys cannot appear in a tree we built, but a
-                // corrupted page file could produce one: report it.
-                None => Err(io::Error::new(
+    /// Decodes the next leaf of the range into `batch` while it has room and
+    /// into the (drained) spill columns after that. `false` when the range is
+    /// exhausted. A key of the wrong length cannot appear in a tree we built,
+    /// but a corrupted page file could produce one: it ends the scan with
+    /// `InvalidData`.
+    fn read_leaf(&mut self, mut batch: Option<&mut PairBatch>) -> io::Result<bool> {
+        let (key_len, spill) = (self.key_len, &mut self.spill);
+        spill.clear();
+        self.spilled = 0;
+        let visit = |key: &[u8], _: &[u8]| {
+            if key.len() != key_len {
+                return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     "malformed k-path index key",
-                )),
-            }),
-            Err(e) => Some(Err(e)),
-        }
+                ));
+            }
+            match &mut batch {
+                Some(batch) if !batch.is_full() => batch.push(decode_pair(key)),
+                _ => spill.push(decode_pair(key)),
+            }
+            Ok(())
+        };
+        self.cursor
+            .visit_leaf(visit)
+            .inspect_err(|_| self.spill.clear())
+    }
+
+    /// [`BatchScan::next_batch`] with the I/O error intact.
+    fn fill(&mut self, batch: &mut PairBatch) -> io::Result<usize> {
+        batch.clear();
+        let take = (self.spill.len() - self.spilled).min(batch.capacity());
+        batch.extend_from_pairs(&self.spill[self.spilled..self.spilled + take]);
+        self.spilled += take;
+        while !batch.is_full() && self.read_leaf(Some(batch))? {}
+        Ok(batch.len())
+    }
+}
+
+impl BatchScan for PagedBatchScan<'_> {
+    fn next_batch(&mut self, batch: &mut PairBatch) -> BackendResult<usize> {
+        self.fill(batch).map_err(|e| BackendError::io("paged", &e))
     }
 }
 
@@ -464,19 +516,16 @@ impl StructuralAudit for PagedPathIndex {
         report.check("walk-count-encoded", "tree", bad_counts == 0, || {
             format!("{bad_counts} entry value(s) are not positive 8-byte walk counts")
         });
-        // per_path_counts keeps build/oracle order, which need not be the
-        // tree's key order — compare as sets.
-        let mut advertised = self.per_path_counts.clone();
-        advertised.sort();
-        per_path.sort();
+        // Key order is `(length, path)` order — the order per_path_counts
+        // must be in for `path_cardinality`'s binary search.
         report.check(
             "counts-consistent",
             "per_path_counts",
-            per_path == advertised,
+            per_path == self.per_path_counts,
             || {
                 format!(
                     "advertised {} path(s) differ from the {} recounted by a full scan",
-                    advertised.len(),
+                    self.per_path_counts.len(),
                     per_path.len()
                 )
             },
@@ -497,14 +546,12 @@ impl PathIndexBackend for PagedPathIndex {
         self.node_count
     }
 
-    fn scan_path(&self, path: &[SignedLabel]) -> BackendResult<BackendScan<'_>> {
+    fn scan_path_batches(&self, path: &[SignedLabel]) -> BackendResult<BackendBatchScan<'_>> {
         check_scan_path(self.backend_name(), self.k, path)?;
-        let scan = self
-            .stream_path(path)
+        let prefix = encode_path_prefix(path);
+        let scan = PagedBatchScan::open(&self.tree, &prefix, prefix.len() + 8)
             .map_err(|e| BackendError::io(self.backend_name(), &e))?;
-        Ok(Box::new(scan.map(|item| {
-            item.map_err(|e| BackendError::io("paged", &e))
-        })))
+        Ok(Box::new(scan))
     }
 
     fn scan_path_from(&self, path: &[SignedLabel], source: NodeId) -> BackendResult<Vec<NodeId>> {
@@ -519,15 +566,9 @@ impl PathIndexBackend for PagedPathIndex {
         source: NodeId,
         target: NodeId,
     ) -> BackendResult<bool> {
+        check_scan_path(self.backend_name(), self.k, path)?;
         PagedPathIndex::contains(self, path, source, target)
             .map_err(|e| BackendError::io(self.backend_name(), &e))
-    }
-
-    fn path_cardinality(&self, path: &[SignedLabel]) -> Option<u64> {
-        self.per_path_counts
-            .iter()
-            .find(|(p, _)| p == path)
-            .map(|(_, c)| *c)
     }
 
     fn per_path_counts(&self) -> &[(Vec<SignedLabel>, u64)] {
@@ -560,15 +601,8 @@ impl MutablePathIndexBackend for PagedPathIndex {
     /// of the batch.
     fn apply_delta_batch(&mut self, batch: &DeltaBatch<'_>) -> BackendResult<()> {
         let io_err = |e: &io::Error| BackendError::io("paged", e);
-        for (key, count) in batch.deltas.counts() {
-            if *count == 0 {
-                self.tree.delete(key).map_err(|e| io_err(&e))?;
-            } else {
-                self.tree
-                    .insert(key.clone(), encode_walks(*count))
-                    .map_err(|e| io_err(&e))?;
-            }
-        }
+        self.write_counts(batch.deltas.counts())
+            .map_err(|e| io_err(&e))?;
         self.per_path_counts = batch.per_path_counts.to_vec();
         self.paths_k_size = batch.paths_k_size;
         self.node_count = batch.node_count;
@@ -587,6 +621,7 @@ impl MutablePathIndexBackend for PagedPathIndex {
 mod tests {
     use super::*;
     use pathix_datagen::paper_example_graph;
+    use pathix_graph::EdgeOp;
     use pathix_index::SharedKPathIndex;
 
     #[test]
@@ -608,19 +643,128 @@ mod tests {
         }
     }
 
-    #[test]
-    fn streaming_scan_equals_materialized_scan() {
-        let g = paper_example_graph();
-        let paged = PagedPathIndex::build_in_memory(&g, 2, 4).unwrap();
-        for (path, count) in paged.per_path_counts() {
-            let streamed: Vec<_> = paged
-                .stream_path(path)
-                .unwrap()
-                .collect::<io::Result<Vec<_>>>()
-                .unwrap();
-            assert_eq!(streamed, paged.scan_path(path).unwrap());
-            assert_eq!(streamed.len() as u64, *count);
+    /// A 2 000-edge chain under one label: `l(G)` alone spans a dozen leaves.
+    fn chain_index(pool_frames: usize) -> (Graph, PagedPathIndex, [SignedLabel; 1]) {
+        let mut b = pathix_graph::GraphBuilder::new();
+        for i in 0..2_000u32 {
+            b.add_edge_named(&format!("n{i}"), "l", &format!("n{}", i + 1));
         }
+        let g = b.build();
+        let paged = PagedPathIndex::build_in_memory(&g, 1, pool_frames).unwrap();
+        let path = [SignedLabel::forward(g.label_id("l").unwrap())];
+        (g, paged, path)
+    }
+
+    #[test]
+    fn batch_scan_over_many_leaves_matches_the_reference_at_every_capacity() {
+        let (g, paged, path) = chain_index(8);
+        let expected = pathix_index::naive_path_eval(&g, &path);
+
+        // The relation really spans several leaves.
+        let mut cursor = paged
+            .tree
+            .prefix_cursor(&encode_path_prefix(&path))
+            .unwrap();
+        let mut leaf_sizes = Vec::new();
+        loop {
+            let mut cells = 0;
+            let more = cursor.visit_leaf(|_, _| {
+                cells += 1;
+                Ok(())
+            });
+            if !more.unwrap() {
+                break;
+            }
+            leaf_sizes.push(cells);
+        }
+        assert!(leaf_sizes.len() >= 4, "{leaf_sizes:?}");
+        // Leaves straddle batches at both capacities above 1.
+        assert!(leaf_sizes[0] % 3 != 0 && 1024 % leaf_sizes[0] != 0);
+        assert_eq!(leaf_sizes.iter().sum::<usize>(), expected.len());
+
+        for capacity in [1, 3, 1024] {
+            let mut scan = paged.scan_path_batches(&path).unwrap();
+            let mut batch = PairBatch::with_capacity(capacity);
+            let mut scanned = Vec::new();
+            let mut sizes = Vec::new();
+            loop {
+                let n = scan.next_batch(&mut batch).unwrap();
+                if n == 0 {
+                    break;
+                }
+                sizes.push(n);
+                scanned.extend(batch.iter());
+            }
+            // Delivered once and in order, spilled pairs leading the next
+            // batch: every batch but the last is full.
+            assert_eq!(scanned, expected, "capacity {capacity}");
+            let (last, full) = sizes.split_last().unwrap();
+            assert!(full.iter().all(|&n| n == capacity), "capacity {capacity}");
+            assert!(*last <= capacity);
+
+            // Exhaustion is sticky and touches no page.
+            let before = paged.pool_stats();
+            for _ in 0..3 {
+                assert_eq!(scan.next_batch(&mut batch).unwrap(), 0);
+                assert!(batch.is_empty());
+            }
+            let after = paged.pool_stats();
+            assert_eq!(
+                (after.hits, after.misses),
+                (before.hits, before.misses),
+                "capacity {capacity}"
+            );
+        }
+        assert_eq!(paged.scan_path(&path).unwrap(), expected);
+        for source in [0, 777, 1_999, 2_000, 9_999].map(NodeId) {
+            let targets: Vec<_> = expected
+                .iter()
+                .filter(|&&(s, _)| s == source)
+                .map(|&(_, t)| t)
+                .collect();
+            assert_eq!(paged.scan_path_from(&path, source).unwrap(), targets);
+        }
+    }
+
+    #[test]
+    fn a_malformed_key_under_a_scanned_prefix_is_a_backend_error() {
+        // A ⟨p, source⟩-shaped key (no target) among the entries of p.
+        let seeded = |source: u32| {
+            let (g, mut paged, path) = chain_index(8);
+            let key = encode_path_source_prefix(&path, NodeId(source));
+            paged.tree.insert(key, encode_walks(1)).unwrap();
+            (g, paged, path)
+        };
+
+        // Deep in the relation: the scan opens, delivers the true pairs that
+        // precede the key, then fails — and stays ended.
+        let (g, paged, path) = seeded(1_500);
+        let expected = pathix_index::naive_path_eval(&g, &path);
+        let mut scan = paged.scan_path_batches(&path).unwrap();
+        let mut batch = PairBatch::with_capacity(64);
+        let mut scanned = Vec::new();
+        let error = loop {
+            match scan.next_batch(&mut batch) {
+                Ok(0) => panic!("the scan ran past a malformed key"),
+                Ok(_) => scanned.extend(batch.iter()),
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(error.backend(), "paged");
+        assert!(error.message().contains("malformed"), "{error}");
+        assert!(scanned.len() < expected.len());
+        assert_eq!(scanned, expected[..scanned.len()]);
+        assert_eq!(scan.next_batch(&mut batch).unwrap(), 0);
+        assert!(paged.collect_path(&path).is_err());
+        assert!(paged.scan_path(&path).is_err());
+        // The bound probe whose prefix is the bad key itself reports it too;
+        // its neighbours are untouched.
+        assert!(PathIndexBackend::scan_path_from(&paged, &path, NodeId(1_500)).is_err());
+        assert_eq!(paged.scan_path_from(&path, NodeId(3)).unwrap(), [NodeId(4)]);
+
+        // In the first leaf: the eager first read fails the open itself.
+        let (_, paged, path) = seeded(0);
+        assert!(paged.scan_path_batches(&path).is_err());
     }
 
     #[test]
@@ -632,17 +776,13 @@ mod tests {
         assert_eq!(backend.k(), 2);
         assert_eq!(backend.node_count(), g.node_count());
         let (path, count) = &backend.per_path_counts()[0].clone();
-        let via_trait: Vec<_> = backend
-            .scan_path(path)
-            .unwrap()
-            .collect::<BackendResult<Vec<_>>>()
-            .unwrap();
+        let via_trait = backend.collect_path(path).unwrap();
         assert_eq!(via_trait.len() as u64, *count);
         assert_eq!(backend.path_cardinality(path), Some(*count));
         assert!(backend.paths_k_size() > 0);
         assert_eq!(backend.stats().entries, paged.len());
         // Contract violations are errors, not panics.
-        assert!(backend.scan_path(&[]).is_err());
+        assert!(backend.collect_path(&[]).is_err());
     }
 
     #[test]
@@ -662,7 +802,7 @@ mod tests {
 
     #[test]
     fn delta_batches_keep_the_paged_index_equal_to_a_rebuild() {
-        use pathix_index::{EntryDeltas, GraphUpdate, IncrementalKPathIndex};
+        use pathix_index::{EntryDeltas, IncrementalKPathIndex};
 
         let g = paper_example_graph();
         let k = 2;
@@ -675,31 +815,26 @@ mod tests {
             .flat_map(|l| g.edges(l).map(move |(s, d)| (s, l, d)))
             .step_by(3)
             .collect();
-        let mut updates: Vec<GraphUpdate> = edges
+        let mut updates: Vec<EdgeOp> = edges
             .iter()
-            .map(|&(src, label, dst)| GraphUpdate::DeleteEdge { src, label, dst })
+            .map(|&(src, label, dst)| EdgeOp::delete(src, label, dst))
             .collect();
         updates.extend(
             edges
                 .iter()
-                .map(|&(src, label, dst)| GraphUpdate::InsertEdge { src, label, dst }),
+                .map(|&(src, label, dst)| EdgeOp::insert(src, label, dst)),
         );
         let sue = g.node_id("sue").unwrap();
         let tim = g.node_id("tim").unwrap();
         let knows = g.label_id("knows").unwrap();
-        updates.push(GraphUpdate::InsertEdge {
-            src: sue,
-            label: knows,
-            dst: tim,
-        });
+        updates.push(EdgeOp::insert(sue, knows, tim));
 
         let mut deltas = EntryDeltas::new();
         let mut inserted = 0;
         let mut deleted = 0;
-        for update in &updates {
-            let is_insert = matches!(update, GraphUpdate::InsertEdge { .. });
-            if oracle.apply_logged(update.clone(), &mut deltas) {
-                if is_insert {
+        for &update in &updates {
+            if oracle.apply_logged(update, &mut deltas) {
+                if update.insert {
                     inserted += 1;
                 } else {
                     deleted += 1;
@@ -753,7 +888,7 @@ mod tests {
 
     #[test]
     fn audit_is_clean_after_build_batches_and_views() {
-        use pathix_index::{EntryDeltas, GraphUpdate, IncrementalKPathIndex};
+        use pathix_index::{EntryDeltas, IncrementalKPathIndex};
 
         let g = paper_example_graph();
         let mut paged = PagedPathIndex::build_in_memory(&g, 2, 8).unwrap();
@@ -767,14 +902,7 @@ mod tests {
         let tim = g.node_id("tim").unwrap();
         let knows = g.label_id("knows").unwrap();
         let mut deltas = EntryDeltas::new();
-        let applied = oracle.apply_logged(
-            GraphUpdate::InsertEdge {
-                src: sue,
-                label: knows,
-                dst: tim,
-            },
-            &mut deltas,
-        );
+        let applied = oracle.apply_logged(EdgeOp::insert(sue, knows, tim), &mut deltas);
         assert!(applied);
         paged
             .apply_delta_batch(&DeltaBatch {
@@ -826,7 +954,7 @@ mod tests {
 
     #[test]
     fn on_disk_index_reopens_with_recovered_stats() {
-        use pathix_index::{EntryDeltas, GraphUpdate, IncrementalKPathIndex};
+        use pathix_index::{EntryDeltas, IncrementalKPathIndex};
 
         let dir = std::env::temp_dir().join(format!("pathix-pidx-reopen-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -843,14 +971,7 @@ mod tests {
             let tim = g.node_id("tim").unwrap();
             let knows = g.label_id("knows").unwrap();
             let mut deltas = EntryDeltas::new();
-            assert!(oracle.apply_logged(
-                GraphUpdate::InsertEdge {
-                    src: sue,
-                    label: knows,
-                    dst: tim,
-                },
-                &mut deltas,
-            ));
+            assert!(oracle.apply_logged(EdgeOp::insert(sue, knows, tim), &mut deltas,));
             idx.apply_delta_batch(&DeltaBatch {
                 deltas: &deltas,
                 per_path_counts: oracle.per_path_counts(),

@@ -4,6 +4,7 @@
 //! Driven by the vendored deterministic PRNG (the environment is offline, so
 //! no proptest); every case is seeded and reproduces exactly.
 
+use pathix_audit::AuditReport;
 use pathix_pagestore::varint::{decode_pairs, encode_pairs, PairDecoder};
 use pathix_pagestore::{BufferPool, PagedBTree};
 use rand::rngs::StdRng;
@@ -18,6 +19,13 @@ fn random_key(rng: &mut StdRng) -> Vec<u8> {
     (0..len)
         .map(|_| ALPHABET[rng.gen_range(0..ALPHABET.len())])
         .collect()
+}
+
+/// A full structural audit of `tree` finds nothing.
+fn assert_audit_clean(tree: &PagedBTree, context: &str) {
+    let mut report = AuditReport::new();
+    report.run("paged-btree", tree);
+    report.assert_clean(context);
 }
 
 fn random_value(rng: &mut StdRng) -> Vec<u8> {
@@ -46,7 +54,7 @@ fn paged_btree_matches_btreemap_model() {
         let tree_entries: Vec<_> = tree.iter().unwrap().map(Result::unwrap).collect();
         let model_entries: Vec<_> = model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
         assert_eq!(tree_entries, model_entries, "case {case}");
-        tree.check_invariants().unwrap();
+        assert_audit_clean(&tree, &format!("case {case}"));
     }
 }
 
@@ -105,8 +113,8 @@ fn bulk_load_equals_incremental_inserts() {
         let a: Vec<_> = bulk.iter().unwrap().map(Result::unwrap).collect();
         let b: Vec<_> = incr.iter().unwrap().map(Result::unwrap).collect();
         assert_eq!(a, b, "case {case}");
-        bulk.check_invariants().unwrap();
-        incr.check_invariants().unwrap();
+        assert_audit_clean(&bulk, &format!("bulk, case {case}"));
+        assert_audit_clean(&incr, &format!("incremental, case {case}"));
     }
 }
 

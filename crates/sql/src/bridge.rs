@@ -54,8 +54,7 @@ pub fn path_index_table<B: PathIndexBackend + ?Sized>(
     let mut t = Table::new("path_index", Schema::new(vec!["path", "src", "dst"]));
     for (path, _) in index.per_path_counts() {
         let text = path_string(graph, path);
-        for item in index.scan_path(path)? {
-            let (s, d) = item?;
+        for (s, d) in index.collect_path(path)? {
             t.push(vec![text.clone().into(), s.0.into(), d.0.into()]);
         }
     }

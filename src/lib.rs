@@ -19,8 +19,8 @@
 //! * [`rpq`] — the query language (parser, rewriter, automata);
 //! * [`index`] — the k-path index and histogram;
 //! * [`plan`] — planning strategies, cost model, executor and explain;
-//! * [`baselines`] — the automaton, Datalog and reachability baselines the
-//!   paper's introduction describes;
+//! * [`baselines`] — the automaton and Datalog baselines the paper compares
+//!   against;
 //! * [`pagestore`] — disk-oriented storage (buffer pool, paged B+tree,
 //!   compression) mirroring the companion study of index size;
 //! * [`sql`] — the relational backend: the paper's RPQ-to-SQL translation
@@ -107,7 +107,7 @@ pub use pathix_index as index;
 /// Planning strategies, cost model and executor.
 pub use pathix_plan as plan;
 
-/// Baseline evaluators (automaton product BFS, Datalog, reachability).
+/// Baseline evaluators (automaton product BFS, Datalog).
 pub use pathix_baselines as baselines;
 
 /// Disk-oriented storage: pager, buffer pool, paged B+tree, compressed

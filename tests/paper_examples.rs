@@ -82,12 +82,7 @@ fn example_3_1_index_lookup_shapes() {
     let path = vec![knows, knows, works];
 
     // I_{G,k}(⟨p⟩).
-    let scanned: Vec<_> = db
-        .index()
-        .scan_path(&path)
-        .unwrap()
-        .collect::<Result<Vec<_>, _>>()
-        .unwrap();
+    let scanned: Vec<_> = db.index().collect_path(&path).unwrap();
     let expected = naive_path_eval(&graph, &path);
     assert_eq!(scanned, expected);
     assert!(

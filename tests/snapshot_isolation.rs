@@ -110,11 +110,7 @@ fn index_bits(snapshot: &Snapshot) -> IndexBits {
         .per_path_counts()
         .iter()
         .map(|(path, count)| {
-            let pairs: Vec<(NodeId, NodeId)> = index
-                .scan_path(path)
-                .unwrap()
-                .collect::<Result<_, _>>()
-                .unwrap();
+            let pairs: Vec<(NodeId, NodeId)> = index.collect_path(path).unwrap();
             assert_eq!(
                 pairs.len() as u64,
                 *count,

@@ -5,12 +5,17 @@
 //! must return identical `QueryResult`s on every backend under every
 //! planning strategy.
 
+mod common;
+
 use pathix::datagen::{
     advogato_like, barabasi_albert, AdvogatoConfig, WorkloadConfig, WorkloadGenerator,
 };
-use pathix::index::SharedKPathIndex;
+use pathix::index::{naive_path_eval, PairBatch, SharedKPathIndex};
 use pathix::pagestore::{BufferPool, CompressedPathStore, DiskManager, PagedBTree, PagedPathIndex};
-use pathix::{BackendChoice, PathDb, PathDbConfig, PathIndexBackend, QueryOptions, Strategy};
+use pathix::{
+    BackendChoice, GraphUpdate, LabelId, NodeId, PathDb, PathDbConfig, PathIndexBackend,
+    QueryOptions, SignedLabel, Strategy,
+};
 
 #[test]
 fn paged_and_compressed_indexes_match_the_memory_index() {
@@ -56,7 +61,9 @@ fn paged_index_survives_a_round_trip_through_a_file() {
     let pool = BufferPool::new(DiskManager::open(&path).unwrap(), 16);
     let tree = PagedBTree::open(pool).unwrap();
     assert_eq!(tree.len(), entries_before);
-    tree.check_invariants().unwrap();
+    let mut report = pathix::AuditReport::new();
+    report.run("paged-btree", &tree);
+    report.assert_clean("reopened page file");
     std::fs::remove_file(&path).ok();
 }
 
@@ -139,4 +146,132 @@ fn compression_saves_space_on_a_realistic_graph() {
         "delta/varint blocks should be at least 2x smaller than per-entry keys, got {:.2}",
         stats.ratio()
     );
+}
+
+/// The one index contract, on all four backend choices: for every indexed
+/// path the convenience drain, the batch scan and the reference evaluation
+/// agree; the two probes answer as filters of that list; the cardinality is
+/// its length; and a path of length 0 or above k is an error — not a panic,
+/// not an empty answer — from every entry point.
+#[test]
+fn every_backend_honours_the_one_index_contract() {
+    let graph = barabasi_albert(120, 3, &["a", "b"], 23);
+    let (dbs, dir) = common::on_every_backend("contract", &graph, 16);
+    for (name, db) in &dbs {
+        let index = db.index();
+        assert_eq!(index.k(), 2, "{name}");
+        assert!(!index.per_path_counts().is_empty(), "{name}");
+        for (path, count) in index.per_path_counts() {
+            let expected = naive_path_eval(&graph, path);
+            assert_eq!(
+                index.collect_path(path).unwrap(),
+                expected,
+                "{name} {path:?}"
+            );
+            let mut scan = index.scan_path_batches(path).unwrap();
+            let mut batch = PairBatch::with_capacity(37);
+            let mut drained = Vec::new();
+            while scan.next_batch(&mut batch).unwrap() > 0 {
+                drained.extend(batch.iter());
+            }
+            assert_eq!(drained, expected, "{name} {path:?}");
+            assert_eq!(*count, expected.len() as u64, "{name} {path:?}");
+            assert_eq!(
+                index.path_cardinality(path),
+                Some(*count),
+                "{name} {path:?}"
+            );
+
+            // Every 7th node as a source, plus one past the last node.
+            for source in (0..=graph.node_count() as u32).step_by(7).map(NodeId) {
+                let targets: Vec<_> = expected
+                    .iter()
+                    .filter(|&&(s, _)| s == source)
+                    .map(|&(_, t)| t)
+                    .collect();
+                assert_eq!(
+                    index.scan_path_from(path, source).unwrap(),
+                    targets,
+                    "{name} {path:?} from {source:?}"
+                );
+                for target in [NodeId(0), NodeId(5), *targets.first().unwrap_or(&source)] {
+                    assert_eq!(
+                        index.contains(path, source, target).unwrap(),
+                        targets.contains(&target),
+                        "{name} {path:?} ({source:?}, {target:?})"
+                    );
+                }
+            }
+        }
+
+        let a = SignedLabel::forward(graph.label_id("a").unwrap());
+        let absent = [SignedLabel::forward(LabelId(9))];
+        assert_eq!(index.path_cardinality(&absent), None, "{name}");
+        assert!(index.collect_path(&absent).unwrap().is_empty(), "{name}");
+        assert!(index.scan_path_from(&absent, NodeId(0)).unwrap().is_empty());
+        assert!(!index.contains(&absent, NodeId(0), NodeId(1)).unwrap());
+        for bad in [&[][..], &[a, a, a][..]] {
+            assert_eq!(index.path_cardinality(bad), None, "{name}");
+            assert!(index.collect_path(bad).is_err(), "{name}");
+            assert!(index.scan_path_batches(bad).is_err(), "{name}");
+            assert!(index.scan_path_from(bad, NodeId(0)).is_err(), "{name}");
+            assert!(index.contains(bad, NodeId(0), NodeId(1)).is_err(), "{name}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// `path_cardinality` binary-searches `per_path_counts`, so every backend
+/// must report it strictly ascending by `(length, path)`: as built, after
+/// update batches that create and empty paths, and as recounted from the
+/// page file by a reopen.
+#[test]
+fn per_path_counts_stay_sorted_through_updates_and_reopen() {
+    fn assert_sorted(index: &dyn PathIndexBackend, context: &str) {
+        let counts = index.per_path_counts();
+        assert!(!counts.is_empty(), "{context}");
+        assert!(
+            counts
+                .windows(2)
+                .all(|w| (w[0].0.len(), &w[0].0) < (w[1].0.len(), &w[1].0)),
+            "{context}: {:?}",
+            counts.iter().map(|(p, _)| p).collect::<Vec<_>>()
+        );
+        for (path, count) in counts {
+            assert_eq!(index.path_cardinality(path), Some(*count), "{context}");
+        }
+    }
+
+    let graph = advogato_like(AdvogatoConfig::scaled(0.005));
+    let (dbs, dir) = common::on_every_backend("sorted-counts", &graph, 16);
+    for (name, db) in &dbs {
+        assert_sorted(&*db.index(), &format!("{name}, as built"));
+        // A label no edge carried yet: new paths enter at both lengths…
+        db.apply(&[
+            GraphUpdate::insert_named("u0", "vouches", "u1"),
+            GraphUpdate::insert_named("u1", "master", "newcomer"),
+        ])
+        .unwrap();
+        assert_sorted(&*db.index(), &format!("{name}, after inserts"));
+        // … and leave again when its last edge goes.
+        db.apply(&[GraphUpdate::delete_named("u0", "vouches", "u1")])
+            .unwrap();
+        assert_sorted(&*db.index(), &format!("{name}, after the delete"));
+    }
+    let on_disk = dbs
+        .into_iter()
+        .find(|(name, _)| *name == "on-disk")
+        .unwrap()
+        .1;
+    let (config, counts) = (
+        on_disk.config().clone(),
+        on_disk.index().per_path_counts().to_vec(),
+    );
+    on_disk.close().unwrap();
+    drop(on_disk);
+    let reopened = PathDb::open(config).unwrap();
+    assert_sorted(&*reopened.index(), "on-disk, reopened");
+    assert_eq!(reopened.index().per_path_counts(), counts);
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(dir);
 }

@@ -129,12 +129,7 @@ fn index_scans_match_reference_on_random_graphs() {
         let db = PathDb::build(graph.clone(), PathDbConfig::with_k(k));
         for (path, count) in db.index().per_path_counts() {
             let expected = pathix::index::naive_path_eval(&graph, path);
-            let scanned: Vec<_> = db
-                .index()
-                .scan_path(path)
-                .unwrap()
-                .collect::<Result<Vec<_>, _>>()
-                .unwrap();
+            let scanned: Vec<_> = db.index().collect_path(path).unwrap();
             assert_eq!(scanned, expected, "case {case}");
             assert_eq!(*count as usize, expected.len(), "case {case}");
         }

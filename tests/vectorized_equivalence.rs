@@ -191,11 +191,7 @@ fn bound_probes_agree_with_full_scans_and_skip_work() {
         let snapshot = db.snapshot();
         let index = snapshot.index();
 
-        let full: Vec<(NodeId, NodeId)> = index
-            .scan_path(&path)
-            .unwrap()
-            .collect::<Result<Vec<_>, _>>()
-            .unwrap();
+        let full: Vec<(NodeId, NodeId)> = index.collect_path(&path).unwrap();
         assert!(
             full.len() > 512,
             "{name}: chain must span multiple chunks/segments"
