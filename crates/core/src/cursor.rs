@@ -6,7 +6,9 @@ use crate::error::QueryError;
 use crate::options::QueryOptions;
 use pathix_exec::{BoxedPairStream, CancelToken, PairStream, CANCEL_BACKEND};
 use pathix_graph::NodeId;
-use pathix_plan::{open_stream, open_stream_cancellable, ExecutionStats, PhysicalPlan};
+use pathix_plan::{
+    open_stream, open_stream_bound, open_stream_cancellable, ExecutionStats, PhysicalPlan,
+};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -28,16 +30,25 @@ impl OwnedStream {
     fn open(
         snapshot: Snapshot,
         plan: Arc<PhysicalPlan>,
-        token: Option<&CancelToken>,
+        options: &QueryOptions,
     ) -> Result<Self, QueryError> {
         let stream = {
-            let raw: BoxedPairStream<'_> = match token {
-                Some(token) => open_stream_cancellable(plan.as_ref(), snapshot.index(), token)?,
-                None => open_stream(plan.as_ref(), snapshot.index())?,
-            };
+            let (plan, index, token) =
+                (plan.as_ref(), snapshot.index(), options.cancel_token_ref());
+            let raw: BoxedPairStream<'_> =
+                match (options.bound_source(), options.bound_target(), token) {
+                    (None, None, Some(token)) => open_stream_cancellable(plan, index, token)?,
+                    (None, None, None) => open_stream(plan, index)?,
+                    // A bound end is pushed into the index: the stream walks
+                    // the frontier instead of filtering the unbound answer.
+                    (source, target, token) => {
+                        open_stream_bound(plan, index, source, target, token)?
+                    }
+                };
             // SAFETY: `raw` borrows only from the plan behind `plan` and the
-            // index behind `snapshot` (the cancellation guards own their
-            // token clones), both heap allocations owned by `Arc`s
+            // index behind `snapshot` (the cancellation guards and the bound
+            // stream own their token clones; the bound stream holds nothing
+            // else but node ids), both heap allocations owned by `Arc`s
             // that are moved (not dropped) into the returned struct, so the
             // borrowed data outlives the stream and never moves. Snapshots
             // are immutable by construction — updates publish *new* snapshots
@@ -59,11 +70,17 @@ impl OwnedStream {
 ///
 /// The cursor pulls from the same fallible operator tree the batch executor
 /// drains, but lazily: each `next()` advances the tree only far enough to
-/// produce one more *distinct* pair that survives the options' bindings.
-/// Dropping the cursor (or hitting its `limit`) abandons the rest of the
-/// computation — this is what makes `limit`/`exists` terminate early, which
-/// [`Cursor::stats`] makes observable via
-/// [`ExecutionStats::pairs_pulled`]. On drop the cursor additionally flushes
+/// produce one more *distinct* pair. Dropping the cursor (or hitting its
+/// `limit`) abandons the rest of the computation — this is what makes
+/// `limit`/`exists` terminate early, which [`Cursor::stats`] makes
+/// observable via [`ExecutionStats::pairs_pulled`].
+///
+/// Options that bind an end never reach that tree: the binding is pushed
+/// into the index ([`pathix_plan::open_stream_bound`] walks the frontier from
+/// the bound node with `⟨p, s⟩` and `⟨p, s, t⟩` probes at the first
+/// `next()`), so the cursor pulls — and counts — only pairs that satisfy
+/// the bindings, and the lookup costs what its frontiers reach. On drop the
+/// cursor additionally flushes
 /// its pull count into [`crate::PathDb::pairs_pulled_total`], so
 /// early-terminated runs report the work they actually did.
 ///
@@ -120,7 +137,7 @@ impl Cursor {
         let joins = plan.join_count();
         let merge_joins = plan.merge_join_count();
         Ok(Cursor {
-            stream: OwnedStream::open(snapshot, plan, options.cancel_token_ref())?,
+            stream: OwnedStream::open(snapshot, plan, &options)?,
             remaining: options.limit_value(),
             options,
             seen: HashSet::new(),
@@ -236,9 +253,11 @@ impl Iterator for Cursor {
                 }
                 Ok(Some(pair)) => {
                     self.pulled += 1;
-                    if !self.options.admits(pair) {
-                        continue;
-                    }
+                    debug_assert!(
+                        self.options.bound_source().is_none_or(|s| s == pair.0)
+                            && self.options.bound_target().is_none_or(|t| t == pair.1),
+                        "the bound stream emitted {pair:?} outside the bindings"
+                    );
                     if !self.seen.insert((pair.0 .0, pair.1 .0)) {
                         continue;
                     }

@@ -29,7 +29,9 @@ use pathix_plan::Strategy;
 /// The `source`/`target` bindings reproduce the paper's Example 3.1 lookup
 /// shapes: a fully unbound query enumerates `p(G)`, binding the source asks
 /// "which nodes does `s` reach", binding both asks "does `s` reach `t`"
-/// (which combines naturally with [`QueryOptions::exists`]).
+/// (which combines naturally with [`QueryOptions::exists`]). Bound shapes
+/// are answered by index probes from the bound node and cost what their
+/// frontiers reach.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QueryOptions {
     strategy: Option<Strategy>,
@@ -75,13 +77,22 @@ impl QueryOptions {
     }
 
     /// Shorthand for `limit(1).count_only()`: "is the answer non-empty",
-    /// terminating at the first match.
+    /// terminating at the first match. With both ends bound this is the
+    /// paper's `⟨p, s, t⟩` membership probe: the walk from `s` finishes with
+    /// one point or prefix probe of the index, and a union stops at its
+    /// first disjunct that reaches `t`.
     pub fn exists(self) -> Self {
         self.limit(1).count_only()
     }
 
     /// Only keep answers whose source is `source` (Example 3.1's
     /// `(p, s, ·)` lookup shape).
+    ///
+    /// The binding is pushed into the index: execution walks the frontier
+    /// from `source` through the plan's ≤ k-length segments with `⟨p, s⟩`
+    /// prefix probes (or one filtered scan per level once the frontier is
+    /// large against the relation), so the cost follows the frontiers — not
+    /// the answer of the unbound query, which is never evaluated.
     pub fn source(mut self, source: NodeId) -> Self {
         self.source = Some(source);
         self
@@ -89,6 +100,11 @@ impl QueryOptions {
 
     /// Only keep answers whose target is `target` (Example 3.1's
     /// `(p, ·, t)` lookup shape).
+    ///
+    /// Pushed into the index like [`QueryOptions::source`]: alone, the walk
+    /// starts at `target` and runs backward through the inverse paths;
+    /// together with a source, the forward walk ends in a `⟨p, s, t⟩` probe.
+    /// The cost follows the frontiers, not the unbound answer.
     pub fn target(mut self, target: NodeId) -> Self {
         self.target = Some(target);
         self
@@ -146,11 +162,6 @@ impl QueryOptions {
             && self.target.is_none()
             && self.cancel.is_none()
     }
-
-    /// `true` when `pair` survives the source/target bindings.
-    pub(crate) fn admits(&self, pair: (NodeId, NodeId)) -> bool {
-        self.source.is_none_or(|s| s == pair.0) && self.target.is_none_or(|t| t == pair.1)
-    }
 }
 
 #[cfg(test)]
@@ -174,7 +185,10 @@ mod tests {
         let options = QueryOptions::new();
         assert_eq!(options.strategy_override(), None);
         assert!(options.is_full_materialization());
-        assert!(options.admits((NodeId(1), NodeId(2))));
+        assert_eq!(
+            (options.bound_source(), options.bound_target()),
+            (None, None)
+        );
     }
 
     #[test]
@@ -186,12 +200,15 @@ mod tests {
 
     #[test]
     fn bindings_filter_pairs() {
+        // The filtering itself is the bound stream's (`Cursor`); here: a
+        // binding is recorded and rules out the batch executor.
         let options = QueryOptions::new().source(NodeId(1)).target(NodeId(2));
         assert_eq!(options.bound_source(), Some(NodeId(1)));
         assert_eq!(options.bound_target(), Some(NodeId(2)));
-        assert!(options.admits((NodeId(1), NodeId(2))));
-        assert!(!options.admits((NodeId(1), NodeId(3))));
-        assert!(!options.admits((NodeId(0), NodeId(2))));
+        assert!(!options.is_full_materialization());
+        assert!(!QueryOptions::new()
+            .target(NodeId(2))
+            .is_full_materialization());
     }
 
     #[test]

@@ -18,6 +18,20 @@ pub struct PlanCost {
     pub cost: f64,
 }
 
+/// What one `⟨p, source⟩` prefix probe costs in this file's unit: about as
+/// much as scanning 256 pairs (fence and bloom checks, one B+tree descent).
+/// The benchmark's lookup mix has both sides of the choice it drives — hubs
+/// reach a quarter of the graph after one segment, leaves a handful — and the
+/// measured optimum is flat from 64 to 1 024 (CHANGES.md, PR 24).
+const PROBE_COST: u64 = 256;
+
+/// Whether expanding a frontier of `frontier` nodes through a relation of
+/// `cardinality` pairs is cheaper as one prefix probe per node than as one
+/// scan of the relation that keeps the frontier's sources.
+pub(crate) fn probes_beat_scan(frontier: usize, cardinality: u64) -> bool {
+    (frontier as u64).saturating_mul(PROBE_COST) < cardinality
+}
+
 /// Costs a physical plan bottom-up.
 pub fn cost_plan(plan: &PhysicalPlan, estimator: &CardinalityEstimator<'_>) -> PlanCost {
     match plan {
@@ -192,6 +206,16 @@ mod tests {
             cost_plan(&cheap, &est).cost < cost_plan(&pricey, &est).cost,
             "cost ordering must not degenerate on paths with no statistics"
         );
+    }
+
+    #[test]
+    fn a_frontier_is_probed_until_it_costs_a_scan() {
+        assert!(probes_beat_scan(1, PROBE_COST + 1));
+        assert!(!probes_beat_scan(1, PROBE_COST));
+        assert!(probes_beat_scan(10, 10 * PROBE_COST + 1));
+        // An empty relation is "scanned": nothing to read either way.
+        assert!(!probes_beat_scan(1, 0));
+        assert!(!probes_beat_scan(usize::MAX, u64::MAX));
     }
 
     #[test]

@@ -34,7 +34,9 @@ pub struct ExecutionStats {
     /// (Union plans carry a distinct operator inside the tree, so their root
     /// already emits deduplicated pairs; join-rooted plans can emit
     /// duplicates.) A consumer that stops early pulls fewer pairs than a
-    /// full drain, which makes early termination observable.
+    /// full drain, which makes early termination observable. A run that
+    /// binds an end never builds that tree: it counts the pairs the bound
+    /// stream ([`crate::open_stream_bound`]) emitted, every one an answer.
     pub pairs_pulled: usize,
     /// Number of joins in the executed plan.
     pub joins: usize,
@@ -55,8 +57,7 @@ pub fn execute_with_stats<B: PathIndexBackend + ?Sized>(
         result.extend(batch.iter());
     }
     let pairs_pulled = result.len();
-    result.sort_unstable();
-    result.dedup();
+    sort_dedup(&mut result);
     let stats = ExecutionStats {
         elapsed: start.elapsed(),
         result_pairs: result.len(),
@@ -83,9 +84,15 @@ pub fn execute_pairwise<B: PathIndexBackend + ?Sized>(
         result.push(pair);
     }
     let pairs_pulled = result.len();
-    result.sort_unstable();
-    result.dedup();
+    sort_dedup(&mut result);
     Ok((result, pairs_pulled))
+}
+
+/// Restores set semantics on whatever an operator tree or a frontier level
+/// produced.
+pub(crate) fn sort_dedup<T: Ord>(items: &mut Vec<T>) {
+    items.sort_unstable();
+    items.dedup();
 }
 
 /// Recursively builds the operator tree for a plan and returns its root as a
@@ -149,7 +156,7 @@ pub fn open_stream_cancellable<'a, B: PathIndexBackend + ?Sized>(
     build_stream(plan, index, Some(token))
 }
 
-fn build_stream<'a, B: PathIndexBackend + ?Sized>(
+pub(crate) fn build_stream<'a, B: PathIndexBackend + ?Sized>(
     plan: &'a PhysicalPlan,
     index: &'a B,
     token: Option<&CancelToken>,
@@ -214,8 +221,7 @@ mod tests {
         for d in disjuncts {
             out.extend(naive_path_eval(g, &d));
         }
-        out.sort_unstable();
-        out.dedup();
+        sort_dedup(&mut out);
         out
     }
 

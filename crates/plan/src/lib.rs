@@ -17,6 +17,11 @@
 //! | [`Strategy::MinSupport`] | [`min_support`] | Recursive split on the most selective length-k sub-path (per the histogram), costing the alternative join orders. |
 //! | [`Strategy::MinJoin`] | [`min_join`] | Minimal number of index lookups (⌈n/k⌉ chunks), segmentation and join order chosen by cost. |
 //!
+//! A lookup that binds an end of the answer (Example 3.1's `(p, s, ·)` and
+//! `(p, s, t)` shapes) reads the same plan as a segmentation only:
+//! [`open_stream_bound`] walks the frontier from the bound node through the
+//! plan's leaves with the index's prefix and point probes ([`bound`]).
+//!
 //! ```
 //! use pathix_datagen::paper_example_graph;
 //! use pathix_index::{EstimationMode, PathHistogram, PathIndexBackend, SharedKPathIndex};
@@ -36,6 +41,7 @@
 //! assert!(!result.is_empty());
 //! ```
 
+pub mod bound;
 pub mod cost;
 pub mod executor;
 pub mod explain;
@@ -46,6 +52,7 @@ pub mod plan;
 pub mod planner;
 pub mod semi_naive;
 
+pub use bound::open_stream_bound;
 pub use cost::{cost_plan, PlanCost};
 pub use executor::{
     execute, execute_pairwise, execute_with_stats, open_stream, open_stream_cancellable,

@@ -14,6 +14,8 @@ use std::time::{Duration, Instant};
 
 /// Answer limit under which an unbound query still counts as a point lookup
 /// for fairness classification (it terminates after a handful of pairs).
+/// Bound lookups are point lookups in cost, not only in answer size: the
+/// binding is pushed into the index, so they do frontier-sized work.
 const POINT_LIMIT: usize = 16;
 
 /// Serving-tier limits and defaults.
@@ -801,7 +803,7 @@ fn send_error(work: Work, error: ServeError) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pathix_core::PathDbConfig;
+    use pathix_core::{NodeId, PathDbConfig};
     use pathix_datagen::paper_example_graph;
 
     fn example_server(config: ServeConfig) -> Server {
@@ -875,13 +877,27 @@ mod tests {
     #[test]
     fn expired_deadline_is_rejected_without_running() {
         let server = example_server(ServeConfig::default());
-        let err = server
-            .submit_query_with_deadline("knows", QueryOptions::new(), Some(Duration::ZERO))
-            .unwrap()
-            .wait()
-            .unwrap_err();
-        assert_eq!(err, ServeError::DeadlineExceeded);
-        assert_eq!(server.health().counters.deadline_exceeded, 1);
+        let pulled = server.db().pairs_pulled_total();
+        // Unbound, and the bound shapes the index answers by probes.
+        let shapes = [
+            QueryOptions::new(),
+            QueryOptions::new().source(NodeId(0)),
+            QueryOptions::new().target(NodeId(1)),
+            QueryOptions::new()
+                .source(NodeId(0))
+                .target(NodeId(1))
+                .exists(),
+        ];
+        for (i, options) in shapes.into_iter().enumerate() {
+            let err = server
+                .submit_query_with_deadline("knows", options, Some(Duration::ZERO))
+                .unwrap()
+                .wait()
+                .unwrap_err();
+            assert_eq!(err, ServeError::DeadlineExceeded);
+            assert_eq!(server.health().counters.deadline_exceeded, i as u64 + 1);
+        }
+        assert_eq!(server.db().pairs_pulled_total(), pulled);
     }
 
     #[test]

@@ -26,37 +26,53 @@ fn graph() -> Graph {
 /// pairs rather than none.
 const HUB: NodeId = NodeId(3);
 
+/// A node A3 reaches from [`HUB`], and one it does not.
+const REACHED: NodeId = NodeId(0);
+const UNREACHED: NodeId = NodeId(64);
+
 /// `(pairs_pulled, result_pairs)` of A1–A6 unbound, then A2 bound to
-/// [`HUB`] as source, then `exists` on A3.
-const LOOKUPS: [(usize, usize); 8] = [
+/// [`HUB`] as source, then `exists` on A3, then A2 bound to [`HUB`] as
+/// target, then `exists` on A3 from [`HUB`] to [`REACHED`] and to
+/// [`UNREACHED`]. A bound lookup pulls what it returns: the binding is
+/// pushed into the index, not filtered out of the unbound answer.
+const LOOKUPS: [(usize, usize); 11] = [
     (438, 438),
     (2063, 1250),
     (9940, 2772),
     (2244, 2244),
     (1940, 1940),
     (1689, 1689),
-    (2063, 29),
+    (29, 29),
     (1, 1),
+    (50, 50),
+    (1, 1),
+    (0, 0),
 ];
 
 #[test]
 fn lookups_pull_the_same_pairs_on_every_backend() {
     let (dbs, dir) = common::on_every_backend("cost-lookups", &graph(), 32);
     let queries = advogato_queries();
+    let (a2, a3) = (&queries[1].text, &queries[2].text);
     for (name, db) in &dbs {
-        let mut observed = Vec::new();
-        for query in &queries[..6] {
-            let stats = db.run(&query.text, QueryOptions::new()).unwrap().stats;
-            observed.push((stats.pairs_pulled, stats.result_pairs));
-        }
-        let bound = db
-            .run(&queries[1].text, QueryOptions::new().source(HUB))
-            .unwrap();
-        observed.push((bound.stats.pairs_pulled, bound.stats.result_pairs));
-        let probe = db
-            .run(&queries[2].text, QueryOptions::new().exists())
-            .unwrap();
-        observed.push((probe.stats.pairs_pulled, probe.stats.result_pairs));
+        let run = |text: &str, options: QueryOptions| {
+            let stats = db.run(text, options).unwrap().stats;
+            (stats.pairs_pulled, stats.result_pairs)
+        };
+        let mut observed: Vec<_> = queries[..6]
+            .iter()
+            .map(|query| run(&query.text, QueryOptions::new()))
+            .collect();
+        observed.extend([
+            run(a2, QueryOptions::new().source(HUB)),
+            run(a3, QueryOptions::new().exists()),
+            run(a2, QueryOptions::new().target(HUB)),
+            run(a3, QueryOptions::new().source(HUB).target(REACHED).exists()),
+            run(
+                a3,
+                QueryOptions::new().source(HUB).target(UNREACHED).exists(),
+            ),
+        ]);
         assert_eq!(observed, LOOKUPS, "{name}");
     }
     let _ = std::fs::remove_dir_all(dir);
@@ -118,13 +134,35 @@ fn forward_paths(graph: &Graph) -> Vec<[SignedLabel; 2]> {
 const CHUNKS_SKIPPED: u64 = 135;
 const BLOCKS_SKIPPED: u64 = 60;
 
-/// `scan_path_from` on every forward length-2 path from eight sources spread
-/// over the id range (hubs, the tail, and an id past the last node).
+/// Eight sources spread over the id range: hubs, the tail, and an id past the
+/// last node.
+const SOURCES: [u32; 8] = [0, 1, 3, 9, 20, 41, 64, 500];
+
+/// `scan_path_from` on every forward length-2 path from each of [`SOURCES`].
 fn probe_every_path(db: &PathDb) {
     let index = db.index();
     for path in forward_paths(&db.graph()) {
-        for source in [0, 1, 3, 9, 20, 41, 64, 500] {
+        for source in SOURCES {
             index.scan_path_from(&path, NodeId(source)).unwrap();
+        }
+    }
+}
+
+/// The same skips when the same lookups arrive as source-bound queries
+/// through `PathDb::run` — fences and blooms are on the query path. Fewer
+/// than the raw probes: the id past the last node never reaches the index,
+/// and a relation small against the frontier is scanned, not probed.
+const RUN_CHUNKS_SKIPPED: u64 = 111;
+const RUN_BLOCKS_SKIPPED: u64 = 45;
+
+/// [`probe_every_path`] as queries: `a/b` bound to each of [`SOURCES`].
+fn look_up_every_path(db: &PathDb) {
+    let graph = db.graph();
+    for path in forward_paths(&graph) {
+        let [a, b] = path.map(|l| graph.label_name(l.label).unwrap().to_owned());
+        for source in SOURCES {
+            let options = QueryOptions::new().source(NodeId(source));
+            db.run(&format!("{a}/{b}"), options).unwrap();
         }
     }
 }
@@ -133,19 +171,30 @@ fn probe_every_path(db: &PathDb) {
 fn bound_probes_skip_a_fixed_number_of_chunks_and_segments() {
     let (dbs, dir) = common::on_every_backend("cost-probes", &graph(), 32);
     for (name, db) in &dbs {
-        let before = db.stats().storage;
-        probe_every_path(db);
-        let after = db.stats().storage;
-        let skipped = (
-            after.chunks_skipped - before.chunks_skipped,
-            after.blocks_skipped - before.blocks_skipped,
-        );
-        let expected = match *name {
-            "memory" => (CHUNKS_SKIPPED, 0),
-            "compressed" => (0, BLOCKS_SKIPPED),
+        let skipped_by = |lookups: fn(&PathDb)| {
+            let before = db.stats().storage;
+            lookups(db);
+            let after = db.stats().storage;
+            (
+                after.chunks_skipped - before.chunks_skipped,
+                after.blocks_skipped - before.blocks_skipped,
+            )
+        };
+        let expected = |chunks, blocks| match *name {
+            "memory" => (chunks, 0),
+            "compressed" => (0, blocks),
             _ => (0, 0),
         };
-        assert_eq!(skipped, expected, "{name}");
+        assert_eq!(
+            skipped_by(probe_every_path),
+            expected(CHUNKS_SKIPPED, BLOCKS_SKIPPED),
+            "{name}"
+        );
+        assert_eq!(
+            skipped_by(look_up_every_path),
+            expected(RUN_CHUNKS_SKIPPED, RUN_BLOCKS_SKIPPED),
+            "{name}: through PathDb::run"
+        );
     }
     let _ = std::fs::remove_dir_all(dir);
 }

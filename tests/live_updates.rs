@@ -111,6 +111,42 @@ fn all_backends(dir: &TempDir, case: u64) -> Vec<BackendChoice> {
     ]
 }
 
+/// The bound path reads the snapshot of the epoch just published, like every
+/// other: a source-bound, a target-bound and a both-bound lookup through
+/// `PathDb::run` equal the filtered answer of a database rebuilt over the
+/// current graph.
+fn bound_lookups_read_the_new_epoch(db: &PathDb, k: usize, endpoints: &mut StdRng, nodes: u32) {
+    let rebuilt = PathDb::build(db.graph().as_ref().clone(), PathDbConfig::with_k(k));
+    let query = QUERIES[endpoints.gen_range(0..QUERIES.len())];
+    let full = rebuilt.query(query).unwrap();
+    let (s, t) = (
+        NodeId(endpoints.gen_range(0..nodes)),
+        NodeId(endpoints.gen_range(0..nodes)),
+    );
+    for options in [
+        QueryOptions::new().source(s),
+        QueryOptions::new().target(t),
+        QueryOptions::new().source(s).target(t),
+    ] {
+        let expected: Vec<_> = full
+            .pairs()
+            .iter()
+            .copied()
+            .filter(|&(a, b)| {
+                options.bound_source().is_none_or(|s| s == a)
+                    && options.bound_target().is_none_or(|t| t == b)
+            })
+            .collect();
+        let bound = db.run(query, options.clone()).unwrap();
+        assert_eq!(
+            bound.pairs(),
+            expected,
+            "{query} under {options:?} at epoch {}",
+            db.epoch()
+        );
+    }
+}
+
 #[test]
 fn random_update_scripts_match_a_rebuilt_database_on_every_strategy_and_backend() {
     let dir = TempDir::new("scripts");
@@ -129,6 +165,8 @@ fn random_update_scripts_match_a_rebuilt_database_on_every_strategy_and_backend(
             let db = PathDb::try_build(paper_example_graph(), config).unwrap();
             let nodes = db.graph().node_count() as u32;
             let labels = db.graph().label_count() as u16;
+            // Its own generator, so the scripts stay what they were.
+            let mut endpoints = StdRng::seed_from_u64(0xB0D + case);
 
             // Apply a script of random batches (batching exercises the
             // single-publish-per-batch path as well as repeated publishes).
@@ -139,6 +177,7 @@ fn random_update_scripts_match_a_rebuilt_database_on_every_strategy_and_backend(
                     .collect();
                 db.apply(&updates).unwrap();
                 audit_gate(&db, &format!("case {case} batch {batch_no} on {choice:?}"));
+                bound_lookups_read_the_new_epoch(&db, k, &mut endpoints, nodes);
             }
 
             // A database rebuilt from scratch over the final (kept-in-sync)

@@ -7,7 +7,7 @@
 mod common;
 
 use pathix::graph::GraphBuilder;
-use pathix::{NodeId, PathDb, QueryError, QueryOptions};
+use pathix::{NodeId, PathDb, QueryError, QueryOptions, Strategy};
 use pathix_core::CancelToken;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -78,11 +78,12 @@ fn exists_stops_at_the_first_pair() {
         assert_eq!(probe.stats.pairs_pulled, 1, "{name}");
         assert!(prepared.exists(db, QueryOptions::new()).unwrap(), "{name}");
 
-        // A binding no answer satisfies has to drain the whole tree to say no.
+        // A binding no answer satisfies says no from the index: a source it
+        // does not know is an empty frontier, and nothing is pulled.
         let nowhere = QueryOptions::new().source(NodeId(u32::MAX)).exists();
         let miss = prepared.run(db, nowhere).unwrap();
         assert_eq!(miss.stats.result_pairs, 0, "{name}");
-        assert!(miss.stats.pairs_pulled > 1_000, "{name}");
+        assert_eq!(miss.stats.pairs_pulled, 0, "{name}");
     }
     let _ = std::fs::remove_dir_all(dir);
 }
@@ -162,54 +163,136 @@ fn a_deadline_expiring_mid_run_surfaces_through_prepared_run() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// A skewed three-label graph (hubs at the low ids) plus two hand-placed
+/// nodes: `leaf` has one edge, `sink` only incoming ones.
+fn labelled_dbs(tag: &str) -> (Vec<(&'static str, PathDb)>, PathBuf) {
+    let mut rng = StdRng::seed_from_u64(11);
+    let mut b = GraphBuilder::new();
+    for _ in 0..500 {
+        let mut skewed = || rng.gen_range(0..120u32) * rng.gen_range(0..120u32) / 120;
+        let (s, t) = (skewed(), skewed());
+        let label = ["a", "b", "c"][rng.gen_range(0..3usize)];
+        b.add_edge_named(&format!("v{s}"), label, &format!("v{t}"));
+    }
+    b.add_edge_named("leaf", "a", "v0");
+    b.add_edge_named("v3", "a", "sink");
+    b.add_edge_named("v5", "b", "sink");
+    common::on_every_backend(&format!("one-exec-{tag}"), &b.build(), 64)
+}
+
 #[test]
 fn count_only_and_limit_agree_with_the_filtered_full_answer() {
-    let (dbs, dir) = dense_dbs("count");
+    // An ε disjunct (where `(s, s)` is an answer), ε alone, three disjuncts
+    // behind a shared prefix, a disjunct of two full levels at k = 2, and a
+    // union wide enough that the strategies cut it differently.
+    let queries = ["a?", "()", "a/(b|c|a/b)", "a/b-/c/a", "(a|b-){1,3}"];
+    let (dbs, dir) = labelled_dbs("count");
+    for (name, db) in &dbs {
+        let graph = db.graph();
+        // A hub, a leaf, a node with no out-edge under any query's first
+        // label, and an id the index does not know.
+        let nodes = [
+            graph.node_id("v0").unwrap(),
+            graph.node_id("leaf").unwrap(),
+            graph.node_id("sink").unwrap(),
+            NodeId(graph.node_count() as u32),
+        ];
+        for (query, strategy) in queries
+            .iter()
+            .flat_map(|q| Strategy::all().map(move |s| (q, s)))
+        {
+            let context = format!("{name}: {query} under {strategy}");
+            let prepared = db.prepare(query).unwrap();
+            let unbound = QueryOptions::with_strategy(strategy);
+            let full = prepared.run(db, unbound.clone()).unwrap();
+            assert!(!full.is_empty(), "{context}");
+            let counted = prepared.run(db, unbound.clone().count_only()).unwrap();
+            assert!(counted.is_empty(), "{context}");
+            assert_eq!(counted.stats.result_pairs, full.len(), "{context}");
+
+            let bindings = nodes.iter().flat_map(|&s| {
+                let unbound = &unbound;
+                nodes.iter().flat_map(move |&t| {
+                    [
+                        unbound.clone().source(s),
+                        unbound.clone().target(t),
+                        unbound.clone().source(s).target(t),
+                    ]
+                })
+            });
+            for options in bindings {
+                let context = format!("{context}: {options:?}");
+                let expected: Vec<_> = full
+                    .pairs()
+                    .iter()
+                    .copied()
+                    .filter(|&(s, t)| {
+                        options.bound_source().is_none_or(|b| b == s)
+                            && options.bound_target().is_none_or(|b| b == t)
+                    })
+                    .collect();
+
+                let bound = prepared.run(db, options.clone()).unwrap();
+                assert_eq!(bound.pairs(), expected, "{context}");
+                // A bound run pulls what it returns, not the unbound answer.
+                assert_eq!(bound.stats.pairs_pulled, expected.len(), "{context}");
+                let counted = prepared.run(db, options.clone().count_only()).unwrap();
+                assert!(counted.is_empty(), "{context}");
+                assert_eq!(counted.stats.result_pairs, expected.len(), "{context}");
+
+                let cap = 3.min(expected.len());
+                let limited = prepared.run(db, options.clone().limit(3)).unwrap();
+                assert_eq!(limited.len(), cap, "{context}");
+                assert!(
+                    limited.pairs().iter().all(|p| expected.contains(p)),
+                    "{context}"
+                );
+                let capped = prepared
+                    .run(db, options.clone().limit(3).count_only())
+                    .unwrap();
+                assert_eq!(capped.stats.result_pairs, cap, "{context}");
+
+                let probe = prepared.run(db, options.exists()).unwrap();
+                assert!(probe.is_empty(), "{context}");
+                assert_eq!(
+                    probe.stats.result_pairs,
+                    usize::from(!expected.is_empty()),
+                    "{context}"
+                );
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn a_bound_cursor_cancelled_before_its_first_pull_does_no_work() {
+    let (dbs, dir) = dense_dbs("lazy");
     for (name, db) in &dbs {
         let prepared = db.prepare(UNION).unwrap();
-        let full = prepared.run(db, QueryOptions::new()).unwrap();
-        let counted = prepared.run(db, QueryOptions::new().count_only()).unwrap();
-        assert!(counted.is_empty(), "{name}");
-        assert_eq!(counted.stats.result_pairs, full.len(), "{name}");
-
-        let source = full.pairs()[full.len() / 2].0;
-        let target = full.pairs()[full.len() / 3].1;
-        let bindings = [
-            QueryOptions::new().source(source),
-            QueryOptions::new().target(target),
-            QueryOptions::new().source(source).target(target),
-        ];
-        for options in bindings {
-            let expected: Vec<_> = full
-                .pairs()
-                .iter()
-                .copied()
-                .filter(|&(s, t)| {
-                    options.bound_source().is_none_or(|b| b == s)
-                        && options.bound_target().is_none_or(|b| b == t)
-                })
-                .collect();
-            assert!(!expected.is_empty(), "{name}: {options:?}");
-
-            let bound = prepared.run(db, options.clone()).unwrap();
-            assert_eq!(bound.pairs(), expected, "{name}: {options:?}");
-            let counted = prepared.run(db, options.clone().count_only()).unwrap();
-            assert!(counted.is_empty(), "{name}: {options:?}");
+        for bind in [
+            |o: QueryOptions| o.source(NodeId(1)),
+            |o: QueryOptions| o.target(NodeId(2)),
+            |o: QueryOptions| o.source(NodeId(1)).target(NodeId(2)),
+        ] {
+            let token = CancelToken::new();
+            let options = bind(QueryOptions::new().cancel_token(token.clone()));
+            let pulled = db.pairs_pulled_total();
+            let pool = db.stats().storage.pool;
+            let mut cursor = prepared.cursor(db, options).unwrap();
+            // Opening computed nothing, so there is nothing a token tripped
+            // now could come too late for.
+            token.cancel();
+            let err = cursor.next().unwrap().unwrap_err();
+            assert!(matches!(err, QueryError::Cancelled), "{name}: {err}");
+            assert!(cursor.next().is_none(), "{name}");
+            drop(cursor);
+            assert_eq!(db.pairs_pulled_total(), pulled, "{name}");
             assert_eq!(
-                counted.stats.result_pairs,
-                expected.len(),
-                "{name}: {options:?}"
+                db.stats().storage.pool,
+                pool,
+                "{name}: no page was asked for"
             );
-
-            let cap = 3.min(expected.len());
-            let limited = prepared.run(db, options.clone().limit(3)).unwrap();
-            assert_eq!(limited.len(), cap, "{name}: {options:?}");
-            assert!(
-                limited.pairs().iter().all(|p| expected.contains(p)),
-                "{name}: {options:?}"
-            );
-            let capped = prepared.run(db, options.limit(3).count_only()).unwrap();
-            assert_eq!(capped.stats.result_pairs, cap, "{name}");
         }
     }
     let _ = std::fs::remove_dir_all(dir);
