@@ -6,9 +6,7 @@ use crate::error::QueryError;
 use crate::options::QueryOptions;
 use pathix_exec::{BoxedPairStream, CancelToken, PairStream, CANCEL_BACKEND};
 use pathix_graph::NodeId;
-use pathix_plan::{
-    open_stream, open_stream_bound, open_stream_cancellable, ExecutionStats, PhysicalPlan,
-};
+use pathix_plan::{open_stream_bound, open_stream_walk, ExecutionStats, PhysicalPlan};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -27,28 +25,38 @@ struct OwnedStream {
 }
 
 impl OwnedStream {
+    /// Opens the stream `options` call for, and whether it is distinct by
+    /// construction.
     fn open(
         snapshot: Snapshot,
         plan: Arc<PhysicalPlan>,
         options: &QueryOptions,
-    ) -> Result<Self, QueryError> {
+    ) -> Result<(Self, bool), QueryError> {
+        let (source, target) = (options.bound_source(), options.bound_target());
+        let unbound = source.is_none() && target.is_none();
+        // An unbound `limit` (and so `exists`) keeps the pipelined operator
+        // tree, which can stop after a few leaf batches; only a lone scan's
+        // tree is distinct. Everything else is a walk: from every source in
+        // order when the answer is drained, from the bound node otherwise.
+        let drained = unbound && options.limit_value().is_none();
+        let distinct = !unbound
+            || drained
+            || matches!(
+                *plan,
+                PhysicalPlan::IndexScan { .. } | PhysicalPlan::Epsilon
+            );
         let stream = {
             let (plan, index, token) =
                 (plan.as_ref(), snapshot.index(), options.cancel_token_ref());
-            let raw: BoxedPairStream<'_> =
-                match (options.bound_source(), options.bound_target(), token) {
-                    (None, None, Some(token)) => open_stream_cancellable(plan, index, token)?,
-                    (None, None, None) => open_stream(plan, index)?,
-                    // A bound end is pushed into the index: the stream walks
-                    // the frontier instead of filtering the unbound answer.
-                    (source, target, token) => {
-                        open_stream_bound(plan, index, source, target, token)?
-                    }
-                };
+            let raw: BoxedPairStream<'_> = if drained {
+                open_stream_walk(plan, index, token)?
+            } else {
+                open_stream_bound(plan, index, source, target, token)?
+            };
             // SAFETY: `raw` borrows only from the plan behind `plan` and the
-            // index behind `snapshot` (the cancellation guards and the bound
-            // stream own their token clones; the bound stream holds nothing
-            // else but node ids), both heap allocations owned by `Arc`s
+            // index behind `snapshot` (the cancellation guards and the walks
+            // own their token clones; the walks own everything else they
+            // hold), both heap allocations owned by `Arc`s
             // that are moved (not dropped) into the returned struct, so the
             // borrowed data outlives the stream and never moves. Snapshots
             // are immutable by construction — updates publish *new* snapshots
@@ -58,29 +66,37 @@ impl OwnedStream {
             // declaration order above drops the stream before the `Arc`s.
             unsafe { std::mem::transmute::<BoxedPairStream<'_>, BoxedPairStream<'static>>(raw) }
         };
-        Ok(OwnedStream {
+        let owned = OwnedStream {
             stream,
             _plan: plan,
             _snapshot: snapshot,
-        })
+        };
+        Ok((owned, distinct))
     }
 }
 
 /// A streaming iterator over the distinct answer pairs of a query.
 ///
-/// The cursor pulls from the same fallible operator tree the batch executor
-/// drains, but lazily: each `next()` advances the tree only far enough to
-/// produce one more *distinct* pair. Dropping the cursor (or hitting its
-/// `limit`) abandons the rest of the computation — this is what makes
-/// `limit`/`exists` terminate early, which [`Cursor::stats`] makes
-/// observable via [`ExecutionStats::pairs_pulled`].
+/// Which stream the cursor pulls from is decided by its options:
 ///
-/// Options that bind an end never reach that tree: the binding is pushed
-/// into the index ([`pathix_plan::open_stream_bound`] walks the frontier from
-/// the bound node with `⟨p, s⟩` and `⟨p, s, t⟩` probes at the first
-/// `next()`), so the cursor pulls — and counts — only pairs that satisfy
-/// the bindings, and the lookup costs what its frontiers reach. On drop the
-/// cursor additionally flushes
+/// * No binding and no `limit` — the answer will be drained — is the walk
+///   the batch executor drains ([`pathix_plan::open_stream_walk`]): every
+///   source's frontier in ascending id order, so the pairs arrive sorted by
+///   `(source, target)` and never repeat.
+/// * A binding is pushed into the index: [`pathix_plan::open_stream_bound`]
+///   walks the frontier from the bound node with `⟨p, s⟩` and `⟨p, s, t⟩`
+///   probes at the first `next()`, so the cursor pulls — and counts — only
+///   pairs that satisfy the bindings, and the lookup costs what its
+///   frontiers reach.
+/// * An unbound `limit` (and so `exists`) pulls from the pipelined operator
+///   tree ([`pathix_plan::open_stream`]), which yields its first pairs after
+///   a few leaf batches instead of after a whole source's frontier.
+///
+/// Each `next()` advances the stream only far enough to produce one more
+/// *distinct* pair. Dropping the cursor (or hitting its `limit`) abandons
+/// the rest of the computation — this is what makes `limit`/`exists`
+/// terminate early, which [`Cursor::stats`] makes observable via
+/// [`ExecutionStats::pairs_pulled`]. On drop the cursor additionally flushes
 /// its pull count into [`crate::PathDb::pairs_pulled_total`], so
 /// early-terminated runs report the work they actually did.
 ///
@@ -93,9 +109,11 @@ impl OwnedStream {
 /// consistent with one single database state — the one at open — never a mix
 /// of pre- and post-update data. Open a new cursor to observe newer epochs.
 ///
-/// Unlike the batch API the pairs arrive in operator order, not sorted by
-/// `(source, target)`; they are still duplicate-free (set semantics is
-/// enforced incrementally with a hash set of seen pairs).
+/// Under an unbound `limit` the pairs arrive in operator order, not sorted
+/// by `(source, target)`; they are still duplicate-free (unless the plan is
+/// a lone scan, set semantics is enforced incrementally with a hash set of
+/// seen pairs). Every other cursor's stream is sorted and distinct by
+/// construction and keeps no such set.
 ///
 /// ```
 /// use pathix_core::{PathDb, PathDbConfig, QueryOptions};
@@ -114,7 +132,9 @@ impl OwnedStream {
 pub struct Cursor {
     stream: OwnedStream,
     options: QueryOptions,
-    seen: HashSet<(u32, u32)>,
+    /// The pairs emitted so far, unless the stream is distinct by
+    /// construction.
+    seen: Option<HashSet<(u32, u32)>>,
     /// Distinct admitted pairs still allowed out (from `limit`).
     remaining: Option<usize>,
     pulled: usize,
@@ -136,11 +156,12 @@ impl Cursor {
     ) -> Result<Self, QueryError> {
         let joins = plan.join_count();
         let merge_joins = plan.merge_join_count();
+        let (stream, distinct) = OwnedStream::open(snapshot, plan, &options)?;
         Ok(Cursor {
-            stream: OwnedStream::open(snapshot, plan, &options)?,
+            stream,
             remaining: options.limit_value(),
             options,
-            seen: HashSet::new(),
+            seen: (!distinct).then(HashSet::new),
             pulled: 0,
             returned: 0,
             done: false,
@@ -258,7 +279,8 @@ impl Iterator for Cursor {
                             && self.options.bound_target().is_none_or(|t| t == pair.1),
                         "the bound stream emitted {pair:?} outside the bindings"
                     );
-                    if !self.seen.insert((pair.0 .0, pair.1 .0)) {
+                    let seen = self.seen.as_mut();
+                    if seen.is_some_and(|seen| !seen.insert((pair.0 .0, pair.1 .0))) {
                         continue;
                     }
                     if let Some(remaining) = &mut self.remaining {
@@ -269,5 +291,43 @@ impl Iterator for Cursor {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{PathDb, PathDbConfig, PreparedQuery, QueryOptions};
+    use pathix_graph::{GraphBuilder, NodeId};
+
+    #[test]
+    fn only_an_unbound_limit_on_a_join_keeps_a_seen_set() {
+        let mut b = GraphBuilder::new();
+        for (s, t) in [("a", "b"), ("b", "c"), ("a", "c"), ("c", "a"), ("b", "a")] {
+            b.add_edge_named(s, "x", t);
+        }
+        // At k = 1, `x/x` is a join that reaches some pairs twice.
+        let db = PathDb::build(b.build(), PathDbConfig::with_k(1));
+        let (join, scan) = (db.prepare("x/x").unwrap(), db.prepare("x").unwrap());
+        let keeps_a_set = |prepared: &PreparedQuery, options: QueryOptions| {
+            prepared.cursor(&db, options).unwrap().seen.is_some()
+        };
+        assert!(keeps_a_set(&join, QueryOptions::new().limit(5)));
+        assert!(keeps_a_set(&join, QueryOptions::new().exists()));
+        // A walk — from every source, or from a bound end — and a lone scan
+        // are distinct by construction.
+        assert!(!keeps_a_set(&join, QueryOptions::new()));
+        assert!(!keeps_a_set(&join, QueryOptions::new().count_only()));
+        assert!(!keeps_a_set(&join, QueryOptions::new().source(NodeId(0))));
+        assert!(!keeps_a_set(
+            &join,
+            QueryOptions::new().target(NodeId(0)).limit(1)
+        ));
+        assert!(!keeps_a_set(&scan, QueryOptions::new().limit(5)));
+
+        // A drained cursor pulls each answer once, in `(source, target)` order.
+        let mut cursor = join.cursor(&db, QueryOptions::new()).unwrap();
+        let pairs: Vec<_> = cursor.by_ref().map(Result::unwrap).collect();
+        assert_eq!(pairs, db.query("x/x").unwrap().pairs());
+        assert_eq!(cursor.stats().pairs_pulled, pairs.len());
     }
 }

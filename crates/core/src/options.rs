@@ -113,8 +113,9 @@ impl QueryOptions {
     /// Attach a cooperative cancellation token (possibly deadline-bearing).
     ///
     /// Token-bearing executions always stream through the cursor path — even
-    /// a fully unbound query — so the token is checked at every batch
-    /// boundary and a tripped token surfaces as
+    /// a fully unbound query — so the token is checked as the stream
+    /// advances (per source and level of a walk, at every batch boundary of
+    /// the operator tree) and a tripped token surfaces as
     /// [`crate::QueryError::Cancelled`] or
     /// [`crate::QueryError::DeadlineExceeded`].
     pub fn cancel_token(mut self, token: CancelToken) -> Self {

@@ -69,10 +69,10 @@ impl QueryResult {
             .collect()
     }
 
-    /// All distinct source nodes of the answer.
+    /// All distinct source nodes of the answer, ascending.
     pub fn sources(&self) -> Vec<NodeId> {
+        // The pairs are sorted by source already.
         let mut out: Vec<NodeId> = self.pairs.iter().map(|&(s, _)| s).collect();
-        out.sort_unstable();
         out.dedup();
         out
     }
@@ -85,13 +85,11 @@ impl QueryResult {
         out
     }
 
-    /// Targets reachable from a given source node.
+    /// Targets reachable from a given source node, ascending.
     pub fn targets_of(&self, source: NodeId) -> Vec<NodeId> {
-        self.pairs
-            .iter()
-            .filter(|&&(s, _)| s == source)
-            .map(|&(_, t)| t)
-            .collect()
+        let start = self.pairs.partition_point(|&(s, _)| s < source);
+        let end = self.pairs.partition_point(|&(s, _)| s <= source);
+        self.pairs[start..end].iter().map(|&(_, t)| t).collect()
     }
 }
 
@@ -121,6 +119,18 @@ mod tests {
         assert_eq!(r.targets_of(a).len(), 2);
         assert_eq!(r.sources().len(), 2);
         assert_eq!(r.targets().len(), 2);
+    }
+
+    #[test]
+    fn sources_and_targets_of_read_runs_of_the_sorted_pairs() {
+        let db = db();
+        let r = db.query("x").unwrap();
+        let [a, b, c] = ["a", "b", "c"].map(|name| db.graph().node_id(name).unwrap());
+        assert_eq!(r.sources(), [a, b]);
+        assert_eq!(r.targets_of(a), [b, c]);
+        assert_eq!(r.targets_of(b), [c]);
+        assert_eq!(r.targets_of(c), []);
+        assert_eq!(r.targets_of(pathix_graph::NodeId(99)), []);
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! Every entry point returns a `Result`: disk-resident backends surface I/O
 //! failures as [`pathix_index::BackendError`]s instead of panicking.
 
+use crate::bound::open_stream_walk;
 use crate::plan::{JoinAlgorithm, PhysicalPlan};
 use pathix_exec::{
-    collect_pairs, BoxedPairStream, CancelGuard, CancelToken, DistinctOp, EpsilonScanOp,
-    HashJoinOp, IndexScanOp, MergeJoinOp, Pair, PairBatch, PairStream, UnionAllOp,
+    BoxedPairStream, CancelGuard, CancelToken, DistinctOp, EpsilonScanOp, HashJoinOp, IndexScanOp,
+    MergeJoinOp, Pair, PairBatch, PairStream, UnionAllOp,
 };
 use pathix_index::{BackendResult, PathIndexBackend};
 use std::time::{Duration, Instant};
@@ -19,7 +20,7 @@ pub fn execute<B: PathIndexBackend + ?Sized>(
     plan: &PhysicalPlan,
     index: &B,
 ) -> BackendResult<Vec<Pair>> {
-    collect_pairs(open_stream(plan, index)?)
+    execute_with_stats(plan, index).map(|(pairs, _)| pairs)
 }
 
 /// Timing and size information recorded by [`execute_with_stats`].
@@ -29,14 +30,14 @@ pub struct ExecutionStats {
     pub elapsed: Duration,
     /// Number of result pairs after duplicate elimination.
     pub result_pairs: usize,
-    /// Number of pairs pulled from the root of the operator tree, before
-    /// the executor's final sort/dedup and before any consumer-side `limit`.
-    /// (Union plans carry a distinct operator inside the tree, so their root
-    /// already emits deduplicated pairs; join-rooted plans can emit
-    /// duplicates.) A consumer that stops early pulls fewer pairs than a
-    /// full drain, which makes early termination observable. A run that
-    /// binds an end never builds that tree: it counts the pairs the bound
-    /// stream ([`crate::open_stream_bound`]) emitted, every one an answer.
+    /// Number of pairs pulled from the stream the run opened, before any
+    /// consumer-side `limit`. A drained run walks every source in order
+    /// ([`crate::open_stream_walk`]) and a run that binds an end walks from
+    /// the bound node ([`crate::open_stream_bound`]): both emit answers
+    /// only, so there it equals `result_pairs`. An unbound run under a
+    /// `limit` pulls from the pipelined operator tree, whose join-rooted
+    /// plans can emit duplicates; stopping early pulls fewer pairs than a
+    /// full drain, which makes early termination observable.
     pub pairs_pulled: usize,
     /// Number of joins in the executed plan.
     pub joins: usize,
@@ -45,51 +46,58 @@ pub struct ExecutionStats {
 }
 
 /// Executes `plan` and reports execution statistics along with the result.
+///
+/// The answer is drained from [`open_stream_walk`], which emits it sorted
+/// and distinct, so it is returned as pulled.
 pub fn execute_with_stats<B: PathIndexBackend + ?Sized>(
     plan: &PhysicalPlan,
     index: &B,
 ) -> BackendResult<(Vec<Pair>, ExecutionStats)> {
     let start = Instant::now();
-    let mut stream = open_stream(plan, index)?;
+    let mut stream = open_stream_walk(plan, index, None)?;
     let mut result = Vec::new();
     let mut batch = PairBatch::new();
     while stream.next_batch(&mut batch)? > 0 {
         result.extend(batch.iter());
     }
-    let pairs_pulled = result.len();
-    sort_dedup(&mut result);
+    debug_assert!(is_set(&result), "the walk emitted an unsorted answer");
     let stats = ExecutionStats {
         elapsed: start.elapsed(),
         result_pairs: result.len(),
-        pairs_pulled,
+        pairs_pulled: result.len(),
         joins: plan.join_count(),
         merge_joins: plan.merge_join_count(),
     };
     Ok((result, stats))
 }
 
-/// Executes `plan` pair-at-a-time (no batching anywhere above the backend),
-/// returning the sorted, duplicate-free answer plus the number of pairs
-/// pulled from the root.
+/// [`execute_with_stats`] pair-at-a-time (no batching anywhere above the
+/// backend), returning the sorted, duplicate-free answer plus the number of
+/// pairs pulled.
 ///
-/// This is the pre-vectorization execution mode, kept as the reference
-/// `tests/vectorized_equivalence.rs` holds the batched engine to.
+/// Kept as the reference `tests/vectorized_equivalence.rs` holds the batched
+/// pull to.
 pub fn execute_pairwise<B: PathIndexBackend + ?Sized>(
     plan: &PhysicalPlan,
     index: &B,
 ) -> BackendResult<(Vec<Pair>, usize)> {
-    let mut stream = open_stream(plan, index)?;
+    let mut stream = open_stream_walk(plan, index, None)?;
     let mut result = Vec::new();
     while let Some(pair) = stream.next_pair()? {
         result.push(pair);
     }
+    debug_assert!(is_set(&result), "the walk emitted an unsorted answer");
     let pairs_pulled = result.len();
-    sort_dedup(&mut result);
     Ok((result, pairs_pulled))
 }
 
-/// Restores set semantics on whatever an operator tree or a frontier level
-/// produced.
+/// Whether `pairs` is strictly increasing: sorted and distinct.
+fn is_set(pairs: &[Pair]) -> bool {
+    pairs.windows(2).all(|w| w[0] < w[1])
+}
+
+/// Restores set semantics by sorting: for a sparse frontier level, and for
+/// the reference answers tests compare against.
 pub(crate) fn sort_dedup<T: Ord>(items: &mut Vec<T>) {
     items.sort_unstable();
     items.dedup();
@@ -98,10 +106,13 @@ pub(crate) fn sort_dedup<T: Ord>(items: &mut Vec<T>) {
 /// Recursively builds the operator tree for a plan and returns its root as a
 /// pull-based pair stream.
 ///
-/// This is the streaming entry point: callers that want incremental results
-/// (cursors, `limit`, `exists`) pull pairs one at a time instead of
-/// materializing the whole answer via [`execute`]. The stream borrows both
-/// the plan and the index.
+/// This is the pipelined entry point, for callers that may stop after a few
+/// pairs (`limit`, `exists`): the first pair arrives after a few leaf
+/// batches. The pairs come in operator order and a join-rooted plan can
+/// repeat them. A caller that drains the whole answer wants
+/// [`crate::open_stream_walk`] instead, which emits it sorted and distinct
+/// and never pulls a duplicate. The stream borrows both the plan and the
+/// index.
 ///
 /// ```
 /// use pathix_datagen::paper_example_graph;
@@ -123,7 +134,8 @@ pub(crate) fn sort_dedup<T: Ord>(items: &mut Vec<T>) {
 /// let mut stream = open_stream(&plan, &index).unwrap();
 /// let first = stream.next_pair().unwrap().expect("the query has answers");
 ///
-/// // Or drain batch-at-a-time; sorted and deduplicated this is `execute`.
+/// // Or drain batch-at-a-time; sorted and deduplicated this is `execute`
+/// // (which drains the walk instead).
 /// let mut stream = open_stream(&plan, &index).unwrap();
 /// let mut batch = PairBatch::new();
 /// let mut pairs = Vec::new();

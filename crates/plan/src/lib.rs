@@ -20,7 +20,11 @@
 //! A lookup that binds an end of the answer (Example 3.1's `(p, s, ·)` and
 //! `(p, s, t)` shapes) reads the same plan as a segmentation only:
 //! [`open_stream_bound`] walks the frontier from the bound node through the
-//! plan's leaves with the index's prefix and point probes ([`bound`]).
+//! plan's leaves with the index's prefix and point probes ([`bound`]). A
+//! drained unbound answer is that walk from every source in turn
+//! ([`open_stream_walk`]): it comes out in `(s, t)` order, distinct, with no
+//! final sort; a consumer that may stop early keeps the pipelined operator
+//! tree ([`open_stream`]).
 //!
 //! ```
 //! use pathix_datagen::paper_example_graph;
@@ -52,7 +56,7 @@ pub mod plan;
 pub mod planner;
 pub mod semi_naive;
 
-pub use bound::open_stream_bound;
+pub use bound::{open_stream_bound, open_stream_walk};
 pub use cost::{cost_plan, PlanCost};
 pub use executor::{
     execute, execute_pairwise, execute_with_stats, open_stream, open_stream_cancellable,

@@ -30,18 +30,21 @@ const HUB: NodeId = NodeId(3);
 const REACHED: NodeId = NodeId(0);
 const UNREACHED: NodeId = NodeId(64);
 
-/// `(pairs_pulled, result_pairs)` of A1–A6 unbound, then A2 bound to
-/// [`HUB`] as source, then `exists` on A3, then A2 bound to [`HUB`] as
+/// `(pairs_pulled, result_pairs)` of the card A1–A8 unbound, then A2 bound
+/// to [`HUB`] as source, then `exists` on A3, then A2 bound to [`HUB`] as
 /// target, then `exists` on A3 from [`HUB`] to [`REACHED`] and to
-/// [`UNREACHED`]. A bound lookup pulls what it returns: the binding is
-/// pushed into the index, not filtered out of the unbound answer.
-const LOOKUPS: [(usize, usize); 11] = [
+/// [`UNREACHED`]. A drained unbound answer walks each of its sources in order and
+/// a bound lookup walks from the bound node: either pulls what it returns,
+/// never a duplicate and never a pair outside the binding.
+const LOOKUPS: [(usize, usize); 13] = [
     (438, 438),
-    (2063, 1250),
-    (9940, 2772),
+    (1250, 1250),
+    (2772, 2772),
     (2244, 2244),
     (1940, 1940),
     (1689, 1689),
+    (3407, 3407),
+    (2816, 2816),
     (29, 29),
     (1, 1),
     (50, 50),
@@ -59,10 +62,13 @@ fn lookups_pull_the_same_pairs_on_every_backend() {
             let stats = db.run(text, options).unwrap().stats;
             (stats.pairs_pulled, stats.result_pairs)
         };
-        let mut observed: Vec<_> = queries[..6]
+        let mut observed: Vec<_> = queries
             .iter()
             .map(|query| run(&query.text, QueryOptions::new()))
             .collect();
+        for ((pulled, answers), query) in observed.iter().zip(&queries) {
+            assert_eq!(pulled, answers, "{name}: {} pulled a duplicate", query.name);
+        }
         observed.extend([
             run(a2, QueryOptions::new().source(HUB)),
             run(a3, QueryOptions::new().exists()),
@@ -200,10 +206,10 @@ fn bound_probes_skip_a_fixed_number_of_chunks_and_segments() {
 }
 
 /// Pool misses and read-ahead pages of [`scan_every_path`] followed by A2 and
-/// A3 (whose joins keep two scans open at once) on the paged in-memory
-/// backend with a 32-frame pool: which leaves a scan visits, in what order,
-/// and which read-ahead it issues.
-const SCAN_MISSES: u64 = 21;
+/// A3 (whose walks probe a leaf path, then scan it once probes cost more) on
+/// the paged in-memory backend with a 32-frame pool: which leaves a scan
+/// visits, in what order, and which read-ahead it issues.
+const SCAN_MISSES: u64 = 22;
 const SCAN_READ_AHEAD_PAGES: u64 = 187;
 /// Pairs those scans deliver (the sum of the nine path cardinalities).
 const SCAN_PAIRS: usize = 11194;

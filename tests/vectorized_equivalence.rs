@@ -10,7 +10,8 @@ use pathix::datagen::{barabasi_albert, WorkloadConfig, WorkloadGenerator};
 use pathix::index::backend::PairBatch;
 use pathix::index::{EstimationMode, PathHistogram};
 use pathix::plan::{
-    execute, execute_pairwise, execute_with_stats, open_stream, plan_query, PlannerContext,
+    execute, execute_pairwise, execute_with_stats, open_stream, open_stream_walk, plan_query,
+    PlannerContext,
 };
 use pathix::rpq::{parse, to_disjuncts, RewriteOptions};
 use pathix::{
@@ -41,8 +42,9 @@ fn remove_page_files(tag: &str) {
 }
 
 /// The batched, pair-at-a-time and stats-reporting execution routes agree on
-/// answers and on the number of pairs pulled from the root, for every
-/// backend × strategy combination over a generated workload.
+/// answers and on the number of pairs pulled from the root, and the operator
+/// tree drained pair-at-a-time and in batches emits the same sequence, for
+/// every backend × strategy combination over a generated workload.
 #[test]
 fn batched_execution_matches_pairwise_on_all_backends_and_strategies() {
     let graph = barabasi_albert(300, 3, &["a", "b", "c"], 11);
@@ -93,6 +95,31 @@ fn batched_execution_matches_pairwise_on_all_backends_and_strategies() {
                     query.text
                 );
                 assert_eq!(stats.result_pairs, batched.len());
+
+                // The operator tree (what an unbound `limit` / `exists`
+                // pulls from) emits the same sequence either way.
+                let mut tree_by_pair = Vec::new();
+                let mut stream = open_stream(&plan, index).unwrap();
+                while let Some(pair) = stream.next_pair().unwrap() {
+                    tree_by_pair.push(pair);
+                }
+                let mut tree_by_batch = Vec::new();
+                let mut stream = open_stream(&plan, index).unwrap();
+                let mut batch = PairBatch::new();
+                while stream.next_batch(&mut batch).unwrap() > 0 {
+                    tree_by_batch.extend(batch.iter());
+                }
+                assert_eq!(
+                    tree_by_pair.len(),
+                    tree_by_batch.len(),
+                    "{name}: tree root pull counts diverge on {:?} under {strategy}",
+                    query.text
+                );
+                assert_eq!(
+                    tree_by_pair, tree_by_batch,
+                    "{name}: tree batched vs pairwise on {:?} under {strategy}",
+                    query.text
+                );
             }
         }
     }
@@ -164,6 +191,52 @@ fn stream_order_and_early_termination_are_batching_invariant() {
         }
     }
     remove_page_files("stream");
+}
+
+/// The walk over every source (the stream a drained answer comes from) is
+/// strictly increasing — sorted and distinct as it is emitted — and emits
+/// the identical sequence pair-at-a-time and in batches of any capacity.
+#[test]
+fn the_walk_is_strictly_increasing_and_batching_invariant() {
+    let graph = barabasi_albert(200, 3, &["a", "b"], 23);
+    let k = 2usize;
+    for (name, choice) in all_backends("walk") {
+        let db = PathDb::try_build(graph.clone(), PathDbConfig::with_k(k).with_backend(choice))
+            .expect("backend build failed");
+        let snapshot = db.snapshot();
+        let index = snapshot.index();
+        let ctx = PlannerContext::new(index, snapshot.histogram());
+        for text in ["a/b", "a/(a|b)/b", "(a|b){1,3}", "a-/b", "a?/b/a-"] {
+            let expr = parse(text).unwrap().bind(&graph).unwrap();
+            let disjuncts = to_disjuncts(&expr, RewriteOptions::default()).unwrap();
+            for strategy in Strategy::all() {
+                let plan = plan_query(strategy, &disjuncts, &ctx);
+                let mut by_pair = Vec::new();
+                let mut walk = open_stream_walk(&plan, index, None).unwrap();
+                while let Some(pair) = walk.next_pair().unwrap() {
+                    by_pair.push(pair);
+                }
+                assert!(
+                    by_pair.windows(2).all(|w| w[0] < w[1]),
+                    "{name}: the walk of {text:?} under {strategy} is not strictly increasing"
+                );
+                for capacity in [1usize, 3, 1024] {
+                    let mut by_batch = Vec::new();
+                    let mut walk = open_stream_walk(&plan, index, None).unwrap();
+                    let mut batch = PairBatch::with_capacity(capacity);
+                    while walk.next_batch(&mut batch).unwrap() > 0 {
+                        by_batch.extend(batch.iter());
+                    }
+                    assert_eq!(
+                        by_pair, by_batch,
+                        "{name}: capacity-{capacity} batches reorder the walk of {text:?} \
+                         under {strategy}"
+                    );
+                }
+            }
+        }
+    }
+    remove_page_files("walk");
 }
 
 /// A chain graph long enough that every backend splits the 1-path list into
