@@ -2,8 +2,8 @@
 //!
 //! The k-path index `I_{G,k}` is stored under four representations, and the
 //! paper's correctness argument leans on structural invariants each of them
-//! maintains across mutations: sorted per-path relations, tight chunk and
-//! segment fences, superset-preserving source blooms, and a copy-on-write
+//! maintains across mutations: sorted per-path relations, decodable chunks
+//! with tight fences, superset-preserving source blooms, and a copy-on-write
 //! page graph whose retired pages stay unreachable from live snapshots.
 //! The differential harnesses only compare *answers*, so a latent corruption
 //! that happens to cancel out on the probed shapes would ship silently.

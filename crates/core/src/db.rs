@@ -30,10 +30,9 @@
 //!   **copy-on-write** — the writer relocates instead of overwriting them and
 //!   reclaims superseded pages only after the snapshot dies (see
 //!   [`PagedPathIndex::reader_view`]);
-//! * **compressed** — the key deltas land in per-path overlay side-tables
-//!   that scans merge on the fly, compacted into block rewrites past
-//!   [`PathDbConfig::compressed_compaction_threshold`]; blocks are shared
-//!   immutably, overlays are copied.
+//! * **compressed** — the memory backend's index with delta/varint-encoded
+//!   chunks ([`CompressedPathStore`]): the same publish, rebuilding (and
+//!   re-encoding) only the touched chunks and re-sharing the rest.
 
 use crate::cache::{PlanCache, PlanCacheStats};
 use crate::durability;
@@ -85,8 +84,8 @@ pub enum BackendChoice {
         /// Number of buffer-pool frames (pages kept resident).
         pool_frames: usize,
     },
-    /// Delta/varint-compressed per-path pair blocks: smallest footprint,
-    /// scans decode on the fly.
+    /// The in-memory chunk-run index with every chunk delta/varint-encoded:
+    /// smallest footprint, reads decode the chunks they touch.
     Compressed,
 }
 
@@ -124,7 +123,7 @@ pub enum IndexBackend {
     Memory(SharedKPathIndex),
     /// Buffer-pool-backed paged index (in-memory or on-disk page store).
     Paged(PagedPathIndex),
-    /// Compressed per-path pair blocks.
+    /// The chunk-run index over delta/varint-encoded chunks.
     Compressed(CompressedPathStore),
 }
 
@@ -300,13 +299,6 @@ pub struct PathDbConfig {
     pub plan_cache_capacity: usize,
     /// When [`PathDb::apply`] refreshes the histogram from the live index.
     pub histogram_refresh: HistogramRefresh,
-    /// Overlay size (membership overrides per path) at which the compressed
-    /// backend folds a path's delta overlay into a rewritten block. Smaller
-    /// values keep scans closer to pure block decodes at the price of more
-    /// frequent rewrites; larger values batch more updates per rewrite but
-    /// make every scan merge a bigger side-table. Clamped to ≥ 1; ignored by
-    /// the other backends.
-    pub compressed_compaction_threshold: usize,
     /// On the on-disk backend: committed batches between graph checkpoints.
     /// Every batch appends one commit record to the write-ahead log *before*
     /// any page writeback; after this many commits the log is folded into a
@@ -327,7 +319,6 @@ impl Default for PathDbConfig {
             backend: BackendChoice::Memory,
             plan_cache_capacity: 256,
             histogram_refresh: HistogramRefresh::default(),
-            compressed_compaction_threshold: CompressedPathStore::DEFAULT_COMPACTION_THRESHOLD,
             wal_checkpoint_every: 256,
         }
     }
@@ -398,12 +389,10 @@ pub struct StorageStats {
     /// Page copies, retirements and reclamations of the copy-on-write tree,
     /// plus the number of live snapshots. `None` off the paged backends.
     pub cow: Option<CowStats>,
-    /// Chunks the memory backend's bound probes bypassed via per-run bloom
-    /// filters and per-chunk source fences.
+    /// Chunks the memory and compressed backends' bound probes bypassed via
+    /// per-run bloom filters and per-chunk source fences (without decoding
+    /// them, on the compressed backend).
     pub chunks_skipped: u64,
-    /// Compressed-block segments bound probes bypassed via source fences
-    /// without decoding.
-    pub blocks_skipped: u64,
     /// Pages the paged backend's range scans staged via buffer-pool
     /// read-ahead before a demand read touched them.
     pub read_ahead_pages: u64,
@@ -692,10 +681,9 @@ impl PathDb {
                 PagedPathIndex::build_on_disk(&graph, k, path, *pool_frames)
                     .map_err(|e| BackendError::io("paged", &e))?,
             ),
-            BackendChoice::Compressed => IndexBackend::Compressed(
-                CompressedPathStore::build(&graph, k)
-                    .with_compaction_threshold(config.compressed_compaction_threshold),
-            ),
+            BackendChoice::Compressed => {
+                IndexBackend::Compressed(CompressedPathStore::build_in(&graph, k))
+            }
         };
         // The on-disk backend is durable from the first commit: checkpoint
         // the built graph and open an empty write-ahead log next to the page
@@ -1086,9 +1074,9 @@ impl PathDb {
     /// under [`PathDbConfig::histogram_refresh`], and publish a new
     /// [`Snapshot`] with a bumped epoch. Every backend replays the same key
     /// deltas against its own storage — chunk rebuilds with structural
-    /// sharing on memory, copy-on-write B+tree inserts/deletes with page
-    /// writeback on the paged backends, overlay entries with threshold
-    /// compaction on the compressed store — so publishing costs O(batch), not
+    /// sharing on memory and compressed (re-encoding the rebuilt chunks
+    /// there), copy-on-write B+tree inserts/deletes with page writeback on
+    /// the paged backends — so publishing costs O(batch), not
     /// O(index). Readers are never blocked: queries and cursors opened before
     /// the batch keep answering **bit-identically** from their own snapshot
     /// on every backend, and plans cached at older epochs are transparently
@@ -1524,11 +1512,11 @@ impl PathDb {
         let storage = StorageStats {
             pool,
             cow: index.as_paged().map(|paged| paged.cow_stats()),
-            chunks_skipped: index.as_memory().map(|m| m.chunks_skipped()).unwrap_or(0),
-            blocks_skipped: index
-                .as_compressed()
-                .map(|c| c.blocks_skipped())
-                .unwrap_or(0),
+            chunks_skipped: match index {
+                IndexBackend::Memory(index) => index.chunks_skipped(),
+                IndexBackend::Compressed(store) => store.chunks_skipped(),
+                IndexBackend::Paged(_) => 0,
+            },
             read_ahead_pages: pool.map(|p| p.read_ahead_pages).unwrap_or(0),
             flush_failed: index.as_paged().map(|p| p.flush_failed()).unwrap_or(false),
         };
@@ -1552,7 +1540,7 @@ impl PathDb {
     ///
     /// A clean report ([`AuditReport::is_clean`]) means every structural
     /// invariant the backends rely on for correctness held: sorted and
-    /// fenced chunk/segment storage, superset-preserving blooms, a
+    /// fenced, decodable chunk storage, superset-preserving blooms, a
     /// copy-on-write page graph with no leaks and no snapshot-visible
     /// reclamation, and statistics that match a full recount. The
     /// differential test harnesses call this after every applied batch; the
@@ -1828,7 +1816,7 @@ mod tests {
             IndexBackend::Paged(
                 PagedPathIndex::build_on_disk(&g, 2, dir.path("views.pages"), 8).unwrap(),
             ),
-            IndexBackend::Compressed(CompressedPathStore::build(&g, 2)),
+            IndexBackend::Compressed(CompressedPathStore::build_in(&g, 2)),
         ];
         let (sue, tim) = (g.node_id("sue").unwrap(), g.node_id("tim").unwrap());
         let (kim, liz) = (g.node_id("kim").unwrap(), g.node_id("liz").unwrap());
@@ -2187,26 +2175,6 @@ mod tests {
     }
 
     #[test]
-    fn compressed_compaction_threshold_is_plumbed_through_config() {
-        let config = PathDbConfig {
-            compressed_compaction_threshold: 1,
-            ..PathDbConfig::with_k(2).with_backend(BackendChoice::Compressed)
-        };
-        let db = PathDb::try_build(paper_example_graph(), config).unwrap();
-        db.apply(&[update(&db, "insert", "tim", "knows", "zoe")])
-            .unwrap();
-        let snapshot = db.snapshot();
-        let store = snapshot.index().as_compressed().unwrap();
-        let overlay = store.overlay_stats();
-        assert_eq!(overlay.compaction_threshold, 1);
-        assert_eq!(
-            overlay.overlay_entries, 0,
-            "threshold 1 must compact every touched path"
-        );
-        assert!(overlay.compactions > 0);
-    }
-
-    #[test]
     fn invalid_update_ids_are_rejected_before_anything_applies() {
         let db = example_db(2);
         let knows = db.graph().label_id("knows").unwrap();
@@ -2354,8 +2322,7 @@ mod tests {
         assert!(storage.pool.is_none());
         assert!(storage.cow.is_none());
 
-        // A compressed-backend probe outside every segment's source fence is
-        // counted as a block skip.
+        // A compressed-backend probe of an absent source skips its chunks.
         let compressed = PathDb::build(
             paper_example_graph(),
             PathDbConfig::with_k(2).with_backend(BackendChoice::Compressed),
@@ -2366,7 +2333,7 @@ mod tests {
             .index()
             .scan_path_from(&[SignedLabel::forward(knows)], NodeId(u32::MAX - 1))
             .unwrap();
-        assert!(compressed.stats().storage.blocks_skipped > 0);
+        assert!(compressed.stats().storage.chunks_skipped > 0);
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub enum ScanOrientation {
 /// A prefix scan of a k-path index backend for one label path.
 ///
 /// The operator is built against any [`PathIndexBackend`] — the in-memory
-/// chunk runs, the buffer-pool-backed paged index or the compressed pair blocks —
+/// chunk runs (plain or compressed) or the buffer-pool-backed paged index —
 /// and streams whatever the backend streams, surfacing its errors.
 pub struct IndexScanOp<'a> {
     scan: BackendBatchScan<'a>,

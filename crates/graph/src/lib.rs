@@ -58,5 +58,5 @@ pub use dict::{DictView, Dictionary, SharedDictionary, Vocabulary};
 pub use graph::{EdgeOp, Graph, VocabBatch};
 pub use ids::{Direction, LabelId, NodeId, SignedLabel};
 pub use loader::{load_edge_list, load_edge_list_str, LoadError};
-pub use runs::{GraphPublishStats, PairRun};
+pub use runs::{ChunkCodec, GraphPublishStats, PairRun, Plain};
 pub use snapshot::GraphSnapshot;

@@ -3,14 +3,14 @@
 //! The paper has a single sorted relation per label path (§3.1: `⟨p⟩(G)` in
 //! `(source, target)` order; the length-1 paths are the graph's own
 //! `⟨ℓ⟩(G)` / `⟨ℓ⁻⟩(G)`), and this is its single container: [`crate::Graph`]
-//! keeps each label's forward and backward adjacency in one, and the shared
-//! k-path index keeps each path relation in one. A run is a sequence of
-//! bounded, immutable **chunks** of `(first, second)` pairs behind `Arc`s,
-//! with the exact `(first pair, last pair)` of every chunk kept as a fence:
+//! keeps each label's forward and backward adjacency in one, and the k-path
+//! index keeps each path relation in one. A run is a sequence of bounded,
+//! immutable **chunks** of `(first, second)` pairs behind `Arc`s, with the
+//! exact `(first pair, last pair)` of every chunk kept as a fence:
 //!
 //! ```text
 //! run   : [Arc<chunk>, Arc<chunk>, …]          (ascending, disjoint)
-//! chunk : sorted Vec<(first, second)>, ≤ CHUNK_MAX pairs
+//! chunk : ≤ CHUNK_MAX sorted pairs, in the run's encoding
 //! fence : (first pair, last pair) per chunk    (probes skip by fence alone)
 //! ```
 //!
@@ -19,10 +19,19 @@
 //! bumping its refcount, so a publish costs **O(Δ · chunk)** instead of
 //! O(relation). Old epochs keep their `Arc`s untouched, which is what makes
 //! every published snapshot fully isolated for free.
+//!
+//! How a chunk stores its pairs is the one thing runs differ in: a
+//! [`ChunkCodec`]. The default, [`Plain`], keeps the sorted `Vec` and lends it
+//! out in place — the graph and the memory backend run on it. An encoded
+//! codec (the compressed backend's delta/varint chunks) decodes a chunk into
+//! a caller's scratch buffer whenever its pairs are read. Cutting, fences,
+//! `apply`'s merge / re-cut / coalesce and the audit are one code path for
+//! every codec.
 
 use crate::ids::NodeId;
 use pathix_audit::AuditReport;
 use std::collections::BTreeMap;
+use std::fmt::Debug;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -45,8 +54,56 @@ pub(crate) const CHUNK_MIN: usize = CHUNK_TARGET / 2;
 /// forward adjacency, `(target, source)` for the converse.
 pub(crate) type Pair = (NodeId, NodeId);
 
-/// One immutable, sorted slice of a pair relation.
-type Chunk = Vec<Pair>;
+/// How a [`PairRun`] stores the sorted pairs of one chunk — the only part of
+/// a run that depends on its encoding.
+pub trait ChunkCodec: Clone + Debug + Default + Send + Sync + 'static {
+    /// One stored chunk.
+    type Chunk: Clone + Debug + Default + Send + Sync;
+
+    /// The name an index backend keeping its runs in this encoding reports.
+    const BACKEND: &'static str;
+
+    /// Stores a sorted, duplicate-free, non-empty pair list as one chunk.
+    fn encode(pairs: Vec<(NodeId, NodeId)>) -> Self::Chunk;
+
+    /// The pairs of `chunk`, ascending. A plain chunk lends its own slice and
+    /// leaves `scratch` alone; an encoded chunk is decoded into `scratch`
+    /// (replacing what it held), which the result borrows.
+    fn pairs<'a>(
+        chunk: &'a Self::Chunk,
+        scratch: &'a mut Vec<(NodeId, NodeId)>,
+    ) -> &'a [(NodeId, NodeId)];
+
+    /// Bytes `chunk` counts for in an index's size accounting.
+    fn footprint(chunk: &Self::Chunk) -> usize;
+
+    /// `false` when `chunk`'s bytes do not decode exactly to the pairs they
+    /// announce; [`ChunkCodec::pairs`] then yields only the prefix that does.
+    fn decodes(_chunk: &Self::Chunk) -> bool {
+        true
+    }
+}
+
+/// The default encoding: a chunk is its sorted pair `Vec`, read in place.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Plain;
+
+impl ChunkCodec for Plain {
+    type Chunk = Vec<(NodeId, NodeId)>;
+    const BACKEND: &'static str = "memory";
+
+    fn encode(pairs: Vec<Pair>) -> Vec<Pair> {
+        pairs
+    }
+
+    fn pairs<'a>(chunk: &'a Vec<Pair>, _scratch: &'a mut Vec<Pair>) -> &'a [Pair] {
+        chunk
+    }
+
+    fn footprint(chunk: &Vec<Pair>) -> usize {
+        std::mem::size_of_val(chunk.as_slice())
+    }
+}
 
 /// What one graph publish reused versus rebuilt — the observable evidence
 /// that the publish was proportional to the touched neighborhood, not the
@@ -71,11 +128,12 @@ struct NetOp {
     last: bool,
 }
 
-/// One sorted pair relation: bounded chunks in ascending pair order, plus
-/// per-chunk `(first pair, last pair)` fences for chunk skipping. Both the
-/// chunk list and the fence list live behind `Arc`s so an untouched run is
-/// re-shared across epochs with two refcount bumps — publish cost stays
-/// O(touched chunks), with no O(total chunks) pointer copying.
+/// One sorted pair relation: bounded chunks in ascending pair order, stored
+/// in encoding `C` (plain unless named), plus per-chunk `(first pair, last
+/// pair)` fences for chunk skipping. Both the chunk list and the fence list
+/// live behind `Arc`s so an untouched run is re-shared across epochs with two
+/// refcount bumps — publish cost stays O(touched chunks), with no O(total
+/// chunks) pointer copying.
 ///
 /// ```
 /// use pathix_graph::{NodeId, PairRun};
@@ -93,76 +151,24 @@ struct NetOp {
 /// assert_eq!(run.len(), 3, "the old epoch is untouched");
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct PairRun {
-    chunks: Arc<Vec<Arc<Chunk>>>,
+pub struct PairRun<C: ChunkCodec = Plain> {
+    chunks: Arc<Vec<Arc<C::Chunk>>>,
     /// `(first pair, last pair)` per chunk, parallel to the chunk list.
     fences: Arc<Vec<(Pair, Pair)>>,
     len: usize,
 }
 
+/// The plain run's constructor and its borrowing reads, which lend pairs
+/// straight out of the chunks.
 impl PairRun {
     /// Builds a run from pairs already sorted ascending and deduplicated.
     pub fn from_sorted(pairs: Vec<(NodeId, NodeId)>) -> PairRun {
-        debug_assert!(pairs.windows(2).all(|w| w[0] < w[1]), "unsorted run input");
-        Self::from_chunks(cut_chunks(pairs))
-    }
-
-    /// Builds a run over `chunks`, recomputing fences and the pair total.
-    ///
-    /// Chunks are never empty by construction; should a corrupt empty chunk
-    /// appear anyway, its fence is simply omitted (leaving `fences` shorter
-    /// than the chunk list), which the structural audit reports instead of
-    /// panicking mid-publish.
-    fn from_chunks(chunks: Vec<Arc<Chunk>>) -> PairRun {
-        let fences = chunks
-            .iter()
-            .filter_map(|c| Some((*c.first()?, *c.last()?)))
-            .collect();
-        let len = chunks.iter().map(|c| c.len()).sum();
-        PairRun {
-            chunks: Arc::new(chunks),
-            fences: Arc::new(fences),
-            len,
-        }
-    }
-
-    /// [`PairRun::from_sorted`] without the cut and without any check: the
-    /// chunks are stored as given. This is how the seeded-corruption tests of
-    /// the auditors built on [`PairRun::audit`] obtain a run that violates a
-    /// chunk invariant. Not for production use.
-    #[doc(hidden)]
-    pub fn from_chunks_unchecked(chunks: Vec<Vec<(NodeId, NodeId)>>) -> PairRun {
-        Self::from_chunks(chunks.into_iter().map(Arc::new).collect())
-    }
-
-    /// Number of pairs stored.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when the run stores no pair.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+        Self::from_sorted_in(pairs)
     }
 
     /// All pairs in ascending order, streamed chunk by chunk.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
         self.chunks.iter().flat_map(|c| c.iter().copied())
-    }
-
-    /// The chunk list, ascending and disjoint — batched scans copy whole
-    /// chunk slices, and `Arc::ptr_eq` on two epochs' chunks shows sharing.
-    pub fn chunks(&self) -> &[Arc<Vec<(NodeId, NodeId)>>] {
-        &self.chunks
-    }
-
-    /// `true` if `pair` is stored. Fences narrow the probe to at most one
-    /// chunk without touching pair data.
-    pub fn contains(&self, pair: (NodeId, NodeId)) -> bool {
-        let i = self.fences.partition_point(|&(_, max)| max < pair);
-        self.chunks
-            .get(i)
-            .is_some_and(|chunk| chunk.binary_search(&pair).is_ok())
     }
 
     /// The second components of every pair whose first component is `first`,
@@ -193,15 +199,6 @@ impl PairRun {
             .sum()
     }
 
-    /// The chunk range whose fences admit pairs starting with `first` (both
-    /// fence bounds are non-decreasing across the run); every chunk outside
-    /// it is skipped by a bound probe without being read.
-    pub fn covering_chunks(&self, first: NodeId) -> Range<usize> {
-        let start = self.fences.partition_point(|&(_, (max, _))| max < first);
-        let stop = start + self.fences[start..].partition_point(|&((min, _), _)| min <= first);
-        start.min(self.chunks.len())..stop.min(self.chunks.len())
-    }
-
     /// Nets the transitions one run saw inside one batch (`true` = the pair
     /// appeared, `false` = it disappeared, in arrival order) down to the
     /// sorted ops [`PairRun::apply`] takes. Relative to the pre-batch state a
@@ -223,6 +220,94 @@ impl PairRun {
             .filter_map(|(pair, op)| (op.first == op.last).then_some((pair, op.first)))
             .collect()
     }
+}
+
+impl<C: ChunkCodec> PairRun<C> {
+    /// [`PairRun::from_sorted`] in encoding `C`: the same cut, each chunk
+    /// encoded.
+    pub fn from_sorted_in(pairs: Vec<(NodeId, NodeId)>) -> Self {
+        debug_assert!(pairs.windows(2).all(|w| w[0] < w[1]), "unsorted run input");
+        let mut cut = Cut::new(pairs.len().div_ceil(CHUNK_TARGET), 0);
+        if pairs.len() <= CHUNK_MAX {
+            cut.push(pairs);
+        } else {
+            // Re-cut at CHUNK_TARGET so freshly built chunks leave headroom.
+            for chunk in pairs.chunks(CHUNK_TARGET) {
+                cut.push(chunk.to_vec());
+            }
+        }
+        cut.into_run()
+    }
+
+    /// Builds a run over `chunks` as stored, decoding each to recompute
+    /// fences and the pair total.
+    ///
+    /// Chunks are never empty by construction; should a corrupt empty chunk
+    /// appear anyway, its fence is simply omitted (leaving `fences` shorter
+    /// than the chunk list), which the structural audit reports instead of
+    /// panicking.
+    fn from_chunks(chunks: Vec<Arc<C::Chunk>>) -> Self {
+        let mut scratch = Vec::new();
+        let mut fences = Vec::with_capacity(chunks.len());
+        let mut len = 0;
+        for chunk in &chunks {
+            let pairs = C::pairs(chunk, &mut scratch);
+            len += pairs.len();
+            if let (Some(&first), Some(&last)) = (pairs.first(), pairs.last()) {
+                fences.push((first, last));
+            }
+        }
+        PairRun {
+            chunks: Arc::new(chunks),
+            fences: Arc::new(fences),
+            len,
+        }
+    }
+
+    /// [`PairRun::from_sorted`] without the cut and without any check: the
+    /// chunks are stored as given. This is how the seeded-corruption tests of
+    /// the auditors built on [`PairRun::audit`] obtain a run that violates a
+    /// chunk invariant. Not for production use.
+    #[doc(hidden)]
+    pub fn from_chunks_unchecked(chunks: Vec<C::Chunk>) -> Self {
+        Self::from_chunks(chunks.into_iter().map(Arc::new).collect())
+    }
+
+    /// Number of pairs stored.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` when the run stores no pair.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The chunk list, ascending and disjoint — batched scans read whole
+    /// chunks, and `Arc::ptr_eq` on two epochs' chunks shows sharing.
+    pub fn chunks(&self) -> &[Arc<C::Chunk>] {
+        &self.chunks
+    }
+
+    /// `true` if `pair` is stored. Fences narrow the probe to at most one
+    /// chunk without touching pair data.
+    pub fn contains(&self, pair: (NodeId, NodeId)) -> bool {
+        let i = self.fences.partition_point(|&(_, max)| max < pair);
+        self.chunks.get(i).is_some_and(|chunk| {
+            C::pairs(chunk, &mut Vec::new())
+                .binary_search(&pair)
+                .is_ok()
+        })
+    }
+
+    /// The chunk range whose fences admit pairs starting with `first` (both
+    /// fence bounds are non-decreasing across the run); every chunk outside
+    /// it is skipped by a bound probe without being read.
+    pub fn covering_chunks(&self, first: NodeId) -> Range<usize> {
+        let start = self.fences.partition_point(|&(_, (max, _))| max < first);
+        let stop = start + self.fences[start..].partition_point(|&((min, _), _)| min <= first);
+        start.min(self.chunks.len())..stop.min(self.chunks.len())
+    }
 
     /// Applies net pair changes (`true` = insert, `false` = remove; sorted by
     /// pair, each a real transition relative to this run) and returns the next
@@ -236,37 +321,41 @@ impl PairRun {
         ops: &[((NodeId, NodeId), bool)],
         shared: &mut usize,
         rebuilt: &mut usize,
-    ) -> PairRun {
+    ) -> Self {
         let prev = self.chunks.as_slice();
-        let mut out: Vec<Arc<Chunk>> = Vec::with_capacity(prev.len() + 1);
+        let mut cut = Cut::new(prev.len() + 1, self.len);
         let mut pending: Vec<Pair> = Vec::new();
+        let mut scratch: Vec<Pair> = Vec::new();
         let mut oi = 0usize;
         for (ci, chunk) in prev.iter().enumerate() {
             // Pairs strictly below the next chunk's first pair belong to this
             // chunk (the first chunk also takes everything below it).
-            let upper = prev.get(ci + 1).and_then(|c| c.first()).copied();
+            let upper = self.fences.get(ci + 1).map(|&(first, _)| first);
             let start = oi;
             while oi < ops.len() && upper.is_none_or(|u| ops[oi].0 < u) {
                 oi += 1;
             }
             let my_ops = &ops[start..oi];
-            if my_ops.is_empty() {
-                if pending.is_empty() || pending.len() >= CHUNK_MIN {
-                    flush_pending(&mut pending, &mut out);
-                    out.push(Arc::clone(chunk));
+            match self.fences.get(ci) {
+                Some(&fence)
+                    if my_ops.is_empty() && (pending.is_empty() || pending.len() >= CHUNK_MIN) =>
+                {
+                    cut.flush(&mut pending);
+                    cut.share(chunk, fence);
                     *shared += 1;
-                } else {
-                    // The rebuilt region to our left came out undersized:
-                    // coalesce this neighbor into it rather than emitting a
-                    // sliver — copying one extra chunk keeps the run compact.
-                    pending.extend_from_slice(chunk);
-                    *rebuilt += 1;
                 }
-                continue;
+                // Touched — or untouched, but the rebuilt region to its left
+                // came out undersized: coalesce it into that region rather
+                // than emit a sliver (copying one extra chunk keeps the run
+                // compact).
+                _ => {
+                    let pairs = C::pairs(chunk, &mut scratch);
+                    cut.len = cut.len.saturating_sub(pairs.len());
+                    merge_chunk(pairs, my_ops, &mut pending);
+                    *rebuilt += 1;
+                    cut.emit_full(&mut pending);
+                }
             }
-            merge_chunk(chunk, my_ops, &mut pending);
-            *rebuilt += 1;
-            emit_full_chunks(&mut pending, &mut out);
         }
         // A previously-empty run takes all its ops here.
         if prev.is_empty() {
@@ -277,13 +366,15 @@ impl PairRun {
                 }
             }
         }
-        flush_pending(&mut pending, &mut out);
-        PairRun::from_chunks(out)
+        cut.flush(&mut pending);
+        cut.into_run()
     }
 
     /// Audits this run's chunk/fence invariants under `loc` — the checks the
     /// scan, probe and publish paths silently rely on:
     ///
+    /// * `chunk-decodable` — every chunk's bytes decode exactly to the pairs
+    ///   they announce (always true of a plain chunk);
     /// * `fence-parallel` / `fence-tight` — one fence per chunk, equal to the
     ///   chunk's true `(first, last)` pair (a loose fence silently breaks
     ///   chunk skipping on bound probes);
@@ -308,8 +399,13 @@ impl PairRun {
         );
         let mut entries = 0usize;
         let mut prev_last: Option<Pair> = None;
-        for (ci, chunk) in self.chunks.iter().enumerate() {
+        let mut scratch = Vec::new();
+        for (ci, stored) in self.chunks.iter().enumerate() {
             let cloc = format!("{loc} chunk {ci}");
+            report.check("chunk-decodable", &cloc, C::decodes(stored), || {
+                "chunk bytes do not decode to the pairs they announce".to_string()
+            });
+            let chunk = C::pairs(stored, &mut scratch);
             report.check("chunk-nonempty", &cloc, !chunk.is_empty(), || {
                 "empty chunk stored in run".to_string()
             });
@@ -361,36 +457,63 @@ impl PairRun {
     }
 }
 
-/// Cuts a sorted pair list into chunks of at most [`CHUNK_MAX`] (re-cut at
-/// [`CHUNK_TARGET`] so freshly built chunks leave headroom).
-fn cut_chunks(pairs: Vec<Pair>) -> Vec<Arc<Chunk>> {
-    if pairs.len() <= CHUNK_MAX {
-        return if pairs.is_empty() {
-            Vec::new()
-        } else {
-            vec![Arc::new(pairs)]
-        };
-    }
-    pairs
-        .chunks(CHUNK_TARGET)
-        .map(|c| Arc::new(c.to_vec()))
-        .collect()
+/// The chunks, fences and pair count of a run being assembled.
+struct Cut<C: ChunkCodec> {
+    chunks: Vec<Arc<C::Chunk>>,
+    fences: Vec<(Pair, Pair)>,
+    len: usize,
 }
 
-/// Emits target-sized chunks while `pending` is at or over [`CHUNK_MAX`] —
-/// the single size invariant every emitted chunk obeys.
-fn emit_full_chunks(pending: &mut Vec<Pair>, out: &mut Vec<Arc<Chunk>>) {
-    while pending.len() >= CHUNK_MAX {
-        let rest = pending.split_off(CHUNK_TARGET);
-        out.push(Arc::new(std::mem::replace(pending, rest)));
+impl<C: ChunkCodec> Cut<C> {
+    /// An empty cut with room for `chunks` chunks that counts `len` pairs
+    /// already.
+    fn new(chunks: usize, len: usize) -> Self {
+        Cut {
+            chunks: Vec::with_capacity(chunks),
+            fences: Vec::with_capacity(chunks),
+            len,
+        }
     }
-}
 
-/// Emits all of `pending` as chunks (target-sized while full, then the rest).
-fn flush_pending(pending: &mut Vec<Pair>, out: &mut Vec<Arc<Chunk>>) {
-    emit_full_chunks(pending, out);
-    if !pending.is_empty() {
-        out.push(Arc::new(std::mem::take(pending)));
+    /// Encodes `pairs` (sorted; empty is skipped) as the next chunk.
+    fn push(&mut self, pairs: Vec<Pair>) {
+        if let (Some(&first), Some(&last)) = (pairs.first(), pairs.last()) {
+            self.fences.push((first, last));
+            self.len += pairs.len();
+            self.chunks.push(Arc::new(C::encode(pairs)));
+        }
+    }
+
+    /// Takes over `chunk` and its fence from the previous epoch.
+    fn share(&mut self, chunk: &Arc<C::Chunk>, fence: (Pair, Pair)) {
+        self.chunks.push(Arc::clone(chunk));
+        self.fences.push(fence);
+    }
+
+    /// Emits target-sized chunks while `pending` is at or over
+    /// [`CHUNK_MAX`] — the single size invariant every emitted chunk obeys.
+    fn emit_full(&mut self, pending: &mut Vec<Pair>) {
+        while pending.len() >= CHUNK_MAX {
+            let rest = pending.split_off(CHUNK_TARGET);
+            self.push(std::mem::replace(pending, rest));
+        }
+    }
+
+    /// Emits all of `pending` as chunks (target-sized while full, then the
+    /// rest).
+    fn flush(&mut self, pending: &mut Vec<Pair>) {
+        self.emit_full(pending);
+        if !pending.is_empty() {
+            self.push(std::mem::take(pending));
+        }
+    }
+
+    fn into_run(self) -> PairRun<C> {
+        PairRun {
+            chunks: Arc::new(self.chunks),
+            fences: Arc::new(self.fences),
+            len: self.len,
+        }
     }
 }
 
@@ -560,7 +683,7 @@ mod tests {
 
     /// `run` with chunk `ci` replaced by `chunk`, fences and length recomputed
     /// — so only the chunk-level checks can fire.
-    fn with_chunk(run: &PairRun, ci: usize, chunk: Chunk) -> PairRun {
+    fn with_chunk(run: &PairRun, ci: usize, chunk: Vec<Pair>) -> PairRun {
         let mut chunks = run.chunks.as_ref().clone();
         chunks[ci] = Arc::new(chunk);
         PairRun::from_chunks(chunks)

@@ -2,8 +2,8 @@
 //!
 //! The paper's k-path index is storage-agnostic: the same search key
 //! `⟨label path, sourceID, targetID⟩` and the same three lookup shapes
-//! (Example 3.1) can be served by in-memory sorted chunk runs, a
-//! buffer-pool-backed paged B+tree, or compressed per-path pair blocks — the
+//! (Example 3.1) can be served by in-memory sorted chunk runs (plain or
+//! delta/varint-encoded chunks) or a buffer-pool-backed paged B+tree — the
 //! representations studied by the paper and its companion work (ref. \[14\]).
 //!
 //! [`PathIndexBackend`] captures exactly the contract the layers above
@@ -282,8 +282,8 @@ pub trait PathIndexBackend {
 
     /// `I_{G,k}(⟨p⟩)`: all pairs of `p(G)` in `(source, target)` order,
     /// delivered a [`PairBatch`] at a time — every backend copies or decodes
-    /// whole slices of its physical layout (chunks, leaf pages, varint
-    /// segments) per call.
+    /// whole slices of its physical layout (chunks, encoded chunks, leaf
+    /// pages) per call.
     ///
     /// Paths of length 0 or longer than k are a planner contract violation
     /// and produce an error (never a panic), here and from both probes. A
@@ -371,10 +371,10 @@ pub enum EntryChange {
 /// The counting delta rules of [`crate::IncrementalKPathIndex`] produce this
 /// log (via [`crate::IncrementalKPathIndex::apply_logged`]) **once** per
 /// batch; every storage backend then replays the same log against its own
-/// representation — B+tree key inserts/deletes for the paged index, overlay
-/// entries for the compressed store. Ordering matters: a key can be added and
-/// later removed within one batch, and replaying out of order would leave it
-/// behind.
+/// representation — per-path chunk rebuilds for the chunk runs (memory and
+/// compressed), B+tree key inserts/deletes for the paged index. Ordering
+/// matters: a key can be added and later removed within one batch, and
+/// replaying out of order would leave it behind.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EntryDeltas {
     ops: Vec<(Vec<u8>, EntryChange)>,
@@ -460,11 +460,10 @@ pub struct DeltaBatch<'a> {
 ///
 /// The counting delta enumeration happens once, backend-agnostically, in
 /// [`crate::IncrementalKPathIndex::apply_logged`]; implementors only replay
-/// the resulting [`DeltaBatch`] against their own storage. All three physical
-/// representations implement this: the in-memory chunk runs (rebuilding only
-/// the touched chunks), the paged B+tree (key inserts/deletes with page splits
-/// and merges) and the compressed store (a delta overlay compacted into block
-/// rewrites).
+/// the resulting [`DeltaBatch`] against their own storage. Both physical
+/// representations implement this: the chunk runs of the memory and the
+/// compressed backend (rebuilding, and re-encoding, only the touched chunks)
+/// and the paged B+tree (key inserts/deletes with page splits and merges).
 pub trait MutablePathIndexBackend: PathIndexBackend {
     /// Replays one batch of key transitions and adopts the batch's fresh
     /// statistics. Returns an error (leaving the backend in need of a

@@ -523,8 +523,8 @@ impl IncrementalKPathIndex {
     ///
     /// This is the bridge that makes the storage backends mutable: the
     /// counting delta enumeration runs once here, and the resulting
-    /// [`EntryDeltas`] are replayed verbatim against the chunk runs, the
-    /// paged B+tree and the compressed overlay (see
+    /// [`EntryDeltas`] are replayed verbatim against the chunk runs (plain
+    /// and delta/varint-encoded) and the paged B+tree (see
     /// [`MutablePathIndexBackend`](crate::MutablePathIndexBackend)).
     pub fn apply_logged(&mut self, op: EdgeOp, log: &mut EntryDeltas) -> bool {
         self.apply_op(op, Some(log))

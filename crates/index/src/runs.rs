@@ -1,5 +1,6 @@
 //! The structurally-shared, read-optimized k-path index that live databases
-//! publish as their memory-backend snapshots.
+//! publish as their memory-backend snapshots — and, in another chunk
+//! encoding, as their compressed-backend snapshots.
 //!
 //! Republishing a bulk-loaded tree after a batch of updates would mean
 //! rebuilding it over the **whole** entry set — an O(index) cost per publish
@@ -19,6 +20,11 @@
 //! index's own: the path directory, a per-run bloom filter over source
 //! nodes, the published per-path cardinalities and the skip counter.
 //!
+//! The index is generic over the runs' [`ChunkCodec`]: `SharedKPathIndex`
+//! (plain chunks) is the memory backend, and `SharedKPathIndex<Varint>` —
+//! `pathix_pagestore::CompressedPathStore`, delta/varint chunks — the
+//! compressed one. Both build, probe, publish and audit through this code.
+//!
 //! Publishing a batch ([`SharedKPathIndex::apply_delta_batch`], driven by the
 //! [`EntryDeltas`](crate::EntryDeltas) log the counting rules emit) hands each
 //! touched path's net key changes to [`PairRun::apply`] and re-shares every
@@ -35,7 +41,7 @@ use crate::enumerate::enumerate_paths;
 use crate::pathkey::decode_entry;
 use crate::paths_k_cardinality;
 use pathix_audit::{AuditReport, StructuralAudit};
-use pathix_graph::{Graph, NodeId, PairRun, SignedLabel};
+use pathix_graph::{ChunkCodec, Graph, NodeId, PairRun, Plain, SignedLabel};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -84,9 +90,9 @@ impl SourceBloom {
 /// across epochs by cloning the [`PairRun`] (two refcount bumps) and copying
 /// the bloom.
 #[derive(Debug, Clone)]
-struct Run {
+struct Run<C: ChunkCodec> {
     path: Vec<SignedLabel>,
-    pairs: PairRun,
+    pairs: PairRun<C>,
     bloom: SourceBloom,
 }
 
@@ -104,18 +110,19 @@ pub struct RunPublishStats {
     pub chunks_rebuilt: usize,
 }
 
-/// A k-path index over per-path chunked runs with structural sharing across
-/// epochs (see the module docs) — what a live database's memory backend
-/// publishes as its snapshots.
+/// A k-path index over per-path chunked runs in encoding `C` (plain unless
+/// named), with structural sharing across epochs (see the module docs) —
+/// what a live database's memory and compressed backends publish as their
+/// snapshots.
 #[derive(Debug, Clone)]
-pub struct SharedKPathIndex {
+pub struct SharedKPathIndex<C: ChunkCodec = Plain> {
     k: usize,
     node_count: usize,
     paths_k_size: u64,
     entries: u64,
     /// Sorted by `(path length, path)` — the order
     /// [`PathIndexBackend::per_path_counts`] promises.
-    runs: Vec<Run>,
+    runs: Vec<Run<C>>,
     per_path_counts: Vec<(Vec<SignedLabel>, u64)>,
     last_publish: RunPublishStats,
     inserts_applied: u64,
@@ -126,6 +133,7 @@ pub struct SharedKPathIndex {
     chunks_skipped: Arc<AtomicU64>,
 }
 
+/// The memory backend's constructor and its borrowing scan.
 impl SharedKPathIndex {
     /// Builds the index over `graph` for locality parameter `k ≥ 1`:
     /// [`enumerate_paths`], one [`PairRun`] per non-empty relation.
@@ -155,6 +163,18 @@ impl SharedKPathIndex {
     /// assert!(!index.contains(&path, sue, kim));
     /// ```
     pub fn build(graph: &Graph, k: usize) -> Self {
+        Self::build_in(graph, k)
+    }
+
+    /// `I_{G,k}(⟨p⟩)` as a chunk-streaming iterator.
+    pub fn scan_path(&self, path: &[SignedLabel]) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+        self.run(path).into_iter().flat_map(|r| r.pairs.iter())
+    }
+}
+
+impl<C: ChunkCodec> SharedKPathIndex<C> {
+    /// [`SharedKPathIndex::build`] in chunk encoding `C`.
+    pub fn build_in(graph: &Graph, k: usize) -> Self {
         assert!(k >= 1, "the k-path index requires k ≥ 1");
         let relations = enumerate_paths(graph, k);
         let paths_k_size = paths_k_cardinality(graph, &relations);
@@ -173,7 +193,7 @@ impl SharedKPathIndex {
             }
             runs.push(Run {
                 path: rel.path,
-                pairs: PairRun::from_sorted(pairs),
+                pairs: PairRun::from_sorted_in(pairs),
                 bloom,
             });
         }
@@ -202,7 +222,7 @@ impl SharedKPathIndex {
     /// every chunk. The view stays bit-stable no matter what the original
     /// absorbs afterwards — later batches replace chunks, they never mutate
     /// them.
-    pub fn reader_view(&self) -> SharedKPathIndex {
+    pub fn reader_view(&self) -> Self {
         self.clone()
     }
 
@@ -218,21 +238,21 @@ impl SharedKPathIndex {
     }
 
     /// Number of non-empty path relations stored.
-    pub fn run_count(&self) -> usize {
+    pub fn path_count(&self) -> usize {
         self.runs.len()
     }
 
+    /// The relation of `path`, if it is non-empty.
+    pub fn relation(&self, path: &[SignedLabel]) -> Option<&PairRun<C>> {
+        self.run(path).map(|r| &r.pairs)
+    }
+
     /// The run of `path`, if that relation is non-empty.
-    fn run(&self, path: &[SignedLabel]) -> Option<&Run> {
+    fn run(&self, path: &[SignedLabel]) -> Option<&Run<C>> {
         self.runs
             .binary_search_by(|r| (r.path.len(), r.path.as_slice()).cmp(&(path.len(), path)))
             .ok()
             .map(|i| &self.runs[i])
-    }
-
-    /// `I_{G,k}(⟨p⟩)` as a chunk-streaming iterator.
-    pub fn scan_path(&self, path: &[SignedLabel]) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.run(path).into_iter().flat_map(|r| r.pairs.iter())
     }
 
     /// `I_{G,k}(⟨p, source⟩)`: targets reachable from `source` via `p`.
@@ -245,16 +265,28 @@ impl SharedKPathIndex {
         let Some(run) = self.run(path) else {
             return Vec::new();
         };
-        let chunks = run.pairs.chunks().len();
+        let chunks = run.pairs.chunks();
         if !run.bloom.maybe_contains(source) {
             self.chunks_skipped
-                .fetch_add(chunks as u64, Ordering::Relaxed);
+                .fetch_add(chunks.len() as u64, Ordering::Relaxed);
             return Vec::new();
         }
         let covering = run.pairs.covering_chunks(source);
         self.chunks_skipped
-            .fetch_add((chunks - covering.len()) as u64, Ordering::Relaxed);
-        run.pairs.seconds_for(source).collect()
+            .fetch_add((chunks.len() - covering.len()) as u64, Ordering::Relaxed);
+        let mut scratch = Vec::new();
+        let mut targets = Vec::new();
+        for chunk in &chunks[covering] {
+            let pairs = C::pairs(chunk, &mut scratch);
+            let from = pairs.partition_point(|&(s, _)| s < source);
+            targets.extend(
+                pairs[from..]
+                    .iter()
+                    .take_while(|&&(s, _)| s == source)
+                    .map(|&(_, t)| t),
+            );
+        }
+        targets
     }
 
     /// `I_{G,k}(⟨p, source, target⟩)`: membership test.
@@ -268,14 +300,14 @@ impl SharedKPathIndex {
     /// other chunk with the previous epoch. Returns the new index plus what it
     /// reused; callers publish the result and keep serving the old value to
     /// existing readers.
-    fn with_batch(&self, batch: &DeltaBatch<'_>) -> BackendResult<SharedKPathIndex> {
+    fn with_batch(&self, batch: &DeltaBatch<'_>) -> BackendResult<Self> {
         // The log records key transitions in order; each path's nets down to
         // the sorted real changes of its run.
         let mut by_path: BTreeMap<PathKey, PathOps> = BTreeMap::new();
         for (key, change) in batch.deltas.ops() {
             let (path, a, b) = decode_entry(key).ok_or_else(|| {
                 BackendError::new(
-                    "memory",
+                    C::BACKEND,
                     format!("malformed delta key {key:?} in batch log"),
                 )
             })?;
@@ -303,7 +335,7 @@ impl SharedKPathIndex {
                 // log, and the batch statistics no longer list it.
                 old += 1;
             }
-            let prev: Option<&Run> = match self.runs.get(old) {
+            let prev: Option<&Run<C>> = match self.runs.get(old) {
                 Some(run) if run.path.as_slice() == path.as_slice() => Some(run),
                 _ => None,
             };
@@ -364,22 +396,24 @@ impl SharedKPathIndex {
 
 /// Batched scan over a run's chunk list: whole chunk slices are copied into
 /// the batch columns per call instead of iterating pair-at-a-time — the
-/// chunked layout's native bulk extraction path.
-struct ChunkBatchScan<'a> {
-    chunks: &'a [Arc<Vec<(NodeId, NodeId)>>],
+/// chunked layout's native bulk extraction path. An encoded chunk is decoded
+/// into `scratch` once per batch it feeds.
+struct ChunkBatchScan<'a, C: ChunkCodec> {
+    chunks: &'a [Arc<C::Chunk>],
     chunk: usize,
     offset: usize,
+    scratch: Vec<(NodeId, NodeId)>,
 }
 
-impl BatchScan for ChunkBatchScan<'_> {
+impl<C: ChunkCodec> BatchScan for ChunkBatchScan<'_, C> {
     fn next_batch(&mut self, batch: &mut PairBatch) -> BackendResult<usize> {
         batch.clear();
         while self.chunk < self.chunks.len() && !batch.is_full() {
-            let chunk = &self.chunks[self.chunk];
-            let take = batch.remaining_capacity().min(chunk.len() - self.offset);
-            batch.extend_from_pairs(&chunk[self.offset..self.offset + take]);
+            let pairs = C::pairs(&self.chunks[self.chunk], &mut self.scratch);
+            let take = batch.remaining_capacity().min(pairs.len() - self.offset);
+            batch.extend_from_pairs(&pairs[self.offset..self.offset + take]);
             self.offset += take;
-            if self.offset == chunk.len() {
+            if self.offset == pairs.len() {
                 self.chunk += 1;
                 self.offset = 0;
             }
@@ -388,9 +422,9 @@ impl BatchScan for ChunkBatchScan<'_> {
     }
 }
 
-impl PathIndexBackend for SharedKPathIndex {
+impl<C: ChunkCodec> PathIndexBackend for SharedKPathIndex<C> {
     fn backend_name(&self) -> &'static str {
-        "memory"
+        C::BACKEND
     }
 
     fn k(&self) -> usize {
@@ -404,10 +438,11 @@ impl PathIndexBackend for SharedKPathIndex {
     fn scan_path_batches(&self, path: &[SignedLabel]) -> BackendResult<BackendBatchScan<'_>> {
         check_scan_path(self.backend_name(), self.k, path)?;
         let chunks = self.run(path).map(|r| r.pairs.chunks()).unwrap_or(&[]);
-        Ok(Box::new(ChunkBatchScan {
+        Ok(Box::new(ChunkBatchScan::<C> {
             chunks,
             chunk: 0,
             offset: 0,
+            scratch: Vec::new(),
         }))
     }
 
@@ -434,6 +469,8 @@ impl PathIndexBackend for SharedKPathIndex {
         self.paths_k_size
     }
 
+    /// `approx_bytes` is what the chunks' encoding says they take: 8 bytes
+    /// per entry for plain chunks.
     fn stats(&self) -> BackendStats {
         BackendStats {
             backend: self.backend_name(),
@@ -441,12 +478,17 @@ impl PathIndexBackend for SharedKPathIndex {
             entries: self.entries,
             distinct_paths: self.per_path_counts.len(),
             paths_k_size: self.paths_k_size,
-            approx_bytes: self.entries * std::mem::size_of::<(NodeId, NodeId)>() as u64,
+            approx_bytes: self
+                .runs
+                .iter()
+                .flat_map(|r| r.pairs.chunks())
+                .map(|chunk| C::footprint(chunk) as u64)
+                .sum(),
         }
     }
 }
 
-impl MutablePathIndexBackend for SharedKPathIndex {
+impl<C: ChunkCodec> MutablePathIndexBackend for SharedKPathIndex<C> {
     /// Publishes the next epoch in place: O(touched chunks), with everything
     /// untouched shared structurally. Only fails on a malformed delta log.
     fn apply_delta_batch(&mut self, batch: &DeltaBatch<'_>) -> BackendResult<()> {
@@ -459,15 +501,16 @@ impl MutablePathIndexBackend for SharedKPathIndex {
     }
 }
 
-impl StructuralAudit for SharedKPathIndex {
+impl<C: ChunkCodec> StructuralAudit for SharedKPathIndex<C> {
     /// Walks every run and pair, verifying the invariants the scan and probe
     /// paths silently rely on:
     ///
     /// * `runs-ordered` — runs strictly ascending by `(length, path)` (the
     ///   binary search in `SharedKPathIndex::run` assumes it);
-    /// * per run, everything [`PairRun::audit`] checks: `chunk-nonempty` /
-    ///   `chunk-size-max` / `chunk-coalesced` / `chunk-sorted` /
-    ///   `chunk-disjoint` / `fence-parallel` / `fence-tight` / `run-count`;
+    /// * per run, everything [`PairRun::audit`] checks: `chunk-decodable` /
+    ///   `chunk-nonempty` / `chunk-size-max` / `chunk-coalesced` /
+    ///   `chunk-sorted` / `chunk-disjoint` / `fence-parallel` / `fence-tight`
+    ///   / `run-count`;
     /// * `bloom-sound` — every present source passes the run's bloom filter
     ///   (the superset property: deletions may leave stale bits, but a live
     ///   source must never be rejected);
@@ -500,14 +543,17 @@ impl StructuralAudit for SharedKPathIndex {
             },
         );
         let mut entries = 0u64;
+        let mut scratch = Vec::new();
         for run in &self.runs {
             let loc = format!("path {:?}", run.path);
             run.pairs.audit(&loc, report);
             let mut run_entries = 0u64;
             let mut bloom_misses = 0u64;
-            for (s, _) in run.pairs.iter() {
-                run_entries += 1;
-                bloom_misses += u64::from(!run.bloom.maybe_contains(s));
+            for chunk in run.pairs.chunks() {
+                for &(s, _) in C::pairs(chunk, &mut scratch) {
+                    run_entries += 1;
+                    bloom_misses += u64::from(!run.bloom.maybe_contains(s));
+                }
             }
             report.check("bloom-sound", &loc, bloom_misses == 0, || {
                 format!("{bloom_misses} present source(s) rejected by the run's bloom filter")
@@ -561,6 +607,22 @@ mod tests {
             inserted_edges: inserted,
             deleted_edges: deleted,
             seq: 1,
+        }
+    }
+
+    /// An index over no relation at k = 1, to grow through delta batches.
+    fn empty_index() -> SharedKPathIndex {
+        SharedKPathIndex {
+            k: 1,
+            node_count: 0,
+            paths_k_size: 0,
+            entries: 0,
+            runs: Vec::new(),
+            per_path_counts: Vec::new(),
+            last_publish: RunPublishStats::default(),
+            inserts_applied: 0,
+            deletes_applied: 0,
+            chunks_skipped: Arc::default(),
         }
     }
 
@@ -796,18 +858,7 @@ mod tests {
         for i in 0..(MANY) {
             oracle.apply_logged(EdgeOp::insert(NodeId(i), l, NodeId(i + 1)), &mut deltas);
         }
-        let empty = SharedKPathIndex {
-            k: 1,
-            node_count: 0,
-            paths_k_size: 0,
-            entries: 0,
-            runs: Vec::new(),
-            per_path_counts: Vec::new(),
-            last_publish: RunPublishStats::default(),
-            inserts_applied: 0,
-            deletes_applied: 0,
-            chunks_skipped: Arc::default(),
-        };
+        let empty = empty_index();
         let mut shared = empty
             .with_batch(&delta_batch(&oracle, &deltas, MANY as u64, 0))
             .unwrap();
@@ -861,18 +912,7 @@ mod tests {
         for i in 0..n {
             oracle.apply_logged(EdgeOp::insert(NodeId(i), l, NodeId(i)), &mut deltas);
         }
-        let empty = SharedKPathIndex {
-            k: 1,
-            node_count: 0,
-            paths_k_size: 0,
-            entries: 0,
-            runs: Vec::new(),
-            per_path_counts: Vec::new(),
-            last_publish: RunPublishStats::default(),
-            inserts_applied: 0,
-            deletes_applied: 0,
-            chunks_skipped: Arc::default(),
-        };
+        let empty = empty_index();
         let mut shared = empty
             .with_batch(&delta_batch(&oracle, &deltas, n as u64, 0))
             .unwrap();
@@ -918,20 +958,9 @@ mod tests {
             oracle.apply_logged(EdgeOp::insert(NodeId(i), l0, NodeId(i)), &mut deltas);
         }
         oracle.apply_logged(EdgeOp::insert(NodeId(0), l1, NodeId(1)), &mut deltas);
-        let base = SharedKPathIndex {
-            k: 1,
-            node_count: 0,
-            paths_k_size: 0,
-            entries: 0,
-            runs: Vec::new(),
-            per_path_counts: Vec::new(),
-            last_publish: RunPublishStats::default(),
-            inserts_applied: 0,
-            deletes_applied: 0,
-            chunks_skipped: Arc::default(),
-        }
-        .with_batch(&delta_batch(&oracle, &deltas, MANY as u64 + 1, 0))
-        .unwrap();
+        let base = empty_index()
+            .with_batch(&delta_batch(&oracle, &deltas, MANY as u64 + 1, 0))
+            .unwrap();
 
         // Touch only label 1: every chunk of the big label-0 runs must be the
         // same allocation in the next epoch.
@@ -961,18 +990,7 @@ mod tests {
         for i in 0..n_edges {
             oracle.apply_logged(EdgeOp::insert(NodeId(i), l, NodeId(i + 1)), &mut deltas);
         }
-        let empty = SharedKPathIndex {
-            k: 1,
-            node_count: 0,
-            paths_k_size: 0,
-            entries: 0,
-            runs: Vec::new(),
-            per_path_counts: Vec::new(),
-            last_publish: RunPublishStats::default(),
-            inserts_applied: 0,
-            deletes_applied: 0,
-            chunks_skipped: Arc::default(),
-        };
+        let empty = empty_index();
         let shared = empty
             .with_batch(&delta_batch(&oracle, &deltas, n_edges as u64, 0))
             .unwrap();
@@ -1175,18 +1193,7 @@ mod tests {
                 &mut deltas,
             );
         }
-        let empty = SharedKPathIndex {
-            k: 1,
-            node_count: 0,
-            paths_k_size: 0,
-            entries: 0,
-            runs: Vec::new(),
-            per_path_counts: Vec::new(),
-            last_publish: RunPublishStats::default(),
-            inserts_applied: 0,
-            deletes_applied: 0,
-            chunks_skipped: Arc::default(),
-        };
+        let empty = empty_index();
         let mut shared = empty
             .with_batch(&delta_batch(&oracle, &deltas, n as u64, 0))
             .unwrap();

@@ -2,7 +2,8 @@
 //!
 //! Disk-oriented storage for the k-path index: a page/disk-manager layer, a
 //! clock-eviction buffer pool, a paged B+tree over slotted pages, delta/varint
-//! compression of pair lists, and a paged variant of the k-path index.
+//! compression of pair lists (the chunk encoding of the compressed backend),
+//! and a paged variant of the k-path index.
 //!
 //! The EDBT 2016 paper prototypes `I_{G,k}` on PostgreSQL B+tree tables; its
 //! companion work (reference \[14\]) builds the index from scratch and studies
@@ -13,7 +14,8 @@
 //!
 //! * how large is the index on disk as k grows ([`PagedPathIndex`]),
 //! * how much does delta/varint compression of the pair sets save
-//!   ([`CompressedPathStore`]),
+//!   ([`CompressedPathStore`]: the in-memory index with every chunk
+//!   [`Varint`]-encoded),
 //! * how does a bounded buffer pool behave under index scans
 //!   ([`BufferPool`] statistics).
 //!
@@ -41,7 +43,7 @@ pub mod wal;
 
 pub use btree::{CowStats, PagedBTree, PagedRangeIter, PagedTreeStats, MAX_ENTRY_SIZE};
 pub use buffer::{BufferPool, PoolStats};
-pub use compressed::{CompressedPathStore, CompressionStats, OverlayStats};
+pub use compressed::{CompressedPathStore, Varint};
 pub use disk::{DiskManager, DiskStats};
 pub use page::{PageBuf, PageId, PAGE_SIZE};
 pub use paged_index::{PagedIndexStats, PagedPathIndex};

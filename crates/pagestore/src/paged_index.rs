@@ -34,7 +34,7 @@ use pathix_index::enumerate_counted_paths;
 use pathix_index::pathkey::{
     decode_entry, decode_pair, encode_entry, encode_path_prefix, encode_path_source_prefix,
 };
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::io;
 
 /// Walk counts are stored as the entry value: 8 bytes, little endian — the
@@ -245,13 +245,18 @@ impl PagedPathIndex {
     }
 
     /// Replays absolute `(key, walk count)` writes as B+tree inserts and
-    /// deletes (a count of 0 deletes the key).
+    /// deletes (a count of 0 deletes the key) in key order, the last write
+    /// per key winning: what a batch writes to which pages then follows from
+    /// its keys, not from the order the log happened to record them in. A
+    /// key added and removed again within the batch ends at 0 and deletes
+    /// nothing.
     fn write_counts(&mut self, counts: &[(Vec<u8>, u64)]) -> io::Result<()> {
-        for (key, count) in counts {
-            if *count == 0 {
+        let last: BTreeMap<&[u8], u64> = counts.iter().map(|(k, c)| (k.as_slice(), *c)).collect();
+        for (key, count) in last {
+            if count == 0 {
                 self.tree.delete(key)?;
             } else {
-                self.tree.insert(key.clone(), encode_walks(*count))?;
+                self.tree.insert(key.to_vec(), encode_walks(count))?;
             }
         }
         Ok(())
@@ -1030,5 +1035,37 @@ mod tests {
         let _ = idx.scan_path(&[knows]).unwrap();
         let stats = idx.pool_stats();
         assert!(stats.hits + stats.misses > 0);
+    }
+
+    #[test]
+    fn count_writes_land_in_key_order_with_the_last_write_per_key() {
+        let g = paper_example_graph();
+        let mut idx = PagedPathIndex::build_in_memory(&g, 2, 8).unwrap();
+        let mut expected: BTreeMap<Vec<u8>, u64> =
+            idx.counted_entries().unwrap().into_iter().collect();
+        let mut stored = expected.keys().cloned();
+        let (rewritten, readded) = (stored.next().unwrap(), stored.next().unwrap());
+        let knows = [SignedLabel::forward(g.label_id("knows").unwrap())];
+        let transient = encode_entry(&knows, NodeId(u32::MAX - 1), NodeId(0));
+        assert!(!expected.contains_key(&transient));
+        // Descending key order, each key written twice: a stored key
+        // rewritten, a new key added then removed again, a stored key
+        // removed then added back.
+        let counts = [
+            (transient.clone(), 1),
+            (readded.clone(), 0),
+            (rewritten.clone(), 5),
+            (transient.clone(), 0),
+            (readded.clone(), 4),
+            (rewritten.clone(), 7),
+        ];
+        assert!(idx.replay_batch(1, &counts, g.node_count(), 0, 0).unwrap());
+        expected.insert(rewritten, 7);
+        expected.insert(readded, 4);
+        let entries: BTreeMap<Vec<u8>, u64> = idx.counted_entries().unwrap().into_iter().collect();
+        assert_eq!(entries, expected);
+        let mut report = AuditReport::new();
+        report.run("paged", &idx);
+        report.assert_clean("after the count writes");
     }
 }

@@ -60,14 +60,19 @@ pub fn encoded_len_u64(value: u64) -> usize {
 /// The caller must pass a sorted, duplicate-free slice; this is asserted in
 /// debug builds.
 pub fn encode_pairs(pairs: &[(u32, u32)]) -> Vec<u8> {
-    debug_assert!(
-        pairs.windows(2).all(|w| w[0] < w[1]),
-        "pair list must be sorted and duplicate-free"
-    );
-    let mut out = Vec::with_capacity(pairs.len() * 2 + 8);
-    encode_u64(pairs.len() as u64, &mut out);
+    encode_sorted(pairs.len(), pairs.iter().copied())
+}
+
+/// [`encode_pairs`] over the `len` pairs `pairs` yields.
+pub(crate) fn encode_sorted(len: usize, pairs: impl Iterator<Item = (u32, u32)>) -> Vec<u8> {
+    let mut out = Vec::with_capacity(len * 2 + 8);
+    encode_u64(len as u64, &mut out);
     let mut prev: Option<(u32, u32)> = None;
-    for &(src, dst) in pairs {
+    for (src, dst) in pairs {
+        debug_assert!(
+            prev.is_none_or(|p| p < (src, dst)),
+            "pair list must be sorted and duplicate-free"
+        );
         let dsrc = src - prev.map_or(0, |(s, _)| s);
         encode_u64(u64::from(dsrc), &mut out);
         match prev {

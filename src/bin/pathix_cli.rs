@@ -362,8 +362,8 @@ impl Shell {
         // Every backend counts what its bound probes and range scans managed
         // to bypass or stage ahead of time.
         out.push_str(&format!(
-            "\nscan      : {} chunks skipped, {} blocks skipped, {} pages read ahead",
-            storage.chunks_skipped, storage.blocks_skipped, storage.read_ahead_pages
+            "\nscan      : {} chunks skipped, {} pages read ahead",
+            storage.chunks_skipped, storage.read_ahead_pages
         ));
         // Graph adjacency sharing: what the last committed graph epoch
         // rebuilt versus re-shared behind Arcs (all zeros on a bulk build).
@@ -377,29 +377,24 @@ impl Shell {
             publish.chunks_shared,
             stats.graph_chunks
         ));
+        // The chunk-run backends (memory, compressed) report what their last
+        // publish shared vs rebuilt.
         let snapshot = self.db.snapshot();
-        // The memory backend reports what its last publish shared vs rebuilt.
-        if let Some(index) = snapshot.index().as_memory() {
-            let publish = index.last_publish_stats();
+        let index = snapshot.index();
+        let runs = index
+            .as_memory()
+            .map(|m| (m.last_publish_stats(), m.chunk_count()))
+            .or_else(|| {
+                let c = index.as_compressed()?;
+                Some((c.last_publish_stats(), c.chunk_count()))
+            });
+        if let Some((publish, chunks)) = runs {
             out.push_str(&format!(
-                "\npublish   : last batch rebuilt {} runs / {} chunks, shared {} runs / {} chunks ({} chunks total)",
+                "\npublish   : last batch rebuilt {} runs / {} chunks, shared {} runs / {} chunks ({chunks} chunks total)",
                 publish.runs_rebuilt,
                 publish.chunks_rebuilt,
                 publish.runs_shared,
                 publish.chunks_shared,
-                index.chunk_count()
-            ));
-        }
-        // The compressed backend additionally reports its delta overlay: the
-        // updates absorbed since the last block rewrites.
-        if let Some(store) = snapshot.index().as_compressed() {
-            let overlay = store.overlay_stats();
-            out.push_str(&format!(
-                "\noverlay   : {} overrides across {} paths (compaction at {}, {} rewrites so far)",
-                overlay.overlay_entries,
-                overlay.overlaid_paths,
-                overlay.compaction_threshold,
-                overlay.compactions
             ));
         }
         out
@@ -904,25 +899,30 @@ mod tests {
     }
 
     #[test]
-    fn compressed_shell_reports_overlay_stats() {
-        let mut shell = Shell::with_backend(paper_example_graph(), 2, BackendChoice::Compressed);
-        let stats = shell.run(Command::Stats);
-        assert!(stats.contains("compressed backend"), "{stats}");
-        assert!(
-            stats.contains("overlay   : 0 overrides"),
-            "a fresh build has an empty overlay: {stats}"
-        );
-        let out = shell.run(Command::Update("tim knows zoe".to_owned()));
-        assert!(out.contains("inserted"), "{out}");
-        let stats = shell.run(Command::Stats);
-        assert!(stats.contains("overlay   : "), "{stats}");
-        assert!(
-            !stats.contains("overlay   : 0 overrides"),
-            "the update must land in the overlay: {stats}"
-        );
-        // The other backends do not print an overlay line.
+    fn compressed_shell_prints_the_publish_line_memory_prints() {
+        let publish_line = |stats: &str| {
+            stats
+                .lines()
+                .find(|line| line.starts_with("publish   : "))
+                .map(str::to_owned)
+        };
+        let mut compressed =
+            Shell::with_backend(paper_example_graph(), 2, BackendChoice::Compressed);
         let mut memory = Shell::new(paper_example_graph(), 2);
-        assert!(!memory.run(Command::Stats).contains("overlay"));
+        for shell in [&mut compressed, &mut memory] {
+            let out = shell.run(Command::Update("tim knows zoe".to_owned()));
+            assert!(out.contains("inserted"), "{out}");
+        }
+        let stats = compressed.run(Command::Stats);
+        assert!(stats.contains("compressed backend"), "{stats}");
+        assert!(!stats.contains("overlay"), "{stats}");
+        let line = publish_line(&stats);
+        assert!(
+            line.as_ref().is_some_and(|l| !l.contains("rebuilt 0 runs")),
+            "{stats}"
+        );
+        // Same chunks, same publish: the line reads as memory's does.
+        assert_eq!(line, publish_line(&memory.run(Command::Stats)));
     }
 
     #[test]

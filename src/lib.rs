@@ -65,8 +65,8 @@
 //! * [`BackendChoice::OnDisk`] — the paged B+tree over a page file on disk;
 //!   only `pool_frames` 4 KiB pages stay resident, so the index can be far
 //!   larger than memory.
-//! * [`BackendChoice::Compressed`] — delta/varint-compressed per-path pair
-//!   blocks; the smallest footprint, decoding on scan.
+//! * [`BackendChoice::Compressed`] — the in-memory chunk-run index with
+//!   delta/varint-encoded chunks; the smallest footprint, decoding on read.
 //!
 //! Backends answering a query never panic on I/O: failures surface as
 //! [`QueryError::Backend`].
@@ -110,8 +110,9 @@ pub use pathix_plan as plan;
 /// Baseline evaluators (automaton product BFS, Datalog).
 pub use pathix_baselines as baselines;
 
-/// Disk-oriented storage: pager, buffer pool, paged B+tree, compressed
-/// pair blocks and the paged k-path index.
+/// Disk-oriented storage: pager, buffer pool, paged B+tree, the
+/// delta/varint chunk encoding of the compressed backend and the paged
+/// k-path index.
 pub use pathix_pagestore as pagestore;
 
 /// Relational backend: the small SQL engine and the paper's RPQ-to-SQL

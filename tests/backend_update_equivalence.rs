@@ -2,7 +2,7 @@
 //!
 //! The k-path index `I_{G,k}` has four storage representations (in-memory
 //! chunk runs, paged B+tree over an in-memory page store, paged B+tree on disk,
-//! compressed blocks with a delta overlay), and since the mutable-backend PR
+//! delta/varint-encoded chunk runs), and since the mutable-backend PR
 //! all four absorb [`PathDb::apply`] batches. This harness is the acceptance
 //! gate for that claim: over random graphs and random update scripts
 //! (deterministic PRNG, `PATHIX_PROP_CASES`-scaled), after **every** batch,
@@ -14,10 +14,6 @@
 //!   graph,
 //! * the published structural statistics (entry count, `|paths_k(G)|`,
 //!   epoch) agree everywhere.
-//!
-//! The compressed backend runs with a tiny compaction threshold so overlay
-//! compactions (block rewrites) happen inside the property run rather than
-//! only past the production default.
 
 use pathix::{
     BackendChoice, GraphBuilder, GraphUpdate, LabelId, NodeId, PathDb, PathDbConfig, QueryOptions,
@@ -150,7 +146,6 @@ fn all_backends_answer_identically_after_every_update_batch() {
             .iter()
             .map(|choice| {
                 let config = PathDbConfig {
-                    compressed_compaction_threshold: 4,
                     ..PathDbConfig::with_k(k).with_backend(choice.clone())
                 };
                 PathDb::try_build(graph.clone(), config).expect("backend build failed")

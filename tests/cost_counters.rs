@@ -17,7 +17,8 @@ use pathix::{Graph, GraphUpdate, NodeId, PathDb, PathIndexBackend, QueryOptions,
 
 /// 65 nodes, ≈ 500 edges, three labels: small enough for every backend in a
 /// second, large enough that the paged index spans many more pages than the
-/// 32-frame pool and the compressed blocks span several segments.
+/// 32-frame pool and the chunk runs of the memory and compressed backends
+/// span several chunks.
 fn graph() -> Graph {
     advogato_like(AdvogatoConfig::scaled(0.01))
 }
@@ -125,6 +126,83 @@ fn a_fixed_update_script_costs_the_same_deltas_on_every_backend() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// `(pool write-backs, copy-on-write page copies)` of the three batches of
+/// [`script`] on the paged backends, in-memory and on-disk alike: a batch's
+/// count writes reach the tree in key order, last write per key, so the pages
+/// it dirties and copies are a function of its keys.
+const PAGE_WRITES: [(u64, u64); 3] = [(63, 56), (122, 80), (106, 38)];
+
+#[test]
+fn a_fixed_update_script_writes_the_same_pages_on_the_paged_backends() {
+    let (dbs, dir) = common::on_every_backend("cost-page-writes", &graph(), 32);
+    for (name, db) in dbs
+        .iter()
+        .filter(|(name, _)| *name == "paged" || *name == "on-disk")
+    {
+        let observed: Vec<_> = script()
+            .iter()
+            .map(|batch| {
+                let before = db.stats().storage;
+                db.apply(batch).unwrap();
+                let after = db.stats().storage;
+                let (pool, cow) = (after.pool.unwrap(), after.cow.unwrap());
+                (
+                    pool.write_backs - before.pool.unwrap().write_backs,
+                    cow.page_copies - before.cow.unwrap().page_copies,
+                )
+            })
+            .collect();
+        assert_eq!(observed, PAGE_WRITES, "{name}");
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// `(entries, approx_bytes)` of the memory and the compressed backend as
+/// built and after each batch of [`script`]. Memory counts 8 bytes per entry;
+/// compressed counts each delta/varint chunk's bytes plus its 16-byte fence,
+/// so an encoding change shows up here as a one-line diff.
+const SIZES: [(&str, [(u64, u64); 4]); 2] = [
+    (
+        "memory",
+        [
+            (23627, 189016),
+            (23901, 191208),
+            (23931, 191448),
+            (23928, 191424),
+        ],
+    ),
+    (
+        "compressed",
+        [
+            (23627, 49019),
+            (23901, 49855),
+            (23931, 49880),
+            (23928, 49587),
+        ],
+    ),
+];
+
+#[test]
+fn index_sizes_are_pinned_as_built_and_after_each_batch() {
+    let (dbs, dir) = common::on_every_backend("cost-sizes", &graph(), 32);
+    for (name, expected) in SIZES {
+        let db = &dbs.iter().find(|(n, _)| *n == name).unwrap().1;
+        let size = |db: &PathDb| {
+            let index = db.stats().index;
+            (index.entries, index.approx_bytes)
+        };
+        let mut observed = vec![size(db)];
+        for batch in script() {
+            db.apply(&batch).unwrap();
+            observed.push(size(db));
+        }
+        assert_eq!(observed, expected, "{name}");
+    }
+    let memory = SIZES[0].1;
+    assert!(memory.iter().all(|&(entries, bytes)| bytes == 8 * entries));
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 /// The indexed paths bound probes and cold scans walk: every length-2 path
 /// over the three forward labels, in label order.
 fn forward_paths(graph: &Graph) -> Vec<[SignedLabel; 2]> {
@@ -135,10 +213,9 @@ fn forward_paths(graph: &Graph) -> Vec<[SignedLabel; 2]> {
         .collect()
 }
 
-/// Chunks the memory backend and segments the compressed backend skipped
-/// while answering [`probe_every_path`].
+/// Chunks the memory and the compressed backend (the same chunks, the same
+/// blooms) skipped while answering [`probe_every_path`].
 const CHUNKS_SKIPPED: u64 = 135;
-const BLOCKS_SKIPPED: u64 = 60;
 
 /// Eight sources spread over the id range: hubs, the tail, and an id past the
 /// last node.
@@ -159,7 +236,6 @@ fn probe_every_path(db: &PathDb) {
 /// than the raw probes: the id past the last node never reaches the index,
 /// and a relation small against the frontier is scanned, not probed.
 const RUN_CHUNKS_SKIPPED: u64 = 111;
-const RUN_BLOCKS_SKIPPED: u64 = 45;
 
 /// [`probe_every_path`] as queries: `a/b` bound to each of [`SOURCES`].
 fn look_up_every_path(db: &PathDb) {
@@ -178,27 +254,22 @@ fn bound_probes_skip_a_fixed_number_of_chunks_and_segments() {
     let (dbs, dir) = common::on_every_backend("cost-probes", &graph(), 32);
     for (name, db) in &dbs {
         let skipped_by = |lookups: fn(&PathDb)| {
-            let before = db.stats().storage;
+            let before = db.stats().storage.chunks_skipped;
             lookups(db);
-            let after = db.stats().storage;
-            (
-                after.chunks_skipped - before.chunks_skipped,
-                after.blocks_skipped - before.blocks_skipped,
-            )
+            db.stats().storage.chunks_skipped - before
         };
-        let expected = |chunks, blocks| match *name {
-            "memory" => (chunks, 0),
-            "compressed" => (0, blocks),
-            _ => (0, 0),
+        let expected = |chunks| match *name {
+            "memory" | "compressed" => chunks,
+            _ => 0,
         };
         assert_eq!(
             skipped_by(probe_every_path),
-            expected(CHUNKS_SKIPPED, BLOCKS_SKIPPED),
+            expected(CHUNKS_SKIPPED),
             "{name}"
         );
         assert_eq!(
             skipped_by(look_up_every_path),
-            expected(RUN_CHUNKS_SKIPPED, RUN_BLOCKS_SKIPPED),
+            expected(RUN_CHUNKS_SKIPPED),
             "{name}: through PathDb::run"
         );
     }

@@ -157,9 +157,6 @@ fn random_update_scripts_match_a_rebuilt_database_on_every_strategy_and_backend(
             let mut rng = StdRng::seed_from_u64(0x11FE + case);
             let k = rng.gen_range(1..=3usize);
             let config = PathDbConfig {
-                // A tiny threshold on the compressed backend forces overlay
-                // compactions inside the property run.
-                compressed_compaction_threshold: 8,
                 ..PathDbConfig::with_k(k).with_backend(choice.clone())
             };
             let db = PathDb::try_build(paper_example_graph(), config).unwrap();

@@ -149,7 +149,6 @@ fn reader_views_are_bit_stable_across_later_batches_on_every_backend() {
             let mut rng = StdRng::seed_from_u64(0x150_1A7E + case);
             let k = rng.gen_range(1..=2usize);
             let config = PathDbConfig {
-                compressed_compaction_threshold: 4,
                 ..PathDbConfig::with_k(k).with_backend(choice.clone())
             };
             let db = PathDb::try_build(paper_example_graph(), config).unwrap();

@@ -2,7 +2,7 @@
 //! live database absorbs, a `SqlPathDb` rebuilt from that database must answer
 //! exactly like the native pipeline under every strategy, on every backend —
 //! the bridge reads whatever the backend's post-update scans deliver (rebuilt
-//! chunks, copy-on-write pages, overlay merges), not a freshly bulk-built
+//! chunks, re-encoded chunks, copy-on-write pages), not a freshly bulk-built
 //! index.
 
 mod common;

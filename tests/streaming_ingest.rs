@@ -180,7 +180,6 @@ fn streaming_ingest_matches_bulk_build_on_every_backend() {
             .iter()
             .map(|choice| {
                 let config = PathDbConfig {
-                    compressed_compaction_threshold: 4,
                     ..PathDbConfig::with_k(k).with_backend(choice.clone())
                 };
                 PathDb::empty(config).expect("empty database build failed")

@@ -289,8 +289,8 @@ fn bound_probes_agree_with_full_scans_and_skip_work() {
                 "memory probes must skip fenced chunks"
             ),
             "compressed" => assert!(
-                storage.blocks_skipped > 0,
-                "compressed probes must skip fenced segments"
+                storage.chunks_skipped > 0,
+                "compressed probes must skip fenced chunks"
             ),
             _ => {}
         }
