@@ -1069,14 +1069,15 @@ impl PathDb {
     /// batch did. Works identically on **every** backend.
     ///
     /// Updates route through the counting delta rules of
-    /// [`IncrementalKPathIndex`] (built lazily from the current graph on the
-    /// first call), keep the graph adjacency in sync, refresh the histogram
-    /// under [`PathDbConfig::histogram_refresh`], and publish a new
-    /// [`Snapshot`] with a bumped epoch. Every backend replays the same key
-    /// deltas against its own storage — chunk rebuilds with structural
-    /// sharing on memory and compressed (re-encoding the rebuilt chunks
-    /// there), copy-on-write B+tree inserts/deletes with page writeback on
-    /// the paged backends — so publishing costs O(batch), not
+    /// [`IncrementalKPathIndex`] (seeded lazily on the first call), which
+    /// walk the graph one op at a time on a scratch chain of epochs; the
+    /// batch then commits its effective ops as one new graph epoch,
+    /// refreshes the histogram under [`PathDbConfig::histogram_refresh`], and
+    /// publishes a new [`Snapshot`] with a bumped epoch. Every backend
+    /// replays the same key deltas against its own storage — chunk rebuilds
+    /// with structural sharing on memory and compressed (re-encoding the
+    /// rebuilt chunks there), copy-on-write B+tree inserts/deletes with page
+    /// writeback on the paged backends — so publishing costs O(batch), not
     /// O(index). Readers are never blocked: queries and cursors opened before
     /// the batch keep answering **bit-identically** from their own snapshot
     /// on every backend, and plans cached at older epochs are transparently
@@ -1163,9 +1164,11 @@ impl PathDb {
 
         let live_state = &mut *live;
         if live_state.index.is_none() {
-            // First update since build or open: seed the counting index. A
-            // paged backend already holds every ⟨entry, walk count⟩ pair, so
-            // a reopened database reseeds from the persisted entries in one
+            // First update since build or open: seed the counting index (its
+            // entries and walk counts only — the rules walk the graph epochs
+            // handed to them, so there is no adjacency to seed). A paged
+            // backend already holds every ⟨entry, walk count⟩ pair, so a
+            // reopened database reseeds from the persisted entries in one
             // tree scan instead of re-enumerating every counted walk of the
             // graph; any read or validation failure falls back to the
             // from-graph rebuild below.
@@ -1188,6 +1191,11 @@ impl PathDb {
             IncrementalKPathIndex::bulk_from_graph(current.graph(), self.config.k)
         });
 
+        // The counting rules walk the graph epochs around each op: adopt the
+        // batch's vocabulary once, then advance a scratch epoch op by op
+        // (each step re-shares every untouched chunk of the one before).
+        let adopted = current.graph().commit_batch(vocab, &[]);
+        let mut walked = adopted.clone();
         live_state.deltas.clear();
         let mut effective: Vec<EdgeOp> = Vec::new();
         let mut inserted = 0u64;
@@ -1198,7 +1206,7 @@ impl PathDb {
                 no_ops += 1;
                 continue;
             };
-            if !live_index.apply_logged(op, &mut live_state.deltas) {
+            if !live_index.apply_logged(&mut walked, op, &mut live_state.deltas) {
                 no_ops += 1;
                 continue;
             }
@@ -1209,8 +1217,8 @@ impl PathDb {
             }
             effective.push(op);
         }
-        let vocab_grew = vocab.node_count() != current.graph().node_count()
-            || vocab.label_count() != current.graph().label_count();
+        let vocab_grew = adopted.node_count() != current.graph().node_count()
+            || adopted.label_count() != current.graph().label_count();
         if effective.is_empty() && !vocab_grew {
             // The whole batch was a no-op: nothing changed, nothing to
             // publish, plans stay valid.
@@ -1223,9 +1231,10 @@ impl PathDb {
                 histogram_refreshed: false,
             });
         }
-        // O(Δ) graph epoch: untouched labels and chunks are re-shared by
+        // The published epoch is one commit of the effective ops, not the
+        // scratch chain: O(Δ), untouched labels and chunks are re-shared by
         // refcount bump, never copied.
-        let graph = current.graph().commit_batch(vocab, &effective);
+        let graph = adopted.commit_batch(adopted.vocab_batch(), &effective);
 
         // The refresh decision is taken on the *pending* count, but the
         // counter itself only advances after the batch has durably committed
@@ -1839,10 +1848,11 @@ mod tests {
         for mut writer in writers {
             let name = writer.backend_name();
             let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, 2);
+            let mut graph = g.clone();
             let mut views = vec![writer.reader_view()];
             for (seq, &op) in batches.iter().enumerate() {
                 let mut deltas = EntryDeltas::new();
-                assert!(oracle.apply_logged(op, &mut deltas));
+                assert!(oracle.apply_logged(&mut graph, op, &mut deltas));
                 let batch = DeltaBatch {
                     deltas: &deltas,
                     per_path_counts: oracle.per_path_counts(),

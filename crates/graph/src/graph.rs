@@ -152,8 +152,9 @@ impl VocabBatch {
 ///   ([`crate::dict::Vocabulary`]); each epoch sees a frozen prefix through
 ///   lock-free [`DictView`]s while the writer interns new names live.
 ///
-/// [`Graph::insert_edge`] / [`Graph::remove_edge`] keep the historical
-/// edge-at-a-time mutation API as thin wrappers over a one-op batch.
+/// [`Graph::insert_edge`] / [`Graph::remove_edge`] are the edge-at-a-time
+/// form: each publishes a one-op epoch in place, which is how the counting
+/// index of `pathix-index` steps a scratch graph through an update batch.
 ///
 /// Committing a batch returns the next epoch and leaves this one untouched;
 /// names the batch interns become visible only in the committed graph:

@@ -366,15 +366,19 @@ pub enum EntryChange {
 }
 
 /// The key-level effect of a sequence of graph updates: which index entries
-/// appeared and disappeared, in the order the transitions happened.
+/// appeared and disappeared, and the walk count each touched entry holds
+/// afterwards.
 ///
 /// The counting delta rules of [`crate::IncrementalKPathIndex`] produce this
 /// log (via [`crate::IncrementalKPathIndex::apply_logged`]) **once** per
-/// batch; every storage backend then replays the same log against its own
+/// batch, update after update; within one update the records come one per
+/// key in ascending key order, so the same updates always log the same
+/// bytes. Every storage backend then replays the same log against its own
 /// representation — per-path chunk rebuilds for the chunk runs (memory and
-/// compressed), B+tree key inserts/deletes for the paged index. Ordering
-/// matters: a key can be added and later removed within one batch, and
-/// replaying out of order would leave it behind.
+/// compressed), B+tree key inserts/deletes for the paged index. The order of
+/// the updates matters: a key can be added by one update and removed by a
+/// later one within one batch, and replaying the updates out of order would
+/// leave it behind.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EntryDeltas {
     ops: Vec<(Vec<u8>, EntryChange)>,
@@ -402,12 +406,14 @@ impl EntryDeltas {
         self.counts.push((key.to_vec(), new_count));
     }
 
-    /// The recorded transitions, oldest first.
+    /// The recorded transitions: update after update, each update's in
+    /// ascending key order.
     pub fn ops(&self) -> &[(Vec<u8>, EntryChange)] {
         &self.ops
     }
 
-    /// The recorded absolute-count writes, oldest first (0 = key removed).
+    /// The recorded absolute-count writes (0 = key removed): update after
+    /// update, each update's one per key in ascending key order.
     pub fn counts(&self) -> &[(Vec<u8>, u64)] {
         &self.counts
     }
@@ -459,8 +465,9 @@ pub struct DeltaBatch<'a> {
 /// full rebuild over the updated graph.
 ///
 /// The counting delta enumeration happens once, backend-agnostically, in
-/// [`crate::IncrementalKPathIndex::apply_logged`]; implementors only replay
-/// the resulting [`DeltaBatch`] against their own storage. Both physical
+/// [`crate::IncrementalKPathIndex::apply_logged`], which walks the graph
+/// epochs around each update; implementors only replay the resulting
+/// [`DeltaBatch`] against their own storage. Both physical
 /// representations implement this: the chunk runs of the memory and the
 /// compressed backend (rebuilding, and re-encoding, only the touched chunks)
 /// and the paged B+tree (key inserts/deletes with page splits and merges).

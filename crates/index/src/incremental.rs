@@ -9,15 +9,22 @@
 //!
 //! * inserting an edge adds, for every label path `p` of length ≤ k and every
 //!   position at which the new edge can participate, the product of the walk
-//!   counts of the prefix (evaluated on the *old* graph) and of the suffix
-//!   (evaluated on the *new* graph) — the standard telescoping delta rule;
+//!   counts of the prefix (walked on the graph epoch *without* the edge) and
+//!   of the suffix (walked on the epoch *with* it) — the standard
+//!   telescoping delta rule;
 //! * deleting an edge subtracts the symmetric products, and an entry is
 //!   removed only when its walk count reaches zero, which is exactly when no
 //!   alternative walk realizes the pair.
 //!
-//! Because the prefix/suffix walks live inside the k-neighborhood of the
-//! updated edge, a single update touches only that neighborhood rather than
-//! the whole index.
+//! The index holds no adjacency of its own. The caller hands it the
+//! [`Graph`] epoch it describes; [`IncrementalKPathIndex::apply_logged`]
+//! advances that epoch by one op ([`Graph::insert_edge`] /
+//! [`Graph::remove_edge`], which also decide whether the op is a no-op) and
+//! walks the epochs on either side of it. Because the prefix/suffix walks
+//! live inside the k-neighborhood of the updated edge, a single update
+//! touches only that neighborhood rather than the whole index. Each op's
+//! walk-count writes come out one per key in ascending key order, so the
+//! same updates always produce the same log.
 //!
 //! The maintained key set is identical to [`crate::SharedKPathIndex`] built
 //! from scratch over the same graph (property-tested in this module and in
@@ -146,97 +153,10 @@ impl GraphUpdate {
     }
 }
 
-/// Dynamic adjacency over set-semantics labeled edges.
-///
-/// Neighbor lists are kept sorted so that walk expansion is deterministic and
-/// membership checks are logarithmic.
-#[derive(Debug, Clone, Default)]
-struct DynAdjacency {
-    /// `(node, signed label) → sorted neighbor list`.
-    succ: HashMap<(NodeId, SignedLabel), Vec<NodeId>>,
-    edge_count: usize,
-    max_label: Option<LabelId>,
-}
-
-impl DynAdjacency {
-    fn contains(&self, src: NodeId, label: LabelId, dst: NodeId) -> bool {
-        self.succ
-            .get(&(src, SignedLabel::forward(label)))
-            .is_some_and(|v| v.binary_search(&dst).is_ok())
-    }
-
-    fn insert(&mut self, src: NodeId, label: LabelId, dst: NodeId) -> bool {
-        if self.contains(src, label, dst) {
-            return false;
-        }
-        for (from, sl, to) in [
-            (src, SignedLabel::forward(label), dst),
-            (dst, SignedLabel::backward(label), src),
-        ] {
-            let list = self.succ.entry((from, sl)).or_default();
-            let pos = list.binary_search(&to).unwrap_err();
-            list.insert(pos, to);
-        }
-        self.edge_count += 1;
-        self.max_label = Some(self.max_label.map_or(label, |m| m.max(label)));
-        true
-    }
-
-    fn remove(&mut self, src: NodeId, label: LabelId, dst: NodeId) -> bool {
-        if !self.contains(src, label, dst) {
-            return false;
-        }
-        for (from, sl, to) in [
-            (src, SignedLabel::forward(label), dst),
-            (dst, SignedLabel::backward(label), src),
-        ] {
-            let list = self.succ.get_mut(&(from, sl)).expect("edge present");
-            let pos = list.binary_search(&to).expect("edge present");
-            list.remove(pos);
-            if list.is_empty() {
-                self.succ.remove(&(from, sl));
-            }
-        }
-        self.edge_count -= 1;
-        true
-    }
-
-    fn neighbors(&self, node: NodeId, sl: SignedLabel) -> &[NodeId] {
-        self.succ.get(&(node, sl)).map_or(&[], Vec::as_slice)
-    }
-
-    /// Builds the adjacency from an existing graph's (deduplicated) edges.
-    fn from_graph(graph: &Graph) -> Self {
-        let mut adj = DynAdjacency::default();
-        for label in graph.labels() {
-            for (src, dst) in graph.edges(label) {
-                adj.insert(src, label, dst);
-            }
-        }
-        adj
-    }
-}
-
 /// Packs a node pair into one map key.
 #[inline]
 fn pack_pair(a: NodeId, b: NodeId) -> u64 {
     ((a.0 as u64) << 32) | b.0 as u64
-}
-
-/// Reusable scratch space of the per-update delta enumeration. Batches apply
-/// many updates back to back; clearing these collections keeps their
-/// capacity, so the hot path stops reallocating the accumulator map, the
-/// encoded-delta vector and the signed alphabet on every single update.
-#[derive(Debug, Clone, Default)]
-struct DeltaScratch {
-    /// `(path, a, b) → walk-count delta` accumulator of one enumeration.
-    delta: HashMap<(Vec<SignedLabel>, NodeId, NodeId), u64>,
-    /// Encoded `(key, count)` output of one enumeration.
-    out: Vec<(Vec<u8>, u64)>,
-    /// Cached signed alphabet, valid while `alphabet_max` matches the
-    /// adjacency's maximum label.
-    alphabet: Vec<SignedLabel>,
-    alphabet_max: Option<LabelId>,
 }
 
 /// A k-path index that stays consistent under edge insertions and deletions.
@@ -244,25 +164,31 @@ struct DeltaScratch {
 /// Unlike [`crate::SharedKPathIndex`] (which stores the bare pairs), this
 /// index stores a walk count per `⟨p, a, b⟩` entry and applies counting delta
 /// rules on every update, so the visible pair sets always equal what a full
-/// rebuild over the current edge set would produce.
+/// rebuild over the current edge set would produce. It keeps no copy of the
+/// edges: [`IncrementalKPathIndex::apply_logged`] advances the caller's
+/// [`Graph`] epoch by the op and walks the epochs before and after it.
 ///
 /// ```
-/// use pathix_graph::{LabelId, NodeId};
-/// use pathix_index::IncrementalKPathIndex;
+/// use pathix_graph::{EdgeOp, GraphBuilder};
+/// use pathix_index::{EntryDeltas, IncrementalKPathIndex};
 ///
-/// let mut index = IncrementalKPathIndex::new(2);
-/// let knows = LabelId(0);
-/// index.insert_edge(NodeId(0), knows, NodeId(1));
-/// index.insert_edge(NodeId(1), knows, NodeId(2));
-/// let kk: Vec<_> = index.scan_path(&[knows.into(), knows.into()]);
-/// assert_eq!(kk, vec![(NodeId(0), NodeId(2))]);
-/// index.delete_edge(NodeId(1), knows, NodeId(2));
-/// assert!(index.scan_path(&[knows.into(), knows.into()]).is_empty());
+/// let mut builder = GraphBuilder::new();
+/// let [ada, jan, zoe] = ["ada", "jan", "zoe"].map(|name| builder.add_node(name));
+/// let knows = builder.add_label("knows");
+/// let mut graph = builder.build();
+/// let mut index = IncrementalKPathIndex::bulk_from_graph(&graph, 2);
+/// let mut log = EntryDeltas::new();
+/// index.apply_logged(&mut graph, EdgeOp::insert(ada, knows, jan), &mut log);
+/// index.apply_logged(&mut graph, EdgeOp::insert(jan, knows, zoe), &mut log);
+/// let kk = [knows.into(), knows.into()];
+/// assert_eq!(index.scan_path(&kk), vec![(ada, zoe)]);
+/// assert!(index.apply_logged(&mut graph, EdgeOp::delete(jan, knows, zoe), &mut log));
+/// assert!(index.scan_path(&kk).is_empty());
+/// assert!(!graph.has_edge(jan, knows, zoe));
 /// ```
 #[derive(Debug, Clone)]
 pub struct IncrementalKPathIndex {
     k: usize,
-    adj: DynAdjacency,
     /// `⟨p, a, b⟩ → walk count`, keyed by the [`crate::pathkey`] encoding.
     tree: BTreeMap<Vec<u8>, u64>,
     /// Distinct pair count per indexed path (only non-empty paths), sorted by
@@ -274,56 +200,17 @@ pub struct IncrementalKPathIndex {
     /// Distinct non-identity pairs currently referenced (cached so
     /// [`IncrementalKPathIndex::paths_k_size`] is O(1)).
     linked_pairs: u64,
-    /// Number of nodes of the maintained graph (grows with observed ids).
+    /// Number of nodes of the graph epoch the index describes.
     node_count: usize,
-    inserts_applied: u64,
-    deletes_applied: u64,
-    /// Reused across updates; see [`DeltaScratch`].
-    scratch: DeltaScratch,
 }
 
 impl IncrementalKPathIndex {
-    /// Creates an empty index with locality parameter `k ≥ 1`.
-    pub fn new(k: usize) -> Self {
-        assert!(k >= 1, "the k-path index requires k ≥ 1");
-        IncrementalKPathIndex {
-            k,
-            adj: DynAdjacency::default(),
-            tree: BTreeMap::new(),
-            per_path: Vec::new(),
-            pair_refs: HashMap::new(),
-            linked_pairs: 0,
-            node_count: 0,
-            inserts_applied: 0,
-            deletes_applied: 0,
-            scratch: DeltaScratch::default(),
-        }
-    }
-
-    /// Builds the index over an existing graph by replaying its edges as
-    /// insertions. The resulting pair sets are identical to
-    /// [`crate::SharedKPathIndex::build`] over the same graph.
-    ///
-    /// Each replayed edge pays the full delta computation; prefer
-    /// [`IncrementalKPathIndex::bulk_from_graph`] when seeding from a large
-    /// graph.
-    pub fn from_graph(graph: &Graph, k: usize) -> Self {
-        let mut index = Self::new(k);
-        index.node_count = graph.node_count();
-        for label in graph.labels() {
-            for (src, dst) in graph.edges(label) {
-                index.insert_edge(src, label, dst);
-            }
-        }
-        index
-    }
-
     /// Builds the index over an existing graph with bulk counted path
     /// enumeration — the same level-by-level joins [`crate::enumerate_paths`]
     /// runs, except carrying walk multiplicities — and a single bulk load.
     ///
-    /// The result is identical to [`IncrementalKPathIndex::from_graph`]
-    /// (property-tested) at a fraction of the seeding cost, which is what
+    /// The result is identical to replaying the graph's edges one insertion
+    /// at a time (property-tested) at a fraction of the cost, which is what
     /// makes upgrading a bulk-built database to live updates affordable.
     pub fn bulk_from_graph(graph: &Graph, k: usize) -> Self {
         assert!(k >= 1, "the k-path index requires k ≥ 1");
@@ -350,21 +237,18 @@ impl IncrementalKPathIndex {
         entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         IncrementalKPathIndex {
             k,
-            adj: DynAdjacency::from_graph(graph),
             tree: entries.into_iter().collect(),
             per_path,
             pair_refs,
             linked_pairs,
             node_count: graph.node_count(),
-            inserts_applied: 0,
-            deletes_applied: 0,
-            scratch: DeltaScratch::default(),
         }
     }
 
     /// Rebuilds a live writer from persisted `(entry key, walk count)` pairs
     /// — the values a durable backend (the paged B+tree) stores on disk —
-    /// plus the graph the entries were computed over.
+    /// plus the graph the entries were computed over (read for its node
+    /// count only).
     ///
     /// This is the restart path: instead of re-enumerating every counted path
     /// relation of the graph ([`IncrementalKPathIndex::bulk_from_graph`]),
@@ -418,26 +302,17 @@ impl IncrementalKPathIndex {
         }
         Ok(IncrementalKPathIndex {
             k,
-            adj: DynAdjacency::from_graph(graph),
             tree: loaded.into_iter().collect(),
             per_path,
             pair_refs,
             linked_pairs,
             node_count: graph.node_count(),
-            inserts_applied: 0,
-            deletes_applied: 0,
-            scratch: DeltaScratch::default(),
         })
     }
 
     /// The locality parameter k.
     pub fn k(&self) -> usize {
         self.k
-    }
-
-    /// Number of edges currently in the maintained graph.
-    pub fn edge_count(&self) -> usize {
-        self.adj.edge_count
     }
 
     /// Number of `⟨p, a, b⟩` entries currently stored.
@@ -450,9 +325,8 @@ impl IncrementalKPathIndex {
         self.per_path.len()
     }
 
-    /// Number of nodes of the maintained graph. Seeded from the source graph
-    /// by the `from_graph` constructors and grown to cover every node id an
-    /// insertion mentions; deletions never shrink it (ids stay interned).
+    /// Number of nodes of the graph epoch the index describes: the one it
+    /// was seeded from, then the one the last effective update advanced.
     pub fn node_count(&self) -> usize {
         self.node_count
     }
@@ -462,17 +336,6 @@ impl IncrementalKPathIndex {
     /// paper's selectivity denominator, maintained incrementally.
     pub fn paths_k_size(&self) -> u64 {
         self.node_count as u64 + self.linked_pairs
-    }
-
-    /// Number of insert / delete updates applied so far (no-ops excluded;
-    /// bulk seeding counts as zero updates).
-    pub fn updates_applied(&self) -> (u64, u64) {
-        (self.inserts_applied, self.deletes_applied)
-    }
-
-    /// Whether the maintained graph currently contains the edge.
-    pub fn has_edge(&self, src: NodeId, label: LabelId, dst: NodeId) -> bool {
-        self.adj.contains(src, label, dst)
     }
 
     /// Exact distinct-pair cardinalities `(p, |p(G)|)` sorted by
@@ -511,230 +374,109 @@ impl IncrementalKPathIndex {
             .unwrap_or(0)
     }
 
-    /// Applies a single edge operation, returning `true` if it changed the
-    /// graph.
-    pub fn apply(&mut self, op: EdgeOp) -> bool {
-        self.apply_op(op, None)
-    }
-
-    /// Applies a single edge operation like [`IncrementalKPathIndex::apply`],
-    /// but additionally records every key-level transition (entry appeared /
-    /// entry disappeared) in `log`.
+    /// Applies one edge operation: advances `graph` — the epoch the index
+    /// currently describes — by `op`, updates every affected entry, and
+    /// records each key-level transition (entry appeared / disappeared) and
+    /// each absolute walk-count write in `log`, one write per key in
+    /// ascending key order. Returns `false`, changing and logging nothing,
+    /// when `op` is a no-op on `graph` (an insert of a present edge, a
+    /// delete of an absent one).
     ///
     /// This is the bridge that makes the storage backends mutable: the
     /// counting delta enumeration runs once here, and the resulting
     /// [`EntryDeltas`] are replayed verbatim against the chunk runs (plain
     /// and delta/varint-encoded) and the paged B+tree (see
     /// [`MutablePathIndexBackend`](crate::MutablePathIndexBackend)).
-    pub fn apply_logged(&mut self, op: EdgeOp, log: &mut EntryDeltas) -> bool {
-        self.apply_op(op, Some(log))
-    }
-
-    fn apply_op(&mut self, op: EdgeOp, log: Option<&mut EntryDeltas>) -> bool {
-        if op.insert {
-            self.insert_edge_inner(op.src, op.label, op.dst, log)
+    ///
+    /// # Panics
+    /// Panics if an endpoint or the label of `op` is not interned in `graph`.
+    pub fn apply_logged(&mut self, graph: &mut Graph, op: EdgeOp, log: &mut EntryDeltas) -> bool {
+        let before = graph.clone();
+        let changed = if op.insert {
+            graph.insert_edge(op.src, op.label, op.dst)
         } else {
-            self.delete_edge_inner(op.src, op.label, op.dst, log)
-        }
-    }
-
-    /// Inserts the edge `src --label--> dst`, updating every affected index
-    /// entry. Returns `false` (and changes nothing) if the edge was already
-    /// present.
-    pub fn insert_edge(&mut self, src: NodeId, label: LabelId, dst: NodeId) -> bool {
-        self.insert_edge_inner(src, label, dst, None)
-    }
-
-    fn insert_edge_inner(
-        &mut self,
-        src: NodeId,
-        label: LabelId,
-        dst: NodeId,
-        mut log: Option<&mut EntryDeltas>,
-    ) -> bool {
-        if !self.adj.insert(src, label, dst) {
+            graph.remove_edge(op.src, op.label, op.dst)
+        };
+        if !changed {
             return false;
         }
-        self.node_count = self.node_count.max(src.index() + 1).max(dst.index() + 1);
-        // Prefixes are evaluated on the old graph (new graph minus the edge),
-        // suffixes on the new graph: Δ(R₁⋯Rₙ) = Σᵢ R₁ᵒ⋯Rᵢ₋₁ᵒ · Δe · Rᵢ₊₁ⁿ⋯Rₙⁿ.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.edge_delta(src, label, dst, &mut scratch);
-        for (key, count) in scratch.out.drain(..) {
-            self.add_to_entry(key, count, log.as_deref_mut());
-        }
-        self.scratch = scratch;
-        self.inserts_applied += 1;
-        true
-    }
-
-    /// Deletes the edge `src --label--> dst`, updating every affected index
-    /// entry. Returns `false` (and changes nothing) if the edge was absent.
-    pub fn delete_edge(&mut self, src: NodeId, label: LabelId, dst: NodeId) -> bool {
-        self.delete_edge_inner(src, label, dst, None)
-    }
-
-    fn delete_edge_inner(
-        &mut self,
-        src: NodeId,
-        label: LabelId,
-        dst: NodeId,
-        mut log: Option<&mut EntryDeltas>,
-    ) -> bool {
-        if !self.adj.contains(src, label, dst) {
-            return false;
-        }
-        // The deletion delta mirrors insertion with old/new swapped:
-        // prefixes on the new graph (old minus the edge), suffixes on the old
-        // graph — which is exactly `edge_delta` evaluated *before* the edge is
-        // removed from the adjacency.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.edge_delta(src, label, dst, &mut scratch);
-        for (key, count) in scratch.out.drain(..) {
-            self.subtract_from_entry(&key, count, log.as_deref_mut());
-        }
-        self.scratch = scratch;
-        self.adj.remove(src, label, dst);
-        self.deletes_applied += 1;
-        true
-    }
-
-    /// Walk-count deltas contributed by the edge `src --label--> dst` for
-    /// every label path of length ≤ k, with path prefixes evaluated on the
-    /// adjacency *excluding* the edge and suffixes on the adjacency as-is.
-    /// The encoded `(key, count)` deltas land in `scratch.out`.
-    fn edge_delta(&self, src: NodeId, label: LabelId, dst: NodeId, scratch: &mut DeltaScratch) {
-        if scratch.alphabet_max != self.adj.max_label {
-            scratch.alphabet.clear();
-            if let Some(max) = self.adj.max_label {
-                scratch.alphabet.extend((0..=max.0).flat_map(|l| {
-                    [
-                        SignedLabel::forward(LabelId(l)),
-                        SignedLabel::backward(LabelId(l)),
-                    ]
-                }));
+        self.node_count = graph.node_count();
+        // Prefixes walk the epoch without the edge, suffixes the epoch with
+        // it: Δ(R₁⋯Rₙ) = Σᵢ R₁ᵒ⋯Rᵢ₋₁ᵒ · Δe · Rᵢ₊₁ⁿ⋯Rₙⁿ for an insertion
+        // (old → new). A deletion subtracts the same products with the roles
+        // of the two epochs swapped (new → old).
+        let (without, with) = if op.insert {
+            (&before, &*graph)
+        } else {
+            (&*graph, &before)
+        };
+        for (key, count) in self.edge_delta(without, with, op) {
+            if op.insert {
+                self.add_to_entry(key, count, log);
+            } else {
+                self.subtract_from_entry(&key, count, log);
             }
-            scratch.alphabet_max = self.adj.max_label;
         }
-        scratch.delta.clear();
-        scratch.out.clear();
-        let excluded = (src, label, dst);
-        let delta = &mut scratch.delta;
+        true
+    }
 
+    /// Walk-count deltas contributed by the edge of `op` for every label path
+    /// of length ≤ k, with path prefixes walked on `without` (the epoch
+    /// lacking the edge) and suffixes on `with` (the epoch holding it), as
+    /// encoded `(key, count)` pairs in ascending key order, one per key.
+    fn edge_delta(&self, without: &Graph, with: &Graph, op: EdgeOp) -> Vec<(Vec<u8>, u64)> {
+        let mut out = Vec::new();
         // The two orientations in which the edge can realize a path step: a
         // `+ℓ` step gains the pair (src, dst), a `ℓ⁻` step gains (dst, src).
         // Every (path, position) combination is covered by exactly one of
         // them, so there is no double counting (including self-loops).
         let orientations = [
-            (SignedLabel::forward(label), src, dst),
-            (SignedLabel::backward(label), dst, src),
+            (SignedLabel::forward(op.label), op.src, op.dst),
+            (SignedLabel::backward(op.label), op.dst, op.src),
         ];
         for (step, step_from, step_to) in orientations {
             // All (prefix, suffix) shapes around the step, |prefix| + 1 +
-            // |suffix| ≤ k. Prefix walks end at `step_from` on the old graph;
-            // suffix walks start at `step_to` on the new graph.
-            let prefixes = self.walks_by_path(
-                step_from,
-                self.k - 1,
-                true,
-                Some(excluded),
-                &scratch.alphabet,
-            );
-            let suffixes = self.walks_by_path(step_to, self.k - 1, false, None, &scratch.alphabet);
+            // |suffix| ≤ k. Prefix walks end at `step_from`, suffix walks
+            // start at `step_to`.
+            let prefixes = walks_by_path(without, step_from, self.k - 1, true);
+            let suffixes = walks_by_path(with, step_to, self.k - 1, false);
             for (prefix, sources) in &prefixes {
                 for (suffix, targets) in &suffixes {
                     if prefix.len() + 1 + suffix.len() > self.k {
                         continue;
                     }
-                    let mut path = Vec::with_capacity(prefix.len() + 1 + suffix.len());
-                    path.extend_from_slice(prefix);
-                    path.push(step);
-                    path.extend_from_slice(suffix);
+                    let path = [prefix.as_slice(), &[step][..], suffix.as_slice()].concat();
                     for (&a, &ca) in sources {
                         for (&b, &cb) in targets {
-                            *delta.entry((path.clone(), a, b)).or_insert(0) += ca * cb;
+                            out.push((encode_entry(&path, a, b), ca * cb));
                         }
                     }
                 }
             }
         }
-        scratch.out.extend(
-            delta
-                .drain()
-                .map(|((path, a, b), c)| (encode_entry(&path, a, b), c)),
-        );
+        // Different splits of one path around the step can reach the same
+        // entry: sort by key and fold them into one write.
+        out.sort_unstable_by(|x, y| x.0.cmp(&y.0));
+        out.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 += next.1;
+            }
+            same
+        });
+        out
     }
 
-    /// Enumerates, for every label path `q` with `|q| ≤ max_len`, the walk
-    /// counts between `anchor` and the far endpoint.
-    ///
-    /// With `toward_anchor = false` the result maps `q → {end ↦ #walks of q
-    /// from anchor to end}`; with `toward_anchor = true` it maps `q → {start ↦
-    /// #walks of q from start to anchor}`. `excluded`, if set, removes one
-    /// concrete edge from the traversed graph (in both directions).
-    fn walks_by_path(
-        &self,
-        anchor: NodeId,
-        max_len: usize,
-        toward_anchor: bool,
-        excluded: Option<(NodeId, LabelId, NodeId)>,
-        alphabet: &[SignedLabel],
-    ) -> Vec<(Vec<SignedLabel>, HashMap<NodeId, u64>)> {
-        let mut base = HashMap::new();
-        base.insert(anchor, 1u64);
-        let mut result = vec![(Vec::new(), base)];
-        let mut frontier = 0;
-        while frontier < result.len() {
-            let (path, counts) = result[frontier].clone();
-            frontier += 1;
-            if path.len() == max_len {
-                continue;
-            }
-            for &sl in alphabet {
-                // Walking *toward* the anchor extends the path on the left and
-                // traverses the new first step backwards; walking away extends
-                // on the right and traverses it forwards.
-                let traverse = if toward_anchor { sl.inverse() } else { sl };
-                let mut next: HashMap<NodeId, u64> = HashMap::new();
-                for (&node, &count) in &counts {
-                    for &to in self.adj.neighbors(node, traverse) {
-                        if is_excluded(excluded, node, traverse, to) {
-                            continue;
-                        }
-                        *next.entry(to).or_insert(0) += count;
-                    }
-                }
-                if next.is_empty() {
-                    continue;
-                }
-                let mut next_path = Vec::with_capacity(path.len() + 1);
-                if toward_anchor {
-                    next_path.push(sl);
-                    next_path.extend_from_slice(&path);
-                } else {
-                    next_path.extend_from_slice(&path);
-                    next_path.push(sl);
-                }
-                result.push((next_path, next));
-            }
-        }
-        result
-    }
-
-    fn add_to_entry(&mut self, key: Vec<u8>, delta: u64, log: Option<&mut EntryDeltas>) {
+    fn add_to_entry(&mut self, key: Vec<u8>, delta: u64, log: &mut EntryDeltas) {
         debug_assert!(delta > 0);
         match self.tree.entry(key) {
             Entry::Occupied(mut slot) => {
                 *slot.get_mut() += delta;
-                if let Some(log) = log {
-                    log.record_count(slot.key(), *slot.get());
-                }
+                log.record_count(slot.key(), *slot.get());
             }
             Entry::Vacant(slot) => {
-                if let Some(log) = log {
-                    log.record(slot.key(), EntryChange::Added);
-                    log.record_count(slot.key(), delta);
-                }
+                log.record(slot.key(), EntryChange::Added);
+                log.record_count(slot.key(), delta);
                 let (path, a, b) = decode_entry(slot.key()).expect("index keys are well-formed");
                 slot.insert(delta);
                 match self.path_slot(&path) {
@@ -750,7 +492,7 @@ impl IncrementalKPathIndex {
         }
     }
 
-    fn subtract_from_entry(&mut self, key: &[u8], delta: u64, log: Option<&mut EntryDeltas>) {
+    fn subtract_from_entry(&mut self, key: &[u8], delta: u64, log: &mut EntryDeltas) {
         let count = self
             .tree
             .get_mut(key)
@@ -758,14 +500,10 @@ impl IncrementalKPathIndex {
         debug_assert!(*count >= delta, "walk counts must not go negative");
         if *count > delta {
             *count -= delta;
-            if let Some(log) = log {
-                log.record_count(key, *count);
-            }
+            log.record_count(key, *count);
         } else {
-            if let Some(log) = log {
-                log.record(key, EntryChange::Removed);
-                log.record_count(key, 0);
-            }
+            log.record(key, EntryChange::Removed);
+            log.record_count(key, 0);
             self.tree.remove(key);
             let (path, a, b) = decode_entry(key).expect("index keys are well-formed");
             if let Ok(i) = self.path_slot(&path) {
@@ -956,24 +694,51 @@ impl StructuralAudit for IncrementalKPathIndex {
     }
 }
 
-#[inline]
-fn is_excluded(
-    excluded: Option<(NodeId, LabelId, NodeId)>,
-    from: NodeId,
-    sl: SignedLabel,
-    to: NodeId,
-) -> bool {
-    let Some((src, label, dst)) = excluded else {
-        return false;
-    };
-    if sl.label != label {
-        return false;
+/// Enumerates, for every label path `q` with `|q| ≤ max_len`, the walk
+/// counts on `graph` between `anchor` and the far endpoint.
+///
+/// With `toward_anchor = false` the result maps `q → {end ↦ #walks of q
+/// from anchor to end}`; with `toward_anchor = true` it maps `q → {start ↦
+/// #walks of q from start to anchor}`.
+fn walks_by_path(
+    graph: &Graph,
+    anchor: NodeId,
+    max_len: usize,
+    toward_anchor: bool,
+) -> Vec<(Vec<SignedLabel>, HashMap<NodeId, u64>)> {
+    let mut result = vec![(Vec::new(), HashMap::from([(anchor, 1u64)]))];
+    let mut frontier = 0;
+    while frontier < result.len() {
+        let (path, counts) = &result[frontier];
+        frontier += 1;
+        if path.len() == max_len {
+            continue;
+        }
+        let mut grown = Vec::new();
+        for sl in graph.signed_labels() {
+            // Walking *toward* the anchor extends the path on the left and
+            // traverses the new first step backwards; walking away extends
+            // on the right and traverses it forwards.
+            let traverse = if toward_anchor { sl.inverse() } else { sl };
+            let mut next: HashMap<NodeId, u64> = HashMap::new();
+            for (&node, &count) in counts {
+                for to in graph.neighbors(node, traverse) {
+                    *next.entry(to).or_insert(0) += count;
+                }
+            }
+            if next.is_empty() {
+                continue;
+            }
+            let next_path = if toward_anchor {
+                [&[sl][..], path.as_slice()].concat()
+            } else {
+                [path.as_slice(), &[sl][..]].concat()
+            };
+            grown.push((next_path, next));
+        }
+        result.extend(grown);
     }
-    if sl.is_backward() {
-        from == dst && to == src
-    } else {
-        from == src && to == dst
-    }
+    result
 }
 
 /// The entries of `tree` whose key starts with `prefix`, in key order: the
@@ -996,9 +761,69 @@ mod tests {
     use crate::enumerate_paths;
     use crate::pathkey::encode_path_source_prefix;
     use pathix_datagen::paper_example_graph;
+    use pathix_graph::GraphBuilder;
     use std::collections::BTreeSet;
 
     type Edge = (NodeId, LabelId, NodeId);
+
+    /// A counting index together with the graph epoch it walks.
+    struct Live {
+        index: IncrementalKPathIndex,
+        graph: Graph,
+    }
+
+    impl Live {
+        /// The bulk-seeded index over `graph`.
+        fn over(graph: &Graph, k: usize) -> Live {
+            Live {
+                index: IncrementalKPathIndex::bulk_from_graph(graph, k),
+                graph: graph.clone(),
+            }
+        }
+
+        /// The index at `k` over an edgeless graph that interns nodes
+        /// `0..nodes` and labels `0..labels`.
+        fn blank(k: usize, nodes: u32, labels: u16) -> Live {
+            let mut builder = GraphBuilder::new();
+            for node in 0..nodes {
+                builder.add_node(&node.to_string());
+            }
+            for label in 0..labels {
+                builder.add_label(&label.to_string());
+            }
+            Live::over(&builder.build(), k)
+        }
+
+        fn apply(&mut self, op: EdgeOp) -> bool {
+            self.index
+                .apply_logged(&mut self.graph, op, &mut EntryDeltas::new())
+        }
+
+        fn insert(&mut self, src: NodeId, label: LabelId, dst: NodeId) -> bool {
+            self.apply(EdgeOp::insert(src, label, dst))
+        }
+
+        fn delete(&mut self, src: NodeId, label: LabelId, dst: NodeId) -> bool {
+            self.apply(EdgeOp::delete(src, label, dst))
+        }
+    }
+
+    /// The labeled edges of `g`.
+    fn edges_of(g: &Graph) -> BTreeSet<Edge> {
+        g.labels()
+            .flat_map(|l| g.edges(l).map(move |(s, d)| (s, l, d)))
+            .collect()
+    }
+
+    /// The index over `g` built by replaying its edges one insertion at a
+    /// time, starting from `g`'s node and label ids without any edge.
+    fn replayed(g: &Graph, k: usize) -> Live {
+        let mut live = Live::blank(k, g.node_count() as u32, g.label_count() as u16);
+        for (src, label, dst) in edges_of(g) {
+            assert!(live.insert(src, label, dst));
+        }
+        live
+    }
 
     /// Reference oracle: distinct pairs of `path` over an explicit edge set.
     fn oracle_pairs(edges: &BTreeSet<Edge>, path: &[SignedLabel]) -> Vec<(NodeId, NodeId)> {
@@ -1075,7 +900,7 @@ mod tests {
         let g = paper_example_graph();
         for k in 1..=3 {
             let relations = enumerate_paths(&g, k);
-            let incremental = IncrementalKPathIndex::from_graph(&g, k);
+            let incremental = replayed(&g, k).index;
             assert_eq!(
                 incremental.entry_count(),
                 relations.iter().map(|r| r.pairs.len()).sum::<usize>()
@@ -1109,74 +934,74 @@ mod tests {
             (NodeId(2), knows, NodeId(2)),
             (NodeId(1), likes, NodeId(3)),
         ];
-        let mut index = IncrementalKPathIndex::new(3);
+        let mut live = Live::blank(3, 4, 2);
         let mut edges = BTreeSet::new();
         for edge in script {
-            assert!(index.insert_edge(edge.0, edge.1, edge.2));
+            assert!(live.insert(edge.0, edge.1, edge.2));
             edges.insert(edge);
-            assert_matches_oracle(&index, &edges, 2);
+            assert_matches_oracle(&live.index, &edges, 2);
         }
     }
 
     #[test]
     fn deletions_match_rebuild_after_every_step() {
         let g = paper_example_graph();
-        let mut index = IncrementalKPathIndex::from_graph(&g, 2);
-        let mut edges: BTreeSet<Edge> = g
-            .labels()
-            .flat_map(|l| g.edges(l).map(move |(s, d)| (s, l, d)))
-            .collect();
+        let mut live = replayed(&g, 2);
+        let mut edges = edges_of(&g);
         let labels = g.label_count() as u16;
         let script: Vec<Edge> = edges.iter().copied().step_by(3).collect();
         for edge in script {
-            assert!(index.delete_edge(edge.0, edge.1, edge.2));
+            assert!(live.delete(edge.0, edge.1, edge.2));
             edges.remove(&edge);
-            assert_matches_oracle(&index, &edges, labels);
+            assert_matches_oracle(&live.index, &edges, labels);
         }
     }
 
     #[test]
     fn deleting_everything_empties_the_index() {
         let g = paper_example_graph();
-        let mut index = IncrementalKPathIndex::from_graph(&g, 3);
-        for label in g.labels() {
-            for (src, dst) in g.edges(label) {
-                assert!(index.delete_edge(src, label, dst));
-            }
+        let mut live = replayed(&g, 3);
+        for (src, label, dst) in edges_of(&g) {
+            assert!(live.delete(src, label, dst));
         }
-        assert_eq!(index.entry_count(), 0);
-        assert_eq!(index.distinct_paths(), 0);
-        assert_eq!(index.edge_count(), 0);
+        assert_eq!(live.index.entry_count(), 0);
+        assert_eq!(live.index.distinct_paths(), 0);
+        assert_eq!(live.graph.edge_count(), 0);
     }
 
     #[test]
     fn insert_then_delete_restores_previous_state() {
         let g = paper_example_graph();
-        let mut index = IncrementalKPathIndex::from_graph(&g, 2);
-        let before_entries = index.entry_count();
-        let before_counts = index.per_path_counts().to_vec();
+        let mut live = replayed(&g, 2);
+        let before_entries = live.index.entry_count();
+        let before_counts = live.index.per_path_counts().to_vec();
         let knows = g.label_id("knows").unwrap();
         let sue = g.node_id("sue").unwrap();
         let tim = g.node_id("tim").unwrap();
         assert!(!g.has_edge(sue, knows, tim));
-        assert!(index.insert_edge(sue, knows, tim));
-        assert_ne!(index.entry_count(), before_entries);
-        assert!(index.delete_edge(sue, knows, tim));
-        assert_eq!(index.entry_count(), before_entries);
-        assert_eq!(index.per_path_counts(), &before_counts[..]);
+        assert!(live.insert(sue, knows, tim));
+        assert_ne!(live.index.entry_count(), before_entries);
+        assert!(live.delete(sue, knows, tim));
+        assert_eq!(live.index.entry_count(), before_entries);
+        assert_eq!(live.index.per_path_counts(), &before_counts[..]);
     }
 
     #[test]
     fn duplicate_insert_and_absent_delete_are_noops() {
         let knows = LabelId(0);
-        let mut index = IncrementalKPathIndex::new(2);
-        assert!(index.insert_edge(NodeId(0), knows, NodeId(1)));
-        let entries = index.entry_count();
-        assert!(!index.insert_edge(NodeId(0), knows, NodeId(1)));
-        assert_eq!(index.entry_count(), entries);
-        assert!(!index.delete_edge(NodeId(5), knows, NodeId(6)));
-        assert_eq!(index.entry_count(), entries);
-        assert_eq!(index.updates_applied(), (1, 0));
+        let mut live = Live::blank(2, 7, 1);
+        assert!(live.insert(NodeId(0), knows, NodeId(1)));
+        let entries = live.index.entry_count();
+        let mut log = EntryDeltas::new();
+        for op in [
+            EdgeOp::insert(NodeId(0), knows, NodeId(1)),
+            EdgeOp::delete(NodeId(5), knows, NodeId(6)),
+        ] {
+            assert!(!live.index.apply_logged(&mut live.graph, op, &mut log));
+            assert_eq!(live.index.entry_count(), entries);
+        }
+        assert!(log.is_empty());
+        assert_eq!(live.graph.edge_count(), 1);
     }
 
     #[test]
@@ -1184,39 +1009,39 @@ mod tests {
         // Two length-2 walks from 0 to 3: via 1 and via 2. Deleting one leg
         // must keep (0, 3) in the k=2 relation; deleting both removes it.
         let l = LabelId(0);
-        let mut index = IncrementalKPathIndex::new(2);
-        index.insert_edge(NodeId(0), l, NodeId(1));
-        index.insert_edge(NodeId(1), l, NodeId(3));
-        index.insert_edge(NodeId(0), l, NodeId(2));
-        index.insert_edge(NodeId(2), l, NodeId(3));
+        let mut live = Live::blank(2, 4, 1);
+        live.insert(NodeId(0), l, NodeId(1));
+        live.insert(NodeId(1), l, NodeId(3));
+        live.insert(NodeId(0), l, NodeId(2));
+        live.insert(NodeId(2), l, NodeId(3));
         let ll = [SignedLabel::forward(l), SignedLabel::forward(l)];
-        assert_eq!(index.walk_count(&ll, NodeId(0), NodeId(3)), 2);
-        index.delete_edge(NodeId(1), l, NodeId(3));
-        assert!(index.contains(&ll, NodeId(0), NodeId(3)));
-        assert_eq!(index.walk_count(&ll, NodeId(0), NodeId(3)), 1);
-        index.delete_edge(NodeId(2), l, NodeId(3));
-        assert!(!index.contains(&ll, NodeId(0), NodeId(3)));
+        assert_eq!(live.index.walk_count(&ll, NodeId(0), NodeId(3)), 2);
+        live.delete(NodeId(1), l, NodeId(3));
+        assert!(live.index.contains(&ll, NodeId(0), NodeId(3)));
+        assert_eq!(live.index.walk_count(&ll, NodeId(0), NodeId(3)), 1);
+        live.delete(NodeId(2), l, NodeId(3));
+        assert!(!live.index.contains(&ll, NodeId(0), NodeId(3)));
     }
 
     #[test]
     fn self_loops_are_counted_once_per_walk() {
         let l = LabelId(0);
-        let mut index = IncrementalKPathIndex::new(3);
-        index.insert_edge(NodeId(7), l, NodeId(7));
+        let mut live = Live::blank(3, 8, 1);
+        live.insert(NodeId(7), l, NodeId(7));
         let edges: BTreeSet<Edge> = [(NodeId(7), l, NodeId(7))].into_iter().collect();
-        assert_matches_oracle(&index, &edges, 1);
+        assert_matches_oracle(&live.index, &edges, 1);
         // One loop edge yields exactly one walk of each length n: the loop
         // traversed n times (forwards or backwards per step).
         let p = [SignedLabel::forward(l), SignedLabel::backward(l)];
-        assert_eq!(index.walk_count(&p, NodeId(7), NodeId(7)), 1);
-        index.delete_edge(NodeId(7), l, NodeId(7));
-        assert_eq!(index.entry_count(), 0);
+        assert_eq!(live.index.walk_count(&p, NodeId(7), NodeId(7)), 1);
+        live.delete(NodeId(7), l, NodeId(7));
+        assert_eq!(live.index.entry_count(), 0);
     }
 
     #[test]
     fn scan_output_is_sorted_by_source_then_target() {
         let g = paper_example_graph();
-        let index = IncrementalKPathIndex::from_graph(&g, 2);
+        let index = replayed(&g, 2).index;
         let knows = SignedLabel::forward(g.label_id("knows").unwrap());
         let pairs = index.scan_path(&[knows, knows]);
         assert!(!pairs.is_empty());
@@ -1227,13 +1052,16 @@ mod tests {
     fn bulk_build_matches_replayed_insertions() {
         let g = paper_example_graph();
         for k in 1..=3 {
-            let replayed = IncrementalKPathIndex::from_graph(&g, k);
+            let Live {
+                index: replayed,
+                graph: chain,
+            } = replayed(&g, k);
             let bulk = IncrementalKPathIndex::bulk_from_graph(&g, k);
             assert_eq!(bulk.entry_count(), replayed.entry_count());
             assert_eq!(bulk.per_path_counts(), replayed.per_path_counts());
             assert_eq!(bulk.paths_k_size(), replayed.paths_k_size());
-            assert_eq!(bulk.edge_count(), replayed.edge_count());
-            assert_eq!(bulk.updates_applied(), (0, 0));
+            assert_eq!(bulk.node_count(), replayed.node_count());
+            assert_eq!(edges_of(&chain), edges_of(&g));
             for (path, _) in replayed.per_path_counts() {
                 assert_eq!(bulk.scan_path(path), replayed.scan_path(path));
                 for (a, b) in replayed.scan_path(path) {
@@ -1250,18 +1078,15 @@ mod tests {
     #[test]
     fn bulk_build_stays_consistent_under_further_updates() {
         let g = paper_example_graph();
-        let mut index = IncrementalKPathIndex::bulk_from_graph(&g, 2);
-        let mut edges: BTreeSet<Edge> = g
-            .labels()
-            .flat_map(|l| g.edges(l).map(move |(s, d)| (s, l, d)))
-            .collect();
+        let mut live = Live::over(&g, 2);
+        let mut edges = edges_of(&g);
         let labels = g.label_count() as u16;
         let removed: Vec<Edge> = edges.iter().copied().step_by(2).collect();
         for edge in removed {
-            assert!(index.delete_edge(edge.0, edge.1, edge.2));
+            assert!(live.delete(edge.0, edge.1, edge.2));
             edges.remove(&edge);
         }
-        assert_matches_oracle(&index, &edges, labels);
+        assert_matches_oracle(&live.index, &edges, labels);
     }
 
     #[test]
@@ -1269,11 +1094,7 @@ mod tests {
         let g = paper_example_graph();
         for k in 1..=3 {
             let expected = crate::paths_k_cardinality(&g, &enumerate_paths(&g, k));
-            assert_eq!(
-                IncrementalKPathIndex::from_graph(&g, k).paths_k_size(),
-                expected,
-                "k = {k}"
-            );
+            assert_eq!(replayed(&g, k).index.paths_k_size(), expected, "k = {k}");
             assert_eq!(
                 IncrementalKPathIndex::bulk_from_graph(&g, k).paths_k_size(),
                 expected,
@@ -1285,12 +1106,16 @@ mod tests {
     #[test]
     fn apply_logged_records_key_transitions() {
         let knows = LabelId(0);
-        let mut index = IncrementalKPathIndex::new(2);
+        let Live {
+            mut index,
+            mut graph,
+        } = Live::blank(2, 2, 1);
         let mut log = EntryDeltas::new();
 
         // A fresh edge creates entries: every logged op is an Added key that
         // the index now contains.
-        assert!(index.apply_logged(EdgeOp::insert(NodeId(0), knows, NodeId(1)), &mut log,));
+        let insert = EdgeOp::insert(NodeId(0), knows, NodeId(1));
+        assert!(index.apply_logged(&mut graph, insert, &mut log));
         assert_eq!(log.len(), index.entry_count());
         for (key, change) in log.ops() {
             assert_eq!(*change, EntryChange::Added);
@@ -1301,34 +1126,34 @@ mod tests {
         // Deleting the edge reverses every transition; replaying the log in
         // order over a set reproduces the index's key set at each point.
         log.clear();
-        assert!(index.apply_logged(EdgeOp::delete(NodeId(0), knows, NodeId(1)), &mut log,));
+        let delete = EdgeOp::delete(NodeId(0), knows, NodeId(1));
+        assert!(index.apply_logged(&mut graph, delete, &mut log));
         assert!(log.ops().iter().all(|(_, c)| *c == EntryChange::Removed));
         assert_eq!(index.entry_count(), 0);
 
         // A no-op update logs nothing.
         log.clear();
-        assert!(!index.apply_logged(EdgeOp::delete(NodeId(0), knows, NodeId(1)), &mut log,));
+        assert!(!index.apply_logged(&mut graph, delete, &mut log));
         assert!(log.is_empty());
     }
 
     #[test]
     fn replaying_the_log_reproduces_the_key_set() {
-        use std::collections::BTreeSet;
         let g = paper_example_graph();
-        let mut index = IncrementalKPathIndex::bulk_from_graph(&g, 2);
+        let Live {
+            mut index,
+            mut graph,
+        } = Live::over(&g, 2);
         let mut shadow: BTreeSet<Vec<u8>> = index.tree.keys().cloned().collect();
 
-        let mut rng_edges: Vec<Edge> = g
-            .labels()
-            .flat_map(|l| g.edges(l).map(move |(s, d)| (s, l, d)))
-            .collect();
+        let mut rng_edges: Vec<Edge> = edges_of(&g).into_iter().collect();
         rng_edges.truncate(6);
         let mut log = EntryDeltas::new();
         for &(s, l, d) in &rng_edges {
-            index.apply_logged(EdgeOp::delete(s, l, d), &mut log);
+            index.apply_logged(&mut graph, EdgeOp::delete(s, l, d), &mut log);
         }
         for &(s, l, d) in &rng_edges {
-            index.apply_logged(EdgeOp::insert(s, l, d), &mut log);
+            index.apply_logged(&mut graph, EdgeOp::insert(s, l, d), &mut log);
         }
         for (key, change) in log.ops() {
             match change {
@@ -1340,20 +1165,85 @@ mod tests {
         assert_eq!(shadow, live, "log replay diverged from the index");
     }
 
+    /// Effective updates on the paper graph: every third edge deleted, then
+    /// re-inserted, then one new edge.
+    fn churn(g: &Graph) -> Vec<EdgeOp> {
+        let some: Vec<Edge> = edges_of(g).into_iter().step_by(3).collect();
+        let mut ops: Vec<EdgeOp> = some
+            .iter()
+            .map(|&(s, l, d)| EdgeOp::delete(s, l, d))
+            .collect();
+        ops.extend(some.iter().map(|&(s, l, d)| EdgeOp::insert(s, l, d)));
+        let knows = g.label_id("knows").unwrap();
+        ops.push(EdgeOp::insert(
+            g.node_id("sue").unwrap(),
+            knows,
+            g.node_id("tim").unwrap(),
+        ));
+        ops
+    }
+
+    #[test]
+    fn each_op_writes_its_counts_once_per_key_in_key_order() {
+        let g = paper_example_graph();
+        let Live {
+            mut index,
+            mut graph,
+        } = Live::over(&g, 3);
+        for op in churn(&g) {
+            let mut log = EntryDeltas::new();
+            assert!(index.apply_logged(&mut graph, op, &mut log));
+            assert!(!log.counts().is_empty(), "{op:?}");
+            assert!(
+                log.counts().windows(2).all(|w| w[0].0 < w[1].0),
+                "{op:?}: count writes out of key order"
+            );
+            assert!(
+                log.ops().windows(2).all(|w| w[0].0 < w[1].0),
+                "{op:?}: transitions out of key order"
+            );
+        }
+    }
+
+    #[test]
+    fn independently_seeded_writers_log_identical_deltas() {
+        // Two bulk seeds, not a clone: a clone would share whatever state
+        // decides the emission order.
+        let g = paper_example_graph();
+        let logs: Vec<EntryDeltas> = (0..2)
+            .map(|_| {
+                let Live {
+                    mut index,
+                    mut graph,
+                } = Live::over(&g, 3);
+                let mut log = EntryDeltas::new();
+                for op in churn(&g) {
+                    assert!(index.apply_logged(&mut graph, op, &mut log));
+                }
+                log
+            })
+            .collect();
+        assert!(logs[0].counts().len() > 100);
+        assert!(
+            logs[0] == logs[1],
+            "the two writers logged different deltas"
+        );
+    }
+
     #[test]
     fn apply_dispatches_updates() {
         let l = LabelId(0);
-        let mut index = IncrementalKPathIndex::new(1);
-        assert!(index.apply(EdgeOp::insert(NodeId(0), l, NodeId(1))));
-        assert!(index.has_edge(NodeId(0), l, NodeId(1)));
-        assert!(index.apply(EdgeOp::delete(NodeId(0), l, NodeId(1))));
-        assert!(!index.has_edge(NodeId(0), l, NodeId(1)));
+        let mut live = Live::blank(1, 2, 1);
+        assert!(live.apply(EdgeOp::insert(NodeId(0), l, NodeId(1))));
+        assert!(live.graph.has_edge(NodeId(0), l, NodeId(1)));
+        assert!(live.apply(EdgeOp::delete(NodeId(0), l, NodeId(1))));
+        assert!(!live.graph.has_edge(NodeId(0), l, NodeId(1)));
     }
 
     #[test]
     #[should_panic(expected = "length 1..=k")]
     fn scanning_longer_than_k_panics() {
-        let index = IncrementalKPathIndex::new(1);
+        let index = IncrementalKPathIndex::bulk_from_graph(&Graph::empty(), 1);
         let l = SignedLabel::forward(LabelId(0));
         let _ = index.scan_path(&[l, l]);
     }
@@ -1361,7 +1251,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "k ≥ 1")]
     fn k_zero_is_rejected() {
-        let _ = IncrementalKPathIndex::new(0);
+        let _ = IncrementalKPathIndex::bulk_from_graph(&Graph::empty(), 0);
     }
 
     /// Keys of `tree` under `prefix`, via the range helper.
@@ -1369,13 +1259,14 @@ mod tests {
         prefix_range(tree, prefix).map(|(k, _)| k.clone()).collect()
     }
 
-    /// Targets under the `⟨p, source⟩` prefix, via the range helper.
+    /// Targets under the `⟨p, source⟩` prefix of `tree`, via the range
+    /// helper.
     fn targets_from(
-        index: &IncrementalKPathIndex,
+        tree: &BTreeMap<Vec<u8>, u64>,
         path: &[SignedLabel],
         source: NodeId,
     ) -> Vec<NodeId> {
-        prefix_range(&index.tree, &encode_path_source_prefix(path, source))
+        prefix_range(tree, &encode_path_source_prefix(path, source))
             .map(|(key, _)| decode_pair(key).1)
             .collect()
     }
@@ -1425,10 +1316,10 @@ mod tests {
         // prefixes of adjacent steps differ only in their last byte, and so do
         // the source prefixes of adjacent node ids.
         let (l0, l1) = (LabelId(0), LabelId(1));
-        let mut index = IncrementalKPathIndex::new(1);
+        let mut live = Live::blank(1, 9, 2);
         for src in [NodeId(6), NodeId(7), NodeId(8)] {
             for (label, dst) in [(l0, NodeId(1)), (l0, NodeId(2)), (l1, NodeId(3))] {
-                index.insert_edge(src, label, dst);
+                live.insert(src, label, dst);
             }
         }
         let fwd0 = [SignedLabel::forward(l0)];
@@ -1436,13 +1327,11 @@ mod tests {
             .into_iter()
             .flat_map(|s| [(NodeId(s), NodeId(1)), (NodeId(s), NodeId(2))])
             .collect();
-        assert_eq!(index.scan_path(&fwd0), expected);
+        assert_eq!(live.index.scan_path(&fwd0), expected);
+        let tree = &live.index.tree;
+        assert_eq!(targets_from(tree, &fwd0, NodeId(7)), [NodeId(1), NodeId(2)]);
         assert_eq!(
-            targets_from(&index, &fwd0, NodeId(7)),
-            [NodeId(1), NodeId(2)]
-        );
-        assert_eq!(
-            targets_from(&index, &[SignedLabel::forward(l1)], NodeId(7)),
+            targets_from(tree, &[SignedLabel::forward(l1)], NodeId(7)),
             [NodeId(3)]
         );
     }
@@ -1450,27 +1339,28 @@ mod tests {
     #[test]
     fn scan_path_from_the_largest_node_id_carries_the_successor() {
         // The source prefix of NodeId(u32::MAX) ends in four 0xFF bytes, so
-        // its successor must carry into the path bytes.
+        // its successor must carry into the path bytes. No graph interns
+        // that many nodes: the k = 1 entries of the edges max → 4, max → max
+        // and (max − 1) → 5 are keyed directly.
         let l = LabelId(0);
         let max = NodeId(u32::MAX);
-        let mut index = IncrementalKPathIndex::new(2);
-        index.insert_edge(max, l, NodeId(4));
-        index.insert_edge(max, l, max);
-        index.insert_edge(NodeId(u32::MAX - 1), l, NodeId(5));
-        let fwd = [SignedLabel::forward(l)];
+        let (fwd, bwd) = ([SignedLabel::forward(l)], [SignedLabel::backward(l)]);
+        let tree: BTreeMap<Vec<u8>, u64> = [
+            (max, NodeId(4)),
+            (max, max),
+            (NodeId(u32::MAX - 1), NodeId(5)),
+        ]
+        .into_iter()
+        .flat_map(|(a, b)| [encode_entry(&fwd, a, b), encode_entry(&bwd, b, a)])
+        .map(|key| (key, 1))
+        .collect();
         let prefix = encode_path_source_prefix(&fwd, max);
         assert!(prefix.ends_with(&[0xFF; 4]));
         assert!(prefix_successor(&prefix).is_some_and(|s| s.len() < prefix.len()));
-        assert_eq!(targets_from(&index, &fwd, max), [NodeId(4), max]);
-        assert_eq!(
-            targets_from(&index, &fwd, NodeId(u32::MAX - 1)),
-            [NodeId(5)]
-        );
+        assert_eq!(targets_from(&tree, &fwd, max), [NodeId(4), max]);
+        assert_eq!(targets_from(&tree, &fwd, NodeId(u32::MAX - 1)), [NodeId(5)]);
         // The next path in key order (0⁻) starts right after max's entries.
-        assert_eq!(
-            targets_from(&index, &[SignedLabel::backward(l)], NodeId(4)),
-            [max]
-        );
+        assert_eq!(targets_from(&tree, &bwd, NodeId(4)), [max]);
     }
 
     /// The paper graph with the `(key, walk count)` stream a durable backend
@@ -1548,7 +1438,7 @@ mod tests {
             for case in 0..64u64 {
                 let mut rng = StdRng::seed_from_u64(0x0AC1E + case);
                 let k = rng.gen_range(1..=3usize);
-                let mut index = IncrementalKPathIndex::new(k);
+                let mut live = Live::blank(k, 5, 2);
                 let mut edges: BTreeSet<Edge> = BTreeSet::new();
                 for _ in 0..rng.gen_range(1..40usize) {
                     let update = random_update(&mut rng);
@@ -1558,12 +1448,12 @@ mod tests {
                     } else {
                         edges.remove(&edge)
                     };
-                    let changed = index.apply(update);
+                    let changed = live.apply(update);
                     assert_eq!(changed, expected_change, "case {case}");
                 }
                 for path in all_paths(2, k) {
                     assert_eq!(
-                        index.scan_path(&path),
+                        live.index.scan_path(&path),
                         oracle_pairs(&edges, &path),
                         "case {case}"
                     );
@@ -1577,10 +1467,11 @@ mod tests {
         fn walk_counts_are_converse_symmetric() {
             for case in 0..64u64 {
                 let mut rng = StdRng::seed_from_u64(0xC0A0E + case);
-                let mut index = IncrementalKPathIndex::new(2);
+                let mut live = Live::blank(2, 5, 2);
                 for _ in 0..rng.gen_range(1..25usize) {
-                    index.apply(random_update(&mut rng));
+                    live.apply(random_update(&mut rng));
                 }
+                let index = &live.index;
                 for path in all_paths(2, 2) {
                     let inv = pathix_rpq::ast::inverse_path(&path);
                     for (a, b) in index.scan_path(&path) {
@@ -1605,15 +1496,15 @@ mod tests {
     #[test]
     fn audit_is_clean_on_a_maintained_index() {
         let g = paper_example_graph();
-        let mut index = IncrementalKPathIndex::bulk_from_graph(&g, 2);
-        assert_eq!(violated(&index), Vec::<&str>::new(), "after bulk seed");
+        let mut live = Live::over(&g, 2);
+        assert_eq!(violated(&live.index), Vec::<&str>::new(), "after bulk seed");
         let knows = g.label_id("knows").unwrap();
         let sue = g.node_id("sue").unwrap();
         let tim = g.node_id("tim").unwrap();
-        assert!(index.insert_edge(sue, knows, tim));
-        assert_eq!(violated(&index), Vec::<&str>::new(), "after insert");
-        assert!(index.delete_edge(sue, knows, tim));
-        assert_eq!(violated(&index), Vec::<&str>::new(), "after delete");
+        assert!(live.insert(sue, knows, tim));
+        assert_eq!(violated(&live.index), Vec::<&str>::new(), "after insert");
+        assert!(live.delete(sue, knows, tim));
+        assert_eq!(violated(&live.index), Vec::<&str>::new(), "after delete");
     }
 
     #[test]

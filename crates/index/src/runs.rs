@@ -585,7 +585,7 @@ mod tests {
     use super::*;
     use crate::{naive_path_eval, EntryDeltas, IncrementalKPathIndex};
     use pathix_datagen::{paper_example_graph, social_network, SocialConfig};
-    use pathix_graph::{EdgeOp, LabelId};
+    use pathix_graph::{EdgeOp, GraphBuilder, LabelId};
     use pathix_rpq::ast::inverse_path;
 
     /// Pairs in the synthetic relations below: far past the bound at which
@@ -608,6 +608,19 @@ mod tests {
             deleted_edges: deleted,
             seq: 1,
         }
+    }
+
+    /// An edgeless graph interning nodes `0..nodes` and labels `0..labels`:
+    /// the epoch the counting oracle of a synthetic test starts from.
+    fn blank_graph(nodes: u32, labels: u16) -> Graph {
+        let mut builder = GraphBuilder::new();
+        for node in 0..nodes {
+            builder.add_node(&node.to_string());
+        }
+        for label in 0..labels {
+            builder.add_label(&label.to_string());
+        }
+        builder.build()
     }
 
     /// An index over no relation at k = 1, to grow through delta batches.
@@ -792,19 +805,19 @@ mod tests {
         let k = 2;
         let shared = SharedKPathIndex::build(&g, k);
         let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, k);
+        let mut graph = g.clone();
 
         let knows = g.label_id("knows").unwrap();
         let sue = g.node_id("sue").unwrap();
         let tim = g.node_id("tim").unwrap();
         let mut deltas = EntryDeltas::new();
-        assert!(oracle.apply_logged(EdgeOp::insert(sue, knows, tim), &mut deltas,));
+        assert!(oracle.apply_logged(&mut graph, EdgeOp::insert(sue, knows, tim), &mut deltas,));
         let next = shared
             .with_batch(&delta_batch(&oracle, &deltas, 1, 0))
             .unwrap();
 
-        let mut updated = g.clone();
-        assert!(updated.insert_edge(sue, knows, tim));
-        let rebuilt = SharedKPathIndex::build(&updated, k);
+        // The oracle advanced its graph epoch to the updated graph.
+        let rebuilt = SharedKPathIndex::build(&graph, k);
         assert_eq!(next.per_path_counts(), rebuilt.per_path_counts());
         for (path, _) in rebuilt.per_path_counts() {
             let expected: Vec<_> = rebuilt.scan_path(path).collect();
@@ -826,14 +839,15 @@ mod tests {
         let g = paper_example_graph();
         let shared = SharedKPathIndex::build(&g, 2);
         let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, 2);
+        let mut graph = g.clone();
         let knows = g.label_id("knows").unwrap();
         let sue = g.node_id("sue").unwrap();
         let tim = g.node_id("tim").unwrap();
         let mut deltas = EntryDeltas::new();
         let insert = EdgeOp::insert(sue, knows, tim);
         let delete = EdgeOp::delete(sue, knows, tim);
-        assert!(oracle.apply_logged(insert, &mut deltas));
-        assert!(oracle.apply_logged(delete, &mut deltas));
+        assert!(oracle.apply_logged(&mut graph, insert, &mut deltas));
+        assert!(oracle.apply_logged(&mut graph, delete, &mut deltas));
         assert!(!deltas.is_empty(), "transitions were logged both ways");
         let next = shared
             .with_batch(&delta_batch(&oracle, &deltas, 1, 1))
@@ -853,10 +867,15 @@ mod tests {
         // A synthetic single-label chain large enough to force several chunks,
         // then heavy delete/insert churn replayed through delta batches.
         let l = LabelId(0);
-        let mut oracle = IncrementalKPathIndex::new(1);
+        let mut graph = blank_graph(MANY + 1, 1);
+        let mut oracle = IncrementalKPathIndex::bulk_from_graph(&graph, 1);
         let mut deltas = EntryDeltas::new();
         for i in 0..(MANY) {
-            oracle.apply_logged(EdgeOp::insert(NodeId(i), l, NodeId(i + 1)), &mut deltas);
+            oracle.apply_logged(
+                &mut graph,
+                EdgeOp::insert(NodeId(i), l, NodeId(i + 1)),
+                &mut deltas,
+            );
         }
         let empty = empty_index();
         let mut shared = empty
@@ -874,7 +893,7 @@ mod tests {
                 } else {
                     EdgeOp::insert(NodeId(i), l, NodeId(i + 1))
                 };
-                if oracle.apply_logged(update, &mut deltas) {
+                if oracle.apply_logged(&mut graph, update, &mut deltas) {
                     if update.insert {
                         inserted += 1;
                     } else {
@@ -907,10 +926,15 @@ mod tests {
         // instead of staying at the run's historical peak.
         let l = LabelId(0);
         let n = 4 * MANY;
-        let mut oracle = IncrementalKPathIndex::new(1);
+        let mut graph = blank_graph(n, 1);
+        let mut oracle = IncrementalKPathIndex::bulk_from_graph(&graph, 1);
         let mut deltas = EntryDeltas::new();
         for i in 0..n {
-            oracle.apply_logged(EdgeOp::insert(NodeId(i), l, NodeId(i)), &mut deltas);
+            oracle.apply_logged(
+                &mut graph,
+                EdgeOp::insert(NodeId(i), l, NodeId(i)),
+                &mut deltas,
+            );
         }
         let empty = empty_index();
         let mut shared = empty
@@ -924,7 +948,11 @@ mod tests {
             deltas.clear();
             let mut deleted = 0;
             for i in ((offset)..n).step_by(16) {
-                if oracle.apply_logged(EdgeOp::delete(NodeId(i), l, NodeId(i)), &mut deltas) {
+                if oracle.apply_logged(
+                    &mut graph,
+                    EdgeOp::delete(NodeId(i), l, NodeId(i)),
+                    &mut deltas,
+                ) {
                     deleted += 1;
                 }
             }
@@ -952,12 +980,21 @@ mod tests {
     fn untouched_chunks_are_pointer_identical_across_epochs() {
         let l0 = LabelId(0);
         let l1 = LabelId(1);
-        let mut oracle = IncrementalKPathIndex::new(1);
+        let mut graph = blank_graph(MANY, 2);
+        let mut oracle = IncrementalKPathIndex::bulk_from_graph(&graph, 1);
         let mut deltas = EntryDeltas::new();
         for i in 0..(MANY) {
-            oracle.apply_logged(EdgeOp::insert(NodeId(i), l0, NodeId(i)), &mut deltas);
+            oracle.apply_logged(
+                &mut graph,
+                EdgeOp::insert(NodeId(i), l0, NodeId(i)),
+                &mut deltas,
+            );
         }
-        oracle.apply_logged(EdgeOp::insert(NodeId(0), l1, NodeId(1)), &mut deltas);
+        oracle.apply_logged(
+            &mut graph,
+            EdgeOp::insert(NodeId(0), l1, NodeId(1)),
+            &mut deltas,
+        );
         let base = empty_index()
             .with_batch(&delta_batch(&oracle, &deltas, MANY as u64 + 1, 0))
             .unwrap();
@@ -965,7 +1002,11 @@ mod tests {
         // Touch only label 1: every chunk of the big label-0 runs must be the
         // same allocation in the next epoch.
         deltas.clear();
-        oracle.apply_logged(EdgeOp::insert(NodeId(2), l1, NodeId(3)), &mut deltas);
+        oracle.apply_logged(
+            &mut graph,
+            EdgeOp::insert(NodeId(2), l1, NodeId(3)),
+            &mut deltas,
+        );
         let next = base
             .with_batch(&delta_batch(&oracle, &deltas, 1, 0))
             .unwrap();
@@ -984,11 +1025,16 @@ mod tests {
         // A multi-chunk single-label chain: probing one source must read at
         // most the chunks whose fences admit it and count the rest skipped.
         let l = LabelId(0);
-        let mut oracle = IncrementalKPathIndex::new(1);
+        let mut graph = blank_graph(2 * MANY + 1, 1);
+        let mut oracle = IncrementalKPathIndex::bulk_from_graph(&graph, 1);
         let mut deltas = EntryDeltas::new();
         let n_edges = 2 * MANY;
         for i in 0..n_edges {
-            oracle.apply_logged(EdgeOp::insert(NodeId(i), l, NodeId(i + 1)), &mut deltas);
+            oracle.apply_logged(
+                &mut graph,
+                EdgeOp::insert(NodeId(i), l, NodeId(i + 1)),
+                &mut deltas,
+            );
         }
         let empty = empty_index();
         let shared = empty
@@ -1019,18 +1065,17 @@ mod tests {
         let g = paper_example_graph();
         let shared = SharedKPathIndex::build(&g, 2);
         let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, 2);
+        let mut graph = g.clone();
         let knows = g.label_id("knows").unwrap();
         let sue = g.node_id("sue").unwrap();
         let tim = g.node_id("tim").unwrap();
         let mut deltas = EntryDeltas::new();
-        assert!(oracle.apply_logged(EdgeOp::insert(sue, knows, tim), &mut deltas,));
+        assert!(oracle.apply_logged(&mut graph, EdgeOp::insert(sue, knows, tim), &mut deltas,));
         let next = shared
             .with_batch(&delta_batch(&oracle, &deltas, 1, 0))
             .unwrap();
 
-        let mut updated = g.clone();
-        assert!(updated.insert_edge(sue, knows, tim));
-        let rebuilt = SharedKPathIndex::build(&updated, 2);
+        let rebuilt = SharedKPathIndex::build(&graph, 2);
         // Every live entry must pass the (possibly inherited) bloom — no
         // false negatives — so bound probes match a from-scratch build.
         for (path, _) in rebuilt.per_path_counts.clone() {
@@ -1040,7 +1085,7 @@ mod tests {
                     "path {path:?} lost ({s:?},{t:?})"
                 );
             }
-            for s in (0..updated.node_count() as u32).map(NodeId) {
+            for s in (0..graph.node_count() as u32).map(NodeId) {
                 assert_eq!(
                     next.scan_path_from(&path, s),
                     rebuilt.scan_path_from(&path, s),
@@ -1097,6 +1142,7 @@ mod tests {
         let g = paper_example_graph();
         let mut shared = SharedKPathIndex::build(&g, 2);
         let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, 2);
+        let mut graph = g.clone();
         assert_eq!(violated(&shared), Vec::<&str>::new());
 
         let knows = g.label_id("knows").unwrap();
@@ -1114,7 +1160,7 @@ mod tests {
             } else {
                 EdgeOp::delete(src, knows, dst)
             };
-            if oracle.apply_logged(update, &mut deltas) {
+            if oracle.apply_logged(&mut graph, update, &mut deltas) {
                 let (ins, del) = if i < 3 { (1, 0) } else { (0, 1) };
                 shared = shared
                     .with_batch(&delta_batch(&oracle, &deltas, ins, del))
@@ -1185,10 +1231,12 @@ mod tests {
         // a superset of the previous epoch's (rebuilds only OR bits in).
         let l = LabelId(0);
         let n = MANY;
-        let mut oracle = IncrementalKPathIndex::new(1);
+        let mut graph = blank_graph(2 * n, 1);
+        let mut oracle = IncrementalKPathIndex::bulk_from_graph(&graph, 1);
         let mut deltas = EntryDeltas::new();
         for i in 0..n {
             oracle.apply_logged(
+                &mut graph,
                 EdgeOp::insert(NodeId(2 * i), l, NodeId(2 * i + 1)),
                 &mut deltas,
             );
@@ -1208,7 +1256,7 @@ mod tests {
                 } else {
                     EdgeOp::insert(NodeId(2 * i + 1), l, NodeId(2 * i))
                 };
-                if oracle.apply_logged(update, &mut deltas) {
+                if oracle.apply_logged(&mut graph, update, &mut deltas) {
                     if update.insert {
                         inserted += 1;
                     } else {

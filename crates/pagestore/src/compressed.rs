@@ -96,13 +96,14 @@ mod tests {
     fn apply_updates(
         store: &mut CompressedPathStore,
         oracle: &mut IncrementalKPathIndex,
+        graph: &mut Graph,
         updates: &[EdgeOp],
     ) {
         let mut deltas = EntryDeltas::new();
         let mut inserted = 0;
         let mut deleted = 0;
         for &update in updates {
-            if oracle.apply_logged(update, &mut deltas) {
+            if oracle.apply_logged(graph, update, &mut deltas) {
                 if update.insert {
                     inserted += 1;
                 } else {
@@ -225,6 +226,7 @@ mod tests {
         let k = 2;
         let mut store = CompressedPathStore::build_in(&g, k);
         let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, k);
+        let mut graph = g.clone();
 
         let sue = g.node_id("sue").unwrap();
         let tim = g.node_id("tim").unwrap();
@@ -236,7 +238,7 @@ mod tests {
             EdgeOp::insert(sue, knows_l, tim),
             EdgeOp::delete(kim, supervisor, liz),
         ];
-        apply_updates(&mut store, &mut oracle, &updates);
+        apply_updates(&mut store, &mut oracle, &mut graph, &updates);
         assert_eq!(store.updates_applied(), (1, 1));
 
         let mut updated = g.clone();
@@ -249,6 +251,7 @@ mod tests {
         apply_updates(
             &mut store,
             &mut oracle,
+            &mut graph,
             &[EdgeOp::delete(sue, knows_l, tim)],
         );
         let kn = knows(&g);
@@ -288,6 +291,7 @@ mod tests {
         let g = paper_example_graph();
         let mut store = CompressedPathStore::build_in(&g, 2);
         let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, 2);
+        let mut graph = g.clone();
         let check = |store: &CompressedPathStore, graph: &Graph| {
             let memory = SharedKPathIndex::build(graph, 2);
             for (path, _) in memory.per_path_counts() {
@@ -308,6 +312,7 @@ mod tests {
         apply_updates(
             &mut store,
             &mut oracle,
+            &mut graph,
             &[EdgeOp::insert(sue, knows_l, tim)],
         );
         let mut updated = g.clone();
@@ -328,6 +333,7 @@ mod tests {
         let (l, m) = (g.label_id("l").unwrap(), g.label_id("m").unwrap());
         let mut store = CompressedPathStore::build_in(&g, 1);
         let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, 1);
+        let mut graph = g.clone();
         let born = [SignedLabel::forward(m)];
         assert!(store.relation(&born).is_none());
 
@@ -347,7 +353,7 @@ mod tests {
             updates.extend([EdgeOp::insert(i, l, far), EdgeOp::insert(far, m, i)]);
             assert!(updated.insert_edge(i, l, far) && updated.insert_edge(far, m, i));
         }
-        apply_updates(&mut store, &mut oracle, &updates);
+        apply_updates(&mut store, &mut oracle, &mut graph, &updates);
         assert!(store.relation(&born).is_some());
         assert_eq!(violated(&store), Vec::<&str>::new());
 
@@ -383,13 +389,19 @@ mod tests {
         let g = b.build();
         let mut store = CompressedPathStore::build_in(&g, 2);
         let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, 2);
+        let mut graph = g.clone();
         let l = g.label_id("l").unwrap();
         let (aa, bb, cc) = (
             g.node_id("a").unwrap(),
             g.node_id("b").unwrap(),
             g.node_id("c").unwrap(),
         );
-        apply_updates(&mut store, &mut oracle, &[EdgeOp::insert(bb, l, cc)]);
+        apply_updates(
+            &mut store,
+            &mut oracle,
+            &mut graph,
+            &[EdgeOp::insert(bb, l, cc)],
+        );
         let fwd = SignedLabel::forward(l);
         assert_eq!(store.collect_path(&[fwd, fwd]).unwrap(), vec![(aa, cc)]);
         assert_eq!(store.path_cardinality(&[fwd, fwd]), Some(1));
@@ -398,6 +410,7 @@ mod tests {
         apply_updates(
             &mut store,
             &mut oracle,
+            &mut graph,
             &[EdgeOp::delete(aa, l, bb), EdgeOp::delete(bb, l, cc)],
         );
         assert_eq!((store.path_count(), store.chunk_count()), (0, 0));
@@ -410,6 +423,7 @@ mod tests {
         let g = paper_example_graph();
         let mut store = CompressedPathStore::build_in(&g, 2);
         let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, 2);
+        let mut graph = g.clone();
         assert!(violated(&store).is_empty(), "freshly built store");
 
         let sue = g.node_id("sue").unwrap();
@@ -427,7 +441,7 @@ mod tests {
             ],
         ];
         for (i, updates) in scripts.iter().enumerate() {
-            apply_updates(&mut store, &mut oracle, updates);
+            apply_updates(&mut store, &mut oracle, &mut graph, updates);
             assert!(violated(&store).is_empty(), "after batch {i}");
         }
     }
@@ -445,6 +459,7 @@ mod tests {
         let chain = [SignedLabel::forward(l)];
         let mut store = CompressedPathStore::build_in(&g, 1);
         let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, 1);
+        let mut graph = g.clone();
 
         // Every view with its complete answer at the time it was taken.
         type Answers = Vec<(Vec<Pair>, Vec<Vec<NodeId>>)>;
@@ -470,7 +485,7 @@ mod tests {
         for (i, batch) in batches.iter().enumerate() {
             let before = store.relation(&chain).unwrap().clone();
             let chunks_before = store.chunk_count();
-            apply_updates(&mut store, &mut oracle, batch);
+            apply_updates(&mut store, &mut oracle, &mut graph, batch);
             let after = store.relation(&chain).unwrap();
             let shared = after
                 .chunks()

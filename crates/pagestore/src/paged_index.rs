@@ -16,8 +16,9 @@
 //!
 //! The index is also **mutable** ([`MutablePathIndexBackend`]): the key-level
 //! deltas of a live update batch — computed once, backend-agnostically, by
-//! the counting rules of [`pathix_index::IncrementalKPathIndex`] — are
-//! replayed as B+tree key inserts and deletes (page splits, merges and
+//! the counting rules of [`pathix_index::IncrementalKPathIndex`], which walk
+//! the graph epochs around each update and log its writes in key order —
+//! are replayed as B+tree key inserts and deletes (page splits, merges and
 //! free-list recycling included) and written back through the buffer pool,
 //! so an on-disk index stays durable across batches.
 
@@ -813,6 +814,7 @@ mod tests {
         let k = 2;
         let mut paged = PagedPathIndex::build_in_memory(&g, k, 8).unwrap();
         let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, k);
+        let mut graph = g.clone();
 
         // Delete a third of the edges, then re-insert them plus a new one.
         let edges: Vec<_> = g
@@ -838,7 +840,7 @@ mod tests {
         let mut inserted = 0;
         let mut deleted = 0;
         for &update in &updates {
-            if oracle.apply_logged(update, &mut deltas) {
+            if oracle.apply_logged(&mut graph, update, &mut deltas) {
                 if update.insert {
                     inserted += 1;
                 } else {
@@ -898,6 +900,7 @@ mod tests {
         let g = paper_example_graph();
         let mut paged = PagedPathIndex::build_in_memory(&g, 2, 8).unwrap();
         let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, 2);
+        let mut graph = g.clone();
         let mut report = AuditReport::new();
         report.run("paged", &paged);
         report.assert_clean("after build");
@@ -907,7 +910,7 @@ mod tests {
         let tim = g.node_id("tim").unwrap();
         let knows = g.label_id("knows").unwrap();
         let mut deltas = EntryDeltas::new();
-        let applied = oracle.apply_logged(EdgeOp::insert(sue, knows, tim), &mut deltas);
+        let applied = oracle.apply_logged(&mut graph, EdgeOp::insert(sue, knows, tim), &mut deltas);
         assert!(applied);
         paged
             .apply_delta_batch(&DeltaBatch {
@@ -968,6 +971,8 @@ mod tests {
         let k = 2;
 
         let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, k);
+
+        let mut graph = g.clone();
         let (len, per_path, paths_k, entries) = {
             let mut idx = PagedPathIndex::build_on_disk(&g, k, &path, 8).unwrap();
 
@@ -976,7 +981,7 @@ mod tests {
             let tim = g.node_id("tim").unwrap();
             let knows = g.label_id("knows").unwrap();
             let mut deltas = EntryDeltas::new();
-            assert!(oracle.apply_logged(EdgeOp::insert(sue, knows, tim), &mut deltas,));
+            assert!(oracle.apply_logged(&mut graph, EdgeOp::insert(sue, knows, tim), &mut deltas,));
             idx.apply_delta_batch(&DeltaBatch {
                 deltas: &deltas,
                 per_path_counts: oracle.per_path_counts(),

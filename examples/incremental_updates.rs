@@ -13,8 +13,9 @@
 //! ```
 
 use pathix::datagen::{social_network, SocialConfig};
+use pathix::graph::EdgeOp;
 use pathix::index::{IncrementalKPathIndex, SharedKPathIndex};
-use pathix::{Graph, GraphBuilder, LabelId, NodeId, PathIndexBackend};
+use pathix::{EntryDeltas, Graph, GraphBuilder, LabelId, NodeId, PathIndexBackend};
 use std::time::Instant;
 
 /// Collects the labeled edge list of a graph.
@@ -66,9 +67,9 @@ fn main() {
     );
 
     // 1. Seed the incremental index with the initial edge set.
-    let initial_graph = graph_from_edges(&full, initial);
+    let mut graph = graph_from_edges(&full, initial);
     let start = Instant::now();
-    let mut live = IncrementalKPathIndex::from_graph(&initial_graph, K);
+    let mut live = IncrementalKPathIndex::bulk_from_graph(&graph, K);
     println!(
         "seeded incremental index: {} entries over {} paths in {:?}",
         live.entry_count(),
@@ -77,19 +78,25 @@ fn main() {
     );
 
     // 2. Apply the update stream: insertions first, then the retractions.
+    //    Each op advances `graph` by one epoch, and the counting rules walk
+    //    the epochs before and after it.
     let start = Instant::now();
+    let mut log = EntryDeltas::new();
     let mut stream_inserts = 0usize;
     let mut stream_deletes = 0usize;
     for &(src, label, dst) in arriving {
-        stream_inserts += usize::from(live.insert_edge(src, label, dst));
+        let op = EdgeOp::insert(src, label, dst);
+        stream_inserts += usize::from(live.apply_logged(&mut graph, op, &mut log));
     }
     for &(src, label, dst) in &retracted {
-        stream_deletes += usize::from(live.delete_edge(src, label, dst));
+        let op = EdgeOp::delete(src, label, dst);
+        stream_deletes += usize::from(live.apply_logged(&mut graph, op, &mut log));
     }
     let incremental_time = start.elapsed();
     println!(
         "applied {stream_inserts} insertions + {stream_deletes} deletions incrementally \
-         in {incremental_time:?}"
+         in {incremental_time:?} ({} logged walk-count writes)",
+        log.counts().len()
     );
 
     // 3. The same final state via a full rebuild, for comparison.
@@ -115,7 +122,9 @@ fn main() {
         rebuild_time.as_secs_f64() / per_update.as_secs_f64().max(1e-9)
     );
 
-    // 4. Verify both routes agree on every indexed path relation.
+    // 4. Verify both routes agree on every indexed path relation, and that
+    //    the epoch chain ended at the final graph.
+    assert_eq!(graph.edge_count(), final_graph.edge_count());
     assert_eq!(live.entry_count() as u64, rebuilt.stats().entries);
     for (path, _) in rebuilt.per_path_counts() {
         let expected: Vec<_> = rebuilt.scan_path(path).collect();

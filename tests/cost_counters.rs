@@ -13,7 +13,11 @@ mod common;
 
 use pathix::datagen::{advogato_like, advogato_queries, AdvogatoConfig};
 use pathix::index::PairBatch;
-use pathix::{Graph, GraphUpdate, NodeId, PathDb, PathIndexBackend, QueryOptions, SignedLabel};
+use pathix::{
+    BackendChoice, Graph, GraphUpdate, NodeId, PathDb, PathDbConfig, PathIndexBackend,
+    QueryOptions, SignedLabel,
+};
+use std::path::{Path, PathBuf};
 
 /// 65 nodes, ≈ 500 edges, three labels: small enough for every backend in a
 /// second, large enough that the paged index spans many more pages than the
@@ -157,6 +161,73 @@ fn a_fixed_update_script_writes_the_same_pages_on_the_paged_backends() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// [`graph`] at k = 2 on the on-disk backend alone, in a scratch directory of
+/// its own (remove it when done); the page file is `index.pages` there.
+fn on_disk(tag: &str) -> (PathDb, PathBuf) {
+    let dir = std::env::temp_dir().join(format!("pathix-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let choice = BackendChoice::OnDisk {
+        path: dir.join("index.pages"),
+        pool_frames: 32,
+    };
+    let config = PathDbConfig::with_k(2).with_backend(choice);
+    (PathDb::try_build(graph(), config).unwrap(), dir)
+}
+
+/// The bytes of every write-ahead-log segment of the on-disk database in
+/// `dir` (the `index.pages.wal/` directory), in segment order.
+fn wal_bytes(dir: &Path) -> Vec<u8> {
+    let mut segments: Vec<_> = std::fs::read_dir(dir.join("index.pages.wal"))
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .collect();
+    segments.sort();
+    segments
+        .iter()
+        .flat_map(|segment| std::fs::read(segment).unwrap())
+        .collect()
+}
+
+/// Bytes the on-disk backend's write-ahead log holds after each batch of
+/// [`script`]: one framed commit record per batch (interned names, effective
+/// ops, absolute walk-count writes). The default checkpoint cadence of 256
+/// batches truncates nothing here.
+const WAL_BYTES: [usize; 3] = [7192, 13454, 21366];
+
+#[test]
+fn a_fixed_update_script_logs_the_same_wal_bytes() {
+    let (db, dir) = on_disk("cost-wal");
+    let observed: Vec<_> = script()
+        .iter()
+        .map(|batch| {
+            db.apply(batch).unwrap();
+            wal_bytes(&dir).len()
+        })
+        .collect();
+    assert_eq!(observed, WAL_BYTES);
+    drop(db);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// The counting rules emit each update's walk-count writes in key order, so
+/// two databases given the same batches write the same log byte for byte.
+#[test]
+fn two_databases_given_the_same_batches_log_identical_bytes() {
+    let (first, first_dir) = on_disk("cost-wal-first");
+    let (second, second_dir) = on_disk("cost-wal-second");
+    for (i, batch) in script().iter().enumerate() {
+        first.apply(batch).unwrap();
+        second.apply(batch).unwrap();
+        assert!(
+            wal_bytes(&first_dir) == wal_bytes(&second_dir),
+            "the logs diverge after batch {i}"
+        );
+    }
+    drop((first, second));
+    let _ = std::fs::remove_dir_all(first_dir);
+    let _ = std::fs::remove_dir_all(second_dir);
+}
+
 /// `(entries, approx_bytes)` of the memory and the compressed backend as
 /// built and after each batch of [`script`]. Memory counts 8 bytes per entry;
 /// compressed counts each delta/varint chunk's bytes plus its 16-byte fence,
@@ -276,12 +347,14 @@ fn bound_probes_skip_a_fixed_number_of_chunks_and_segments() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
-/// Pool misses and read-ahead pages of [`scan_every_path`] followed by A2 and
-/// A3 (whose walks probe a leaf path, then scan it once probes cost more) on
-/// the paged in-memory backend with a 32-frame pool: which leaves a scan
-/// visits, in what order, and which read-ahead it issues.
+/// Pool misses, read-ahead pages and evictions of [`scan_every_path`]
+/// followed by A2 and A3 (whose walks probe a leaf path, then scan it once
+/// probes cost more) on the paged in-memory backend with a 32-frame pool:
+/// which leaves a scan visits, in what order, which read-ahead it issues and
+/// which frames that pushes out.
 const SCAN_MISSES: u64 = 22;
 const SCAN_READ_AHEAD_PAGES: u64 = 187;
+const SCAN_EVICTIONS: u64 = 209;
 /// Pairs those scans deliver (the sum of the nine path cardinalities).
 const SCAN_PAIRS: usize = 11194;
 
@@ -322,9 +395,10 @@ fn cold_path_scans_touch_a_fixed_set_of_pages() {
             assert_eq!(
                 (
                     after.misses - before.misses,
-                    after.read_ahead_pages - before.read_ahead_pages
+                    after.read_ahead_pages - before.read_ahead_pages,
+                    after.evictions - before.evictions
                 ),
-                (SCAN_MISSES, SCAN_READ_AHEAD_PAGES),
+                (SCAN_MISSES, SCAN_READ_AHEAD_PAGES, SCAN_EVICTIONS),
                 "{name}"
             );
         }
