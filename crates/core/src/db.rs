@@ -114,7 +114,6 @@ pub enum BackendChoice {
 /// assert!(m.as_memory().is_some() && m.as_compressed().is_none());
 /// // … and the trait they all implement does not care which.
 /// assert_eq!(c.per_path_counts(), m.per_path_counts());
-/// assert_eq!(c.paths_k_size(), m.paths_k_size());
 /// assert!(c.stats().approx_bytes < m.stats().approx_bytes);
 /// ```
 #[derive(Debug)]
@@ -196,10 +195,6 @@ impl PathIndexBackend for IndexBackend {
 
     fn per_path_counts(&self) -> &[(Vec<SignedLabel>, u64)] {
         delegate!(self, b => PathIndexBackend::per_path_counts(b))
-    }
-
-    fn paths_k_size(&self) -> u64 {
-        delegate!(self, b => PathIndexBackend::paths_k_size(b))
     }
 
     fn stats(&self) -> BackendStats {
@@ -709,12 +704,8 @@ impl PathDb {
         durability: Option<Durability>,
     ) -> Self {
         let backend = writer.reader_view();
-        let histogram = PathHistogram::build(
-            backend.per_path_counts(),
-            backend.paths_k_size(),
-            config.k,
-            config.estimation,
-        );
+        let histogram =
+            PathHistogram::build(backend.per_path_counts(), config.k, config.estimation);
         let plan_cache = PlanCache::new(config.plan_cache_capacity);
         let snapshot = Snapshot::new(Arc::new(graph), Arc::new(backend), Arc::new(histogram), 0);
         PathDb {
@@ -1174,12 +1165,7 @@ impl PathDb {
             // from-graph rebuild below.
             let persisted = match &live_state.writer {
                 IndexBackend::Paged(paged) => paged.counted_entries().ok().and_then(|entries| {
-                    IncrementalKPathIndex::from_persisted_entries(
-                        current.graph(),
-                        self.config.k,
-                        entries,
-                    )
-                    .ok()
+                    IncrementalKPathIndex::from_persisted_entries(self.config.k, entries).ok()
                 }),
                 _ => None,
             };
@@ -1245,16 +1231,6 @@ impl PathDb {
             HistogramRefresh::EveryUpdates(n) => pending_updates >= n.max(1),
             HistogramRefresh::Manual => false,
         };
-        let histogram = if refresh {
-            Arc::new(PathHistogram::build(
-                live_index.per_path_counts(),
-                live_index.paths_k_size(),
-                self.config.k,
-                self.config.estimation,
-            ))
-        } else {
-            current.histogram_arc()
-        };
 
         // Durability (on-disk backend): the commit record — interned names,
         // effective ops, absolute walk-count writes — must be appended *and*
@@ -1289,9 +1265,7 @@ impl PathDb {
         // rebuilding or re-freezing the whole index.
         let batch = DeltaBatch {
             deltas: &live_state.deltas,
-            per_path_counts: live_index.per_path_counts(),
-            paths_k_size: live_index.paths_k_size(),
-            node_count: live_index.node_count(),
+            node_count: graph.node_count(),
             inserted_edges: inserted,
             deleted_edges: deleted,
             seq,
@@ -1307,6 +1281,16 @@ impl PathDb {
                 live_state.failed = Some(e.clone());
                 return Err(QueryError::Backend(e));
             }
+        };
+        // The histogram summarizes the counts of the backend just published.
+        let histogram = if refresh {
+            Arc::new(PathHistogram::build(
+                backend.per_path_counts(),
+                self.config.k,
+                self.config.estimation,
+            ))
+        } else {
+            current.histogram_arc()
         };
         live_state.commit_seq = seq;
         live_state.updates_since_refresh = if refresh { 0 } else { pending_updates };
@@ -1350,11 +1334,11 @@ impl PathDb {
         })
     }
 
-    /// Rebuilds the histogram from the live index's exact counts right now,
-    /// regardless of the configured [`HistogramRefresh`] policy, and bumps
-    /// the epoch so cached plans re-cost themselves against the fresh
-    /// statistics. Returns `false` (and does nothing) when no update was
-    /// ever applied — the built histogram is still exact.
+    /// Rebuilds the histogram from the published backend's exact per-path
+    /// counts right now, regardless of the configured [`HistogramRefresh`]
+    /// policy, and bumps the epoch so cached plans re-cost themselves
+    /// against the fresh statistics. Returns `false` (and does nothing) when
+    /// no update was ever applied — the built histogram is still exact.
     pub fn refresh_histogram(&self) -> bool {
         // A poisoned writer lock means the counting index may be ahead of
         // the published state — same reason as `failed` below, same answer.
@@ -1362,19 +1346,14 @@ impl PathDb {
             return false;
         };
         let live_state = &mut *live;
-        if live_state.failed.is_some() {
-            // A failed delta batch left the counting index ahead of the
-            // published state; refreshing from it would publish statistics
-            // for updates that never landed.
+        if live_state.failed.is_some() || live_state.index.is_none() {
+            // A failed writer refreshes nothing, as it applies nothing;
+            // without any update the built histogram is still exact.
             return false;
         }
-        let Some(live_index) = &live_state.index else {
-            return false;
-        };
         let current = self.snapshot();
         let histogram = Arc::new(PathHistogram::build(
-            live_index.per_path_counts(),
-            live_index.paths_k_size(),
+            current.index().per_path_counts(),
             self.config.k,
             self.config.estimation,
         ));
@@ -1855,9 +1834,7 @@ mod tests {
                 assert!(oracle.apply_logged(&mut graph, op, &mut deltas));
                 let batch = DeltaBatch {
                     deltas: &deltas,
-                    per_path_counts: oracle.per_path_counts(),
-                    paths_k_size: oracle.paths_k_size(),
-                    node_count: oracle.node_count(),
+                    node_count: graph.node_count(),
                     inserted_edges: op.insert as u64,
                     deleted_edges: !op.insert as u64,
                     seq: seq as u64 + 1,
@@ -2124,8 +2101,8 @@ mod tests {
         // The published snapshot's statistics agree with the rebuild too.
         assert_eq!(db.stats().index.entries, rebuilt.stats().index.entries);
         assert_eq!(
-            db.stats().index.paths_k_size,
-            rebuilt.stats().index.paths_k_size
+            db.index().per_path_counts(),
+            rebuilt.index().per_path_counts()
         );
     }
 
@@ -2177,10 +2154,57 @@ mod tests {
                 "backend {choice:?}"
             );
             assert_eq!(
-                db.stats().index.paths_k_size,
-                rebuilt.stats().index.paths_k_size,
+                db.index().per_path_counts(),
+                rebuilt.index().per_path_counts(),
                 "backend {choice:?}"
             );
+        }
+    }
+
+    #[test]
+    fn every_backend_refreshes_the_histogram_a_rebuild_builds() {
+        let _disk = DISK_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let dir = TempDir::new("histogram-refresh");
+        for refresh in [HistogramRefresh::EveryUpdates(1), HistogramRefresh::Manual] {
+            let choices = vec![
+                BackendChoice::Memory,
+                BackendChoice::PagedInMemory { pool_frames: 8 },
+                BackendChoice::OnDisk {
+                    path: dir.path(&format!("{refresh:?}.pages")),
+                    pool_frames: 8,
+                },
+                BackendChoice::Compressed,
+            ];
+            for choice in choices {
+                let config = PathDbConfig::with_k(2)
+                    .with_backend(choice.clone())
+                    .with_histogram_refresh(refresh);
+                let db = PathDb::try_build(paper_example_graph(), config).unwrap();
+                // The only supervisor edge goes, emptying every path through
+                // it, and a new node arrives with new knows paths.
+                let stats = db
+                    .apply(&[
+                        GraphUpdate::delete_named("kim", "supervisor", "liz"),
+                        GraphUpdate::insert_named("max", "knows", "ada"),
+                    ])
+                    .unwrap();
+                let case = format!("{choice:?} under {refresh:?}");
+                assert_eq!(
+                    stats.histogram_refreshed,
+                    refresh != HistogramRefresh::Manual,
+                    "{case}"
+                );
+                if !stats.histogram_refreshed {
+                    assert!(db.refresh_histogram(), "{case}");
+                }
+                let rebuilt = PathDb::build(db.graph().as_ref().clone(), PathDbConfig::with_k(2));
+                assert_eq!(
+                    db.index().per_path_counts(),
+                    rebuilt.index().per_path_counts(),
+                    "{case}"
+                );
+                assert_eq!(*db.histogram(), *rebuilt.histogram(), "{case}");
+            }
         }
     }
 

@@ -7,9 +7,10 @@
 //! 51,127 edges, three trust levels) plus synthetic datasets from the
 //! accompanying MSc thesis. The real Advogato download is not available in
 //! this offline reproduction, so [`advogato`] provides a generator that
-//! matches its published scale, vocabulary and heavy-tailed degree shape (see
-//! DESIGN.md for the substitution rationale). All generators take explicit
-//! seeds and are fully deterministic.
+//! matches its published scale, vocabulary and heavy-tailed degree shape (the
+//! [`advogato`] module docs list what it reproduces; PAPER.md's §6 row names
+//! the experiments that run on it). All generators take explicit seeds and
+//! are fully deterministic.
 //!
 //! Modules:
 //!

@@ -10,8 +10,8 @@
 //! storage rely on: one batched forward prefix scan in `(source, target)`
 //! order (the inverse-path trick for target-major order goes through the same
 //! entry point) and two probes — targets of one source, point membership —
-//! plus per-path cardinalities for the histogram and a couple of structural
-//! numbers (`k`, node count, `|paths_k(G)|`). Everything in `pathix-exec`,
+//! plus per-path cardinalities for the histogram and two structural numbers
+//! (`k`, node count). Everything in `pathix-exec`,
 //! `pathix-plan` and `pathix-core` is generic over this trait, so the
 //! identical RPQ → rewrite → plan → execute pipeline runs unchanged on every
 //! backend.
@@ -259,8 +259,6 @@ pub struct BackendStats {
     pub entries: u64,
     /// Number of distinct non-empty label paths indexed.
     pub distinct_paths: usize,
-    /// `|paths_k(G)|` — the selectivity denominator.
-    pub paths_k_size: u64,
     /// Approximate resident or on-disk size in bytes.
     pub approx_bytes: u64,
 }
@@ -346,11 +344,8 @@ pub trait PathIndexBackend {
 
     /// Exact per-path cardinalities `(p, |p(G)|)` of the non-empty indexed
     /// paths, strictly ascending by `(length, path)` — the raw material for
-    /// the k-path histogram.
+    /// the k-path histogram. Every backend counts them off its own storage.
     fn per_path_counts(&self) -> &[(Vec<SignedLabel>, u64)];
-
-    /// `|paths_k(G)|` — the selectivity denominator.
-    fn paths_k_size(&self) -> u64;
 
     /// Structural statistics of the backend.
     fn stats(&self) -> BackendStats;
@@ -436,18 +431,14 @@ impl EntryDeltas {
 }
 
 /// Everything a storage backend needs to absorb one effective update batch:
-/// the ordered key transitions plus the fresh structural statistics computed
-/// by the counting index that produced them.
+/// the ordered key changes the counting index logged, and the size of the
+/// graph they leave behind. Per-path cardinalities are not part of it: each
+/// backend counts its own.
 #[derive(Debug, Clone, Copy)]
 pub struct DeltaBatch<'a> {
     /// Ordered `⟨p, a, b⟩` key transitions of the batch.
     pub deltas: &'a EntryDeltas,
-    /// Exact per-path distinct-pair cardinalities after the batch, sorted by
-    /// `(length, path)`.
-    pub per_path_counts: &'a [(Vec<SignedLabel>, u64)],
-    /// `|paths_k(G)|` after the batch.
-    pub paths_k_size: u64,
-    /// Node count of the maintained graph after the batch.
+    /// Node count of the committed graph after the batch.
     pub node_count: usize,
     /// Edges effectively inserted by the batch (no-ops excluded).
     pub inserted_edges: u64,
@@ -472,8 +463,8 @@ pub struct DeltaBatch<'a> {
 /// compressed backend (rebuilding, and re-encoding, only the touched chunks)
 /// and the paged B+tree (key inserts/deletes with page splits and merges).
 pub trait MutablePathIndexBackend: PathIndexBackend {
-    /// Replays one batch of key transitions and adopts the batch's fresh
-    /// statistics. Returns an error (leaving the backend in need of a
+    /// Replays one batch of key transitions, recounting the per-path
+    /// cardinalities of the paths it touched. Returns an error (leaving the backend in need of a
     /// rebuild) only when the underlying storage fails, e.g. I/O trouble on
     /// a disk-resident tree.
     fn apply_delta_batch(&mut self, batch: &DeltaBatch<'_>) -> BackendResult<()>;
@@ -528,10 +519,6 @@ impl<B: PathIndexBackend + ?Sized> PathIndexBackend for &B {
 
     fn per_path_counts(&self) -> &[(Vec<SignedLabel>, u64)] {
         (**self).per_path_counts()
-    }
-
-    fn paths_k_size(&self) -> u64 {
-        (**self).paths_k_size()
     }
 
     fn stats(&self) -> BackendStats {

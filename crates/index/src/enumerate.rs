@@ -15,7 +15,6 @@
 use pathix_graph::{Graph, NodeId, SignedLabel};
 use pathix_rpq::ast::inverse_path;
 use std::cmp::Ordering;
-use std::collections::HashSet;
 
 /// A label path together with its materialized pair relation
 /// (sorted by `(source, target)` and duplicate-free).
@@ -121,34 +120,11 @@ pub fn naive_path_eval(graph: &Graph, path: &[SignedLabel]) -> Vec<(NodeId, Node
     pairs
 }
 
-/// Computes `|paths_k(G)|`: the number of distinct node pairs connected by an
-/// i-path for some `i ≤ k`, including the `|nodes(G)|` zero-paths `(s, s)`.
-///
-/// This is the normalization denominator of the paper's selectivity measure
-/// `sel_{G,k}`.
-pub fn paths_k_cardinality(graph: &Graph, relations: &[PathRelation]) -> u64 {
-    let mut distinct: HashSet<u64> = HashSet::new();
-    for n in graph.nodes() {
-        distinct.insert(pack(n, n));
-    }
-    for rel in relations {
-        for &(a, b) in &rel.pairs {
-            distinct.insert(pack(a, b));
-        }
-    }
-    distinct.len() as u64
-}
-
-#[inline]
-fn pack(a: NodeId, b: NodeId) -> u64 {
-    ((a.0 as u64) << 32) | b.0 as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pathix_datagen::paper_example_graph;
-    use pathix_graph::GraphBuilder;
+    use std::collections::HashSet;
 
     #[test]
     fn level_one_matches_edge_relations() {
@@ -229,21 +205,6 @@ mod tests {
         for rel in enumerate_paths(&g, 3) {
             assert!(rel.pairs.windows(2).all(|w| w[0] < w[1]));
         }
-    }
-
-    #[test]
-    fn paths_k_cardinality_counts_identity_and_reachability() {
-        let mut b = GraphBuilder::new();
-        b.add_edge_named("a", "x", "b");
-        b.add_edge_named("b", "x", "c");
-        let g = b.build();
-        let rels = enumerate_paths(&g, 1);
-        // 1-paths: (a,b),(b,c) plus converses (b,a),(c,b); identity adds 3.
-        assert_eq!(paths_k_cardinality(&g, &rels), 7);
-        let rels2 = enumerate_paths(&g, 2);
-        // 2-paths add (a,c),(c,a) and nothing else new ((a,a),(b,b),(c,c)
-        // already counted as 0-paths).
-        assert_eq!(paths_k_cardinality(&g, &rels2), 9);
     }
 
     #[test]

@@ -85,12 +85,6 @@ impl<'a> CardinalityEstimator<'a> {
     pub fn join_cardinality(&self, left: f64, right: f64) -> f64 {
         (left * right) / self.node_count as f64
     }
-
-    /// Estimated selectivity of a path of any length, normalized by
-    /// `|paths_k(G)|` like the paper's `sel_{G,k}`.
-    pub fn path_selectivity(&self, path: &[SignedLabel]) -> f64 {
-        self.path_cardinality(path) / self.histogram.total_paths_k() as f64
-    }
 }
 
 #[cfg(test)]
@@ -110,7 +104,7 @@ mod tests {
             (vec![sl(0), sl(1)], 200),
             (vec![sl(1), sl(0)], 40),
         ];
-        PathHistogram::build(&counts, 1000, 2, EstimationMode::Exact)
+        PathHistogram::build(&counts, 2, EstimationMode::Exact)
     }
 
     #[test]
@@ -158,12 +152,5 @@ mod tests {
         // chunk [0,1] (200) joined with chunk [7] (floored to 1) over 100
         // nodes.
         assert_eq!(est.path_cardinality(&[sl(0), sl(1), sl(7)]), 2.0);
-    }
-
-    #[test]
-    fn selectivity_is_normalized() {
-        let h = histogram();
-        let est = CardinalityEstimator::new(&h, 100);
-        assert!((est.path_selectivity(&[sl(0)]) - 0.1).abs() < 1e-12);
     }
 }

@@ -1,12 +1,15 @@
 //! The k-path histogram `sel_{G,k}` (Section 3.2 of the paper).
 //!
-//! The histogram estimates, for every label path `p` with `|p| ≤ k`, the
-//! selectivity `|p(G)| / |paths_k(G)|`. Following the paper we implement it
-//! as an **equi-depth histogram** over the per-path cardinalities: paths are
+//! The paper's selectivity divides `|p(G)|` by the number of node pairs that
+//! any path of length ≤ k connects. Every decision the planners take
+//! compares two such values, so that shared denominator cancels and the
+//! histogram estimates the cardinality `|p(G)|` itself, for every label path
+//! `p` with `|p| ≤ k`. Following the paper we implement it as an
+//! **equi-depth histogram** over the per-path cardinalities: paths are
 //! sorted by cardinality and grouped into buckets of (approximately) equal
 //! total depth, and every path in a bucket is estimated by the bucket mean.
-//! An exact mode (one count per path) is kept for the histogram-ablation
-//! experiment (X3 in DESIGN.md).
+//! An exact mode (one count per path) is kept for the histogram ablation
+//! (`run_experiments ablation`).
 
 use pathix_graph::SignedLabel;
 use std::collections::HashMap;
@@ -46,23 +49,20 @@ pub struct BucketSummary {
     pub max_count: u64,
 }
 
-/// The selectivity estimation structure for label paths of length ≤ k.
-#[derive(Debug, Clone)]
+/// The cardinality estimation structure for label paths of length ≤ k.
+#[derive(Debug, Clone, PartialEq)]
 pub struct PathHistogram {
     k: usize,
     mode: EstimationMode,
-    /// `|paths_k(G)|`.
-    total: u64,
     estimates: HashMap<Vec<SignedLabel>, f64>,
     buckets: Vec<BucketSummary>,
 }
 
 impl PathHistogram {
-    /// Builds the histogram from exact per-path counts (as produced during
-    /// index construction) and the `|paths_k(G)|` denominator.
+    /// Builds the histogram from exact per-path counts (a backend's
+    /// [`crate::PathIndexBackend::per_path_counts`]).
     pub fn build(
         per_path_counts: &[(Vec<SignedLabel>, u64)],
-        total_paths_k: u64,
         k: usize,
         mode: EstimationMode,
     ) -> Self {
@@ -129,7 +129,6 @@ impl PathHistogram {
         PathHistogram {
             k,
             mode,
-            total: total_paths_k.max(1),
             estimates,
             buckets,
         }
@@ -143,11 +142,6 @@ impl PathHistogram {
     /// The estimation mode the histogram was built with.
     pub fn mode(&self) -> EstimationMode {
         self.mode
-    }
-
-    /// `|paths_k(G)|`.
-    pub fn total_paths_k(&self) -> u64 {
-        self.total
     }
 
     /// Bucket summaries (one entry in [`EstimationMode::Exact`] mode).
@@ -164,12 +158,6 @@ impl PathHistogram {
             return None;
         }
         Some(self.estimates.get(path).copied().unwrap_or(0.0))
-    }
-
-    /// Estimated selectivity `sel_{G,k}(p) = |p(G)| / |paths_k(G)|`.
-    pub fn selectivity(&self, path: &[SignedLabel]) -> Option<f64> {
-        self.estimated_cardinality(path)
-            .map(|c| c / self.total as f64)
     }
 
     /// Number of paths the histogram knows about.
@@ -202,10 +190,9 @@ mod tests {
 
     #[test]
     fn exact_mode_returns_exact_counts() {
-        let h = PathHistogram::build(&sample_counts(), 1000, 2, EstimationMode::Exact);
+        let h = PathHistogram::build(&sample_counts(), 2, EstimationMode::Exact);
         assert_eq!(h.estimated_cardinality(&[sl(0)]), Some(100.0));
         assert_eq!(h.estimated_cardinality(&[sl(2), sl(3)]), Some(3.0));
-        assert_eq!(h.selectivity(&[sl(0)]), Some(0.1));
         assert_eq!(h.buckets().len(), 1);
     }
 
@@ -213,7 +200,6 @@ mod tests {
     fn equi_depth_buckets_have_similar_depth() {
         let h = PathHistogram::build(
             &sample_counts(),
-            1000,
             2,
             EstimationMode::EquiDepth { buckets: 4 },
         );
@@ -231,7 +217,6 @@ mod tests {
     fn equi_depth_preserves_relative_order_of_extremes() {
         let h = PathHistogram::build(
             &sample_counts(),
-            1000,
             2,
             EstimationMode::EquiDepth { buckets: 4 },
         );
@@ -245,15 +230,14 @@ mod tests {
 
     #[test]
     fn unknown_but_in_range_paths_estimate_zero() {
-        let h = PathHistogram::build(&sample_counts(), 1000, 2, EstimationMode::default());
+        let h = PathHistogram::build(&sample_counts(), 2, EstimationMode::default());
         let missing = vec![SignedLabel::forward(LabelId(40))];
         assert_eq!(h.estimated_cardinality(&missing), Some(0.0));
-        assert_eq!(h.selectivity(&missing), Some(0.0));
     }
 
     #[test]
     fn out_of_range_paths_are_none() {
-        let h = PathHistogram::build(&sample_counts(), 1000, 2, EstimationMode::default());
+        let h = PathHistogram::build(&sample_counts(), 2, EstimationMode::default());
         let long = vec![sl(0), sl(1), sl(2)];
         assert_eq!(h.estimated_cardinality(&long), None);
         assert_eq!(h.estimated_cardinality(&[]), None);
@@ -261,16 +245,9 @@ mod tests {
 
     #[test]
     fn empty_input_builds_an_empty_histogram() {
-        let h = PathHistogram::build(&[], 1, 2, EstimationMode::default());
+        let h = PathHistogram::build(&[], 2, EstimationMode::default());
         assert_eq!(h.path_count(), 0);
         assert!(h.buckets().is_empty());
         assert_eq!(h.estimated_cardinality(&[sl(0)]), Some(0.0));
-    }
-
-    #[test]
-    fn selectivity_is_normalized_by_total() {
-        let h = PathHistogram::build(&sample_counts(), 2000, 2, EstimationMode::Exact);
-        assert_eq!(h.selectivity(&[sl(0)]), Some(0.05));
-        assert_eq!(h.total_paths_k(), 2000);
     }
 }

@@ -28,9 +28,9 @@
 //!
 //! The maintained key set is identical to [`crate::SharedKPathIndex`] built
 //! from scratch over the same graph (property-tested in this module and in
-//! the integration suite); the histogram is *not* maintained incrementally —
-//! callers refresh [`crate::PathHistogram`] from
-//! [`IncrementalKPathIndex::per_path_counts`] at whatever cadence their
+//! the integration suite). The index keeps no statistics: the storage
+//! backends that replay its log count their own paths, and callers refresh
+//! [`crate::PathHistogram`] from those counts at whatever cadence their
 //! optimizer needs.
 
 use crate::backend::{EntryChange, EntryDeltas};
@@ -153,12 +153,6 @@ impl GraphUpdate {
     }
 }
 
-/// Packs a node pair into one map key.
-#[inline]
-fn pack_pair(a: NodeId, b: NodeId) -> u64 {
-    ((a.0 as u64) << 32) | b.0 as u64
-}
-
 /// A k-path index that stays consistent under edge insertions and deletions.
 ///
 /// Unlike [`crate::SharedKPathIndex`] (which stores the bare pairs), this
@@ -191,17 +185,6 @@ pub struct IncrementalKPathIndex {
     k: usize,
     /// `⟨p, a, b⟩ → walk count`, keyed by the [`crate::pathkey`] encoding.
     tree: BTreeMap<Vec<u8>, u64>,
-    /// Distinct pair count per indexed path (only non-empty paths), sorted by
-    /// `(length, path)` — the order every backend reports.
-    per_path: Vec<(Vec<SignedLabel>, u64)>,
-    /// `packed (a, b) → number of label paths currently realizing the pair`:
-    /// the bookkeeping behind the `|paths_k(G)|` selectivity denominator.
-    pair_refs: HashMap<u64, u32>,
-    /// Distinct non-identity pairs currently referenced (cached so
-    /// [`IncrementalKPathIndex::paths_k_size`] is O(1)).
-    linked_pairs: u64,
-    /// Number of nodes of the graph epoch the index describes.
-    node_count: usize,
 }
 
 impl IncrementalKPathIndex {
@@ -214,63 +197,42 @@ impl IncrementalKPathIndex {
     /// makes upgrading a bulk-built database to live updates affordable.
     pub fn bulk_from_graph(graph: &Graph, k: usize) -> Self {
         assert!(k >= 1, "the k-path index requires k ≥ 1");
-        let relations = enumerate_counted_paths(graph, k);
-
-        let mut per_path = Vec::with_capacity(relations.len());
-        let mut pair_refs: HashMap<u64, u32> = HashMap::new();
-        let mut linked_pairs = 0u64;
-        let mut entries: Vec<(Vec<u8>, u64)> = Vec::new();
-        for (path, pairs) in &relations {
-            per_path.push((path.clone(), pairs.len() as u64));
-            for &((a, b), walks) in pairs {
-                let key = encode_entry(path, a, b);
-                entries.push((key, walks));
-                let refs = pair_refs.entry(pack_pair(a, b)).or_insert(0);
-                *refs += 1;
-                if *refs == 1 && a != b {
-                    linked_pairs += 1;
-                }
-            }
-        }
+        let mut entries: Vec<(Vec<u8>, u64)> = enumerate_counted_paths(graph, k)
+            .iter()
+            .flat_map(|(path, pairs)| {
+                pairs
+                    .iter()
+                    .map(move |&((a, b), walks)| (encode_entry(path, a, b), walks))
+            })
+            .collect();
         // Paths of different lengths interleave in key order; sorting in
         // place first makes the map's bulk build a single linear pass.
         entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         IncrementalKPathIndex {
             k,
             tree: entries.into_iter().collect(),
-            per_path,
-            pair_refs,
-            linked_pairs,
-            node_count: graph.node_count(),
         }
     }
 
     /// Rebuilds a live writer from persisted `(entry key, walk count)` pairs
-    /// — the values a durable backend (the paged B+tree) stores on disk —
-    /// plus the graph the entries were computed over (read for its node
-    /// count only).
+    /// — the values a durable backend (the paged B+tree) stores on disk.
     ///
     /// This is the restart path: instead of re-enumerating every counted path
     /// relation of the graph ([`IncrementalKPathIndex::bulk_from_graph`]),
-    /// the entries stream straight into a bulk load while one linear
-    /// pass recounts the per-path cardinalities and the `|paths_k(G)|`
-    /// bookkeeping. `entries` must arrive in ascending key order (the order
-    /// any tree scan yields) with strictly positive counts.
+    /// the entries stream straight into a bulk load. `entries` must arrive
+    /// in ascending key order (the order any tree scan yields) with strictly
+    /// positive counts.
     ///
     /// Fails (with a description, to be wrapped by the caller) when a key is
     /// not a well-formed `⟨p, a, b⟩` entry, when a count is zero, or when the
     /// keys are out of order — all symptoms of a corrupt persisted tree.
     pub fn from_persisted_entries(
-        graph: &Graph,
         k: usize,
         entries: impl IntoIterator<Item = (Vec<u8>, u64)>,
     ) -> Result<Self, String> {
         if k < 1 {
             return Err("the k-path index requires k ≥ 1".to_string());
         }
-        let mut per_path: Vec<(Vec<SignedLabel>, u64)> = Vec::new();
-        let mut pair_refs: HashMap<u64, u32> = HashMap::new();
-        let mut linked_pairs = 0u64;
         let mut loaded: Vec<(Vec<u8>, u64)> = Vec::new();
         for (key, count) in entries {
             let Some((path, a, b)) = decode_entry(&key) else {
@@ -289,24 +251,11 @@ impl IncrementalKPathIndex {
                     return Err("persisted entries are not in ascending key order".to_string());
                 }
             }
-            match per_path.last_mut() {
-                Some((p, n)) if *p == path => *n += 1,
-                _ => per_path.push((path, 1)),
-            }
-            let refs = pair_refs.entry(pack_pair(a, b)).or_insert(0);
-            *refs += 1;
-            if *refs == 1 && a != b {
-                linked_pairs += 1;
-            }
             loaded.push((key, count));
         }
         Ok(IncrementalKPathIndex {
             k,
             tree: loaded.into_iter().collect(),
-            per_path,
-            pair_refs,
-            linked_pairs,
-            node_count: graph.node_count(),
         })
     }
 
@@ -318,31 +267,6 @@ impl IncrementalKPathIndex {
     /// Number of `⟨p, a, b⟩` entries currently stored.
     pub fn entry_count(&self) -> usize {
         self.tree.len()
-    }
-
-    /// Number of distinct non-empty label paths with at least one pair.
-    pub fn distinct_paths(&self) -> usize {
-        self.per_path.len()
-    }
-
-    /// Number of nodes of the graph epoch the index describes: the one it
-    /// was seeded from, then the one the last effective update advanced.
-    pub fn node_count(&self) -> usize {
-        self.node_count
-    }
-
-    /// `|paths_k(G)|`: distinct node pairs connected by some path of length
-    /// ≤ k, including the `node_count` zero-length identity pairs — the
-    /// paper's selectivity denominator, maintained incrementally.
-    pub fn paths_k_size(&self) -> u64 {
-        self.node_count as u64 + self.linked_pairs
-    }
-
-    /// Exact distinct-pair cardinalities `(p, |p(G)|)` sorted by
-    /// `(length, path)`, the raw material for rebuilding a
-    /// [`crate::PathHistogram`] after a batch of updates.
-    pub fn per_path_counts(&self) -> &[(Vec<SignedLabel>, u64)] {
-        &self.per_path
     }
 
     /// `I_{G,k}(⟨p⟩)`: the current pairs of `p(G)` in `(source, target)`
@@ -400,7 +324,6 @@ impl IncrementalKPathIndex {
         if !changed {
             return false;
         }
-        self.node_count = graph.node_count();
         // Prefixes walk the epoch without the edge, suffixes the epoch with
         // it: Δ(R₁⋯Rₙ) = Σᵢ R₁ᵒ⋯Rᵢ₋₁ᵒ · Δe · Rᵢ₊₁ⁿ⋯Rₙⁿ for an insertion
         // (old → new). A deletion subtracts the same products with the roles
@@ -477,17 +400,7 @@ impl IncrementalKPathIndex {
             Entry::Vacant(slot) => {
                 log.record(slot.key(), EntryChange::Added);
                 log.record_count(slot.key(), delta);
-                let (path, a, b) = decode_entry(slot.key()).expect("index keys are well-formed");
                 slot.insert(delta);
-                match self.path_slot(&path) {
-                    Ok(i) => self.per_path[i].1 += 1,
-                    Err(i) => self.per_path.insert(i, (path, 1)),
-                }
-                let refs = self.pair_refs.entry(pack_pair(a, b)).or_insert(0);
-                *refs += 1;
-                if *refs == 1 && a != b {
-                    self.linked_pairs += 1;
-                }
             }
         }
     }
@@ -505,31 +418,7 @@ impl IncrementalKPathIndex {
             log.record(key, EntryChange::Removed);
             log.record_count(key, 0);
             self.tree.remove(key);
-            let (path, a, b) = decode_entry(key).expect("index keys are well-formed");
-            if let Ok(i) = self.path_slot(&path) {
-                self.per_path[i].1 -= 1;
-                if self.per_path[i].1 == 0 {
-                    self.per_path.remove(i);
-                }
-            }
-            let refs = self
-                .pair_refs
-                .get_mut(&pack_pair(a, b))
-                .expect("entry removal must target a referenced pair");
-            *refs -= 1;
-            if *refs == 0 {
-                self.pair_refs.remove(&pack_pair(a, b));
-                if a != b {
-                    self.linked_pairs -= 1;
-                }
-            }
         }
-    }
-
-    /// Position of `path` in the `(length, path)`-sorted per-path vector.
-    fn path_slot(&self, path: &[SignedLabel]) -> Result<usize, usize> {
-        self.per_path
-            .binary_search_by(|(p, _)| (p.len(), p.as_slice()).cmp(&(path.len(), path)))
     }
 }
 
@@ -597,22 +486,13 @@ pub fn enumerate_counted_paths(graph: &Graph, k: usize) -> Vec<CountedRelation> 
 }
 
 impl StructuralAudit for IncrementalKPathIndex {
-    /// Recomputes the counting index's derived state from the entry tree and
-    /// compares it with the maintained copies:
+    /// Checks the entry tree:
     ///
     /// * `entry-decodable` — every stored key is a well-formed `⟨p, a, b⟩`
     ///   entry;
     /// * `walk-count-positive` — no entry survives at a zero walk count (the
-    ///   delta rules must remove a pair exactly when its last walk dies);
-    /// * `counts-consistent` — the maintained per-path cardinalities equal a
-    ///   recount of the stored entries, in `(length, path)` order;
-    /// * `pair-refs-consistent` / `linked-pairs` / `paths-k-size` — the
-    ///   `|paths_k(G)|` bookkeeping (paths per pair, distinct non-identity
-    ///   pairs) equals a recount, so the paper's selectivity denominator
-    ///   cannot drift under churn.
+    ///   delta rules must remove a pair exactly when its last walk dies).
     fn audit(&self, report: &mut AuditReport) {
-        let mut per_path: Vec<(Vec<SignedLabel>, u64)> = Vec::new();
-        let mut refs: HashMap<u64, u32> = HashMap::new();
         let mut undecodable = 0u64;
         let mut zero_count = 0u64;
         let mut first_zero = String::new();
@@ -627,11 +507,6 @@ impl StructuralAudit for IncrementalKPathIndex {
                     first_zero = format!("path {path:?} pair ({a:?}, {b:?})");
                 }
             }
-            match per_path.last_mut() {
-                Some((p, n)) if *p == path => *n += 1,
-                _ => per_path.push((path, 1)),
-            }
-            *refs.entry(pack_pair(a, b)).or_insert(0) += 1;
         }
         report.check("entry-decodable", "tree", undecodable == 0, || {
             format!("{undecodable} stored key(s) are not well-formed index entries")
@@ -639,58 +514,6 @@ impl StructuralAudit for IncrementalKPathIndex {
         report.check("walk-count-positive", "tree", zero_count == 0, || {
             format!("{zero_count} entry(ies) stored with a zero walk count, first at {first_zero}")
         });
-        report.check(
-            "counts-consistent",
-            "per-path counts",
-            per_path == self.per_path,
-            || {
-                format!(
-                    "maintained {} path cardinalities diverge from a recount of {} stored paths",
-                    self.per_path.len(),
-                    per_path.len()
-                )
-            },
-        );
-        report.check(
-            "pair-refs-consistent",
-            "pair refs",
-            refs == self.pair_refs,
-            || {
-                format!(
-                    "maintained {} pair refcounts diverge from a recount of {}",
-                    self.pair_refs.len(),
-                    refs.len()
-                )
-            },
-        );
-        let linked = refs
-            .keys()
-            .filter(|&&packed| (packed >> 32) != (packed & u32::MAX as u64))
-            .count() as u64;
-        report.check(
-            "linked-pairs",
-            "paths_k bookkeeping",
-            self.linked_pairs == linked,
-            || {
-                format!(
-                    "maintained linked_pairs = {} but {linked} distinct non-identity pairs are \
-                     stored",
-                    self.linked_pairs
-                )
-            },
-        );
-        report.check(
-            "paths-k-size",
-            "paths_k bookkeeping",
-            self.paths_k_size() == self.node_count as u64 + linked,
-            || {
-                format!(
-                    "|paths_k(G)| = {} but node_count {} + linked pairs {linked} disagree",
-                    self.paths_k_size(),
-                    self.node_count
-                )
-            },
-        );
     }
 }
 
@@ -905,7 +728,6 @@ mod tests {
                 incremental.entry_count(),
                 relations.iter().map(|r| r.pairs.len()).sum::<usize>()
             );
-            assert_eq!(incremental.distinct_paths(), relations.len());
             for rel in &relations {
                 assert!(rel.pairs.windows(2).all(|w| w[0] < w[1]));
                 assert_eq!(
@@ -914,9 +736,6 @@ mod tests {
                     "path {:?}",
                     rel.path
                 );
-                assert!(incremental
-                    .per_path_counts()
-                    .contains(&(rel.path.clone(), rel.pairs.len() as u64)));
             }
         }
     }
@@ -965,7 +784,6 @@ mod tests {
             assert!(live.delete(src, label, dst));
         }
         assert_eq!(live.index.entry_count(), 0);
-        assert_eq!(live.index.distinct_paths(), 0);
         assert_eq!(live.graph.edge_count(), 0);
     }
 
@@ -973,17 +791,15 @@ mod tests {
     fn insert_then_delete_restores_previous_state() {
         let g = paper_example_graph();
         let mut live = replayed(&g, 2);
-        let before_entries = live.index.entry_count();
-        let before_counts = live.index.per_path_counts().to_vec();
+        let before = live.index.tree.clone();
         let knows = g.label_id("knows").unwrap();
         let sue = g.node_id("sue").unwrap();
         let tim = g.node_id("tim").unwrap();
         assert!(!g.has_edge(sue, knows, tim));
         assert!(live.insert(sue, knows, tim));
-        assert_ne!(live.index.entry_count(), before_entries);
+        assert_ne!(live.index.entry_count(), before.len());
         assert!(live.delete(sue, knows, tim));
-        assert_eq!(live.index.entry_count(), before_entries);
-        assert_eq!(live.index.per_path_counts(), &before_counts[..]);
+        assert_eq!(live.index.tree, before);
     }
 
     #[test]
@@ -1057,21 +873,9 @@ mod tests {
                 graph: chain,
             } = replayed(&g, k);
             let bulk = IncrementalKPathIndex::bulk_from_graph(&g, k);
-            assert_eq!(bulk.entry_count(), replayed.entry_count());
-            assert_eq!(bulk.per_path_counts(), replayed.per_path_counts());
-            assert_eq!(bulk.paths_k_size(), replayed.paths_k_size());
-            assert_eq!(bulk.node_count(), replayed.node_count());
+            // Same keys, same walk count under every key.
+            assert_eq!(bulk.tree, replayed.tree, "k = {k}");
             assert_eq!(edges_of(&chain), edges_of(&g));
-            for (path, _) in replayed.per_path_counts() {
-                assert_eq!(bulk.scan_path(path), replayed.scan_path(path));
-                for (a, b) in replayed.scan_path(path) {
-                    assert_eq!(
-                        bulk.walk_count(path, a, b),
-                        replayed.walk_count(path, a, b),
-                        "walk counts diverge for {path:?} ({a:?}, {b:?})"
-                    );
-                }
-            }
         }
     }
 
@@ -1087,20 +891,6 @@ mod tests {
             edges.remove(&edge);
         }
         assert_matches_oracle(&live.index, &edges, labels);
-    }
-
-    #[test]
-    fn paths_k_size_matches_the_enumeration_denominator() {
-        let g = paper_example_graph();
-        for k in 1..=3 {
-            let expected = crate::paths_k_cardinality(&g, &enumerate_paths(&g, k));
-            assert_eq!(replayed(&g, k).index.paths_k_size(), expected, "k = {k}");
-            assert_eq!(
-                IncrementalKPathIndex::bulk_from_graph(&g, k).paths_k_size(),
-                expected,
-                "bulk, k = {k}"
-            );
-        }
     }
 
     #[test]
@@ -1365,50 +1155,47 @@ mod tests {
 
     /// The paper graph with the `(key, walk count)` stream a durable backend
     /// would hand back for it at k = 2.
-    fn persisted_fixture() -> (Graph, IncrementalKPathIndex, Vec<(Vec<u8>, u64)>) {
-        let g = paper_example_graph();
-        let reference = IncrementalKPathIndex::bulk_from_graph(&g, 2);
+    fn persisted_fixture() -> (IncrementalKPathIndex, Vec<(Vec<u8>, u64)>) {
+        let reference = IncrementalKPathIndex::bulk_from_graph(&paper_example_graph(), 2);
         let entries = reference
             .tree
             .iter()
             .map(|(k, &c)| (k.clone(), c))
             .collect();
-        (g, reference, entries)
+        (reference, entries)
     }
 
     #[test]
     fn a_faithful_persisted_stream_reloads_the_identical_index() {
-        let (g, reference, entries) = persisted_fixture();
-        let reloaded = IncrementalKPathIndex::from_persisted_entries(&g, 2, entries)
+        let (reference, entries) = persisted_fixture();
+        let reloaded = IncrementalKPathIndex::from_persisted_entries(2, entries)
             .expect("a faithful entry stream reloads");
         assert_eq!(reloaded.tree, reference.tree);
-        assert_eq!(reloaded.per_path_counts(), reference.per_path_counts());
-        assert_eq!(reloaded.paths_k_size(), reference.paths_k_size());
         assert_eq!(violated(&reloaded), Vec::<&str>::new());
     }
 
     #[test]
     fn persisted_entries_out_of_key_order_are_rejected() {
-        let (g, _, mut entries) = persisted_fixture();
+        let (_, mut entries) = persisted_fixture();
         entries.swap(0, 1);
-        let err = IncrementalKPathIndex::from_persisted_entries(&g, 2, entries).unwrap_err();
+        let err = IncrementalKPathIndex::from_persisted_entries(2, entries).unwrap_err();
         assert!(err.contains("ascending key order"), "{err}");
     }
 
     #[test]
     fn a_duplicated_persisted_entry_is_rejected() {
         // A `collect()` into the map would silently keep the last count.
-        let (g, _, mut entries) = persisted_fixture();
+        let (_, mut entries) = persisted_fixture();
         entries[1] = entries[0].clone();
-        let err = IncrementalKPathIndex::from_persisted_entries(&g, 2, entries).unwrap_err();
+        let err = IncrementalKPathIndex::from_persisted_entries(2, entries).unwrap_err();
         assert!(err.contains("ascending key order"), "{err}");
     }
 
     #[test]
     fn a_zero_count_persisted_entry_is_rejected() {
-        let (g, _, mut entries) = persisted_fixture();
+        let (_, mut entries) = persisted_fixture();
         entries[2].1 = 0;
-        let err = IncrementalKPathIndex::from_persisted_entries(&g, 2, entries).unwrap_err();
+        let err = IncrementalKPathIndex::from_persisted_entries(2, entries).unwrap_err();
         assert!(err.contains("zero walk count"), "{err}");
     }
 
@@ -1527,29 +1314,12 @@ mod tests {
             "a zero-count entry must trip the auditor"
         );
 
-        // A per-path cardinality that drifted from the stored entries.
+        // A key that is no ⟨p, a, b⟩ entry.
         let mut corrupt = clean.clone();
-        corrupt.per_path[0].1 += 1;
+        corrupt.tree.insert(vec![0xFF], 1);
         assert!(
-            violated(&corrupt).contains(&"counts-consistent"),
-            "a drifted cardinality must trip the auditor"
-        );
-
-        // |paths_k(G)| bookkeeping off by one.
-        let mut corrupt = clean.clone();
-        corrupt.linked_pairs += 1;
-        assert!(
-            violated(&corrupt).contains(&"linked-pairs"),
-            "a drifted linked-pair count must trip the auditor"
-        );
-
-        // A pair refcount that no longer matches the stored paths.
-        let mut corrupt = clean.clone();
-        let packed = *corrupt.pair_refs.keys().next().expect("non-empty refs");
-        *corrupt.pair_refs.get_mut(&packed).unwrap() += 1;
-        assert!(
-            violated(&corrupt).contains(&"pair-refs-consistent"),
-            "a drifted pair refcount must trip the auditor"
+            violated(&corrupt).contains(&"entry-decodable"),
+            "a malformed key must trip the auditor"
         );
     }
 }

@@ -14,9 +14,9 @@
 //! `⟨p, a, b⟩` answers membership — exactly the three lookup shapes of
 //! Example 3.1 in the paper.
 //!
-//! The histogram records (estimates of) `|p(G)| / |paths_k(G)|` for every
-//! indexed path and is what the `minSupport` / `minJoin` planners use to pick
-//! the most selective sub-paths.
+//! The histogram records (estimates of) `|p(G)|` for every indexed path and
+//! is what the `minSupport` / `minJoin` planners use to pick the most
+//! selective sub-paths.
 //!
 //! ```
 //! use pathix_datagen::paper_example_graph;
@@ -42,7 +42,7 @@ pub use backend::{
     BackendBatchScan, BackendError, BackendResult, BackendStats, BatchScan, DeltaBatch,
     EntryChange, EntryDeltas, MutablePathIndexBackend, PairBatch, PathIndexBackend, BATCH_CAPACITY,
 };
-pub use enumerate::{enumerate_paths, naive_path_eval, paths_k_cardinality, PathRelation};
+pub use enumerate::{enumerate_paths, naive_path_eval, PathRelation};
 pub use estimate::CardinalityEstimator;
 pub use histogram::{EstimationMode, PathHistogram};
 pub use incremental::{

@@ -18,7 +18,8 @@
 //! run the graph keeps its adjacency in; chunk cutting, fences, net apply
 //! and the chunk-level audit all live there. This module adds what is the
 //! index's own: the path directory, a per-run bloom filter over source
-//! nodes, the published per-path cardinalities and the skip counter.
+//! nodes, the per-path cardinalities read off the run lengths and the skip
+//! counter.
 //!
 //! The index is generic over the runs' [`ChunkCodec`]: `SharedKPathIndex`
 //! (plain chunks) is the memory backend, and `SharedKPathIndex<Varint>` —
@@ -29,9 +30,10 @@
 //! [`EntryDeltas`](crate::EntryDeltas) log the counting rules emit) hands each
 //! touched path's net key changes to [`PairRun::apply`] and re-shares every
 //! untouched run wholesale, so the publish cost is **O(Δ · chunk)** — flat in
-//! the index size. Old snapshots keep their `Arc`s, which is what makes every
-//! published epoch fully isolated for free: nothing a reader holds is ever
-//! mutated.
+//! the index size. A run the batch empties is dropped; a path the batch
+//! fills for the first time gets a new run. Old snapshots keep their `Arc`s,
+//! which is what makes every published epoch fully isolated for free:
+//! nothing a reader holds is ever mutated.
 
 use crate::backend::{
     check_scan_path, BackendBatchScan, BackendError, BackendResult, BackendStats, BatchScan,
@@ -39,7 +41,6 @@ use crate::backend::{
 };
 use crate::enumerate::enumerate_paths;
 use crate::pathkey::decode_entry;
-use crate::paths_k_cardinality;
 use pathix_audit::{AuditReport, StructuralAudit};
 use pathix_graph::{ChunkCodec, Graph, NodeId, PairRun, Plain, SignedLabel};
 use std::collections::BTreeMap;
@@ -118,11 +119,11 @@ pub struct RunPublishStats {
 pub struct SharedKPathIndex<C: ChunkCodec = Plain> {
     k: usize,
     node_count: usize,
-    paths_k_size: u64,
     entries: u64,
     /// Sorted by `(path length, path)` — the order
     /// [`PathIndexBackend::per_path_counts`] promises.
     runs: Vec<Run<C>>,
+    /// The length of every run, in run order.
     per_path_counts: Vec<(Vec<SignedLabel>, u64)>,
     last_publish: RunPublishStats,
     inserts_applied: u64,
@@ -177,7 +178,6 @@ impl<C: ChunkCodec> SharedKPathIndex<C> {
     pub fn build_in(graph: &Graph, k: usize) -> Self {
         assert!(k >= 1, "the k-path index requires k ≥ 1");
         let relations = enumerate_paths(graph, k);
-        let paths_k_size = paths_k_cardinality(graph, &relations);
         let mut runs = Vec::with_capacity(relations.len());
         let mut per_path_counts = Vec::with_capacity(relations.len());
         let mut entries = 0u64;
@@ -200,7 +200,6 @@ impl<C: ChunkCodec> SharedKPathIndex<C> {
         SharedKPathIndex {
             k,
             node_count: graph.node_count(),
-            paths_k_size,
             entries,
             runs,
             per_path_counts,
@@ -316,76 +315,56 @@ impl<C: ChunkCodec> SharedKPathIndex<C> {
                 .or_default()
                 .push(((a, b), *change == EntryChange::Added));
         }
-        let touched: Vec<(PathKey, PathOps)> = by_path
-            .into_iter()
-            .map(|(path, transitions)| (path, PairRun::net_ops(transitions)))
-            .collect();
-
         let mut stats = RunPublishStats::default();
-        let mut runs = Vec::with_capacity(batch.per_path_counts.len());
-        let mut entries = 0u64;
-        let mut old = 0usize; // cursor into self.runs
-        let mut ops_at = 0usize; // cursor into touched
-        for (path, count) in batch.per_path_counts {
-            let key = (path.len(), path.as_slice());
-            while old < self.runs.len()
-                && (self.runs[old].path.len(), self.runs[old].path.as_slice()) < key
-            {
-                // This path's relation emptied out: its removals are in the
-                // log, and the batch statistics no longer list it.
-                old += 1;
+        let mut runs = Vec::with_capacity(self.runs.len() + by_path.len());
+        let mut old = self.runs.iter().peekable();
+        let share = |run: &Run<C>, runs: &mut Vec<Run<C>>, stats: &mut RunPublishStats| {
+            stats.runs_shared += 1;
+            stats.chunks_shared += run.pairs.chunks().len();
+            runs.push(run.clone());
+        };
+        for ((len, path), transitions) in by_path {
+            let key = (len, path.as_slice());
+            while let Some(run) = old.next_if(|r| (r.path.len(), r.path.as_slice()) < key) {
+                share(run, &mut runs, &mut stats);
             }
-            let prev: Option<&Run<C>> = match self.runs.get(old) {
-                Some(run) if run.path.as_slice() == path.as_slice() => Some(run),
-                _ => None,
-            };
-            while ops_at < touched.len()
-                && (touched[ops_at].0 .0, touched[ops_at].0 .1.as_slice()) < key
-            {
-                ops_at += 1;
-            }
-            let ops: &[((NodeId, NodeId), bool)] = match touched.get(ops_at) {
-                Some(((len, p), ops)) if *len == path.len() && p.as_slice() == path.as_slice() => {
-                    ops
+            let prev = old.next_if(|r| r.path == path);
+            let ops = PairRun::net_ops(transitions);
+            if ops.is_empty() {
+                // Every change of this path cancelled out within the batch.
+                if let Some(run) = prev {
+                    share(run, &mut runs, &mut stats);
                 }
-                _ => &[],
-            };
+                continue;
+            }
+            stats.runs_rebuilt += 1;
             let (pairs, mut bloom) = prev.map(|r| (r.pairs.clone(), r.bloom)).unwrap_or_default();
-            let pairs = if ops.is_empty() {
-                stats.runs_shared += 1;
-                stats.chunks_shared += pairs.chunks().len();
-                pairs
-            } else {
-                stats.runs_rebuilt += 1;
-                // Extend the previous epoch's bloom with the added sources —
-                // O(Δ), keeping it a superset of the live sources.
-                for &((s, _), added) in ops {
-                    if added {
-                        bloom.insert(s);
-                    }
+            // Extend the previous epoch's bloom with the added sources —
+            // O(Δ), keeping it a superset of the live sources.
+            for &((s, _), added) in &ops {
+                if added {
+                    bloom.insert(s);
                 }
-                pairs.apply(ops, &mut stats.chunks_shared, &mut stats.chunks_rebuilt)
-            };
-            debug_assert_eq!(
-                pairs.len() as u64,
-                *count,
-                "run for {path:?} diverged from the batch statistics"
-            );
-            entries += count;
-            runs.push(Run {
-                path: path.clone(),
-                pairs,
-                bloom,
-            });
+            }
+            let pairs = pairs.apply(&ops, &mut stats.chunks_shared, &mut stats.chunks_rebuilt);
+            if !pairs.is_empty() {
+                runs.push(Run { path, pairs, bloom });
+            }
+        }
+        for run in old {
+            share(run, &mut runs, &mut stats);
         }
 
+        let per_path_counts: Vec<_> = runs
+            .iter()
+            .map(|r| (r.path.clone(), r.pairs.len() as u64))
+            .collect();
         Ok(SharedKPathIndex {
             k: self.k,
             node_count: batch.node_count,
-            paths_k_size: batch.paths_k_size,
-            entries,
+            entries: per_path_counts.iter().map(|(_, n)| n).sum(),
             runs,
-            per_path_counts: batch.per_path_counts.to_vec(),
+            per_path_counts,
             last_publish: stats,
             inserts_applied: self.inserts_applied + batch.inserted_edges,
             deletes_applied: self.deletes_applied + batch.deleted_edges,
@@ -465,10 +444,6 @@ impl<C: ChunkCodec> PathIndexBackend for SharedKPathIndex<C> {
         &self.per_path_counts
     }
 
-    fn paths_k_size(&self) -> u64 {
-        self.paths_k_size
-    }
-
     /// `approx_bytes` is what the chunks' encoding says they take: 8 bytes
     /// per entry for plain chunks.
     fn stats(&self) -> BackendStats {
@@ -477,7 +452,6 @@ impl<C: ChunkCodec> PathIndexBackend for SharedKPathIndex<C> {
             k: self.k,
             entries: self.entries,
             distinct_paths: self.per_path_counts.len(),
-            paths_k_size: self.paths_k_size,
             approx_bytes: self
                 .runs
                 .iter()
@@ -593,17 +567,16 @@ mod tests {
     /// the chunk count it needs).
     const MANY: u32 = 1536;
 
+    /// The batch that logged `deltas` and left `graph` behind.
     fn delta_batch<'a>(
-        oracle: &'a IncrementalKPathIndex,
+        graph: &Graph,
         deltas: &'a EntryDeltas,
         inserted: u64,
         deleted: u64,
     ) -> DeltaBatch<'a> {
         DeltaBatch {
             deltas,
-            per_path_counts: oracle.per_path_counts(),
-            paths_k_size: oracle.paths_k_size(),
-            node_count: oracle.node_count(),
+            node_count: graph.node_count(),
             inserted_edges: inserted,
             deleted_edges: deleted,
             seq: 1,
@@ -628,7 +601,6 @@ mod tests {
         SharedKPathIndex {
             k: 1,
             node_count: 0,
-            paths_k_size: 0,
             entries: 0,
             runs: Vec::new(),
             per_path_counts: Vec::new(),
@@ -645,11 +617,6 @@ mod tests {
         for k in 1..=3 {
             let relations = enumerate_paths(&g, k);
             let shared = SharedKPathIndex::build(&g, k);
-            assert_eq!(
-                PathIndexBackend::paths_k_size(&shared),
-                paths_k_cardinality(&g, &relations),
-                "k = {k}"
-            );
             let mut counts = Vec::new();
             for rel in &relations {
                 let path = &rel.path;
@@ -770,7 +737,6 @@ mod tests {
         let s3 = SharedKPathIndex::build(&g, 3).stats();
         assert!(s1.entries < s2.entries && s2.entries < s3.entries);
         assert!(s1.distinct_paths < s2.distinct_paths);
-        assert!(s2.paths_k_size <= s3.paths_k_size);
         assert!(s1.approx_bytes < s3.approx_bytes);
     }
 
@@ -813,7 +779,7 @@ mod tests {
         let mut deltas = EntryDeltas::new();
         assert!(oracle.apply_logged(&mut graph, EdgeOp::insert(sue, knows, tim), &mut deltas,));
         let next = shared
-            .with_batch(&delta_batch(&oracle, &deltas, 1, 0))
+            .with_batch(&delta_batch(&graph, &deltas, 1, 0))
             .unwrap();
 
         // The oracle advanced its graph epoch to the updated graph.
@@ -850,7 +816,7 @@ mod tests {
         assert!(oracle.apply_logged(&mut graph, delete, &mut deltas));
         assert!(!deltas.is_empty(), "transitions were logged both ways");
         let next = shared
-            .with_batch(&delta_batch(&oracle, &deltas, 1, 1))
+            .with_batch(&delta_batch(&graph, &deltas, 1, 1))
             .unwrap();
         assert_eq!(next.stats().entries, shared.stats().entries);
         for (path, _) in shared.per_path_counts() {
@@ -879,7 +845,7 @@ mod tests {
         }
         let empty = empty_index();
         let mut shared = empty
-            .with_batch(&delta_batch(&oracle, &deltas, MANY as u64, 0))
+            .with_batch(&delta_batch(&graph, &deltas, MANY as u64, 0))
             .unwrap();
         assert!(shared.chunk_count() > 1, "chain must span several chunks");
 
@@ -902,9 +868,11 @@ mod tests {
                 }
             }
             shared = shared
-                .with_batch(&delta_batch(&oracle, &deltas, inserted, deleted))
+                .with_batch(&delta_batch(&graph, &deltas, inserted, deleted))
                 .unwrap();
-            for (path, count) in oracle.per_path_counts() {
+            let rebuilt = SharedKPathIndex::build(&graph, 1);
+            assert_eq!(shared.per_path_counts(), rebuilt.per_path_counts());
+            for (path, count) in rebuilt.per_path_counts() {
                 let pairs: Vec<_> = shared.scan_path(path).collect();
                 assert_eq!(pairs.len() as u64, *count, "round {round}, path {path:?}");
                 assert!(pairs.windows(2).all(|w| w[0] < w[1]), "round {round}");
@@ -938,7 +906,7 @@ mod tests {
         }
         let empty = empty_index();
         let mut shared = empty
-            .with_batch(&delta_batch(&oracle, &deltas, n as u64, 0))
+            .with_batch(&delta_batch(&graph, &deltas, n as u64, 0))
             .unwrap();
         let peak_chunks = shared.chunk_count();
         assert!(peak_chunks >= 8);
@@ -957,7 +925,7 @@ mod tests {
                 }
             }
             shared = shared
-                .with_batch(&delta_batch(&oracle, &deltas, 0, deleted))
+                .with_batch(&delta_batch(&graph, &deltas, 0, deleted))
                 .unwrap();
         }
         // Self-loops index under both signed directions: two runs.
@@ -996,7 +964,7 @@ mod tests {
             &mut deltas,
         );
         let base = empty_index()
-            .with_batch(&delta_batch(&oracle, &deltas, MANY as u64 + 1, 0))
+            .with_batch(&delta_batch(&graph, &deltas, MANY as u64 + 1, 0))
             .unwrap();
 
         // Touch only label 1: every chunk of the big label-0 runs must be the
@@ -1008,7 +976,7 @@ mod tests {
             &mut deltas,
         );
         let next = base
-            .with_batch(&delta_batch(&oracle, &deltas, 1, 0))
+            .with_batch(&delta_batch(&graph, &deltas, 1, 0))
             .unwrap();
         let fwd0 = [SignedLabel::forward(l0)];
         let before = base.run(&fwd0).unwrap();
@@ -1038,7 +1006,7 @@ mod tests {
         }
         let empty = empty_index();
         let shared = empty
-            .with_batch(&delta_batch(&oracle, &deltas, n_edges as u64, 0))
+            .with_batch(&delta_batch(&graph, &deltas, n_edges as u64, 0))
             .unwrap();
         let path = [SignedLabel::forward(l)];
         let chunk_count = shared.run(&path).unwrap().pairs.chunks().len();
@@ -1072,7 +1040,7 @@ mod tests {
         let mut deltas = EntryDeltas::new();
         assert!(oracle.apply_logged(&mut graph, EdgeOp::insert(sue, knows, tim), &mut deltas,));
         let next = shared
-            .with_batch(&delta_batch(&oracle, &deltas, 1, 0))
+            .with_batch(&delta_batch(&graph, &deltas, 1, 0))
             .unwrap();
 
         let rebuilt = SharedKPathIndex::build(&graph, 2);
@@ -1163,7 +1131,7 @@ mod tests {
             if oracle.apply_logged(&mut graph, update, &mut deltas) {
                 let (ins, del) = if i < 3 { (1, 0) } else { (0, 1) };
                 shared = shared
-                    .with_batch(&delta_batch(&oracle, &deltas, ins, del))
+                    .with_batch(&delta_batch(&graph, &deltas, ins, del))
                     .unwrap();
             }
             assert_eq!(violated(&shared), Vec::<&str>::new(), "publish {i}");
@@ -1243,7 +1211,7 @@ mod tests {
         }
         let empty = empty_index();
         let mut shared = empty
-            .with_batch(&delta_batch(&oracle, &deltas, n as u64, 0))
+            .with_batch(&delta_batch(&graph, &deltas, n as u64, 0))
             .unwrap();
 
         for round in 0..5u32 {
@@ -1270,7 +1238,7 @@ mod tests {
                 .map(|r| (r.path.clone(), r.bloom.bits))
                 .collect();
             let next = shared
-                .with_batch(&delta_batch(&oracle, &deltas, inserted, deleted))
+                .with_batch(&delta_batch(&graph, &deltas, inserted, deleted))
                 .unwrap();
 
             for run in &next.runs {

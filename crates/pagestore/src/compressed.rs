@@ -93,8 +93,8 @@ mod tests {
     /// Applies `updates` through the shared counting rules and hands the
     /// resulting key deltas to the store, mirroring what `PathDb::apply`
     /// does per batch.
-    fn apply_updates(
-        store: &mut CompressedPathStore,
+    fn apply_updates<C: ChunkCodec>(
+        store: &mut SharedKPathIndex<C>,
         oracle: &mut IncrementalKPathIndex,
         graph: &mut Graph,
         updates: &[EdgeOp],
@@ -114,9 +114,7 @@ mod tests {
         store
             .apply_delta_batch(&DeltaBatch {
                 deltas: &deltas,
-                per_path_counts: oracle.per_path_counts(),
-                paths_k_size: oracle.paths_k_size(),
-                node_count: oracle.node_count(),
+                node_count: graph.node_count(),
                 inserted_edges: inserted,
                 deleted_edges: deleted,
                 seq: 1,
@@ -135,7 +133,6 @@ mod tests {
     /// scratch on the same graph): counts, scans, both probe shapes.
     fn assert_answers_like(store: &CompressedPathStore, rebuilt: &CompressedPathStore) {
         assert_eq!(store.per_path_counts(), rebuilt.per_path_counts());
-        assert_eq!(store.paths_k_size(), rebuilt.paths_k_size());
         for (path, count) in rebuilt.per_path_counts() {
             let pairs = rebuilt.collect_path(path).unwrap();
             assert_eq!(store.collect_path(path).unwrap(), pairs, "path {path:?}");
@@ -148,6 +145,64 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A batch that empties a path drops its run and its count row; a later
+    /// batch that fills it again brings both back in `(length, path)` order.
+    /// The publish is the same code in both chunk encodings.
+    fn an_emptied_path_drops_its_run_and_a_refill_restores_it_in<C: ChunkCodec>() {
+        let g = paper_example_graph();
+        let built = SharedKPathIndex::<C>::build_in(&g, 2);
+        let mut index = built.clone();
+        let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, 2);
+        let mut graph = g.clone();
+        let supervisor = g.label_id("supervisor").unwrap();
+        let edges: Vec<(NodeId, NodeId)> = g.edges(supervisor).collect();
+        let ops = |insert| -> Vec<EdgeOp> {
+            edges
+                .iter()
+                .map(|&(s, d)| EdgeOp {
+                    insert,
+                    ..EdgeOp::insert(s, supervisor, d)
+                })
+                .collect()
+        };
+        let sup = [SignedLabel::forward(supervisor)];
+        assert!(index.path_cardinality(&sup).is_some());
+
+        apply_updates(&mut index, &mut oracle, &mut graph, &ops(false));
+        assert_eq!(graph.edges(supervisor).count(), 0);
+        assert_eq!(index.path_cardinality(&sup), None);
+        assert!(index.relation(&sup).is_none());
+        assert!(index
+            .per_path_counts()
+            .iter()
+            .all(|(path, _)| path.iter().all(|step| step.label != supervisor)));
+        let emptied = SharedKPathIndex::<C>::build_in(&graph, 2);
+        assert_eq!(index.per_path_counts(), emptied.per_path_counts());
+        assert_eq!(index.stats().entries, emptied.stats().entries);
+        assert_eq!(violated(&index), Vec::<&str>::new(), "after emptying");
+
+        apply_updates(&mut index, &mut oracle, &mut graph, &ops(true));
+        let counts = index.per_path_counts();
+        assert_eq!(counts, built.per_path_counts());
+        assert!(counts
+            .windows(2)
+            .all(|w| (w[0].0.len(), &w[0].0) < (w[1].0.len(), &w[1].0)));
+        for (path, _) in counts {
+            assert_eq!(
+                index.collect_path(path),
+                built.collect_path(path),
+                "{path:?}"
+            );
+        }
+        assert_eq!(violated(&index), Vec::<&str>::new(), "after refilling");
+    }
+
+    #[test]
+    fn an_emptied_path_drops_its_run_and_a_refill_restores_it() {
+        an_emptied_path_drops_its_run_and_a_refill_restores_it_in::<Plain>();
+        an_emptied_path_drops_its_run_and_a_refill_restores_it_in::<Varint>();
     }
 
     #[test]

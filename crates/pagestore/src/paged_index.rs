@@ -35,7 +35,7 @@ use pathix_index::enumerate_counted_paths;
 use pathix_index::pathkey::{
     decode_entry, decode_pair, encode_entry, encode_path_prefix, encode_path_source_prefix,
 };
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::io;
 
 /// Walk counts are stored as the entry value: 8 bytes, little endian — the
@@ -49,11 +49,6 @@ fn encode_walks(count: u64) -> Vec<u8> {
 fn decode_walks(value: &[u8]) -> Option<u64> {
     let bytes: [u8; 8] = value.try_into().ok()?;
     Some(u64::from_le_bytes(bytes))
-}
-
-#[inline]
-fn pack_pair(a: NodeId, b: NodeId) -> u64 {
-    ((a.0 as u64) << 32) | b.0 as u64
 }
 
 /// Construction and size statistics of a [`PagedPathIndex`].
@@ -74,8 +69,9 @@ pub struct PagedIndexStats {
 pub struct PagedPathIndex {
     k: usize,
     node_count: usize,
+    /// Entries per path, kept in step with the tree by every key the tree
+    /// gains or loses (see [`PagedPathIndex::write_counts`]).
     per_path_counts: Vec<(Vec<SignedLabel>, u64)>,
-    paths_k_size: u64,
     tree: PagedBTree,
     inserts_applied: u64,
     deletes_applied: u64,
@@ -120,17 +116,14 @@ impl PagedPathIndex {
         // paths never collide — entries only need one global sort for
         // bulk_load's key-order contract.
         let relations = enumerate_counted_paths(graph, k);
-        let mut distinct: HashSet<u64> = graph.nodes().map(|n| pack_pair(n, n)).collect();
         let mut per_path_counts = Vec::with_capacity(relations.len());
         let mut entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
         for (path, pairs) in &relations {
             per_path_counts.push((path.clone(), pairs.len() as u64));
             for &((a, b), walks) in pairs {
-                distinct.insert(pack_pair(a, b));
                 entries.push((encode_entry(path, a, b), encode_walks(walks)));
             }
         }
-        let paths_k_size = distinct.len() as u64;
         entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         let mut tree = PagedBTree::bulk_load(pool, entries)?;
         tree.flush()?;
@@ -138,7 +131,6 @@ impl PagedPathIndex {
             k,
             node_count: graph.node_count(),
             per_path_counts,
-            paths_k_size,
             tree,
             inserts_applied: 0,
             deletes_applied: 0,
@@ -152,9 +144,8 @@ impl PagedPathIndex {
     /// persisted free list — which threads through page contents and is *not*
     /// crash-consistent — is discarded and rebuilt by a mark-and-sweep over
     /// the root-reachable pages. Durable writeback is re-enabled, and the
-    /// derived statistics (per-path cardinalities, `|paths_k(G)|`) are
-    /// recounted from a full scan; `node_count` must come from the recovered
-    /// graph the index belongs to.
+    /// per-path cardinalities are recounted from a full scan; `node_count`
+    /// must come from the recovered graph the index belongs to.
     pub fn open<P: AsRef<std::path::Path>>(
         path: P,
         k: usize,
@@ -168,7 +159,6 @@ impl PagedPathIndex {
             k,
             node_count,
             per_path_counts: Vec::new(),
-            paths_k_size: 0,
             tree,
             inserts_applied: 0,
             deletes_applied: 0,
@@ -177,16 +167,14 @@ impl PagedPathIndex {
         Ok(index)
     }
 
-    /// Recounts the derived statistics (`per_path_counts`, `paths_k_size`)
-    /// from a full scan of the stored entries, using the current
-    /// `node_count`. Fails with `InvalidData` on malformed keys or walk
-    /// counts — the symptoms of a corrupt page file.
-    pub fn refresh_derived_stats(&mut self) -> io::Result<()> {
+    /// Recounts the per-path cardinalities from a full scan of the stored
+    /// entries. Fails with `InvalidData` on malformed keys or walk counts —
+    /// the symptoms of a corrupt page file.
+    fn refresh_derived_stats(&mut self) -> io::Result<()> {
         let mut per_path: Vec<(Vec<SignedLabel>, u64)> = Vec::new();
-        let mut linked: HashSet<u64> = HashSet::new();
         for item in self.tree.iter()? {
             let (key, value) = item?;
-            let Some((path, a, b)) = decode_entry(&key) else {
+            let Some((path, _, _)) = decode_entry(&key) else {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!(
@@ -205,19 +193,15 @@ impl PagedPathIndex {
                 Some((p, n)) if *p == path => *n += 1,
                 _ => per_path.push((path, 1)),
             }
-            if a != b {
-                linked.insert(pack_pair(a, b));
-            }
         }
         self.per_path_counts = per_path;
-        self.paths_k_size = self.node_count as u64 + linked.len() as u64;
         Ok(())
     }
 
     /// Replays one logged commit record against the stored entries during
     /// recovery. Records at or below the tree's persisted
     /// [`PagedPathIndex::applied_seq`] already reached the page file before
-    /// the crash and only refresh the derived statistics; newer records
+    /// the crash and change nothing but the node count; newer records
     /// replay their absolute `(key, walk count)` writes (0 deletes the key),
     /// advance the sequence number, and flush durably, so a crash *during*
     /// recovery resumes where it left off. Returns whether the record was
@@ -238,7 +222,6 @@ impl PagedPathIndex {
             self.deletes_applied += deleted_edges;
         }
         self.node_count = node_count;
-        self.refresh_derived_stats()?;
         if fresh {
             self.tree.flush()?;
         }
@@ -251,13 +234,48 @@ impl PagedPathIndex {
     /// its keys, not from the order the log happened to record them in. A
     /// key added and removed again within the batch ends at 0 and deletes
     /// nothing.
+    ///
+    /// The per-path cardinalities follow the tree: a path gains an entry
+    /// when an insert finds no previous value and loses one when a delete
+    /// finds one, so they stay exact without a rescan. Fails with
+    /// `InvalidData` on a key that is no `⟨p, a, b⟩` entry.
     fn write_counts(&mut self, counts: &[(Vec<u8>, u64)]) -> io::Result<()> {
         let last: BTreeMap<&[u8], u64> = counts.iter().map(|(k, c)| (k.as_slice(), *c)).collect();
         for (key, count) in last {
+            let Some((path, _, _)) = decode_entry(key) else {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "logged key of {} byte(s) is not a ⟨path, source, target⟩ entry",
+                        key.len()
+                    ),
+                ));
+            };
+            let slot = self
+                .per_path_counts
+                .binary_search_by(|(p, _)| (p.len(), p.as_slice()).cmp(&(path.len(), &path[..])));
             if count == 0 {
-                self.tree.delete(key)?;
-            } else {
-                self.tree.insert(key.to_vec(), encode_walks(count))?;
+                if self.tree.delete(key)?.is_some() {
+                    let Ok(i) = slot else {
+                        return Err(io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            format!("deleted an entry of path {path:?}, which counts no entries"),
+                        ));
+                    };
+                    self.per_path_counts[i].1 -= 1;
+                    if self.per_path_counts[i].1 == 0 {
+                        self.per_path_counts.remove(i);
+                    }
+                }
+            } else if self
+                .tree
+                .insert(key.to_vec(), encode_walks(count))?
+                .is_none()
+            {
+                match slot {
+                    Ok(i) => self.per_path_counts[i].1 += 1,
+                    Err(i) => self.per_path_counts.insert(i, (path, 1)),
+                }
             }
         }
         Ok(())
@@ -302,8 +320,7 @@ impl PagedPathIndex {
     }
 
     /// A fully isolated snapshot of the index: the structural metadata (tree
-    /// root and entry count, per-path cardinalities, `|paths_k(G)|`) is
-    /// copied at call time and the underlying [`PagedBTree::share`] pins the
+    /// root and entry count, per-path cardinalities) is copied at call time and the underlying [`PagedBTree::share`] pins the
     /// pages reachable from that root.
     ///
     /// This is the snapshot a live database publishes after each update
@@ -316,7 +333,6 @@ impl PagedPathIndex {
             k: self.k,
             node_count: self.node_count,
             per_path_counts: self.per_path_counts.clone(),
-            paths_k_size: self.paths_k_size,
             tree: self.tree.share(),
             inserts_applied: self.inserts_applied,
             deletes_applied: self.deletes_applied,
@@ -581,10 +597,6 @@ impl PathIndexBackend for PagedPathIndex {
         &self.per_path_counts
     }
 
-    fn paths_k_size(&self) -> u64 {
-        self.paths_k_size
-    }
-
     fn stats(&self) -> BackendStats {
         let s = PagedPathIndex::stats(self);
         BackendStats {
@@ -592,7 +604,6 @@ impl PathIndexBackend for PagedPathIndex {
             k: s.k,
             entries: s.entries,
             distinct_paths: s.paths,
-            paths_k_size: self.paths_k_size,
             approx_bytes: s.tree.bytes_on_disk,
         }
     }
@@ -601,16 +612,14 @@ impl PathIndexBackend for PagedPathIndex {
 impl MutablePathIndexBackend for PagedPathIndex {
     /// Replays the batch's absolute `(key, walk count)` writes as B+tree
     /// inserts and deletes (splitting, merging and recycling pages as
-    /// needed; a count of 0 deletes the key), adopts the fresh statistics
-    /// and the batch's commit sequence number, and flushes every dirty page
-    /// through the buffer pool so an on-disk index is durable up to the end
-    /// of the batch.
+    /// needed; a count of 0 deletes the key), adopts the batch's node count
+    /// and commit sequence number, and flushes every dirty page through the
+    /// buffer pool so an on-disk index is durable up to the end of the
+    /// batch.
     fn apply_delta_batch(&mut self, batch: &DeltaBatch<'_>) -> BackendResult<()> {
         let io_err = |e: &io::Error| BackendError::io("paged", e);
         self.write_counts(batch.deltas.counts())
             .map_err(|e| io_err(&e))?;
-        self.per_path_counts = batch.per_path_counts.to_vec();
-        self.paths_k_size = batch.paths_k_size;
         self.node_count = batch.node_count;
         self.inserts_applied += batch.inserted_edges;
         self.deletes_applied += batch.deleted_edges;
@@ -785,7 +794,6 @@ mod tests {
         let via_trait = backend.collect_path(path).unwrap();
         assert_eq!(via_trait.len() as u64, *count);
         assert_eq!(backend.path_cardinality(path), Some(*count));
-        assert!(backend.paths_k_size() > 0);
         assert_eq!(backend.stats().entries, paged.len());
         // Contract violations are errors, not panics.
         assert!(backend.collect_path(&[]).is_err());
@@ -850,9 +858,7 @@ mod tests {
         }
         let batch = DeltaBatch {
             deltas: &deltas,
-            per_path_counts: oracle.per_path_counts(),
-            paths_k_size: oracle.paths_k_size(),
-            node_count: oracle.node_count(),
+            node_count: graph.node_count(),
             inserted_edges: inserted,
             deleted_edges: deleted,
             seq: 1,
@@ -870,10 +876,6 @@ mod tests {
         let rebuilt = PagedPathIndex::build_in_memory(&updated, k, 8).unwrap();
         assert_eq!(paged.len(), rebuilt.len());
         assert_eq!(paged.per_path_counts(), rebuilt.per_path_counts());
-        assert_eq!(
-            PathIndexBackend::paths_k_size(&paged),
-            PathIndexBackend::paths_k_size(&rebuilt)
-        );
         for (path, _) in rebuilt.per_path_counts() {
             assert_eq!(
                 paged.scan_path(path).unwrap(),
@@ -915,9 +917,7 @@ mod tests {
         paged
             .apply_delta_batch(&DeltaBatch {
                 deltas: &deltas,
-                per_path_counts: oracle.per_path_counts(),
-                paths_k_size: oracle.paths_k_size(),
-                node_count: oracle.node_count(),
+                node_count: graph.node_count(),
                 inserted_edges: 1,
                 deleted_edges: 0,
                 seq: 1,
@@ -973,7 +973,7 @@ mod tests {
         let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, k);
 
         let mut graph = g.clone();
-        let (len, per_path, paths_k, entries) = {
+        let (len, per_path, entries) = {
             let mut idx = PagedPathIndex::build_on_disk(&g, k, &path, 8).unwrap();
 
             // One live batch so the reopened tree carries a non-zero seq.
@@ -984,9 +984,7 @@ mod tests {
             assert!(oracle.apply_logged(&mut graph, EdgeOp::insert(sue, knows, tim), &mut deltas,));
             idx.apply_delta_batch(&DeltaBatch {
                 deltas: &deltas,
-                per_path_counts: oracle.per_path_counts(),
-                paths_k_size: oracle.paths_k_size(),
-                node_count: oracle.node_count(),
+                node_count: graph.node_count(),
                 inserted_edges: 1,
                 deleted_edges: 0,
                 seq: 7,
@@ -997,15 +995,13 @@ mod tests {
             (
                 idx.len(),
                 idx.per_path_counts().to_vec(),
-                PathIndexBackend::paths_k_size(&idx),
                 idx.counted_entries().unwrap(),
             )
         };
 
-        let reopened = PagedPathIndex::open(&path, k, 8, oracle.node_count()).unwrap();
+        let reopened = PagedPathIndex::open(&path, k, 8, graph.node_count()).unwrap();
         assert_eq!(reopened.applied_seq(), 7);
         assert_eq!(reopened.len(), len);
-        assert_eq!(PathIndexBackend::paths_k_size(&reopened), paths_k);
         let mut advertised = per_path;
         let mut recovered = reopened.per_path_counts().to_vec();
         advertised.sort();
@@ -1014,21 +1010,83 @@ mod tests {
         assert_eq!(reopened.counted_entries().unwrap(), entries);
 
         // The recovered entries reseed a live writer identical to the oracle.
-        let mut updated = g.clone();
-        assert!(updated.insert_edge(
-            g.node_id("sue").unwrap(),
-            g.label_id("knows").unwrap(),
-            g.node_id("tim").unwrap()
-        ));
-        let reseeded = IncrementalKPathIndex::from_persisted_entries(&updated, k, entries).unwrap();
+        let reseeded = IncrementalKPathIndex::from_persisted_entries(k, entries).unwrap();
+        assert_eq!(reseeded.entry_count(), oracle.entry_count());
         assert_eq!(reseeded.entry_count() as u64, reopened.len());
-        assert_eq!(reseeded.paths_k_size(), oracle.paths_k_size());
 
         let mut report = AuditReport::new();
         report.run("paged-reopened", &reopened);
         report.assert_clean("after reopen");
 
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn per_path_counts_follow_batches_and_replays_without_a_rescan() {
+        use pathix_index::{EntryDeltas, IncrementalKPathIndex};
+
+        let g = paper_example_graph();
+        let k = 2;
+        let mut paged = PagedPathIndex::build_in_memory(&g, k, 8).unwrap();
+        let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, k);
+        let mut graph = g.clone();
+        let [kim, liz, sue, tim] = ["kim", "liz", "sue", "tim"].map(|n| g.node_id(n).unwrap());
+        let (supervisor, knows) = (
+            g.label_id("supervisor").unwrap(),
+            g.label_id("knows").unwrap(),
+        );
+        // The tally kept by the writes equals a full recount of the tree and
+        // the counts of an index built over the same graph.
+        let assert_counts = |paged: &mut PagedPathIndex, graph: &Graph, when: &str| {
+            let tallied = paged.per_path_counts().to_vec();
+            paged.refresh_derived_stats().unwrap();
+            assert_eq!(tallied, paged.per_path_counts(), "{when}: recount");
+            let rebuilt = PagedPathIndex::build_in_memory(graph, k, 8).unwrap();
+            assert_eq!(tallied, rebuilt.per_path_counts(), "{when}: rebuild");
+        };
+
+        // A live batch: the only supervisor edge goes, emptying every path
+        // through it, and a knows edge fills new entries.
+        let mut deltas = EntryDeltas::new();
+        for op in [
+            EdgeOp::delete(kim, supervisor, liz),
+            EdgeOp::insert(sue, knows, tim),
+        ] {
+            assert!(oracle.apply_logged(&mut graph, op, &mut deltas));
+        }
+        let supervised = [SignedLabel::forward(supervisor)];
+        paged
+            .apply_delta_batch(&DeltaBatch {
+                deltas: &deltas,
+                node_count: graph.node_count(),
+                inserted_edges: 1,
+                deleted_edges: 1,
+                seq: 1,
+            })
+            .unwrap();
+        assert_eq!(paged.path_cardinality(&supervised), None);
+        assert_counts(&mut paged, &graph, "after apply_delta_batch");
+
+        // The reverse batch replayed as recovery replays a fresh record.
+        deltas.clear();
+        for op in [
+            EdgeOp::insert(kim, supervisor, liz),
+            EdgeOp::delete(sue, knows, tim),
+        ] {
+            assert!(oracle.apply_logged(&mut graph, op, &mut deltas));
+        }
+        let node_count = graph.node_count();
+        assert!(paged
+            .replay_batch(2, deltas.counts(), node_count, 1, 1)
+            .unwrap());
+        assert_eq!(paged.path_cardinality(&supervised), Some(1));
+        assert_counts(&mut paged, &graph, "after a fresh replay");
+
+        // The same record again: the tree already holds it, nothing moves.
+        assert!(!paged
+            .replay_batch(2, deltas.counts(), node_count, 1, 1)
+            .unwrap());
+        assert_counts(&mut paged, &graph, "after replaying an applied record");
     }
 
     #[test]

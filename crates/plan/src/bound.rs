@@ -637,7 +637,7 @@ impl<B: PathIndexBackend + ?Sized> PairStream for WalkStream<'_, B> {
 /// let g = paper_example_graph();
 /// let index = SharedKPathIndex::build(&g, 2);
 /// let histogram = PathHistogram::build(
-///     index.per_path_counts(), index.paths_k_size(), 2, EstimationMode::default());
+///     index.per_path_counts(), 2, EstimationMode::default());
 /// let ctx = PlannerContext::new(&index, &histogram);
 /// let expr = parse("knows/knows/worksFor").unwrap().bind(&g).unwrap();
 /// let plan = plan_query(
@@ -749,7 +749,7 @@ impl<B: PathIndexBackend + ?Sized> PairStream for BoundStream<'_, B> {
 /// let g = paper_example_graph();
 /// let index = SharedKPathIndex::build(&g, 2);
 /// let histogram = PathHistogram::build(
-///     index.per_path_counts(), index.paths_k_size(), 2, EstimationMode::default());
+///     index.per_path_counts(), 2, EstimationMode::default());
 /// let ctx = PlannerContext::new(&index, &histogram);
 /// let expr = parse("knows/knows/worksFor").unwrap().bind(&g).unwrap();
 /// let plan = plan_query(
@@ -1125,16 +1125,12 @@ mod tests {
         fn per_path_counts(&self) -> &[(Vec<SignedLabel>, u64)] {
             &[]
         }
-        fn paths_k_size(&self) -> u64 {
-            0
-        }
         fn stats(&self) -> BackendStats {
             BackendStats {
                 backend: "failing",
                 k: 2,
                 entries: 0,
                 distinct_paths: 0,
-                paths_k_size: 0,
                 approx_bytes: 0,
             }
         }

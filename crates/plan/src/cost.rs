@@ -98,10 +98,7 @@ mod tests {
             (vec![sl(0), sl(2)], 50),
             (vec![sl(2), sl(0)], 40),
         ];
-        (
-            PathHistogram::build(&counts, 1000, 2, EstimationMode::Exact),
-            100,
-        )
+        (PathHistogram::build(&counts, 2, EstimationMode::Exact), 100)
     }
 
     #[test]

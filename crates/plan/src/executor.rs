@@ -124,7 +124,7 @@ pub(crate) fn sort_dedup<T: Ord>(items: &mut Vec<T>) {
 /// let g = paper_example_graph();
 /// let index = SharedKPathIndex::build(&g, 2);
 /// let histogram = PathHistogram::build(
-///     index.per_path_counts(), index.paths_k_size(), 2, EstimationMode::default());
+///     index.per_path_counts(), 2, EstimationMode::default());
 /// let ctx = PlannerContext::new(&index, &histogram);
 /// let expr = parse("knows/knows/worksFor").unwrap().bind(&g).unwrap();
 /// let plan = plan_query(
@@ -216,12 +216,7 @@ mod tests {
     fn fixture(k: usize) -> (Graph, SharedKPathIndex, PathHistogram) {
         let g = paper_example_graph();
         let index = SharedKPathIndex::build(&g, k);
-        let hist = PathHistogram::build(
-            index.per_path_counts(),
-            index.paths_k_size(),
-            k,
-            EstimationMode::default(),
-        );
+        let hist = PathHistogram::build(index.per_path_counts(), k, EstimationMode::default());
         (g, index, hist)
     }
 

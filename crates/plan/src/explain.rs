@@ -92,12 +92,7 @@ mod tests {
     fn explain_mentions_labels_joins_and_estimates() {
         let g = paper_example_graph();
         let index = SharedKPathIndex::build(&g, 2);
-        let hist = PathHistogram::build(
-            index.per_path_counts(),
-            index.paths_k_size(),
-            2,
-            EstimationMode::default(),
-        );
+        let hist = PathHistogram::build(index.per_path_counts(), 2, EstimationMode::default());
         let ctx = PlannerContext::new(&index, &hist);
         let expr = parse("knows/(knows/worksFor){2,4}/worksFor")
             .unwrap()
@@ -120,12 +115,7 @@ mod tests {
     fn explain_epsilon_plan() {
         let g = paper_example_graph();
         let index = SharedKPathIndex::build(&g, 1);
-        let hist = PathHistogram::build(
-            index.per_path_counts(),
-            index.paths_k_size(),
-            1,
-            EstimationMode::default(),
-        );
+        let hist = PathHistogram::build(index.per_path_counts(), 1, EstimationMode::default());
         let ctx = PlannerContext::new(&index, &hist);
         let expr = parse("knows?").unwrap().bind(&g).unwrap();
         let disjuncts = to_disjuncts(&expr, RewriteOptions::default()).unwrap();

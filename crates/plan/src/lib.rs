@@ -35,7 +35,7 @@
 //! let g = paper_example_graph();
 //! let index = SharedKPathIndex::build(&g, 2);
 //! let hist = PathHistogram::build(
-//!     index.per_path_counts(), index.paths_k_size(), 2, EstimationMode::default());
+//!     index.per_path_counts(), 2, EstimationMode::default());
 //! let ctx = PlannerContext::new(&index, &hist);
 //! let expr = parse("knows/worksFor").unwrap().bind(&g).unwrap();
 //! let disjuncts = to_disjuncts(&expr, RewriteOptions::default()).unwrap();

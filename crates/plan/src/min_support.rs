@@ -100,12 +100,7 @@ mod tests {
     fn fixture(k: usize) -> (Graph, SharedKPathIndex, PathHistogram) {
         let g = paper_example_graph();
         let index = SharedKPathIndex::build(&g, k);
-        let hist = PathHistogram::build(
-            index.per_path_counts(),
-            index.paths_k_size(),
-            k,
-            EstimationMode::Exact,
-        );
+        let hist = PathHistogram::build(index.per_path_counts(), k, EstimationMode::Exact);
         (g, index, hist)
     }
 

@@ -37,12 +37,7 @@ mod tests {
     fn ctx_fixture(k: usize) -> (SharedKPathIndex, PathHistogram) {
         let g = paper_example_graph();
         let index = SharedKPathIndex::build(&g, k);
-        let hist = PathHistogram::build(
-            index.per_path_counts(),
-            index.paths_k_size(),
-            k,
-            EstimationMode::Exact,
-        );
+        let hist = PathHistogram::build(index.per_path_counts(), k, EstimationMode::Exact);
         (index, hist)
     }
 

@@ -95,7 +95,7 @@ impl<'a, B: PathIndexBackend + ?Sized> PlannerContext<'a, B> {
     /// let g = paper_example_graph();
     /// let index = SharedKPathIndex::build(&g, 2);
     /// let histogram = PathHistogram::build(
-    ///     index.per_path_counts(), index.paths_k_size(), 2, EstimationMode::default());
+    ///     index.per_path_counts(), 2, EstimationMode::default());
     ///
     /// let ctx = PlannerContext::new(&index, &histogram);
     /// assert_eq!((ctx.k(), ctx.node_count()), (2, g.node_count()));
@@ -162,7 +162,7 @@ pub fn plan_disjunct<B: PathIndexBackend + ?Sized>(
 /// let g = paper_example_graph();
 /// let index = SharedKPathIndex::build(&g, 2);
 /// let histogram = PathHistogram::build(
-///     index.per_path_counts(), index.paths_k_size(), 2, EstimationMode::default());
+///     index.per_path_counts(), 2, EstimationMode::default());
 /// let ctx = PlannerContext::new(&index, &histogram);
 /// let disjuncts = |query: &str| {
 ///     to_disjuncts(&parse(query).unwrap().bind(&g).unwrap(), RewriteOptions::default()).unwrap()
@@ -208,12 +208,7 @@ mod tests {
     fn fixture() -> (SharedKPathIndex, PathHistogram) {
         let g = paper_example_graph();
         let index = SharedKPathIndex::build(&g, 2);
-        let hist = PathHistogram::build(
-            index.per_path_counts(),
-            index.paths_k_size(),
-            2,
-            EstimationMode::Exact,
-        );
+        let hist = PathHistogram::build(index.per_path_counts(), 2, EstimationMode::Exact);
         (index, hist)
     }
 

@@ -5,7 +5,7 @@
 //! and the k-path index live in relational tables, RPQs are translated to SQL
 //! ([`crate::translate`]) and executed by a relational engine. The native
 //! pipeline in `pathix-core`/`pathix-plan` answers the same queries directly
-//! over the B+tree; comparing the two is experiment **X5** in DESIGN.md.
+//! over the B+tree; `run_experiments sql` compares the two.
 
 use crate::catalog::{Schema, Table};
 use crate::engine::{ResultSet, SqlEngine, SqlError};
@@ -62,19 +62,14 @@ pub fn path_index_table<B: PathIndexBackend + ?Sized>(
     Ok(t)
 }
 
-/// Builds the `path_histogram(path, pairs, selectivity)` table from any
-/// [`PathIndexBackend`].
+/// Builds the `path_histogram(path, pairs)` table — `|p(G)|` per indexed
+/// path — from any [`PathIndexBackend`].
 pub fn histogram_table<B: PathIndexBackend + ?Sized>(index: &B, graph: &Graph) -> Table {
-    let mut t = Table::new(
-        "path_histogram",
-        Schema::new(vec!["path", "pairs", "selectivity"]),
-    );
-    let total = index.paths_k_size().max(1) as f64;
+    let mut t = Table::new("path_histogram", Schema::new(vec!["path", "pairs"]));
     for (path, count) in index.per_path_counts() {
         t.push(vec![
             path_string(graph, path).into(),
             (*count as i64).into(),
-            ((*count as f64) / total).into(),
         ]);
     }
     t.cluster_by(&["path"]);
@@ -218,7 +213,7 @@ fn sorted_pairs(rs: ResultSet) -> Vec<(u32, u32)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pathix_core::{PathDbConfig, QueryOptions, Strategy};
+    use pathix_core::{GraphUpdate, PathDbConfig, QueryOptions, Strategy};
     use pathix_datagen::paper_example_graph;
 
     fn native_pairs(db: &PathDb, query: &str, strategy: Strategy) -> Vec<(u32, u32)> {
@@ -242,6 +237,35 @@ mod tests {
         assert_eq!(pi.sort_order(), &[0, 1, 2]);
         let hist = histogram_table(&index, &g);
         assert_eq!(hist.len(), index.per_path_counts().len());
+    }
+
+    #[test]
+    fn histogram_rows_are_the_backends_per_path_counts() {
+        let g = paper_example_graph();
+        let db = PathDb::build(g.clone(), PathDbConfig::with_k(2));
+        db.apply(&[GraphUpdate::insert_named("sue", "knows", "tim")])
+            .unwrap();
+        let (index, graph) = (db.index(), db.graph());
+        let hist = histogram_table(&*index, &graph);
+        assert_eq!(hist.schema().len(), 2);
+        let mut rows: Vec<(String, i64)> = hist
+            .rows()
+            .iter()
+            .map(|row| {
+                (
+                    row[0].as_text().unwrap().to_owned(),
+                    row[1].as_int().unwrap(),
+                )
+            })
+            .collect();
+        let mut expected: Vec<(String, i64)> = index
+            .per_path_counts()
+            .iter()
+            .map(|(path, count)| (path_string(&graph, path), *count as i64))
+            .collect();
+        rows.sort();
+        expected.sort();
+        assert_eq!(rows, expected);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //!
 //! * `path_index(path, src, dst)` — the k-path index `I_{G,k}`, clustered by
 //!   its composite B+tree key `(path, src, dst)`;
-//! * `path_histogram(path, pairs, selectivity)` — the equi-depth histogram
-//!   `sel_{G,k}`.
+//! * `path_histogram(path, pairs)` — the per-path cardinalities `|p(G)|`
+//!   the histogram `sel_{G,k}` summarizes.
 //!
 //! This module provides the storage those translations run against: an
 //! in-memory row store per table plus a declared **sort order**, which is what

@@ -17,7 +17,7 @@ pub enum Value {
     Int(i64),
     /// UTF-8 text.
     Text(String),
-    /// Double-precision float (histogram selectivities).
+    /// Double-precision float.
     Float(f64),
 }
 

@@ -14,7 +14,7 @@
 
 use pathix::datagen::{social_network, SocialConfig};
 use pathix::graph::EdgeOp;
-use pathix::index::{IncrementalKPathIndex, SharedKPathIndex};
+use pathix::index::{DeltaBatch, IncrementalKPathIndex, MutablePathIndexBackend, SharedKPathIndex};
 use pathix::{EntryDeltas, Graph, GraphBuilder, LabelId, NodeId, PathIndexBackend};
 use std::time::Instant;
 
@@ -71,11 +71,14 @@ fn main() {
     let start = Instant::now();
     let mut live = IncrementalKPathIndex::bulk_from_graph(&graph, K);
     println!(
-        "seeded incremental index: {} entries over {} paths in {:?}",
+        "seeded incremental index: {} entries in {:?}",
         live.entry_count(),
-        live.distinct_paths(),
         start.elapsed()
     );
+    // The memory backend a database would publish, built over the same
+    // initial graph; it replays the update log below and counts its own
+    // paths.
+    let mut published = SharedKPathIndex::build(&graph, K);
 
     // 2. Apply the update stream: insertions first, then the retractions.
     //    Each op advances `graph` by one epoch, and the counting rules walk
@@ -133,6 +136,20 @@ fn main() {
     println!(
         "incremental maintenance and full rebuild agree on all {} path relations ✔",
         rebuilt.stats().distinct_paths
+    );
+    published
+        .apply_delta_batch(&DeltaBatch {
+            deltas: &log,
+            node_count: graph.node_count(),
+            inserted_edges: stream_inserts as u64,
+            deleted_edges: stream_deletes as u64,
+            seq: 1,
+        })
+        .expect("a log from the counting rules replays");
+    assert_eq!(published.per_path_counts(), rebuilt.per_path_counts());
+    println!(
+        "the memory backend replayed the same log and counts the rebuild's {} entries ✔",
+        published.stats().entries
     );
 
     // 5. Walk counts explain *why* pairs survive deletions: a pair stays in

@@ -43,8 +43,8 @@ fn main() {
         let stats = db.stats();
         println!("================ k = {k} ================");
         println!(
-            "index: {} entries, {} label paths, |paths_k(G)| = {}",
-            stats.index.entries, stats.index.distinct_paths, stats.index.paths_k_size
+            "index: {} entries, {} label paths",
+            stats.index.entries, stats.index.distinct_paths
         );
         println!(
             "histogram: {} paths in {} equi-depth buckets\n",

@@ -22,7 +22,7 @@ fn main() {
     );
 
     // 2. Build the database: a k-path index (here k = 2) plus an equi-depth
-    //    histogram for selectivity estimation.
+    //    histogram for cardinality estimation.
     let db = PathDb::build(graph, PathDbConfig::with_k(2));
     let stats = db.stats();
     println!(

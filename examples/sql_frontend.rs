@@ -71,7 +71,7 @@ fn main() {
     // 5. The bridged tables also answer ad-hoc SQL, e.g. the histogram the
     //    minSupport planner consults.
     let top = relational
-        .raw_sql("SELECT path, pairs, selectivity FROM path_histogram ORDER BY pairs DESC LIMIT 5")
+        .raw_sql("SELECT path, pairs FROM path_histogram ORDER BY pairs DESC LIMIT 5")
         .unwrap();
     println!("five least selective label paths (straight SQL over path_histogram):");
     println!("{}", top.to_table_string());

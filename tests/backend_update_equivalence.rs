@@ -12,12 +12,13 @@
 //!   strategies,
 //! * every backend equals a database rebuilt from scratch over the updated
 //!   graph,
-//! * the published structural statistics (entry count, `|paths_k(G)|`,
-//!   epoch) agree everywhere.
+//! * the published structural statistics (entry count, epoch) agree
+//!   everywhere, and every backend's own per-path counts and the histogram
+//!   built from them equal the rebuild's.
 
 use pathix::{
-    BackendChoice, GraphBuilder, GraphUpdate, LabelId, NodeId, PathDb, PathDbConfig, QueryOptions,
-    Strategy,
+    BackendChoice, GraphBuilder, GraphUpdate, LabelId, NodeId, PathDb, PathDbConfig,
+    PathIndexBackend, QueryOptions, Strategy,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -188,12 +189,22 @@ fn all_backends_answer_identically_after_every_update_batch() {
                     "case {case} batch {batch_no}: {} entry count diverged from rebuild",
                     db.backend_name()
                 );
+                let counts = rebuilt.index().per_path_counts().to_vec();
                 assert_eq!(
-                    db.stats().index.paths_k_size,
-                    rebuilt.stats().index.paths_k_size,
-                    "case {case} batch {batch_no}: {} |paths_k(G)| diverged from rebuild",
+                    db.index().per_path_counts(),
+                    counts,
+                    "case {case} batch {batch_no}: {} per-path counts diverged from rebuild",
                     db.backend_name()
                 );
+                let (live, fresh) = (db.histogram(), rebuilt.histogram());
+                for (path, _) in &counts {
+                    assert_eq!(
+                        live.estimated_cardinality(path),
+                        fresh.estimated_cardinality(path),
+                        "case {case} batch {batch_no}: {} histogram diverged on {path:?}",
+                        db.backend_name()
+                    );
+                }
             }
 
             // ...and identical answers (pairs and stats pair counts) to each

@@ -1,6 +1,6 @@
-//! Integration tests for the worked examples the paper states explicitly
-//! (experiment ids E2.2 and E3.1 in DESIGN.md), run through the full public
-//! API.
+//! Integration tests for the worked examples the paper states explicitly —
+//! §2.2's `supervisor ∘ worksFor⁻` and Example 3.1's lookup shapes (PAPER.md,
+//! the §2 and §3.1 rows) — run through the full public API.
 //!
 //! Figure 1's exact edge list is not recoverable from the paper text, so the
 //! example graph in `pathix-datagen` is constructed to satisfy the properties

@@ -54,12 +54,7 @@ fn batched_execution_matches_pairwise_on_all_backends_and_strategies() {
             .expect("backend build failed");
         let snapshot = db.snapshot();
         let index = snapshot.index();
-        let hist = PathHistogram::build(
-            index.per_path_counts(),
-            index.paths_k_size(),
-            k,
-            EstimationMode::default(),
-        );
+        let hist = PathHistogram::build(index.per_path_counts(), k, EstimationMode::default());
         let ctx = PlannerContext::new(index, &hist);
 
         let mut generator = WorkloadGenerator::new(
@@ -139,12 +134,7 @@ fn stream_order_and_early_termination_are_batching_invariant() {
             .expect("backend build failed");
         let snapshot = db.snapshot();
         let index = snapshot.index();
-        let hist = PathHistogram::build(
-            index.per_path_counts(),
-            index.paths_k_size(),
-            k,
-            EstimationMode::default(),
-        );
+        let hist = PathHistogram::build(index.per_path_counts(), k, EstimationMode::default());
         let ctx = PlannerContext::new(index, &hist);
         let queries = ["a/b", "a/(a|b)/b", "(a|b){1,3}", "a-/b"];
         for (qi, text) in queries.iter().enumerate() {
