@@ -7,7 +7,7 @@
 //! index and histogram bundled behind `Arc`s, tagged with a monotonically
 //! increasing **epoch**. Readers clone the current snapshot (two atomic
 //! refcounts) and never block writers; [`PathDb::apply`] routes edge updates
-//! through the counting [`IncrementalKPathIndex`], publishes a fresh snapshot
+//! through the rederivation rule of [`apply_op`], publishes a fresh snapshot
 //! and bumps the epoch. Compiled plans are tagged with the epoch they were
 //! planned at and transparently replanned on mismatch, so neither the plan
 //! cache nor a long-lived [`PreparedQuery`] ever serves a plan optimized for
@@ -15,11 +15,12 @@
 //!
 //! ## Update path per backend
 //!
-//! The counting delta enumeration runs **once** per batch (in the shared
-//! [`IncrementalKPathIndex`]); what differs is how each backend absorbs the
-//! resulting key transitions. Publishing is **O(Δ)** everywhere — the cost is
-//! proportional to the batch's touched neighborhood, never to the index —
-//! and snapshots are fully isolated on every backend:
+//! The rederivation runs **once** per batch ([`apply_op`], walking the graph
+//! epochs around each op — the writer keeps no copy of the index); what
+//! differs is how each backend absorbs the resulting key transitions.
+//! Publishing is **O(Δ)** everywhere — the cost is proportional to the
+//! batch's touched neighborhood, never to the index — and snapshots are
+//! fully isolated on every backend:
 //!
 //! * **memory** — the key deltas rebuild only the touched chunks of the
 //!   structurally-shared [`SharedKPathIndex`]; everything untouched is
@@ -44,9 +45,9 @@ use pathix_audit::{AuditReport, StructuralAudit};
 use pathix_baselines::{evaluate_automaton, evaluate_datalog};
 use pathix_graph::{EdgeOp, Graph, GraphPublishStats, LabelId, NodeId, SignedLabel, VocabBatch};
 use pathix_index::{
-    BackendBatchScan, BackendError, BackendResult, BackendStats, DeltaBatch, EntryDeltas,
-    EstimationMode, GraphUpdate, IncrementalKPathIndex, MutablePathIndexBackend, PathHistogram,
-    PathIndexBackend, SharedKPathIndex,
+    apply_op, BackendBatchScan, BackendError, BackendResult, BackendStats, DeltaBatch, EntryDeltas,
+    EstimationMode, GraphUpdate, MutablePathIndexBackend, PathHistogram, PathIndexBackend,
+    SharedKPathIndex,
 };
 use pathix_pagestore::{
     CommitRecord, CompressedPathStore, CowStats, PagedPathIndex, PoolStats, Wal,
@@ -527,12 +528,13 @@ impl Snapshot {
     }
 }
 
-/// Writer-side state: the counting index the delta rules maintain (built
-/// lazily on the first update), the mutable physical backend, the reusable
-/// delta-log allocation and the histogram-refresh bookkeeping.
+/// Writer-side state: the mutable physical backend, the reusable delta-log
+/// allocation and the histogram-refresh bookkeeping.
 #[derive(Debug)]
 struct LiveState {
-    index: Option<IncrementalKPathIndex>,
+    /// Whether an update batch reached the writer since build or open; until
+    /// one does, the built histogram is exact and a refresh does nothing.
+    applied: bool,
     updates_since_refresh: u64,
     /// The key-transition log of the current batch, reused across batches so
     /// steady-state applies stop reallocating it.
@@ -589,8 +591,7 @@ impl Durability {
 /// Assembles the commit record of one applied batch: the names the batch
 /// interned (ids `before.node_count()..` / `before.label_count()..` of the
 /// committed graph, in id order, so replay re-interns them identically), the
-/// effective edge ops, and the absolute walk-count writes of the counting
-/// rules.
+/// effective edge ops, and the key transitions they logged.
 fn commit_record(
     seq: u64,
     before: &Graph,
@@ -621,7 +622,7 @@ fn commit_record(
         new_nodes,
         new_labels,
         ops: effective.to_vec(),
-        counts: deltas.counts().to_vec(),
+        changes: deltas.ops().to_vec(),
         inserted_edges: inserted,
         deleted_edges: deleted,
     }
@@ -635,15 +636,15 @@ fn commit_record(
 /// [`QueryError::Backend`] instead of panicking.
 ///
 /// Every database is **live**, regardless of backend: [`PathDb::apply`]
-/// absorbs edge insertions and deletions through the counting delta rules of
-/// [`IncrementalKPathIndex`], hands the resulting key deltas to the selected
+/// absorbs edge insertions and deletions through the rederivation rule of
+/// [`apply_op`], hands the resulting key transitions to the selected
 /// backend, and publishes a fresh [`Snapshot`]; concurrent readers keep
 /// streaming from the snapshot they opened (see [`crate::Cursor`]).
 #[derive(Debug)]
 pub struct PathDb {
     /// The currently published snapshot. Writers swap it; readers clone it.
     state: RwLock<Snapshot>,
-    /// Writer serialization point + the live counting index.
+    /// Writer serialization point + the writer-side state.
     live: Mutex<LiveState>,
     config: PathDbConfig,
     plan_cache: PlanCache,
@@ -711,7 +712,7 @@ impl PathDb {
         PathDb {
             state: RwLock::new(snapshot),
             live: Mutex::new(LiveState {
-                index: None,
+                applied: false,
                 updates_since_refresh: 0,
                 deltas: EntryDeltas::new(),
                 writer,
@@ -785,10 +786,11 @@ impl PathDb {
     /// index key) survives the crash — is replayed, then folded into a fresh
     /// checkpoint so the next open starts clean.
     ///
-    /// Replay is idempotent and itself restartable: counts in the log are
-    /// absolute, the graph side skips records its checkpoint already covers,
-    /// the tree side skips records at or below its persisted sequence
-    /// number, and each replayed batch is flushed durably before the next.
+    /// Replay is idempotent and itself restartable: the graph side skips
+    /// records its checkpoint already covers, the tree side skips records at
+    /// or below its persisted sequence number (so a fresh record's
+    /// transitions meet exactly the tree they were logged against), and each
+    /// replayed batch is flushed durably before the next.
     /// A crash at *any* point — mid-append, mid-writeback, mid-checkpoint,
     /// or mid-recovery — therefore lands in a state this function repairs.
     /// With `PATHIX_AUDIT=1` in the environment, a full structural audit
@@ -876,7 +878,7 @@ impl PathDb {
             paged
                 .replay_batch(
                     record.seq,
-                    &record.counts,
+                    &record.changes,
                     graph.node_count(),
                     record.inserted_edges,
                     record.deleted_edges,
@@ -1059,9 +1061,8 @@ impl PathDb {
     /// Applies a batch of edge insertions and deletions, returning what the
     /// batch did. Works identically on **every** backend.
     ///
-    /// Updates route through the counting delta rules of
-    /// [`IncrementalKPathIndex`] (seeded lazily on the first call), which
-    /// walk the graph one op at a time on a scratch chain of epochs; the
+    /// Updates route through the rederivation rule of [`apply_op`], which
+    /// walks the graph one op at a time on a scratch chain of epochs; the
     /// batch then commits its effective ops as one new graph epoch,
     /// refreshes the histogram under [`PathDbConfig::histogram_refresh`], and
     /// publishes a new [`Snapshot`] with a bumped epoch. Every backend
@@ -1154,32 +1155,11 @@ impl PathDb {
         }
 
         let live_state = &mut *live;
-        if live_state.index.is_none() {
-            // First update since build or open: seed the counting index (its
-            // entries and walk counts only — the rules walk the graph epochs
-            // handed to them, so there is no adjacency to seed). A paged
-            // backend already holds every ⟨entry, walk count⟩ pair, so a
-            // reopened database reseeds from the persisted entries in one
-            // tree scan instead of re-enumerating every counted walk of the
-            // graph; any read or validation failure falls back to the
-            // from-graph rebuild below.
-            let persisted = match &live_state.writer {
-                IndexBackend::Paged(paged) => paged.counted_entries().ok().and_then(|entries| {
-                    IncrementalKPathIndex::from_persisted_entries(self.config.k, entries).ok()
-                }),
-                _ => None,
-            };
-            if let Some(index) = persisted {
-                live_state.index = Some(index);
-            }
-        }
-        let live_index = live_state.index.get_or_insert_with(|| {
-            IncrementalKPathIndex::bulk_from_graph(current.graph(), self.config.k)
-        });
+        live_state.applied = true;
 
-        // The counting rules walk the graph epochs around each op: adopt the
-        // batch's vocabulary once, then advance a scratch epoch op by op
-        // (each step re-shares every untouched chunk of the one before).
+        // The rule walks the graph epochs around each op: adopt the batch's
+        // vocabulary once, then advance a scratch epoch op by op (each step
+        // re-shares every untouched chunk of the one before).
         let adopted = current.graph().commit_batch(vocab, &[]);
         let mut walked = adopted.clone();
         live_state.deltas.clear();
@@ -1192,7 +1172,7 @@ impl PathDb {
                 no_ops += 1;
                 continue;
             };
-            if !live_index.apply_logged(&mut walked, op, &mut live_state.deltas) {
+            if !apply_op(&mut walked, self.config.k, op, &mut live_state.deltas) {
                 no_ops += 1;
                 continue;
             }
@@ -1233,8 +1213,8 @@ impl PathDb {
         };
 
         // Durability (on-disk backend): the commit record — interned names,
-        // effective ops, absolute walk-count writes — must be appended *and*
-        // synced before the paged tree absorbs the batch, because the buffer
+        // effective ops, key transitions — must be appended *and* synced
+        // before the paged tree absorbs the batch, because the buffer
         // pool may evict (write back) pages at any point during the tree
         // mutation. A logged-but-never-applied batch replays on open; an
         // applied-but-never-logged batch would be unrecoverable.
@@ -1260,7 +1240,7 @@ impl PathDb {
             }
         }
 
-        // Publish. The counting enumeration ran once above; each backend now
+        // Publish. The rederivation ran once above; each backend now
         // absorbs the same key transitions its own way — in O(Δ), never by
         // rebuilding or re-freezing the whole index.
         let batch = DeltaBatch {
@@ -1273,10 +1253,9 @@ impl PathDb {
         let backend = match live_state.writer.publish(&batch) {
             Ok(backend) => backend,
             Err(e) => {
-                // The physical backend may hold a partial batch, and the
-                // counting index has absorbed updates that were never
-                // published: poison the writer so every later apply (and
-                // manual histogram refresh) fails loudly instead of
+                // The physical backend may hold a partial batch that was
+                // never published: poison the writer so every later apply
+                // (and manual histogram refresh) fails loudly instead of
                 // publishing diverged state.
                 live_state.failed = Some(e.clone());
                 return Err(QueryError::Backend(e));
@@ -1340,13 +1319,13 @@ impl PathDb {
     /// against the fresh statistics. Returns `false` (and does nothing) when
     /// no update was ever applied — the built histogram is still exact.
     pub fn refresh_histogram(&self) -> bool {
-        // A poisoned writer lock means the counting index may be ahead of
-        // the published state — same reason as `failed` below, same answer.
+        // A poisoned writer lock means the writer may be ahead of the
+        // published state — same reason as `failed` below, same answer.
         let Ok(mut live) = self.live.lock() else {
             return false;
         };
         let live_state = &mut *live;
-        if live_state.failed.is_some() || live_state.index.is_none() {
+        if live_state.failed.is_some() || !live_state.applied {
             // A failed writer refreshes nothing, as it applies nothing;
             // without any update the built histogram is still exact.
             return false;
@@ -1522,9 +1501,9 @@ impl PathDb {
     }
 
     /// Full structural audit of the database: walks the published snapshot's
-    /// backend, the writer-side backend (including the page-lifecycle checks
-    /// only the writer can perform), and — once updates have been applied —
-    /// the live counting index, recording every invariant evaluation.
+    /// backend and the writer-side backend (including the page-lifecycle
+    /// checks only the writer can perform), recording every invariant
+    /// evaluation.
     ///
     /// A clean report ([`AuditReport::is_clean`]) means every structural
     /// invariant the backends rely on for correctness held: sorted and
@@ -1542,11 +1521,11 @@ impl PathDb {
     /// let as_built = db.audit();
     /// assert!(as_built.is_clean(), "{:?}", as_built.violations());
     ///
-    /// // Once updates flow, the live counting index is audited as well.
+    /// // Updates keep it clean.
     /// db.apply(&[GraphUpdate::insert_named("sue", "knows", "tim")]).unwrap();
     /// let live = db.audit();
     /// assert!(live.is_clean(), "{:?}", live.violations());
-    /// assert!(live.checks() > as_built.checks());
+    /// assert!(live.checks() > 0);
     /// ```
     pub fn audit(&self) -> AuditReport {
         let mut report = AuditReport::new();
@@ -1567,9 +1546,6 @@ impl PathDb {
             &format!("writer/{}", live.writer.backend_name()),
             &live.writer,
         );
-        if let Some(index) = &live.index {
-            report.run("counting-index", index);
-        }
         // Durability health. `StorageStats::flush_failed` is sticky but was
         // previously only visible to callers polling `stats()`; surfacing it
         // here makes degraded state part of the structural audit, so harness
@@ -1826,12 +1802,11 @@ mod tests {
 
         for mut writer in writers {
             let name = writer.backend_name();
-            let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, 2);
             let mut graph = g.clone();
             let mut views = vec![writer.reader_view()];
             for (seq, &op) in batches.iter().enumerate() {
                 let mut deltas = EntryDeltas::new();
-                assert!(oracle.apply_logged(&mut graph, op, &mut deltas));
+                assert!(apply_op(&mut graph, 2, op, &mut deltas));
                 let batch = DeltaBatch {
                     deltas: &deltas,
                     node_count: graph.node_count(),
@@ -2522,5 +2497,76 @@ mod tests {
             PathDb::open(PathDbConfig::with_k(2)),
             Err(QueryError::Recovery(_))
         ));
+    }
+
+    /// An on-disk config at k = 2 whose page file is `idx.pages` in `dir`.
+    fn on_disk_config(dir: &TempDir) -> PathDbConfig {
+        PathDbConfig::with_k(2).with_backend(BackendChoice::OnDisk {
+            path: dir.path("idx.pages"),
+            pool_frames: 8,
+        })
+    }
+
+    #[test]
+    fn a_page_file_of_the_old_entry_format_is_refused_on_open() {
+        let _disk = DISK_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let dir = TempDir::new("old-magic");
+        let config = on_disk_config(&dir);
+        let db = PathDb::try_build(paper_example_graph(), config.clone()).unwrap();
+        db.close().unwrap();
+        drop(db);
+        assert!(PathDb::open(config.clone()).is_ok());
+
+        // The meta page's magic (bytes 12..16 of page 0) patched back to the
+        // walk-count format's "PXPI": its entries carried 8-byte values the
+        // current reader would take for part of the key space.
+        let mut bytes = std::fs::read(dir.path("idx.pages")).unwrap();
+        bytes[12..16].copy_from_slice(&0x5058_5049u32.to_le_bytes());
+        std::fs::write(dir.path("idx.pages"), bytes).unwrap();
+        let err = PathDb::open(config).unwrap_err();
+        assert!(
+            matches!(&err, QueryError::Recovery(m) if m.contains("magic")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn a_reopened_writer_applies_without_seeding_and_refreshes_only_after_an_apply() {
+        let _disk = DISK_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let dir = TempDir::new("reopen-apply");
+        let config = on_disk_config(&dir).with_histogram_refresh(HistogramRefresh::Manual);
+        let db = PathDb::try_build(paper_example_graph(), config.clone()).unwrap();
+        db.apply(&[update(&db, "insert", "tim", "knows", "zoe")])
+            .unwrap();
+        db.close().unwrap();
+        drop(db);
+
+        let db = PathDb::open(config).unwrap();
+        // Nothing applied since open: the opened histogram is exact.
+        assert!(!db.refresh_histogram());
+        let batch = [
+            update(&db, "delete", "kim", "supervisor", "liz"),
+            update(&db, "insert", "sue", "knows", "tim"),
+        ];
+        let stats = db.apply(&batch).unwrap();
+        assert_eq!((stats.inserted, stats.deleted), (1, 1));
+        assert!(db.refresh_histogram());
+
+        // The first apply after open answers like a rebuild of the graph it
+        // left behind.
+        let rebuilt = PathDb::build((*db.graph()).clone(), PathDbConfig::with_k(2));
+        assert_eq!(
+            db.index().per_path_counts(),
+            rebuilt.index().per_path_counts()
+        );
+        for text in ["knows/knows", "supervisor/worksFor-", "knows-/knows"] {
+            assert_eq!(
+                db.query(text).unwrap().pairs(),
+                rebuilt.query(text).unwrap().pairs(),
+                "{text}"
+            );
+        }
+        assert!(db.audit().is_clean());
+        db.close().unwrap();
     }
 }

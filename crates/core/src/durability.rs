@@ -1,8 +1,8 @@
 //! Durable-writer plumbing for the on-disk backend: the graph checkpoint
 //! file and the path layout tying it to the page file and write-ahead log.
 //!
-//! The paged B+tree persists the index side of a [`crate::PathDb`] (entry
-//! keys *and* walk counts); the graph side — vocabulary and adjacency — is
+//! The paged B+tree persists the index side of a [`crate::PathDb`] (its
+//! entry keys); the graph side — vocabulary and adjacency — is
 //! persisted as a **checkpoint**: one CRC-framed [`GraphSnapshot`] plus the
 //! commit sequence number it covers, rewritten atomically (temp file +
 //! rename) every [`crate::PathDbConfig::wal_checkpoint_every`] batches and

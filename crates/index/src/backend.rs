@@ -18,6 +18,11 @@
 //!
 //! Every batch is a `Result`: disk-resident backends can fail mid-scan, and
 //! those failures must surface as query errors rather than panics.
+//!
+//! Live updates reach every backend the same way: [`crate::apply_op`] logs
+//! which keys entered and left the index ([`EntryDeltas`]), and each
+//! [`MutablePathIndexBackend`] replays that log against its own storage.
+//! Entries are bare keys — no walk counts anywhere.
 
 use pathix_graph::{NodeId, SignedLabel};
 use std::fmt;
@@ -354,20 +359,18 @@ pub trait PathIndexBackend {
 /// Whether a `⟨p, a, b⟩` entry appeared or disappeared under an update.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EntryChange {
-    /// The entry's walk count went from 0 to positive: the key now exists.
+    /// The pair gained its first walk: the key now exists.
     Added,
-    /// The entry's walk count reached 0: the key must be removed.
+    /// The pair lost its last walk: the key must be removed.
     Removed,
 }
 
 /// The key-level effect of a sequence of graph updates: which index entries
-/// appeared and disappeared, and the walk count each touched entry holds
-/// afterwards.
+/// appeared and disappeared, in order.
 ///
-/// The counting delta rules of [`crate::IncrementalKPathIndex`] produce this
-/// log (via [`crate::IncrementalKPathIndex::apply_logged`]) **once** per
-/// batch, update after update; within one update the records come one per
-/// key in ascending key order, so the same updates always log the same
+/// The rederivation rule of [`crate::apply_op`] produces this log **once**
+/// per batch, update after update; within one update the records come one
+/// per key in ascending key order, so the same updates always log the same
 /// bytes. Every storage backend then replays the same log against its own
 /// representation — per-path chunk rebuilds for the chunk runs (memory and
 /// compressed), B+tree key inserts/deletes for the paged index. The order of
@@ -377,7 +380,6 @@ pub enum EntryChange {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EntryDeltas {
     ops: Vec<(Vec<u8>, EntryChange)>,
-    counts: Vec<(Vec<u8>, u64)>,
 }
 
 impl EntryDeltas {
@@ -391,26 +393,10 @@ impl EntryDeltas {
         self.ops.push((key.to_vec(), change));
     }
 
-    /// Records the absolute walk count a key holds after a touch (0 means
-    /// the key was removed). Every count-changing write logs here — not just
-    /// existence transitions — so that backends which persist counts in their
-    /// values (the paged tree) and the write-ahead log can replay the batch to
-    /// the exact post-batch counts. Ordered replay ends at the final value,
-    /// which makes replay idempotent.
-    pub fn record_count(&mut self, key: &[u8], new_count: u64) {
-        self.counts.push((key.to_vec(), new_count));
-    }
-
     /// The recorded transitions: update after update, each update's in
     /// ascending key order.
     pub fn ops(&self) -> &[(Vec<u8>, EntryChange)] {
         &self.ops
-    }
-
-    /// The recorded absolute-count writes (0 = key removed): update after
-    /// update, each update's one per key in ascending key order.
-    pub fn counts(&self) -> &[(Vec<u8>, u64)] {
-        &self.counts
     }
 
     /// Number of recorded transitions.
@@ -420,18 +406,17 @@ impl EntryDeltas {
 
     /// `true` when nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty() && self.counts.is_empty()
+        self.ops.is_empty()
     }
 
     /// Forgets all recorded transitions (keeps the allocations).
     pub fn clear(&mut self) {
         self.ops.clear();
-        self.counts.clear();
     }
 }
 
 /// Everything a storage backend needs to absorb one effective update batch:
-/// the ordered key changes the counting index logged, and the size of the
+/// the ordered key changes [`crate::apply_op`] logged, and the size of the
 /// graph they leave behind. Per-path cardinalities are not part of it: each
 /// backend counts its own.
 #[derive(Debug, Clone, Copy)]
@@ -455,9 +440,9 @@ pub struct DeltaBatch<'a> {
 /// the key-level effects of live edge updates while staying consistent with a
 /// full rebuild over the updated graph.
 ///
-/// The counting delta enumeration happens once, backend-agnostically, in
-/// [`crate::IncrementalKPathIndex::apply_logged`], which walks the graph
-/// epochs around each update; implementors only replay the resulting
+/// The rederivation happens once, backend-agnostically, in
+/// [`crate::apply_op`], which walks the graph epochs around each update;
+/// implementors only replay the resulting
 /// [`DeltaBatch`] against their own storage. Both physical
 /// representations implement this: the chunk runs of the memory and the
 /// compressed backend (rebuilding, and re-encoding, only the touched chunks)
@@ -578,27 +563,6 @@ mod tests {
                 (b"k2".to_vec(), EntryChange::Added),
             ]
         );
-        log.clear();
-        assert!(log.is_empty());
-    }
-
-    #[test]
-    fn entry_deltas_log_absolute_counts() {
-        let mut log = EntryDeltas::new();
-        log.record_count(b"k1", 2);
-        log.record_count(b"k1", 0);
-        log.record_count(b"k2", 7);
-        assert_eq!(
-            log.counts(),
-            &[
-                (b"k1".to_vec(), 2),
-                (b"k1".to_vec(), 0),
-                (b"k2".to_vec(), 7),
-            ]
-        );
-        // Counts alone make the log non-empty: backends must see them even
-        // when no existence transition happened.
-        assert!(!log.is_empty());
         log.clear();
         assert!(log.is_empty());
     }

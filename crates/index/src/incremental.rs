@@ -2,51 +2,46 @@
 //!
 //! The paper builds `I_{G,k}` once over a static graph; keeping the index
 //! consistent while the graph changes is the natural follow-up (and the cost
-//! the paper's §3.1 footnote on index construction implicitly defers). This
-//! module implements **counting-based view maintenance** for the k-path
-//! index: every stored `⟨p, a, b⟩` entry carries the number of distinct walks
-//! of shape `p` from `a` to `b`, so that
+//! the paper's §3.1 footnote on index construction implicitly defers). §3.1's
+//! index is a *set* of `⟨p, a, b⟩` keys, and [`apply_op`] maintains that set
+//! by **rederivation** — the "delete and rederive" (DRed) side of Gupta,
+//! Mumick & Subrahmanian, *Maintaining Views Incrementally* (SIGMOD 1993),
+//! restricted to the keys one edge can touch. An op on edge `e` has two graph
+//! epochs: `G⁻` without `e` and `G⁺` with it.
 //!
-//! * inserting an edge adds, for every label path `p` of length ≤ k and every
-//!   position at which the new edge can participate, the product of the walk
-//!   counts of the prefix (walked on the graph epoch *without* the edge) and
-//!   of the suffix (walked on the epoch *with* it) — the standard
-//!   telescoping delta rule;
-//! * deleting an edge subtracts the symmetric products, and an entry is
-//!   removed only when its walk count reaches zero, which is exactly when no
-//!   alternative walk realizes the pair.
+//! * *Candidates.* Every `⟨p, a, b⟩` with a `p`-walk through `e`: per
+//!   orientation of `e` as a step, the prefixes walked toward it on `G⁻`
+//!   times the suffixes walked away from it on `G⁺` (splitting a walk at its
+//!   first use of `e`), `|p| ≤ k`.
+//! * *Transitions.* A candidate changes membership iff `(a, b) ∉ p(G⁻)`:
+//!   an insert adds it, a delete removes it; every other candidate keeps an
+//!   alternative walk that avoids `e`.
+//! * *The test.* Meet in the middle on `G⁻`: split `p = p₁ · p₂` at
+//!   `⌈|p|/2⌉`; `(a, b) ∈ p(G⁻)` iff the frontier of `a` along `p₁` meets the
+//!   frontier of `b` along `p₂⁻`. Frontiers are memoised for the op; at
+//!   `|p| = 2` the test is one merge of two sorted neighbour runs, at
+//!   `|p| = 1` an edge test.
 //!
-//! The index holds no adjacency of its own. The caller hands it the
-//! [`Graph`] epoch it describes; [`IncrementalKPathIndex::apply_logged`]
-//! advances that epoch by one op ([`Graph::insert_edge`] /
-//! [`Graph::remove_edge`], which also decide whether the op is a no-op) and
-//! walks the epochs on either side of it. Because the prefix/suffix walks
-//! live inside the k-neighborhood of the updated edge, a single update
-//! touches only that neighborhood rather than the whole index. Each op's
-//! walk-count writes come out one per key in ascending key order, so the
-//! same updates always produce the same log.
-//!
-//! The maintained key set is identical to [`crate::SharedKPathIndex`] built
-//! from scratch over the same graph (property-tested in this module and in
-//! the integration suite). The index keeps no statistics: the storage
-//! backends that replay its log count their own paths, and callers refresh
-//! [`crate::PathHistogram`] from those counts at whatever cadence their
-//! optimizer needs.
+//! The function holds no index of its own: the caller hands it the [`Graph`]
+//! epoch the index describes, and [`apply_op`] advances it by one op
+//! ([`Graph::insert_edge`] / [`Graph::remove_edge`], which also decide
+//! whether the op is a no-op) and walks the epochs on either side. Both live
+//! inside the k-neighbourhood of the edge, so an update costs that
+//! neighbourhood, never the index. Each op's transitions come out one per
+//! key in ascending key order, so the same updates always produce the same
+//! log; storage backends replay it and count their own paths.
 
 use crate::backend::{EntryChange, EntryDeltas};
-use crate::pathkey::{decode_entry, decode_pair, encode_entry, encode_path_prefix};
-use pathix_audit::{AuditReport, StructuralAudit};
+use crate::enumerate::PathRelation;
+use crate::pathkey::{encode_entry, encode_path_prefix};
 use pathix_graph::{EdgeOp, Graph, LabelId, NodeId, SignedLabel};
 use pathix_rpq::ast::inverse_path;
-use pathix_storage::prefix_successor;
 use std::cmp::Ordering;
-use std::collections::btree_map::{self, BTreeMap, Entry};
-use std::collections::HashMap;
-use std::ops::Bound;
+use std::collections::{BTreeMap, HashMap};
 
 /// An edge update applied to a `PathDb`: by id, or by name (the named forms
 /// intern unseen vocabulary on the fly). `PathDb::apply` resolves every
-/// variant to an [`EdgeOp`] before it reaches the [`IncrementalKPathIndex`].
+/// variant to an [`EdgeOp`] before it reaches [`apply_op`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GraphUpdate {
     /// Insert the edge `src --label--> dst` (no-op if already present).
@@ -153,386 +148,147 @@ impl GraphUpdate {
     }
 }
 
-/// A k-path index that stays consistent under edge insertions and deletions.
+/// Applies one edge operation: advances `graph` — the epoch the k-path index
+/// over label paths of length ≤ `k` currently describes — by `op`, and
+/// records in `log` every key that enters (insert) or leaves (delete) the
+/// index, one record per key in ascending key order. Returns `false`,
+/// changing and logging nothing, when `op` is a no-op on `graph` (an insert
+/// of a present edge, a delete of an absent one).
 ///
-/// Unlike [`crate::SharedKPathIndex`] (which stores the bare pairs), this
-/// index stores a walk count per `⟨p, a, b⟩` entry and applies counting delta
-/// rules on every update, so the visible pair sets always equal what a full
-/// rebuild over the current edge set would produce. It keeps no copy of the
-/// edges: [`IncrementalKPathIndex::apply_logged`] advances the caller's
-/// [`Graph`] epoch by the op and walks the epochs before and after it.
+/// This is the bridge that makes the storage backends mutable: the
+/// rederivation runs once here, and the resulting [`EntryDeltas`] are
+/// replayed verbatim against the chunk runs (plain and
+/// delta/varint-encoded) and the paged B+tree (see
+/// [`MutablePathIndexBackend`](crate::MutablePathIndexBackend)).
 ///
 /// ```
-/// use pathix_graph::{EdgeOp, GraphBuilder};
-/// use pathix_index::{EntryDeltas, IncrementalKPathIndex};
+/// use pathix_graph::{EdgeOp, GraphBuilder, SignedLabel};
+/// use pathix_index::pathkey::encode_entry;
+/// use pathix_index::{apply_op, EntryChange, EntryDeltas};
 ///
 /// let mut builder = GraphBuilder::new();
 /// let [ada, jan, zoe] = ["ada", "jan", "zoe"].map(|name| builder.add_node(name));
 /// let knows = builder.add_label("knows");
 /// let mut graph = builder.build();
-/// let mut index = IncrementalKPathIndex::bulk_from_graph(&graph, 2);
 /// let mut log = EntryDeltas::new();
-/// index.apply_logged(&mut graph, EdgeOp::insert(ada, knows, jan), &mut log);
-/// index.apply_logged(&mut graph, EdgeOp::insert(jan, knows, zoe), &mut log);
-/// let kk = [knows.into(), knows.into()];
-/// assert_eq!(index.scan_path(&kk), vec![(ada, zoe)]);
-/// assert!(index.apply_logged(&mut graph, EdgeOp::delete(jan, knows, zoe), &mut log));
-/// assert!(index.scan_path(&kk).is_empty());
+/// assert!(apply_op(&mut graph, 2, EdgeOp::insert(ada, knows, jan), &mut log));
+/// assert!(apply_op(&mut graph, 2, EdgeOp::insert(jan, knows, zoe), &mut log));
+/// let kk = [SignedLabel::forward(knows); 2];
+/// let ada_zoe = encode_entry(&kk, ada, zoe);
+/// assert!(log.ops().contains(&(ada_zoe.clone(), EntryChange::Added)));
+///
+/// log.clear();
+/// assert!(apply_op(&mut graph, 2, EdgeOp::delete(jan, knows, zoe), &mut log));
+/// assert!(log.ops().contains(&(ada_zoe, EntryChange::Removed)));
 /// assert!(!graph.has_edge(jan, knows, zoe));
+/// // Deleting it again is a no-op.
+/// log.clear();
+/// assert!(!apply_op(&mut graph, 2, EdgeOp::delete(jan, knows, zoe), &mut log));
+/// assert!(log.is_empty());
 /// ```
-#[derive(Debug, Clone)]
-pub struct IncrementalKPathIndex {
-    k: usize,
-    /// `⟨p, a, b⟩ → walk count`, keyed by the [`crate::pathkey`] encoding.
-    tree: BTreeMap<Vec<u8>, u64>,
-}
-
-impl IncrementalKPathIndex {
-    /// Builds the index over an existing graph with bulk counted path
-    /// enumeration — the same level-by-level joins [`crate::enumerate_paths`]
-    /// runs, except carrying walk multiplicities — and a single bulk load.
-    ///
-    /// The result is identical to replaying the graph's edges one insertion
-    /// at a time (property-tested) at a fraction of the cost, which is what
-    /// makes upgrading a bulk-built database to live updates affordable.
-    pub fn bulk_from_graph(graph: &Graph, k: usize) -> Self {
-        assert!(k >= 1, "the k-path index requires k ≥ 1");
-        let mut entries: Vec<(Vec<u8>, u64)> = enumerate_counted_paths(graph, k)
-            .iter()
-            .flat_map(|(path, pairs)| {
-                pairs
-                    .iter()
-                    .map(move |&((a, b), walks)| (encode_entry(path, a, b), walks))
-            })
-            .collect();
-        // Paths of different lengths interleave in key order; sorting in
-        // place first makes the map's bulk build a single linear pass.
-        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        IncrementalKPathIndex {
-            k,
-            tree: entries.into_iter().collect(),
-        }
-    }
-
-    /// Rebuilds a live writer from persisted `(entry key, walk count)` pairs
-    /// — the values a durable backend (the paged B+tree) stores on disk.
-    ///
-    /// This is the restart path: instead of re-enumerating every counted path
-    /// relation of the graph ([`IncrementalKPathIndex::bulk_from_graph`]),
-    /// the entries stream straight into a bulk load. `entries` must arrive
-    /// in ascending key order (the order any tree scan yields) with strictly
-    /// positive counts.
-    ///
-    /// Fails (with a description, to be wrapped by the caller) when a key is
-    /// not a well-formed `⟨p, a, b⟩` entry, when a count is zero, or when the
-    /// keys are out of order — all symptoms of a corrupt persisted tree.
-    pub fn from_persisted_entries(
-        k: usize,
-        entries: impl IntoIterator<Item = (Vec<u8>, u64)>,
-    ) -> Result<Self, String> {
-        if k < 1 {
-            return Err("the k-path index requires k ≥ 1".to_string());
-        }
-        let mut loaded: Vec<(Vec<u8>, u64)> = Vec::new();
-        for (key, count) in entries {
-            let Some((path, a, b)) = decode_entry(&key) else {
-                return Err(format!(
-                    "persisted key of {} byte(s) is not a well-formed index entry",
-                    key.len()
-                ));
-            };
-            if count == 0 {
-                return Err(format!(
-                    "persisted entry for path {path:?} pair ({a:?}, {b:?}) has a zero walk count"
-                ));
-            }
-            if let Some((prev, _)) = loaded.last() {
-                if *prev >= key {
-                    return Err("persisted entries are not in ascending key order".to_string());
-                }
-            }
-            loaded.push((key, count));
-        }
-        Ok(IncrementalKPathIndex {
-            k,
-            tree: loaded.into_iter().collect(),
-        })
-    }
-
-    /// The locality parameter k.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Number of `⟨p, a, b⟩` entries currently stored.
-    pub fn entry_count(&self) -> usize {
-        self.tree.len()
-    }
-
-    /// `I_{G,k}(⟨p⟩)`: the current pairs of `p(G)` in `(source, target)`
-    /// order.
-    ///
-    /// Panics if `path` is empty or longer than k.
-    pub fn scan_path(&self, path: &[SignedLabel]) -> Vec<(NodeId, NodeId)> {
-        assert!(
-            !path.is_empty() && path.len() <= self.k,
-            "scan_path expects a path of length 1..=k"
-        );
-        prefix_range(&self.tree, &encode_path_prefix(path))
-            .map(|(key, _)| decode_pair(key))
-            .collect()
-    }
-
-    /// Membership test for `⟨p, a, b⟩`.
-    pub fn contains(&self, path: &[SignedLabel], source: NodeId, target: NodeId) -> bool {
-        self.tree
-            .contains_key(encode_entry(path, source, target).as_slice())
-    }
-
-    /// Number of distinct walks of shape `path` from `source` to `target`
-    /// (zero if the pair is not in the index).
-    pub fn walk_count(&self, path: &[SignedLabel], source: NodeId, target: NodeId) -> u64 {
-        self.tree
-            .get(encode_entry(path, source, target).as_slice())
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Applies one edge operation: advances `graph` — the epoch the index
-    /// currently describes — by `op`, updates every affected entry, and
-    /// records each key-level transition (entry appeared / disappeared) and
-    /// each absolute walk-count write in `log`, one write per key in
-    /// ascending key order. Returns `false`, changing and logging nothing,
-    /// when `op` is a no-op on `graph` (an insert of a present edge, a
-    /// delete of an absent one).
-    ///
-    /// This is the bridge that makes the storage backends mutable: the
-    /// counting delta enumeration runs once here, and the resulting
-    /// [`EntryDeltas`] are replayed verbatim against the chunk runs (plain
-    /// and delta/varint-encoded) and the paged B+tree (see
-    /// [`MutablePathIndexBackend`](crate::MutablePathIndexBackend)).
-    ///
-    /// # Panics
-    /// Panics if an endpoint or the label of `op` is not interned in `graph`.
-    pub fn apply_logged(&mut self, graph: &mut Graph, op: EdgeOp, log: &mut EntryDeltas) -> bool {
-        let before = graph.clone();
-        let changed = if op.insert {
-            graph.insert_edge(op.src, op.label, op.dst)
-        } else {
-            graph.remove_edge(op.src, op.label, op.dst)
-        };
-        if !changed {
-            return false;
-        }
-        // Prefixes walk the epoch without the edge, suffixes the epoch with
-        // it: Δ(R₁⋯Rₙ) = Σᵢ R₁ᵒ⋯Rᵢ₋₁ᵒ · Δe · Rᵢ₊₁ⁿ⋯Rₙⁿ for an insertion
-        // (old → new). A deletion subtracts the same products with the roles
-        // of the two epochs swapped (new → old).
-        let (without, with) = if op.insert {
-            (&before, &*graph)
-        } else {
-            (&*graph, &before)
-        };
-        for (key, count) in self.edge_delta(without, with, op) {
-            if op.insert {
-                self.add_to_entry(key, count, log);
-            } else {
-                self.subtract_from_entry(&key, count, log);
-            }
-        }
-        true
-    }
-
-    /// Walk-count deltas contributed by the edge of `op` for every label path
-    /// of length ≤ k, with path prefixes walked on `without` (the epoch
-    /// lacking the edge) and suffixes on `with` (the epoch holding it), as
-    /// encoded `(key, count)` pairs in ascending key order, one per key.
-    fn edge_delta(&self, without: &Graph, with: &Graph, op: EdgeOp) -> Vec<(Vec<u8>, u64)> {
-        let mut out = Vec::new();
-        // The two orientations in which the edge can realize a path step: a
-        // `+ℓ` step gains the pair (src, dst), a `ℓ⁻` step gains (dst, src).
-        // Every (path, position) combination is covered by exactly one of
-        // them, so there is no double counting (including self-loops).
-        let orientations = [
-            (SignedLabel::forward(op.label), op.src, op.dst),
-            (SignedLabel::backward(op.label), op.dst, op.src),
-        ];
-        for (step, step_from, step_to) in orientations {
-            // All (prefix, suffix) shapes around the step, |prefix| + 1 +
-            // |suffix| ≤ k. Prefix walks end at `step_from`, suffix walks
-            // start at `step_to`.
-            let prefixes = walks_by_path(without, step_from, self.k - 1, true);
-            let suffixes = walks_by_path(with, step_to, self.k - 1, false);
-            for (prefix, sources) in &prefixes {
-                for (suffix, targets) in &suffixes {
-                    if prefix.len() + 1 + suffix.len() > self.k {
-                        continue;
-                    }
-                    let path = [prefix.as_slice(), &[step][..], suffix.as_slice()].concat();
-                    for (&a, &ca) in sources {
-                        for (&b, &cb) in targets {
-                            out.push((encode_entry(&path, a, b), ca * cb));
-                        }
-                    }
-                }
-            }
-        }
-        // Different splits of one path around the step can reach the same
-        // entry: sort by key and fold them into one write.
-        out.sort_unstable_by(|x, y| x.0.cmp(&y.0));
-        out.dedup_by(|next, kept| {
-            let same = next.0 == kept.0;
-            if same {
-                kept.1 += next.1;
-            }
-            same
-        });
-        out
-    }
-
-    fn add_to_entry(&mut self, key: Vec<u8>, delta: u64, log: &mut EntryDeltas) {
-        debug_assert!(delta > 0);
-        match self.tree.entry(key) {
-            Entry::Occupied(mut slot) => {
-                *slot.get_mut() += delta;
-                log.record_count(slot.key(), *slot.get());
-            }
-            Entry::Vacant(slot) => {
-                log.record(slot.key(), EntryChange::Added);
-                log.record_count(slot.key(), delta);
-                slot.insert(delta);
-            }
-        }
-    }
-
-    fn subtract_from_entry(&mut self, key: &[u8], delta: u64, log: &mut EntryDeltas) {
-        let count = self
-            .tree
-            .get_mut(key)
-            .expect("deletion delta must target an existing entry");
-        debug_assert!(*count >= delta, "walk counts must not go negative");
-        if *count > delta {
-            *count -= delta;
-            log.record_count(key, *count);
-        } else {
-            log.record(key, EntryChange::Removed);
-            log.record_count(key, 0);
-            self.tree.remove(key);
-        }
-    }
-}
-
-/// A label path with its walk-counted pair relation, sorted by `(a, b)`.
-pub type CountedRelation = (Vec<SignedLabel>, Vec<((NodeId, NodeId), u64)>);
-
-/// Computes, level by level, the counted relation of every label path of
-/// length ≤ k: `path → sorted [((a, b), #walks)]`. The mirror-path trick of
-/// [`crate::enumerate_paths`] applies unchanged because walk counts are
-/// converse-symmetric. The result is ordered by `(length, path)`.
 ///
-/// Public so durable backends (the paged B+tree) can bulk-build the same
-/// counted entries [`IncrementalKPathIndex::bulk_from_graph`] seeds from.
-pub fn enumerate_counted_paths(graph: &Graph, k: usize) -> Vec<CountedRelation> {
-    let mut result: Vec<CountedRelation> = Vec::new();
-    let mut prev: Vec<CountedRelation> = graph
-        .signed_labels()
-        .filter_map(|sl| {
-            let pairs: Vec<((NodeId, NodeId), u64)> = graph
-                .signed_pairs(sl)
-                .into_iter()
-                .map(|pair| (pair, 1))
-                .collect();
-            (!pairs.is_empty()).then(|| (vec![sl], pairs))
-        })
-        .collect();
-    for _level in 2..=k {
-        let mut next: Vec<CountedRelation> = Vec::new();
-        for (path, pairs) in &prev {
-            for sl in graph.signed_labels() {
-                let mut extended = path.clone();
-                extended.push(sl);
-                let inv = inverse_path(&extended);
-                if extended.cmp(&inv) == Ordering::Greater {
+/// # Panics
+/// Panics if `k` is 0, or if an endpoint or the label of `op` is not
+/// interned in `graph`.
+pub fn apply_op(graph: &mut Graph, k: usize, op: EdgeOp, log: &mut EntryDeltas) -> bool {
+    assert!(k >= 1, "the k-path index requires k ≥ 1");
+    let before = graph.clone();
+    let changed = if op.insert {
+        graph.insert_edge(op.src, op.label, op.dst)
+    } else {
+        graph.remove_edge(op.src, op.label, op.dst)
+    };
+    if !changed {
+        return false;
+    }
+    let (without, with) = if op.insert {
+        (&before, &*graph)
+    } else {
+        (&*graph, &before)
+    };
+    let change = if op.insert {
+        EntryChange::Added
+    } else {
+        EntryChange::Removed
+    };
+    let mut frontiers = Frontiers::on(without);
+    for PathRelation { path, pairs } in candidates(without, with, k, op) {
+        let split = path.len().div_ceil(2);
+        let head = frontiers.half(&path[..split]);
+        let tail = frontiers.half(&inverse_path(&path[split..]));
+        for (a, b) in pairs {
+            if !frontiers.meet(head, a, tail, b) {
+                log.record(&encode_entry(&path, a, b), change);
+            }
+        }
+    }
+    true
+}
+
+/// The keys a walk through the edge of `op` can realise, grouped by path in
+/// key order, each path's pairs sorted and distinct: per orientation of the
+/// edge as a step, every prefix walked toward it on `without` (the epoch
+/// lacking the edge) times every suffix walked away from it on `with` (the
+/// epoch holding it), `|prefix| + 1 + |suffix| ≤ k`.
+fn candidates(without: &Graph, with: &Graph, k: usize, op: EdgeOp) -> Vec<PathRelation> {
+    // Keyed by the encoded ⟨p⟩ prefix: its length byte comes first, so no
+    // path's prefix starts another's, and prefix order is key order.
+    let mut by_path: BTreeMap<Vec<u8>, PathRelation> = BTreeMap::new();
+    // A `+ℓ` step realises the pair (src, dst), an `ℓ⁻` step (dst, src).
+    let orientations = [
+        (SignedLabel::forward(op.label), op.src, op.dst),
+        (SignedLabel::backward(op.label), op.dst, op.src),
+    ];
+    for (step, step_from, step_to) in orientations {
+        let prefixes = reach_by_path(without, step_from, k - 1, true);
+        let suffixes = reach_by_path(with, step_to, k - 1, false);
+        for (prefix, sources) in &prefixes {
+            for (suffix, targets) in &suffixes {
+                if prefix.len() + 1 + suffix.len() > k {
                     continue;
                 }
-                let mut counted: HashMap<(NodeId, NodeId), u64> = HashMap::new();
-                for &((a, b), walks) in pairs {
-                    for c in graph.neighbors(b, sl) {
-                        *counted.entry((a, c)).or_insert(0) += walks;
-                    }
-                }
-                if counted.is_empty() {
-                    continue;
-                }
-                let mut sorted: Vec<_> = counted.into_iter().collect();
-                sorted.sort_unstable_by_key(|&(pair, _)| pair);
-                if extended != inv {
-                    let mut mirror: Vec<_> = sorted
+                let path = [prefix.as_slice(), &[step][..], suffix.as_slice()].concat();
+                let rel =
+                    by_path
+                        .entry(encode_path_prefix(&path))
+                        .or_insert_with(|| PathRelation {
+                            path,
+                            pairs: Vec::new(),
+                        });
+                rel.pairs.extend(
+                    sources
                         .iter()
-                        .map(|&((a, b), walks)| ((b, a), walks))
-                        .collect();
-                    mirror.sort_unstable_by_key(|&(pair, _)| pair);
-                    next.push((inv, mirror));
-                }
-                next.push((extended, sorted));
+                        .flat_map(|&a| targets.iter().map(move |&b| (a, b))),
+                );
             }
         }
-        result.append(&mut prev);
-        prev = next;
     }
-    result.append(&mut prev);
-    result.sort_by(|a, b| (a.0.len(), &a.0).cmp(&(b.0.len(), &b.0)));
-    result
+    by_path
+        .into_values()
+        .map(|mut rel| {
+            rel.pairs.sort_unstable();
+            rel.pairs.dedup();
+            rel
+        })
+        .collect()
 }
 
-impl StructuralAudit for IncrementalKPathIndex {
-    /// Checks the entry tree:
-    ///
-    /// * `entry-decodable` — every stored key is a well-formed `⟨p, a, b⟩`
-    ///   entry;
-    /// * `walk-count-positive` — no entry survives at a zero walk count (the
-    ///   delta rules must remove a pair exactly when its last walk dies).
-    fn audit(&self, report: &mut AuditReport) {
-        let mut undecodable = 0u64;
-        let mut zero_count = 0u64;
-        let mut first_zero = String::new();
-        for (key, &count) in &self.tree {
-            let Some((path, a, b)) = decode_entry(key) else {
-                undecodable += 1;
-                continue;
-            };
-            if count == 0 {
-                zero_count += 1;
-                if first_zero.is_empty() {
-                    first_zero = format!("path {path:?} pair ({a:?}, {b:?})");
-                }
-            }
-        }
-        report.check("entry-decodable", "tree", undecodable == 0, || {
-            format!("{undecodable} stored key(s) are not well-formed index entries")
-        });
-        report.check("walk-count-positive", "tree", zero_count == 0, || {
-            format!("{zero_count} entry(ies) stored with a zero walk count, first at {first_zero}")
-        });
-    }
-}
-
-/// Enumerates, for every label path `q` with `|q| ≤ max_len`, the walk
-/// counts on `graph` between `anchor` and the far endpoint.
+/// Enumerates, for every label path `q` with `|q| ≤ max_len`, the nodes at
+/// the far end of a `q`-walk on `graph` that has `anchor` at one end,
+/// ascending and distinct.
 ///
-/// With `toward_anchor = false` the result maps `q → {end ↦ #walks of q
-/// from anchor to end}`; with `toward_anchor = true` it maps `q → {start ↦
-/// #walks of q from start to anchor}`.
-fn walks_by_path(
+/// With `toward_anchor = false` the result maps `q → {end | anchor -q-> end}`;
+/// with `toward_anchor = true` it maps `q → {start | start -q-> anchor}`.
+fn reach_by_path(
     graph: &Graph,
     anchor: NodeId,
     max_len: usize,
     toward_anchor: bool,
-) -> Vec<(Vec<SignedLabel>, HashMap<NodeId, u64>)> {
-    let mut result = vec![(Vec::new(), HashMap::from([(anchor, 1u64)]))];
+) -> Vec<(Vec<SignedLabel>, Vec<NodeId>)> {
+    let mut result = vec![(Vec::new(), vec![anchor])];
     let mut frontier = 0;
     while frontier < result.len() {
-        let (path, counts) = &result[frontier];
+        let (path, nodes) = &result[frontier];
         frontier += 1;
         if path.len() == max_len {
             continue;
@@ -543,12 +299,7 @@ fn walks_by_path(
             // traverses the new first step backwards; walking away extends
             // on the right and traverses it forwards.
             let traverse = if toward_anchor { sl.inverse() } else { sl };
-            let mut next: HashMap<NodeId, u64> = HashMap::new();
-            for (&node, &count) in counts {
-                for to in graph.neighbors(node, traverse) {
-                    *next.entry(to).or_insert(0) += count;
-                }
-            }
+            let next = step(graph, nodes, traverse);
             if next.is_empty() {
                 continue;
             }
@@ -564,62 +315,135 @@ fn walks_by_path(
     result
 }
 
-/// The entries of `tree` whose key starts with `prefix`, in key order: the
-/// half-open range `[prefix, prefix_successor(prefix))`, unbounded above when
-/// no successor exists (an empty or all-`0xFF` prefix).
-fn prefix_range<'a>(
-    tree: &'a BTreeMap<Vec<u8>, u64>,
-    prefix: &[u8],
-) -> btree_map::Range<'a, Vec<u8>, u64> {
-    let successor = prefix_successor(prefix);
-    let upper = successor
-        .as_deref()
-        .map_or(Bound::Unbounded, Bound::Excluded);
-    tree.range::<[u8], _>((Bound::Included(prefix), upper))
+/// The nodes one `sl` step away from any of `nodes`, ascending and distinct.
+fn step(graph: &Graph, nodes: &[NodeId], sl: SignedLabel) -> Vec<NodeId> {
+    let mut next: Vec<NodeId> = nodes.iter().flat_map(|&n| graph.neighbors(n, sl)).collect();
+    next.sort_unstable();
+    next.dedup();
+    next
+}
+
+/// Frontiers on one graph epoch, memoised for one op: the nodes reachable
+/// from a node along a half path, keyed by `(half, node)`, where halves are
+/// interned once per path they split.
+struct Frontiers<'g> {
+    graph: &'g Graph,
+    ids: HashMap<Vec<SignedLabel>, usize>,
+    halves: Vec<Vec<SignedLabel>>,
+    memo: HashMap<(usize, NodeId), Vec<NodeId>>,
+}
+
+impl<'g> Frontiers<'g> {
+    fn on(graph: &'g Graph) -> Self {
+        Frontiers {
+            graph,
+            ids: HashMap::new(),
+            halves: Vec::new(),
+            memo: HashMap::new(),
+        }
+    }
+
+    /// The id of the half path `half`.
+    fn half(&mut self, half: &[SignedLabel]) -> usize {
+        if let Some(&id) = self.ids.get(half) {
+            return id;
+        }
+        let id = self.halves.len();
+        self.ids.insert(half.to_vec(), id);
+        self.halves.push(half.to_vec());
+        id
+    }
+
+    /// Computes the frontier of `node` along half `id` unless memoised.
+    fn ensure(&mut self, id: usize, node: NodeId) {
+        let (graph, half) = (self.graph, &self.halves[id]);
+        self.memo.entry((id, node)).or_insert_with(|| {
+            half.iter()
+                .fold(vec![node], |nodes, &sl| step(graph, &nodes, sl))
+        });
+    }
+
+    /// `true` iff some node is reachable from `a` along half `head` and from
+    /// `b` along half `tail`: `(a, b) ∈ (head · tail⁻)(G)`.
+    fn meet(&mut self, head: usize, a: NodeId, tail: usize, b: NodeId) -> bool {
+        self.ensure(head, a);
+        self.ensure(tail, b);
+        let (xs, ys) = (&self.memo[&(head, a)], &self.memo[&(tail, b)]);
+        let (mut i, mut j) = (0, 0);
+        while i < xs.len() && j < ys.len() {
+            match xs[i].cmp(&ys[j]) {
+                Ordering::Less => i += 1,
+                Ordering::Greater => j += 1,
+                Ordering::Equal => return true,
+            }
+        }
+        false
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::enumerate_paths;
-    use crate::pathkey::encode_path_source_prefix;
+    use crate::pathkey::decode_entry;
     use pathix_datagen::paper_example_graph;
     use pathix_graph::GraphBuilder;
     use std::collections::BTreeSet;
 
     type Edge = (NodeId, LabelId, NodeId);
 
-    /// A counting index together with the graph epoch it walks.
+    /// The keys of `I_{G,k}` over `graph`, from a full enumeration.
+    fn key_set(graph: &Graph, k: usize) -> BTreeSet<Vec<u8>> {
+        enumerate_paths(graph, k)
+            .iter()
+            .flat_map(|rel| {
+                rel.pairs
+                    .iter()
+                    .map(move |&(a, b)| encode_entry(&rel.path, a, b))
+            })
+            .collect()
+    }
+
+    /// A key set kept by replaying [`apply_op`]'s log, together with the
+    /// graph epoch it describes.
     struct Live {
-        index: IncrementalKPathIndex,
+        k: usize,
         graph: Graph,
+        keys: BTreeSet<Vec<u8>>,
     }
 
     impl Live {
-        /// The bulk-seeded index over `graph`.
+        /// The key set over `graph`, seeded by a full enumeration.
         fn over(graph: &Graph, k: usize) -> Live {
             Live {
-                index: IncrementalKPathIndex::bulk_from_graph(graph, k),
+                k,
                 graph: graph.clone(),
+                keys: key_set(graph, k),
             }
         }
 
-        /// The index at `k` over an edgeless graph that interns nodes
+        /// The key set at `k` over an edgeless graph that interns nodes
         /// `0..nodes` and labels `0..labels`.
         fn blank(k: usize, nodes: u32, labels: u16) -> Live {
-            let mut builder = GraphBuilder::new();
-            for node in 0..nodes {
-                builder.add_node(&node.to_string());
-            }
-            for label in 0..labels {
-                builder.add_label(&label.to_string());
-            }
-            Live::over(&builder.build(), k)
+            Live::over(&blank_graph(nodes, labels), k)
         }
 
+        /// Applies `op`, replaying its log into the key set; a double add or
+        /// the removal of an absent key fails the test.
         fn apply(&mut self, op: EdgeOp) -> bool {
-            self.index
-                .apply_logged(&mut self.graph, op, &mut EntryDeltas::new())
+            let mut log = EntryDeltas::new();
+            let changed = apply_op(&mut self.graph, self.k, op, &mut log);
+            self.replay(&log);
+            changed
+        }
+
+        fn replay(&mut self, log: &EntryDeltas) {
+            for (key, change) in log.ops() {
+                match change {
+                    EntryChange::Added => assert!(self.keys.insert(key.clone()), "double add"),
+                    EntryChange::Removed => assert!(self.keys.remove(key), "remove of absent key"),
+                }
+            }
         }
 
         fn insert(&mut self, src: NodeId, label: LabelId, dst: NodeId) -> bool {
@@ -629,6 +453,32 @@ mod tests {
         fn delete(&mut self, src: NodeId, label: LabelId, dst: NodeId) -> bool {
             self.apply(EdgeOp::delete(src, label, dst))
         }
+
+        fn contains(&self, path: &[SignedLabel], a: NodeId, b: NodeId) -> bool {
+            self.keys.contains(&encode_entry(path, a, b))
+        }
+
+        /// The pairs of `path` in the key set, in `(source, target)` order.
+        fn scan_path(&self, path: &[SignedLabel]) -> Vec<(NodeId, NodeId)> {
+            self.keys
+                .iter()
+                .filter_map(|key| decode_entry(key))
+                .filter(|(p, _, _)| p == path)
+                .map(|(_, a, b)| (a, b))
+                .collect()
+        }
+    }
+
+    /// An edgeless graph interning nodes `0..nodes` and labels `0..labels`.
+    fn blank_graph(nodes: u32, labels: u16) -> Graph {
+        let mut builder = GraphBuilder::new();
+        for node in 0..nodes {
+            builder.add_node(&node.to_string());
+        }
+        for label in 0..labels {
+            builder.add_label(&label.to_string());
+        }
+        builder.build()
     }
 
     /// The labeled edges of `g`.
@@ -638,7 +488,7 @@ mod tests {
             .collect()
     }
 
-    /// The index over `g` built by replaying its edges one insertion at a
+    /// The key set over `g` kept by replaying its edges one insertion at a
     /// time, starting from `g`'s node and label ids without any edge.
     fn replayed(g: &Graph, k: usize) -> Live {
         let mut live = Live::blank(k, g.node_count() as u32, g.label_count() as u16);
@@ -710,11 +560,14 @@ mod tests {
         result
     }
 
-    fn assert_matches_oracle(index: &IncrementalKPathIndex, edges: &BTreeSet<Edge>, labels: u16) {
-        for path in all_paths(labels, index.k()) {
+    fn assert_matches_oracle(live: &Live, edges: &BTreeSet<Edge>, labels: u16) {
+        for path in all_paths(labels, live.k) {
             let expected = oracle_pairs(edges, &path);
-            let actual = index.scan_path(&path);
-            assert_eq!(actual, expected, "pair set mismatch for path {path:?}");
+            assert_eq!(
+                live.scan_path(&path),
+                expected,
+                "pair set mismatch for path {path:?}"
+            );
         }
     }
 
@@ -723,19 +576,13 @@ mod tests {
         let g = paper_example_graph();
         for k in 1..=3 {
             let relations = enumerate_paths(&g, k);
-            let incremental = replayed(&g, k).index;
+            let live = replayed(&g, k);
             assert_eq!(
-                incremental.entry_count(),
+                live.keys.len(),
                 relations.iter().map(|r| r.pairs.len()).sum::<usize>()
             );
             for rel in &relations {
-                assert!(rel.pairs.windows(2).all(|w| w[0] < w[1]));
-                assert_eq!(
-                    incremental.scan_path(&rel.path),
-                    rel.pairs,
-                    "path {:?}",
-                    rel.path
-                );
+                assert_eq!(live.scan_path(&rel.path), rel.pairs, "path {:?}", rel.path);
             }
         }
     }
@@ -758,7 +605,7 @@ mod tests {
         for edge in script {
             assert!(live.insert(edge.0, edge.1, edge.2));
             edges.insert(edge);
-            assert_matches_oracle(&live.index, &edges, 2);
+            assert_matches_oracle(&live, &edges, 2);
         }
     }
 
@@ -772,7 +619,7 @@ mod tests {
         for edge in script {
             assert!(live.delete(edge.0, edge.1, edge.2));
             edges.remove(&edge);
-            assert_matches_oracle(&live.index, &edges, labels);
+            assert_matches_oracle(&live, &edges, labels);
         }
     }
 
@@ -783,7 +630,7 @@ mod tests {
         for (src, label, dst) in edges_of(&g) {
             assert!(live.delete(src, label, dst));
         }
-        assert_eq!(live.index.entry_count(), 0);
+        assert!(live.keys.is_empty());
         assert_eq!(live.graph.edge_count(), 0);
     }
 
@@ -791,15 +638,31 @@ mod tests {
     fn insert_then_delete_restores_previous_state() {
         let g = paper_example_graph();
         let mut live = replayed(&g, 2);
-        let before = live.index.tree.clone();
+        let before = live.keys.clone();
         let knows = g.label_id("knows").unwrap();
         let sue = g.node_id("sue").unwrap();
         let tim = g.node_id("tim").unwrap();
         assert!(!g.has_edge(sue, knows, tim));
-        assert!(live.insert(sue, knows, tim));
-        assert_ne!(live.index.entry_count(), before.len());
-        assert!(live.delete(sue, knows, tim));
-        assert_eq!(live.index.tree, before);
+        let (mut added, mut removed) = (EntryDeltas::new(), EntryDeltas::new());
+        assert!(apply_op(
+            &mut live.graph,
+            2,
+            EdgeOp::insert(sue, knows, tim),
+            &mut added
+        ));
+        live.replay(&added);
+        assert_ne!(live.keys, before);
+        assert!(apply_op(
+            &mut live.graph,
+            2,
+            EdgeOp::delete(sue, knows, tim),
+            &mut removed
+        ));
+        live.replay(&removed);
+        assert_eq!(live.keys, before);
+        // The delete takes back exactly the keys the insert brought.
+        let keys = |log: &EntryDeltas| log.ops().iter().map(|(k, _)| k.clone()).collect::<Vec<_>>();
+        assert_eq!(keys(&added), keys(&removed));
     }
 
     #[test]
@@ -807,14 +670,12 @@ mod tests {
         let knows = LabelId(0);
         let mut live = Live::blank(2, 7, 1);
         assert!(live.insert(NodeId(0), knows, NodeId(1)));
-        let entries = live.index.entry_count();
         let mut log = EntryDeltas::new();
         for op in [
             EdgeOp::insert(NodeId(0), knows, NodeId(1)),
             EdgeOp::delete(NodeId(5), knows, NodeId(6)),
         ] {
-            assert!(!live.index.apply_logged(&mut live.graph, op, &mut log));
-            assert_eq!(live.index.entry_count(), entries);
+            assert!(!apply_op(&mut live.graph, 2, op, &mut log));
         }
         assert!(log.is_empty());
         assert_eq!(live.graph.edge_count(), 1);
@@ -831,36 +692,60 @@ mod tests {
         live.insert(NodeId(0), l, NodeId(2));
         live.insert(NodeId(2), l, NodeId(3));
         let ll = [SignedLabel::forward(l), SignedLabel::forward(l)];
-        assert_eq!(live.index.walk_count(&ll, NodeId(0), NodeId(3)), 2);
+        assert!(live.contains(&ll, NodeId(0), NodeId(3)));
         live.delete(NodeId(1), l, NodeId(3));
-        assert!(live.index.contains(&ll, NodeId(0), NodeId(3)));
-        assert_eq!(live.index.walk_count(&ll, NodeId(0), NodeId(3)), 1);
+        assert!(live.contains(&ll, NodeId(0), NodeId(3)));
         live.delete(NodeId(2), l, NodeId(3));
-        assert!(!live.index.contains(&ll, NodeId(0), NodeId(3)));
+        assert!(!live.contains(&ll, NodeId(0), NodeId(3)));
     }
 
     #[test]
     fn self_loops_are_counted_once_per_walk() {
+        // A loop lies on its own walks in both orientations: every key it
+        // realises must still be logged once.
         let l = LabelId(0);
-        let mut live = Live::blank(3, 8, 1);
-        live.insert(NodeId(7), l, NodeId(7));
-        let edges: BTreeSet<Edge> = [(NodeId(7), l, NodeId(7))].into_iter().collect();
-        assert_matches_oracle(&live.index, &edges, 1);
-        // One loop edge yields exactly one walk of each length n: the loop
-        // traversed n times (forwards or backwards per step).
-        let p = [SignedLabel::forward(l), SignedLabel::backward(l)];
-        assert_eq!(live.index.walk_count(&p, NodeId(7), NodeId(7)), 1);
+        let mut log = EntryDeltas::new();
+        let mut graph = blank_graph(8, 1);
+        assert!(apply_op(
+            &mut graph,
+            3,
+            EdgeOp::insert(NodeId(7), l, NodeId(7)),
+            &mut log
+        ));
+        let logged: BTreeSet<Vec<u8>> = log.ops().iter().map(|(k, _)| k.clone()).collect();
+        assert_eq!(logged.len(), log.len(), "a key logged twice");
+        assert_eq!(logged, key_set(&graph, 3));
+        // One loop yields (7, 7) under each of the 2 + 4 + 8 signed paths.
+        assert_eq!(log.len(), 14);
+        let mut live = Live::over(&graph, 3);
         live.delete(NodeId(7), l, NodeId(7));
-        assert_eq!(live.index.entry_count(), 0);
+        assert!(live.keys.is_empty());
     }
 
     #[test]
     fn scan_output_is_sorted_by_source_then_target() {
+        // Within one op the log is in key order, so one path's pairs come in
+        // (source, target) order.
         let g = paper_example_graph();
-        let index = replayed(&g, 2).index;
-        let knows = SignedLabel::forward(g.label_id("knows").unwrap());
-        let pairs = index.scan_path(&[knows, knows]);
-        assert!(!pairs.is_empty());
+        let knows = g.label_id("knows").unwrap();
+        let kk = [SignedLabel::forward(knows); 2];
+        let mut graph = g.clone();
+        let mut log = EntryDeltas::new();
+        let (sue, tim) = (g.node_id("sue").unwrap(), g.node_id("tim").unwrap());
+        assert!(apply_op(
+            &mut graph,
+            2,
+            EdgeOp::insert(tim, knows, sue),
+            &mut log
+        ));
+        let pairs: Vec<(NodeId, NodeId)> = log
+            .ops()
+            .iter()
+            .filter_map(|(key, _)| decode_entry(key))
+            .filter(|(p, _, _)| p == &kk)
+            .map(|(_, a, b)| (a, b))
+            .collect();
+        assert!(pairs.len() > 1, "{pairs:?}");
         assert!(pairs.windows(2).all(|w| w[0] < w[1]));
     }
 
@@ -869,12 +754,11 @@ mod tests {
         let g = paper_example_graph();
         for k in 1..=3 {
             let Live {
-                index: replayed,
+                keys: replayed,
                 graph: chain,
+                ..
             } = replayed(&g, k);
-            let bulk = IncrementalKPathIndex::bulk_from_graph(&g, k);
-            // Same keys, same walk count under every key.
-            assert_eq!(bulk.tree, replayed.tree, "k = {k}");
+            assert_eq!(key_set(&g, k), replayed, "k = {k}");
             assert_eq!(edges_of(&chain), edges_of(&g));
         }
     }
@@ -890,60 +774,54 @@ mod tests {
             assert!(live.delete(edge.0, edge.1, edge.2));
             edges.remove(&edge);
         }
-        assert_matches_oracle(&live.index, &edges, labels);
+        assert_matches_oracle(&live, &edges, labels);
     }
 
     #[test]
     fn apply_logged_records_key_transitions() {
         let knows = LabelId(0);
-        let Live {
-            mut index,
-            mut graph,
-        } = Live::blank(2, 2, 1);
+        let mut graph = blank_graph(2, 1);
         let mut log = EntryDeltas::new();
 
-        // A fresh edge creates entries: every logged op is an Added key that
-        // the index now contains.
+        // A fresh edge creates entries: every logged op is an Added key of
+        // the rebuilt index, and the log holds all of them.
         let insert = EdgeOp::insert(NodeId(0), knows, NodeId(1));
-        assert!(index.apply_logged(&mut graph, insert, &mut log));
-        assert_eq!(log.len(), index.entry_count());
+        assert!(apply_op(&mut graph, 2, insert, &mut log));
+        let rebuilt = key_set(&graph, 2);
+        assert_eq!(log.len(), rebuilt.len());
         for (key, change) in log.ops() {
             assert_eq!(*change, EntryChange::Added);
-            let (path, a, b) = crate::pathkey::decode_entry(key).unwrap();
-            assert!(index.contains(&path, a, b));
+            assert!(rebuilt.contains(key));
         }
 
-        // Deleting the edge reverses every transition; replaying the log in
-        // order over a set reproduces the index's key set at each point.
+        // Deleting the edge reverses every transition.
         log.clear();
         let delete = EdgeOp::delete(NodeId(0), knows, NodeId(1));
-        assert!(index.apply_logged(&mut graph, delete, &mut log));
+        assert!(apply_op(&mut graph, 2, delete, &mut log));
+        assert_eq!(log.len(), rebuilt.len());
         assert!(log.ops().iter().all(|(_, c)| *c == EntryChange::Removed));
-        assert_eq!(index.entry_count(), 0);
+        assert!(key_set(&graph, 2).is_empty());
 
         // A no-op update logs nothing.
         log.clear();
-        assert!(!index.apply_logged(&mut graph, delete, &mut log));
+        assert!(!apply_op(&mut graph, 2, delete, &mut log));
         assert!(log.is_empty());
     }
 
     #[test]
     fn replaying_the_log_reproduces_the_key_set() {
         let g = paper_example_graph();
-        let Live {
-            mut index,
-            mut graph,
-        } = Live::over(&g, 2);
-        let mut shadow: BTreeSet<Vec<u8>> = index.tree.keys().cloned().collect();
+        let mut graph = g.clone();
+        let mut shadow = key_set(&g, 2);
 
         let mut rng_edges: Vec<Edge> = edges_of(&g).into_iter().collect();
         rng_edges.truncate(6);
         let mut log = EntryDeltas::new();
         for &(s, l, d) in &rng_edges {
-            index.apply_logged(&mut graph, EdgeOp::delete(s, l, d), &mut log);
+            apply_op(&mut graph, 2, EdgeOp::delete(s, l, d), &mut log);
         }
         for &(s, l, d) in &rng_edges {
-            index.apply_logged(&mut graph, EdgeOp::insert(s, l, d), &mut log);
+            apply_op(&mut graph, 2, EdgeOp::insert(s, l, d), &mut log);
         }
         for (key, change) in log.ops() {
             match change {
@@ -951,8 +829,11 @@ mod tests {
                 EntryChange::Removed => assert!(shadow.remove(key), "remove of absent key"),
             }
         }
-        let live: BTreeSet<Vec<u8>> = index.tree.keys().cloned().collect();
-        assert_eq!(shadow, live, "log replay diverged from the index");
+        assert_eq!(
+            shadow,
+            key_set(&graph, 2),
+            "log replay diverged from a rebuild"
+        );
     }
 
     /// Effective updates on the paper graph: every third edge deleted, then
@@ -974,20 +855,13 @@ mod tests {
     }
 
     #[test]
-    fn each_op_writes_its_counts_once_per_key_in_key_order() {
+    fn each_op_logs_its_transitions_once_per_key_in_key_order() {
         let g = paper_example_graph();
-        let Live {
-            mut index,
-            mut graph,
-        } = Live::over(&g, 3);
+        let mut graph = g.clone();
         for op in churn(&g) {
             let mut log = EntryDeltas::new();
-            assert!(index.apply_logged(&mut graph, op, &mut log));
-            assert!(!log.counts().is_empty(), "{op:?}");
-            assert!(
-                log.counts().windows(2).all(|w| w[0].0 < w[1].0),
-                "{op:?}: count writes out of key order"
-            );
+            assert!(apply_op(&mut graph, 3, op, &mut log));
+            assert!(!log.is_empty(), "{op:?}");
             assert!(
                 log.ops().windows(2).all(|w| w[0].0 < w[1].0),
                 "{op:?}: transitions out of key order"
@@ -997,23 +871,20 @@ mod tests {
 
     #[test]
     fn independently_seeded_writers_log_identical_deltas() {
-        // Two bulk seeds, not a clone: a clone would share whatever state
-        // decides the emission order.
-        let g = paper_example_graph();
+        // Two graphs built separately, not a clone: a clone would share
+        // whatever state decides the emission order.
         let logs: Vec<EntryDeltas> = (0..2)
             .map(|_| {
-                let Live {
-                    mut index,
-                    mut graph,
-                } = Live::over(&g, 3);
+                let g = paper_example_graph();
+                let mut graph = g.clone();
                 let mut log = EntryDeltas::new();
                 for op in churn(&g) {
-                    assert!(index.apply_logged(&mut graph, op, &mut log));
+                    assert!(apply_op(&mut graph, 3, op, &mut log));
                 }
                 log
             })
             .collect();
-        assert!(logs[0].counts().len() > 100);
+        assert!(logs[0].len() > 100);
         assert!(
             logs[0] == logs[1],
             "the two writers logged different deltas"
@@ -1031,172 +902,153 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "length 1..=k")]
-    fn scanning_longer_than_k_panics() {
-        let index = IncrementalKPathIndex::bulk_from_graph(&Graph::empty(), 1);
-        let l = SignedLabel::forward(LabelId(0));
-        let _ = index.scan_path(&[l, l]);
+    #[should_panic(expected = "not interned")]
+    fn an_uninterned_endpoint_panics() {
+        let mut graph = blank_graph(2, 1);
+        let op = EdgeOp::insert(NodeId(0), LabelId(0), NodeId(2));
+        apply_op(&mut graph, 2, op, &mut EntryDeltas::new());
     }
 
     #[test]
     #[should_panic(expected = "k ≥ 1")]
     fn k_zero_is_rejected() {
-        let _ = IncrementalKPathIndex::bulk_from_graph(&Graph::empty(), 0);
-    }
-
-    /// Keys of `tree` under `prefix`, via the range helper.
-    fn keys_under(tree: &BTreeMap<Vec<u8>, u64>, prefix: &[u8]) -> Vec<Vec<u8>> {
-        prefix_range(tree, prefix).map(|(k, _)| k.clone()).collect()
-    }
-
-    /// Targets under the `⟨p, source⟩` prefix of `tree`, via the range
-    /// helper.
-    fn targets_from(
-        tree: &BTreeMap<Vec<u8>, u64>,
-        path: &[SignedLabel],
-        source: NodeId,
-    ) -> Vec<NodeId> {
-        prefix_range(tree, &encode_path_source_prefix(path, source))
-            .map(|(key, _)| decode_pair(key).1)
-            .collect()
-    }
-
-    fn key_map<const N: usize>(keys: [&[u8]; N]) -> BTreeMap<Vec<u8>, u64> {
-        keys.into_iter().map(|key| (key.to_vec(), 1)).collect()
+        let mut graph = blank_graph(2, 1);
+        let op = EdgeOp::insert(NodeId(0), LabelId(0), NodeId(1));
+        apply_op(&mut graph, 0, op, &mut EntryDeltas::new());
     }
 
     #[test]
-    fn prefix_range_is_unbounded_above_when_the_prefix_has_no_successor() {
-        let tree = key_map([&[0xFE, 0xFF], &[0xFF], &[0xFF, 0x00], &[0xFF, 0xFF, 0x03]]);
-        assert_eq!(prefix_successor(&[0xFF, 0xFF]), None);
-        assert_eq!(
-            keys_under(&tree, &[0xFF]),
-            [vec![0xFF], vec![0xFF, 0x00], vec![0xFF, 0xFF, 0x03]]
-        );
-        assert_eq!(keys_under(&tree, &[0xFF, 0xFF]), [vec![0xFF, 0xFF, 0x03]]);
-        assert_eq!(keys_under(&tree, &[]).len(), tree.len());
-    }
-
-    #[test]
-    fn prefix_range_with_a_carrying_successor_excludes_the_shorter_upper_bound() {
-        // [0x01, 0xFF] carries to [0x02]: the upper bound is shorter than the
-        // prefix, and both it and everything above it must stay out.
-        let tree = key_map([
-            &[0x01, 0xFE, 0xFF],
-            &[0x01, 0xFF],
-            &[0x01, 0xFF, 0x00],
-            &[0x01, 0xFF, 0xFF, 0xFF],
-            &[0x02],
-            &[0x02, 0x00],
-        ]);
-        assert_eq!(prefix_successor(&[0x01, 0xFF]), Some(vec![0x02]));
-        assert_eq!(
-            keys_under(&tree, &[0x01, 0xFF]),
-            [
-                vec![0x01, 0xFF],
-                vec![0x01, 0xFF, 0x00],
-                vec![0x01, 0xFF, 0xFF, 0xFF]
-            ]
-        );
-    }
-
-    #[test]
-    fn scans_stop_at_a_neighbour_differing_in_the_last_prefix_byte() {
-        // Labels 0 and 1 give the signed steps +0, 0⁻, +1, 1⁻: the path
-        // prefixes of adjacent steps differ only in their last byte, and so do
-        // the source prefixes of adjacent node ids.
-        let (l0, l1) = (LabelId(0), LabelId(1));
-        let mut live = Live::blank(1, 9, 2);
-        for src in [NodeId(6), NodeId(7), NodeId(8)] {
-            for (label, dst) in [(l0, NodeId(1)), (l0, NodeId(2)), (l1, NodeId(3))] {
-                live.insert(src, label, dst);
+    fn the_membership_test_meets_in_the_middle_at_every_length() {
+        // A chain 0 → 1 → 2 → 3 → 4 plus a detour 0 → 5 → 2: the frontiers
+        // of each half decide (a, b) ∈ p(G) for |p| = 1 (an edge test), 2
+        // (one merge) and 3, 4 (a two-step half).
+        let l = LabelId(0);
+        let mut graph = blank_graph(6, 1);
+        for (s, d) in [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 2)] {
+            assert!(graph.insert_edge(NodeId(s), l, NodeId(d)));
+        }
+        let fwd = SignedLabel::forward(l);
+        let mut frontiers = Frontiers::on(&graph);
+        for len in 1..=4usize {
+            let path = vec![fwd; len];
+            let expected = oracle_pairs(&edges_of(&graph), &path);
+            let split = len.div_ceil(2);
+            let head = frontiers.half(&path[..split]);
+            let tail = frontiers.half(&inverse_path(&path[split..]));
+            for a in 0..6 {
+                for b in 0..6 {
+                    let (a, b) = (NodeId(a), NodeId(b));
+                    assert_eq!(
+                        frontiers.meet(head, a, tail, b),
+                        expected.contains(&(a, b)),
+                        "|p| = {len}, ({a:?}, {b:?})"
+                    );
+                }
             }
         }
-        let fwd0 = [SignedLabel::forward(l0)];
-        let expected: Vec<_> = [6, 7, 8]
+        // Halves are interned once: [l], [], [l, l], [l⁻], [l⁻, l⁻].
+        assert_eq!(frontiers.halves.len(), 5);
+    }
+
+    #[test]
+    fn a_candidate_with_a_walk_avoiding_the_edge_does_not_transition() {
+        // 0 → 1 → 3 exists; inserting 0 → 2 → 3 makes (0, 3) a candidate of
+        // l/l twice over, and the pair stays: it was in l/l(G⁻) already.
+        let l = LabelId(0);
+        let ll = [SignedLabel::forward(l); 2];
+        let mut graph = blank_graph(4, 1);
+        for (s, d) in [(0, 1), (1, 3), (0, 2)] {
+            assert!(graph.insert_edge(NodeId(s), l, NodeId(d)));
+        }
+        let op = EdgeOp::insert(NodeId(2), l, NodeId(3));
+        let mut with = graph.clone();
+        assert!(with.insert_edge(NodeId(2), l, NodeId(3)));
+        let relations = candidates(&graph, &with, 2, op);
+        let ll_rel = relations.iter().find(|rel| rel.path == ll).unwrap();
+        assert_eq!(ll_rel.pairs, [(NodeId(0), NodeId(3))]);
+        let mut log = EntryDeltas::new();
+        assert!(apply_op(&mut graph, 2, op, &mut log));
+        assert!(!log
+            .ops()
+            .iter()
+            .any(|(key, _)| key == &encode_entry(&ll, NodeId(0), NodeId(3))));
+        // The converse step and the edge itself are new.
+        assert!(log.ops().contains(&(
+            encode_entry(&[SignedLabel::forward(l)], NodeId(2), NodeId(3)),
+            EntryChange::Added
+        )));
+    }
+
+    #[test]
+    fn a_batch_log_nets_out_to_the_difference_of_two_rebuilds() {
+        // One log across a whole batch, as `PathDb::apply` keeps it: folded
+        // to each key's first and last transition, it is the difference of
+        // the rebuilds before and after the batch.
+        let g = paper_example_graph();
+        let mut graph = g.clone();
+        let mut log = EntryDeltas::new();
+        for op in churn(&g) {
+            apply_op(&mut graph, 2, op, &mut log);
+        }
+        let mut net: BTreeMap<&[u8], (EntryChange, EntryChange)> = BTreeMap::new();
+        for (key, change) in log.ops() {
+            net.entry(key)
+                .and_modify(|(_, last)| *last = *change)
+                .or_insert((*change, *change));
+        }
+        let (before, after) = (key_set(&g, 2), key_set(&graph, 2));
+        let netted: Vec<(Vec<u8>, bool)> = net
             .into_iter()
-            .flat_map(|s| [(NodeId(s), NodeId(1)), (NodeId(s), NodeId(2))])
+            .filter(|(_, (first, last))| first == last)
+            .map(|(key, (_, last))| (key.to_vec(), last == EntryChange::Added))
             .collect();
-        assert_eq!(live.index.scan_path(&fwd0), expected);
-        let tree = &live.index.tree;
-        assert_eq!(targets_from(tree, &fwd0, NodeId(7)), [NodeId(1), NodeId(2)]);
-        assert_eq!(
-            targets_from(tree, &[SignedLabel::forward(l1)], NodeId(7)),
-            [NodeId(3)]
+        let expected: Vec<(Vec<u8>, bool)> = before
+            .symmetric_difference(&after)
+            .map(|key| (key.clone(), after.contains(key)))
+            .collect();
+        assert_eq!(netted, expected);
+        // Every third edge went and came back: most keys cancel.
+        assert!(
+            log.len() > 2 * expected.len(),
+            "{} vs {}",
+            log.len(),
+            expected.len()
         );
     }
 
     #[test]
-    fn scan_path_from_the_largest_node_id_carries_the_successor() {
-        // The source prefix of NodeId(u32::MAX) ends in four 0xFF bytes, so
-        // its successor must carry into the path bytes. No graph interns
-        // that many nodes: the k = 1 entries of the edges max → 4, max → max
-        // and (max − 1) → 5 are keyed directly.
-        let l = LabelId(0);
-        let max = NodeId(u32::MAX);
-        let (fwd, bwd) = ([SignedLabel::forward(l)], [SignedLabel::backward(l)]);
-        let tree: BTreeMap<Vec<u8>, u64> = [
-            (max, NodeId(4)),
-            (max, max),
-            (NodeId(u32::MAX - 1), NodeId(5)),
-        ]
-        .into_iter()
-        .flat_map(|(a, b)| [encode_entry(&fwd, a, b), encode_entry(&bwd, b, a)])
-        .map(|key| (key, 1))
-        .collect();
-        let prefix = encode_path_source_prefix(&fwd, max);
-        assert!(prefix.ends_with(&[0xFF; 4]));
-        assert!(prefix_successor(&prefix).is_some_and(|s| s.len() < prefix.len()));
-        assert_eq!(targets_from(&tree, &fwd, max), [NodeId(4), max]);
-        assert_eq!(targets_from(&tree, &fwd, NodeId(u32::MAX - 1)), [NodeId(5)]);
-        // The next path in key order (0⁻) starts right after max's entries.
-        assert_eq!(targets_from(&tree, &bwd, NodeId(4)), [max]);
-    }
-
-    /// The paper graph with the `(key, walk count)` stream a durable backend
-    /// would hand back for it at k = 2.
-    fn persisted_fixture() -> (IncrementalKPathIndex, Vec<(Vec<u8>, u64)>) {
-        let reference = IncrementalKPathIndex::bulk_from_graph(&paper_example_graph(), 2);
-        let entries = reference
-            .tree
-            .iter()
-            .map(|(k, &c)| (k.clone(), c))
-            .collect();
-        (reference, entries)
-    }
-
-    #[test]
-    fn a_faithful_persisted_stream_reloads_the_identical_index() {
-        let (reference, entries) = persisted_fixture();
-        let reloaded = IncrementalKPathIndex::from_persisted_entries(2, entries)
-            .expect("a faithful entry stream reloads");
-        assert_eq!(reloaded.tree, reference.tree);
-        assert_eq!(violated(&reloaded), Vec::<&str>::new());
-    }
-
-    #[test]
-    fn persisted_entries_out_of_key_order_are_rejected() {
-        let (_, mut entries) = persisted_fixture();
-        entries.swap(0, 1);
-        let err = IncrementalKPathIndex::from_persisted_entries(2, entries).unwrap_err();
-        assert!(err.contains("ascending key order"), "{err}");
-    }
-
-    #[test]
-    fn a_duplicated_persisted_entry_is_rejected() {
-        // A `collect()` into the map would silently keep the last count.
-        let (_, mut entries) = persisted_fixture();
-        entries[1] = entries[0].clone();
-        let err = IncrementalKPathIndex::from_persisted_entries(2, entries).unwrap_err();
-        assert!(err.contains("ascending key order"), "{err}");
-    }
-
-    #[test]
-    fn a_zero_count_persisted_entry_is_rejected() {
-        let (_, mut entries) = persisted_fixture();
-        entries[2].1 = 0;
-        let err = IncrementalKPathIndex::from_persisted_entries(2, entries).unwrap_err();
-        assert!(err.contains("zero walk count"), "{err}");
+    fn a_skewed_stream_on_a_generated_graph_logs_what_rebuilds_differ_by() {
+        // The benchmark's data-set generator at a small scale, k = 2: hub
+        // inserts and data-set deletes, each op checked against two
+        // rebuilds.
+        let mut graph = pathix_datagen::advogato_like(pathix_datagen::AdvogatoConfig {
+            scale: 0.01,
+            seed: 0x0AD0_6A70,
+            ..Default::default()
+        });
+        let mut by_degree: Vec<NodeId> = graph.nodes().collect();
+        by_degree.sort_by_key(|&n| (std::cmp::Reverse(graph.total_degree(n)), n.0));
+        let mut deletable: Vec<Edge> = edges_of(&graph).into_iter().collect();
+        let labels: Vec<LabelId> = graph.labels().collect();
+        let mut transitions = 0;
+        for i in 0..40usize {
+            let op = if i % 10 == 9 {
+                let (s, l, d) = deletable.swap_remove(i * 7 % deletable.len());
+                EdgeOp::delete(s, l, d)
+            } else {
+                let (a, b) = (by_degree[i % 5], by_degree[(i * 3 + 1) % 11]);
+                EdgeOp::insert(a, labels[i % labels.len()], b)
+            };
+            let before = key_set(&graph, 2);
+            let mut log = EntryDeltas::new();
+            apply_op(&mut graph, 2, op, &mut log);
+            let after = key_set(&graph, 2);
+            let expected: Vec<&Vec<u8>> = before.symmetric_difference(&after).collect();
+            let logged: Vec<&Vec<u8>> = log.ops().iter().map(|(key, _)| key).collect();
+            assert_eq!(logged, expected, "op {i}: {op:?}");
+            transitions += log.len();
+        }
+        assert!(transitions > 40, "{transitions}");
     }
 
     mod property {
@@ -1204,9 +1056,9 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
 
-        /// A random update over ≤ 5 nodes and 2 labels; deletions pick
-        /// arbitrary edges and are skipped when absent, so scripts freely mix
-        /// effective and no-op updates.
+        /// A random update over ≤ 5 nodes and 2 labels, self-loops included;
+        /// deletions pick arbitrary edges and are no-ops when absent, so
+        /// scripts freely mix effective and no-op updates.
         fn random_update(rng: &mut StdRng) -> EdgeOp {
             let src = NodeId(rng.gen_range(0..5u32));
             let label = LabelId(rng.gen_range(0..2u32) as u16);
@@ -1240,7 +1092,7 @@ mod tests {
                 }
                 for path in all_paths(2, k) {
                     assert_eq!(
-                        live.index.scan_path(&path),
+                        live.scan_path(&path),
                         oracle_pairs(&edges, &path),
                         "case {case}"
                     );
@@ -1248,78 +1100,97 @@ mod tests {
             }
         }
 
-        /// Walk counts are symmetric under path inversion: the number of
-        /// p-walks a→b equals the number of p⁻-walks b→a.
+        /// Each op logs exactly the symmetric difference of two rebuilds,
+        /// one before and one after it, in key order: keys only the later
+        /// rebuild holds as Added, keys only the earlier one holds as
+        /// Removed, and nothing for a no-op.
         #[test]
-        fn walk_counts_are_converse_symmetric() {
+        fn each_op_logs_the_symmetric_difference_of_two_rebuilds() {
+            let mut effective = 0;
             for case in 0..64u64 {
-                let mut rng = StdRng::seed_from_u64(0xC0A0E + case);
-                let mut live = Live::blank(2, 5, 2);
-                for _ in 0..rng.gen_range(1..25usize) {
-                    live.apply(random_update(&mut rng));
+                let mut rng = StdRng::seed_from_u64(0x05E7D + case);
+                let k = rng.gen_range(1..=3usize);
+                let mut graph = blank_graph(5, 2);
+                for _ in 0..rng.gen_range(1..40usize) {
+                    let op = random_update(&mut rng);
+                    let before = key_set(&graph, k);
+                    let mut log = EntryDeltas::new();
+                    effective += usize::from(apply_op(&mut graph, k, op, &mut log));
+                    let after = key_set(&graph, k);
+                    let expected: Vec<(Vec<u8>, EntryChange)> = before
+                        .symmetric_difference(&after)
+                        .map(|key| {
+                            let change = if after.contains(key) {
+                                EntryChange::Added
+                            } else {
+                                EntryChange::Removed
+                            };
+                            (key.clone(), change)
+                        })
+                        .collect();
+                    assert_eq!(log.ops(), expected, "case {case}, {op:?}");
                 }
-                let index = &live.index;
-                for path in all_paths(2, 2) {
-                    let inv = pathix_rpq::ast::inverse_path(&path);
-                    for (a, b) in index.scan_path(&path) {
-                        assert_eq!(
-                            index.walk_count(&path, a, b),
-                            index.walk_count(&inv, b, a),
-                            "case {case}"
-                        );
+            }
+            assert!(effective > 500, "{effective} effective ops");
+        }
+
+        /// Every transition is a candidate, and every candidate has a walk
+        /// through the edge on the epoch that holds it.
+        #[test]
+        fn candidates_cover_the_transitions_and_hold_on_the_epoch_with_the_edge() {
+            for case in 0..64u64 {
+                let mut rng = StdRng::seed_from_u64(0xCA4D + case);
+                let k = rng.gen_range(1..=3usize);
+                let mut graph = blank_graph(5, 2);
+                for _ in 0..rng.gen_range(1..30usize) {
+                    let op = random_update(&mut rng);
+                    let before = graph.clone();
+                    let mut log = EntryDeltas::new();
+                    if !apply_op(&mut graph, k, op, &mut log) {
+                        continue;
+                    }
+                    let (without, with) = if op.insert {
+                        (&before, &graph)
+                    } else {
+                        (&graph, &before)
+                    };
+                    let mut candidate_keys = BTreeSet::new();
+                    for rel in candidates(without, with, k, op) {
+                        let holds = crate::naive_path_eval(with, &rel.path);
+                        for (a, b) in rel.pairs {
+                            assert!(holds.contains(&(a, b)), "case {case}");
+                            candidate_keys.insert(encode_entry(&rel.path, a, b));
+                        }
+                    }
+                    for (key, _) in log.ops() {
+                        assert!(candidate_keys.contains(key), "case {case}");
                     }
                 }
             }
         }
-    }
 
-    /// The invariant names the audit reports for `index`, in discovery order.
-    fn violated(index: &IncrementalKPathIndex) -> Vec<&'static str> {
-        let mut report = AuditReport::new();
-        report.run("incremental", index);
-        report.violations().iter().map(|v| v.invariant).collect()
-    }
-
-    #[test]
-    fn audit_is_clean_on_a_maintained_index() {
-        let g = paper_example_graph();
-        let mut live = Live::over(&g, 2);
-        assert_eq!(violated(&live.index), Vec::<&str>::new(), "after bulk seed");
-        let knows = g.label_id("knows").unwrap();
-        let sue = g.node_id("sue").unwrap();
-        let tim = g.node_id("tim").unwrap();
-        assert!(live.insert(sue, knows, tim));
-        assert_eq!(violated(&live.index), Vec::<&str>::new(), "after insert");
-        assert!(live.delete(sue, knows, tim));
-        assert_eq!(violated(&live.index), Vec::<&str>::new(), "after delete");
-    }
-
-    #[test]
-    fn seeded_corruption_trips_the_counting_auditor() {
-        let g = paper_example_graph();
-        let clean = IncrementalKPathIndex::bulk_from_graph(&g, 2);
-
-        // A zero walk count left behind in the map (the delta rules must
-        // delete the key instead).
-        let mut corrupt = clean.clone();
-        let key = corrupt
-            .tree
-            .keys()
-            .next()
-            .cloned()
-            .expect("non-empty index");
-        corrupt.tree.insert(key, 0);
-        assert!(
-            violated(&corrupt).contains(&"walk-count-positive"),
-            "a zero-count entry must trip the auditor"
-        );
-
-        // A key that is no ⟨p, a, b⟩ entry.
-        let mut corrupt = clean.clone();
-        corrupt.tree.insert(vec![0xFF], 1);
-        assert!(
-            violated(&corrupt).contains(&"entry-decodable"),
-            "a malformed key must trip the auditor"
-        );
+        /// Transitions are symmetric under path inversion: ⟨p, a, b⟩ enters
+        /// or leaves the index exactly when ⟨p⁻, b, a⟩ does.
+        #[test]
+        fn transitions_are_converse_symmetric() {
+            for case in 0..64u64 {
+                let mut rng = StdRng::seed_from_u64(0xC0A0E + case);
+                let mut graph = blank_graph(5, 2);
+                for _ in 0..rng.gen_range(1..25usize) {
+                    let mut log = EntryDeltas::new();
+                    apply_op(&mut graph, 2, random_update(&mut rng), &mut log);
+                    let logged: BTreeSet<(Vec<u8>, bool)> = log
+                        .ops()
+                        .iter()
+                        .map(|(key, change)| (key.clone(), *change == EntryChange::Added))
+                        .collect();
+                    for (key, added) in &logged {
+                        let (path, a, b) = decode_entry(key).unwrap();
+                        let mirror = encode_entry(&inverse_path(&path), b, a);
+                        assert!(logged.contains(&(mirror, *added)), "case {case}");
+                    }
+                }
+            }
+        }
     }
 }

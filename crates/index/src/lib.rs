@@ -45,7 +45,5 @@ pub use backend::{
 pub use enumerate::{enumerate_paths, naive_path_eval, PathRelation};
 pub use estimate::CardinalityEstimator;
 pub use histogram::{EstimationMode, PathHistogram};
-pub use incremental::{
-    enumerate_counted_paths, CountedRelation, GraphUpdate, IncrementalKPathIndex,
-};
+pub use incremental::{apply_op, GraphUpdate};
 pub use runs::{RunPublishStats, SharedKPathIndex};

@@ -27,7 +27,7 @@
 //! compressed one. Both build, probe, publish and audit through this code.
 //!
 //! Publishing a batch ([`SharedKPathIndex::apply_delta_batch`], driven by the
-//! [`EntryDeltas`](crate::EntryDeltas) log the counting rules emit) hands each
+//! [`EntryDeltas`](crate::EntryDeltas) log [`crate::apply_op`] emits) hands each
 //! touched path's net key changes to [`PairRun::apply`] and re-shares every
 //! untouched run wholesale, so the publish cost is **O(Δ · chunk)** — flat in
 //! the index size. A run the batch empties is dropped; a path the batch
@@ -557,7 +557,7 @@ impl<C: ChunkCodec> StructuralAudit for SharedKPathIndex<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{naive_path_eval, EntryDeltas, IncrementalKPathIndex};
+    use crate::{apply_op, naive_path_eval, EntryDeltas};
     use pathix_datagen::{paper_example_graph, social_network, SocialConfig};
     use pathix_graph::{EdgeOp, GraphBuilder, LabelId};
     use pathix_rpq::ast::inverse_path;
@@ -584,7 +584,7 @@ mod tests {
     }
 
     /// An edgeless graph interning nodes `0..nodes` and labels `0..labels`:
-    /// the epoch the counting oracle of a synthetic test starts from.
+    /// the epoch a synthetic test grows through delta batches.
     fn blank_graph(nodes: u32, labels: u16) -> Graph {
         let mut builder = GraphBuilder::new();
         for node in 0..nodes {
@@ -770,19 +770,23 @@ mod tests {
         let g = paper_example_graph();
         let k = 2;
         let shared = SharedKPathIndex::build(&g, k);
-        let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, k);
         let mut graph = g.clone();
 
         let knows = g.label_id("knows").unwrap();
         let sue = g.node_id("sue").unwrap();
         let tim = g.node_id("tim").unwrap();
         let mut deltas = EntryDeltas::new();
-        assert!(oracle.apply_logged(&mut graph, EdgeOp::insert(sue, knows, tim), &mut deltas,));
+        assert!(apply_op(
+            &mut graph,
+            k,
+            EdgeOp::insert(sue, knows, tim),
+            &mut deltas,
+        ));
         let next = shared
             .with_batch(&delta_batch(&graph, &deltas, 1, 0))
             .unwrap();
 
-        // The oracle advanced its graph epoch to the updated graph.
+        // The rule advanced the graph epoch to the updated graph.
         let rebuilt = SharedKPathIndex::build(&graph, k);
         assert_eq!(next.per_path_counts(), rebuilt.per_path_counts());
         for (path, _) in rebuilt.per_path_counts() {
@@ -804,7 +808,6 @@ mod tests {
     fn add_then_remove_within_one_batch_is_net_noop() {
         let g = paper_example_graph();
         let shared = SharedKPathIndex::build(&g, 2);
-        let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, 2);
         let mut graph = g.clone();
         let knows = g.label_id("knows").unwrap();
         let sue = g.node_id("sue").unwrap();
@@ -812,8 +815,8 @@ mod tests {
         let mut deltas = EntryDeltas::new();
         let insert = EdgeOp::insert(sue, knows, tim);
         let delete = EdgeOp::delete(sue, knows, tim);
-        assert!(oracle.apply_logged(&mut graph, insert, &mut deltas));
-        assert!(oracle.apply_logged(&mut graph, delete, &mut deltas));
+        assert!(apply_op(&mut graph, 2, insert, &mut deltas));
+        assert!(apply_op(&mut graph, 2, delete, &mut deltas));
         assert!(!deltas.is_empty(), "transitions were logged both ways");
         let next = shared
             .with_batch(&delta_batch(&graph, &deltas, 1, 1))
@@ -834,11 +837,11 @@ mod tests {
         // then heavy delete/insert churn replayed through delta batches.
         let l = LabelId(0);
         let mut graph = blank_graph(MANY + 1, 1);
-        let mut oracle = IncrementalKPathIndex::bulk_from_graph(&graph, 1);
         let mut deltas = EntryDeltas::new();
         for i in 0..(MANY) {
-            oracle.apply_logged(
+            apply_op(
                 &mut graph,
+                1,
                 EdgeOp::insert(NodeId(i), l, NodeId(i + 1)),
                 &mut deltas,
             );
@@ -859,7 +862,7 @@ mod tests {
                 } else {
                     EdgeOp::insert(NodeId(i), l, NodeId(i + 1))
                 };
-                if oracle.apply_logged(&mut graph, update, &mut deltas) {
+                if apply_op(&mut graph, 1, update, &mut deltas) {
                     if update.insert {
                         inserted += 1;
                     } else {
@@ -876,7 +879,7 @@ mod tests {
                 let pairs: Vec<_> = shared.scan_path(path).collect();
                 assert_eq!(pairs.len() as u64, *count, "round {round}, path {path:?}");
                 assert!(pairs.windows(2).all(|w| w[0] < w[1]), "round {round}");
-                assert_eq!(pairs, oracle.scan_path(path), "round {round}");
+                assert_eq!(pairs, naive_path_eval(&graph, path), "round {round}");
             }
             let publish = shared.last_publish_stats();
             assert!(
@@ -895,11 +898,11 @@ mod tests {
         let l = LabelId(0);
         let n = 4 * MANY;
         let mut graph = blank_graph(n, 1);
-        let mut oracle = IncrementalKPathIndex::bulk_from_graph(&graph, 1);
         let mut deltas = EntryDeltas::new();
         for i in 0..n {
-            oracle.apply_logged(
+            apply_op(
                 &mut graph,
+                1,
                 EdgeOp::insert(NodeId(i), l, NodeId(i)),
                 &mut deltas,
             );
@@ -916,8 +919,9 @@ mod tests {
             deltas.clear();
             let mut deleted = 0;
             for i in ((offset)..n).step_by(16) {
-                if oracle.apply_logged(
+                if apply_op(
                     &mut graph,
+                    1,
                     EdgeOp::delete(NodeId(i), l, NodeId(i)),
                     &mut deltas,
                 ) {
@@ -941,7 +945,7 @@ mod tests {
             shared.chunk_count()
         );
         let pairs: Vec<_> = shared.scan_path(&[SignedLabel::forward(l)]).collect();
-        assert_eq!(pairs, oracle.scan_path(&[SignedLabel::forward(l)]));
+        assert_eq!(pairs, naive_path_eval(&graph, &[SignedLabel::forward(l)]));
     }
 
     #[test]
@@ -949,17 +953,18 @@ mod tests {
         let l0 = LabelId(0);
         let l1 = LabelId(1);
         let mut graph = blank_graph(MANY, 2);
-        let mut oracle = IncrementalKPathIndex::bulk_from_graph(&graph, 1);
         let mut deltas = EntryDeltas::new();
         for i in 0..(MANY) {
-            oracle.apply_logged(
+            apply_op(
                 &mut graph,
+                1,
                 EdgeOp::insert(NodeId(i), l0, NodeId(i)),
                 &mut deltas,
             );
         }
-        oracle.apply_logged(
+        apply_op(
             &mut graph,
+            1,
             EdgeOp::insert(NodeId(0), l1, NodeId(1)),
             &mut deltas,
         );
@@ -970,8 +975,9 @@ mod tests {
         // Touch only label 1: every chunk of the big label-0 runs must be the
         // same allocation in the next epoch.
         deltas.clear();
-        oracle.apply_logged(
+        apply_op(
             &mut graph,
+            1,
             EdgeOp::insert(NodeId(2), l1, NodeId(3)),
             &mut deltas,
         );
@@ -994,12 +1000,12 @@ mod tests {
         // most the chunks whose fences admit it and count the rest skipped.
         let l = LabelId(0);
         let mut graph = blank_graph(2 * MANY + 1, 1);
-        let mut oracle = IncrementalKPathIndex::bulk_from_graph(&graph, 1);
         let mut deltas = EntryDeltas::new();
         let n_edges = 2 * MANY;
         for i in 0..n_edges {
-            oracle.apply_logged(
+            apply_op(
                 &mut graph,
+                1,
                 EdgeOp::insert(NodeId(i), l, NodeId(i + 1)),
                 &mut deltas,
             );
@@ -1032,13 +1038,17 @@ mod tests {
     fn bloom_stays_a_superset_across_rebuilds() {
         let g = paper_example_graph();
         let shared = SharedKPathIndex::build(&g, 2);
-        let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, 2);
         let mut graph = g.clone();
         let knows = g.label_id("knows").unwrap();
         let sue = g.node_id("sue").unwrap();
         let tim = g.node_id("tim").unwrap();
         let mut deltas = EntryDeltas::new();
-        assert!(oracle.apply_logged(&mut graph, EdgeOp::insert(sue, knows, tim), &mut deltas,));
+        assert!(apply_op(
+            &mut graph,
+            2,
+            EdgeOp::insert(sue, knows, tim),
+            &mut deltas,
+        ));
         let next = shared
             .with_batch(&delta_batch(&graph, &deltas, 1, 0))
             .unwrap();
@@ -1109,7 +1119,6 @@ mod tests {
     fn audit_is_clean_after_build_and_after_delta_publishes() {
         let g = paper_example_graph();
         let mut shared = SharedKPathIndex::build(&g, 2);
-        let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, 2);
         let mut graph = g.clone();
         assert_eq!(violated(&shared), Vec::<&str>::new());
 
@@ -1128,7 +1137,7 @@ mod tests {
             } else {
                 EdgeOp::delete(src, knows, dst)
             };
-            if oracle.apply_logged(&mut graph, update, &mut deltas) {
+            if apply_op(&mut graph, 2, update, &mut deltas) {
                 let (ins, del) = if i < 3 { (1, 0) } else { (0, 1) };
                 shared = shared
                     .with_batch(&delta_batch(&graph, &deltas, ins, del))
@@ -1200,11 +1209,11 @@ mod tests {
         let l = LabelId(0);
         let n = MANY;
         let mut graph = blank_graph(2 * n, 1);
-        let mut oracle = IncrementalKPathIndex::bulk_from_graph(&graph, 1);
         let mut deltas = EntryDeltas::new();
         for i in 0..n {
-            oracle.apply_logged(
+            apply_op(
                 &mut graph,
+                1,
                 EdgeOp::insert(NodeId(2 * i), l, NodeId(2 * i + 1)),
                 &mut deltas,
             );
@@ -1224,7 +1233,7 @@ mod tests {
                 } else {
                     EdgeOp::insert(NodeId(2 * i + 1), l, NodeId(2 * i))
                 };
-                if oracle.apply_logged(&mut graph, update, &mut deltas) {
+                if apply_op(&mut graph, 1, update, &mut deltas) {
                     if update.insert {
                         inserted += 1;
                     } else {

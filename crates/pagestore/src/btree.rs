@@ -66,7 +66,10 @@ const READ_AHEAD: usize = 4;
 /// the possibly relocated right page.
 type RebalanceOutcome = (PageId, Option<(Vec<u8>, PageId)>);
 
-const META_MAGIC: u32 = 0x5058_5049; // "PXPI"
+/// Identifies the page-file format. "PXPS": index entries are bare keys.
+/// Files of the walk-count format ("PXPI", 0x5058_5049), whose entries
+/// carried an 8-byte value, fail [`PagedBTree::open`].
+const META_MAGIC: u32 = 0x5058_5053;
 const META_OFF_MAGIC: usize = 12;
 const META_OFF_ROOT: usize = 16;
 const META_OFF_HEIGHT: usize = 20;
@@ -1769,6 +1772,64 @@ mod tests {
 
     fn val(i: u32) -> Vec<u8> {
         format!("value-{i}").into_bytes()
+    }
+
+    /// A tree holding `keys` with empty values.
+    fn tree_of(keys: &[&[u8]]) -> PagedBTree {
+        let mut tree = PagedBTree::create(BufferPool::in_memory(16)).unwrap();
+        for key in keys {
+            tree.insert(key.to_vec(), Vec::new()).unwrap();
+        }
+        tree
+    }
+
+    /// The keys under `prefix`, through the prefix cursor.
+    fn keys_under(tree: &PagedBTree, prefix: &[u8]) -> Vec<Vec<u8>> {
+        let mut cursor = tree.prefix_cursor(prefix).unwrap();
+        let mut keys = Vec::new();
+        while cursor
+            .visit_leaf(|key, _| {
+                keys.push(key.to_vec());
+                Ok(())
+            })
+            .unwrap()
+        {}
+        keys
+    }
+
+    #[test]
+    fn prefix_cursor_is_unbounded_above_when_the_prefix_has_no_successor() {
+        let tree = tree_of(&[&[0xFE, 0xFF], &[0xFF], &[0xFF, 0x00], &[0xFF, 0xFF, 0x03]]);
+        assert_eq!(prefix_successor(&[0xFF, 0xFF]), None);
+        assert_eq!(
+            keys_under(&tree, &[0xFF]),
+            [vec![0xFF], vec![0xFF, 0x00], vec![0xFF, 0xFF, 0x03]]
+        );
+        assert_eq!(keys_under(&tree, &[0xFF, 0xFF]), [vec![0xFF, 0xFF, 0x03]]);
+        assert_eq!(keys_under(&tree, &[]).len() as u64, tree.len());
+    }
+
+    #[test]
+    fn prefix_cursor_with_a_carrying_successor_excludes_the_shorter_upper_bound() {
+        // [0x01, 0xFF] carries to [0x02]: the upper bound is shorter than the
+        // prefix, and both it and everything above it must stay out.
+        let tree = tree_of(&[
+            &[0x01, 0xFE, 0xFF],
+            &[0x01, 0xFF],
+            &[0x01, 0xFF, 0x00],
+            &[0x01, 0xFF, 0xFF, 0xFF],
+            &[0x02],
+            &[0x02, 0x00],
+        ]);
+        assert_eq!(prefix_successor(&[0x01, 0xFF]), Some(vec![0x02]));
+        assert_eq!(
+            keys_under(&tree, &[0x01, 0xFF]),
+            [
+                vec![0x01, 0xFF],
+                vec![0x01, 0xFF, 0x00],
+                vec![0x01, 0xFF, 0xFF, 0xFF]
+            ]
+        );
     }
 
     #[test]

@@ -68,7 +68,7 @@ mod tests {
     use pathix_datagen::paper_example_graph;
     use pathix_graph::{EdgeOp, Graph, GraphBuilder, PairRun, Plain, SignedLabel};
     use pathix_index::backend::{DeltaBatch, MutablePathIndexBackend, PairBatch, PathIndexBackend};
-    use pathix_index::{EntryDeltas, IncrementalKPathIndex};
+    use pathix_index::{apply_op, EntryDeltas};
     use std::sync::Arc;
 
     type Pair = (NodeId, NodeId);
@@ -90,12 +90,12 @@ mod tests {
         b.build()
     }
 
-    /// Applies `updates` through the shared counting rules and hands the
+    /// Applies `updates` through the rederivation rule and hands the
     /// resulting key deltas to the store, mirroring what `PathDb::apply`
     /// does per batch.
     fn apply_updates<C: ChunkCodec>(
         store: &mut SharedKPathIndex<C>,
-        oracle: &mut IncrementalKPathIndex,
+        k: usize,
         graph: &mut Graph,
         updates: &[EdgeOp],
     ) {
@@ -103,7 +103,7 @@ mod tests {
         let mut inserted = 0;
         let mut deleted = 0;
         for &update in updates {
-            if oracle.apply_logged(graph, update, &mut deltas) {
+            if apply_op(graph, k, update, &mut deltas) {
                 if update.insert {
                     inserted += 1;
                 } else {
@@ -154,7 +154,6 @@ mod tests {
         let g = paper_example_graph();
         let built = SharedKPathIndex::<C>::build_in(&g, 2);
         let mut index = built.clone();
-        let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, 2);
         let mut graph = g.clone();
         let supervisor = g.label_id("supervisor").unwrap();
         let edges: Vec<(NodeId, NodeId)> = g.edges(supervisor).collect();
@@ -170,7 +169,7 @@ mod tests {
         let sup = [SignedLabel::forward(supervisor)];
         assert!(index.path_cardinality(&sup).is_some());
 
-        apply_updates(&mut index, &mut oracle, &mut graph, &ops(false));
+        apply_updates(&mut index, 2, &mut graph, &ops(false));
         assert_eq!(graph.edges(supervisor).count(), 0);
         assert_eq!(index.path_cardinality(&sup), None);
         assert!(index.relation(&sup).is_none());
@@ -183,7 +182,7 @@ mod tests {
         assert_eq!(index.stats().entries, emptied.stats().entries);
         assert_eq!(violated(&index), Vec::<&str>::new(), "after emptying");
 
-        apply_updates(&mut index, &mut oracle, &mut graph, &ops(true));
+        apply_updates(&mut index, 2, &mut graph, &ops(true));
         let counts = index.per_path_counts();
         assert_eq!(counts, built.per_path_counts());
         assert!(counts
@@ -280,7 +279,6 @@ mod tests {
         let g = paper_example_graph();
         let k = 2;
         let mut store = CompressedPathStore::build_in(&g, k);
-        let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, k);
         let mut graph = g.clone();
 
         let sue = g.node_id("sue").unwrap();
@@ -293,7 +291,7 @@ mod tests {
             EdgeOp::insert(sue, knows_l, tim),
             EdgeOp::delete(kim, supervisor, liz),
         ];
-        apply_updates(&mut store, &mut oracle, &mut graph, &updates);
+        apply_updates(&mut store, k, &mut graph, &updates);
         assert_eq!(store.updates_applied(), (1, 1));
 
         let mut updated = g.clone();
@@ -305,7 +303,7 @@ mod tests {
         let view = store.reader_view();
         apply_updates(
             &mut store,
-            &mut oracle,
+            k,
             &mut graph,
             &[EdgeOp::delete(sue, knows_l, tim)],
         );
@@ -345,7 +343,6 @@ mod tests {
     fn batched_scan_matches_streaming_before_and_after_a_batch() {
         let g = paper_example_graph();
         let mut store = CompressedPathStore::build_in(&g, 2);
-        let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, 2);
         let mut graph = g.clone();
         let check = |store: &CompressedPathStore, graph: &Graph| {
             let memory = SharedKPathIndex::build(graph, 2);
@@ -366,7 +363,7 @@ mod tests {
         let knows_l = g.label_id("knows").unwrap();
         apply_updates(
             &mut store,
-            &mut oracle,
+            2,
             &mut graph,
             &[EdgeOp::insert(sue, knows_l, tim)],
         );
@@ -387,7 +384,6 @@ mod tests {
         let g = b.build();
         let (l, m) = (g.label_id("l").unwrap(), g.label_id("m").unwrap());
         let mut store = CompressedPathStore::build_in(&g, 1);
-        let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, 1);
         let mut graph = g.clone();
         let born = [SignedLabel::forward(m)];
         assert!(store.relation(&born).is_none());
@@ -408,7 +404,7 @@ mod tests {
             updates.extend([EdgeOp::insert(i, l, far), EdgeOp::insert(far, m, i)]);
             assert!(updated.insert_edge(i, l, far) && updated.insert_edge(far, m, i));
         }
-        apply_updates(&mut store, &mut oracle, &mut graph, &updates);
+        apply_updates(&mut store, 1, &mut graph, &updates);
         assert!(store.relation(&born).is_some());
         assert_eq!(violated(&store), Vec::<&str>::new());
 
@@ -443,7 +439,6 @@ mod tests {
         b.add_node("c");
         let g = b.build();
         let mut store = CompressedPathStore::build_in(&g, 2);
-        let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, 2);
         let mut graph = g.clone();
         let l = g.label_id("l").unwrap();
         let (aa, bb, cc) = (
@@ -451,12 +446,7 @@ mod tests {
             g.node_id("b").unwrap(),
             g.node_id("c").unwrap(),
         );
-        apply_updates(
-            &mut store,
-            &mut oracle,
-            &mut graph,
-            &[EdgeOp::insert(bb, l, cc)],
-        );
+        apply_updates(&mut store, 2, &mut graph, &[EdgeOp::insert(bb, l, cc)]);
         let fwd = SignedLabel::forward(l);
         assert_eq!(store.collect_path(&[fwd, fwd]).unwrap(), vec![(aa, cc)]);
         assert_eq!(store.path_cardinality(&[fwd, fwd]), Some(1));
@@ -464,7 +454,7 @@ mod tests {
         // Deleting every edge empties every path: no run, no chunk is left.
         apply_updates(
             &mut store,
-            &mut oracle,
+            2,
             &mut graph,
             &[EdgeOp::delete(aa, l, bb), EdgeOp::delete(bb, l, cc)],
         );
@@ -477,7 +467,6 @@ mod tests {
         // "Compaction": the re-cut and coalescing of rebuilt chunks.
         let g = paper_example_graph();
         let mut store = CompressedPathStore::build_in(&g, 2);
-        let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, 2);
         let mut graph = g.clone();
         assert!(violated(&store).is_empty(), "freshly built store");
 
@@ -496,7 +485,7 @@ mod tests {
             ],
         ];
         for (i, updates) in scripts.iter().enumerate() {
-            apply_updates(&mut store, &mut oracle, &mut graph, updates);
+            apply_updates(&mut store, 2, &mut graph, updates);
             assert!(violated(&store).is_empty(), "after batch {i}");
         }
     }
@@ -513,7 +502,6 @@ mod tests {
         let (l, m) = (g.label_id("l").unwrap(), g.label_id("m").unwrap());
         let chain = [SignedLabel::forward(l)];
         let mut store = CompressedPathStore::build_in(&g, 1);
-        let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, 1);
         let mut graph = g.clone();
 
         // Every view with its complete answer at the time it was taken.
@@ -540,7 +528,7 @@ mod tests {
         for (i, batch) in batches.iter().enumerate() {
             let before = store.relation(&chain).unwrap().clone();
             let chunks_before = store.chunk_count();
-            apply_updates(&mut store, &mut oracle, &mut graph, batch);
+            apply_updates(&mut store, 1, &mut graph, batch);
             let after = store.relation(&chain).unwrap();
             let shared = after
                 .chunks()

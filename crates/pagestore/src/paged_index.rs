@@ -14,13 +14,14 @@
 //! the caller's batch and surface I/O errors as [`BackendError`]s instead of
 //! materializing or panicking.
 //!
-//! The index is also **mutable** ([`MutablePathIndexBackend`]): the key-level
-//! deltas of a live update batch — computed once, backend-agnostically, by
-//! the counting rules of [`pathix_index::IncrementalKPathIndex`], which walk
-//! the graph epochs around each update and log its writes in key order —
-//! are replayed as B+tree key inserts and deletes (page splits, merges and
-//! free-list recycling included) and written back through the buffer pool,
-//! so an on-disk index stays durable across batches.
+//! The index is also **mutable** ([`MutablePathIndexBackend`]): the key
+//! transitions of a live update batch — computed once, backend-agnostically,
+//! by [`pathix_index::apply_op`], which walks the graph epochs around each
+//! update and logs its transitions in key order — are replayed as B+tree key
+//! inserts and deletes (page splits, merges and free-list recycling
+//! included) and written back through the buffer pool, so an on-disk index
+//! stays durable across batches. Entries are bare keys: the tree stores no
+//! value with them.
 
 use crate::btree::{LeafCursor, PagedBTree, PagedTreeStats};
 use crate::buffer::{BufferPool, PoolStats};
@@ -29,27 +30,14 @@ use pathix_audit::{AuditReport, StructuralAudit};
 use pathix_graph::{Graph, NodeId, SignedLabel};
 use pathix_index::backend::{
     check_scan_path, BackendBatchScan, BackendError, BackendResult, BackendStats, BatchScan,
-    DeltaBatch, MutablePathIndexBackend, PairBatch, PathIndexBackend,
+    DeltaBatch, EntryChange, MutablePathIndexBackend, PairBatch, PathIndexBackend,
 };
-use pathix_index::enumerate_counted_paths;
+use pathix_index::enumerate_paths;
 use pathix_index::pathkey::{
     decode_entry, decode_pair, encode_entry, encode_path_prefix, encode_path_source_prefix,
 };
 use std::collections::BTreeMap;
 use std::io;
-
-/// Walk counts are stored as the entry value: 8 bytes, little endian — the
-/// counts [`pathix_index::IncrementalKPathIndex`] keeps in memory, so a
-/// persisted tree can reseed a live writer without recomputation.
-fn encode_walks(count: u64) -> Vec<u8> {
-    count.to_le_bytes().to_vec()
-}
-
-/// Decodes a stored walk count; `None` when the value is not exactly 8 bytes.
-fn decode_walks(value: &[u8]) -> Option<u64> {
-    let bytes: [u8; 8] = value.try_into().ok()?;
-    Some(u64::from_le_bytes(bytes))
-}
 
 /// Construction and size statistics of a [`PagedPathIndex`].
 #[derive(Debug, Clone, Copy)]
@@ -70,7 +58,7 @@ pub struct PagedPathIndex {
     k: usize,
     node_count: usize,
     /// Entries per path, kept in step with the tree by every key the tree
-    /// gains or loses (see [`PagedPathIndex::write_counts`]).
+    /// gains or loses (see [`PagedPathIndex::write_changes`]).
     per_path_counts: Vec<(Vec<SignedLabel>, u64)>,
     tree: PagedBTree,
     inserts_applied: u64,
@@ -112,16 +100,16 @@ impl PagedPathIndex {
 
     /// Builds the index into the given (empty) buffer pool.
     pub fn build(graph: &Graph, k: usize, pool: BufferPool) -> io::Result<Self> {
-        // Counted relations carry no duplicate pairs, and keys of different
-        // paths never collide — entries only need one global sort for
-        // bulk_load's key-order contract.
-        let relations = enumerate_counted_paths(graph, k);
+        // Relations carry no duplicate pairs, and keys of different paths
+        // never collide — entries only need one global sort for bulk_load's
+        // key-order contract.
+        let relations = enumerate_paths(graph, k);
         let mut per_path_counts = Vec::with_capacity(relations.len());
         let mut entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        for (path, pairs) in &relations {
-            per_path_counts.push((path.clone(), pairs.len() as u64));
-            for &((a, b), walks) in pairs {
-                entries.push((encode_entry(path, a, b), encode_walks(walks)));
+        for rel in &relations {
+            per_path_counts.push((rel.path.clone(), rel.pairs.len() as u64));
+            for &(a, b) in &rel.pairs {
+                entries.push((encode_entry(&rel.path, a, b), Vec::new()));
             }
         }
         entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
@@ -168,12 +156,12 @@ impl PagedPathIndex {
     }
 
     /// Recounts the per-path cardinalities from a full scan of the stored
-    /// entries. Fails with `InvalidData` on malformed keys or walk counts —
-    /// the symptoms of a corrupt page file.
+    /// entries. Fails with `InvalidData` on malformed keys — the symptom of
+    /// a corrupt page file.
     fn refresh_derived_stats(&mut self) -> io::Result<()> {
         let mut per_path: Vec<(Vec<SignedLabel>, u64)> = Vec::new();
         for item in self.tree.iter()? {
-            let (key, value) = item?;
+            let (key, _) = item?;
             let Some((path, _, _)) = decode_entry(&key) else {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -183,12 +171,6 @@ impl PagedPathIndex {
                     ),
                 ));
             };
-            if decode_walks(&value).is_none_or(|walks| walks == 0) {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("stored entry for path {path:?} has an invalid walk count"),
-                ));
-            }
             match per_path.last_mut() {
                 Some((p, n)) if *p == path => *n += 1,
                 _ => per_path.push((path, 1)),
@@ -202,21 +184,20 @@ impl PagedPathIndex {
     /// recovery. Records at or below the tree's persisted
     /// [`PagedPathIndex::applied_seq`] already reached the page file before
     /// the crash and change nothing but the node count; newer records
-    /// replay their absolute `(key, walk count)` writes (0 deletes the key),
-    /// advance the sequence number, and flush durably, so a crash *during*
-    /// recovery resumes where it left off. Returns whether the record was
-    /// fresh.
+    /// replay their key transitions, advance the sequence number, and flush
+    /// durably, so a crash *during* recovery resumes where it left off.
+    /// Returns whether the record was fresh.
     pub fn replay_batch(
         &mut self,
         seq: u64,
-        counts: &[(Vec<u8>, u64)],
+        changes: &[(Vec<u8>, EntryChange)],
         node_count: usize,
         inserted_edges: u64,
         deleted_edges: u64,
     ) -> io::Result<bool> {
         let fresh = seq > self.tree.applied_seq();
         if fresh {
-            self.write_counts(counts)?;
+            self.write_changes(changes)?;
             self.tree.set_applied_seq(seq);
             self.inserts_applied += inserted_edges;
             self.deletes_applied += deleted_edges;
@@ -228,20 +209,28 @@ impl PagedPathIndex {
         Ok(fresh)
     }
 
-    /// Replays absolute `(key, walk count)` writes as B+tree inserts and
-    /// deletes (a count of 0 deletes the key) in key order, the last write
-    /// per key winning: what a batch writes to which pages then follows from
-    /// its keys, not from the order the log happened to record them in. A
-    /// key added and removed again within the batch ends at 0 and deletes
-    /// nothing.
+    /// Replays a batch's key transitions as B+tree inserts and deletes in
+    /// key order, one write per key for its net change: what a batch writes
+    /// to which pages then follows from its keys, not from the order the log
+    /// happened to record them in. A key's transitions alternate, so a key
+    /// whose first and last transition differ (added and removed again, or
+    /// removed and added back) ends where it started and writes no page.
     ///
     /// The per-path cardinalities follow the tree: a path gains an entry
-    /// when an insert finds no previous value and loses one when a delete
+    /// when an insert finds no previous key and loses one when a delete
     /// finds one, so they stay exact without a rescan. Fails with
     /// `InvalidData` on a key that is no `⟨p, a, b⟩` entry.
-    fn write_counts(&mut self, counts: &[(Vec<u8>, u64)]) -> io::Result<()> {
-        let last: BTreeMap<&[u8], u64> = counts.iter().map(|(k, c)| (k.as_slice(), *c)).collect();
-        for (key, count) in last {
+    fn write_changes(&mut self, changes: &[(Vec<u8>, EntryChange)]) -> io::Result<()> {
+        let mut net: BTreeMap<&[u8], (EntryChange, EntryChange)> = BTreeMap::new();
+        for (key, change) in changes {
+            net.entry(key)
+                .and_modify(|(_, last)| *last = *change)
+                .or_insert((*change, *change));
+        }
+        for (key, (first, last)) in net {
+            if first != last {
+                continue;
+            }
             let Some((path, _, _)) = decode_entry(key) else {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -254,49 +243,34 @@ impl PagedPathIndex {
             let slot = self
                 .per_path_counts
                 .binary_search_by(|(p, _)| (p.len(), p.as_slice()).cmp(&(path.len(), &path[..])));
-            if count == 0 {
-                if self.tree.delete(key)?.is_some() {
-                    let Ok(i) = slot else {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("deleted an entry of path {path:?}, which counts no entries"),
-                        ));
-                    };
-                    self.per_path_counts[i].1 -= 1;
-                    if self.per_path_counts[i].1 == 0 {
-                        self.per_path_counts.remove(i);
+            match last {
+                EntryChange::Removed => {
+                    if self.tree.delete(key)?.is_some() {
+                        let Ok(i) = slot else {
+                            return Err(io::Error::new(
+                                io::ErrorKind::InvalidData,
+                                format!(
+                                    "deleted an entry of path {path:?}, which counts no entries"
+                                ),
+                            ));
+                        };
+                        self.per_path_counts[i].1 -= 1;
+                        if self.per_path_counts[i].1 == 0 {
+                            self.per_path_counts.remove(i);
+                        }
                     }
                 }
-            } else if self
-                .tree
-                .insert(key.to_vec(), encode_walks(count))?
-                .is_none()
-            {
-                match slot {
-                    Ok(i) => self.per_path_counts[i].1 += 1,
-                    Err(i) => self.per_path_counts.insert(i, (path, 1)),
+                EntryChange::Added => {
+                    if self.tree.insert(key.to_vec(), Vec::new())?.is_none() {
+                        match slot {
+                            Ok(i) => self.per_path_counts[i].1 += 1,
+                            Err(i) => self.per_path_counts.insert(i, (path, 1)),
+                        }
+                    }
                 }
             }
         }
         Ok(())
-    }
-
-    /// Streams every stored `(entry key, walk count)` pair in key order —
-    /// exactly what [`pathix_index::IncrementalKPathIndex::from_persisted_entries`]
-    /// needs to reseed a live writer after a restart.
-    pub fn counted_entries(&self) -> io::Result<Vec<(Vec<u8>, u64)>> {
-        let mut out = Vec::with_capacity(self.tree.len() as usize);
-        for item in self.tree.iter()? {
-            let (key, value) = item?;
-            let Some(walks) = decode_walks(&value) else {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "stored entry value is not an 8-byte walk count",
-                ));
-            };
-            out.push((key, walks));
-        }
-        Ok(out)
     }
 
     /// Flushes and marks the index cleanly closed; after `close`, dropping
@@ -505,7 +479,6 @@ impl StructuralAudit for PagedPathIndex {
 
         let mut per_path: Vec<(Vec<SignedLabel>, u64)> = Vec::new();
         let mut undecodable = 0u64;
-        let mut bad_counts = 0u64;
         let iter = match self.tree.iter() {
             Ok(iter) => iter,
             Err(e) => {
@@ -514,16 +487,13 @@ impl StructuralAudit for PagedPathIndex {
             }
         };
         for item in iter {
-            let (key, value) = match item {
+            let (key, _) = match item {
                 Ok(entry) => entry,
                 Err(e) => {
                     report.violation("audit-io", "index-scan", e.to_string());
                     return;
                 }
             };
-            if decode_walks(&value).is_none_or(|walks| walks == 0) {
-                bad_counts += 1;
-            }
             match decode_entry(&key) {
                 Some((path, _, _)) => match per_path.last_mut() {
                     Some((p, n)) if *p == path => *n += 1,
@@ -534,9 +504,6 @@ impl StructuralAudit for PagedPathIndex {
         }
         report.check("entry-decodable", "tree", undecodable == 0, || {
             format!("{undecodable} key(s) failed to decode as ⟨path, source, target⟩")
-        });
-        report.check("walk-count-encoded", "tree", bad_counts == 0, || {
-            format!("{bad_counts} entry value(s) are not positive 8-byte walk counts")
         });
         // Key order is `(length, path)` order — the order per_path_counts
         // must be in for `path_cardinality`'s binary search.
@@ -610,15 +577,14 @@ impl PathIndexBackend for PagedPathIndex {
 }
 
 impl MutablePathIndexBackend for PagedPathIndex {
-    /// Replays the batch's absolute `(key, walk count)` writes as B+tree
-    /// inserts and deletes (splitting, merging and recycling pages as
-    /// needed; a count of 0 deletes the key), adopts the batch's node count
-    /// and commit sequence number, and flushes every dirty page through the
-    /// buffer pool so an on-disk index is durable up to the end of the
-    /// batch.
+    /// Replays the batch's key transitions as B+tree inserts and deletes
+    /// (splitting, merging and recycling pages as needed), adopts the
+    /// batch's node count and commit sequence number, and flushes every
+    /// dirty page through the buffer pool so an on-disk index is durable up
+    /// to the end of the batch.
     fn apply_delta_batch(&mut self, batch: &DeltaBatch<'_>) -> BackendResult<()> {
         let io_err = |e: &io::Error| BackendError::io("paged", e);
-        self.write_counts(batch.deltas.counts())
+        self.write_changes(batch.deltas.ops())
             .map_err(|e| io_err(&e))?;
         self.node_count = batch.node_count;
         self.inserts_applied += batch.inserted_edges;
@@ -638,6 +604,7 @@ mod tests {
     use pathix_datagen::paper_example_graph;
     use pathix_graph::EdgeOp;
     use pathix_index::SharedKPathIndex;
+    use std::collections::BTreeSet;
 
     #[test]
     fn paged_index_matches_in_memory_index() {
@@ -747,7 +714,7 @@ mod tests {
         let seeded = |source: u32| {
             let (g, mut paged, path) = chain_index(8);
             let key = encode_path_source_prefix(&path, NodeId(source));
-            paged.tree.insert(key, encode_walks(1)).unwrap();
+            paged.tree.insert(key, Vec::new()).unwrap();
             (g, paged, path)
         };
 
@@ -816,12 +783,11 @@ mod tests {
 
     #[test]
     fn delta_batches_keep_the_paged_index_equal_to_a_rebuild() {
-        use pathix_index::{EntryDeltas, IncrementalKPathIndex};
+        use pathix_index::{apply_op, EntryDeltas};
 
         let g = paper_example_graph();
         let k = 2;
         let mut paged = PagedPathIndex::build_in_memory(&g, k, 8).unwrap();
-        let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, k);
         let mut graph = g.clone();
 
         // Delete a third of the edges, then re-insert them plus a new one.
@@ -848,7 +814,7 @@ mod tests {
         let mut inserted = 0;
         let mut deleted = 0;
         for &update in &updates {
-            if oracle.apply_logged(&mut graph, update, &mut deltas) {
+            if apply_op(&mut graph, k, update, &mut deltas) {
                 if update.insert {
                     inserted += 1;
                 } else {
@@ -897,11 +863,10 @@ mod tests {
 
     #[test]
     fn audit_is_clean_after_build_batches_and_views() {
-        use pathix_index::{EntryDeltas, IncrementalKPathIndex};
+        use pathix_index::{apply_op, EntryDeltas};
 
         let g = paper_example_graph();
         let mut paged = PagedPathIndex::build_in_memory(&g, 2, 8).unwrap();
-        let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, 2);
         let mut graph = g.clone();
         let mut report = AuditReport::new();
         report.run("paged", &paged);
@@ -912,7 +877,7 @@ mod tests {
         let tim = g.node_id("tim").unwrap();
         let knows = g.label_id("knows").unwrap();
         let mut deltas = EntryDeltas::new();
-        let applied = oracle.apply_logged(&mut graph, EdgeOp::insert(sue, knows, tim), &mut deltas);
+        let applied = apply_op(&mut graph, 2, EdgeOp::insert(sue, knows, tim), &mut deltas);
         assert!(applied);
         paged
             .apply_delta_batch(&DeltaBatch {
@@ -948,29 +913,17 @@ mod tests {
         report.run("paged", &paged);
         let names: Vec<_> = report.violations().iter().map(|v| v.invariant).collect();
         assert!(names.contains(&"entry-decodable"), "{names:?}");
-
-        // A value that is not a positive 8-byte walk count.
-        let mut paged = PagedPathIndex::build_in_memory(&g, 2, 8).unwrap();
-        let (path, _) = paged.per_path_counts[0].clone();
-        let key = encode_entry(&path, NodeId(1), NodeId(1));
-        paged.tree.insert(key, encode_walks(0)).unwrap();
-        let mut report = AuditReport::new();
-        report.run("paged", &paged);
-        let names: Vec<_> = report.violations().iter().map(|v| v.invariant).collect();
-        assert!(names.contains(&"walk-count-encoded"), "{names:?}");
     }
 
     #[test]
     fn on_disk_index_reopens_with_recovered_stats() {
-        use pathix_index::{EntryDeltas, IncrementalKPathIndex};
+        use pathix_index::{apply_op, EntryDeltas};
 
         let dir = std::env::temp_dir().join(format!("pathix-pidx-reopen-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("kpath.pages");
         let g = paper_example_graph();
         let k = 2;
-
-        let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, k);
 
         let mut graph = g.clone();
         let (len, per_path, entries) = {
@@ -981,7 +934,12 @@ mod tests {
             let tim = g.node_id("tim").unwrap();
             let knows = g.label_id("knows").unwrap();
             let mut deltas = EntryDeltas::new();
-            assert!(oracle.apply_logged(&mut graph, EdgeOp::insert(sue, knows, tim), &mut deltas,));
+            assert!(apply_op(
+                &mut graph,
+                k,
+                EdgeOp::insert(sue, knows, tim),
+                &mut deltas,
+            ));
             idx.apply_delta_batch(&DeltaBatch {
                 deltas: &deltas,
                 node_count: graph.node_count(),
@@ -992,11 +950,7 @@ mod tests {
             .unwrap();
             idx.close().unwrap();
             assert!(!idx.flush_failed());
-            (
-                idx.len(),
-                idx.per_path_counts().to_vec(),
-                idx.counted_entries().unwrap(),
-            )
+            (idx.len(), idx.per_path_counts().to_vec(), stored_keys(&idx))
         };
 
         let reopened = PagedPathIndex::open(&path, k, 8, graph.node_count()).unwrap();
@@ -1007,12 +961,11 @@ mod tests {
         advertised.sort();
         recovered.sort();
         assert_eq!(recovered, advertised);
-        assert_eq!(reopened.counted_entries().unwrap(), entries);
+        assert_eq!(stored_keys(&reopened), entries);
 
-        // The recovered entries reseed a live writer identical to the oracle.
-        let reseeded = IncrementalKPathIndex::from_persisted_entries(k, entries).unwrap();
-        assert_eq!(reseeded.entry_count(), oracle.entry_count());
-        assert_eq!(reseeded.entry_count() as u64, reopened.len());
+        // The recovered entries are the index of the updated graph.
+        let rebuilt = PagedPathIndex::build_in_memory(&graph, k, 8).unwrap();
+        assert_eq!(entries, stored_keys(&rebuilt));
 
         let mut report = AuditReport::new();
         report.run("paged-reopened", &reopened);
@@ -1022,13 +975,93 @@ mod tests {
     }
 
     #[test]
+    fn scans_stop_at_a_neighbour_differing_in_the_last_prefix_byte() {
+        // Labels 0 and 1 give the signed steps +0, 0⁻, +1, 1⁻: the path
+        // prefixes of adjacent steps differ only in their last byte, and so do
+        // the source prefixes of adjacent node ids.
+        let mut b = pathix_graph::GraphBuilder::new();
+        let nodes: Vec<NodeId> = (0..9).map(|n| b.add_node(&n.to_string())).collect();
+        let (l0, l1) = (b.add_label("0"), b.add_label("1"));
+        for src in [6, 7, 8] {
+            for (label, dst) in [(l0, 1), (l0, 2), (l1, 3)] {
+                b.add_edge(nodes[src], label, nodes[dst]);
+            }
+        }
+        let paged = PagedPathIndex::build_in_memory(&b.build(), 1, 8).unwrap();
+        let fwd0 = [SignedLabel::forward(l0)];
+        let expected: Vec<_> = [6, 7, 8]
+            .into_iter()
+            .flat_map(|s| [(NodeId(s), NodeId(1)), (NodeId(s), NodeId(2))])
+            .collect();
+        assert_eq!(paged.scan_path(&fwd0).unwrap(), expected);
+        assert_eq!(
+            paged.scan_path_from(&fwd0, NodeId(7)).unwrap(),
+            [NodeId(1), NodeId(2)]
+        );
+        assert_eq!(
+            paged
+                .scan_path_from(&[SignedLabel::forward(l1)], NodeId(7))
+                .unwrap(),
+            [NodeId(3)]
+        );
+    }
+
+    #[test]
+    fn scan_path_from_the_largest_node_id_carries_the_successor() {
+        // The source prefix of NodeId(u32::MAX) ends in four 0xFF bytes, so
+        // its successor must carry into the path bytes. No graph interns
+        // that many nodes: the k = 1 entries of the edges max → 4, max → max
+        // and (max − 1) → 5 are keyed directly.
+        let l = pathix_graph::LabelId(0);
+        let max = NodeId(u32::MAX);
+        let (fwd, bwd) = ([SignedLabel::forward(l)], [SignedLabel::backward(l)]);
+        let mut paged = PagedPathIndex::build_in_memory(&Graph::empty(), 1, 8).unwrap();
+        for (a, b) in [
+            (max, NodeId(4)),
+            (max, max),
+            (NodeId(u32::MAX - 1), NodeId(5)),
+        ] {
+            for key in [encode_entry(&fwd, a, b), encode_entry(&bwd, b, a)] {
+                paged.tree.insert(key, Vec::new()).unwrap();
+            }
+        }
+        let prefix = encode_path_source_prefix(&fwd, max);
+        assert!(prefix.ends_with(&[0xFF; 4]));
+        assert_eq!(paged.scan_path_from(&fwd, max).unwrap(), [NodeId(4), max]);
+        assert_eq!(
+            paged.scan_path_from(&fwd, NodeId(u32::MAX - 1)).unwrap(),
+            [NodeId(5)]
+        );
+        // The next path in key order (0⁻) starts right after max's entries.
+        assert_eq!(paged.scan_path_from(&bwd, NodeId(4)).unwrap(), [max]);
+    }
+
+    #[test]
+    fn a_page_file_of_the_old_entry_format_is_refused() {
+        let dir = std::env::temp_dir().join(format!("pathix-pidx-magic-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("kpath.pages");
+        let g = paper_example_graph();
+        let mut idx = PagedPathIndex::build_on_disk(&g, 2, &path, 8).unwrap();
+        idx.close().unwrap();
+        drop(idx);
+        assert!(PagedPathIndex::open(&path, 2, 8, g.node_count()).is_ok());
+        // The walk-count format's meta magic, "PXPI".
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[12..16].copy_from_slice(&0x5058_5049u32.to_le_bytes());
+        std::fs::write(&path, bytes).unwrap();
+        let err = PagedPathIndex::open(&path, 2, 8, g.node_count()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn per_path_counts_follow_batches_and_replays_without_a_rescan() {
-        use pathix_index::{EntryDeltas, IncrementalKPathIndex};
+        use pathix_index::{apply_op, EntryDeltas};
 
         let g = paper_example_graph();
         let k = 2;
         let mut paged = PagedPathIndex::build_in_memory(&g, k, 8).unwrap();
-        let mut oracle = IncrementalKPathIndex::bulk_from_graph(&g, k);
         let mut graph = g.clone();
         let [kim, liz, sue, tim] = ["kim", "liz", "sue", "tim"].map(|n| g.node_id(n).unwrap());
         let (supervisor, knows) = (
@@ -1052,7 +1085,7 @@ mod tests {
             EdgeOp::delete(kim, supervisor, liz),
             EdgeOp::insert(sue, knows, tim),
         ] {
-            assert!(oracle.apply_logged(&mut graph, op, &mut deltas));
+            assert!(apply_op(&mut graph, k, op, &mut deltas));
         }
         let supervised = [SignedLabel::forward(supervisor)];
         paged
@@ -1073,18 +1106,18 @@ mod tests {
             EdgeOp::insert(kim, supervisor, liz),
             EdgeOp::delete(sue, knows, tim),
         ] {
-            assert!(oracle.apply_logged(&mut graph, op, &mut deltas));
+            assert!(apply_op(&mut graph, k, op, &mut deltas));
         }
         let node_count = graph.node_count();
         assert!(paged
-            .replay_batch(2, deltas.counts(), node_count, 1, 1)
+            .replay_batch(2, deltas.ops(), node_count, 1, 1)
             .unwrap());
         assert_eq!(paged.path_cardinality(&supervised), Some(1));
         assert_counts(&mut paged, &graph, "after a fresh replay");
 
         // The same record again: the tree already holds it, nothing moves.
         assert!(!paged
-            .replay_batch(2, deltas.counts(), node_count, 1, 1)
+            .replay_batch(2, deltas.ops(), node_count, 1, 1)
             .unwrap());
         assert_counts(&mut paged, &graph, "after replaying an applied record");
     }
@@ -1100,35 +1133,75 @@ mod tests {
         assert!(stats.hits + stats.misses > 0);
     }
 
+    /// Every stored key, in key order.
+    fn stored_keys(idx: &PagedPathIndex) -> Vec<Vec<u8>> {
+        idx.tree
+            .iter()
+            .unwrap()
+            .map(|item| item.unwrap().0)
+            .collect()
+    }
+
     #[test]
-    fn count_writes_land_in_key_order_with_the_last_write_per_key() {
+    fn transitions_land_in_key_order_with_the_net_change_per_key() {
+        use EntryChange::{Added, Removed};
         let g = paper_example_graph();
         let mut idx = PagedPathIndex::build_in_memory(&g, 2, 8).unwrap();
-        let mut expected: BTreeMap<Vec<u8>, u64> =
-            idx.counted_entries().unwrap().into_iter().collect();
-        let mut stored = expected.keys().cloned();
-        let (rewritten, readded) = (stored.next().unwrap(), stored.next().unwrap());
+        let mut expected: BTreeSet<Vec<u8>> = stored_keys(&idx).into_iter().collect();
+        let mut stored = expected.iter().cloned();
+        let (removed, readded) = (stored.next().unwrap(), stored.next().unwrap());
         let knows = [SignedLabel::forward(g.label_id("knows").unwrap())];
-        let transient = encode_entry(&knows, NodeId(u32::MAX - 1), NodeId(0));
-        assert!(!expected.contains_key(&transient));
-        // Descending key order, each key written twice: a stored key
-        // rewritten, a new key added then removed again, a stored key
-        // removed then added back.
-        let counts = [
-            (transient.clone(), 1),
-            (readded.clone(), 0),
-            (rewritten.clone(), 5),
-            (transient.clone(), 0),
-            (readded.clone(), 4),
-            (rewritten.clone(), 7),
+        let (transient, added) = (
+            encode_entry(&knows, NodeId(u32::MAX - 1), NodeId(0)),
+            encode_entry(&knows, NodeId(u32::MAX - 2), NodeId(0)),
+        );
+        assert!(!expected.contains(&transient) && !expected.contains(&added));
+        // Descending key order: a new key added then removed again, a new
+        // key added, a stored key removed then added back, a stored key
+        // removed.
+        let changes = [
+            (transient.clone(), Added),
+            (added.clone(), Added),
+            (readded.clone(), Removed),
+            (removed.clone(), Removed),
+            (transient.clone(), Removed),
+            (readded.clone(), Added),
         ];
-        assert!(idx.replay_batch(1, &counts, g.node_count(), 0, 0).unwrap());
-        expected.insert(rewritten, 7);
-        expected.insert(readded, 4);
-        let entries: BTreeMap<Vec<u8>, u64> = idx.counted_entries().unwrap().into_iter().collect();
-        assert_eq!(entries, expected);
+        assert!(idx.replay_batch(1, &changes, g.node_count(), 0, 0).unwrap());
+        expected.remove(&removed);
+        expected.insert(added);
+        assert_eq!(stored_keys(&idx), expected.into_iter().collect::<Vec<_>>());
         let mut report = AuditReport::new();
         report.run("paged", &idx);
-        report.assert_clean("after the count writes");
+        report.assert_clean("after the transitions");
+    }
+
+    #[test]
+    fn transitions_that_cancel_within_a_batch_dirty_no_page() {
+        use EntryChange::{Added, Removed};
+        let g = paper_example_graph();
+        let mut idx = PagedPathIndex::build_in_memory(&g, 2, 8).unwrap();
+        let before = stored_keys(&idx);
+        let stored = before[0].clone();
+        let knows = [SignedLabel::forward(g.label_id("knows").unwrap())];
+        let fresh = encode_entry(&knows, NodeId(u32::MAX - 1), NodeId(0));
+        // Page write-backs of one batch's transitions plus a flush.
+        let write_backs = |idx: &mut PagedPathIndex, changes: &[(Vec<u8>, EntryChange)]| {
+            let start = idx.pool_stats().write_backs;
+            idx.write_changes(changes).unwrap();
+            idx.tree.flush().unwrap();
+            idx.pool_stats().write_backs - start
+        };
+        let idle = write_backs(&mut idx, &[]);
+        let cancelling = [
+            (fresh.clone(), Added),
+            (stored.clone(), Removed),
+            (fresh.clone(), Removed),
+            (stored, Added),
+        ];
+        assert_eq!(write_backs(&mut idx, &cancelling), idle);
+        assert_eq!(stored_keys(&idx), before);
+        // A key that stays added does write.
+        assert!(write_backs(&mut idx, &[(fresh, Added)]) > idle);
     }
 }

@@ -16,6 +16,11 @@
 //! truncated or fails its CRC — that frame is the torn tail of an append the
 //! crash interrupted, and its batch was never acknowledged.
 //!
+//! The payload is a [`CommitRecord`]: a format byte, then the batch's
+//! interned names, its effective edge ops and the key transitions they
+//! logged — `(key, added or removed)`, no walk counts. A payload of another
+//! format fails [`CommitRecord::decode`] instead of being misread.
+//!
 //! ## Segments
 //!
 //! The log is a directory of append-only segment files
@@ -28,6 +33,7 @@
 use crate::fault;
 use pathix_graph::EdgeOp;
 use pathix_graph::{LabelId, NodeId};
+use pathix_index::EntryChange;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -40,6 +46,11 @@ const SEGMENT_BYTES: u64 = 1 << 19;
 const MAX_RECORD_BYTES: usize = 1 << 26;
 
 const SEGMENT_SUFFIX: &str = ".seg";
+
+/// The first byte of every [`CommitRecord`] payload. Layout 2 logs key
+/// transitions; layout 1, which had no format byte and logged absolute walk
+/// counts, is refused rather than misread.
+const RECORD_FORMAT: u8 = 2;
 
 /// CRC-32 (IEEE 802.3, reflected) over `bytes` — the checksum guarding every
 /// WAL frame and the graph checkpoint file.
@@ -71,10 +82,10 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// One committed update batch, exactly as the writer resolved it: the new
 /// names it interned (in id order, so replay re-interns identically), the
-/// effective edge operations, and the absolute walk-count writes the counting
-/// rules produced. Replaying the record is idempotent — counts are absolute,
-/// and the graph/tree sides each skip records their checkpoint already
-/// covers.
+/// effective edge operations, and the key transitions they logged. Replay
+/// is idempotent because the graph and tree sides each skip records their
+/// checkpoint already covers: a fresh record meets exactly the state it was
+/// logged against.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CommitRecord {
     /// Monotonic commit sequence number (1-based; 0 is the bulk build).
@@ -85,9 +96,8 @@ pub struct CommitRecord {
     pub new_labels: Vec<String>,
     /// Effective edge operations (no-ops excluded), in application order.
     pub ops: Vec<EdgeOp>,
-    /// Absolute walk-count writes `(entry key, new count)` in application
-    /// order; a count of 0 removes the key.
-    pub counts: Vec<(Vec<u8>, u64)>,
+    /// Key transitions `(entry key, change)` in application order.
+    pub changes: Vec<(Vec<u8>, EntryChange)>,
     /// Edges effectively inserted by the batch.
     pub inserted_edges: u64,
     /// Edges effectively deleted by the batch.
@@ -143,7 +153,8 @@ fn corrupt(what: &str) -> io::Error {
 impl CommitRecord {
     /// Serializes the record into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.counts.len() * 24);
+        let mut out = Vec::with_capacity(64 + self.changes.len() * 20);
+        out.push(RECORD_FORMAT);
         out.extend_from_slice(&self.seq.to_le_bytes());
         out.extend_from_slice(&self.inserted_edges.to_le_bytes());
         out.extend_from_slice(&self.deleted_edges.to_le_bytes());
@@ -162,17 +173,20 @@ impl CommitRecord {
             out.extend_from_slice(&op.dst.0.to_le_bytes());
             out.push(op.insert as u8);
         }
-        out.extend_from_slice(&(self.counts.len() as u32).to_le_bytes());
-        for (key, count) in &self.counts {
+        out.extend_from_slice(&(self.changes.len() as u32).to_le_bytes());
+        for (key, change) in &self.changes {
             put_bytes(&mut out, key);
-            out.extend_from_slice(&count.to_le_bytes());
+            out.push(u8::from(*change == EntryChange::Added));
         }
         out
     }
 
     /// Deserializes a frame payload produced by [`CommitRecord::encode`].
     pub fn decode(bytes: &[u8]) -> io::Result<Self> {
-        let pos = &mut 0usize;
+        if bytes.first() != Some(&RECORD_FORMAT) {
+            return Err(corrupt("unknown record format"));
+        }
+        let pos = &mut 1usize;
         let seq = get_u64_at(bytes, pos)?;
         let inserted_edges = get_u64_at(bytes, pos)?;
         let deleted_edges = get_u64_at(bytes, pos)?;
@@ -212,12 +226,18 @@ impl CommitRecord {
                 EdgeOp::delete(src, label, dst)
             });
         }
-        let count_len = get_u32_at(bytes, pos)? as usize;
-        let mut counts = Vec::with_capacity(count_len.min(65536));
-        for _ in 0..count_len {
+        let change_len = get_u32_at(bytes, pos)? as usize;
+        let mut changes = Vec::with_capacity(change_len.min(65536));
+        for _ in 0..change_len {
             let key = get_bytes_at(bytes, pos)?;
-            let count = get_u64_at(bytes, pos)?;
-            counts.push((key, count));
+            let change = match bytes.get(*pos) {
+                Some(1) => EntryChange::Added,
+                Some(0) => EntryChange::Removed,
+                Some(_) => return Err(corrupt("unknown key transition")),
+                None => return Err(corrupt("record truncated")),
+            };
+            *pos += 1;
+            changes.push((key, change));
         }
         if *pos != bytes.len() {
             return Err(corrupt("trailing bytes after record"));
@@ -227,7 +247,7 @@ impl CommitRecord {
             new_nodes,
             new_labels,
             ops,
-            counts,
+            changes,
             inserted_edges,
             deleted_edges,
         })
@@ -572,7 +592,10 @@ mod tests {
                 EdgeOp::insert(NodeId(0), LabelId(0), NodeId(1)),
                 EdgeOp::delete(NodeId(1), LabelId(0), NodeId(0)),
             ],
-            counts: vec![(vec![1, 2, 3], 7), (vec![9], 0)],
+            changes: vec![
+                (vec![1, 2, 3], EntryChange::Added),
+                (vec![9], EntryChange::Removed),
+            ],
             inserted_edges: 1,
             deleted_edges: 1,
         };
@@ -587,5 +610,38 @@ mod tests {
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(CommitRecord::decode(&trailing).is_err());
+        let mut unknown = bytes.clone();
+        *unknown.last_mut().unwrap() = 2;
+        assert!(CommitRecord::decode(&unknown).is_err());
+    }
+
+    /// A record in layout 1: no format byte, and `(key, walk count)` pairs
+    /// where layout 2 logs `(key, transition)`.
+    fn layout_1(seq: u64, counts: &[(&[u8], u64)]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for word in [seq, 1, 0] {
+            out.extend_from_slice(&word.to_le_bytes());
+        }
+        out.extend_from_slice(&0u32.to_le_bytes()); // no new node
+        out.extend_from_slice(&0u32.to_le_bytes()); // no new label
+        out.extend_from_slice(&1u32.to_le_bytes());
+        out.extend_from_slice(&[0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1]); // +0(0, 1)
+        out.extend_from_slice(&(counts.len() as u32).to_le_bytes());
+        for (key, count) in counts {
+            put_bytes(&mut out, key);
+            out.extend_from_slice(&count.to_le_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn a_record_in_layout_1_is_refused() {
+        let counts: [(&[u8], u64); 2] = [(&[1, 0, 0], 2), (&[1, 0, 1], 0)];
+        // Small and large sequence numbers, including one whose low byte is
+        // the current format byte and so passes the first check.
+        for seq in [1, 7, u64::from(RECORD_FORMAT), 258, 1 << 40] {
+            let err = CommitRecord::decode(&layout_1(seq, &counts)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "seq {seq}");
+        }
     }
 }

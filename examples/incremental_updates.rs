@@ -2,9 +2,10 @@
 //! arrive and disappear, without rebuilding from scratch.
 //!
 //! The paper builds its k-path index once over a static graph; this example
-//! exercises the counting-based maintenance extension
-//! ([`pathix::index::IncrementalKPathIndex`]) on a stream of social-network
-//! updates and compares its cost and results against full rebuilds.
+//! exercises the rederivation rule that maintains it
+//! ([`pathix::index::apply_op`]) on a stream of social-network updates: the
+//! rule logs which keys enter and leave the index, the memory backend
+//! replays that log, and the result is checked against a full rebuild.
 //!
 //! Run with:
 //!
@@ -14,7 +15,7 @@
 
 use pathix::datagen::{social_network, SocialConfig};
 use pathix::graph::EdgeOp;
-use pathix::index::{DeltaBatch, IncrementalKPathIndex, MutablePathIndexBackend, SharedKPathIndex};
+use pathix::index::{apply_op, DeltaBatch, EntryChange, MutablePathIndexBackend, SharedKPathIndex};
 use pathix::{EntryDeltas, Graph, GraphBuilder, LabelId, NodeId, PathIndexBackend};
 use std::time::Instant;
 
@@ -66,40 +67,41 @@ fn main() {
         retracted.len()
     );
 
-    // 1. Seed the incremental index with the initial edge set.
+    // 1. Build the index a database would publish over the initial edges.
     let mut graph = graph_from_edges(&full, initial);
     let start = Instant::now();
-    let mut live = IncrementalKPathIndex::bulk_from_graph(&graph, K);
+    let mut published = SharedKPathIndex::build(&graph, K);
     println!(
-        "seeded incremental index: {} entries in {:?}",
-        live.entry_count(),
+        "built the initial index: {} entries in {:?}",
+        published.stats().entries,
         start.elapsed()
     );
-    // The memory backend a database would publish, built over the same
-    // initial graph; it replays the update log below and counts its own
-    // paths.
-    let mut published = SharedKPathIndex::build(&graph, K);
 
     // 2. Apply the update stream: insertions first, then the retractions.
-    //    Each op advances `graph` by one epoch, and the counting rules walk
-    //    the epochs before and after it.
+    //    Each op advances `graph` by one epoch, and the rule walks the
+    //    epochs before and after it; the writer holds no copy of the index.
     let start = Instant::now();
     let mut log = EntryDeltas::new();
     let mut stream_inserts = 0usize;
     let mut stream_deletes = 0usize;
     for &(src, label, dst) in arriving {
         let op = EdgeOp::insert(src, label, dst);
-        stream_inserts += usize::from(live.apply_logged(&mut graph, op, &mut log));
+        stream_inserts += usize::from(apply_op(&mut graph, K, op, &mut log));
     }
     for &(src, label, dst) in &retracted {
         let op = EdgeOp::delete(src, label, dst);
-        stream_deletes += usize::from(live.apply_logged(&mut graph, op, &mut log));
+        stream_deletes += usize::from(apply_op(&mut graph, K, op, &mut log));
     }
     let incremental_time = start.elapsed();
+    let added = log
+        .ops()
+        .iter()
+        .filter(|(_, change)| *change == EntryChange::Added)
+        .count();
     println!(
         "applied {stream_inserts} insertions + {stream_deletes} deletions incrementally \
-         in {incremental_time:?} ({} logged walk-count writes)",
-        log.counts().len()
+         in {incremental_time:?} ({added} keys added, {} removed)",
+        log.len() - added
     );
 
     // 3. The same final state via a full rebuild, for comparison.
@@ -125,18 +127,10 @@ fn main() {
         rebuild_time.as_secs_f64() / per_update.as_secs_f64().max(1e-9)
     );
 
-    // 4. Verify both routes agree on every indexed path relation, and that
-    //    the epoch chain ended at the final graph.
+    // 4. Replay the log into the published index and verify it agrees with
+    //    the rebuild on every path relation, and that the epoch chain ended
+    //    at the final graph.
     assert_eq!(graph.edge_count(), final_graph.edge_count());
-    assert_eq!(live.entry_count() as u64, rebuilt.stats().entries);
-    for (path, _) in rebuilt.per_path_counts() {
-        let expected: Vec<_> = rebuilt.scan_path(path).collect();
-        assert_eq!(live.scan_path(path), expected, "path {path:?} diverged");
-    }
-    println!(
-        "incremental maintenance and full rebuild agree on all {} path relations ✔",
-        rebuilt.stats().distinct_paths
-    );
     published
         .apply_delta_batch(&DeltaBatch {
             deltas: &log,
@@ -145,24 +139,16 @@ fn main() {
             deleted_edges: stream_deletes as u64,
             seq: 1,
         })
-        .expect("a log from the counting rules replays");
+        .expect("a log from the rederivation rule replays");
     assert_eq!(published.per_path_counts(), rebuilt.per_path_counts());
-    println!(
-        "the memory backend replayed the same log and counts the rebuild's {} entries ✔",
-        published.stats().entries
-    );
-
-    // 5. Walk counts explain *why* pairs survive deletions: a pair stays in
-    //    the index exactly while at least one walk still realizes it.
-    let knows = full.label_id("knows").expect("label exists");
-    let kk: [pathix::SignedLabel; 2] = [knows.into(), knows.into()];
-    let survivors = live.scan_path(&kk);
-    if let Some(&(a, b)) = survivors.first() {
-        println!(
-            "example: ({}, {}) is connected by {} distinct knows/knows walks",
-            full.node_name(a).unwrap_or("?"),
-            full.node_name(b).unwrap_or("?"),
-            live.walk_count(&kk, a, b)
-        );
+    for (path, _) in rebuilt.per_path_counts() {
+        let expected: Vec<_> = rebuilt.scan_path(path).collect();
+        let replayed: Vec<_> = published.scan_path(path).collect();
+        assert_eq!(replayed, expected, "path {path:?} diverged");
     }
+    println!(
+        "the replayed log and a full rebuild agree on all {} entries of {} path relations ✔",
+        rebuilt.stats().entries,
+        rebuilt.stats().distinct_paths
+    );
 }

@@ -971,7 +971,7 @@ mod tests {
             let out = shell.run(Command::Audit);
             assert!(out.contains("clean"), "{backend:?} after update: {out}");
             assert!(out.contains("writer/"), "{backend:?}: {out}");
-            assert!(out.contains("counting-index"), "{backend:?}: {out}");
+            assert!(out.contains("snapshot/"), "{backend:?}: {out}");
         }
     }
 

@@ -132,9 +132,9 @@ fn a_fixed_update_script_costs_the_same_deltas_on_every_backend() {
 
 /// `(pool write-backs, copy-on-write page copies)` of the three batches of
 /// [`script`] on the paged backends, in-memory and on-disk alike: a batch's
-/// count writes reach the tree in key order, last write per key, so the pages
-/// it dirties and copies are a function of its keys.
-const PAGE_WRITES: [(u64, u64); 3] = [(63, 56), (122, 80), (106, 38)];
+/// key transitions reach the tree in key order, one net change per key, so
+/// the pages it dirties and copies are a function of its keys.
+const PAGE_WRITES: [(u64, u64); 3] = [(42, 41), (85, 57), (74, 31)];
 
 #[test]
 fn a_fixed_update_script_writes_the_same_pages_on_the_paged_backends() {
@@ -190,9 +190,9 @@ fn wal_bytes(dir: &Path) -> Vec<u8> {
 
 /// Bytes the on-disk backend's write-ahead log holds after each batch of
 /// [`script`]: one framed commit record per batch (interned names, effective
-/// ops, absolute walk-count writes). The default checkpoint cadence of 256
-/// batches truncates nothing here.
-const WAL_BYTES: [usize; 3] = [7192, 13454, 21366];
+/// ops, key transitions). The default checkpoint cadence of 256 batches
+/// truncates nothing here.
+const WAL_BYTES: [usize; 3] = [5025, 9264, 14817];
 
 #[test]
 fn a_fixed_update_script_logs_the_same_wal_bytes() {
@@ -209,7 +209,7 @@ fn a_fixed_update_script_logs_the_same_wal_bytes() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
-/// The counting rules emit each update's walk-count writes in key order, so
+/// The rederivation rule emits each update's transitions in key order, so
 /// two databases given the same batches write the same log byte for byte.
 #[test]
 fn two_databases_given_the_same_batches_log_identical_bytes() {
@@ -352,9 +352,9 @@ fn bound_probes_skip_a_fixed_number_of_chunks_and_segments() {
 /// probes cost more) on the paged in-memory backend with a 32-frame pool:
 /// which leaves a scan visits, in what order, which read-ahead it issues and
 /// which frames that pushes out.
-const SCAN_MISSES: u64 = 22;
-const SCAN_READ_AHEAD_PAGES: u64 = 187;
-const SCAN_EVICTIONS: u64 = 209;
+const SCAN_MISSES: u64 = 17;
+const SCAN_READ_AHEAD_PAGES: u64 = 146;
+const SCAN_EVICTIONS: u64 = 163;
 /// Pairs those scans deliver (the sum of the nine path cardinalities).
 const SCAN_PAIRS: usize = 11194;
 
