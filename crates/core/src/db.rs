@@ -586,21 +586,78 @@ impl Durability {
             checkpoint_every: checkpoint_every.max(1),
         })
     }
+
+    /// Folds the log into a checkpoint of `graph` at `seq`: the checkpoint
+    /// is written (durably) *before* the log is truncated, so a crash in
+    /// between leaves records the checkpoint already covers, which recovery
+    /// skips, and never a gap.
+    fn checkpoint(&mut self, graph: &Graph, seq: u64) -> std::io::Result<()> {
+        durability::write_checkpoint(&self.checkpoint_path, graph, seq)?;
+        self.wal.reset()?;
+        self.records_since_checkpoint = 0;
+        Ok(())
+    }
+}
+
+/// What rederiving one batch produced: the committed graph epoch, the
+/// effective ops in application order, and how many ops were effective
+/// inserts, effective deletes and no-ops. The key transitions land in the
+/// log [`rederive`] was handed.
+struct Rederived {
+    graph: Graph,
+    effective: Vec<EdgeOp>,
+    inserted: u64,
+    deleted: u64,
+    no_ops: u64,
+}
+
+/// The rederivation half of a batch, shared by [`PathDb::apply`] and the
+/// replay of a logged record in [`PathDb::open`]: walks `adopted` — the
+/// graph with the batch's vocabulary already interned — op by op through
+/// [`apply_op`], logging every key transition into `deltas` (cleared
+/// first), then commits the effective ops as one new epoch.
+fn rederive(
+    adopted: &Graph,
+    k: usize,
+    ops: impl IntoIterator<Item = EdgeOp>,
+    deltas: &mut EntryDeltas,
+) -> Rederived {
+    // Each step of the scratch chain re-shares every untouched chunk of
+    // the one before.
+    let mut walked = adopted.clone();
+    deltas.clear();
+    let mut effective = Vec::new();
+    let (mut inserted, mut deleted, mut no_ops) = (0, 0, 0);
+    for op in ops {
+        if !apply_op(&mut walked, k, op, deltas) {
+            no_ops += 1;
+            continue;
+        }
+        if op.insert {
+            inserted += 1;
+        } else {
+            deleted += 1;
+        }
+        effective.push(op);
+    }
+    // The committed epoch is one commit of the effective ops, not the
+    // scratch chain: O(Δ), untouched labels and chunks are re-shared by
+    // refcount bump, never copied.
+    let graph = adopted.commit_batch(adopted.vocab_batch(), &effective);
+    Rederived {
+        graph,
+        effective,
+        inserted,
+        deleted,
+        no_ops,
+    }
 }
 
 /// Assembles the commit record of one applied batch: the names the batch
 /// interned (ids `before.node_count()..` / `before.label_count()..` of the
-/// committed graph, in id order, so replay re-interns them identically), the
-/// effective edge ops, and the key transitions they logged.
-fn commit_record(
-    seq: u64,
-    before: &Graph,
-    after: &Graph,
-    effective: &[EdgeOp],
-    deltas: &EntryDeltas,
-    inserted: u64,
-    deleted: u64,
-) -> CommitRecord {
+/// committed graph, in id order, so replay re-interns them identically) and
+/// the effective edge ops.
+fn commit_record(seq: u64, before: &Graph, after: &Graph, effective: &[EdgeOp]) -> CommitRecord {
     let new_nodes = (before.node_count()..after.node_count())
         .map(|id| {
             after
@@ -622,9 +679,6 @@ fn commit_record(
         new_nodes,
         new_labels,
         ops: effective.to_vec(),
-        changes: deltas.ops().to_vec(),
-        inserted_edges: inserted,
-        deleted_edges: deleted,
     }
 }
 
@@ -780,25 +834,26 @@ impl PathDb {
 
     /// Opens a previously built **on-disk** database from its durable state:
     /// the page file, the graph checkpoint next to it, and the write-ahead
-    /// log. Every committed batch the last process never wrote back —
-    /// including the node and label names it interned, which are re-interned
-    /// in the original id order so the live vocabulary (and with it every
-    /// index key) survives the crash — is replayed, then folded into a fresh
-    /// checkpoint so the next open starts clean.
+    /// log. Every committed batch past the checkpoint is replayed — its node
+    /// and label names re-interned in the original id order, so the live
+    /// vocabulary (and with it every index key) survives the crash — then
+    /// folded into a fresh checkpoint so the next open starts clean.
     ///
-    /// Replay is idempotent and itself restartable: the graph side skips
-    /// records its checkpoint already covers, the tree side skips records at
-    /// or below its persisted sequence number (so a fresh record's
-    /// transitions meet exactly the tree they were logged against), and each
-    /// replayed batch is flushed durably before the next.
-    /// A crash at *any* point — mid-append, mid-writeback, mid-checkpoint,
-    /// or mid-recovery — therefore lands in a state this function repairs.
+    /// Replay is apply: a record the page file already absorbed (its seq is
+    /// at or below the tree's persisted sequence number) only advances the
+    /// graph; a later one is rederived from its edge ops by the code
+    /// [`PathDb::apply`] runs, on the epoch it was committed against, and
+    /// handed to the tree through the same delta-batch call, flushed durably
+    /// before the next. A logged op that changes nothing there means the log
+    /// is corrupt. Replay is therefore idempotent and itself restartable:
+    /// a crash at *any* point — mid-append, mid-writeback, mid-checkpoint,
+    /// or mid-recovery — lands in a state this function repairs.
     /// With `PATHIX_AUDIT=1` in the environment, a full structural audit
     /// runs after every replayed batch.
     ///
     /// Requires [`BackendChoice::OnDisk`] in `config`; anything else (and any
-    /// missing, torn or inconsistent durable state) is
-    /// [`QueryError::Recovery`].
+    /// missing, torn or inconsistent durable state, such as a logged op that
+    /// is a no-op) is [`QueryError::Recovery`].
     ///
     /// ```
     /// use pathix_core::{BackendChoice, GraphUpdate, PathDb, PathDbConfig, QueryError};
@@ -848,11 +903,21 @@ impl PathDb {
                     .map_err(|e| QueryError::Recovery(format!("decoding a commit record: {e}")))?,
             );
         }
-        let mut paged = PagedPathIndex::open(&path, config.k, pool_frames, graph.node_count())
+        // A fresh record sets the index's node count the way a live batch
+        // does. When every record is stale none does, so the index starts
+        // at the node count the whole log leaves behind.
+        let recovered_nodes = graph.node_count()
+            + records
+                .iter()
+                .filter(|record| record.seq > checkpoint_seq)
+                .map(|record| record.new_nodes.len())
+                .sum::<usize>();
+        let mut paged = PagedPathIndex::open(&path, config.k, pool_frames, recovered_nodes)
             .map_err(|e| QueryError::Recovery(format!("opening the page file: {e}")))?;
         let audit_each_batch = std::env::var("PATHIX_AUDIT").is_ok_and(|v| v == "1");
+        let mut deltas = EntryDeltas::new();
         let mut seq = checkpoint_seq;
-        for record in &records {
+        for record in records {
             if record.seq <= checkpoint_seq {
                 // An interrupted log truncation can leave records the
                 // checkpoint already covers; they are fully absorbed.
@@ -865,8 +930,11 @@ impl PathDb {
                     record.seq
                 )));
             }
-            // Re-intern the batch's names in id order, then re-commit its
-            // edge ops — this reproduces the pre-crash graph epoch exactly.
+            let replay_error = |what: String| {
+                QueryError::Recovery(format!("replaying commit {}: {what}", record.seq))
+            };
+            // Re-intern the batch's names in id order: this reproduces the
+            // pre-crash ids, and with them every index key.
             let mut vocab = graph.vocab_batch();
             for name in &record.new_nodes {
                 vocab.intern_node(name);
@@ -874,18 +942,34 @@ impl PathDb {
             for name in &record.new_labels {
                 vocab.intern_label(name);
             }
-            graph = graph.commit_batch(vocab, &record.ops);
-            paged
-                .replay_batch(
-                    record.seq,
-                    &record.changes,
-                    graph.node_count(),
-                    record.inserted_edges,
-                    record.deleted_edges,
-                )
-                .map_err(|e| {
-                    QueryError::Recovery(format!("replaying commit {}: {e}", record.seq))
-                })?;
+            let adopted = graph.commit_batch(vocab, &[]);
+            for op in &record.ops {
+                validate_update(&adopted, &GraphUpdate::insert(op.src, op.label, op.dst))
+                    .map_err(|e| replay_error(e.to_string()))?;
+            }
+            graph = if record.seq <= paged.applied_seq() {
+                // The tree absorbed this batch before the crash.
+                adopted.commit_batch(adopted.vocab_batch(), &record.ops)
+            } else {
+                // The batch a live apply ran, rederived from its ops on the
+                // epoch it was committed against, where each op is
+                // effective.
+                let batch = rederive(&adopted, config.k, record.ops, &mut deltas);
+                if batch.no_ops > 0 {
+                    return Err(replay_error(format!(
+                        "{} logged op(s) change nothing on the recovered graph",
+                        batch.no_ops
+                    )));
+                }
+                paged
+                    .apply_delta_batch(&DeltaBatch {
+                        deltas: &deltas,
+                        node_count: batch.graph.node_count(),
+                        seq: record.seq,
+                    })
+                    .map_err(|e| replay_error(e.to_string()))?;
+                batch.graph
+            };
             seq = record.seq;
             if audit_each_batch {
                 let mut report = AuditReport::new();
@@ -902,19 +986,16 @@ impl PathDb {
         }
         // Fold what replay recovered into a fresh checkpoint and start an
         // empty log: the next open replays only what comes after this one.
-        durability::write_checkpoint(&checkpoint_path, &graph, seq)
-            .map_err(|e| QueryError::Recovery(format!("rewriting the checkpoint: {e}")))?;
-        let mut wal = Wal::open(&wal_path)
-            .map_err(|e| QueryError::Recovery(format!("reopening the write-ahead log: {e}")))?;
-        wal.reset()
-            .map_err(|e| QueryError::Recovery(format!("truncating the write-ahead log: {e}")))?;
-
-        let durability = Durability {
-            wal,
+        let mut durability = Durability {
+            wal: Wal::open(&wal_path)
+                .map_err(|e| QueryError::Recovery(format!("reopening the write-ahead log: {e}")))?,
             checkpoint_path,
             records_since_checkpoint: 0,
             checkpoint_every: config.wal_checkpoint_every.max(1),
         };
+        durability
+            .checkpoint(&graph, seq)
+            .map_err(|e| QueryError::Recovery(format!("checkpointing the replayed log: {e}")))?;
         let writer = IndexBackend::Paged(paged);
         Ok(Self::assemble(graph, writer, config, seq, Some(durability)))
     }
@@ -941,14 +1022,9 @@ impl PathDb {
             if live_state.failed.is_none() {
                 // The tree is durably at `commit_seq`, so the log is
                 // redundant: checkpoint and truncate it for a clean reopen.
-                let current = self.snapshot();
-                durability::write_checkpoint(
-                    &durable.checkpoint_path,
-                    current.graph(),
-                    live_state.commit_seq,
-                )
-                .and_then(|()| durable.wal.reset())
-                .map_err(|e| QueryError::Backend(BackendError::io("wal", &e)))?;
+                durable
+                    .checkpoint(self.snapshot().graph(), live_state.commit_seq)
+                    .map_err(|e| QueryError::Backend(BackendError::io("wal", &e)))?;
             }
         }
         Ok(())
@@ -1158,31 +1234,22 @@ impl PathDb {
         live_state.applied = true;
 
         // The rule walks the graph epochs around each op: adopt the batch's
-        // vocabulary once, then advance a scratch epoch op by op (each step
-        // re-shares every untouched chunk of the one before).
+        // vocabulary once, then rederive (an unresolved name is a no-op).
         let adopted = current.graph().commit_batch(vocab, &[]);
-        let mut walked = adopted.clone();
-        live_state.deltas.clear();
-        let mut effective: Vec<EdgeOp> = Vec::new();
-        let mut inserted = 0u64;
-        let mut deleted = 0u64;
-        let mut no_ops = 0u64;
-        for op in resolved.into_iter() {
-            let Some(op) = op else {
-                no_ops += 1;
-                continue;
-            };
-            if !apply_op(&mut walked, self.config.k, op, &mut live_state.deltas) {
-                no_ops += 1;
-                continue;
-            }
-            if op.insert {
-                inserted += 1;
-            } else {
-                deleted += 1;
-            }
-            effective.push(op);
-        }
+        let unresolved = resolved.iter().filter(|op| op.is_none()).count() as u64;
+        let Rederived {
+            graph,
+            effective,
+            inserted,
+            deleted,
+            no_ops,
+        } = rederive(
+            &adopted,
+            self.config.k,
+            resolved.into_iter().flatten(),
+            &mut live_state.deltas,
+        );
+        let no_ops = no_ops + unresolved;
         let vocab_grew = adopted.node_count() != current.graph().node_count()
             || adopted.label_count() != current.graph().label_count();
         if effective.is_empty() && !vocab_grew {
@@ -1197,11 +1264,6 @@ impl PathDb {
                 histogram_refreshed: false,
             });
         }
-        // The published epoch is one commit of the effective ops, not the
-        // scratch chain: O(Δ), untouched labels and chunks are re-shared by
-        // refcount bump, never copied.
-        let graph = adopted.commit_batch(adopted.vocab_batch(), &effective);
-
         // The refresh decision is taken on the *pending* count, but the
         // counter itself only advances after the batch has durably committed
         // and published — a failed apply must not consume refresh budget for
@@ -1212,23 +1274,15 @@ impl PathDb {
             HistogramRefresh::Manual => false,
         };
 
-        // Durability (on-disk backend): the commit record — interned names,
-        // effective ops, key transitions — must be appended *and* synced
-        // before the paged tree absorbs the batch, because the buffer
-        // pool may evict (write back) pages at any point during the tree
-        // mutation. A logged-but-never-applied batch replays on open; an
+        // Durability (on-disk backend): the commit record — interned names
+        // and effective ops — must be appended *and* synced before the
+        // paged tree absorbs the batch, because the buffer pool may evict
+        // (write back) pages at any point during the tree mutation. A
+        // logged-but-never-applied batch is rederived on open; an
         // applied-but-never-logged batch would be unrecoverable.
         let seq = live_state.commit_seq + 1;
         if let Some(durable) = live_state.durability.as_mut() {
-            let record = commit_record(
-                seq,
-                current.graph(),
-                &graph,
-                &effective,
-                &live_state.deltas,
-                inserted,
-                deleted,
-            );
+            let record = commit_record(seq, current.graph(), &graph, &effective);
             if let Err(e) = durable
                 .wal
                 .append(&record.encode())
@@ -1246,8 +1300,6 @@ impl PathDb {
         let batch = DeltaBatch {
             deltas: &live_state.deltas,
             node_count: graph.node_count(),
-            inserted_edges: inserted,
-            deleted_edges: deleted,
             seq,
         };
         let backend = match live_state.writer.publish(&batch) {
@@ -1287,21 +1339,15 @@ impl PathDb {
         // still poisons the writer — the next open recovers from the intact
         // log, and continuing to append to a log that can no longer be
         // truncated would hide the fault.
-        let mut checkpoint_error = None;
         if let Some(durable) = live_state.durability.as_mut() {
             durable.records_since_checkpoint += 1;
             if durable.records_since_checkpoint >= durable.checkpoint_every {
-                match durability::write_checkpoint(&durable.checkpoint_path, &graph, seq)
-                    .and_then(|()| durable.wal.reset())
-                {
-                    Ok(()) => durable.records_since_checkpoint = 0,
-                    Err(e) => checkpoint_error = Some(BackendError::io("wal", &e)),
+                if let Err(e) = durable.checkpoint(&graph, seq) {
+                    let e = BackendError::io("wal", &e);
+                    live_state.failed = Some(e.clone());
+                    return Err(QueryError::Backend(e));
                 }
             }
-        }
-        if let Some(e) = checkpoint_error {
-            live_state.failed = Some(e.clone());
-            return Err(QueryError::Backend(e));
         }
         Ok(UpdateStats {
             inserted,
@@ -1546,6 +1592,20 @@ impl PathDb {
             &format!("writer/{}", live.writer.backend_name()),
             &live.writer,
         );
+        report.begin("node-count");
+        let nodes = snapshot.graph().node_count();
+        for (side, indexed) in [
+            ("snapshot", snapshot.index().node_count()),
+            ("writer", live.writer.node_count()),
+        ] {
+            report.check(
+                "index spans the graph's nodes",
+                side,
+                indexed == nodes,
+                || format!("the {side} index counts {indexed} node(s), the graph {nodes}"),
+            );
+        }
+        report.end();
         // Durability health. `StorageStats::flush_failed` is sticky but was
         // previously only visible to callers polling `stats()`; surfacing it
         // here makes degraded state part of the structural audit, so harness
@@ -1810,8 +1870,6 @@ mod tests {
                 let batch = DeltaBatch {
                     deltas: &deltas,
                     node_count: graph.node_count(),
-                    inserted_edges: op.insert as u64,
-                    deleted_edges: !op.insert as u64,
                     seq: seq as u64 + 1,
                 };
                 let before: Vec<_> = views.iter().map(contents).collect();
@@ -2568,5 +2626,129 @@ mod tests {
         }
         assert!(db.audit().is_clean());
         db.close().unwrap();
+    }
+
+    /// Three batches, each interning a node the graph has not seen.
+    fn interning_batches() -> [Vec<GraphUpdate>; 3] {
+        [
+            vec![GraphUpdate::insert_named("max", "knows", "ada")],
+            vec![
+                GraphUpdate::insert_named("ada", "mentors", "zed"),
+                GraphUpdate::insert_named("zed", "knows", "kim"),
+            ],
+            vec![
+                GraphUpdate::insert_named("kim", "knows", "nia"),
+                GraphUpdate::delete_named("kim", "supervisor", "liz"),
+            ],
+        ]
+    }
+
+    /// Reopens the database at `config` and demands a clean audit — the
+    /// index's node count included — and the answers of a never-crashed
+    /// twin that applied every batch.
+    fn assert_reopens_like_a_twin(config: PathDbConfig, when: &str) {
+        let twin = example_db(2);
+        for batch in interning_batches() {
+            twin.apply(&batch).unwrap();
+        }
+        let reopened = PathDb::open(config).unwrap();
+        let report = reopened.audit();
+        assert!(report.is_clean(), "{when}: {:?}", report.violations());
+        assert_eq!(reopened.graph().node_count(), twin.graph().node_count());
+        for text in [
+            "knows/knows",
+            "mentors/knows",
+            "knows-/knows",
+            "supervisor/worksFor-",
+        ] {
+            assert_eq!(
+                reopened.query(text).unwrap().named_pairs(&reopened),
+                twin.query(text).unwrap().named_pairs(&twin),
+                "{when}: {text}"
+            );
+        }
+        reopened.close().unwrap();
+    }
+
+    #[test]
+    fn a_reopen_after_stale_records_that_intern_nodes_audits_clean() {
+        let _disk = DISK_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let dir = TempDir::new("stale-names");
+        let config = on_disk_config(&dir);
+        let db = PathDb::try_build(paper_example_graph(), config.clone()).unwrap();
+        for batch in interning_batches() {
+            db.apply(&batch).unwrap();
+        }
+        // Killed after the last page flush: every record in the log is at
+        // or below the tree's sequence number.
+        std::mem::forget(db);
+        assert_reopens_like_a_twin(config, "every record stale");
+    }
+
+    #[test]
+    fn a_reopen_after_a_fresh_record_that_interns_nodes_audits_clean() {
+        let _disk = DISK_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let dir = TempDir::new("fresh-names");
+        let config = on_disk_config(&dir);
+        let db = PathDb::try_build(paper_example_graph(), config.clone()).unwrap();
+        let [first, second, last] = interning_batches();
+        db.apply(&first).unwrap();
+        db.apply(&second).unwrap();
+        // Killed after the last batch's log append and sync, before its
+        // pages reach the file: its record is fresh.
+        pathix_pagestore::fault::arm(2);
+        assert!(matches!(db.apply(&last), Err(QueryError::Backend(_))));
+        drop(db);
+        let fired = pathix_pagestore::fault::disarm();
+        assert!(
+            fired
+                .as_deref()
+                .is_some_and(|site| site.starts_with("page-")),
+            "{fired:?}"
+        );
+        assert_reopens_like_a_twin(config, "one record fresh");
+    }
+
+    #[test]
+    fn a_logged_op_that_cannot_apply_is_refused_on_open() {
+        let _disk = DISK_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let dir = TempDir::new("no-op-record");
+        let config = on_disk_config(&dir);
+        let db = PathDb::try_build(paper_example_graph(), config.clone()).unwrap();
+        db.apply(&[GraphUpdate::insert_named("max", "knows", "ada")])
+            .unwrap();
+        let graph = db.graph();
+        db.close().unwrap();
+        drop(db);
+
+        // CRC-valid records past the page file's seq whose op inserts an
+        // edge the recovered epoch already holds, or names a node it never
+        // interned.
+        let [kim, liz] = ["kim", "liz"].map(|name| graph.node_id(name).unwrap());
+        let supervisor = graph.label_id("supervisor").unwrap();
+        for (what, op) in [
+            ("already held", EdgeOp::insert(kim, supervisor, liz)),
+            ("uninterned", EdgeOp::insert(kim, supervisor, NodeId(999))),
+        ] {
+            let record = CommitRecord {
+                seq: 2,
+                ops: vec![op],
+                ..CommitRecord::default()
+            };
+            let mut wal = Wal::open(durability::wal_dir(&dir.path("idx.pages"))).unwrap();
+            wal.reset().unwrap();
+            wal.append(&record.encode()).unwrap();
+            wal.sync().unwrap();
+            drop(wal);
+
+            // Refused every time: the record is neither skipped nor consumed.
+            for _ in 0..2 {
+                let err = PathDb::open(config.clone()).unwrap_err();
+                assert!(
+                    matches!(&err, QueryError::Recovery(m) if m.contains("commit 2")),
+                    "{what}: {err:?}"
+                );
+            }
+        }
     }
 }

@@ -8,8 +8,9 @@
 //! rename) every [`crate::PathDbConfig::wal_checkpoint_every`] batches and
 //! at open. Batches after the checkpoint live only in the WAL
 //! ([`pathix_pagestore::Wal`]) as [`pathix_pagestore::CommitRecord`]s; replay
-//! re-interns their names in id order and re-commits their edge ops, which
-//! reproduces ids — and therefore index entry keys — exactly.
+//! re-interns their names in id order, which reproduces ids — and therefore
+//! index entry keys — exactly, and re-applies their edge ops the way a live
+//! batch does.
 //!
 //! For a page file at `db.pages`, the checkpoint lives at `db.pages.graph`
 //! and the log segments under `db.pages.wal/`.

@@ -425,10 +425,6 @@ pub struct DeltaBatch<'a> {
     pub deltas: &'a EntryDeltas,
     /// Node count of the committed graph after the batch.
     pub node_count: usize,
-    /// Edges effectively inserted by the batch (no-ops excluded).
-    pub inserted_edges: u64,
-    /// Edges effectively deleted by the batch (no-ops excluded).
-    pub deleted_edges: u64,
     /// Monotonic commit sequence number of the batch (0 for the bulk build).
     /// Durable backends record the highest applied sequence so that
     /// write-ahead-log replay after a crash can skip batches whose effects
@@ -453,9 +449,6 @@ pub trait MutablePathIndexBackend: PathIndexBackend {
     /// rebuild) only when the underlying storage fails, e.g. I/O trouble on
     /// a disk-resident tree.
     fn apply_delta_batch(&mut self, batch: &DeltaBatch<'_>) -> BackendResult<()>;
-
-    /// Number of effective `(insertions, deletions)` absorbed so far.
-    fn updates_applied(&self) -> (u64, u64);
 }
 
 /// Checks the planner contract `1 ≤ |path| ≤ k`, producing the shared error.

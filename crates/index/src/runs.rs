@@ -126,8 +126,6 @@ pub struct SharedKPathIndex<C: ChunkCodec = Plain> {
     /// The length of every run, in run order.
     per_path_counts: Vec<(Vec<SignedLabel>, u64)>,
     last_publish: RunPublishStats,
-    inserts_applied: u64,
-    deletes_applied: u64,
     /// Chunks bypassed by bound-source probes (fences + bloom). Shared
     /// (`Arc`) across clones and epochs so any snapshot reports the lineage's
     /// global total.
@@ -204,8 +202,6 @@ impl<C: ChunkCodec> SharedKPathIndex<C> {
             runs,
             per_path_counts,
             last_publish: RunPublishStats::default(),
-            inserts_applied: 0,
-            deletes_applied: 0,
             chunks_skipped: Arc::default(),
         }
     }
@@ -366,8 +362,6 @@ impl<C: ChunkCodec> SharedKPathIndex<C> {
             runs,
             per_path_counts,
             last_publish: stats,
-            inserts_applied: self.inserts_applied + batch.inserted_edges,
-            deletes_applied: self.deletes_applied + batch.deleted_edges,
             chunks_skipped: Arc::clone(&self.chunks_skipped),
         })
     }
@@ -469,10 +463,6 @@ impl<C: ChunkCodec> MutablePathIndexBackend for SharedKPathIndex<C> {
         *self = self.with_batch(batch)?;
         Ok(())
     }
-
-    fn updates_applied(&self) -> (u64, u64) {
-        (self.inserts_applied, self.deletes_applied)
-    }
 }
 
 impl<C: ChunkCodec> StructuralAudit for SharedKPathIndex<C> {
@@ -568,17 +558,10 @@ mod tests {
     const MANY: u32 = 1536;
 
     /// The batch that logged `deltas` and left `graph` behind.
-    fn delta_batch<'a>(
-        graph: &Graph,
-        deltas: &'a EntryDeltas,
-        inserted: u64,
-        deleted: u64,
-    ) -> DeltaBatch<'a> {
+    fn delta_batch<'a>(graph: &Graph, deltas: &'a EntryDeltas) -> DeltaBatch<'a> {
         DeltaBatch {
             deltas,
             node_count: graph.node_count(),
-            inserted_edges: inserted,
-            deleted_edges: deleted,
             seq: 1,
         }
     }
@@ -605,8 +588,6 @@ mod tests {
             runs: Vec::new(),
             per_path_counts: Vec::new(),
             last_publish: RunPublishStats::default(),
-            inserts_applied: 0,
-            deletes_applied: 0,
             chunks_skipped: Arc::default(),
         }
     }
@@ -782,9 +763,7 @@ mod tests {
             EdgeOp::insert(sue, knows, tim),
             &mut deltas,
         ));
-        let next = shared
-            .with_batch(&delta_batch(&graph, &deltas, 1, 0))
-            .unwrap();
+        let next = shared.with_batch(&delta_batch(&graph, &deltas)).unwrap();
 
         // The rule advanced the graph epoch to the updated graph.
         let rebuilt = SharedKPathIndex::build(&graph, k);
@@ -818,9 +797,7 @@ mod tests {
         assert!(apply_op(&mut graph, 2, insert, &mut deltas));
         assert!(apply_op(&mut graph, 2, delete, &mut deltas));
         assert!(!deltas.is_empty(), "transitions were logged both ways");
-        let next = shared
-            .with_batch(&delta_batch(&graph, &deltas, 1, 1))
-            .unwrap();
+        let next = shared.with_batch(&delta_batch(&graph, &deltas)).unwrap();
         assert_eq!(next.stats().entries, shared.stats().entries);
         for (path, _) in shared.per_path_counts() {
             assert_eq!(
@@ -847,32 +824,20 @@ mod tests {
             );
         }
         let empty = empty_index();
-        let mut shared = empty
-            .with_batch(&delta_batch(&graph, &deltas, MANY as u64, 0))
-            .unwrap();
+        let mut shared = empty.with_batch(&delta_batch(&graph, &deltas)).unwrap();
         assert!(shared.chunk_count() > 1, "chain must span several chunks");
 
         for round in 0..4u32 {
             deltas.clear();
-            let mut deleted = 0;
-            let mut inserted = 0;
             for i in (round..(MANY)).step_by(7) {
                 let update = if i % 2 == 0 {
                     EdgeOp::delete(NodeId(i), l, NodeId(i + 1))
                 } else {
                     EdgeOp::insert(NodeId(i), l, NodeId(i + 1))
                 };
-                if apply_op(&mut graph, 1, update, &mut deltas) {
-                    if update.insert {
-                        inserted += 1;
-                    } else {
-                        deleted += 1;
-                    }
-                }
+                apply_op(&mut graph, 1, update, &mut deltas);
             }
-            shared = shared
-                .with_batch(&delta_batch(&graph, &deltas, inserted, deleted))
-                .unwrap();
+            shared = shared.with_batch(&delta_batch(&graph, &deltas)).unwrap();
             let rebuilt = SharedKPathIndex::build(&graph, 1);
             assert_eq!(shared.per_path_counts(), rebuilt.per_path_counts());
             for (path, count) in rebuilt.per_path_counts() {
@@ -908,29 +873,22 @@ mod tests {
             );
         }
         let empty = empty_index();
-        let mut shared = empty
-            .with_batch(&delta_batch(&graph, &deltas, n as u64, 0))
-            .unwrap();
+        let mut shared = empty.with_batch(&delta_batch(&graph, &deltas)).unwrap();
         let peak_chunks = shared.chunk_count();
         assert!(peak_chunks >= 8);
 
         // Delete 15 of every 16 entries, scattered, over several batches.
         for offset in 0..15u32 {
             deltas.clear();
-            let mut deleted = 0;
             for i in ((offset)..n).step_by(16) {
-                if apply_op(
+                apply_op(
                     &mut graph,
                     1,
                     EdgeOp::delete(NodeId(i), l, NodeId(i)),
                     &mut deltas,
-                ) {
-                    deleted += 1;
-                }
+                );
             }
-            shared = shared
-                .with_batch(&delta_batch(&graph, &deltas, 0, deleted))
-                .unwrap();
+            shared = shared.with_batch(&delta_batch(&graph, &deltas)).unwrap();
         }
         // Self-loops index under both signed directions: two runs.
         let live = shared.stats().entries as usize;
@@ -969,7 +927,7 @@ mod tests {
             &mut deltas,
         );
         let base = empty_index()
-            .with_batch(&delta_batch(&graph, &deltas, MANY as u64 + 1, 0))
+            .with_batch(&delta_batch(&graph, &deltas))
             .unwrap();
 
         // Touch only label 1: every chunk of the big label-0 runs must be the
@@ -981,9 +939,7 @@ mod tests {
             EdgeOp::insert(NodeId(2), l1, NodeId(3)),
             &mut deltas,
         );
-        let next = base
-            .with_batch(&delta_batch(&graph, &deltas, 1, 0))
-            .unwrap();
+        let next = base.with_batch(&delta_batch(&graph, &deltas)).unwrap();
         let fwd0 = [SignedLabel::forward(l0)];
         let before = base.run(&fwd0).unwrap();
         let after = next.run(&fwd0).unwrap();
@@ -1011,9 +967,7 @@ mod tests {
             );
         }
         let empty = empty_index();
-        let shared = empty
-            .with_batch(&delta_batch(&graph, &deltas, n_edges as u64, 0))
-            .unwrap();
+        let shared = empty.with_batch(&delta_batch(&graph, &deltas)).unwrap();
         let path = [SignedLabel::forward(l)];
         let chunk_count = shared.run(&path).unwrap().pairs.chunks().len();
         assert!(chunk_count >= 4, "need several chunks, got {chunk_count}");
@@ -1049,9 +1003,7 @@ mod tests {
             EdgeOp::insert(sue, knows, tim),
             &mut deltas,
         ));
-        let next = shared
-            .with_batch(&delta_batch(&graph, &deltas, 1, 0))
-            .unwrap();
+        let next = shared.with_batch(&delta_batch(&graph, &deltas)).unwrap();
 
         let rebuilt = SharedKPathIndex::build(&graph, 2);
         // Every live entry must pass the (possibly inherited) bloom — no
@@ -1138,10 +1090,7 @@ mod tests {
                 EdgeOp::delete(src, knows, dst)
             };
             if apply_op(&mut graph, 2, update, &mut deltas) {
-                let (ins, del) = if i < 3 { (1, 0) } else { (0, 1) };
-                shared = shared
-                    .with_batch(&delta_batch(&graph, &deltas, ins, del))
-                    .unwrap();
+                shared = shared.with_batch(&delta_batch(&graph, &deltas)).unwrap();
             }
             assert_eq!(violated(&shared), Vec::<&str>::new(), "publish {i}");
         }
@@ -1219,36 +1168,24 @@ mod tests {
             );
         }
         let empty = empty_index();
-        let mut shared = empty
-            .with_batch(&delta_batch(&graph, &deltas, n as u64, 0))
-            .unwrap();
+        let mut shared = empty.with_batch(&delta_batch(&graph, &deltas)).unwrap();
 
         for round in 0..5u32 {
             deltas.clear();
-            let mut inserted = 0;
-            let mut deleted = 0;
             for i in (round..n).step_by(5) {
                 let update = if i % 2 == 0 {
                     EdgeOp::delete(NodeId(2 * i), l, NodeId(2 * i + 1))
                 } else {
                     EdgeOp::insert(NodeId(2 * i + 1), l, NodeId(2 * i))
                 };
-                if apply_op(&mut graph, 1, update, &mut deltas) {
-                    if update.insert {
-                        inserted += 1;
-                    } else {
-                        deleted += 1;
-                    }
-                }
+                apply_op(&mut graph, 1, update, &mut deltas);
             }
             let prev_blooms: Vec<(Vec<SignedLabel>, [u64; 8])> = shared
                 .runs
                 .iter()
                 .map(|r| (r.path.clone(), r.bloom.bits))
                 .collect();
-            let next = shared
-                .with_batch(&delta_batch(&graph, &deltas, inserted, deleted))
-                .unwrap();
+            let next = shared.with_batch(&delta_batch(&graph, &deltas)).unwrap();
 
             for run in &next.runs {
                 for (s, _) in run.pairs.iter() {

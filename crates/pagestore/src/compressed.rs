@@ -100,23 +100,13 @@ mod tests {
         updates: &[EdgeOp],
     ) {
         let mut deltas = EntryDeltas::new();
-        let mut inserted = 0;
-        let mut deleted = 0;
         for &update in updates {
-            if apply_op(graph, k, update, &mut deltas) {
-                if update.insert {
-                    inserted += 1;
-                } else {
-                    deleted += 1;
-                }
-            }
+            apply_op(graph, k, update, &mut deltas);
         }
         store
             .apply_delta_batch(&DeltaBatch {
                 deltas: &deltas,
                 node_count: graph.node_count(),
-                inserted_edges: inserted,
-                deleted_edges: deleted,
                 seq: 1,
             })
             .unwrap();
@@ -292,7 +282,9 @@ mod tests {
             EdgeOp::delete(kim, supervisor, liz),
         ];
         apply_updates(&mut store, k, &mut graph, &updates);
-        assert_eq!(store.updates_applied(), (1, 1));
+        let one = |label| [SignedLabel::forward(label)];
+        assert!(store.contains(&one(knows_l), sue, tim));
+        assert!(!store.contains(&one(supervisor), kim, liz));
 
         let mut updated = g.clone();
         assert!(updated.insert_edge(sue, knows_l, tim));

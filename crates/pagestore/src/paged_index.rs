@@ -22,6 +22,12 @@
 //! included) and written back through the buffer pool, so an on-disk index
 //! stays durable across batches. Entries are bare keys: the tree stores no
 //! value with them.
+//!
+//! Recovery has no write path of its own: the log holds batches, not their
+//! key transitions, and the opener rederives each record the tree has not
+//! absorbed (its seq is above [`PagedPathIndex::applied_seq`]) and hands
+//! the result to the same [`MutablePathIndexBackend::apply_delta_batch`] a
+//! live apply calls, durable flush included.
 
 use crate::btree::{LeafCursor, PagedBTree, PagedTreeStats};
 use crate::buffer::{BufferPool, PoolStats};
@@ -61,8 +67,6 @@ pub struct PagedPathIndex {
     /// gains or loses (see [`PagedPathIndex::write_changes`]).
     per_path_counts: Vec<(Vec<SignedLabel>, u64)>,
     tree: PagedBTree,
-    inserts_applied: u64,
-    deletes_applied: u64,
 }
 
 impl PagedPathIndex {
@@ -120,8 +124,6 @@ impl PagedPathIndex {
             node_count: graph.node_count(),
             per_path_counts,
             tree,
-            inserts_applied: 0,
-            deletes_applied: 0,
         })
     }
 
@@ -148,8 +150,6 @@ impl PagedPathIndex {
             node_count,
             per_path_counts: Vec::new(),
             tree,
-            inserts_applied: 0,
-            deletes_applied: 0,
         };
         index.refresh_derived_stats()?;
         Ok(index)
@@ -178,35 +178,6 @@ impl PagedPathIndex {
         }
         self.per_path_counts = per_path;
         Ok(())
-    }
-
-    /// Replays one logged commit record against the stored entries during
-    /// recovery. Records at or below the tree's persisted
-    /// [`PagedPathIndex::applied_seq`] already reached the page file before
-    /// the crash and change nothing but the node count; newer records
-    /// replay their key transitions, advance the sequence number, and flush
-    /// durably, so a crash *during* recovery resumes where it left off.
-    /// Returns whether the record was fresh.
-    pub fn replay_batch(
-        &mut self,
-        seq: u64,
-        changes: &[(Vec<u8>, EntryChange)],
-        node_count: usize,
-        inserted_edges: u64,
-        deleted_edges: u64,
-    ) -> io::Result<bool> {
-        let fresh = seq > self.tree.applied_seq();
-        if fresh {
-            self.write_changes(changes)?;
-            self.tree.set_applied_seq(seq);
-            self.inserts_applied += inserted_edges;
-            self.deletes_applied += deleted_edges;
-        }
-        self.node_count = node_count;
-        if fresh {
-            self.tree.flush()?;
-        }
-        Ok(fresh)
     }
 
     /// Replays a batch's key transitions as B+tree inserts and deletes in
@@ -308,8 +279,6 @@ impl PagedPathIndex {
             node_count: self.node_count,
             per_path_counts: self.per_path_counts.clone(),
             tree: self.tree.share(),
-            inserts_applied: self.inserts_applied,
-            deletes_applied: self.deletes_applied,
         }
     }
 
@@ -587,14 +556,8 @@ impl MutablePathIndexBackend for PagedPathIndex {
         self.write_changes(batch.deltas.ops())
             .map_err(|e| io_err(&e))?;
         self.node_count = batch.node_count;
-        self.inserts_applied += batch.inserted_edges;
-        self.deletes_applied += batch.deleted_edges;
         self.tree.set_applied_seq(batch.seq);
         self.tree.flush().map_err(|e| io_err(&e))
-    }
-
-    fn updates_applied(&self) -> (u64, u64) {
-        (self.inserts_applied, self.deletes_applied)
     }
 }
 
@@ -811,28 +774,18 @@ mod tests {
         updates.push(EdgeOp::insert(sue, knows, tim));
 
         let mut deltas = EntryDeltas::new();
-        let mut inserted = 0;
-        let mut deleted = 0;
         for &update in &updates {
-            if apply_op(&mut graph, k, update, &mut deltas) {
-                if update.insert {
-                    inserted += 1;
-                } else {
-                    deleted += 1;
-                }
-            }
+            apply_op(&mut graph, k, update, &mut deltas);
         }
         let batch = DeltaBatch {
             deltas: &deltas,
             node_count: graph.node_count(),
-            inserted_edges: inserted,
-            deleted_edges: deleted,
             seq: 1,
         };
         paged.apply_delta_batch(&batch).unwrap();
         assert_eq!(
-            MutablePathIndexBackend::updates_applied(&paged),
-            (inserted, deleted)
+            (paged.applied_seq(), paged.node_count()),
+            (1, graph.node_count())
         );
 
         // The mutated paged index equals a paged index rebuilt over the
@@ -883,8 +836,6 @@ mod tests {
             .apply_delta_batch(&DeltaBatch {
                 deltas: &deltas,
                 node_count: graph.node_count(),
-                inserted_edges: 1,
-                deleted_edges: 0,
                 seq: 1,
             })
             .unwrap();
@@ -943,8 +894,6 @@ mod tests {
             idx.apply_delta_batch(&DeltaBatch {
                 deltas: &deltas,
                 node_count: graph.node_count(),
-                inserted_edges: 1,
-                deleted_edges: 0,
                 seq: 7,
             })
             .unwrap();
@@ -1092,15 +1041,14 @@ mod tests {
             .apply_delta_batch(&DeltaBatch {
                 deltas: &deltas,
                 node_count: graph.node_count(),
-                inserted_edges: 1,
-                deleted_edges: 1,
                 seq: 1,
             })
             .unwrap();
         assert_eq!(paged.path_cardinality(&supervised), None);
         assert_counts(&mut paged, &graph, "after apply_delta_batch");
 
-        // The reverse batch replayed as recovery replays a fresh record.
+        // The reverse batch, as recovery hands over a fresh record: the
+        // same call, rederived from the logged ops.
         deltas.clear();
         for op in [
             EdgeOp::insert(kim, supervisor, liz),
@@ -1108,18 +1056,47 @@ mod tests {
         ] {
             assert!(apply_op(&mut graph, k, op, &mut deltas));
         }
-        let node_count = graph.node_count();
-        assert!(paged
-            .replay_batch(2, deltas.ops(), node_count, 1, 1)
-            .unwrap());
+        paged
+            .apply_delta_batch(&DeltaBatch {
+                deltas: &deltas,
+                node_count: graph.node_count(),
+                seq: 2,
+            })
+            .unwrap();
         assert_eq!(paged.path_cardinality(&supervised), Some(1));
         assert_counts(&mut paged, &graph, "after a fresh replay");
 
-        // The same record again: the tree already holds it, nothing moves.
-        assert!(!paged
-            .replay_batch(2, deltas.ops(), node_count, 1, 1)
-            .unwrap());
+        // The tree records the record's seq, so recovery leaves the same
+        // record alone the next time; an empty batch moves no count.
+        assert_eq!(paged.applied_seq(), 2);
+        paged
+            .apply_delta_batch(&DeltaBatch {
+                deltas: &EntryDeltas::new(),
+                node_count: graph.node_count(),
+                seq: 2,
+            })
+            .unwrap();
         assert_counts(&mut paged, &graph, "after replaying an applied record");
+    }
+
+    /// The batch of raw `changes` at `seq` over `node_count` nodes, handed
+    /// to `idx` the way a live apply hands its log over.
+    fn apply_changes(
+        idx: &mut PagedPathIndex,
+        seq: u64,
+        node_count: usize,
+        changes: &[(Vec<u8>, EntryChange)],
+    ) {
+        let mut deltas = pathix_index::EntryDeltas::new();
+        for (key, change) in changes {
+            deltas.record(key, *change);
+        }
+        idx.apply_delta_batch(&DeltaBatch {
+            deltas: &deltas,
+            node_count,
+            seq,
+        })
+        .unwrap();
     }
 
     #[test]
@@ -1167,7 +1144,7 @@ mod tests {
             (transient.clone(), Removed),
             (readded.clone(), Added),
         ];
-        assert!(idx.replay_batch(1, &changes, g.node_count(), 0, 0).unwrap());
+        apply_changes(&mut idx, 1, g.node_count(), &changes);
         expected.remove(&removed);
         expected.insert(added);
         assert_eq!(stored_keys(&idx), expected.into_iter().collect::<Vec<_>>());
@@ -1185,11 +1162,11 @@ mod tests {
         let stored = before[0].clone();
         let knows = [SignedLabel::forward(g.label_id("knows").unwrap())];
         let fresh = encode_entry(&knows, NodeId(u32::MAX - 1), NodeId(0));
-        // Page write-backs of one batch's transitions plus a flush.
+        // Page write-backs of one batch's transitions and its flush.
         let write_backs = |idx: &mut PagedPathIndex, changes: &[(Vec<u8>, EntryChange)]| {
             let start = idx.pool_stats().write_backs;
-            idx.write_changes(changes).unwrap();
-            idx.tree.flush().unwrap();
+            let seq = idx.applied_seq() + 1;
+            apply_changes(idx, seq, g.node_count(), changes);
             idx.pool_stats().write_backs - start
         };
         let idle = write_backs(&mut idx, &[]);

@@ -5,9 +5,10 @@
 //! `sync_data`'d **before** any page of the batch may reach the page file
 //! (including buffer-pool evictions — the caller appends before mutating the
 //! paged tree at all). After a crash, [`Wal::replay`] returns every fully
-//! committed record in commit order; the opener replays the ones whose
-//! effects did not reach the pages (the paged tree's meta page records the
-//! highest applied sequence number) or the graph checkpoint.
+//! committed record in commit order; the opener re-commits the ones the
+//! graph checkpoint does not cover and, for those whose effects did not
+//! reach the pages (the paged tree's meta page records the highest applied
+//! sequence number), rederives the batch with the code a live apply runs.
 //!
 //! ## Frame format
 //!
@@ -16,10 +17,10 @@
 //! truncated or fails its CRC — that frame is the torn tail of an append the
 //! crash interrupted, and its batch was never acknowledged.
 //!
-//! The payload is a [`CommitRecord`]: a format byte, then the batch's
-//! interned names, its effective edge ops and the key transitions they
-//! logged — `(key, added or removed)`, no walk counts. A payload of another
-//! format fails [`CommitRecord::decode`] instead of being misread.
+//! The payload is a [`CommitRecord`]: a format byte, the sequence number,
+//! then the batch's interned names and its effective edge ops — the batch,
+//! not its effects on the index. A payload of another format fails
+//! [`CommitRecord::decode`] instead of being misread.
 //!
 //! ## Segments
 //!
@@ -31,9 +32,7 @@
 //! crash) still replays the surviving records in order.
 
 use crate::fault;
-use pathix_graph::EdgeOp;
-use pathix_graph::{LabelId, NodeId};
-use pathix_index::EntryChange;
+use pathix_graph::{EdgeOp, LabelId, NodeId};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -47,10 +46,11 @@ const MAX_RECORD_BYTES: usize = 1 << 26;
 
 const SEGMENT_SUFFIX: &str = ".seg";
 
-/// The first byte of every [`CommitRecord`] payload. Layout 2 logs key
-/// transitions; layout 1, which had no format byte and logged absolute walk
-/// counts, is refused rather than misread.
-const RECORD_FORMAT: u8 = 2;
+/// The first byte of every [`CommitRecord`] payload. Layout 3 logs the batch
+/// alone; layout 2, which also logged the key transitions, and layout 1,
+/// which had no format byte and logged absolute walk counts, are refused
+/// rather than misread.
+const RECORD_FORMAT: u8 = 3;
 
 /// CRC-32 (IEEE 802.3, reflected) over `bytes` — the checksum guarding every
 /// WAL frame and the graph checkpoint file.
@@ -81,11 +81,13 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 /// One committed update batch, exactly as the writer resolved it: the new
-/// names it interned (in id order, so replay re-interns identically), the
-/// effective edge operations, and the key transitions they logged. Replay
-/// is idempotent because the graph and tree sides each skip records their
-/// checkpoint already covers: a fresh record meets exactly the state it was
-/// logged against.
+/// names it interned (in id order, so replay re-interns identically) and the
+/// effective edge operations. Its effects on the index are not logged:
+/// recovery rederives them from the ops on the graph epoch the record was
+/// committed against. Replay is idempotent because the graph and tree sides
+/// each skip records their checkpoint already covers: a fresh record meets
+/// exactly the state it was logged against, where each of its ops is
+/// effective.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CommitRecord {
     /// Monotonic commit sequence number (1-based; 0 is the bulk build).
@@ -96,12 +98,6 @@ pub struct CommitRecord {
     pub new_labels: Vec<String>,
     /// Effective edge operations (no-ops excluded), in application order.
     pub ops: Vec<EdgeOp>,
-    /// Key transitions `(entry key, change)` in application order.
-    pub changes: Vec<(Vec<u8>, EntryChange)>,
-    /// Edges effectively inserted by the batch.
-    pub inserted_edges: u64,
-    /// Edges effectively deleted by the batch.
-    pub deleted_edges: u64,
 }
 
 fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
@@ -109,41 +105,31 @@ fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(bytes);
 }
 
+/// The next `N` bytes of `bytes` at `pos`, advancing `pos` past them.
+fn get_array_at<const N: usize>(bytes: &[u8], pos: &mut usize) -> io::Result<[u8; N]> {
+    let end = pos.checked_add(N).filter(|&e| e <= bytes.len());
+    let Some(end) = end else {
+        return Err(corrupt("record truncated"));
+    };
+    let mut buf = [0u8; N];
+    buf.copy_from_slice(&bytes[*pos..end]);
+    *pos = end;
+    Ok(buf)
+}
+
 fn get_u32_at(bytes: &[u8], pos: &mut usize) -> io::Result<u32> {
-    let end = pos.checked_add(4).filter(|&e| e <= bytes.len());
-    let Some(end) = end else {
-        return Err(corrupt("record truncated"));
-    };
-    let mut buf = [0u8; 4];
-    buf.copy_from_slice(&bytes[*pos..end]);
-    *pos = end;
-    Ok(u32::from_le_bytes(buf))
+    get_array_at(bytes, pos).map(u32::from_le_bytes)
 }
 
-fn get_u64_at(bytes: &[u8], pos: &mut usize) -> io::Result<u64> {
-    let end = pos.checked_add(8).filter(|&e| e <= bytes.len());
-    let Some(end) = end else {
-        return Err(corrupt("record truncated"));
-    };
-    let mut buf = [0u8; 8];
-    buf.copy_from_slice(&bytes[*pos..end]);
-    *pos = end;
-    Ok(u64::from_le_bytes(buf))
-}
-
-fn get_bytes_at(bytes: &[u8], pos: &mut usize) -> io::Result<Vec<u8>> {
+fn get_string_at(bytes: &[u8], pos: &mut usize) -> io::Result<String> {
     let len = get_u32_at(bytes, pos)? as usize;
     let end = pos.checked_add(len).filter(|&e| e <= bytes.len());
     let Some(end) = end else {
         return Err(corrupt("record truncated"));
     };
-    let out = bytes[*pos..end].to_vec();
+    let name = String::from_utf8(bytes[*pos..end].to_vec());
     *pos = end;
-    Ok(out)
-}
-
-fn get_string_at(bytes: &[u8], pos: &mut usize) -> io::Result<String> {
-    String::from_utf8(get_bytes_at(bytes, pos)?).map_err(|_| corrupt("name is not UTF-8"))
+    name.map_err(|_| corrupt("name is not UTF-8"))
 }
 
 fn corrupt(what: &str) -> io::Error {
@@ -153,11 +139,9 @@ fn corrupt(what: &str) -> io::Error {
 impl CommitRecord {
     /// Serializes the record into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.changes.len() * 20);
+        let mut out = Vec::with_capacity(64 + self.ops.len() * 11);
         out.push(RECORD_FORMAT);
         out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&self.inserted_edges.to_le_bytes());
-        out.extend_from_slice(&self.deleted_edges.to_le_bytes());
         out.extend_from_slice(&(self.new_nodes.len() as u32).to_le_bytes());
         for name in &self.new_nodes {
             put_bytes(&mut out, name.as_bytes());
@@ -173,11 +157,6 @@ impl CommitRecord {
             out.extend_from_slice(&op.dst.0.to_le_bytes());
             out.push(op.insert as u8);
         }
-        out.extend_from_slice(&(self.changes.len() as u32).to_le_bytes());
-        for (key, change) in &self.changes {
-            put_bytes(&mut out, key);
-            out.push(u8::from(*change == EntryChange::Added));
-        }
         out
     }
 
@@ -187,9 +166,7 @@ impl CommitRecord {
             return Err(corrupt("unknown record format"));
         }
         let pos = &mut 1usize;
-        let seq = get_u64_at(bytes, pos)?;
-        let inserted_edges = get_u64_at(bytes, pos)?;
-        let deleted_edges = get_u64_at(bytes, pos)?;
+        let seq = get_array_at(bytes, pos).map(u64::from_le_bytes)?;
         let node_len = get_u32_at(bytes, pos)? as usize;
         let mut new_nodes = Vec::with_capacity(node_len.min(1024));
         for _ in 0..node_len {
@@ -204,40 +181,13 @@ impl CommitRecord {
         let mut ops = Vec::with_capacity(op_len.min(4096));
         for _ in 0..op_len {
             let src = NodeId(get_u32_at(bytes, pos)?);
-            let label = {
-                let end = pos.checked_add(2).filter(|&e| e <= bytes.len());
-                let Some(end) = end else {
-                    return Err(corrupt("record truncated"));
-                };
-                let mut buf = [0u8; 2];
-                buf.copy_from_slice(&bytes[*pos..end]);
-                *pos = end;
-                LabelId(u16::from_le_bytes(buf))
-            };
+            let label = LabelId(get_array_at(bytes, pos).map(u16::from_le_bytes)?);
             let dst = NodeId(get_u32_at(bytes, pos)?);
-            if *pos >= bytes.len() {
-                return Err(corrupt("record truncated"));
-            }
-            let insert = bytes[*pos] != 0;
-            *pos += 1;
-            ops.push(if insert {
-                EdgeOp::insert(src, label, dst)
-            } else {
-                EdgeOp::delete(src, label, dst)
+            ops.push(match get_array_at(bytes, pos)? {
+                [1] => EdgeOp::insert(src, label, dst),
+                [0] => EdgeOp::delete(src, label, dst),
+                _ => return Err(corrupt("unknown edge op")),
             });
-        }
-        let change_len = get_u32_at(bytes, pos)? as usize;
-        let mut changes = Vec::with_capacity(change_len.min(65536));
-        for _ in 0..change_len {
-            let key = get_bytes_at(bytes, pos)?;
-            let change = match bytes.get(*pos) {
-                Some(1) => EntryChange::Added,
-                Some(0) => EntryChange::Removed,
-                Some(_) => return Err(corrupt("unknown key transition")),
-                None => return Err(corrupt("record truncated")),
-            };
-            *pos += 1;
-            changes.push((key, change));
         }
         if *pos != bytes.len() {
             return Err(corrupt("trailing bytes after record"));
@@ -247,9 +197,6 @@ impl CommitRecord {
             new_nodes,
             new_labels,
             ops,
-            changes,
-            inserted_edges,
-            deleted_edges,
         })
     }
 }
@@ -277,7 +224,6 @@ pub struct WalStats {
 /// let record = |seq: u64| CommitRecord {
 ///     seq,
 ///     ops: vec![EdgeOp::insert(NodeId(0), LabelId(0), NodeId(seq as u32))],
-///     inserted_edges: 1,
 ///     ..CommitRecord::default()
 /// };
 ///
@@ -592,12 +538,6 @@ mod tests {
                 EdgeOp::insert(NodeId(0), LabelId(0), NodeId(1)),
                 EdgeOp::delete(NodeId(1), LabelId(0), NodeId(0)),
             ],
-            changes: vec![
-                (vec![1, 2, 3], EntryChange::Added),
-                (vec![9], EntryChange::Removed),
-            ],
-            inserted_edges: 1,
-            deleted_edges: 1,
         };
         let bytes = record.encode();
         assert_eq!(CommitRecord::decode(&bytes).unwrap(), record);
@@ -615,9 +555,10 @@ mod tests {
         assert!(CommitRecord::decode(&unknown).is_err());
     }
 
-    /// A record in layout 1: no format byte, and `(key, walk count)` pairs
-    /// where layout 2 logs `(key, transition)`.
-    fn layout_1(seq: u64, counts: &[(&[u8], u64)]) -> Vec<u8> {
+    /// The head of a layout-1 or layout-2 record after its format byte (if
+    /// any): seq, the inserted and deleted edge counts, no new name, and one
+    /// op `+0(0, 1)`.
+    fn old_head(seq: u64) -> Vec<u8> {
         let mut out = Vec::new();
         for word in [seq, 1, 0] {
             out.extend_from_slice(&word.to_le_bytes());
@@ -626,6 +567,12 @@ mod tests {
         out.extend_from_slice(&0u32.to_le_bytes()); // no new label
         out.extend_from_slice(&1u32.to_le_bytes());
         out.extend_from_slice(&[0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1]); // +0(0, 1)
+        out
+    }
+
+    /// A record in layout 1: no format byte, then `(key, walk count)` pairs.
+    fn layout_1(seq: u64, counts: &[(&[u8], u64)]) -> Vec<u8> {
+        let mut out = old_head(seq);
         out.extend_from_slice(&(counts.len() as u32).to_le_bytes());
         for (key, count) in counts {
             put_bytes(&mut out, key);
@@ -634,14 +581,37 @@ mod tests {
         out
     }
 
+    /// A record in layout 2: format byte 2, then `(key, transition)` pairs.
+    fn layout_2(seq: u64, transitions: &[(&[u8], bool)]) -> Vec<u8> {
+        let mut out = vec![2];
+        out.extend_from_slice(&old_head(seq));
+        out.extend_from_slice(&(transitions.len() as u32).to_le_bytes());
+        for (key, added) in transitions {
+            put_bytes(&mut out, key);
+            out.push(u8::from(*added));
+        }
+        out
+    }
+
     #[test]
-    fn a_record_in_layout_1_is_refused() {
+    fn records_in_layouts_1_and_2_are_refused() {
         let counts: [(&[u8], u64); 2] = [(&[1, 0, 0], 2), (&[1, 0, 1], 0)];
+        let transitions: [(&[u8], bool); 2] = [(&[1, 0, 0], true), (&[1, 0, 1], false)];
         // Small and large sequence numbers, including one whose low byte is
-        // the current format byte and so passes the first check.
-        for seq in [1, 7, u64::from(RECORD_FORMAT), 258, 1 << 40] {
-            let err = CommitRecord::decode(&layout_1(seq, &counts)).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "seq {seq}");
+        // the current format byte, so a layout-1 record passes the first
+        // check.
+        for seq in [1, 2, 7, u64::from(RECORD_FORMAT), 258, 1 << 40] {
+            for (layout, bytes) in [
+                (1, layout_1(seq, &counts)),
+                (2, layout_2(seq, &transitions)),
+            ] {
+                let err = CommitRecord::decode(&bytes).unwrap_err();
+                assert_eq!(
+                    err.kind(),
+                    io::ErrorKind::InvalidData,
+                    "layout {layout}, seq {seq}"
+                );
+            }
         }
     }
 }

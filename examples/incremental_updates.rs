@@ -135,8 +135,6 @@ fn main() {
         .apply_delta_batch(&DeltaBatch {
             deltas: &log,
             node_count: graph.node_count(),
-            inserted_edges: stream_inserts as u64,
-            deleted_edges: stream_deletes as u64,
             seq: 1,
         })
         .expect("a log from the rederivation rule replays");
