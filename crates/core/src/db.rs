@@ -837,7 +837,11 @@ impl PathDb {
     /// log. Every committed batch past the checkpoint is replayed — its node
     /// and label names re-interned in the original id order, so the live
     /// vocabulary (and with it every index key) survives the crash — then
-    /// folded into a fresh checkpoint so the next open starts clean.
+    /// folded into a fresh checkpoint so the next open starts clean. A log
+    /// that holds nothing is left as it is: a clean reopen rewrites neither
+    /// checkpoint nor log. The index comes back from the page file's roots — its
+    /// per-path counts are stored beside the tree's root — without reading
+    /// a leaf.
     ///
     /// Replay is apply: a record the page file already absorbed (its seq is
     /// at or below the tree's persisted sequence number) only advances the
@@ -986,6 +990,8 @@ impl PathDb {
         }
         // Fold what replay recovered into a fresh checkpoint and start an
         // empty log: the next open replays only what comes after this one.
+        // A log without a byte in it (no record to fold, no torn tail to
+        // cut) is that state already: a clean reopen leaves both alone.
         let mut durability = Durability {
             wal: Wal::open(&wal_path)
                 .map_err(|e| QueryError::Recovery(format!("reopening the write-ahead log: {e}")))?,
@@ -993,9 +999,12 @@ impl PathDb {
             records_since_checkpoint: 0,
             checkpoint_every: config.wal_checkpoint_every.max(1),
         };
-        durability
-            .checkpoint(&graph, seq)
-            .map_err(|e| QueryError::Recovery(format!("checkpointing the replayed log: {e}")))?;
+        let log = durability.wal.stats();
+        if log.segments > 1 || log.current_segment_bytes > 0 {
+            durability.checkpoint(&graph, seq).map_err(|e| {
+                QueryError::Recovery(format!("checkpointing the replayed log: {e}"))
+            })?;
+        }
         let writer = IndexBackend::Paged(paged);
         Ok(Self::assemble(graph, writer, config, seq, Some(durability)))
     }
@@ -2576,16 +2585,93 @@ mod tests {
         assert!(PathDb::open(config.clone()).is_ok());
 
         // The meta page's magic (bytes 12..16 of page 0) patched back to the
-        // walk-count format's "PXPI": its entries carried 8-byte values the
-        // current reader would take for part of the key space.
-        let mut bytes = std::fs::read(dir.path("idx.pages")).unwrap();
-        bytes[12..16].copy_from_slice(&0x5058_5049u32.to_le_bytes());
-        std::fs::write(dir.path("idx.pages"), bytes).unwrap();
-        let err = PathDb::open(config).unwrap_err();
-        assert!(
-            matches!(&err, QueryError::Recovery(m) if m.contains("magic")),
-            "{err:?}"
-        );
+        // walk-count format's "PXPI", whose entries carried 8-byte values the
+        // current reader would take for part of the key space, and to "PXPS",
+        // whose meta page stored no per-path counts.
+        let built = std::fs::read(dir.path("idx.pages")).unwrap();
+        for old in [0x5058_5049u32, 0x5058_5053] {
+            let mut bytes = built.clone();
+            bytes[12..16].copy_from_slice(&old.to_le_bytes());
+            std::fs::write(dir.path("idx.pages"), bytes).unwrap();
+            let err = PathDb::open(config.clone()).unwrap_err();
+            assert!(
+                matches!(&err, QueryError::Recovery(m) if m.contains("magic")),
+                "{old:#x}: {err:?}"
+            );
+        }
+    }
+
+    /// The segment files of the write-ahead log next to `page_file`.
+    fn wal_segments(page_file: &Path) -> Vec<std::ffi::OsString> {
+        let mut names: Vec<_> = std::fs::read_dir(durability::wal_dir(page_file))
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn a_clean_reopen_does_no_durable_work() {
+        let _disk = DISK_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let dir = TempDir::new("clean-reopen");
+        let config = on_disk_config(&dir);
+        let db = PathDb::try_build(paper_example_graph(), config.clone()).unwrap();
+        db.apply(&[GraphUpdate::insert_named("max", "knows", "ada")])
+            .unwrap();
+        let before = db.query("knows/knows").unwrap();
+        db.close().unwrap();
+        drop(db);
+        let segments = wal_segments(&dir.path("idx.pages"));
+        assert_eq!(segments.len(), 1);
+
+        pathix_pagestore::fault::count_ops();
+        let opened = PathDb::open(config.clone());
+        let durable_ops = pathix_pagestore::fault::disarm_count();
+        let db = opened.unwrap();
+        assert_eq!(durable_ops, 0, "no checkpoint rewrite, no log reset");
+        assert_eq!(wal_segments(&dir.path("idx.pages")), segments);
+        assert_eq!(db.query("knows/knows").unwrap().pairs(), before.pairs());
+        assert!(db.audit().is_clean());
+
+        // The reopened log takes the next batch, and a crash after it
+        // recovers it.
+        db.apply(&[GraphUpdate::insert_named("ada", "knows", "max")])
+            .unwrap();
+        std::mem::forget(db);
+        let db = PathDb::open(config).unwrap();
+        let graph = db.graph();
+        let [ada, max] = ["ada", "max"].map(|name| graph.node_id(name).unwrap());
+        assert!(graph.has_edge(ada, graph.label_id("knows").unwrap(), max));
+        db.close().unwrap();
+    }
+
+    #[test]
+    fn a_torn_tail_without_a_record_is_cut_on_open() {
+        let _disk = DISK_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let dir = TempDir::new("torn-tail");
+        let config = on_disk_config(&dir);
+        let db = PathDb::try_build(paper_example_graph(), config.clone()).unwrap();
+        db.close().unwrap();
+        drop(db);
+        // An append the crash cut short: a frame header announcing more
+        // bytes than follow, and no complete record before it.
+        let page_file = dir.path("idx.pages");
+        let [segment] = wal_segments(&page_file).try_into().unwrap();
+        let segment = durability::wal_dir(&page_file).join(segment);
+        std::fs::write(&segment, [40, 0, 0, 0, 1, 2, 3, 4, 5]).unwrap();
+
+        // The open folds the torn bytes away, so the next record is not
+        // appended behind them where replay would never reach it.
+        let db = PathDb::open(config.clone()).unwrap();
+        assert_ne!(wal_segments(&page_file), [segment.file_name().unwrap()]);
+        db.apply(&[GraphUpdate::insert_named("max", "knows", "ada")])
+            .unwrap();
+        std::mem::forget(db);
+        let db = PathDb::open(config).unwrap();
+        assert!(db.graph().node_id("max").is_some());
+        assert!(db.audit().is_clean());
+        db.close().unwrap();
     }
 
     #[test]

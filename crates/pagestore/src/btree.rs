@@ -8,7 +8,9 @@
 //!
 //! Layout:
 //!
-//! * **page 0** is the metadata page (root id, height, entry count);
+//! * **page 0** is the metadata page (root id, height, entry count, and the
+//!   first link of the root blob — see below);
+//! * **blob pages** continue the root blob when it outgrows the meta page;
 //! * **leaf pages** hold `[key_len u16 | key | val_len u16 | value]` cells in
 //!   key order (deliberately *unchained* — see below);
 //! * **internal pages** hold `[key_len u16 | key | child u32]` cells; the
@@ -41,6 +43,22 @@
 //! Leaves are deliberately **not** chained through sibling pointers (a
 //! relocated leaf cannot update its predecessor without cascading copies);
 //! range scans instead keep a cursor stack of internal positions.
+//!
+//! ## The root blob
+//!
+//! A tree carries one opaque byte string that describes its root — the
+//! paged k-path index keeps its per-path tally there — set with
+//! [`PagedBTree::set_root_blob`] and persisted by the next flush together
+//! with the root. Its encoding is a chain of links: each link is a page whose
+//! `next` field names the following link (none at the end) and whose payload
+//! holds the next slice of the blob. The first link is the meta page (the
+//! blob's length and first slice follow its fixed fields); the others are
+//! **blob pages**, allocated only when the blob outgrows the meta page. Every
+//! flush writes the overflow links to fresh pages in the data phase and
+//! retires the previous chain like any page a copy-on-write supersedes, so
+//! under [`PagedBTree::enable_durable_writeback`] the meta page flips root
+//! and blob in one write: a crash never pairs one flush's root with
+//! another's blob.
 
 use crate::buffer::BufferPool;
 use crate::page::{get_u32, get_u64, put_u32, put_u64, PageId, PAGE_SIZE};
@@ -66,10 +84,11 @@ const READ_AHEAD: usize = 4;
 /// the possibly relocated right page.
 type RebalanceOutcome = (PageId, Option<(Vec<u8>, PageId)>);
 
-/// Identifies the page-file format. "PXPS": index entries are bare keys.
-/// Files of the walk-count format ("PXPI", 0x5058_5049), whose entries
-/// carried an 8-byte value, fail [`PagedBTree::open`].
-const META_MAGIC: u32 = 0x5058_5053;
+/// Identifies the page-file format. "PXPT": index entries are bare keys and
+/// the meta page opens the root blob. Files of the blob-less format ("PXPS",
+/// 0x5058_5053) and of the walk-count format ("PXPI", 0x5058_5049), whose
+/// entries carried an 8-byte value, fail [`PagedBTree::open`].
+const META_MAGIC: u32 = 0x5058_5054;
 const META_OFF_MAGIC: usize = 12;
 const META_OFF_ROOT: usize = 16;
 const META_OFF_HEIGHT: usize = 20;
@@ -78,6 +97,24 @@ const META_OFF_FREE: usize = 32;
 /// Highest committed batch sequence number whose effects reached the pages —
 /// the write-ahead log replays only records newer than this on reopen.
 const META_OFF_SEQ: usize = 40;
+/// Byte length of the root blob.
+const META_OFF_BLOB_LEN: usize = 48;
+/// Where the root blob's first slice starts; it runs to the end of the page.
+const META_OFF_BLOB: usize = 52;
+
+/// Payload offset of a root-blob link: past the meta page's fixed fields, or
+/// past a blob page's slotted header.
+fn blob_link_start(pid: PageId) -> usize {
+    if pid == PageId(0) {
+        META_OFF_BLOB
+    } else {
+        slotted::HEADER_SIZE
+    }
+}
+
+fn invalid_data(what: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what)
+}
 
 /// Largest key + value payload accepted by [`PagedBTree::insert`]; guarantees
 /// that any page can hold at least four cells, so splits always succeed.
@@ -236,6 +273,11 @@ pub struct PagedBTree {
     /// Highest committed batch sequence number applied to the pages,
     /// persisted in the meta page (see [`META_OFF_SEQ`]).
     applied_seq: u64,
+    /// The root blob (see the module docs), persisted by the next flush.
+    blob: Vec<u8>,
+    /// The blob pages the last flush (or open) chained after the meta page,
+    /// in chain order — live pages, like the tree's own.
+    blob_pages: Vec<PageId>,
     /// `true` once [`PagedBTree::close`] ran: `Drop` must not flush again.
     closed: bool,
     /// Crash-atomic writeback pin (see
@@ -249,32 +291,42 @@ pub struct PagedBTree {
 }
 
 impl PagedBTree {
-    /// Creates a fresh, empty tree in `pool` (which must be empty).
-    pub fn create(pool: BufferPool) -> io::Result<Self> {
-        let meta = pool.allocate_page()?;
-        assert_eq!(meta, PageId(0), "the meta page must be page 0");
-        let root = pool.allocate_page()?;
-        pool.with_page_mut(root, |p| slotted::init(p, slotted::KIND_LEAF))?;
-        let mut tree = PagedBTree {
+    /// A writer handle over `pool` for the tree rooted at `root`, with no
+    /// free list, no blob and no sequence number yet.
+    fn writer(pool: BufferPool, root: PageId, height: u32, entries: u64) -> Self {
+        PagedBTree {
             pool,
             root,
-            height: 1,
-            entries: 0,
+            height,
+            entries,
             free_head: PageId::INVALID,
             snapshots: Arc::new(SnapshotTable::default()),
             epoch: 0,
             fresh: HashSet::new(),
             retired: Vec::new(),
             applied_seq: 0,
+            blob: Vec::new(),
+            blob_pages: Vec::new(),
             closed: false,
             durable_pin: None,
             _pin: None,
-        };
+        }
+    }
+
+    /// Creates a fresh, empty tree in `pool` (which must be empty).
+    pub fn create(pool: BufferPool) -> io::Result<Self> {
+        let meta = pool.allocate_page()?;
+        assert_eq!(meta, PageId(0), "the meta page must be page 0");
+        let root = pool.allocate_page()?;
+        pool.with_page_mut(root, |p| slotted::init(p, slotted::KIND_LEAF))?;
+        let mut tree = Self::writer(pool, root, 1, 0);
         tree.write_meta()?;
         Ok(tree)
     }
 
-    /// Opens a tree previously persisted in `pool`'s backing store.
+    /// Opens a tree previously persisted in `pool`'s backing store, root
+    /// blob included. A file of another format, or a blob chain that does
+    /// not add up to the recorded length, is `InvalidData`.
     pub fn open(pool: BufferPool) -> io::Result<Self> {
         let (magic, root, height, entries, free_head, applied_seq) =
             pool.with_page(PageId(0), |p| {
@@ -288,46 +340,108 @@ impl PagedBTree {
                 )
             })?;
         if magic != META_MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "not a pathix paged B+tree file (bad magic)",
+            return Err(invalid_data(
+                "not a pathix paged B+tree file of this format (bad magic)".into(),
             ));
         }
-        Ok(PagedBTree {
-            pool,
-            root: PageId(root),
-            height,
-            entries,
-            free_head: PageId(free_head),
-            snapshots: Arc::new(SnapshotTable::default()),
-            epoch: 0,
-            fresh: HashSet::new(),
-            retired: Vec::new(),
-            applied_seq,
-            closed: false,
-            durable_pin: None,
-            _pin: None,
-        })
+        let (blob, blob_pages) = Self::read_blob(&pool)?;
+        let mut tree = Self::writer(pool, PageId(root), height, entries);
+        tree.free_head = PageId(free_head);
+        tree.applied_seq = applied_seq;
+        tree.blob = blob;
+        tree.blob_pages = blob_pages;
+        Ok(tree)
+    }
+
+    /// Reads the root blob by following its chain from the meta page:
+    /// returns the bytes and the blob pages they spanned. Every link past
+    /// the meta page must be a distinct blob page inside the file, and the
+    /// chain must end exactly where the recorded length does.
+    fn read_blob(pool: &BufferPool) -> io::Result<(Vec<u8>, Vec<PageId>)> {
+        let len = pool.with_page(PageId(0), |p| get_u32(p, META_OFF_BLOB_LEN))? as usize;
+        let mut blob = Vec::with_capacity(len.min(PAGE_SIZE));
+        let mut pages = Vec::new();
+        let mut link = PageId(0);
+        loop {
+            let start = blob_link_start(link);
+            let (kind, next) = pool.with_page(link, |p| {
+                let take = (len - blob.len()).min(PAGE_SIZE - start);
+                blob.extend_from_slice(&p[start..start + take]);
+                (slotted::kind(p), PageId(slotted::next(p)))
+            })?;
+            if link != PageId(0) && kind != slotted::KIND_BLOB {
+                return Err(invalid_data(format!(
+                    "root blob link {link} has kind {kind}, not a blob page"
+                )));
+            }
+            if blob.len() == len {
+                if next.is_valid() {
+                    return Err(invalid_data(format!(
+                        "root blob chain runs on past its {len} byte(s) to {next}"
+                    )));
+                }
+                return Ok((blob, pages));
+            }
+            if !next.is_valid()
+                || next == PageId(0)
+                || next.0 >= pool.num_pages()
+                || pages.contains(&next)
+            {
+                return Err(invalid_data(format!(
+                    "root blob chain breaks at {next} with {} of {len} byte(s) read",
+                    blob.len()
+                )));
+            }
+            pages.push(next);
+            link = next;
+        }
+    }
+
+    /// The root blob: the bytes last set with [`PagedBTree::set_root_blob`],
+    /// or read back by [`PagedBTree::open`]. Empty on a snapshot
+    /// ([`PagedBTree::share`]), which never flushes.
+    pub fn root_blob(&self) -> &[u8] {
+        &self.blob
+    }
+
+    /// Replaces the root blob. The next [`PagedBTree::flush`] persists it
+    /// together with the root, in the same meta-page write; until then the
+    /// page file keeps the blob of the last flush.
+    pub fn set_root_blob(&mut self, blob: Vec<u8>) {
+        assert!(
+            u32::try_from(blob.len()).is_ok(),
+            "a root blob of {} bytes does not fit its u32 length",
+            blob.len()
+        );
+        self.blob = blob;
     }
 
     /// Opens a tree whose auxiliary disk state may be stale after a crash:
     /// the persisted free list is ignored and rebuilt by mark-and-sweep (any
-    /// page unreachable from the root becomes free). After a crash the
-    /// threaded free chain can run through pages that were legitimately
-    /// reused since the meta page was written — the tree itself is protected
-    /// by [`PagedBTree::enable_durable_writeback`], the chain deliberately is
-    /// not. Safe (merely redundant) on a cleanly closed file.
+    /// page neither reachable from the root nor on the root blob's chain
+    /// becomes free). After a crash the threaded free chain can run through
+    /// pages that were legitimately reused since the meta page was written —
+    /// the tree and its blob are protected by
+    /// [`PagedBTree::enable_durable_writeback`], the free chain deliberately
+    /// is not. Safe (merely redundant) on a cleanly closed file.
     pub fn open_recovering(pool: BufferPool) -> io::Result<Self> {
         let mut tree = Self::open(pool)?;
-        let mut reachable = HashSet::new();
-        tree.reachable_pages(tree.root, tree.height, &mut reachable)?;
+        let live = tree.live_pages()?;
         tree.free_head = PageId::INVALID;
         for pid in (1..tree.pool.num_pages()).rev() {
-            if !reachable.contains(&pid) {
+            if !live.contains(&pid) {
                 tree.free_page(PageId(pid))?;
             }
         }
         Ok(tree)
+    }
+
+    /// Every page the persisted state needs: the blob pages and every page
+    /// reachable from the root.
+    fn live_pages(&self) -> io::Result<HashSet<u32>> {
+        let mut live: HashSet<u32> = self.blob_pages.iter().map(|pid| pid.0).collect();
+        self.reachable_pages(self.root, self.height, &mut live)?;
+        Ok(live)
     }
 
     /// Collects every page reachable from `pid` at `level` (1 = leaf).
@@ -399,6 +513,10 @@ impl PagedBTree {
             fresh: HashSet::new(),
             retired: Vec::new(),
             applied_seq: self.applied_seq,
+            // Snapshots never flush: the blob and its chain stay the
+            // writer's.
+            blob: Vec::new(),
+            blob_pages: Vec::new(),
             // Snapshots never flush, so `Drop` must stay inert on them.
             closed: true,
             durable_pin: None,
@@ -418,21 +536,56 @@ impl PagedBTree {
         }
     }
 
+    /// Writes the meta page: the root and its bookkeeping, then the root
+    /// blob's length, first slice and first blob page (written by
+    /// [`PagedBTree::write_blob_pages`] beforehand).
     fn write_meta(&mut self) -> io::Result<()> {
-        let root = self.root;
-        let height = self.height;
-        let entries = self.entries;
-        let free_head = self.free_head;
-        let applied_seq = self.applied_seq;
+        let first_slice = &self.blob[..self.blob.len().min(PAGE_SIZE - META_OFF_BLOB)];
+        let next = self.blob_pages.first().copied().unwrap_or(PageId::INVALID);
         self.pool.with_page_mut(PageId(0), |p| {
             slotted::init(p, slotted::KIND_META);
             put_u32(p, META_OFF_MAGIC, META_MAGIC);
-            put_u32(p, META_OFF_ROOT, root.0);
-            put_u32(p, META_OFF_HEIGHT, height);
-            put_u64(p, META_OFF_COUNT, entries);
-            put_u32(p, META_OFF_FREE, free_head.0);
-            put_u64(p, META_OFF_SEQ, applied_seq);
+            put_u32(p, META_OFF_ROOT, self.root.0);
+            put_u32(p, META_OFF_HEIGHT, self.height);
+            put_u64(p, META_OFF_COUNT, self.entries);
+            put_u32(p, META_OFF_FREE, self.free_head.0);
+            put_u64(p, META_OFF_SEQ, self.applied_seq);
+            put_u32(p, META_OFF_BLOB_LEN, self.blob.len() as u32);
+            p[META_OFF_BLOB..META_OFF_BLOB + first_slice.len()].copy_from_slice(first_slice);
+            slotted::set_next(p, next.0);
         })
+    }
+
+    /// Writes the part of the root blob the meta page cannot hold to fresh
+    /// blob pages, chained in order, and retires the previous chain like any
+    /// page a copy-on-write supersedes: under durable writeback the pin on
+    /// the last flushed tree keeps that chain intact until the meta page
+    /// that names it is superseded.
+    fn write_blob_pages(&mut self) -> io::Result<()> {
+        for pid in std::mem::take(&mut self.blob_pages) {
+            self.retire_page(pid)?;
+        }
+        let in_meta = PAGE_SIZE - META_OFF_BLOB;
+        let per_page = PAGE_SIZE - slotted::HEADER_SIZE;
+        let overflow = self.blob.len().saturating_sub(in_meta);
+        let pages = (0..overflow.div_ceil(per_page))
+            .map(|_| self.alloc_page())
+            .collect::<io::Result<Vec<_>>>()?;
+        let slices = self
+            .blob
+            .get(in_meta..)
+            .unwrap_or_default()
+            .chunks(per_page);
+        for (i, (&pid, slice)) in pages.iter().zip(slices).enumerate() {
+            let next = pages.get(i + 1).copied().unwrap_or(PageId::INVALID);
+            self.pool.with_page_mut(pid, |p| {
+                slotted::init(p, slotted::KIND_BLOB);
+                slotted::set_next(p, next.0);
+                p[slotted::HEADER_SIZE..slotted::HEADER_SIZE + slice.len()].copy_from_slice(slice);
+            })?;
+        }
+        self.blob_pages = pages;
+        Ok(())
     }
 
     /// Reuses a page from the free list (reclaiming retired pages whose
@@ -586,12 +739,14 @@ impl PagedBTree {
 
     fn try_flush(&mut self) -> io::Result<()> {
         self.reclaim_retired()?;
+        self.write_blob_pages()?;
         if self.durable_pin.is_some() {
-            // Two-phase, write-ahead order: data pages first (the on-disk
-            // meta page still describes the last durable tree, whose pages
-            // the durable pin kept intact), then the meta page alone flips
-            // the durable root. The meta page is only ever dirtied here, so
-            // phase one cannot leak a half-flipped root.
+            // Two-phase, write-ahead order: data and blob pages first (the
+            // on-disk meta page still describes the last durable tree and
+            // blob, whose pages the durable pin kept intact), then the meta
+            // page alone flips the durable root and blob. The meta page is
+            // only ever dirtied here, so phase one cannot leak a
+            // half-flipped root.
             self.pool.flush_all()?;
             self.write_meta()?;
             self.pool.flush_all()?;
@@ -1209,21 +1364,7 @@ impl PagedBTree {
             level = parents;
         }
 
-        let mut tree = PagedBTree {
-            pool,
-            root: level[0].1,
-            height,
-            entries,
-            free_head: PageId::INVALID,
-            snapshots: Arc::new(SnapshotTable::default()),
-            epoch: 0,
-            fresh: HashSet::new(),
-            retired: Vec::new(),
-            applied_seq: 0,
-            closed: false,
-            durable_pin: None,
-            _pin: None,
-        };
+        let mut tree = Self::writer(pool, level[0].1, height, entries);
         tree.write_meta()?;
         Ok(tree)
     }
@@ -1400,6 +1541,26 @@ impl PagedBTree {
         Ok(())
     }
 
+    /// Checks that every blob page is a blob page that no other live page
+    /// aliases, and adds it to `reachable`: the chain is as live as the tree.
+    fn audit_blob_pages(
+        &self,
+        report: &mut AuditReport,
+        reachable: &mut HashSet<u32>,
+    ) -> io::Result<()> {
+        for &pid in &self.blob_pages {
+            let kind = self.pool.with_page(pid, slotted::kind)?;
+            let unshared = reachable.insert(pid.0);
+            report.check(
+                "blob-chain",
+                &pid.to_string(),
+                kind == slotted::KIND_BLOB && unshared,
+                || format!("blob page has kind {kind} or is reached twice"),
+            );
+        }
+        Ok(())
+    }
+
     /// Whether a full [`PagedBTree::iter`] yields exactly `len()` entries in
     /// strictly ascending key order. The tree walk checks each node against
     /// its separators; this checks the cursor scans are actually served by.
@@ -1555,8 +1716,9 @@ impl PagedBTree {
 ///
 /// Every handle audits the tree reachable from its own root: page kinds
 /// (which doubles as depth uniformity), in-node key ordering, separator
-/// bounds, child aliasing, the entry count, and that the range cursor's full
-/// scan yields exactly that many keys in ascending order. Writer handles
+/// bounds, child aliasing, the root blob's pages, the entry count, and that
+/// the range cursor's full scan yields exactly that many keys in ascending
+/// order. Writer handles
 /// additionally audit the page lifecycle — free-list shape, disjointness of
 /// free and retired pages from the writer root and from every pinned snapshot
 /// root, and full coverage of the page file.
@@ -1575,6 +1737,10 @@ impl StructuralAudit for PagedBTree {
         );
         if let Err(e) = walk {
             report.violation("audit-io", "tree-walk", e.to_string());
+            return;
+        }
+        if let Err(e) = self.audit_blob_pages(report, &mut reachable) {
+            report.violation("audit-io", "blob-chain", e.to_string());
             return;
         }
         report.check("entry-count", "meta", leaf_entries == self.entries, || {
@@ -1607,7 +1773,14 @@ impl Drop for PagedBTree {
         // list. A Drop cannot report I/O errors, but `flush` records any
         // failure in the shared `flush_failed` flag, so the loss is at least
         // observable instead of silent. Explicit `close()` is the real path.
-        if !self.closed && self._pin.is_none() && !self.retired.is_empty() {
+        // A durable writer's state is its last flush: the opener rebuilds its
+        // free list anyway, and a flush here could persist a batch that
+        // failed halfway beside the blob of the batch before.
+        if !self.closed
+            && self._pin.is_none()
+            && self.durable_pin.is_none()
+            && !self.retired.is_empty()
+        {
             let _ = self.flush();
         }
     }
@@ -2465,6 +2638,110 @@ mod tests {
         assert!(violated(&tree).contains(&"snapshot-retired-disjoint"));
         drop(snapshot);
         tree.retired.clear(); // the seeded entries must not reach Drop's flush
+    }
+
+    #[test]
+    fn the_root_blob_persists_with_its_root_in_and_past_the_meta_page() {
+        let dir = std::env::temp_dir().join(format!("pathix-pbt-blob-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("blob.pages");
+        let blob = |len: usize| (0..len).map(|i| (i * 7 % 251) as u8).collect::<Vec<u8>>();
+        let in_meta = PAGE_SIZE - META_OFF_BLOB;
+        let per_page = PAGE_SIZE - slotted::HEADER_SIZE;
+        let pool = BufferPool::new(crate::DiskManager::create(&path).unwrap(), 16);
+        let mut tree = PagedBTree::bulk_load(pool, (0..500u32).map(|i| (key(i), val(i)))).unwrap();
+        tree.flush().unwrap();
+        tree.enable_durable_writeback();
+        let mut peak_pages = 0;
+        // Empty, in the meta page, exactly full, one byte over, several blob
+        // pages, and back into the meta page.
+        for (round, len) in [0, 100, in_meta, in_meta + 1, in_meta + 3 * per_page, 50]
+            .into_iter()
+            .enumerate()
+        {
+            let n = 500 + round as u32;
+            tree.insert(key(n), val(n)).unwrap();
+            tree.set_root_blob(blob(len));
+            tree.flush().unwrap();
+            assert_eq!(
+                tree.blob_pages.len(),
+                (len.saturating_sub(in_meta)).div_ceil(per_page)
+            );
+            assert_audit_clean(&tree);
+            for recovering in [false, true] {
+                let pool = BufferPool::new(crate::DiskManager::open(&path).unwrap(), 16);
+                let reopened = if recovering {
+                    PagedBTree::open_recovering(pool)
+                } else {
+                    PagedBTree::open(pool)
+                }
+                .unwrap();
+                assert_eq!(reopened.root_blob(), blob(len), "{len} bytes");
+                assert_eq!(reopened.blob_pages, tree.blob_pages);
+                assert_eq!(reopened.len(), tree.len());
+                // Only the mark-and-sweep puts the pages the durable pin
+                // retired back on the free list.
+                if recovering {
+                    assert_audit_clean(&reopened);
+                }
+                std::mem::forget(reopened);
+            }
+            peak_pages = peak_pages.max(tree.stats().pages);
+        }
+        // Superseded chains are recycled, not leaked: rewriting the largest
+        // blob again and again stays within the pages already allocated.
+        for _ in 0..4 {
+            tree.set_root_blob(blob(in_meta + 3 * per_page));
+            tree.flush().unwrap();
+        }
+        assert!(
+            tree.stats().pages <= peak_pages + 4,
+            "{}",
+            tree.stats().pages
+        );
+        assert_audit_clean(&tree);
+        drop(tree);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_broken_blob_chain_is_refused_on_open_and_trips_the_auditor() {
+        let dir = std::env::temp_dir().join(format!("pathix-pbt-chain-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("chain.pages");
+        let pool = BufferPool::new(crate::DiskManager::create(&path).unwrap(), 16);
+        let mut tree = PagedBTree::create(pool).unwrap();
+        tree.set_root_blob(vec![9; 2 * PAGE_SIZE]);
+        tree.flush().unwrap();
+        let link = tree.blob_pages[0];
+        assert_audit_clean(&tree);
+
+        // A link that is no blob page: the auditor names it…
+        tree.pool
+            .with_page_mut(link, |p| slotted::init(p, slotted::KIND_LEAF))
+            .unwrap();
+        assert!(violated(&tree).contains(&"blob-chain"));
+        drop(tree);
+        let file = std::fs::read(&path).unwrap();
+        let reopen = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).unwrap();
+            let pool = BufferPool::new(crate::DiskManager::open(&path).unwrap(), 16);
+            PagedBTree::open(pool).map(|_| ()).unwrap_err().kind()
+        };
+        // …and open refuses the file, as it does a chain that ends early or
+        // runs on past the recorded length.
+        let mut bytes = file.clone();
+        let at = link.0 as usize * PAGE_SIZE;
+        bytes[at..at + 2].copy_from_slice(&slotted::KIND_LEAF.to_le_bytes());
+        assert_eq!(reopen(&bytes), io::ErrorKind::InvalidData);
+        let mut bytes = file.clone();
+        bytes[META_OFF_BLOB_LEN..META_OFF_BLOB_LEN + 4]
+            .copy_from_slice(&(4 * PAGE_SIZE as u32).to_le_bytes());
+        assert_eq!(reopen(&bytes), io::ErrorKind::InvalidData);
+        let mut bytes = file;
+        bytes[META_OFF_BLOB_LEN..META_OFF_BLOB_LEN + 4].copy_from_slice(&10u32.to_le_bytes());
+        assert_eq!(reopen(&bytes), io::ErrorKind::InvalidData);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

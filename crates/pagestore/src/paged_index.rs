@@ -28,6 +28,14 @@
 //! absorbed (its seq is above [`PagedPathIndex::applied_seq`]) and hands
 //! the result to the same [`MutablePathIndexBackend::apply_delta_batch`] a
 //! live apply calls, durable flush included.
+//!
+//! The per-path tally — the entry count of every indexed path, the paper's
+//! stored k-path histogram of §3.2 — is kept exact by every key the tree
+//! gains or loses and is persisted as the tree's root blob, in the same
+//! flush as the root it describes (see the [`crate::btree`] module docs).
+//! Opening therefore reads the meta page and the internal pages, never a
+//! leaf; the structural audit's full-scan recount is the one check that the
+//! stored tally matches the stored keys.
 
 use crate::btree::{LeafCursor, PagedBTree, PagedTreeStats};
 use crate::buffer::{BufferPool, PoolStats};
@@ -117,14 +125,14 @@ impl PagedPathIndex {
             }
         }
         entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let mut tree = PagedBTree::bulk_load(pool, entries)?;
-        tree.flush()?;
-        Ok(PagedPathIndex {
+        let mut index = PagedPathIndex {
             k,
             node_count: graph.node_count(),
             per_path_counts,
-            tree,
-        })
+            tree: PagedBTree::bulk_load(pool, entries)?,
+        };
+        index.flush()?;
+        Ok(index)
     }
 
     /// Opens a previously built (and possibly crash-interrupted) index from
@@ -133,9 +141,11 @@ impl PagedPathIndex {
     /// The tree is opened through [`PagedBTree::open_recovering`]: the
     /// persisted free list — which threads through page contents and is *not*
     /// crash-consistent — is discarded and rebuilt by a mark-and-sweep over
-    /// the root-reachable pages. Durable writeback is re-enabled, and the
-    /// per-path cardinalities are recounted from a full scan; `node_count`
-    /// must come from the recovered graph the index belongs to.
+    /// the pages the root and its blob reach. Durable writeback is
+    /// re-enabled, and the per-path cardinalities are decoded from the root
+    /// blob the last flush wrote beside the root — no leaf is read. A
+    /// malformed tally is `InvalidData`; `node_count` must come from the
+    /// recovered graph the index belongs to.
     pub fn open<P: AsRef<std::path::Path>>(
         path: P,
         k: usize,
@@ -145,39 +155,20 @@ impl PagedPathIndex {
         let pool = BufferPool::new(DiskManager::open(path)?, pool_frames);
         let mut tree = PagedBTree::open_recovering(pool)?;
         tree.enable_durable_writeback();
-        let mut index = PagedPathIndex {
+        Ok(PagedPathIndex {
             k,
             node_count,
-            per_path_counts: Vec::new(),
+            per_path_counts: decode_counts(tree.root_blob())?,
             tree,
-        };
-        index.refresh_derived_stats()?;
-        Ok(index)
+        })
     }
 
-    /// Recounts the per-path cardinalities from a full scan of the stored
-    /// entries. Fails with `InvalidData` on malformed keys — the symptom of
-    /// a corrupt page file.
-    fn refresh_derived_stats(&mut self) -> io::Result<()> {
-        let mut per_path: Vec<(Vec<SignedLabel>, u64)> = Vec::new();
-        for item in self.tree.iter()? {
-            let (key, _) = item?;
-            let Some((path, _, _)) = decode_entry(&key) else {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "stored key of {} byte(s) is not a ⟨path, source, target⟩ entry",
-                        key.len()
-                    ),
-                ));
-            };
-            match per_path.last_mut() {
-                Some((p, n)) if *p == path => *n += 1,
-                _ => per_path.push((path, 1)),
-            }
-        }
-        self.per_path_counts = per_path;
-        Ok(())
+    /// Flushes the tree with the tally that describes it as its root blob,
+    /// so a reopen reads the counts instead of recounting the entries.
+    fn flush(&mut self) -> io::Result<()> {
+        self.tree
+            .set_root_blob(encode_counts(&self.per_path_counts));
+        self.tree.flush()
     }
 
     /// Replays a batch's key transitions as B+tree inserts and deletes in
@@ -249,6 +240,8 @@ impl PagedPathIndex {
     /// [`PagedPathIndex::flush_failed`] flag) instead of being swallowed by
     /// `Drop`.
     pub fn close(&mut self) -> io::Result<()> {
+        self.tree
+            .set_root_blob(encode_counts(&self.per_path_counts));
         self.tree.close()
     }
 
@@ -557,8 +550,66 @@ impl MutablePathIndexBackend for PagedPathIndex {
             .map_err(|e| io_err(&e))?;
         self.node_count = batch.node_count;
         self.tree.set_applied_seq(batch.seq);
-        self.tree.flush().map_err(|e| io_err(&e))
+        self.flush().map_err(|e| io_err(&e))
     }
+}
+
+/// The per-path tally as a root blob: the number of rows (u32 LE), then for
+/// each path in key order its key prefix `⟨p⟩` (see
+/// [`pathix_index::pathkey`]) and its entry count (u64 LE). At k = 2 over
+/// three labels that is 42 rows of 13 bytes, well inside the meta page.
+fn encode_counts(counts: &[(Vec<SignedLabel>, u64)]) -> Vec<u8> {
+    let mut blob = (counts.len() as u32).to_le_bytes().to_vec();
+    for (path, count) in counts {
+        blob.extend_from_slice(&encode_path_prefix(path));
+        blob.extend_from_slice(&count.to_le_bytes());
+    }
+    blob
+}
+
+/// Reads back what [`encode_counts`] wrote. Anything else — a short or
+/// overlong blob, an empty path, a zero count, rows out of key order — is
+/// `InvalidData`.
+fn decode_counts(blob: &[u8]) -> io::Result<Vec<(Vec<SignedLabel>, u64)>> {
+    let malformed = |what: &str| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("per-path tally: {what}"),
+        )
+    };
+    let (rows, mut rest) = blob
+        .split_first_chunk::<4>()
+        .ok_or_else(|| malformed("no row count"))?;
+    let rows = u32::from_le_bytes(*rows) as usize;
+    let mut counts: Vec<(Vec<SignedLabel>, u64)> = Vec::with_capacity(rows.min(blob.len()));
+    let mut last_prefix: &[u8] = &[];
+    for _ in 0..rows {
+        let len = *rest.first().ok_or_else(|| malformed("truncated row"))? as usize;
+        if len == 0 {
+            return Err(malformed("empty path"));
+        }
+        let (prefix, count, tail) = rest
+            .split_at_checked(1 + 2 * len)
+            .and_then(|(prefix, tail)| {
+                let (count, tail) = tail.split_first_chunk::<8>()?;
+                Some((prefix, u64::from_le_bytes(*count), tail))
+            })
+            .ok_or_else(|| malformed("truncated row"))?;
+        if count == 0 || prefix <= last_prefix {
+            return Err(malformed("zero count or rows out of key order"));
+        }
+        let path = prefix[1..]
+            .chunks_exact(2)
+            .map(|code| SignedLabel::from_code(u16::from_be_bytes([code[0], code[1]])))
+            .collect();
+        counts.push((path, count));
+        last_prefix = prefix;
+        rest = tail;
+    }
+    if !rest.is_empty() {
+        return Err(malformed("trailing bytes"));
+    }
+    Ok(counts)
 }
 
 #[cfg(test)]
@@ -995,12 +1046,16 @@ mod tests {
         idx.close().unwrap();
         drop(idx);
         assert!(PagedPathIndex::open(&path, 2, 8, g.node_count()).is_ok());
-        // The walk-count format's meta magic, "PXPI".
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[12..16].copy_from_slice(&0x5058_5049u32.to_le_bytes());
-        std::fs::write(&path, bytes).unwrap();
-        let err = PagedPathIndex::open(&path, 2, 8, g.node_count()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let built = std::fs::read(&path).unwrap();
+        // The meta magics of the walk-count format ("PXPI") and of the
+        // format without a root blob ("PXPS").
+        for old in [0x5058_5049u32, 0x5058_5053] {
+            let mut bytes = built.clone();
+            bytes[12..16].copy_from_slice(&old.to_le_bytes());
+            std::fs::write(&path, bytes).unwrap();
+            let err = PagedPathIndex::open(&path, 2, 8, g.node_count()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{old:#x}: {err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1018,13 +1073,15 @@ mod tests {
             g.label_id("knows").unwrap(),
         );
         // The tally kept by the writes equals a full recount of the tree and
-        // the counts of an index built over the same graph.
-        let assert_counts = |paged: &mut PagedPathIndex, graph: &Graph, when: &str| {
+        // the counts of an index built over the same graph, and the batch's
+        // flush wrote it beside the root.
+        let assert_counts = |paged: &PagedPathIndex, graph: &Graph, when: &str| {
             let tallied = paged.per_path_counts().to_vec();
-            paged.refresh_derived_stats().unwrap();
-            assert_eq!(tallied, paged.per_path_counts(), "{when}: recount");
+            assert_eq!(tallied, recounted(paged), "{when}: recount");
             let rebuilt = PagedPathIndex::build_in_memory(graph, k, 8).unwrap();
             assert_eq!(tallied, rebuilt.per_path_counts(), "{when}: rebuild");
+            let persisted = decode_counts(paged.tree.root_blob()).unwrap();
+            assert_eq!(tallied, persisted, "{when}: root blob");
         };
 
         // A live batch: the only supervisor edge goes, emptying every path
@@ -1045,7 +1102,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(paged.path_cardinality(&supervised), None);
-        assert_counts(&mut paged, &graph, "after apply_delta_batch");
+        assert_counts(&paged, &graph, "after apply_delta_batch");
 
         // The reverse batch, as recovery hands over a fresh record: the
         // same call, rederived from the logged ops.
@@ -1064,7 +1121,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(paged.path_cardinality(&supervised), Some(1));
-        assert_counts(&mut paged, &graph, "after a fresh replay");
+        assert_counts(&paged, &graph, "after a fresh replay");
 
         // The tree records the record's seq, so recovery leaves the same
         // record alone the next time; an empty batch moves no count.
@@ -1076,7 +1133,7 @@ mod tests {
                 seq: 2,
             })
             .unwrap();
-        assert_counts(&mut paged, &graph, "after replaying an applied record");
+        assert_counts(&paged, &graph, "after replaying an applied record");
     }
 
     /// The batch of raw `changes` at `seq` over `node_count` nodes, handed
@@ -1117,6 +1174,161 @@ mod tests {
             .unwrap()
             .map(|item| item.unwrap().0)
             .collect()
+    }
+
+    /// The per-path tally recounted from every stored key, in key order.
+    fn recounted(idx: &PagedPathIndex) -> Vec<(Vec<SignedLabel>, u64)> {
+        let mut per_path: Vec<(Vec<SignedLabel>, u64)> = Vec::new();
+        for key in stored_keys(idx) {
+            let (path, _, _) = decode_entry(&key).unwrap();
+            match per_path.last_mut() {
+                Some((p, n)) if *p == path => *n += 1,
+                _ => per_path.push((path, 1)),
+            }
+        }
+        per_path
+    }
+
+    #[test]
+    fn the_tally_codec_round_trips_and_refuses_malformed_blobs() {
+        let g = paper_example_graph();
+        let counts = PagedPathIndex::build_in_memory(&g, 2, 8)
+            .unwrap()
+            .per_path_counts()
+            .to_vec();
+        let blob = encode_counts(&counts);
+        assert_eq!(decode_counts(&blob).unwrap(), counts);
+        assert_eq!(decode_counts(&encode_counts(&[])).unwrap(), []);
+        let first_count = 4 + 3;
+        let mut zero = blob.clone();
+        zero[first_count..first_count + 8].fill(0);
+        let mut swapped = encode_counts(&counts[1..2]);
+        swapped.extend_from_slice(&encode_counts(&counts[..1])[4..]);
+        swapped[..4].copy_from_slice(&2u32.to_le_bytes());
+        let mut empty_path = blob.clone();
+        empty_path[4] = 0;
+        for (what, bad) in [
+            ("empty", Vec::new()),
+            ("truncated", blob[..blob.len() - 1].to_vec()),
+            ("trailing", [blob.as_slice(), &[0]].concat()),
+            ("zero count", zero),
+            ("out of order", swapped),
+            ("empty path", empty_path),
+        ] {
+            let err = decode_counts(&bad).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        }
+    }
+
+    /// Three nodes and 16 labels, each with an edge n0 → n1 and n1 → n0 (and
+    /// every third also n1 → n2): every one of the 32 + 32² signed label
+    /// paths of length ≤ 2 is non-empty, so the tally's 1 056 rows of about
+    /// 13 bytes need blob pages past the meta page.
+    fn many_label_graph() -> Graph {
+        let mut b = pathix_graph::GraphBuilder::new();
+        for label in 0..16 {
+            let name = format!("l{label}");
+            b.add_edge_named("n0", &name, "n1");
+            b.add_edge_named("n1", &name, "n0");
+            if label % 3 == 0 {
+                b.add_edge_named("n1", &name, "n2");
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn a_tally_past_the_meta_page_survives_abandoned_writers_and_reopens() {
+        use pathix_index::{apply_op, EntryDeltas};
+
+        let dir = std::env::temp_dir().join(format!("pathix-pidx-chain-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("kpath.pages");
+        let (k, frames) = (2, 16);
+        let mut graph = many_label_graph();
+        let [n0, n1, n2] = ["n0", "n1", "n2"].map(|n| graph.node_id(n).unwrap());
+        let l = |i: usize| graph.label_id(&format!("l{i}")).unwrap();
+        let rounds = [
+            vec![EdgeOp::delete(n0, l(0), n1), EdgeOp::insert(n2, l(5), n0)],
+            vec![EdgeOp::delete(n1, l(3), n2), EdgeOp::insert(n2, l(7), n2)],
+            vec![EdgeOp::insert(n0, l(0), n1), EdgeOp::delete(n1, l(9), n0)],
+            vec![EdgeOp::delete(n2, l(5), n0), EdgeOp::insert(n0, l(11), n2)],
+        ];
+        // Checks an opened index against a rebuild: the tally, the chain and
+        // a clean audit — page coverage and the free list included.
+        let assert_reopened = |idx: &PagedPathIndex, graph: &Graph, when: &str| {
+            let rebuilt = PagedPathIndex::build_in_memory(graph, k, frames).unwrap();
+            assert!(rebuilt.per_path_counts().len() >= 1_000, "{when}");
+            assert_eq!(idx.per_path_counts(), rebuilt.per_path_counts(), "{when}");
+            assert_eq!(stored_keys(idx), stored_keys(&rebuilt), "{when}");
+            let blob = idx.tree.root_blob().len();
+            assert!(blob > 3 * crate::PAGE_SIZE, "{when}: a {blob}-byte tally");
+            let mut report = AuditReport::new();
+            report.run("paged-reopened", idx);
+            report.assert_clean(when);
+        };
+
+        let mut idx = PagedPathIndex::build_on_disk(&graph, k, &path, frames).unwrap();
+        let mut seq = 0;
+        for (i, ops) in rounds.iter().enumerate() {
+            let mut deltas = EntryDeltas::new();
+            for &op in ops {
+                assert!(apply_op(&mut graph, k, op, &mut deltas));
+            }
+            seq += 1;
+            idx.apply_delta_batch(&DeltaBatch {
+                deltas: &deltas,
+                node_count: graph.node_count(),
+                seq,
+            })
+            .unwrap();
+            // Two batches per writer, then the writer dies without a close.
+            if i % 2 == 1 {
+                std::mem::forget(idx);
+                idx = PagedPathIndex::open(&path, k, frames, graph.node_count()).unwrap();
+                assert_eq!(idx.applied_seq(), seq);
+                assert_reopened(&idx, &graph, &format!("reopen after batch {seq}"));
+            }
+        }
+        idx.close().unwrap();
+        drop(idx);
+        let idx = PagedPathIndex::open(&path, k, frames, graph.node_count()).unwrap();
+        assert_reopened(&idx, &graph, "reopen after close");
+        drop(idx);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_tampered_persisted_count_opens_and_fails_the_audit() {
+        let dir = std::env::temp_dir().join(format!("pathix-pidx-tamper-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("kpath.pages");
+        let g = paper_example_graph();
+        let mut idx = PagedPathIndex::build_on_disk(&g, 2, &path, 8).unwrap();
+        idx.close().unwrap();
+        let counts = idx.per_path_counts().to_vec();
+        drop(idx);
+
+        // The tally sits in the meta page, page 0; its first row is a
+        // length-1 path (3 prefix bytes) followed by its count.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let blob = encode_counts(&counts);
+        let at = bytes[..crate::PAGE_SIZE]
+            .windows(blob.len())
+            .position(|w| w == blob)
+            .expect("the tally is in the meta page");
+        let count = at + 4 + 3;
+        bytes[count..count + 8].copy_from_slice(&(counts[0].1 + 1).to_le_bytes());
+        std::fs::write(&path, bytes).unwrap();
+
+        let reopened = PagedPathIndex::open(&path, 2, 8, g.node_count()).unwrap();
+        assert_eq!(reopened.per_path_counts()[0].1, counts[0].1 + 1);
+        let mut report = AuditReport::new();
+        report.run("paged", &reopened);
+        let names: Vec<_> = report.violations().iter().map(|v| v.invariant).collect();
+        assert_eq!(names, ["counts-consistent"]);
+        drop(reopened);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

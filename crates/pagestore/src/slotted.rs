@@ -12,11 +12,12 @@
 //!            u16      u16                 u32      4 bytes/slot   ← grows
 //! ```
 //!
-//! * `kind` distinguishes meta / leaf / internal pages;
+//! * `kind` distinguishes meta / leaf / internal / blob-overflow pages;
 //! * `count` is the number of live slots;
 //! * `free_end` is the lowest byte offset used by cell contents;
-//! * `next` is the next-leaf page for leaves and the leftmost child for
-//!   internal nodes.
+//! * `next` is the next-leaf page for leaves, the leftmost child for
+//!   internal nodes, and the next link of the root blob for the meta page
+//!   and blob-overflow pages.
 //!
 //! Cells are opaque byte strings to this module; the B+tree layer encodes
 //! keys, values and child pointers inside them.
@@ -36,6 +37,9 @@ pub const KIND_LEAF: u16 = 1;
 pub const KIND_INTERNAL: u16 = 2;
 /// Page kind: B+tree metadata page.
 pub const KIND_META: u16 = 3;
+/// Page kind: an overflow link of a B+tree's root blob (raw bytes after the
+/// header, no cells; `next` names the following link).
+pub const KIND_BLOB: u16 = 4;
 
 const OFF_KIND: usize = 0;
 const OFF_COUNT: usize = 2;

@@ -166,12 +166,41 @@ fn a_fixed_update_script_writes_the_same_pages_on_the_paged_backends() {
 fn on_disk(tag: &str) -> (PathDb, PathBuf) {
     let dir = std::env::temp_dir().join(format!("pathix-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
+    (
+        PathDb::try_build(graph(), on_disk_config(&dir)).unwrap(),
+        dir,
+    )
+}
+
+/// The configuration of the [`on_disk`] database in `dir`.
+fn on_disk_config(dir: &Path) -> PathDbConfig {
     let choice = BackendChoice::OnDisk {
         path: dir.join("index.pages"),
         pool_frames: 32,
     };
-    let config = PathDbConfig::with_k(2).with_backend(choice);
-    (PathDb::try_build(graph(), config).unwrap(), dir)
+    PathDbConfig::with_k(2).with_backend(choice)
+}
+
+/// Pool misses of `PathDb::open` on the [`on_disk`] database after
+/// [`script`], its writer abandoned without a close: the meta page (which
+/// holds the per-path counts), the internal pages the free-space sweep
+/// walks and the pages it returns to the free list. No leaf is read and no
+/// scan reads ahead.
+const OPEN_MISSES: u64 = 58;
+
+#[test]
+fn open_reads_the_roots_not_the_leaves() {
+    let (db, dir) = on_disk("cost-open");
+    for batch in script() {
+        db.apply(&batch).unwrap();
+    }
+    std::mem::forget(db);
+    let db = PathDb::open(on_disk_config(&dir)).unwrap();
+    let pool = db.stats().storage.pool.unwrap();
+    assert_eq!((pool.misses, pool.read_ahead_pages), (OPEN_MISSES, 0));
+    db.close().unwrap();
+    drop(db);
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 /// The bytes of every write-ahead-log segment of the on-disk database in

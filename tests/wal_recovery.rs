@@ -22,14 +22,19 @@
 //! against never-crashed twins on all four backends.
 //!
 //! The batch script includes name-based insertions so re-interning logged
-//! names (the live vocabulary) is exercised on every path. Run with
+//! names (the live vocabulary) is exercised on every path. A second script
+//! runs the same kill trials on a graph with enough labels that the index's
+//! per-path counts outgrow the page file's meta page, so every write of
+//! their overflow pages is a kill site too. Run with
 //! `PATHIX_AUDIT=1` to additionally audit after every replayed batch inside
 //! `PathDb::open` (the CI recovery step does).
 
 use pathix_core::{
-    BackendChoice, GraphUpdate, PathDb, PathDbConfig, QueryError, QueryOptions, Strategy,
+    BackendChoice, GraphUpdate, PathDb, PathDbConfig, PathIndexBackend, QueryError, QueryOptions,
+    Strategy,
 };
 use pathix_datagen::paper_example_graph;
+use pathix_graph::{Graph, GraphBuilder};
 use pathix_pagestore::fault;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -107,8 +112,13 @@ const QUERIES: [&str; 4] = [
 /// sorted named pairs (names make the card id-assignment-independent; a
 /// query whose labels are not in the vocabulary yet reads `unbound`).
 fn answer_card(db: &PathDb) -> Vec<String> {
+    answer_card_of(db, &QUERIES)
+}
+
+/// [`answer_card`] over `queries`.
+fn answer_card_of(db: &PathDb, queries: &[&str]) -> Vec<String> {
     let mut card = Vec::new();
-    for query in QUERIES {
+    for &query in queries {
         for strategy in Strategy::all() {
             match db.run(query, QueryOptions::with_strategy(strategy)) {
                 Ok(result) => {
@@ -126,7 +136,12 @@ fn answer_card(db: &PathDb) -> Vec<String> {
 
 /// Never-crashed twin on the memory backend that applied `prefix` batches.
 fn memory_twin(batches: &[Vec<GraphUpdate>], prefix: usize) -> PathDb {
-    let twin = PathDb::try_build(paper_example_graph(), PathDbConfig::with_k(2)).unwrap();
+    memory_twin_of(paper_example_graph(), batches, prefix)
+}
+
+/// [`memory_twin`] over `base`.
+fn memory_twin_of(base: Graph, batches: &[Vec<GraphUpdate>], prefix: usize) -> PathDb {
+    let twin = PathDb::try_build(base, PathDbConfig::with_k(2)).unwrap();
     for batch in &batches[..prefix] {
         twin.apply(batch).unwrap();
     }
@@ -149,12 +164,59 @@ fn run_until_crash(db: &PathDb, batches: &[Vec<GraphUpdate>]) -> usize {
 #[test]
 fn kill_at_every_durable_operation_recovers_a_consistent_prefix() {
     let _serial = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    let batches = scripted_batches();
+    kill_at_every_durable_operation(paper_example_graph, &scripted_batches(), &QUERIES);
+}
 
+/// Three nodes and ten labels `l0`…`l9`, each with edges n0 → n1 and
+/// n1 → n0 (every third also n1 → n2): each of the 20 + 20² signed label
+/// paths of length ≤ 2 is non-empty, so the per-path counts (13 bytes a
+/// path) need an overflow page past the meta page.
+fn many_label_graph() -> Graph {
+    let mut b = GraphBuilder::new();
+    for label in 0..10 {
+        let name = format!("l{label}");
+        b.add_edge_named("n0", &name, "n1");
+        b.add_edge_named("n1", &name, "n0");
+        if label % 3 == 0 {
+            b.add_edge_named("n1", &name, "n2");
+        }
+    }
+    b.build()
+}
+
+#[test]
+fn kill_at_every_durable_operation_recovers_counts_that_overflow_the_meta_page() {
+    let _serial = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let db = PathDb::try_build(many_label_graph(), PathDbConfig::with_k(2)).unwrap();
+    let rows = db.index().per_path_counts().len();
+    assert!(rows >= 420, "{rows} paths fit the meta page");
+    // A new node beside a deletion, then a new label beside an insertion.
+    let batches = vec![
+        vec![
+            GraphUpdate::insert_named("new", "l1", "n1"),
+            GraphUpdate::delete_named("n0", "l1", "n1"),
+        ],
+        vec![
+            GraphUpdate::insert_named("n0", "l10", "n2"),
+            GraphUpdate::insert_named("n2", "l0", "n0"),
+        ],
+    ];
+    kill_at_every_durable_operation(many_label_graph, &batches, &["l0/l1", "l1", "l0-/l10"]);
+}
+
+/// Kills a run of `batches` over `base` at each of its durable operations in
+/// turn; every reopened database must audit clean and answer `queries`
+/// like a never-crashed twin that applied a prefix covering every
+/// acknowledged batch and at most the one in flight.
+fn kill_at_every_durable_operation(
+    base: fn() -> Graph,
+    batches: &[Vec<GraphUpdate>],
+    queries: &[&str],
+) {
     // Twin answer cards for every prefix — all distinct, or a kill trial
     // could silently match the wrong prefix.
     let twins: Vec<Vec<String>> = (0..=batches.len())
-        .map(|prefix| answer_card(&memory_twin(&batches, prefix)))
+        .map(|prefix| answer_card_of(&memory_twin_of(base(), batches, prefix), queries))
         .collect();
     for a in 0..twins.len() {
         for b in a + 1..twins.len() {
@@ -165,9 +227,9 @@ fn kill_at_every_durable_operation_recovers_a_consistent_prefix() {
     // Clean run: count the durable operations of the apply phase.
     let total_ops = {
         let dir = TempDir::new("count");
-        let db = PathDb::try_build(paper_example_graph(), on_disk(dir.path("idx.pages"))).unwrap();
+        let db = PathDb::try_build(base(), on_disk(dir.path("idx.pages"))).unwrap();
         fault::count_ops();
-        for batch in &batches {
+        for batch in batches {
             db.apply(batch).unwrap();
         }
         fault::disarm_count()
@@ -180,9 +242,9 @@ fn kill_at_every_durable_operation_recovers_a_consistent_prefix() {
     for op in 0..total_ops {
         let dir = TempDir::new(&format!("kill-{op}"));
         let path = dir.path("idx.pages");
-        let db = PathDb::try_build(paper_example_graph(), on_disk(path.clone())).unwrap();
+        let db = PathDb::try_build(base(), on_disk(path.clone())).unwrap();
         fault::arm(op);
-        let acknowledged = run_until_crash(&db, &batches);
+        let acknowledged = run_until_crash(&db, batches);
         // The crashed process performs no orderly shutdown: it is dropped
         // with the fault still armed, so even drop-time backstop flushes
         // fail, exactly as on a dead machine.
@@ -197,7 +259,7 @@ fn kill_at_every_durable_operation_recovers_a_consistent_prefix() {
             "audit after kill at op {op} (site {fired:?}): {:?}",
             report.violations()
         );
-        let card = answer_card(&recovered);
+        let card = answer_card_of(&recovered, queries);
         let Some(matched) = twins.iter().position(|t| *t == card) else {
             panic!("kill at op {op} (site {fired:?}): recovered state matches no prefix");
         };
