@@ -26,7 +26,7 @@
 //!   structurally-shared [`SharedKPathIndex`]; everything untouched is
 //!   re-shared behind `Arc`s, and old epochs keep theirs;
 //! * **paged / on-disk** — the key deltas become B+tree inserts/deletes with
-//!   page splits, merges and free-list recycling, written back through the
+//!   page splits, merges and free-page recycling, written back through the
 //!   buffer pool after every batch; pages a published snapshot can reach are
 //!   **copy-on-write** — the writer relocates instead of overwriting them and
 //!   reclaims superseded pages only after the snapshot dies (see

@@ -16,15 +16,19 @@
 //! * **internal pages** hold `[key_len u16 | key | child u32]` cells; the
 //!   leftmost child lives in the page header's `next` field, and the cell
 //!   `(k, c)` routes keys `≥ k` (and smaller than the following cell's key)
-//!   to child `c`.
+//!   to child `c`;
+//! * **free pages** are every other page. Nothing on disk marks them: the
+//!   writer keeps their ids in memory, and [`PagedBTree::open`] derives them
+//!   as the pages neither the root nor the blob chain reaches.
 //!
 //! Structural changes rewrite whole nodes (read cells → modify → compact
 //! rewrite), which keeps the split logic simple and pages always compacted.
 //! Inserts split overflowing leaves and internal nodes top-down; deletes
-//! merge or rebalance underflowing nodes bottom-up (freed pages go onto a
-//! free list threaded through the meta page and are reused by later splits),
-//! so a live, update-heavy index neither leaks pages nor degrades into
-//! half-empty chains.
+//! merge or rebalance underflowing nodes bottom-up (freed pages join the
+//! writer's free set, lowest id reused first by later splits), so a live,
+//! update-heavy index neither leaks pages nor degrades into half-empty
+//! chains. Freeing a page neither reads nor writes it, and reusing one
+//! rewrites it without reading it.
 //!
 //! ## Page-level copy-on-write and snapshots
 //!
@@ -34,7 +38,7 @@
 //! a fresh page version, rewrite the modified node there, and propagate the
 //! new page id up the ancestor path (shadow paging). Superseded pages are
 //! *retired*, tagged with the write epoch that replaced them, and only move
-//! to the reusable free list once no live snapshot is old enough to reference
+//! to the reusable free set once no live snapshot is old enough to reference
 //! them — so a snapshot keeps answering bit-identically no matter how many
 //! batches the writer absorbs after it, at a cost proportional to the pages
 //! the writer actually dirties. With no snapshots alive the tree mutates in
@@ -65,7 +69,7 @@ use crate::page::{get_u32, get_u64, put_u32, put_u64, PageId, PAGE_SIZE};
 use crate::slotted;
 use pathix_audit::{AuditReport, StructuralAudit};
 use pathix_storage::prefix_successor;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -93,7 +97,8 @@ const META_OFF_MAGIC: usize = 12;
 const META_OFF_ROOT: usize = 16;
 const META_OFF_HEIGHT: usize = 20;
 const META_OFF_COUNT: usize = 24;
-const META_OFF_FREE: usize = 32;
+// Bytes 32..40 are reserved: written as zero and never read, so a file that
+// holds a value there opens all the same.
 /// Highest committed batch sequence number whose effects reached the pages —
 /// the write-ahead log replays only records newer than this on reopen.
 const META_OFF_SEQ: usize = 40;
@@ -151,7 +156,7 @@ pub struct CowStats {
     /// Superseded page versions parked until the snapshots referencing them
     /// are gone.
     pub pages_retired: u64,
-    /// Retired pages that became reusable and rejoined the free list.
+    /// Retired pages that became reusable and rejoined the free set.
     pub pages_reclaimed: u64,
     /// Retired pages still pinned by live snapshots.
     pub retired_pending: u64,
@@ -178,10 +183,9 @@ struct SnapshotTable {
     pages_retired: AtomicU64,
     pages_reclaimed: AtomicU64,
     retired_pending: AtomicU64,
-    /// Set (and never cleared) when any flush of this tree failed — including
-    /// the best-effort one in `Drop`, which cannot report errors. Surfaced
+    /// Set (and never cleared) when any flush of this tree failed. Surfaced
     /// through [`PagedBTree::flush_failed`] so storage statistics can show
-    /// that the persisted free list may be incomplete.
+    /// that the page file may not hold the writer's last tree.
     flush_failed: std::sync::atomic::AtomicBool,
 }
 
@@ -244,22 +248,20 @@ impl Drop for SnapshotPin {
 
 /// A B+tree whose nodes live in buffer-pool pages.
 ///
-/// Dropping a **writer** handle (one not created by [`PagedBTree::share`])
-/// with retired pages pending makes a best-effort flush so that pages whose
-/// snapshots have died rejoin the persisted free list instead of leaking in
-/// the page file. Pages still pinned by snapshots that outlive the writer
-/// are unreachable after a reopen — the cost of a snapshot outliving its
-/// database, documented rather than chased.
+/// Dropping a handle performs no I/O. A writer's page file holds what its
+/// last flush wrote; every page that tree does not reach is free on the
+/// next [`PagedBTree::open`].
 #[derive(Debug)]
 pub struct PagedBTree {
     pool: BufferPool,
     root: PageId,
     height: u32,
     entries: u64,
-    /// Head of the free-page list (pages released by node merges or
-    /// reclaimed after their snapshots died), threaded through the freed
-    /// pages' `next` pointers. Reused before the backing store is extended.
-    free_head: PageId,
+    /// The writer's free pages (released by node merges and superseded blob
+    /// chains, or reclaimed after their snapshots died), handed out lowest
+    /// id first before the backing store is extended. Held in memory only:
+    /// [`PagedBTree::open`] derives it.
+    free: BTreeSet<u32>,
     /// Live-snapshot pins and CoW counters, shared with every share.
     snapshots: Arc<SnapshotTable>,
     /// The current write epoch: bumped by every [`PagedBTree::share`].
@@ -268,7 +270,7 @@ pub struct PagedBTree {
     /// snapshot, so they may be mutated in place within this epoch.
     fresh: HashSet<u32>,
     /// Superseded page versions: `(epoch that replaced them, page)`. Moved to
-    /// the free list once no snapshot older than that epoch survives.
+    /// the free set once no snapshot older than that epoch survives.
     retired: Vec<(u64, PageId)>,
     /// Highest committed batch sequence number applied to the pages,
     /// persisted in the meta page (see [`META_OFF_SEQ`]).
@@ -278,8 +280,6 @@ pub struct PagedBTree {
     /// The blob pages the last flush (or open) chained after the meta page,
     /// in chain order — live pages, like the tree's own.
     blob_pages: Vec<PageId>,
-    /// `true` once [`PagedBTree::close`] ran: `Drop` must not flush again.
-    closed: bool,
     /// Crash-atomic writeback pin (see
     /// [`PagedBTree::enable_durable_writeback`]): while set, no page of the
     /// last flushed tree is overwritten in place or recycled, so the page
@@ -292,14 +292,14 @@ pub struct PagedBTree {
 
 impl PagedBTree {
     /// A writer handle over `pool` for the tree rooted at `root`, with no
-    /// free list, no blob and no sequence number yet.
+    /// free pages, no blob and no sequence number yet.
     fn writer(pool: BufferPool, root: PageId, height: u32, entries: u64) -> Self {
         PagedBTree {
             pool,
             root,
             height,
             entries,
-            free_head: PageId::INVALID,
+            free: BTreeSet::new(),
             snapshots: Arc::new(SnapshotTable::default()),
             epoch: 0,
             fresh: HashSet::new(),
@@ -307,7 +307,6 @@ impl PagedBTree {
             applied_seq: 0,
             blob: Vec::new(),
             blob_pages: Vec::new(),
-            closed: false,
             durable_pin: None,
             _pin: None,
         }
@@ -325,20 +324,26 @@ impl PagedBTree {
     }
 
     /// Opens a tree previously persisted in `pool`'s backing store, root
-    /// blob included. A file of another format, or a blob chain that does
-    /// not add up to the recorded length, is `InvalidData`.
+    /// blob included, and derives its free pages: every page past the meta
+    /// page that neither the root nor the blob chain reaches. The walk reads
+    /// internal pages only (a leaf's id comes from its parent), so the open
+    /// reads no leaf and no free page, and writes nothing. No free space is
+    /// persisted, so a file a crash interrupted opens like a cleanly closed
+    /// one: [`PagedBTree::enable_durable_writeback`] kept the last flushed
+    /// tree and blob intact, and every other page is free. A file of another
+    /// format, a blob chain that does not add up to the recorded length, or
+    /// a walk that meets no internal node where it expects one is
+    /// `InvalidData`.
     pub fn open(pool: BufferPool) -> io::Result<Self> {
-        let (magic, root, height, entries, free_head, applied_seq) =
-            pool.with_page(PageId(0), |p| {
-                (
-                    get_u32(p, META_OFF_MAGIC),
-                    get_u32(p, META_OFF_ROOT),
-                    get_u32(p, META_OFF_HEIGHT),
-                    get_u64(p, META_OFF_COUNT),
-                    get_u32(p, META_OFF_FREE),
-                    get_u64(p, META_OFF_SEQ),
-                )
-            })?;
+        let (magic, root, height, entries, applied_seq) = pool.with_page(PageId(0), |p| {
+            (
+                get_u32(p, META_OFF_MAGIC),
+                get_u32(p, META_OFF_ROOT),
+                get_u32(p, META_OFF_HEIGHT),
+                get_u64(p, META_OFF_COUNT),
+                get_u64(p, META_OFF_SEQ),
+            )
+        })?;
         if magic != META_MAGIC {
             return Err(invalid_data(
                 "not a pathix paged B+tree file of this format (bad magic)".into(),
@@ -346,10 +351,14 @@ impl PagedBTree {
         }
         let (blob, blob_pages) = Self::read_blob(&pool)?;
         let mut tree = Self::writer(pool, PageId(root), height, entries);
-        tree.free_head = PageId(free_head);
         tree.applied_seq = applied_seq;
         tree.blob = blob;
         tree.blob_pages = blob_pages;
+        let mut live: HashSet<u32> = tree.blob_pages.iter().map(|pid| pid.0).collect();
+        tree.reachable_pages(tree.root, tree.height, &mut live)?;
+        tree.free = (1..tree.pool.num_pages())
+            .filter(|pid| !live.contains(pid))
+            .collect();
         Ok(tree)
     }
 
@@ -416,38 +425,18 @@ impl PagedBTree {
         self.blob = blob;
     }
 
-    /// Opens a tree whose auxiliary disk state may be stale after a crash:
-    /// the persisted free list is ignored and rebuilt by mark-and-sweep (any
-    /// page neither reachable from the root nor on the root blob's chain
-    /// becomes free). After a crash the threaded free chain can run through
-    /// pages that were legitimately reused since the meta page was written —
-    /// the tree and its blob are protected by
-    /// [`PagedBTree::enable_durable_writeback`], the free chain deliberately
-    /// is not. Safe (merely redundant) on a cleanly closed file.
-    pub fn open_recovering(pool: BufferPool) -> io::Result<Self> {
-        let mut tree = Self::open(pool)?;
-        let live = tree.live_pages()?;
-        tree.free_head = PageId::INVALID;
-        for pid in (1..tree.pool.num_pages()).rev() {
-            if !live.contains(&pid) {
-                tree.free_page(PageId(pid))?;
-            }
-        }
-        Ok(tree)
-    }
-
-    /// Every page the persisted state needs: the blob pages and every page
-    /// reachable from the root.
-    fn live_pages(&self) -> io::Result<HashSet<u32>> {
-        let mut live: HashSet<u32> = self.blob_pages.iter().map(|pid| pid.0).collect();
-        self.reachable_pages(self.root, self.height, &mut live)?;
-        Ok(live)
-    }
-
-    /// Collects every page reachable from `pid` at `level` (1 = leaf).
+    /// Collects every page reachable from `pid` at `level` (1 = leaf),
+    /// reading internal pages only. A page at an internal level that is no
+    /// internal node is `InvalidData`: its cells cannot be decoded safely.
     fn reachable_pages(&self, pid: PageId, level: u32, out: &mut HashSet<u32>) -> io::Result<()> {
         if !out.insert(pid.0) || level == 1 {
             return Ok(());
+        }
+        let kind = self.pool.with_page(pid, slotted::kind)?;
+        if kind != slotted::KIND_INTERNAL {
+            return Err(invalid_data(format!(
+                "{pid} at level {level} has kind {kind}, not an internal node"
+            )));
         }
         let (cells, leftmost) = self.read_internal(pid)?;
         self.reachable_pages(leftmost, level - 1, out)?;
@@ -507,7 +496,7 @@ impl PagedBTree {
             root: self.root,
             height: self.height,
             entries: self.entries,
-            free_head: PageId::INVALID,
+            free: BTreeSet::new(),
             snapshots: Arc::clone(&self.snapshots),
             epoch: self.epoch,
             fresh: HashSet::new(),
@@ -517,8 +506,6 @@ impl PagedBTree {
             // writer's.
             blob: Vec::new(),
             blob_pages: Vec::new(),
-            // Snapshots never flush, so `Drop` must stay inert on them.
-            closed: true,
             durable_pin: None,
             _pin: Some(pin),
         }
@@ -548,7 +535,6 @@ impl PagedBTree {
             put_u32(p, META_OFF_ROOT, self.root.0);
             put_u32(p, META_OFF_HEIGHT, self.height);
             put_u64(p, META_OFF_COUNT, self.entries);
-            put_u32(p, META_OFF_FREE, self.free_head.0);
             put_u64(p, META_OFF_SEQ, self.applied_seq);
             put_u32(p, META_OFF_BLOB_LEN, self.blob.len() as u32);
             p[META_OFF_BLOB..META_OFF_BLOB + first_slice.len()].copy_from_slice(first_slice);
@@ -563,7 +549,7 @@ impl PagedBTree {
     /// that names it is superseded.
     fn write_blob_pages(&mut self) -> io::Result<()> {
         for pid in std::mem::take(&mut self.blob_pages) {
-            self.retire_page(pid)?;
+            self.retire_page(pid);
         }
         let in_meta = PAGE_SIZE - META_OFF_BLOB;
         let per_page = PAGE_SIZE - slotted::HEADER_SIZE;
@@ -588,82 +574,68 @@ impl PagedBTree {
         Ok(())
     }
 
-    /// Reuses a page from the free list (reclaiming retired pages whose
-    /// snapshots are gone first), extending the store only when the list is
-    /// empty. The returned page is *fresh*: invisible to every snapshot, so
-    /// it may be rewritten in place until the next share.
+    /// Reuses the lowest free page (reclaiming retired pages whose snapshots
+    /// are gone first), extending the store only when none is free. Every
+    /// caller rewrites the whole page, so a reused page is installed blank
+    /// without reading its stale bytes. The returned page is *fresh*:
+    /// invisible to every snapshot, so it may be rewritten in place until the
+    /// next share.
     fn alloc_page(&mut self) -> io::Result<PageId> {
-        self.reclaim_retired()?;
-        let pid = if self.free_head.is_valid() {
-            let pid = self.free_head;
-            let next = self.pool.with_page(pid, slotted::next)?;
-            self.free_head = PageId(next);
-            pid
-        } else {
-            self.pool.allocate_page()?
+        self.reclaim_retired();
+        let pid = match self.free.pop_first() {
+            Some(pid) => {
+                self.pool.reuse_page(PageId(pid))?;
+                PageId(pid)
+            }
+            None => self.pool.allocate_page()?,
         };
         self.fresh.insert(pid.0);
         Ok(pid)
     }
 
-    /// Pushes `pid` onto the free list (marking it [`slotted::KIND_FREE`]).
-    /// Only callable for pages no live snapshot references — freeing writes
-    /// the page.
-    fn free_page(&mut self, pid: PageId) -> io::Result<()> {
-        let head = self.free_head;
-        self.pool.with_page_mut(pid, |p| {
-            slotted::init(p, slotted::KIND_FREE);
-            slotted::set_next(p, head.0);
-        })?;
-        self.free_head = pid;
-        Ok(())
-    }
-
     /// Releases a page the tree no longer references. A page no snapshot can
-    /// reach (fresh this epoch, or no snapshots alive) joins the free list
+    /// reach (fresh this epoch, or no snapshots alive) joins the free set
     /// immediately; otherwise it is parked as retired-at-the-current-epoch
     /// and reclaimed once every snapshot that predates this epoch is gone.
-    fn retire_page(&mut self, pid: PageId) -> io::Result<()> {
+    /// Neither reads nor writes the page.
+    fn retire_page(&mut self, pid: PageId) {
         if self.fresh.remove(&pid.0) || !self.snapshots.has_pins() {
-            return self.free_page(pid);
+            self.free.insert(pid.0);
+            return;
         }
         self.retired.push((self.epoch, pid));
         self.snapshots.pages_retired.fetch_add(1, Ordering::Relaxed);
         self.snapshots
             .retired_pending
             .fetch_add(1, Ordering::Relaxed);
-        Ok(())
     }
 
-    /// Moves every retired page whose blocking snapshots have died onto the
-    /// free list. A page retired at epoch `e` was reachable only by shares
+    /// Moves every retired page whose blocking snapshots have died into the
+    /// free set. A page retired at epoch `e` was reachable only by shares
     /// pinned at epochs `< e`, so it is reusable once the oldest live pin is
     /// `≥ e` (or none remain). `retired` is pushed in nondecreasing epoch
     /// order, so only a prefix can ever be reclaimable — when nothing is, a
     /// binary search bails out without touching the list (a long-lived
     /// snapshot must not make every page allocation rescan it).
-    fn reclaim_retired(&mut self) -> io::Result<()> {
+    fn reclaim_retired(&mut self) {
         if self.retired.is_empty() {
-            return Ok(());
+            return;
         }
         let take = match self.snapshots.min_pinned() {
             None => self.retired.len(),
             Some(min_pin) => self.retired.partition_point(|&(epoch, _)| epoch <= min_pin),
         };
         if take == 0 {
-            return Ok(());
+            return;
         }
-        let reclaimed: Vec<PageId> = self.retired.drain(..take).map(|(_, pid)| pid).collect();
-        for pid in reclaimed {
-            self.free_page(pid)?;
-        }
+        self.free
+            .extend(self.retired.drain(..take).map(|(_, pid)| pid.0));
         self.snapshots
             .pages_reclaimed
             .fetch_add(take as u64, Ordering::Relaxed);
         self.snapshots
             .retired_pending
             .store(self.retired.len() as u64, Ordering::Relaxed);
-        Ok(())
     }
 
     /// The page id a mutation of `pid` must write to. In-place (`pid`
@@ -675,7 +647,7 @@ impl PagedBTree {
             return Ok(pid);
         }
         let target = self.alloc_page()?;
-        self.retire_page(pid)?;
+        self.retire_page(pid);
         self.snapshots.page_copies.fetch_add(1, Ordering::Relaxed);
         Ok(target)
     }
@@ -685,15 +657,9 @@ impl PagedBTree {
         self.retired.len()
     }
 
-    /// Number of pages currently parked on the free list.
-    pub fn free_page_count(&self) -> io::Result<u32> {
-        let mut count = 0;
-        let mut cursor = self.free_head;
-        while cursor.is_valid() {
-            cursor = PageId(self.pool.with_page(cursor, slotted::next)?);
-            count += 1;
-        }
-        Ok(count)
+    /// Number of pages in the writer's free set.
+    pub fn free_page_count(&self) -> usize {
+        self.free.len()
     }
 
     /// The buffer pool backing this tree.
@@ -727,8 +693,8 @@ impl PagedBTree {
     }
 
     /// Flushes all dirty pages (and the metadata) to the backing store.
-    /// Retired pages whose snapshots died are reclaimed first so the
-    /// persisted free list is as complete as possible.
+    /// Retired pages whose snapshots died are reclaimed first, so the free
+    /// set is as large as possible when the flush returns.
     pub fn flush(&mut self) -> io::Result<()> {
         let result = self.try_flush();
         if result.is_err() {
@@ -738,7 +704,7 @@ impl PagedBTree {
     }
 
     fn try_flush(&mut self) -> io::Result<()> {
-        self.reclaim_retired()?;
+        self.reclaim_retired();
         self.write_blob_pages()?;
         if self.durable_pin.is_some() {
             // Two-phase, write-ahead order: data and blob pages first (the
@@ -758,18 +724,9 @@ impl PagedBTree {
         }
     }
 
-    /// Flushes and marks the tree closed: `Drop` becomes a no-op backstop,
-    /// so a failed final flush is *reported* here instead of being swallowed.
-    /// The handle must not be mutated afterwards.
-    pub fn close(&mut self) -> io::Result<()> {
-        let result = self.flush();
-        self.closed = true;
-        result
-    }
-
-    /// `true` once any flush of this tree (including the best-effort one in
-    /// `Drop`) failed: the persisted free list or metadata may be stale.
-    /// Shared between the writer and its snapshots; never cleared.
+    /// `true` once any flush of this tree failed: the page file may not hold
+    /// the writer's last tree or metadata. Shared between the writer and its
+    /// snapshots; never cleared.
     pub fn flush_failed(&self) -> bool {
         self.snapshots.flush_failed.load(Ordering::Relaxed)
     }
@@ -1070,7 +1027,7 @@ impl PagedBTree {
     ///
     /// A leaf that falls below [`MIN_FILL`] occupied bytes is merged with an
     /// adjacent sibling when both fit in one page (the freed page goes onto
-    /// the free list), or rebalanced by redistributing entries otherwise.
+    /// the free set), or rebalanced by redistributing entries otherwise.
     /// Merges cascade: an internal node that loses its last separators is
     /// merged in turn, and an internal root left with a single child is
     /// collapsed, shrinking the tree by one level.
@@ -1113,7 +1070,7 @@ impl PagedBTree {
                 if level > 1 {
                     let (cells, leftmost) = self.read_internal(node)?;
                     if cells.is_empty() {
-                        self.retire_page(node)?;
+                        self.retire_page(node);
                         self.root = leftmost;
                         self.height -= 1;
                     }
@@ -1205,7 +1162,7 @@ impl PagedBTree {
         if total <= PAGE_SIZE {
             let new_left = self.cow_target(left)?;
             self.write_leaf(new_left, &entries)?;
-            self.retire_page(right)?;
+            self.retire_page(right);
             return Ok((new_left, None));
         }
         let mid = balanced_split(&entries, cell);
@@ -1238,7 +1195,7 @@ impl PagedBTree {
         if total <= PAGE_SIZE {
             let new_left = self.cow_target(left)?;
             self.write_internal(new_left, &cells, lleft)?;
-            self.retire_page(right)?;
+            self.retire_page(right);
             return Ok((new_left, None));
         }
         // Both sides must keep at least one cell; cells are bounded by
@@ -1578,77 +1535,36 @@ impl PagedBTree {
         Ok(yielded == self.entries)
     }
 
-    /// Kind-checked reachability walk from a pinned snapshot's root. Only
-    /// collects the page set — the snapshot's own handle audits contents —
-    /// but still refuses to descend through a non-internal page.
-    fn collect_reachable(
-        &self,
-        report: &mut AuditReport,
-        pid: PageId,
-        level: u32,
-        out: &mut HashSet<u32>,
-    ) -> io::Result<()> {
-        if !out.insert(pid.0) || level == 1 {
-            return Ok(());
-        }
-        let kind = self.pool.with_page(pid, slotted::kind)?;
-        if kind != slotted::KIND_INTERNAL {
-            report.violation(
-                "node-kind",
-                &pid.to_string(),
-                format!(
-                    "snapshot walk expected an internal node at level {level}, found kind {kind}"
-                ),
-            );
-            return Ok(());
-        }
-        let (cells, leftmost) = self.read_internal(pid)?;
-        self.collect_reachable(report, leftmost, level - 1, out)?;
-        for (_, child) in &cells {
-            self.collect_reachable(report, *child, level - 1, out)?;
-        }
-        Ok(())
-    }
-
-    /// Writer-only page-lifecycle audit: the free list is well-formed and
-    /// disjoint from the live tree, retired pages are unreachable from the
-    /// writer and from any pinned snapshot they could have been visible to,
-    /// and every allocated page is accounted for (no leaks).
+    /// Writer-only page-lifecycle audit: the free set names only data pages
+    /// inside the file and is disjoint from the live tree, retired pages are
+    /// unreachable from the writer and from any pinned snapshot they could
+    /// have been visible to, and every allocated page is accounted for (no
+    /// leaks).
     fn audit_lifecycle(
         &self,
         report: &mut AuditReport,
         reachable: &HashSet<u32>,
     ) -> io::Result<()> {
         let num_pages = self.pool.num_pages();
-        let mut free = HashSet::new();
-        let mut free_issue: Option<String> = None;
-        let mut cursor = self.free_head;
-        while cursor.is_valid() && free_issue.is_none() {
-            if cursor.0 >= num_pages {
-                free_issue = Some(format!("{cursor} points past the file ({num_pages} pages)"));
-            } else if !free.insert(cursor.0) {
-                free_issue = Some(format!(
-                    "cycle back to {cursor} after {} page(s)",
-                    free.len()
-                ));
-            } else {
-                let kind = self.pool.with_page(cursor, slotted::kind)?;
-                if kind != slotted::KIND_FREE {
-                    free_issue = Some(format!("{cursor} has kind {kind}, not KIND_FREE"));
-                } else {
-                    cursor = PageId(self.pool.with_page(cursor, slotted::next)?);
-                }
-            }
-        }
-        let free_ok = free_issue.is_none();
-        report.check("free-list-wellformed", "free-list", free_ok, || {
-            free_issue.unwrap_or_default()
+        let free = &self.free;
+        let stray: Vec<u32> = free
+            .iter()
+            .copied()
+            .filter(|&pid| pid == 0 || pid >= num_pages || self.blob_pages.contains(&PageId(pid)))
+            .collect();
+        report.check("free-list-wellformed", "free-set", stray.is_empty(), || {
+            format!(
+                "{} free id(s) name the meta page, a blob page or a page past the file \
+                 ({num_pages} pages): {:?}",
+                stray.len(),
+                &stray[..stray.len().min(8)]
+            )
         });
 
-        let free_reach = free.intersection(reachable).count();
+        let free_reach = free.iter().filter(|pid| reachable.contains(pid)).count();
         report.check(
             "free-reachable-disjoint",
-            "free-list",
+            "free-set",
             free_reach == 0,
             || format!("{free_reach} free page(s) still reachable from the writer root"),
         );
@@ -1658,12 +1574,12 @@ impl PagedBTree {
         report.check("retired-unreachable", "retired", retired_reach == 0, || {
             format!("{retired_reach} retired page(s) still reachable from the writer root")
         });
-        let retired_free = retired.intersection(&free).count();
+        let retired_free = retired.iter().filter(|pid| free.contains(pid)).count();
         report.check(
             "retired-free-disjoint",
             "retired",
             retired_free == 0,
-            || format!("{retired_free} page(s) both retired and on the free list"),
+            || format!("{retired_free} page(s) both retired and free"),
         );
 
         // Every pinned snapshot root must stay clear of freed pages and of
@@ -1677,11 +1593,17 @@ impl PagedBTree {
             .collect();
         for (epoch, pin) in pins {
             let loc = format!("snapshot@{epoch}");
+            // Only the page set: the snapshot's own handle audits contents.
             let mut snap = HashSet::new();
-            self.collect_reachable(report, pin.root, pin.height, &mut snap)?;
-            let in_free = snap.intersection(&free).count();
+            match self.reachable_pages(pin.root, pin.height, &mut snap) {
+                Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                    report.violation("node-kind", &loc, e.to_string());
+                }
+                walk => walk?,
+            }
+            let in_free = snap.iter().filter(|pid| free.contains(pid)).count();
             report.check("snapshot-free-disjoint", &loc, in_free == 0, || {
-                format!("{in_free} page(s) reachable from the pinned root are on the free list")
+                format!("{in_free} page(s) reachable from the pinned root are free")
             });
             let blocked = self
                 .retired
@@ -1719,9 +1641,9 @@ impl PagedBTree {
 /// bounds, child aliasing, the root blob's pages, the entry count, and that
 /// the range cursor's full scan yields exactly that many keys in ascending
 /// order. Writer handles
-/// additionally audit the page lifecycle — free-list shape, disjointness of
-/// free and retired pages from the writer root and from every pinned snapshot
-/// root, and full coverage of the page file.
+/// additionally audit the page lifecycle — the free set's ids, disjointness
+/// of free and retired pages from the writer root and from every pinned
+/// snapshot root, and full coverage of the page file.
 impl StructuralAudit for PagedBTree {
     fn audit(&self, report: &mut AuditReport) {
         let mut reachable = HashSet::new();
@@ -1762,26 +1684,6 @@ impl StructuralAudit for PagedBTree {
             if let Err(e) = self.audit_lifecycle(report, &reachable) {
                 report.violation("audit-io", "lifecycle", e.to_string());
             }
-        }
-    }
-}
-
-impl Drop for PagedBTree {
-    fn drop(&mut self) {
-        // Backstop for writer handles that were never `close()`d: reclaim
-        // whatever the dead snapshots released and persist the resulting free
-        // list. A Drop cannot report I/O errors, but `flush` records any
-        // failure in the shared `flush_failed` flag, so the loss is at least
-        // observable instead of silent. Explicit `close()` is the real path.
-        // A durable writer's state is its last flush: the opener rebuilds its
-        // free list anyway, and a flush here could persist a batch that
-        // failed halfway beside the blob of the batch before.
-        if !self.closed
-            && self._pin.is_none()
-            && self.durable_pin.is_none()
-            && !self.retired.is_empty()
-        {
-            let _ = self.flush();
         }
     }
 }
@@ -2157,10 +2059,10 @@ mod tests {
             "merges must cascade until the root is a single leaf"
         );
         assert_audit_clean(&tree);
-        // Every page except the meta page and the root leaf is on the free
-        // list — nothing leaked.
-        let free = tree.free_page_count().unwrap();
-        assert_eq!(free, grown_pages - 2, "pages leaked by delete");
+        // Every page except the meta page and the root leaf is free —
+        // nothing leaked.
+        let free = tree.free_page_count();
+        assert_eq!(free, grown_pages as usize - 2, "pages leaked by delete");
         // Re-inserting reuses freed pages instead of extending the store.
         for i in 0..n {
             tree.insert(key(i), val(i)).unwrap();
@@ -2168,7 +2070,7 @@ mod tests {
         assert_eq!(
             tree.stats().pages,
             grown_pages,
-            "inserts after deletes must recycle the free list"
+            "inserts after deletes must recycle the free pages"
         );
         assert_audit_clean(&tree);
     }
@@ -2249,7 +2151,7 @@ mod tests {
     fn mutations_persist_across_flush_and_reopen() {
         // Crash consistency of the writeback path: after inserts, deletes
         // (with merges and freed pages) and a flush, reopening the file sees
-        // exactly the committed keys and the free list survives.
+        // exactly the committed keys and derives the freed pages.
         let dir = std::env::temp_dir().join(format!("pathix-pbt-mut-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("mutated.pages");
@@ -2278,9 +2180,9 @@ mod tests {
                 assert_eq!(tree.get(&key(i)).unwrap(), expected, "key {i}");
             }
             assert_audit_clean(&tree);
-            // The persisted free list is usable after reopen.
+            // The derived free pages are usable after reopen.
             let pages_before = tree.stats().pages;
-            let freed = tree.free_page_count().unwrap();
+            let freed = tree.free_page_count();
             if freed > 0 {
                 tree.insert(key(n + 200), val(n + 200)).unwrap();
                 assert!(tree.stats().pages <= pages_before);
@@ -2413,11 +2315,11 @@ mod tests {
     }
 
     #[test]
-    fn writer_drop_reclaims_retired_pages_into_the_persisted_free_list() {
+    fn a_reopen_hands_out_every_page_a_dropped_writer_released() {
         let dir = std::env::temp_dir().join(format!("pathix-pbt-drop-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("drop-reclaim.pages");
-        {
+        let released = {
             let pool = BufferPool::new(crate::DiskManager::create(&path).unwrap(), 16);
             let mut tree =
                 PagedBTree::bulk_load(pool, (0..600u32).map(|i| (key(i), val(i)))).unwrap();
@@ -2426,25 +2328,106 @@ mod tests {
                 tree.insert(key(i), format!("v2-{i}").into_bytes()).unwrap();
             }
             tree.flush().unwrap();
-            // The snapshot still pins the old pages at flush time…
+            // The snapshot still pins the old pages at flush time, and it
+            // dies before the writer, which is dropped without another flush.
             assert!(tree.cow_stats().retired_pending > 0);
             drop(snapshot);
-            // …but it dies before the writer, so the writer's Drop reclaims
-            // them and persists the free list.
-        }
-        {
-            let pool = BufferPool::new(crate::DiskManager::open(&path).unwrap(), 16);
-            let mut tree = PagedBTree::open(pool).unwrap();
-            assert_audit_clean(&tree);
-            assert!(
-                tree.free_page_count().unwrap() > 0,
-                "retired pages must survive into the reopened free list"
-            );
-            let pages = tree.stats().pages;
-            tree.insert(key(9_000), val(9_000)).unwrap();
-            assert_eq!(tree.stats().pages, pages, "reopen must reuse freed pages");
-        }
+            tree.free_page_count() + tree.retired_page_count()
+        };
+        let pool = BufferPool::new(crate::DiskManager::open(&path).unwrap(), 16);
+        let mut tree = PagedBTree::open(pool).unwrap();
+        assert_audit_clean(&tree);
+        assert_eq!(
+            tree.free_page_count(),
+            released,
+            "the free and the still-retired pages are all free on reopen"
+        );
+        let pages = tree.stats().pages;
+        tree.insert(key(9_000), val(9_000)).unwrap();
+        assert_eq!(tree.stats().pages, pages, "reopen must reuse freed pages");
+        assert_audit_clean(&tree);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Internal pages of the subtree rooted at `pid` at `level` (1 = leaf).
+    fn internal_pages(tree: &PagedBTree, pid: PageId, level: u32) -> usize {
+        if level == 1 {
+            return 0;
+        }
+        let (cells, leftmost) = tree.read_internal(pid).unwrap();
+        let children = std::iter::once(leftmost).chain(cells.into_iter().map(|(_, c)| c));
+        1 + children
+            .map(|child| internal_pages(tree, child, level - 1))
+            .sum::<usize>()
+    }
+
+    #[test]
+    fn open_derives_the_free_set_from_the_internal_pages_and_writes_nothing() {
+        let dir = std::env::temp_dir().join(format!("pathix-pbt-derive-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("derive.pages");
+        // Values wide enough for a tree of three levels.
+        let wide = |i: u32| format!("{i:0>300}").into_bytes();
+        let pool = BufferPool::new(crate::DiskManager::create(&path).unwrap(), 16);
+        let mut tree =
+            PagedBTree::bulk_load(pool, (0..3_000u32).map(|i| (key(i), wide(i)))).unwrap();
+        tree.flush().unwrap();
+        tree.enable_durable_writeback();
+        let snapshot = tree.share();
+        for round in 0..4u32 {
+            for i in (round..3_000).step_by(5) {
+                tree.delete(&key(i)).unwrap();
+            }
+            for i in 0..200 {
+                let n = 3_000 + round * 200 + i;
+                tree.insert(key(n), wide(n)).unwrap();
+            }
+            tree.set_root_blob(vec![round as u8; 2 * PAGE_SIZE]);
+            tree.flush().unwrap();
+        }
+        let scan = |t: &PagedBTree| t.iter().unwrap().map(Result::unwrap).collect::<Vec<_>>();
+        let flushed = scan(&tree);
+        // Abandoned: no close, no flush, the snapshot still alive.
+        std::mem::forget(snapshot);
+        std::mem::forget(tree);
+
+        let pool = BufferPool::new(crate::DiskManager::open(&path).unwrap(), 16);
+        let mut tree = PagedBTree::open(pool).unwrap();
+        let opened = tree.pool().stats();
+        let internal = internal_pages(&tree, tree.root, tree.height);
+        let blob = tree.blob_pages.len();
+        assert!(internal > 1 && blob == 2, "{internal}, {blob}");
+        assert_eq!(opened.misses, 1 + (internal + blob) as u64, "{opened:?}");
+        assert_eq!((opened.write_backs, opened.read_ahead_pages), (0, 0));
+        let mut reachable = HashSet::new();
+        tree.reachable_pages(tree.root, tree.height, &mut reachable)
+            .unwrap();
+        let num_pages = tree.stats().pages as usize;
+        assert_eq!(
+            tree.free_page_count(),
+            num_pages - 1 - reachable.len() - blob
+        );
+        assert!(tree.free_page_count() > 0, "churn must leave free pages");
+        assert!(
+            scan(&tree) == flushed,
+            "the reopened tree is the flushed one"
+        );
+        assert_audit_clean(&tree);
+
+        // The next batch takes the lowest free ids and does not grow the
+        // file (inserts free no page of their own).
+        tree.enable_durable_writeback();
+        let before = tree.free.clone();
+        for i in 0..300u32 {
+            tree.insert(key(10_000 + i), val(i)).unwrap();
+        }
+        let taken: Vec<u32> = before.difference(&tree.free).copied().collect();
+        assert!(!taken.is_empty());
+        assert!(before.iter().take(taken.len()).eq(&taken), "{taken:?}");
+        assert_eq!(tree.stats().pages as usize, num_pages);
+        tree.flush().unwrap();
+        assert_audit_clean(&tree);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -2519,6 +2502,13 @@ mod tests {
         let pool = BufferPool::in_memory(4);
         pool.allocate_page().unwrap();
         assert!(PagedBTree::open(pool).is_err());
+        // A root that is no internal node although the height says so.
+        let pairs = (0..2_000u32).map(|i| (key(i), val(i)));
+        let tree = PagedBTree::bulk_load(BufferPool::in_memory(16), pairs).unwrap();
+        let leaf = |p: &mut [u8]| slotted::init(p, slotted::KIND_LEAF);
+        tree.pool.with_page_mut(tree.root, leaf).unwrap();
+        let err = PagedBTree::open(tree.pool.clone()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     }
 
     #[test]
@@ -2605,17 +2595,6 @@ mod tests {
         tree.entries += 1;
         assert!(violated(&tree).contains(&"entry-count"));
 
-        // A page on the free list whose kind is not KIND_FREE.
-        let mut tree = build();
-        for i in 0..600u32 {
-            tree.delete(&key(i)).unwrap();
-        }
-        assert!(tree.free_head.is_valid(), "deletes must free pages");
-        tree.pool
-            .with_page_mut(tree.free_head, |p| slotted::init(p, slotted::KIND_INTERNAL))
-            .unwrap();
-        assert!(violated(&tree).contains(&"free-list-wellformed"));
-
         // A page still reachable from the writer marked retired.
         let mut tree = build();
         tree.retired.push((tree.epoch, tree.root));
@@ -2636,8 +2615,38 @@ mod tests {
             }
         }
         assert!(violated(&tree).contains(&"snapshot-retired-disjoint"));
-        drop(snapshot);
-        tree.retired.clear(); // the seeded entries must not reach Drop's flush
+    }
+
+    /// A tree whose deletes freed pages, the seed of the free-set auditors.
+    fn tree_with_free_pages() -> PagedBTree {
+        let mut tree = PagedBTree::create(BufferPool::in_memory(64)).unwrap();
+        for i in 0..1_200u32 {
+            tree.insert(key(i), val(i)).unwrap();
+        }
+        for i in 0..600u32 {
+            tree.delete(&key(i)).unwrap();
+        }
+        assert!(tree.free_page_count() > 0, "deletes must free pages");
+        assert!(violated(&tree).is_empty(), "baseline tree must be clean");
+        tree
+    }
+
+    #[test]
+    fn seeded_corruption_a_free_id_past_the_file_trips_free_list_wellformed() {
+        let mut tree = tree_with_free_pages();
+        tree.free.insert(tree.pool.num_pages());
+        assert_eq!(violated(&tree), ["free-list-wellformed"]);
+        // The meta page is no free page either.
+        let mut tree = tree_with_free_pages();
+        tree.free.insert(0);
+        assert_eq!(violated(&tree), ["free-list-wellformed"]);
+    }
+
+    #[test]
+    fn seeded_corruption_the_root_in_the_free_set_trips_free_reachable_disjoint() {
+        let mut tree = tree_with_free_pages();
+        tree.free.insert(tree.root.0);
+        assert_eq!(violated(&tree), ["free-reachable-disjoint"]);
     }
 
     #[test]
@@ -2668,24 +2677,14 @@ mod tests {
                 (len.saturating_sub(in_meta)).div_ceil(per_page)
             );
             assert_audit_clean(&tree);
-            for recovering in [false, true] {
-                let pool = BufferPool::new(crate::DiskManager::open(&path).unwrap(), 16);
-                let reopened = if recovering {
-                    PagedBTree::open_recovering(pool)
-                } else {
-                    PagedBTree::open(pool)
-                }
-                .unwrap();
-                assert_eq!(reopened.root_blob(), blob(len), "{len} bytes");
-                assert_eq!(reopened.blob_pages, tree.blob_pages);
-                assert_eq!(reopened.len(), tree.len());
-                // Only the mark-and-sweep puts the pages the durable pin
-                // retired back on the free list.
-                if recovering {
-                    assert_audit_clean(&reopened);
-                }
-                std::mem::forget(reopened);
-            }
+            let pool = BufferPool::new(crate::DiskManager::open(&path).unwrap(), 16);
+            let reopened = PagedBTree::open(pool).unwrap();
+            assert_eq!(reopened.root_blob(), blob(len), "{len} bytes");
+            assert_eq!(reopened.blob_pages, tree.blob_pages);
+            assert_eq!(reopened.len(), tree.len());
+            // The pages the durable pin retired are free in the reopened
+            // tree.
+            assert_audit_clean(&reopened);
             peak_pages = peak_pages.max(tree.stats().pages);
         }
         // Superseded chains are recycled, not leaked: rewriting the largest

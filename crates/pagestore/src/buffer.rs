@@ -137,12 +137,15 @@ impl BufferPool {
     pub fn allocate_page(&self) -> io::Result<PageId> {
         let mut inner = self.locked();
         let pid = inner.disk.allocate()?;
-        let frame_idx = inner.acquire_frame(pid)?;
-        let frame = &mut inner.frames[frame_idx];
-        frame.data.fill(0);
-        frame.dirty = true;
-        frame.referenced = true;
+        inner.install_blank(pid)?;
         Ok(pid)
+    }
+
+    /// Caches the existing page `pid` zero-filled and dirty without reading
+    /// it from disk: for a caller that rewrites the whole page, such as a
+    /// B+tree recycling a free page.
+    pub fn reuse_page(&self, pid: PageId) -> io::Result<()> {
+        self.locked().install_blank(pid)
     }
 
     /// Runs `f` over an immutable view of page `pid`.
@@ -251,6 +254,16 @@ impl PoolInner {
         }
         self.install(victim, pid);
         Ok(victim)
+    }
+
+    /// Maps `pid` to a frame holding zeros, marked dirty and referenced.
+    fn install_blank(&mut self, pid: PageId) -> io::Result<()> {
+        let frame_idx = self.acquire_frame(pid)?;
+        let frame = &mut self.frames[frame_idx];
+        frame.data.fill(0);
+        frame.dirty = true;
+        frame.referenced = true;
+        Ok(())
     }
 
     fn install(&mut self, idx: usize, pid: PageId) {
@@ -363,6 +376,26 @@ mod tests {
             assert_eq!(v, 0xC0FFEE);
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_reused_page_is_blank_and_dirty_without_a_disk_read() {
+        let pool = BufferPool::in_memory(2);
+        let pid = pool.allocate_page().unwrap();
+        pool.with_page_mut(pid, |p| put_u32(p, 0, 7)).unwrap();
+        // Two more pages push `pid` out of the pool and onto the disk.
+        pool.allocate_page().unwrap();
+        pool.allocate_page().unwrap();
+        pool.reset_stats();
+        pool.reuse_page(pid).unwrap();
+        assert_eq!(pool.with_page(pid, |p| get_u32(p, 0)).unwrap(), 0);
+        let stats = pool.stats();
+        assert_eq!((stats.misses, stats.hits), (0, 1), "{stats:?}");
+        // The blank page replaces the old bytes on disk.
+        pool.flush_all().unwrap();
+        pool.allocate_page().unwrap();
+        pool.allocate_page().unwrap();
+        assert_eq!(pool.with_page(pid, |p| get_u32(p, 0)).unwrap(), 0);
     }
 
     #[test]

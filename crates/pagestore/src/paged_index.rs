@@ -18,7 +18,7 @@
 //! transitions of a live update batch — computed once, backend-agnostically,
 //! by [`pathix_index::apply_op`], which walks the graph epochs around each
 //! update and logs its transitions in key order — are replayed as B+tree key
-//! inserts and deletes (page splits, merges and free-list recycling
+//! inserts and deletes (page splits, merges and free-page recycling
 //! included) and written back through the buffer pool, so an on-disk index
 //! stays durable across batches. Entries are bare keys: the tree stores no
 //! value with them.
@@ -138,14 +138,13 @@ impl PagedPathIndex {
     /// Opens a previously built (and possibly crash-interrupted) index from
     /// the page file at `path`.
     ///
-    /// The tree is opened through [`PagedBTree::open_recovering`]: the
-    /// persisted free list — which threads through page contents and is *not*
-    /// crash-consistent — is discarded and rebuilt by a mark-and-sweep over
-    /// the pages the root and its blob reach. Durable writeback is
-    /// re-enabled, and the per-path cardinalities are decoded from the root
-    /// blob the last flush wrote beside the root — no leaf is read. A
-    /// malformed tally is `InvalidData`; `node_count` must come from the
-    /// recovered graph the index belongs to.
+    /// [`PagedBTree::open`] serves a clean and a crashed file alike: it
+    /// reads the meta page and the internal pages, derives the free pages as
+    /// every page the root and its blob do not reach, and writes nothing.
+    /// Durable writeback is re-enabled, and the per-path cardinalities are
+    /// decoded from the root blob the last flush wrote beside the root — no
+    /// leaf is read. A malformed tally is `InvalidData`; `node_count` must
+    /// come from the recovered graph the index belongs to.
     pub fn open<P: AsRef<std::path::Path>>(
         path: P,
         k: usize,
@@ -153,7 +152,7 @@ impl PagedPathIndex {
         node_count: usize,
     ) -> io::Result<Self> {
         let pool = BufferPool::new(DiskManager::open(path)?, pool_frames);
-        let mut tree = PagedBTree::open_recovering(pool)?;
+        let mut tree = PagedBTree::open(pool)?;
         tree.enable_durable_writeback();
         Ok(PagedPathIndex {
             k,
@@ -235,18 +234,14 @@ impl PagedPathIndex {
         Ok(())
     }
 
-    /// Flushes and marks the index cleanly closed; after `close`, dropping
-    /// the index performs no I/O. Errors surface here (and set the sticky
-    /// [`PagedPathIndex::flush_failed`] flag) instead of being swallowed by
-    /// `Drop`.
+    /// Flushes the index for the last time; the handle must not be mutated
+    /// afterwards. Dropping an index performs no I/O, so errors surface here
+    /// (and set the sticky [`PagedPathIndex::flush_failed`] flag).
     pub fn close(&mut self) -> io::Result<()> {
-        self.tree
-            .set_root_blob(encode_counts(&self.per_path_counts));
-        self.tree.close()
+        self.flush()
     }
 
-    /// `true` once any flush of the backing tree has failed (including one
-    /// attempted by `Drop` as a last resort).
+    /// `true` once any flush of the backing tree has failed.
     pub fn flush_failed(&self) -> bool {
         self.tree.flush_failed()
     }
@@ -1255,7 +1250,7 @@ mod tests {
             vec![EdgeOp::delete(n2, l(5), n0), EdgeOp::insert(n0, l(11), n2)],
         ];
         // Checks an opened index against a rebuild: the tally, the chain and
-        // a clean audit — page coverage and the free list included.
+        // a clean audit — page coverage and the free set included.
         let assert_reopened = |idx: &PagedPathIndex, graph: &Graph, when: &str| {
             let rebuilt = PagedPathIndex::build_in_memory(graph, k, frames).unwrap();
             assert!(rebuilt.per_path_counts().len() >= 1_000, "{when}");

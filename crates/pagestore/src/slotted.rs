@@ -29,9 +29,7 @@ pub const HEADER_SIZE: usize = 12;
 /// Bytes per slot directory entry (`u16` offset + `u16` length).
 pub const SLOT_SIZE: usize = 4;
 
-/// Page kind: unused / zeroed page.
-pub const KIND_FREE: u16 = 0;
-/// Page kind: B+tree leaf node.
+/// Page kind: B+tree leaf node (kind 0 is a zeroed page that holds no node).
 pub const KIND_LEAF: u16 = 1;
 /// Page kind: B+tree internal node.
 pub const KIND_INTERNAL: u16 = 2;
