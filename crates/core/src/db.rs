@@ -9,9 +9,9 @@
 //! refcounts) and never block writers; [`PathDb::apply`] routes edge updates
 //! through the rederivation rule of [`apply_op`], publishes a fresh snapshot
 //! and bumps the epoch. Compiled plans are tagged with the epoch they were
-//! planned at and transparently replanned on mismatch, so neither the plan
-//! cache nor a long-lived [`PreparedQuery`] ever serves a plan optimized for
-//! statistics that no longer describe the data.
+//! planned at and transparently replanned on mismatch, so a long-lived
+//! [`PreparedQuery`] never serves a plan optimized for statistics that no
+//! longer describe the data.
 //!
 //! ## Update path per backend
 //!
@@ -35,11 +35,10 @@
 //!   chunks ([`CompressedPathStore`]): the same publish, rebuilding (and
 //!   re-encoding) only the touched chunks and re-sharing the rest.
 
-use crate::cache::{PlanCache, PlanCacheStats};
 use crate::durability;
 use crate::error::QueryError;
 use crate::options::QueryOptions;
-use crate::prepared::PreparedQuery;
+use crate::prepared::{PlanCacheStats, PlanCounters, PreparedQuery};
 use crate::result::QueryResult;
 use pathix_audit::{AuditReport, StructuralAudit};
 use pathix_baselines::{evaluate_automaton, evaluate_datalog};
@@ -253,7 +252,7 @@ impl StructuralAudit for IndexBackend {
 /// assert!(lazy.query("knows").unwrap().contains_named(&lazy, "sue", "tim"));
 /// let epoch = lazy.epoch();
 /// assert!(lazy.refresh_histogram());
-/// assert_eq!(lazy.epoch(), epoch + 1); // cached plans are replanned on next use
+/// assert_eq!(lazy.epoch(), epoch + 1); // prepared plans are replanned on next use
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HistogramRefresh {
@@ -289,10 +288,6 @@ pub struct PathDbConfig {
     pub default_strategy: Strategy,
     /// Storage backend serving the index.
     pub backend: BackendChoice,
-    /// Maximum number of compiled queries the plan cache keeps resident
-    /// (query text → disjuncts + per-strategy plans). 0 disables caching, so
-    /// every ad-hoc call recompiles — useful for one-shot workloads.
-    pub plan_cache_capacity: usize,
     /// When [`PathDb::apply`] refreshes the histogram from the live index.
     pub histogram_refresh: HistogramRefresh,
     /// On the on-disk backend: committed batches between graph checkpoints.
@@ -313,7 +308,6 @@ impl Default for PathDbConfig {
             max_disjuncts: 4096,
             default_strategy: Strategy::MinSupport,
             backend: BackendChoice::Memory,
-            plan_cache_capacity: 256,
             histogram_refresh: HistogramRefresh::default(),
             wal_checkpoint_every: 256,
         }
@@ -701,7 +695,8 @@ pub struct PathDb {
     /// Writer serialization point + the writer-side state.
     live: Mutex<LiveState>,
     config: PathDbConfig,
-    plan_cache: PlanCache,
+    /// Where [`PreparedQuery`] records its planning runs and plan reuses.
+    pub(crate) plan_counters: PlanCounters,
     /// Cumulative pairs pulled from operator trees across every execution of
     /// this database, including cursors that terminated early (flushed on
     /// cursor drop).
@@ -761,7 +756,6 @@ impl PathDb {
         let backend = writer.reader_view();
         let histogram =
             PathHistogram::build(backend.per_path_counts(), config.k, config.estimation);
-        let plan_cache = PlanCache::new(config.plan_cache_capacity);
         let snapshot = Snapshot::new(Arc::new(graph), Arc::new(backend), Arc::new(histogram), 0);
         PathDb {
             state: RwLock::new(snapshot),
@@ -775,7 +769,7 @@ impl PathDb {
                 durability,
             }),
             config,
-            plan_cache,
+            plan_counters: PlanCounters::default(),
             pulled_total: Arc::new(AtomicU64::new(0)),
             instance_id: NEXT_INSTANCE_ID.fetch_add(1, Ordering::Relaxed),
         }
@@ -1100,18 +1094,31 @@ impl PathDb {
         &self.config
     }
 
-    /// Counters of the plan cache: lookups, compilations, planning runs and
-    /// evictions. The acceptance check for prepared queries — N executions,
-    /// one compilation, at most one plan per strategy *per epoch* — is
-    /// assertable from this snapshot.
+    /// Counters of the query front end: compilations, planning runs and
+    /// prepared executions served by an existing plan. The acceptance check
+    /// for prepared queries — N executions, one compilation, at most one
+    /// plan per strategy *per epoch* — is assertable from this snapshot.
+    ///
+    /// ```
+    /// use pathix_core::{PathDb, PathDbConfig, PlanCacheStats, QueryOptions};
+    /// use pathix_datagen::paper_example_graph;
+    ///
+    /// let db = PathDb::build(paper_example_graph(), PathDbConfig::with_k(2));
+    /// // Ad hoc: every call compiles and plans.
+    /// db.query("knows/knows").unwrap();
+    /// db.query("knows/knows").unwrap();
+    /// let ad_hoc = PlanCacheStats { hits: 0, compilations: 2, plans: 2 };
+    /// assert_eq!(db.plan_cache_stats(), ad_hoc);
+    /// // Prepared: one compilation, then the handle's plan serves each run.
+    /// let prepared = db.prepare("knows/knows").unwrap();
+    /// for _ in 0..3 {
+    ///     prepared.run(&db, QueryOptions::new()).unwrap();
+    /// }
+    /// let both = PlanCacheStats { hits: 2, compilations: 3, plans: 3 };
+    /// assert_eq!(db.plan_cache_stats(), both);
+    /// ```
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        self.plan_cache.stats()
-    }
-
-    /// The plan cache itself (crate-internal: [`PreparedQuery`] records its
-    /// planning runs here).
-    pub(crate) fn plan_cache(&self) -> &PlanCache {
-        &self.plan_cache
+        self.plan_counters.stats()
     }
 
     /// The process-unique identity of this database instance.
@@ -1157,8 +1164,8 @@ impl PathDb {
     /// writeback on the paged backends — so publishing costs O(batch), not
     /// O(index). Readers are never blocked: queries and cursors opened before
     /// the batch keep answering **bit-identically** from their own snapshot
-    /// on every backend, and plans cached at older epochs are transparently
-    /// replanned on next use.
+    /// on every backend, and a [`PreparedQuery`]'s plans from older epochs are
+    /// transparently replanned on next use.
     ///
     /// Id-based updates must reference interned node and label ids
     /// ([`QueryError::InvalidUpdate`] otherwise); the whole batch is
@@ -1370,7 +1377,7 @@ impl PathDb {
 
     /// Rebuilds the histogram from the published backend's exact per-path
     /// counts right now, regardless of the configured [`HistogramRefresh`]
-    /// policy, and bumps the epoch so cached plans re-cost themselves
+    /// policy, and bumps the epoch so prepared plans re-cost themselves
     /// against the fresh statistics. Returns `false` (and does nothing) when
     /// no update was ever applied — the built histogram is still exact.
     pub fn refresh_histogram(&self) -> bool {
@@ -1418,40 +1425,41 @@ impl PathDb {
         Ok(to_disjuncts(expr, options)?)
     }
 
-    /// Prepares a query: one parse → bind → rewrite, shared through the plan
-    /// cache, with physical plans planned lazily per strategy (and replanned
-    /// per epoch — see [`PathDb::apply`]). The returned handle executes many
-    /// times against this database via [`PreparedQuery::run`] /
-    /// [`PreparedQuery::cursor`].
+    /// Prepares a query: one parse → bind → rewrite, with physical plans
+    /// planned lazily per strategy (and replanned per epoch — see
+    /// [`PathDb::apply`]). The returned handle executes many times against
+    /// this database via [`PreparedQuery::run`] / [`PreparedQuery::cursor`].
     pub fn prepare(&self, query: &str) -> Result<PreparedQuery, QueryError> {
-        let entry = self.plan_cache.get_or_compile(query, || {
-            let expr = self.compile(query)?;
-            self.disjuncts(&expr)
-        })?;
-        Ok(PreparedQuery::new(entry, self.instance_id))
+        self.plan_counters.record_compilation();
+        let disjuncts = self.disjuncts(&self.compile(query)?)?;
+        Ok(PreparedQuery::new(
+            query.to_owned(),
+            disjuncts,
+            self.instance_id,
+        ))
     }
 
     /// Plans a query with the given strategy without executing it.
-    ///
-    /// Compilation and planning go through the plan cache, so repeated calls
-    /// for the same text, strategy and epoch only pay a clone of the cached
-    /// plan.
+    /// Compiles and plans on every call.
     pub fn plan(&self, query: &str, strategy: Strategy) -> Result<PhysicalPlan, QueryError> {
-        let prepared = self.prepare(query)?;
-        Ok(prepared.plan(self, strategy)?.as_ref().clone())
+        // The temporary handle drops its slot's reference at the end of the
+        // statement, so the plan moves out without a deep clone.
+        let plan = self.prepare(query)?.plan(self, strategy)?;
+        Ok(Arc::try_unwrap(plan).unwrap_or_else(|shared| shared.as_ref().clone()))
     }
 
     /// Evaluates a query with the default strategy and options.
     ///
-    /// Repeated calls for the same text hit the plan cache, skipping
-    /// recompilation; [`PathDb::prepare`] additionally keeps the compiled
-    /// query alive across cache evictions.
+    /// Every call compiles and plans the text afresh (a few microseconds for
+    /// a text of a few disjuncts); [`PathDb::prepare`] pays that once for a
+    /// text run many times.
     pub fn query(&self, query: &str) -> Result<QueryResult, QueryError> {
         self.run(query, QueryOptions::new())
     }
 
     /// Evaluates a query under explicit [`QueryOptions`] (strategy, limit,
-    /// bindings, count-only) — the single execution entry point.
+    /// bindings, count-only) — the single execution entry point. Like
+    /// [`PathDb::query`], it compiles and plans on every call.
     ///
     /// ```
     /// use pathix_core::{PathDb, PathDbConfig, QueryOptions, Strategy};
@@ -2008,16 +2016,17 @@ mod tests {
     }
 
     #[test]
-    fn ad_hoc_queries_hit_the_plan_cache() {
+    fn ad_hoc_calls_compile_and_plan_per_call() {
         let db = example_db(2);
         db.query("supervisor/worksFor-").unwrap();
         db.query("supervisor/worksFor-").unwrap();
-        db.query("supervisor/worksFor-").unwrap();
+        db.plan("supervisor/worksFor-", Strategy::MinJoin).unwrap();
+        db.explain("supervisor/worksFor-", Strategy::MinJoin)
+            .unwrap();
         let stats = db.plan_cache_stats();
-        assert_eq!(stats.compilations, 1, "{stats:?}");
-        assert_eq!(stats.plans, 1, "{stats:?}");
-        assert_eq!(stats.hits, 2, "{stats:?}");
-        assert_eq!(stats.misses, 1, "{stats:?}");
+        assert_eq!(stats.compilations, 4, "{stats:?}");
+        assert_eq!(stats.plans, 4, "{stats:?}");
+        assert_eq!(stats.hits, 0, "{stats:?}");
     }
 
     #[test]
@@ -2297,15 +2306,16 @@ mod tests {
     #[test]
     fn cached_plans_recompile_after_an_update() {
         let db = example_db(2);
-        db.query("supervisor/worksFor-").unwrap();
-        db.query("supervisor/worksFor-").unwrap();
+        let prepared = db.prepare("supervisor/worksFor-").unwrap();
+        prepared.run(&db, QueryOptions::new()).unwrap();
+        prepared.run(&db, QueryOptions::new()).unwrap();
         assert_eq!(db.plan_cache_stats().plans, 1);
 
         db.apply(&[update(&db, "insert", "tim", "supervisor", "joe")])
             .unwrap();
         // The next execution replans against the new epoch — exactly once.
-        db.query("supervisor/worksFor-").unwrap();
-        db.query("supervisor/worksFor-").unwrap();
+        prepared.run(&db, QueryOptions::new()).unwrap();
+        prepared.run(&db, QueryOptions::new()).unwrap();
         let stats = db.plan_cache_stats();
         assert_eq!(stats.plans, 2, "{stats:?}");
         assert_eq!(

@@ -4,20 +4,20 @@
 //! and k-path histogram, and exposes parse → bind → rewrite → plan → execute
 //! through a compile-once / execute-many API:
 //!
-//! * [`PathDb::prepare`] compiles a query once into a [`PreparedQuery`]
-//!   (plans are cached lazily per strategy);
+//! * [`PathDb::prepare`] compiles a query once into a [`PreparedQuery`],
+//!   which plans lazily, once per strategy and epoch;
 //! * [`QueryOptions`] selects strategy, limits, cancellation and the
 //!   paper's Example 3.1 source/target bindings for one execution;
 //! * [`PreparedQuery::run`] materializes an answer, [`PreparedQuery::cursor`]
 //!   streams it through a [`Cursor`] with early termination;
-//! * [`Session`] shares an `Arc<PathDb>` (and its plan cache) across
-//!   concurrent clients with per-session default options;
-//! * [`PathDb::query`] / [`PathDb::run`] stay available for ad-hoc calls and
-//!   hit the same LRU plan cache;
-//! * [`PathDb::apply`] absorbs live edge insertions and deletions (memory
-//!   backend) through the incremental k-path index, publishing immutable
-//!   epoch-tagged [`Snapshot`]s — cached plans replan on epoch mismatch and
-//!   open [`Cursor`]s keep streaming from the snapshot they opened on.
+//! * [`PathDb::query`] / [`PathDb::run`] serve ad-hoc calls, compiling and
+//!   planning on every call; an `Arc<PathDb>` and clones of one
+//!   [`PreparedQuery`] serve concurrent clients;
+//! * [`PathDb::apply`] absorbs live edge insertions and deletions on every
+//!   backend by rederiving the k-paths each edge touches, publishing
+//!   immutable epoch-tagged [`Snapshot`]s — prepared plans replan on epoch
+//!   mismatch and open [`Cursor`]s keep streaming from the snapshot they
+//!   opened on.
 //!
 //! ```
 //! use pathix_core::{PathDb, PathDbConfig, QueryOptions, Strategy};
@@ -37,7 +37,6 @@
 //! assert!(result.contains_named(&db, "ada", "jan"));
 //! ```
 
-pub mod cache;
 pub mod cursor;
 pub mod db;
 mod durability;
@@ -45,9 +44,7 @@ pub mod error;
 pub mod options;
 pub mod prepared;
 pub mod result;
-pub mod session;
 
-pub use cache::PlanCacheStats;
 pub use cursor::Cursor;
 pub use db::{
     BackendChoice, DbStats, HistogramRefresh, IndexBackend, PathDb, PathDbConfig, Snapshot,
@@ -55,9 +52,8 @@ pub use db::{
 };
 pub use error::QueryError;
 pub use options::QueryOptions;
-pub use prepared::PreparedQuery;
+pub use prepared::{PlanCacheStats, PreparedQuery};
 pub use result::QueryResult;
-pub use session::Session;
 
 // Re-export the vocabulary a downstream user needs without adding every
 // sub-crate as a direct dependency.

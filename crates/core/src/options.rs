@@ -8,7 +8,7 @@ use pathix_plan::Strategy;
 /// How (and how much of) a query execution should run.
 ///
 /// An options value is independent of any database, so it can be stored as a
-/// session default and reused across queries:
+/// client's default and reused across queries:
 ///
 /// ```
 /// use pathix_core::{PathDb, PathDbConfig, QueryOptions, Strategy};

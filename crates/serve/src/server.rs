@@ -356,7 +356,7 @@ impl Server {
     ///
     /// let db = Arc::new(PathDb::build(paper_example_graph(), PathDbConfig::with_k(2)));
     /// let server = Server::new(Arc::clone(&db), ServeConfig { workers: 2, ..ServeConfig::default() });
-    /// assert!(Arc::ptr_eq(&server.db(), &db)); // requests share its plan cache
+    /// assert!(Arc::ptr_eq(&server.db(), &db)); // every request reads this database
     /// let health = server.health();
     /// assert_eq!((health.mode, health.queue_depth, health.executing), (Mode::Normal, 0, 0));
     /// assert_eq!(health.epoch, db.epoch());
@@ -410,7 +410,7 @@ impl Server {
         Ok(Server::new(Arc::new(db), config))
     }
 
-    /// The served database (shares the plan cache with all requests).
+    /// The served database (every request runs against it).
     pub fn db(&self) -> Arc<PathDb> {
         self.shared.db_handle()
     }

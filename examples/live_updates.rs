@@ -1,5 +1,5 @@
 //! Live graph updates through the database facade: `PathDb::apply`, epochs,
-//! snapshot cursors and plan-cache invalidation in one walkthrough.
+//! snapshot cursors and prepared-plan invalidation in one walkthrough.
 //!
 //! The `incremental_updates` example exercises the raw index delta rules;
 //! this one shows the serving-side story the query stack builds on top of
@@ -14,9 +14,7 @@
 //! ```
 
 use pathix::datagen::paper_example_graph;
-use pathix::{
-    GraphUpdate, HistogramRefresh, PathDb, PathDbConfig, QueryOptions, Session, Strategy,
-};
+use pathix::{GraphUpdate, HistogramRefresh, PathDb, PathDbConfig, QueryOptions, Strategy};
 use std::sync::Arc;
 
 fn main() {
@@ -33,7 +31,7 @@ fn main() {
         db.epoch()
     );
 
-    // Compile the worked example once; the plan is cached lazily per
+    // Compile the worked example once; the handle plans lazily, once per
     // strategy and epoch.
     let supervised = db.prepare("supervisor/worksFor-").unwrap();
     let answer = supervised.run(&db, QueryOptions::new()).unwrap();
@@ -81,22 +79,30 @@ fn main() {
         db.plan_cache_stats().plans
     );
 
-    // 2. Sessions share the live database; updates from one are visible to
-    //    all, and the plan cache still compiles each text once.
-    let session =
-        Session::new(Arc::clone(&db)).with_defaults(QueryOptions::with_strategy(Strategy::MinJoin));
-    session
-        .apply(&[GraphUpdate::InsertEdge {
-            src: tim,
-            label: supervisor,
-            dst: joe,
-        }])
+    // 2. Clients share the live database through the `Arc`: an update from
+    //    one thread is visible to the next query on any other.
+    let writer = {
+        let db = Arc::clone(&db);
+        std::thread::spawn(move || {
+            db.apply(&[GraphUpdate::InsertEdge {
+                src: tim,
+                label: supervisor,
+                dst: joe,
+            }])
+            .unwrap()
+        })
+    };
+    writer.join().unwrap();
+    let after_insert = db
+        .run(
+            "supervisor/worksFor-",
+            QueryOptions::with_strategy(Strategy::MinJoin),
+        )
         .unwrap();
-    let via_session = session.query("supervisor/worksFor-").unwrap();
     println!(
-        "\nafter inserting supervisor(tim, joe) through a session: {:?} under {}",
-        via_session.named_pairs(&db),
-        via_session.strategy
+        "\nafter inserting supervisor(tim, joe) from another thread: {:?} under {}",
+        after_insert.named_pairs(&db),
+        after_insert.strategy
     );
 
     // 3. The maintained database is indistinguishable from a rebuild over

@@ -16,8 +16,7 @@
 
 use pathix::datagen::paper_example_graph;
 use pathix::rpq::parse;
-use pathix::{PathDb, PathDbConfig, QueryOptions, Session, Strategy};
-use std::sync::Arc;
+use pathix::{PathDb, PathDbConfig, QueryOptions, Strategy};
 
 fn main() {
     let query = std::env::args()
@@ -29,8 +28,7 @@ fn main() {
         .unwrap_or(3);
 
     let graph = paper_example_graph();
-    let db = Arc::new(PathDb::build(graph, PathDbConfig::with_k(k)));
-    let session = Session::new(Arc::clone(&db));
+    let db = PathDb::build(graph, PathDbConfig::with_k(k));
 
     println!("== 1. submission\n   query: {query}\n   index: k = {k}\n");
 
@@ -50,7 +48,7 @@ fn main() {
 
     // Preparation: parse → bind → rewrite happen once, here. Everything
     // after this point reuses the compiled artifacts.
-    let prepared = match session.prepare(&query) {
+    let prepared = match db.prepare(&query) {
         Ok(prepared) => prepared,
         Err(e) => {
             eprintln!("compile error: {e}");
@@ -70,16 +68,17 @@ fn main() {
     }
     println!();
 
-    // Optimization: plans are planned lazily, per strategy, on first use —
-    // `explain` fills the same cached plan slots the executions below reuse.
+    // Optimization: plans are planned lazily, per strategy, on first use.
+    // `explain` is ad hoc (it compiles and plans its own copy), so the
+    // prepared handle stays unplanned until the executions below.
     println!("== 4. optimization (physical plans per strategy)\n");
     for strategy in Strategy::all() {
         println!(
-            "-- {} (planned before this explain: {})\n{}",
+            "-- {}\n{}",
             strategy.name(),
-            prepared.is_planned(strategy),
             db.explain(&query, strategy).unwrap()
         );
+        assert!(!prepared.is_planned(strategy));
     }
 
     // Execution: the same prepared query under each strategy.
@@ -108,13 +107,15 @@ fn main() {
         );
     }
 
-    // The compile-once guarantee, in numbers: one compilation, ≤ 4 plans,
-    // however many times the query ran above.
-    let cache = db.plan_cache_stats();
+    // The compile-once guarantee, in numbers: the handle compiled once and
+    // planned each strategy once; the four explains compiled and planned
+    // their own copies.
+    let front_end = db.plan_cache_stats();
     println!(
-        "\n   plan cache: {} compilation(s), {} plan(s), {} hit(s)",
-        cache.compilations, cache.plans, cache.hits
+        "\n   front end: {} compilation(s), {} plan(s), {} run(s) served by a held plan",
+        front_end.compilations, front_end.plans, front_end.hits
     );
+    assert_eq!((front_end.compilations, front_end.plans), (1 + 4, 4 + 4));
 
     // The answer itself, streamed through a cursor with node names.
     let cursor = prepared.cursor(&db, QueryOptions::new()).unwrap();

@@ -555,8 +555,8 @@ impl Shell {
     }
 
     fn query(&self, query: &str) -> String {
-        // Repeated queries hit the database's plan cache, so an interactive
-        // session never re-parses a query it has seen before.
+        // Each line compiles and plans afresh: a few microseconds against
+        // the evaluation, so the REPL keeps no prepared handles.
         match self
             .db
             .run(query, QueryOptions::with_strategy(self.strategy))

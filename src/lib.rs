@@ -11,8 +11,8 @@
 //!   paper's four strategies (`naive`, `semi-naive`, `minSupport`,
 //!   `minJoin`); [`PathDb::prepare`] compiles a query once into a
 //!   [`PreparedQuery`], [`QueryOptions`] configures each execution,
-//!   [`Cursor`] streams answers with early termination, and [`Session`]
-//!   shares a database across concurrent clients;
+//!   [`Cursor`] streams answers with early termination, and an
+//!   `Arc<PathDb>` shares a database across concurrent clients;
 //! * [`graph`] — the graph substrate (builders, loaders, CSR adjacency);
 //! * [`datagen`] — synthetic datasets (Advogato-like, Erdős–Rényi,
 //!   Barabási–Albert, social networks) and RPQ workloads;
@@ -45,9 +45,9 @@
 //!     .unwrap();
 //! assert_eq!(answer.named_pairs(&db), vec![("kim".to_string(), "sue".to_string())]);
 //!
-//! // Ad-hoc calls share the same plan cache.
+//! // Ad-hoc calls compile (and plan) on every call.
 //! assert_eq!(db.query("supervisor/worksFor-").unwrap().len(), 1);
-//! assert_eq!(db.plan_cache_stats().compilations, 1);
+//! assert_eq!(db.plan_cache_stats().compilations, 2);
 //! ```
 //!
 //! ## Choosing an index backend
@@ -88,8 +88,8 @@ pub use pathix_core::{
     DbStats, DeltaBatch, EntryChange, EntryDeltas, EstimationMode, ExecutionStats, Graph,
     GraphBuilder, GraphUpdate, HistogramRefresh, IndexBackend, LabelId, MutablePathIndexBackend,
     NodeId, PathDb, PathDbConfig, PathIndexBackend, PhysicalPlan, PlanCacheStats, PreparedQuery,
-    QueryError, QueryOptions, QueryResult, Session, SignedLabel, Snapshot, Strategy,
-    StructuralAudit, UpdateStats,
+    QueryError, QueryOptions, QueryResult, SignedLabel, Snapshot, Strategy, StructuralAudit,
+    UpdateStats,
 };
 
 /// The graph substrate crate.

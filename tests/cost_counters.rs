@@ -15,7 +15,7 @@ use pathix::datagen::{advogato_like, advogato_queries, AdvogatoConfig};
 use pathix::index::PairBatch;
 use pathix::{
     BackendChoice, Graph, GraphUpdate, NodeId, PathDb, PathDbConfig, PathIndexBackend,
-    QueryOptions, SignedLabel,
+    PreparedQuery, QueryOptions, SignedLabel,
 };
 use std::path::{Path, PathBuf};
 
@@ -438,8 +438,9 @@ fn cold_path_scans_touch_a_fixed_set_of_pages() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
-/// `(compilations, plans)` after each step of a repeated-text sequence.
-const PLAN_CACHE: [(u64, u64); 5] = [(1, 1), (1, 1), (2, 2), (2, 3), (2, 4)];
+/// `(compilations, plans)` after each step of a repeated-text sequence run
+/// ad hoc: every call compiles and plans once.
+const PLAN_CACHE: [(u64, u64); 5] = [(1, 1), (3, 3), (4, 4), (6, 6), (7, 7)];
 
 #[test]
 fn repeated_query_text_compiles_and_plans_once_per_epoch() {
@@ -450,19 +451,20 @@ fn repeated_query_text_compiles_and_plans_once_per_epoch() {
         let mut observed = Vec::new();
         let mut step = |db: &PathDb| {
             let stats = db.plan_cache_stats();
+            assert_eq!(stats.hits, 0, "an ad-hoc run reuses no plan");
             observed.push((stats.compilations, stats.plans));
         };
-        // First sight of a text: one compilation, one plan.
+        // First sight of a text.
         db.query(a1).unwrap();
         step(db);
-        // The same text again, bound differently: neither.
+        // The same text again, bound differently.
         db.query(a1).unwrap();
         db.run(a1, QueryOptions::new().source(HUB)).unwrap();
         step(db);
         // A second text.
         db.query(a4).unwrap();
         step(db);
-        // A new epoch replans on next use, but never recompiles.
+        // A new epoch.
         db.apply(&script()[0]).unwrap();
         db.query(a1).unwrap();
         db.query(a1).unwrap();
@@ -470,6 +472,48 @@ fn repeated_query_text_compiles_and_plans_once_per_epoch() {
         db.query(a4).unwrap();
         step(db);
         assert_eq!(observed, PLAN_CACHE, "{name}");
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// `(compilations, plans, hits)` after each step of the same sequence run
+/// through one prepared handle per text: one compilation per text, one plan
+/// per text and epoch, and every other execution served by the held plan.
+const PREPARED_PLANS: [(u64, u64, u64); 5] =
+    [(1, 1, 0), (1, 1, 2), (2, 2, 2), (2, 3, 3), (2, 4, 3)];
+
+#[test]
+fn prepared_text_compiles_once_and_plans_once_per_epoch() {
+    let (dbs, dir) = common::on_every_backend("cost-prepared", &graph(), 32);
+    let queries = advogato_queries();
+    let (a1, a4) = (&queries[0].text, &queries[3].text);
+    for (name, db) in &dbs {
+        let mut observed = Vec::new();
+        let mut step = |db: &PathDb| {
+            let stats = db.plan_cache_stats();
+            observed.push((stats.compilations, stats.plans, stats.hits));
+        };
+        let run = |prepared: &PreparedQuery, options| prepared.run(db, options).unwrap();
+        // First sight of a text: one compilation, one plan.
+        let p1 = db.prepare(a1).unwrap();
+        run(&p1, QueryOptions::new());
+        step(db);
+        // The same text again, bound differently: neither.
+        run(&p1, QueryOptions::new());
+        run(&p1, QueryOptions::new().source(HUB));
+        step(db);
+        // A second text.
+        let p4 = db.prepare(a4).unwrap();
+        run(&p4, QueryOptions::new());
+        step(db);
+        // A new epoch replans on next use, but never recompiles.
+        db.apply(&script()[0]).unwrap();
+        run(&p1, QueryOptions::new());
+        run(&p1, QueryOptions::new());
+        step(db);
+        run(&p4, QueryOptions::new());
+        step(db);
+        assert_eq!(observed, PREPARED_PLANS, "{name}");
     }
     let _ = std::fs::remove_dir_all(dir);
 }

@@ -8,7 +8,7 @@
 //!   (memory, paged, on-disk, compressed) — answers the **full RPQ strategy
 //!   matrix** identically to a database rebuilt from scratch over the final
 //!   graph (and to the automaton baseline);
-//! * prepared queries and cached plans compiled *before* the updates observe
+//! * prepared queries and their plans compiled *before* the updates observe
 //!   post-update answers — no stale epoch is ever served;
 //! * cursors keep the snapshot they opened on (snapshot-at-open), and flush
 //!   their pull counts on drop even when terminated early.
@@ -19,7 +19,7 @@
 use pathix::datagen::paper_example_graph;
 use pathix::{
     BackendChoice, GraphUpdate, HistogramRefresh, LabelId, NodeId, PathDb, PathDbConfig,
-    PathIndexBackend, QueryOptions, Session, Strategy,
+    PathIndexBackend, QueryOptions, Strategy,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -271,8 +271,8 @@ fn prepared_queries_and_cached_plans_observe_post_update_answers() {
     let db = PathDb::build(paper_example_graph(), PathDbConfig::with_k(2));
     let query = "supervisor/worksFor-";
 
-    // Compile + plan *before* any update: the plan cache holds an epoch-0
-    // plan for every strategy, and the prepared handle pins the same entry.
+    // Compile + plan *before* any update: the prepared handle holds an
+    // epoch-0 plan for every strategy.
     let prepared = db.prepare(query).unwrap();
     for strategy in Strategy::all() {
         let result = prepared
@@ -296,8 +296,8 @@ fn prepared_queries_and_cached_plans_observe_post_update_answers() {
     }])
     .unwrap();
 
-    // The stale epoch is never served: both the prepared handle and the
-    // ad-hoc plan-cache path answer from the new state...
+    // The stale epoch is never served: both the prepared handle and an
+    // ad-hoc run answer from the new state...
     for strategy in Strategy::all() {
         let via_prepared = prepared
             .run(&db, QueryOptions::with_strategy(strategy))
@@ -312,10 +312,11 @@ fn prepared_queries_and_cached_plans_observe_post_update_answers() {
         assert_eq!(via_prepared.pairs(), via_cache.pairs());
     }
     let stats = db.plan_cache_stats();
-    // ...by replanning each strategy exactly once at the new epoch, without
-    // recompiling the query text.
-    assert_eq!(stats.plans, plans_before + 4, "{stats:?}");
-    assert_eq!(stats.compilations, 1, "{stats:?}");
+    // ...the handle by replanning each strategy exactly once at the new
+    // epoch without recompiling the text, each ad-hoc run by compiling and
+    // planning its own.
+    assert_eq!(stats.plans, plans_before + 4 + 4, "{stats:?}");
+    assert_eq!(stats.compilations, 1 + 4, "{stats:?}");
 }
 
 #[test]
@@ -324,8 +325,7 @@ fn cursors_keep_their_snapshot_while_updates_land() {
         paper_example_graph(),
         PathDbConfig::with_k(2),
     ));
-    let session = Session::new(Arc::clone(&db));
-    let prepared = session.prepare("knows").unwrap();
+    let prepared = db.prepare("knows").unwrap();
 
     let mut cursor = prepared.cursor(&db, QueryOptions::new()).unwrap();
     assert_eq!(cursor.epoch(), 0);
@@ -344,7 +344,15 @@ fn cursors_keep_their_snapshot_while_updates_land() {
         .collect();
     let expected_total = deletions.len();
     drop(graph);
-    session.apply(&deletions).unwrap();
+    // Another thread applies them and runs its clone of the prepared query.
+    let writer = {
+        let (db, prepared) = (Arc::clone(&db), prepared.clone());
+        std::thread::spawn(move || {
+            db.apply(&deletions).unwrap();
+            prepared.run(&db, QueryOptions::new()).unwrap().len()
+        })
+    };
+    assert_eq!(writer.join().unwrap(), 0, "the clone sees the deletes");
     assert_eq!(
         db.query("knows").unwrap().len(),
         0,

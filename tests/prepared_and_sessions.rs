@@ -1,5 +1,5 @@
 //! Integration tests of the compile-once / execute-many API: prepared
-//! queries, the plan cache, streaming cursors and shared sessions.
+//! queries, streaming cursors, and one database shared across threads.
 //!
 //! These pin the PR's acceptance criteria: executing a [`PreparedQuery`]
 //! N times performs exactly one parse/bind/rewrite and at most one plan per
@@ -8,7 +8,9 @@
 //! [`pathix::ExecutionStats::pairs_pulled`]).
 
 use pathix::datagen::{advogato_like, paper_example_graph, AdvogatoConfig};
-use pathix::{BackendChoice, PathDb, PathDbConfig, QueryError, QueryOptions, Session, Strategy};
+use pathix::{
+    BackendChoice, GraphUpdate, PathDb, PathDbConfig, QueryError, QueryOptions, Strategy,
+};
 use std::sync::Arc;
 
 fn example_db() -> PathDb {
@@ -60,9 +62,9 @@ fn prepared_query_compiles_once_and_plans_once_per_strategy() {
     assert_eq!(stats.plans, 4, "at most one plan per strategy: {stats:?}");
     assert!(prepared.is_planned(Strategy::MinJoin));
 
-    // Re-preparing the same text is a cache hit, not a new compilation.
+    // Re-preparing the same text compiles it again, to the same disjuncts.
     let again = db.prepare("knows/(knows/worksFor){2,4}/worksFor").unwrap();
-    assert_eq!(db.plan_cache_stats().compilations, 1);
+    assert_eq!(db.plan_cache_stats().compilations, 2);
     assert_eq!(again.disjuncts(), prepared.disjuncts());
 }
 
@@ -172,8 +174,9 @@ fn cursor_reports_parse_bind_rewrite_errors_up_front() {
         db.prepare("knows{5,2}"),
         Err(QueryError::Rewrite(_))
     ));
-    // Errors are not cached.
-    assert_eq!(db.plan_cache_stats().entries, 0);
+    // Each attempt compiled, none planned.
+    let stats = db.plan_cache_stats();
+    assert_eq!((stats.compilations, stats.plans), (3, 0), "{stats:?}");
 }
 
 #[test]
@@ -182,8 +185,7 @@ fn sessions_share_one_database_across_threads() {
         paper_example_graph(),
         PathDbConfig::with_k(2),
     ));
-    let session =
-        Session::new(Arc::clone(&db)).with_defaults(QueryOptions::with_strategy(Strategy::MinJoin));
+    let min_join = || QueryOptions::with_strategy(Strategy::MinJoin);
     let queries = [
         "supervisor/worksFor-",
         "knows/knows/worksFor",
@@ -192,17 +194,17 @@ fn sessions_share_one_database_across_threads() {
 
     let reference: Vec<usize> = queries
         .iter()
-        .map(|q| session.query(q).unwrap().len())
+        .map(|q| db.run(q, min_join()).unwrap().len())
         .collect();
 
     std::thread::scope(|scope| {
         for _ in 0..4 {
-            let session = session.clone();
+            let db = Arc::clone(&db);
             let reference = &reference;
             scope.spawn(move || {
                 for round in 0..5 {
                     for (qi, query) in queries.iter().enumerate() {
-                        let result = session.query(query).unwrap();
+                        let result = db.run(query, min_join()).unwrap();
                         assert_eq!(result.strategy, Strategy::MinJoin);
                         assert_eq!(result.len(), reference[qi], "round {round} on {query}");
                     }
@@ -211,10 +213,15 @@ fn sessions_share_one_database_across_threads() {
         }
     });
 
-    // Every thread hit the same cache: three compilations total, ever.
+    // Every ad-hoc call compiled and planned once; none reused a plan.
     let stats = db.plan_cache_stats();
-    assert_eq!(stats.compilations, 3, "{stats:?}");
-    assert!(stats.hits >= (4 * 5 * 3) as u64, "{stats:?}");
+    let calls = (3 + 4 * 5 * 3) as u64;
+    assert_eq!(
+        (stats.compilations, stats.plans),
+        (calls, calls),
+        "{stats:?}"
+    );
+    assert_eq!(stats.hits, 0, "{stats:?}");
 }
 
 #[test]
@@ -223,23 +230,66 @@ fn sessions_share_prepared_queries_across_threads() {
         paper_example_graph(),
         PathDbConfig::with_k(2),
     ));
-    let session = Session::new(Arc::clone(&db));
-    let prepared = session.prepare("knows/worksFor").unwrap();
+    let prepared = db.prepare("knows/worksFor").unwrap();
     let expected = prepared.run(&db, QueryOptions::new()).unwrap().len();
 
     std::thread::scope(|scope| {
         for _ in 0..4 {
-            let session = session.clone();
+            let db = Arc::clone(&db);
             let prepared = prepared.clone();
             scope.spawn(move || {
                 for _ in 0..10 {
-                    let n = session.cursor(&prepared).unwrap().count().unwrap();
+                    let n = prepared
+                        .cursor(&db, QueryOptions::new())
+                        .unwrap()
+                        .count()
+                        .unwrap();
                     assert_eq!(n, expected);
                 }
             });
         }
     });
-    assert_eq!(db.plan_cache_stats().compilations, 1);
+    // The clones share one compilation and one plan.
+    let stats = db.plan_cache_stats();
+    assert_eq!((stats.compilations, stats.plans), (1, 1), "{stats:?}");
+    assert_eq!(stats.hits, 4 * 10, "{stats:?}");
+}
+
+#[test]
+fn concurrent_clones_replan_once_after_an_apply() {
+    let db = Arc::new(PathDb::build(
+        paper_example_graph(),
+        PathDbConfig::with_k(2),
+    ));
+    let prepared = db.prepare("supervisor/worksFor-").unwrap();
+    prepared.run(&db, QueryOptions::new()).unwrap();
+    db.apply(&[GraphUpdate::InsertEdgeNamed {
+        src: "tim".into(),
+        label: "supervisor".into(),
+        dst: "joe".into(),
+    }])
+    .unwrap();
+
+    // Four threads run their clones at once against the new epoch: the slot
+    // lock is held across planning, so exactly one of them replans.
+    let start = Arc::new(std::sync::Barrier::new(4));
+    let threads: Vec<_> = (0..4)
+        .map(|_| {
+            let (db, prepared, start) = (Arc::clone(&db), prepared.clone(), Arc::clone(&start));
+            std::thread::spawn(move || {
+                start.wait();
+                (0..5)
+                    .map(|_| prepared.run(&db, QueryOptions::new()).unwrap().len())
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    for thread in threads {
+        assert_eq!(thread.join().unwrap(), vec![2; 5]);
+    }
+    let stats = db.plan_cache_stats();
+    assert_eq!((stats.compilations, stats.plans), (1, 2), "{stats:?}");
+    assert_eq!(stats.hits, 4 * 5 - 1, "{stats:?}");
 }
 
 #[test]
@@ -254,4 +304,81 @@ fn count_only_streams_and_respects_limits() {
     let probe = db.run(query, QueryOptions::new().exists()).unwrap();
     assert_eq!(probe.stats.result_pairs, 1);
     assert!(probe.stats.pairs_pulled <= counted.stats.pairs_pulled);
+}
+
+/// The same text run ad hoc and through a [`PreparedQuery`] answers alike:
+/// on every backend, under every strategy and every Example 3.1 shape
+/// (source-bound, both-bound `exists`, unbound `limit`), before and after an
+/// update moves the database to a new epoch.
+#[test]
+fn ad_hoc_and_prepared_runs_agree_before_and_after_an_apply() {
+    let texts = [
+        "supervisor/worksFor-",
+        "knows/knows",
+        "(knows|worksFor){1,3}",
+    ];
+    let named = |insert: bool, src: &str, label: &str, dst: &str| {
+        let (src, label, dst) = (src.to_owned(), label.to_owned(), dst.to_owned());
+        if insert {
+            GraphUpdate::InsertEdgeNamed { src, label, dst }
+        } else {
+            GraphUpdate::DeleteEdgeNamed { src, label, dst }
+        }
+    };
+    let batch = [
+        named(false, "kim", "supervisor", "liz"),
+        named(true, "tim", "supervisor", "joe"),
+        named(true, "sue", "knows", "zoe"),
+    ];
+    let agree = |db: &PathDb, text: &str, handle: &pathix::PreparedQuery, options: QueryOptions| {
+        let ad_hoc = db.run(text, options.clone()).unwrap();
+        let prepared = handle.run(db, options.clone()).unwrap();
+        assert_eq!(ad_hoc.pairs(), prepared.pairs(), "{text} under {options:?}");
+        assert_eq!(
+            ad_hoc.stats.result_pairs, prepared.stats.result_pairs,
+            "{text} under {options:?}"
+        );
+        ad_hoc
+    };
+    for choice in all_backend_choices("ad-hoc-vs-prepared") {
+        let config = PathDbConfig::with_k(2).with_backend(choice.clone());
+        let db = PathDb::try_build(paper_example_graph(), config).unwrap();
+        let handles: Vec<_> = texts.iter().map(|t| db.prepare(t).unwrap()).collect();
+        let mut answers = Vec::new();
+        for apply in [false, true] {
+            if apply {
+                db.apply(&batch).unwrap();
+            }
+            let nodes: Vec<_> = db.graph().nodes().collect();
+            for (text, handle) in texts.iter().zip(&handles) {
+                let truth = db.query_automaton(text).unwrap();
+                for strategy in Strategy::all() {
+                    let base = QueryOptions::with_strategy(strategy);
+                    let full = agree(&db, text, handle, base.clone());
+                    assert_eq!(full.pairs(), &truth[..], "{choice:?}: {text}, {strategy}");
+                    let limited = agree(&db, text, handle, base.clone().limit(2));
+                    assert_eq!(limited.len(), truth.len().min(2));
+                    for &s in &nodes {
+                        agree(&db, text, handle, base.clone().source(s));
+                        for &t in &nodes {
+                            let probe =
+                                agree(&db, text, handle, base.clone().source(s).target(t).exists());
+                            let expected = truth.binary_search(&(s, t)).is_ok();
+                            assert_eq!(
+                                probe.stats.result_pairs == 1,
+                                expected,
+                                "{text} ({s:?}, {t:?})"
+                            );
+                        }
+                    }
+                }
+                answers.push(truth);
+            }
+        }
+        // The batch changed every text's answer, so "after" tested new state.
+        let (before, after) = answers.split_at(texts.len());
+        assert!(before.iter().zip(after).all(|(b, a)| b != a), "{choice:?}");
+        drop(db);
+        cleanup(&choice);
+    }
 }
