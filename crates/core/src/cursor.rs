@@ -6,9 +6,9 @@ use crate::error::QueryError;
 use crate::options::QueryOptions;
 use pathix_exec::{BoxedPairStream, CancelToken, PairStream, CANCEL_BACKEND};
 use pathix_graph::NodeId;
-use pathix_plan::{open_stream_bound, open_stream_walk, ExecutionStats, PhysicalPlan};
+use pathix_plan::{open_stream_bound, open_stream_walk_counted, ExecutionStats, PhysicalPlan};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -31,6 +31,7 @@ impl OwnedStream {
         snapshot: Snapshot,
         plan: Arc<PhysicalPlan>,
         options: &QueryOptions,
+        bitmap_levels: &Arc<AtomicUsize>,
     ) -> Result<(Self, bool), QueryError> {
         let (source, target) = (options.bound_source(), options.bound_target());
         let unbound = source.is_none() && target.is_none();
@@ -49,7 +50,7 @@ impl OwnedStream {
             let (plan, index, token) =
                 (plan.as_ref(), snapshot.index(), options.cancel_token_ref());
             let raw: BoxedPairStream<'_> = if drained {
-                open_stream_walk(plan, index, token)?
+                open_stream_walk_counted(plan, index, token, Arc::clone(bitmap_levels))?
             } else {
                 open_stream_bound(plan, index, source, target, token)?
             };
@@ -142,6 +143,8 @@ pub struct Cursor {
     done: bool,
     joins: usize,
     merge_joins: usize,
+    /// The walk's count of levels held as bitmaps (0 unless drained).
+    bitmap_levels: Arc<AtomicUsize>,
     started: Instant,
     /// The owning database's cumulative pull counter, fed on drop.
     pulled_sink: Arc<AtomicU64>,
@@ -156,7 +159,8 @@ impl Cursor {
     ) -> Result<Self, QueryError> {
         let joins = plan.join_count();
         let merge_joins = plan.merge_join_count();
-        let (stream, distinct) = OwnedStream::open(snapshot, plan, &options)?;
+        let bitmap_levels = Arc::new(AtomicUsize::new(0));
+        let (stream, distinct) = OwnedStream::open(snapshot, plan, &options, &bitmap_levels)?;
         Ok(Cursor {
             stream,
             remaining: options.limit_value(),
@@ -167,6 +171,7 @@ impl Cursor {
             done: false,
             joins,
             merge_joins,
+            bitmap_levels,
             started: Instant::now(),
             pulled_sink,
         })
@@ -187,6 +192,7 @@ impl Cursor {
             pairs_pulled: self.pulled,
             joins: self.joins,
             merge_joins: self.merge_joins,
+            bitmap_levels: self.bitmap_levels.load(Ordering::Relaxed),
         }
     }
 

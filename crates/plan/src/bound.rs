@@ -15,11 +15,21 @@
 //! out sorted and distinct, so the answer does too, with no duplicate pulled
 //! and no final sort — §5's "invert the sub-expression to obtain the correct
 //! sort order" carried through to the output. The sources come from the
-//! plan's cheaper end before the first walk. The two differ only in how a
-//! leaf expands a frontier: per level for a lookup (and for finding the
-//! sources), *rent or buy* for the walk.
+//! plan's cheaper end before the first walk. The two differ in how a leaf
+//! expands a frontier — per level for a lookup (and for finding the
+//! sources), *rent or buy* for the walk — and in how a level is held. A
+//! lookup's levels are sorted lists. A walk's level is a list while it is
+//! sparse against the node range and a bitmap over the range once it holds
+//! at least one id per 64 nodes, the bit-parallel frontier of MS-BFS (Then
+//! et al., *The More the Merrier*, PVLDB 8(4), 2014). A dense level grows by
+//! OR-ing the bitmap rows of a bought leaf whose relation keeps them (when
+//! they take at most four times the bytes of its sorted targets), or by
+//! marking targets straight into the next level's bitmap; a union is an OR;
+//! and a source's targets are emitted from the bitmap in id order, so the
+//! answer stays sorted. Both density rules are computed from exact numbers
+//! — the node count, `|p(G)|`, the level's size — in [`crate::cost`].
 
-use crate::cost::probes_beat_scan;
+use crate::cost::{bitmap_rows_fit, bitmap_words, level_is_dense, probes_beat_scan};
 use crate::executor::{build_stream, sort_dedup};
 use crate::plan::PhysicalPlan;
 use pathix_exec::{
@@ -30,6 +40,8 @@ use pathix_index::{BackendError, BackendResult, PairBatch, PathIndexBackend};
 use pathix_rpq::ast::inverse_path;
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// How many probes may pass between two token checks.
 const PROBES_PER_CHECK: usize = 64;
@@ -54,25 +66,41 @@ fn check(token: Option<&CancelToken>) -> BackendResult<()> {
 /// bound lookups through [`Leaf`] raised `lookup_p95_ms` on `probe-disk`
 /// from 0.436 to 0.656 ms (×1.50) and cut `lookups_per_s` from 8 241 to
 /// 6 487, medians of four alternating pairs, seeds 3–6 (CHANGES.md, PR 26).
+/// The walk also holds a dense level as a bitmap; a lookup's levels stay
+/// lists, which cost what they hold however large the graph.
 enum Leaves<'a, B: ?Sized> {
     /// One lookup, or the walk's search for its sources: each level probes
-    /// or scans afresh ([`expand`]).
+    /// or scans afresh ([`expand`]) into a list.
     Lookup(&'a B),
     /// Every source in turn: rent or buy per leaf path, for the stream's
-    /// lifetime ([`Leaf`]).
-    Walk(&'a B, HashMap<Vec<SignedLabel>, Leaf>),
+    /// lifetime ([`Leaf`]), and a level a bitmap once it is dense.
+    Walk {
+        index: &'a B,
+        leaves: HashMap<Vec<SignedLabel>, Leaf>,
+        /// How many levels came out as bitmaps, shared with whoever opened
+        /// the walk.
+        bitmap_levels: Arc<AtomicUsize>,
+    },
 }
 
 impl<'a, B: PathIndexBackend + ?Sized> Leaves<'a, B> {
+    fn walk(index: &'a B, bitmap_levels: Arc<AtomicUsize>) -> Self {
+        Leaves::Walk {
+            index,
+            leaves: HashMap::new(),
+            bitmap_levels,
+        }
+    }
+
     fn index(&self) -> &'a B {
         match self {
-            Leaves::Lookup(index) | Leaves::Walk(index, _) => index,
+            Leaves::Lookup(index) | Leaves::Walk { index, .. } => index,
         }
     }
 
     /// The walk's leaf for `path`, priced on first use; none for a lookup.
     fn leaf(&mut self, path: &[SignedLabel]) -> Option<&mut Leaf> {
-        let Leaves::Walk(index, leaves) = self else {
+        let Leaves::Walk { index, leaves, .. } = self else {
             return None;
         };
         if !leaves.contains_key(path) {
@@ -85,14 +113,34 @@ impl<'a, B: PathIndexBackend + ?Sized> Leaves<'a, B> {
     fn expand(
         &mut self,
         path: &[SignedLabel],
-        frontier: &[NodeId],
+        frontier: &Level,
         token: Option<&CancelToken>,
-    ) -> BackendResult<Vec<NodeId>> {
+    ) -> BackendResult<Level> {
         let index = self.index();
-        match self.leaf(path) {
-            Some(leaf) => leaf.expand(index, path, frontier, token),
-            None => expand(index, path, frontier, token),
+        let level = match self.leaf(path) {
+            Some(leaf) => leaf.expand(index, path, frontier, token)?,
+            None => Level::List(expand(index, path, &frontier.ids(), token)?),
+        };
+        Ok(self.counted(level))
+    }
+
+    /// The union of `levels`: a list for a lookup, and for a walk an OR once
+    /// any of them is a bitmap.
+    fn union(&self, levels: Vec<Level>) -> Level {
+        let Leaves::Walk { index, .. } = self else {
+            let mut ids: Vec<NodeId> = levels.into_iter().flat_map(Level::into_ids).collect();
+            normalise(&mut ids);
+            return Level::List(ids);
+        };
+        self.counted(Level::union(levels, index.node_count()))
+    }
+
+    /// `level`, counted if it is a walk's bitmap.
+    fn counted(&self, level: Level) -> Level {
+        if let (Leaves::Walk { bitmap_levels, .. }, Level::Bitmap { .. }) = (self, &level) {
+            bitmap_levels.fetch_add(1, Ordering::Relaxed);
         }
+        level
     }
 
     /// The distinct sources of `⟨p⟩`: a walk buys its leaf, whose rows its
@@ -110,6 +158,196 @@ impl<'a, B: PathIndexBackend + ?Sized> Leaves<'a, B> {
     }
 }
 
+/// One level of a walk: the sorted, distinct ids a frontier holds. A walk
+/// holds it as a bitmap over the node range once [`level_is_dense`] says so,
+/// and as a list otherwise; a lookup always as a list.
+#[derive(Clone, Debug, PartialEq)]
+enum Level {
+    /// Sorted and distinct.
+    List(Vec<NodeId>),
+    /// Node `i` is bit `i % 64` of word `i / 64`; `ones` bits are set.
+    Bitmap { words: Vec<u64>, ones: usize },
+}
+
+impl Default for Level {
+    fn default() -> Self {
+        Level::List(Vec::new())
+    }
+}
+
+/// Marks `ids` in the bitmap `words`.
+fn mark(words: &mut [u64], ids: &[NodeId]) {
+    for node in ids {
+        words[node.0 as usize / 64] |= 1 << (node.0 % 64);
+    }
+}
+
+impl Level {
+    /// The level of `ids`, in any order and with repeats, over the ids
+    /// `0..nodes`: sorted while sparse, marked into a bitmap once dense.
+    fn from_list(mut ids: Vec<NodeId>, nodes: usize) -> Level {
+        if !level_is_dense(ids.len(), nodes) {
+            sort_dedup(&mut ids);
+            return Level::List(ids);
+        }
+        let mut words = vec![0; bitmap_words(nodes)];
+        mark(&mut words, &ids);
+        Level::from_bitmap(words)
+    }
+
+    /// The level of the ids marked in `words`: a bitmap while it is dense,
+    /// listed again once it is not (a selective leaf can thin out a dense
+    /// level, and a sparse bitmap costs its whole range to sweep).
+    fn from_bitmap(words: Vec<u64>) -> Level {
+        let ones = words.iter().map(|w| w.count_ones() as usize).sum();
+        if level_is_dense(ones, words.len() * 64) {
+            return Level::Bitmap { words, ones };
+        }
+        let ids = Ones::new(words.as_slice(), ones).collect();
+        Level::List(ids)
+    }
+
+    /// The union of `levels` over the ids `0..nodes`: the lists merged while
+    /// every level is one, else one bitmap they are all OR-ed into.
+    fn union(levels: Vec<Level>, nodes: usize) -> Level {
+        if levels.iter().all(|level| matches!(level, Level::List(_))) {
+            let ids = levels.into_iter().flat_map(Level::into_ids).collect();
+            return Level::from_list(ids, nodes);
+        }
+        let mut words = vec![0; bitmap_words(nodes)];
+        for level in &levels {
+            match level {
+                Level::List(ids) => mark(&mut words, ids),
+                Level::Bitmap { words: bits, .. } => {
+                    for (word, bits) in words.iter_mut().zip(bits) {
+                        *word |= bits;
+                    }
+                }
+            }
+        }
+        Level::from_bitmap(words)
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Level::List(ids) => ids.len(),
+            Level::Bitmap { ones, .. } => *ones,
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn contains(&self, node: NodeId) -> bool {
+        match self {
+            Level::List(ids) => ids.binary_search(&node).is_ok(),
+            Level::Bitmap { words, .. } => words
+                .get(node.0 as usize / 64)
+                .is_some_and(|word| word & 1 << (node.0 % 64) != 0),
+        }
+    }
+
+    /// The ids in ascending order.
+    fn iter(&self) -> Ids<std::iter::Copied<std::slice::Iter<'_, NodeId>>, &[u64]> {
+        match self {
+            Level::List(ids) => Ids::List(ids.iter().copied()),
+            Level::Bitmap { words, ones } => Ids::Bitmap(Ones::new(words.as_slice(), *ones)),
+        }
+    }
+
+    /// The ids as a sorted list: borrowed from a list, swept from a bitmap.
+    fn ids(&self) -> Cow<'_, [NodeId]> {
+        match self {
+            Level::List(ids) => Cow::Borrowed(ids),
+            Level::Bitmap { .. } => Cow::Owned(self.iter().collect()),
+        }
+    }
+
+    fn into_ids(self) -> Vec<NodeId> {
+        match self {
+            Level::List(ids) => ids,
+            Level::Bitmap { .. } => self.iter().collect(),
+        }
+    }
+}
+
+impl IntoIterator for Level {
+    type Item = NodeId;
+    type IntoIter = Ids<std::vec::IntoIter<NodeId>, Vec<u64>>;
+
+    /// The ids in ascending order, swept from a bitmap as they are taken.
+    fn into_iter(self) -> Self::IntoIter {
+        match self {
+            Level::List(ids) => Ids::List(ids.into_iter()),
+            Level::Bitmap { words, ones } => Ids::Bitmap(Ones::new(words, ones)),
+        }
+    }
+}
+
+/// A level's ids in ascending order, from a list `L` or a bitmap held as `W`.
+enum Ids<L, W> {
+    List(L),
+    Bitmap(Ones<W>),
+}
+
+impl<L: ExactSizeIterator<Item = NodeId>, W: AsRef<[u64]>> Iterator for Ids<L, W> {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        match self {
+            Ids::List(ids) => ids.next(),
+            Ids::Bitmap(ones) => ones.next(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = match self {
+            Ids::List(ids) => ids.len(),
+            Ids::Bitmap(ones) => ones.left,
+        };
+        (left, Some(left))
+    }
+}
+
+impl<L: ExactSizeIterator<Item = NodeId>, W: AsRef<[u64]>> ExactSizeIterator for Ids<L, W> {}
+
+/// The set bits of a bitmap as node ids, a word at a time.
+struct Ones<W> {
+    words: W,
+    /// The next word to load, and what is left of the loaded one.
+    at: usize,
+    bits: u64,
+    /// How many set bits are still to come.
+    left: usize,
+}
+
+impl<W: AsRef<[u64]>> Ones<W> {
+    fn new(words: W, ones: usize) -> Self {
+        Ones {
+            words,
+            at: 0,
+            bits: 0,
+            left: ones,
+        }
+    }
+}
+
+impl<W: AsRef<[u64]>> Iterator for Ones<W> {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        while self.bits == 0 {
+            self.bits = *self.words.as_ref().get(self.at)?;
+            self.at += 1;
+        }
+        let node = (self.at - 1) * 64 + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        self.left -= 1;
+        Some(NodeId(node as u32))
+    }
+}
+
 /// The nodes the sorted, distinct `frontier` reaches through `plan`, sorted
 /// and distinct. With a `goal` the answer is `[goal]` or nothing: the goal
 /// travels only into the branch that ends the path, where the last leaf
@@ -118,19 +356,19 @@ impl<'a, B: PathIndexBackend + ?Sized> Leaves<'a, B> {
 fn reach<B: PathIndexBackend + ?Sized>(
     plan: &PhysicalPlan,
     leaves: &mut Leaves<'_, B>,
-    frontier: &[NodeId],
+    frontier: &Level,
     direction: Direction,
     goal: Option<NodeId>,
     token: Option<&CancelToken>,
-) -> BackendResult<Vec<NodeId>> {
+) -> BackendResult<Level> {
     check(token)?;
     if frontier.is_empty() {
-        return Ok(Vec::new());
+        return Ok(Level::default());
     }
     match plan {
         PhysicalPlan::Epsilon => Ok(match goal {
-            None => frontier.to_vec(),
-            Some(goal) => Vec::from_iter(frontier.binary_search(&goal).is_ok().then_some(goal)),
+            None => frontier.clone(),
+            Some(goal) => Level::List(Vec::from_iter(frontier.contains(goal).then_some(goal))),
         }),
         PhysicalPlan::IndexScan { path, .. } => {
             let path: Cow<'_, [SignedLabel]> = match direction {
@@ -140,8 +378,8 @@ fn reach<B: PathIndexBackend + ?Sized>(
             match goal {
                 None => leaves.expand(&path, frontier, token),
                 Some(goal) => {
-                    let hit = any_reaches(leaves.index(), &path, frontier, goal)?;
-                    Ok(Vec::from_iter(hit.then_some(goal)))
+                    let hit = any_reaches(leaves.index(), &path, &frontier.ids(), goal)?;
+                    Ok(Level::List(Vec::from_iter(hit.then_some(goal))))
                 }
             }
         }
@@ -154,44 +392,29 @@ fn reach<B: PathIndexBackend + ?Sized>(
             reach(last, leaves, &middle, direction, goal, token)
         }
         PhysicalPlan::Union(children) => {
-            let mut reached = Vec::new();
+            let mut reached = Vec::with_capacity(children.len());
             for child in children {
-                reached.extend(reach(child, leaves, frontier, direction, goal, token)?);
-                if goal.is_some() && !reached.is_empty() {
+                let level = reach(child, leaves, frontier, direction, goal, token)?;
+                let hit = goal.is_some() && !level.is_empty();
+                reached.push(level);
+                if hit {
                     break;
                 }
             }
-            normalise(&mut reached);
-            Ok(reached)
+            Ok(leaves.union(reached))
         }
     }
 }
 
-/// Restores set semantics on a level: [`sort_dedup`] while the level is
-/// sparse against its id range, one mark per id and a sweep over the marks
-/// once it is dense (a walk's late levels hold most of the graph many times
-/// over, and a sort of them cost more than all the expanding did).
+/// Restores set semantics on a lookup's level: [`sort_dedup`] while the level
+/// is sparse against its id range, one mark per id and a sweep over the marks
+/// once it is dense (a level can hold most of the graph many times over, and
+/// a sort of it cost more than all the expanding did). The same rule
+/// ([`level_is_dense`]) and the same marks as a walk's [`Level`], listed
+/// again at the end.
 fn normalise(level: &mut Vec<NodeId>) {
-    let Some(last) = level.iter().map(|node| node.0 as usize).max() else {
-        return;
-    };
-    let words = last / 64 + 1;
-    if level.len() < words {
-        sort_dedup(level);
-        return;
-    }
-    let mut marks = vec![0u64; words];
-    for node in level.iter() {
-        marks[node.0 as usize / 64] |= 1 << (node.0 % 64);
-    }
-    level.clear();
-    for (word, &bits) in marks.iter().enumerate() {
-        let mut bits = bits;
-        while bits != 0 {
-            level.push(NodeId((word * 64) as u32 + bits.trailing_zeros()));
-            bits &= bits - 1;
-        }
-    }
+    let nodes = level.iter().map(|node| node.0 as usize + 1).max();
+    *level = Level::from_list(std::mem::take(level), nodes.unwrap_or(0)).into_ids();
 }
 
 /// One level: the targets of `path` from the nodes of `frontier`. Probes when
@@ -297,7 +520,9 @@ fn any_reaches<B: PathIndexBackend + ?Sized>(
 /// probes, each node's memoised, while one more probe still beats a scan of
 /// `⟨p⟩`; after that one scan into rows that answer every later node. A leaf
 /// therefore costs about twice the cheaper of "probe what is reached" and
-/// "scan it all", and holds at most its relation.
+/// "scan it all", and holds at most its relation — and, when it is dense
+/// enough for [`bitmap_rows_fit`], the relation's rows as bitmaps besides,
+/// at most four times the bytes of its targets.
 struct Leaf {
     /// `|p(G)|`, against which the probes are priced.
     cardinality: u64,
@@ -314,25 +539,78 @@ struct Leaf {
 /// row per distinct source, found by binary search, because a row per node
 /// made buying a rare label's leaf on a large graph cost as much as the
 /// graph (CHANGES.md, PR 26).
+///
+/// A dense relation ([`bitmap_rows_fit`]) also keeps each row as a bitmap
+/// over the node range, which a dense level ORs in a word at a time instead
+/// of marking target by target.
 struct Rows {
     /// Each row's source, when rows are per source rather than per node.
     sources: Option<Vec<NodeId>>,
     starts: Vec<usize>,
     targets: Vec<NodeId>,
+    /// Row `r` as a bitmap, `bits[r · w..(r + 1) · w]` for the `w` words
+    /// of the node range, when the relation is dense enough to keep them.
+    bits: Option<Vec<u64>>,
 }
 
 impl Rows {
-    fn row(&self, node: NodeId) -> &[NodeId] {
+    /// Rows of `starts` and `targets` for the ids `0..nodes`, with bitmap
+    /// rows when [`bitmap_rows_fit`] says they fit.
+    fn new(
+        sources: Option<Vec<NodeId>>,
+        starts: Vec<usize>,
+        targets: Vec<NodeId>,
+        nodes: usize,
+    ) -> Self {
+        let rows = starts.len() - 1;
+        let bits = bitmap_rows_fit(rows, nodes, targets.len()).then(|| {
+            let words = bitmap_words(nodes);
+            let mut bits = vec![0; rows * words];
+            for (row, span) in bits.chunks_exact_mut(words).zip(starts.windows(2)) {
+                mark(row, &targets[span[0]..span[1]]);
+            }
+            bits
+        });
+        Rows {
+            sources,
+            starts,
+            targets,
+            bits,
+        }
+    }
+
+    /// `node`'s row, if it has one.
+    fn at(&self, node: NodeId) -> Option<usize> {
         let at = match &self.sources {
             None => node.0 as usize,
-            Some(sources) => match sources.binary_search(&node) {
-                Ok(at) => at,
-                Err(_) => return &[],
-            },
+            Some(sources) => sources.binary_search(&node).ok()?,
         };
-        match self.starts.get(at..at + 2) {
-            Some(&[start, end]) => &self.targets[start..end],
-            _ => &[],
+        (at + 1 < self.starts.len()).then_some(at)
+    }
+
+    fn row(&self, node: NodeId) -> &[NodeId] {
+        match self.at(node) {
+            Some(at) => &self.targets[self.starts[at]..self.starts[at + 1]],
+            None => &[],
+        }
+    }
+
+    /// Marks the targets of every node of `frontier` in `words`: a row's
+    /// bitmap OR-ed in where the relation keeps them, target by target
+    /// otherwise.
+    fn mark(&self, frontier: impl Iterator<Item = NodeId>, words: &mut [u64]) {
+        let Some(bits) = &self.bits else {
+            for node in frontier {
+                mark(words, self.row(node));
+            }
+            return;
+        };
+        let width = words.len();
+        for at in frontier.filter_map(|node| self.at(node)) {
+            let row = &bits[at * width..(at + 1) * width];
+            for (word, bits) in words.iter_mut().zip(row) {
+                *word |= bits;
+            }
         }
     }
 
@@ -358,20 +636,39 @@ impl Leaf {
         }
     }
 
-    /// The targets of the sorted, distinct `frontier`, sorted and distinct.
+    /// The targets of the nodes of `frontier` as a walk's level over the
+    /// index's node range. A list whose leaf keeps no bitmap rows is
+    /// expanded into a list, which becomes a bitmap only if it turns out
+    /// dense; anything else is marked into a bitmap, by OR-ing bitmap rows
+    /// once the leaf has them.
     fn expand<B: PathIndexBackend + ?Sized>(
         &mut self,
         index: &B,
         path: &[SignedLabel],
-        frontier: &[NodeId],
+        frontier: &Level,
         token: Option<&CancelToken>,
-    ) -> BackendResult<Vec<NodeId>> {
-        let mut reached = Vec::new();
-        for &node in frontier {
-            reached.extend_from_slice(self.targets(index, path, node, token)?);
+    ) -> BackendResult<Level> {
+        let nodes = index.node_count();
+        let bitmap_rows = self.bought.as_ref().is_some_and(|rows| rows.bits.is_some());
+        if let (Level::List(frontier), false) = (frontier, bitmap_rows) {
+            let mut reached = Vec::new();
+            for &node in frontier {
+                reached.extend_from_slice(self.targets(index, path, node, token)?);
+            }
+            return Ok(Level::from_list(reached, nodes));
         }
-        normalise(&mut reached);
-        Ok(reached)
+        let mut words = vec![0; bitmap_words(nodes)];
+        let mut frontier = frontier.iter();
+        // Node by node while renting; the node that buys is marked from the
+        // rows, and so is every node after it.
+        while self.bought.is_none() {
+            let Some(node) = frontier.next() else { break };
+            mark(&mut words, self.targets(index, path, node, token)?);
+        }
+        if let Some(rows) = &self.bought {
+            rows.mark(frontier, &mut words);
+        }
+        Ok(Level::from_bitmap(words))
     }
 
     /// `node`'s targets: from the rows once bought, else from the memo, else
@@ -460,11 +757,7 @@ impl Leaf {
             Some(sources)
         };
         starts.push(targets.len());
-        self.bought = Some(Rows {
-            sources,
-            starts,
-            targets,
-        });
+        self.bought = Some(Rows::new(sources, starts, targets, nodes));
         self.rented = HashMap::new();
         Ok(())
     }
@@ -501,9 +794,10 @@ fn walk_sources<B: PathIndexBackend + ?Sized>(
             if !probes_beat_scan(last, end_pairs(left, index, Direction::Forward)) {
                 return walk_sources(left, leaves, token);
             }
-            let middle = walk_sources(right, leaves, token)?;
+            let middle = Level::List(walk_sources(right, leaves, token)?);
             let lookup = &mut Leaves::Lookup(index);
-            reach(left, lookup, &middle, Direction::Backward, None, token)
+            let sources = reach(left, lookup, &middle, Direction::Backward, None, token)?;
+            Ok(sources.into_ids())
         }
     }
 }
@@ -539,9 +833,10 @@ struct WalkStream<'a, B: ?Sized> {
     token: Option<CancelToken>,
     /// The sources still to walk from, found at the first pull.
     sources: Option<std::vec::IntoIter<NodeId>>,
-    /// The source being emitted, and its targets still to emit.
+    /// The source being emitted, and its targets still to emit (swept from
+    /// the last level's bitmap as they go out, when it is one).
     source: NodeId,
-    targets: std::vec::IntoIter<NodeId>,
+    targets: <Level as IntoIterator>::IntoIter,
     error: Option<BackendError>,
 }
 
@@ -571,7 +866,7 @@ impl<B: PathIndexBackend + ?Sized> WalkStream<'_, B> {
             let reached = reach(
                 self.plan,
                 &mut self.leaves,
-                &[source],
+                &Level::List(vec![source]),
                 Direction::Forward,
                 None,
                 token,
@@ -619,13 +914,18 @@ impl<B: PathIndexBackend + ?Sized> PairStream for WalkStream<'_, B> {
 /// backward, so a selective answer costs what its relations hold, not one
 /// walk per node of the graph. A leaf path is then expanded *rent or buy*
 /// for the stream's lifetime: `⟨p, y⟩` probes, memoised per node, while one
-/// more probe still beats a scan of `⟨p⟩`, then one scan into rows. A lone
-/// forward index scan or `ε` is already sorted and distinct and opens as the
-/// tree. The stream owns a clone of `token` and checks it per source and
-/// level, per scan batch and every few probes; a tripped token surfaces as a
-/// backend error whose backend name is [`pathix_exec::CANCEL_BACKEND`].
-/// Nothing touches the index before the first pull, and a backend error
-/// sticks.
+/// more probe still beats a scan of `⟨p⟩`, then one scan into rows — kept
+/// as bitmap rows too when the relation is dense. A level is a sorted list
+/// while it is sparse against the node range and a bitmap over the range
+/// once it holds at least one id per 64 nodes; a dense level grows by OR-ing
+/// bitmap rows (or marking targets into the next bitmap), a union is an OR,
+/// and a source's targets are emitted from its last level in id order
+/// either way. A lone forward index scan or `ε` is already sorted and
+/// distinct and opens as the tree. The stream owns a clone of `token` and
+/// checks it per source and level, per scan batch and every few probes; a
+/// tripped token surfaces as a backend error whose backend name is
+/// [`pathix_exec::CANCEL_BACKEND`]. Nothing touches the index before the
+/// first pull, and a backend error sticks.
 ///
 /// ```
 /// use pathix_datagen::paper_example_graph;
@@ -659,6 +959,19 @@ pub fn open_stream_walk<'a, B: PathIndexBackend + ?Sized>(
     index: &'a B,
     token: Option<&CancelToken>,
 ) -> BackendResult<BoxedPairStream<'a>> {
+    open_stream_walk_counted(plan, index, token, Arc::default())
+}
+
+/// [`open_stream_walk`] that adds one to `bitmap_levels` for each level the
+/// walk holds as a bitmap (a leaf expansion or a union that comes out
+/// dense), as the stream goes: what [`crate::ExecutionStats::bitmap_levels`]
+/// reports.
+pub fn open_stream_walk_counted<'a, B: PathIndexBackend + ?Sized>(
+    plan: &'a PhysicalPlan,
+    index: &'a B,
+    token: Option<&CancelToken>,
+    bitmap_levels: Arc<AtomicUsize>,
+) -> BackendResult<BoxedPairStream<'a>> {
     if let PhysicalPlan::Epsilon
     | PhysicalPlan::IndexScan {
         orientation: ScanOrientation::Forward,
@@ -669,11 +982,11 @@ pub fn open_stream_walk<'a, B: PathIndexBackend + ?Sized>(
     }
     Ok(Box::new(WalkStream {
         plan,
-        leaves: Leaves::Walk(index, HashMap::new()),
+        leaves: Leaves::walk(index, bitmap_levels),
         token: token.cloned(),
         sources: None,
         source: NodeId(0),
-        targets: Vec::new().into_iter(),
+        targets: Level::default().into_iter(),
         error: None,
     }))
 }
@@ -696,12 +1009,12 @@ impl<B: PathIndexBackend + ?Sized> BoundStream<'_, B> {
             reach(
                 self.plan,
                 &mut Leaves::Lookup(self.index),
-                &[self.start],
+                &Level::List(vec![self.start]),
                 self.direction,
                 self.goal,
                 self.token.as_ref(),
             )
-            .map(Vec::into_iter)
+            .map(|level| level.into_ids().into_iter())
         });
         match answer {
             Ok(reached) => Ok(reached.next()),
@@ -1032,7 +1345,9 @@ mod tests {
                 all.clone(),
             ] {
                 let expected = scan_expand(&index, path, &frontier, None).unwrap();
+                let frontier = Level::List(frontier);
                 let reached = priced.expand(&index, path, &frontier, None).unwrap();
+                let reached = reached.into_ids();
                 assert_eq!(reached, expected, "{path:?} from {frontier:?}");
             }
         }
@@ -1051,12 +1366,151 @@ mod tests {
             ids(&[64, 63, 0, 127, 128, 64, 1, 63, 0, 2, 128]),
             (0..500).map(|i| NodeId(i * 37 % 301)).collect(),
         ];
+        let mut held = [0, 0];
         for level in levels {
             let mut expected = level.clone();
             sort_dedup(&mut expected);
-            let mut normalised = level;
+            let mut normalised = level.clone();
             normalise(&mut normalised);
             assert_eq!(normalised, expected);
+
+            // A walk's level over a range as tight as the ids allow, and over
+            // ranges wide enough to keep it a list: the same ids, in order,
+            // however it is held and however it is read.
+            let last = expected.last().map_or(0, |node| node.0 as usize + 1);
+            let wide = last.max(64 * level.len() + 1);
+            for nodes in [last, last.next_multiple_of(64), wide] {
+                let built = Level::from_list(level.clone(), nodes);
+                held[usize::from(matches!(built, Level::Bitmap { .. }))] += 1;
+                assert_eq!(built.len(), expected.len());
+                assert_eq!(built.iter().collect::<Vec<_>>(), expected);
+                assert_eq!(built.iter().len(), expected.len());
+                assert_eq!(built.ids().as_ref(), expected.as_slice());
+                let every = (0..nodes as u32).map(NodeId);
+                assert!(every
+                    .filter(|&node| built.contains(node))
+                    .eq(expected.iter().copied()));
+                // Marked first and read back, or united from two halves.
+                let mut words = vec![0; bitmap_words(nodes)];
+                mark(&mut words, &level);
+                assert_eq!(Level::from_bitmap(words).into_ids(), expected);
+                let (front, back) = level.split_at(level.len() / 2);
+                let halves = [front, back].map(|half| Level::from_list(half.to_vec(), nodes));
+                let united = Level::union(halves.to_vec(), nodes);
+                assert_eq!(united, built);
+                assert_eq!(built.into_iter().collect::<Vec<_>>(), expected);
+            }
+        }
+        // Both forms were built.
+        assert!(held[0] > 0 && held[1] > 0, "{held:?}");
+    }
+
+    /// `nodes` nodes and, per label, `edges` edges drawn by a fixed linear
+    /// congruence; the index at k = 2.
+    fn drawn(nodes: u64, labels: &[(&str, usize)]) -> (Graph, SharedKPathIndex, Vec<SignedLabel>) {
+        let mut b = GraphBuilder::new();
+        for node in 0..nodes {
+            b.add_node(&format!("n{node}"));
+        }
+        let mut state = 4242u64;
+        let mut draw = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % nodes
+        };
+        for &(label, edges) in labels {
+            for _ in 0..edges {
+                let (s, t) = (draw(), draw());
+                b.add_edge_named(&format!("n{s}"), label, &format!("n{t}"));
+            }
+        }
+        let g = b.build();
+        let labels = labels
+            .iter()
+            .map(|(name, _)| SignedLabel::forward(g.label_id(name).unwrap()))
+            .collect();
+        let index = SharedKPathIndex::build(&g, 2);
+        (g, index, labels)
+    }
+
+    #[test]
+    fn bitmap_rows_hold_what_the_rows_hold() {
+        // 200 nodes (4 words): a label on 1 200 edges, whose relations keep
+        // bitmap rows, and one on 60, whose relations mostly do not.
+        let (g, index, _) = drawn(200, &[("a", 1200), ("b", 60)]);
+        let words = bitmap_words(g.node_count());
+        let ids: Vec<NodeId> = (0..=g.node_count() as u32).map(NodeId).collect();
+        let mut kept = [0, 0];
+        for (path, cardinality) in index.per_path_counts() {
+            let mut leaf = Leaf::new(*cardinality);
+            leaf.buy(&index, path, None).unwrap();
+            let rows = leaf.bought.as_ref().unwrap();
+            kept[usize::from(rows.bits.is_some())] += 1;
+            let rows_fit =
+                bitmap_rows_fit(rows.starts.len() - 1, g.node_count(), rows.targets.len());
+            assert_eq!(rows.bits.is_some(), rows_fit, "{path:?}");
+            for &node in &ids {
+                let row = rows.row(node);
+                assert_eq!(row, probe_expand(&index, path, &[node], None).unwrap());
+                let (mut expected, mut marked) = (vec![0; words], vec![0; words]);
+                mark(&mut expected, row);
+                rows.mark(std::iter::once(node), &mut marked);
+                assert_eq!(marked, expected, "{path:?} from {node:?}");
+            }
+            // A whole frontier at once: the union of its rows.
+            let frontier: Vec<NodeId> = g.nodes().step_by(3).collect();
+            let mut expected = vec![0; words];
+            for &node in &frontier {
+                mark(&mut expected, rows.row(node));
+            }
+            let mut marked = vec![0; words];
+            rows.mark(frontier.iter().copied(), &mut marked);
+            assert_eq!(marked, expected, "{path:?}");
+        }
+        // Both sides of the rule.
+        assert!(kept[0] > 0 && kept[1] > 0, "{kept:?}");
+    }
+
+    #[test]
+    fn a_plan_of_dense_and_sparse_leaves_walks_to_the_oracle() {
+        let (g, index, labels) = drawn(200, &[("a", 1200), ("b", 60)]);
+        let [a, b] = [labels[0], labels[1]];
+        let leaf = |labels: &[SignedLabel]| PhysicalPlan::scan(labels.to_vec());
+        let cases = [
+            // Dense leaves after sparse ones, and a union of both under ε.
+            (
+                join(
+                    join(leaf(&[b]), leaf(&[a, a])),
+                    PhysicalPlan::Union(vec![
+                        leaf(&[b]),
+                        leaf(&[a.inverse()]),
+                        PhysicalPlan::Epsilon,
+                    ]),
+                ),
+                oracle(&g, &[&[b, a, a, b], &[b, a, a, a.inverse()], &[b, a, a]]),
+            ),
+            // A dense level thinned by a sparse leaf, then grown again.
+            (
+                join(join(leaf(&[a, a]), leaf(&[b, b.inverse()])), leaf(&[a])),
+                oracle(&g, &[&[a, a, b, b.inverse(), a]]),
+            ),
+            // ε first, a union of a dense and a sparse leaf last.
+            (
+                join(
+                    PhysicalPlan::Union(vec![PhysicalPlan::Epsilon, leaf(&[a])]),
+                    PhysicalPlan::Union(vec![leaf(&[a, b]), leaf(&[b, a])]),
+                ),
+                oracle(&g, &[&[a, b], &[b, a], &[a, a, b], &[a, b, a]]),
+            ),
+        ];
+        for (plan, full) in &cases {
+            assert!(full.len() > 1_000, "{} pairs", full.len());
+            let bitmap_levels = Arc::new(AtomicUsize::new(0));
+            let walk = open_stream_walk_counted(plan, &index, None, Arc::clone(&bitmap_levels));
+            assert_eq!(&collect_pairs(walk.unwrap()).unwrap(), full, "{plan:?}");
+            assert!(bitmap_levels.load(Ordering::Relaxed) > 0, "{plan:?}");
+            assert_walk_is_the_answer(plan, &index, full);
         }
     }
 
@@ -1194,6 +1648,7 @@ mod tests {
         let plan = join(PhysicalPlan::scan(vec![a]), PhysicalPlan::scan(vec![b]));
         for direction in [Direction::Forward, Direction::Backward] {
             let leaves = &mut Leaves::Lookup(&index);
+            let all = Level::List(all.clone());
             let stopped = reach(&plan, leaves, &all, direction, None, Some(&tripped));
             assert!(is_cancel(stopped.unwrap_err()));
         }
@@ -1306,7 +1761,7 @@ mod tests {
         for (plan, full, superset) in &cases {
             let exact = sources_of(full);
             let expected = superset.as_ref().unwrap_or(&exact);
-            let walk = &mut Leaves::Walk(&index, HashMap::new());
+            let walk = &mut Leaves::walk(&index, Arc::default());
             let sources = walk_sources(plan, walk, None).unwrap();
             assert_eq!(&sources, expected, "{plan:?}");
             let lookup = &mut Leaves::Lookup(&index);

@@ -32,6 +32,39 @@ pub(crate) fn probes_beat_scan(frontier: usize, cardinality: u64) -> bool {
     (frontier as u64).saturating_mul(PROBE_COST) < cardinality
 }
 
+/// How many `u64` words a bitmap over the ids `0..nodes` takes.
+pub(crate) fn bitmap_words(nodes: usize) -> usize {
+    nodes.div_ceil(64)
+}
+
+/// Whether a walk level of `ids` node ids (repeats counted) over the ids
+/// `0..nodes` is held as a bitmap rather than a sorted list: once it holds at
+/// least one id per bitmap word. From there the bitmap (8 bytes per 64 ids of
+/// the range) takes at most twice the list's bytes (4 per id), and building it
+/// — a mark per id, then a sweep of the words — costs two passes over the ids
+/// where sorting them costs `log |F|`.
+pub(crate) fn level_is_dense(ids: usize, nodes: usize) -> bool {
+    ids > 0 && ids >= bitmap_words(nodes)
+}
+
+/// How many times the bytes of a relation's sorted targets (4 per pair) its
+/// bitmap rows may take.
+const BITMAP_ROWS_MEMORY: usize = 4;
+
+/// Whether a bought relation of `pairs` pairs in `rows` rows also keeps each
+/// row as a bitmap over the ids `0..nodes`: when the `rows · ⌈nodes / 64⌉`
+/// words take at most [`BITMAP_ROWS_MEMORY`] times the bytes of its sorted
+/// targets. That bounds the memory on any graph, and it holds only where an
+/// average row has at least `⌈nodes / 64⌉ / 2` targets, so OR-ing a row's
+/// words costs at most about twice marking its targets one by one. At
+/// `n = 654` a row per node needs `|p(G)| ≥ 3 597`; the memory-parity rule
+/// `|p(G)| · 32 ≥ n²` needed 13 366 and missed the leaves that carry the
+/// Advogato card's cost (CHANGES.md has the measurement).
+pub(crate) fn bitmap_rows_fit(rows: usize, nodes: usize, pairs: usize) -> bool {
+    let bytes = rows.saturating_mul(bitmap_words(nodes)).saturating_mul(8);
+    pairs > 0 && bytes <= pairs.saturating_mul(4 * BITMAP_ROWS_MEMORY)
+}
+
 /// Costs a physical plan bottom-up.
 pub fn cost_plan(plan: &PhysicalPlan, estimator: &CardinalityEstimator<'_>) -> PlanCost {
     match plan {
@@ -213,6 +246,29 @@ mod tests {
         // An empty relation is "scanned": nothing to read either way.
         assert!(!probes_beat_scan(1, 0));
         assert!(!probes_beat_scan(usize::MAX, u64::MAX));
+    }
+
+    #[test]
+    fn a_level_is_a_bitmap_from_one_id_per_word() {
+        // 654 nodes: 11 words.
+        assert!(!level_is_dense(10, 654));
+        assert!(level_is_dense(11, 654));
+        assert!(level_is_dense(1, 64) && !level_is_dense(0, 64));
+        assert!(!level_is_dense(0, 0));
+    }
+
+    #[test]
+    fn bitmap_rows_take_at_most_four_times_the_targets() {
+        // A row per node at n = 654: 654 · 11 words of 8 bytes against
+        // 16 bytes a pair.
+        assert!(!bitmap_rows_fit(654, 654, 3_596));
+        assert!(bitmap_rows_fit(654, 654, 3_597));
+        // Rows per source: only those with targets count.
+        assert!(bitmap_rows_fit(300, 654, 1_650));
+        assert!(!bitmap_rows_fit(300, 654, 1_649));
+        // Nothing to hold, and no overflow at the extremes.
+        assert!(!bitmap_rows_fit(0, 0, 0));
+        assert!(!bitmap_rows_fit(usize::MAX, usize::MAX, 1));
     }
 
     #[test]

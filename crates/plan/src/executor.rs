@@ -5,13 +5,15 @@
 //! Every entry point returns a `Result`: disk-resident backends surface I/O
 //! failures as [`pathix_index::BackendError`]s instead of panicking.
 
-use crate::bound::open_stream_walk;
+use crate::bound::{open_stream_walk, open_stream_walk_counted};
 use crate::plan::{JoinAlgorithm, PhysicalPlan};
 use pathix_exec::{
     BoxedPairStream, CancelGuard, CancelToken, DistinctOp, EpsilonScanOp, HashJoinOp, IndexScanOp,
     MergeJoinOp, Pair, PairBatch, PairStream, UnionAllOp,
 };
 use pathix_index::{BackendResult, PathIndexBackend};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Executes `plan` against `index`, returning the answer as a sorted,
@@ -43,6 +45,12 @@ pub struct ExecutionStats {
     pub joins: usize,
     /// How many of those were merge joins.
     pub merge_joins: usize,
+    /// How many levels of a drained run's walk were held as bitmaps over
+    /// the node range rather than as sorted lists
+    /// ([`crate::open_stream_walk`]): each leaf expansion or union that came
+    /// out dense. Always 0 for a run that binds an end, whose levels stay
+    /// lists, and for one that pulls from the operator tree.
+    pub bitmap_levels: usize,
 }
 
 /// Executes `plan` and reports execution statistics along with the result.
@@ -54,7 +62,8 @@ pub fn execute_with_stats<B: PathIndexBackend + ?Sized>(
     index: &B,
 ) -> BackendResult<(Vec<Pair>, ExecutionStats)> {
     let start = Instant::now();
-    let mut stream = open_stream_walk(plan, index, None)?;
+    let bitmap_levels = Arc::new(AtomicUsize::new(0));
+    let mut stream = open_stream_walk_counted(plan, index, None, Arc::clone(&bitmap_levels))?;
     let mut result = Vec::new();
     let mut batch = PairBatch::new();
     while stream.next_batch(&mut batch)? > 0 {
@@ -67,6 +76,7 @@ pub fn execute_with_stats<B: PathIndexBackend + ?Sized>(
         pairs_pulled: result.len(),
         joins: plan.join_count(),
         merge_joins: plan.merge_join_count(),
+        bitmap_levels: bitmap_levels.load(Ordering::Relaxed),
     };
     Ok((result, stats))
 }

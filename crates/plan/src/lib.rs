@@ -56,7 +56,7 @@ pub mod plan;
 pub mod planner;
 pub mod semi_naive;
 
-pub use bound::{open_stream_bound, open_stream_walk};
+pub use bound::{open_stream_bound, open_stream_walk, open_stream_walk_counted};
 pub use cost::{cost_plan, PlanCost};
 pub use executor::{
     execute, execute_pairwise, execute_with_stats, open_stream, open_stream_cancellable,

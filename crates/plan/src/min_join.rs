@@ -17,6 +17,7 @@
 use crate::cost::cost_plan;
 use crate::plan::PhysicalPlan;
 use crate::planner::PlannerContext;
+use crate::semi_naive;
 use pathix_graph::SignedLabel;
 use pathix_index::{CardinalityEstimator, PathIndexBackend};
 use pathix_rpq::LabelPath;
@@ -48,7 +49,12 @@ pub fn plan_disjunct<B: PathIndexBackend + ?Sized>(
             best = Some((cost, plan));
         }
     }
-    best.expect("at least one segmentation exists").1
+    // A disjunct longer than k always has a segmentation (the left-to-right
+    // one among them), so the fallback is never taken.
+    let Some((_, plan)) = best else {
+        return semi_naive::plan_disjunct(disjunct, ctx);
+    };
+    plan
 }
 
 /// All ways to write `n` as an ordered sum of exactly `parts` integers in

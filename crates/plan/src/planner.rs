@@ -187,14 +187,13 @@ pub fn plan_query<B: PathIndexBackend + ?Sized>(
     disjuncts: &[LabelPath],
     ctx: &PlannerContext<'_, B>,
 ) -> PhysicalPlan {
-    let mut plans: Vec<PhysicalPlan> = disjuncts
+    let plans: Vec<PhysicalPlan> = disjuncts
         .iter()
         .map(|d| plan_disjunct(strategy, d, ctx))
         .collect();
-    match plans.len() {
-        0 => PhysicalPlan::Union(Vec::new()),
-        1 => plans.pop().expect("one plan"),
-        _ => PhysicalPlan::Union(plans),
+    match <[PhysicalPlan; 1]>::try_from(plans) {
+        Ok([plan]) => plan,
+        Err(plans) => PhysicalPlan::Union(plans),
     }
 }
 

@@ -21,20 +21,17 @@ pub fn chunk_left_to_right(disjunct: &LabelPath, k: usize) -> Vec<LabelPath> {
     disjunct.chunks(k.max(1)).map(<[_]>::to_vec).collect()
 }
 
-/// Plans one non-empty disjunct by composing its length-k chunks left to
-/// right.
+/// Plans one disjunct by composing its length-k chunks left to right; the
+/// empty disjunct has no chunk and is `ε`.
 pub fn plan_disjunct<B: PathIndexBackend + ?Sized>(
     disjunct: &LabelPath,
     ctx: &PlannerContext<'_, B>,
 ) -> PhysicalPlan {
-    debug_assert!(!disjunct.is_empty());
-    let chunks = chunk_left_to_right(disjunct, ctx.k());
-    let mut iter = chunks.into_iter();
-    let mut plan = PhysicalPlan::scan(iter.next().expect("non-empty disjunct"));
-    for chunk in iter {
-        plan = PhysicalPlan::compose(plan, PhysicalPlan::scan(chunk));
-    }
-    plan
+    chunk_left_to_right(disjunct, ctx.k())
+        .into_iter()
+        .map(PhysicalPlan::scan)
+        .reduce(PhysicalPlan::compose)
+        .unwrap_or(PhysicalPlan::Epsilon)
 }
 
 #[cfg(test)]

@@ -89,6 +89,43 @@ fn lookups_pull_the_same_pairs_on_every_backend() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// Walk levels held as bitmaps (`ExecutionStats::bitmap_levels`) by the card
+/// A1–A8, each run unbound and drained. On [`graph`]'s 65 nodes a level is a
+/// bitmap from two ids on. A1 is one forward scan at k = 2 and opens as the
+/// operator tree, with no walk: none. A drain through a cursor
+/// (`count_only`) counts the same; bound lookups keep their levels as lists
+/// and count none.
+const BITMAP_LEVELS: [usize; 8] = [0, 107, 163, 224, 279, 264, 402, 190];
+
+#[test]
+fn dense_walk_levels_are_bitmaps_and_bound_lookups_keep_lists() {
+    let (dbs, dir) = common::on_every_backend("cost-bitmaps", &graph(), 32);
+    let queries = advogato_queries();
+    let (a2, a3) = (&queries[1].text, &queries[2].text);
+    for (name, db) in &dbs {
+        let levels =
+            |text: &str, options: QueryOptions| db.run(text, options).unwrap().stats.bitmap_levels;
+        let observed: Vec<_> = queries
+            .iter()
+            .map(|query| levels(&query.text, QueryOptions::new()))
+            .collect();
+        assert_eq!(observed, BITMAP_LEVELS, "{name}");
+        for (query, expected) in queries.iter().zip(BITMAP_LEVELS) {
+            let counted = levels(&query.text, QueryOptions::new().count_only());
+            assert_eq!(counted, expected, "{name}: {} through a cursor", query.name);
+        }
+        for options in [
+            QueryOptions::new().source(HUB),
+            QueryOptions::new().target(HUB),
+            QueryOptions::new().source(HUB).target(REACHED),
+        ] {
+            assert_eq!(levels(a2, options.clone()), 0, "{name}: A2 {options:?}");
+            assert_eq!(levels(a3, options.clone()), 0, "{name}: A3 {options:?}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 /// `(delta_entries, chunks_rebuilt)` of the three batches of [`script`].
 const UPDATES: [(u64, usize); 3] = [(274, 4), (232, 4), (305, 4)];
 

@@ -18,9 +18,15 @@ use std::time::{Duration, Instant};
 /// answer is a few thousand pairs.
 const UNION: &str = "(e|e-){1,3}";
 
-/// 112 disjuncts of length 4–6 over the dense graph: never completes inside
-/// a test — it has to be interrupted.
-const HEAVY: &str = "(e|e-){4,6}";
+/// 496 disjuncts of length 4–8 over the dense graph: never completes inside
+/// a test — it has to be interrupted. A walk emits a source's targets only
+/// once it has walked every disjunct from it, so the work is set by the
+/// disjuncts rather than the graph: on a 2-core machine the first source's
+/// targets come ≈ 45 ms into a debug run, and the whole answer takes
+/// ≈ 250 ms of a release build, so the 150 ms deadline below stops a run
+/// that is under way in both. `(e|e-){4,6}` took ≈ 45 ms in a release
+/// build once dense walk levels became bitmaps.
+const HEAVY: &str = "(e|e-){4,8}";
 
 /// The same dense random graph (150 nodes, ≈ 1200 edges) on each of the four
 /// backends.

@@ -7,7 +7,7 @@
 mod common;
 
 use pathix::datagen::{barabasi_albert, WorkloadConfig, WorkloadGenerator};
-use pathix::graph::GraphBuilder;
+use pathix::graph::{Graph, GraphBuilder};
 use pathix::index::PairBatch;
 use pathix::plan::{open_stream, open_stream_walk, plan_query, PlannerContext};
 use pathix::rpq::{parse, to_disjuncts, RewriteOptions};
@@ -108,6 +108,12 @@ fn the_walk_is_the_drained_tree_on_every_backend_and_strategy() {
 /// 150 nodes, ≈ 1200 edges under one label: dense enough that the union
 /// below cannot finish inside a few milliseconds.
 fn dense_db() -> PathDb {
+    PathDb::build(dense_graph(), PathDbConfig::with_k(2))
+}
+
+/// The graph of [`dense_db`]: two hops from a node reach about half the
+/// graph, so a walk's levels are mostly bitmaps.
+fn dense_graph() -> Graph {
     let mut b = GraphBuilder::new();
     let mut state = 7u64;
     let mut draw = || {
@@ -120,7 +126,49 @@ fn dense_db() -> PathDb {
         let (s, t) = (draw(), draw());
         b.add_edge_named(&format!("v{s}"), "e", &format!("v{t}"));
     }
-    PathDb::build(b.build(), PathDbConfig::with_k(2))
+    b.build()
+}
+
+#[test]
+fn the_walk_over_a_dense_graph_is_the_drained_tree() {
+    // Levels of most of the graph: bitmaps, grown from bitmap rows and
+    // united with lists and with ε, on all four backends under all four
+    // strategies.
+    let graph = dense_graph();
+    let (dbs, dir) = common::on_every_backend("walk-dense", &graph, 16);
+    let queries = ["e/e/e-", "()|e/(e-|())/e", "(e|e-){2}"];
+    for (name, db) in &dbs {
+        let snapshot = db.snapshot();
+        let index = snapshot.index();
+        let ctx = PlannerContext::new(index, snapshot.histogram());
+        for text in queries {
+            let expr = parse(text).unwrap().bind(&graph).unwrap();
+            let disjuncts = to_disjuncts(&expr, RewriteOptions::default()).unwrap();
+            for strategy in Strategy::all() {
+                let context = format!("{name}: {text:?} under {strategy}");
+                let plan = plan_query(strategy, &disjuncts, &ctx);
+                let drain = |walk: bool| {
+                    let mut stream = match walk {
+                        true => open_stream_walk(&plan, index, None).unwrap(),
+                        false => open_stream(&plan, index).unwrap(),
+                    };
+                    let (mut pairs, mut batch) = (Vec::new(), PairBatch::new());
+                    while stream.next_batch(&mut batch).unwrap() > 0 {
+                        pairs.extend(batch.iter());
+                    }
+                    pairs
+                };
+                let mut expected = drain(false);
+                expected.sort_unstable();
+                expected.dedup();
+                assert_eq!(drain(true), expected, "{context}");
+                let answer = db.run(text, QueryOptions::with_strategy(strategy)).unwrap();
+                assert_eq!(answer.pairs(), expected, "{context}");
+                assert!(answer.stats.bitmap_levels > 0, "{context}");
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
