@@ -36,15 +36,16 @@ impl OwnedStream {
         let (source, target) = (options.bound_source(), options.bound_target());
         let unbound = source.is_none() && target.is_none();
         // An unbound `limit` (and so `exists`) keeps the pipelined operator
-        // tree, which can stop after a few leaf batches; only a lone scan's
-        // tree is distinct. Everything else is a walk: from every source in
-        // order when the answer is drained, from the bound node otherwise.
+        // tree, which can stop after a few leaf batches; a lone scan's tree
+        // is distinct, and so is a union's, whose root dedups. Everything
+        // else is a walk: from every source in order when the answer is
+        // drained, from the bound node otherwise.
         let drained = unbound && options.limit_value().is_none();
         let distinct = !unbound
             || drained
             || matches!(
                 *plan,
-                PhysicalPlan::IndexScan { .. } | PhysicalPlan::Epsilon
+                PhysicalPlan::IndexScan { .. } | PhysicalPlan::Epsilon | PhysicalPlan::Union(_)
             );
         let stream = {
             let (plan, index, token) =
@@ -112,8 +113,8 @@ impl OwnedStream {
 ///
 /// Under an unbound `limit` the pairs arrive in operator order, not sorted
 /// by `(source, target)`; they are still duplicate-free (unless the plan is
-/// a lone scan, set semantics is enforced incrementally with a hash set of
-/// seen pairs). Every other cursor's stream is sorted and distinct by
+/// a lone scan or a union, whose root dedups, set semantics is enforced
+/// incrementally with a hash set of seen pairs). Every other cursor's stream is sorted and distinct by
 /// construction and keeps no such set.
 ///
 /// ```
@@ -314,6 +315,8 @@ mod tests {
         // At k = 1, `x/x` is a join that reaches some pairs twice.
         let db = PathDb::build(b.build(), PathDbConfig::with_k(1));
         let (join, scan) = (db.prepare("x/x").unwrap(), db.prepare("x").unwrap());
+        // A union of a join and a scan, which its root dedups.
+        let union = db.prepare("x/x|x").unwrap();
         let keeps_a_set = |prepared: &PreparedQuery, options: QueryOptions| {
             prepared.cursor(&db, options).unwrap().seen.is_some()
         };
@@ -329,6 +332,13 @@ mod tests {
             QueryOptions::new().target(NodeId(0)).limit(1)
         ));
         assert!(!keeps_a_set(&scan, QueryOptions::new().limit(5)));
+        assert!(!keeps_a_set(&union, QueryOptions::new().limit(5)));
+        assert!(!keeps_a_set(&union, QueryOptions::new().exists()));
+        let limited = union.cursor(&db, QueryOptions::new().limit(100)).unwrap();
+        assert_eq!(
+            limited.collect_sorted().unwrap(),
+            db.query("x/x|x").unwrap().pairs()
+        );
 
         // A drained cursor pulls each answer once, in `(source, target)` order.
         let mut cursor = join.cursor(&db, QueryOptions::new()).unwrap();

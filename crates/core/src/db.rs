@@ -42,7 +42,7 @@ use crate::prepared::{PlanCacheStats, PlanCounters, PreparedQuery};
 use crate::result::QueryResult;
 use pathix_audit::{AuditReport, StructuralAudit};
 use pathix_baselines::{evaluate_automaton, evaluate_datalog};
-use pathix_graph::{EdgeOp, Graph, GraphPublishStats, LabelId, NodeId, SignedLabel, VocabBatch};
+use pathix_graph::{EdgeOp, Graph, GraphPublishStats, NodeId, SignedLabel, VocabBatch};
 use pathix_index::{
     apply_op, BackendBatchScan, BackendError, BackendResult, BackendStats, DeltaBatch, EntryDeltas,
     EstimationMode, GraphUpdate, MutablePathIndexBackend, PathHistogram, PathIndexBackend,
@@ -647,35 +647,6 @@ fn rederive(
     }
 }
 
-/// Assembles the commit record of one applied batch: the names the batch
-/// interned (ids `before.node_count()..` / `before.label_count()..` of the
-/// committed graph, in id order, so replay re-interns them identically) and
-/// the effective edge ops.
-fn commit_record(seq: u64, before: &Graph, after: &Graph, effective: &[EdgeOp]) -> CommitRecord {
-    let new_nodes = (before.node_count()..after.node_count())
-        .map(|id| {
-            after
-                .node_name(NodeId(id as u32))
-                .unwrap_or_default()
-                .to_owned()
-        })
-        .collect();
-    let new_labels = (before.label_count()..after.label_count())
-        .map(|id| {
-            after
-                .label_name(LabelId(id as u16))
-                .unwrap_or_default()
-                .to_owned()
-        })
-        .collect();
-    CommitRecord {
-        seq,
-        new_nodes,
-        new_labels,
-        ops: effective.to_vec(),
-    }
-}
-
 /// An RPQ-queryable graph database backed by a localized k-path index.
 ///
 /// The index lives behind the backend selected in
@@ -828,14 +799,16 @@ impl PathDb {
 
     /// Opens a previously built **on-disk** database from its durable state:
     /// the page file, the graph checkpoint next to it, and the write-ahead
-    /// log. Every committed batch past the checkpoint is replayed — its node
-    /// and label names re-interned in the original id order, so the live
-    /// vocabulary (and with it every index key) survives the crash — then
-    /// folded into a fresh checkpoint so the next open starts clean. A log
-    /// that holds nothing is left as it is: a clean reopen rewrites neither
-    /// checkpoint nor log. The index comes back from the page file's roots — its
-    /// per-path counts are stored beside the tree's root — without reading
-    /// a leaf.
+    /// log. The checkpoint is one framed *base record* — the graph as one
+    /// [`CommitRecord`], every name new and every edge an insert — and the
+    /// graph is built from it in bulk. Every committed batch past the
+    /// checkpoint is replayed — its node and label names re-interned in the
+    /// original id order, so the live vocabulary (and with it every index
+    /// key) survives the crash — then folded into a fresh checkpoint so the
+    /// next open starts clean. A log that holds nothing is left as it is: a
+    /// clean reopen rewrites neither checkpoint nor log. The index comes back
+    /// from the page file's roots — its per-path counts are stored beside the
+    /// tree's root — without reading a leaf.
     ///
     /// Replay is apply: a record the page file already absorbed (its seq is
     /// at or below the tree's persisted sequence number) only advances the
@@ -849,9 +822,19 @@ impl PathDb {
     /// With `PATHIX_AUDIT=1` in the environment, a full structural audit
     /// runs after every replayed batch.
     ///
+    /// The base record and every logged record pass one check before
+    /// anything is built from them: each name interns to the next id, the
+    /// labels fit the label cap, and every op names interned ids; the base
+    /// record also holds only inserts. A damaged log frame is dropped only
+    /// as the log's torn tail, with nothing after it; anywhere else it would
+    /// silently drop acknowledged batches. A page file whose applied
+    /// sequence number is past the last replayed commit holds batches the
+    /// log cannot rebuild the graph for.
+    ///
     /// Requires [`BackendChoice::OnDisk`] in `config`; anything else (and any
-    /// missing, torn or inconsistent durable state, such as a logged op that
-    /// is a no-op) is [`QueryError::Recovery`].
+    /// missing, torn or inconsistent durable state: a record that fails the
+    /// check, a damaged frame before the log's tail, a page file ahead of
+    /// the log, a logged op that is a no-op) is [`QueryError::Recovery`].
     ///
     /// ```
     /// use pathix_core::{BackendChoice, GraphUpdate, PathDb, PathDbConfig, QueryError};
@@ -931,20 +914,19 @@ impl PathDb {
             let replay_error = |what: String| {
                 QueryError::Recovery(format!("replaying commit {}: {what}", record.seq))
             };
-            // Re-intern the batch's names in id order: this reproduces the
-            // pre-crash ids, and with them every index key.
+            // Re-intern the batch's names in id order, each to the next id:
+            // this reproduces the pre-crash ids, and with them every index
+            // key.
             let mut vocab = graph.vocab_batch();
-            for name in &record.new_nodes {
-                vocab.intern_node(name);
-            }
-            for name in &record.new_labels {
-                vocab.intern_label(name);
-            }
+            durability::check_record(
+                &record,
+                &mut vocab,
+                (graph.node_count(), graph.label_count()),
+                VocabBatch::intern_node,
+                VocabBatch::intern_label,
+            )
+            .map_err(replay_error)?;
             let adopted = graph.commit_batch(vocab, &[]);
-            for op in &record.ops {
-                validate_update(&adopted, &GraphUpdate::insert(op.src, op.label, op.dst))
-                    .map_err(|e| replay_error(e.to_string()))?;
-            }
             graph = if record.seq <= paged.applied_seq() {
                 // The tree absorbed this batch before the crash.
                 adopted.commit_batch(adopted.vocab_batch(), &record.ops)
@@ -981,6 +963,12 @@ impl PathDb {
                     )));
                 }
             }
+        }
+        if paged.applied_seq() > seq {
+            return Err(QueryError::Recovery(format!(
+                "the page file holds commit {} but the log ends at commit {seq}",
+                paged.applied_seq()
+            )));
         }
         // Fold what replay recovered into a fresh checkpoint and start an
         // empty log: the next open replays only what comes after this one.
@@ -1298,7 +1286,7 @@ impl PathDb {
         // applied-but-never-logged batch would be unrecoverable.
         let seq = live_state.commit_seq + 1;
         if let Some(durable) = live_state.durability.as_mut() {
-            let record = commit_record(seq, current.graph(), &graph, &effective);
+            let record = durability::commit_record(seq, current.graph(), &graph, effective);
             if let Err(e) = durable
                 .wal
                 .append(&record.encode())
@@ -1659,7 +1647,7 @@ impl PathDb {
 
 /// The hard cap on distinct labels ([`pathix_graph::GraphBuilder::add_label`]
 /// enforces the same bound at build time).
-const MAX_LABELS: usize = 1 << 15;
+pub(crate) const MAX_LABELS: usize = 1 << 15;
 
 /// Checks one update against the graph's interned vocabulary: id variants
 /// must reference interned ids; named insertions must carry non-empty names
@@ -2846,5 +2834,171 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Builds and closes an on-disk database of the paper's graph, then puts
+    /// `bytes` where its checkpoint was and opens it. The open must refuse.
+    fn open_with_checkpoint(bytes: &[u8], what: &str) -> String {
+        let _disk = DISK_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let dir = TempDir::new("bad-checkpoint");
+        let config = on_disk_config(&dir);
+        let db = PathDb::try_build(paper_example_graph(), config.clone()).unwrap();
+        db.close().unwrap();
+        drop(db);
+        std::fs::write(durability::checkpoint_path(&dir.path("idx.pages")), bytes).unwrap();
+        match PathDb::open(config) {
+            Err(QueryError::Recovery(message)) => message,
+            other => panic!("{what}: {other:?}"),
+        }
+    }
+
+    /// A framed base record of `new_nodes`, the one label `knows` and `ops`.
+    fn framed_base(new_nodes: &[&str], ops: Vec<EdgeOp>) -> Vec<u8> {
+        let record = CommitRecord {
+            seq: 0,
+            new_nodes: new_nodes.iter().map(|name| name.to_string()).collect(),
+            new_labels: vec!["knows".to_string()],
+            ops,
+        };
+        pathix_pagestore::wal::frame(&record.encode())
+    }
+
+    #[test]
+    fn a_checkpoint_edge_to_an_uninterned_node_is_refused_on_open() {
+        let bytes = framed_base(
+            &["ada", "jan"],
+            vec![EdgeOp::insert(NodeId(0), LabelId(0), NodeId(7))],
+        );
+        let message = open_with_checkpoint(&bytes, "node 7 of 2");
+        assert!(message.contains("never interned"), "{message}");
+    }
+
+    #[test]
+    fn a_checkpoint_edge_with_an_uninterned_label_is_refused_on_open() {
+        let bytes = framed_base(
+            &["ada", "jan"],
+            vec![EdgeOp::insert(NodeId(0), LabelId(3), NodeId(1))],
+        );
+        let message = open_with_checkpoint(&bytes, "label 3 of 1");
+        assert!(message.contains("never interned"), "{message}");
+    }
+
+    #[test]
+    fn a_checkpoint_that_repeats_a_name_is_refused_on_open() {
+        // Interning `ada` twice would give `jan` id 1, and node 2 no name.
+        let bytes = framed_base(
+            &["ada", "ada", "jan"],
+            vec![EdgeOp::insert(NodeId(0), LabelId(0), NodeId(2))],
+        );
+        let message = open_with_checkpoint(&bytes, "a repeated name");
+        assert!(message.contains("interned twice"), "{message}");
+    }
+
+    #[test]
+    fn a_checkpoint_that_deletes_an_edge_is_refused_on_open() {
+        let bytes = framed_base(
+            &["ada", "jan"],
+            vec![
+                EdgeOp::insert(NodeId(0), LabelId(0), NodeId(1)),
+                EdgeOp::delete(NodeId(1), LabelId(0), NodeId(0)),
+            ],
+        );
+        let message = open_with_checkpoint(&bytes, "a delete op");
+        assert!(message.contains("deletes an edge"), "{message}");
+    }
+
+    #[test]
+    fn a_checkpoint_in_the_snapshot_format_is_refused_on_open() {
+        // The graph checkpoint's earlier payload, in the same frame: seq,
+        // the node and label names (u32 count, then u32-length-prefixed
+        // UTF-8 each), then the edges (u64 count, then label u16, source u32
+        // and target u32 each).
+        let graph = paper_example_graph();
+        let put_names = |out: &mut Vec<u8>, names: Vec<&str>| {
+            out.extend_from_slice(&(names.len() as u32).to_le_bytes());
+            for name in names {
+                out.extend_from_slice(&(name.len() as u32).to_le_bytes());
+                out.extend_from_slice(name.as_bytes());
+            }
+        };
+        // The low byte of 3, 259 and 515 is the record format byte.
+        for seq in [0u64, 1, 3, 259, 515] {
+            let mut payload = seq.to_le_bytes().to_vec();
+            put_names(
+                &mut payload,
+                graph.nodes().map(|n| graph.node_name(n).unwrap()).collect(),
+            );
+            put_names(
+                &mut payload,
+                graph
+                    .labels()
+                    .map(|l| graph.label_name(l).unwrap())
+                    .collect(),
+            );
+            payload.extend_from_slice(&(graph.edge_count() as u64).to_le_bytes());
+            for label in graph.labels() {
+                for (src, dst) in graph.edges(label) {
+                    payload.extend_from_slice(&label.0.to_le_bytes());
+                    payload.extend_from_slice(&src.0.to_le_bytes());
+                    payload.extend_from_slice(&dst.0.to_le_bytes());
+                }
+            }
+            let bytes = pathix_pagestore::wal::frame(&payload);
+            let message = open_with_checkpoint(&bytes, &format!("seq {seq}"));
+            assert!(message.contains("checkpoint"), "seq {seq}: {message}");
+        }
+    }
+
+    /// Applies [`interning_batches`]' first two batches to a fresh on-disk
+    /// database of the paper's graph and drops it without a close, as a
+    /// crash would. Returns the config and the log's one segment.
+    fn two_acknowledged_batches(dir: &TempDir) -> (PathDbConfig, PathBuf) {
+        let config = on_disk_config(dir);
+        let db = PathDb::try_build(paper_example_graph(), config.clone()).unwrap();
+        let [first, second, _] = interning_batches();
+        db.apply(&first).unwrap();
+        db.apply(&second).unwrap();
+        std::mem::forget(db);
+        let page_file = dir.path("idx.pages");
+        let [segment] = wal_segments(&page_file).try_into().unwrap();
+        (config, durability::wal_dir(&page_file).join(segment))
+    }
+
+    #[test]
+    fn a_flipped_byte_inside_an_early_record_is_refused_on_open() {
+        let _disk = DISK_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let dir = TempDir::new("flipped-record");
+        let (config, segment) = two_acknowledged_batches(&dir);
+        // Offset 12 is inside the first record's payload; the second record
+        // follows it intact.
+        let mut bytes = std::fs::read(&segment).unwrap();
+        bytes[12] ^= 0xFF;
+        std::fs::write(&segment, &bytes).unwrap();
+        for _ in 0..2 {
+            let err = PathDb::open(config.clone()).unwrap_err();
+            assert!(
+                matches!(&err, QueryError::Recovery(m) if m.contains("write-ahead log")),
+                "{err:?}"
+            );
+        }
+        // Nothing was folded away: the damaged log is still there.
+        assert_eq!(std::fs::read(&segment).unwrap(), bytes);
+    }
+
+    #[test]
+    fn a_page_file_ahead_of_the_log_is_refused_on_open() {
+        let _disk = DISK_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let dir = TempDir::new("pages-ahead");
+        let (config, segment) = two_acknowledged_batches(&dir);
+        // Keep the first record only: a clean log that ends at commit 1,
+        // while the page file absorbed commit 2.
+        let bytes = std::fs::read(&segment).unwrap();
+        let first = 8 + u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
+        std::fs::write(&segment, &bytes[..first]).unwrap();
+        let err = PathDb::open(config).unwrap_err();
+        assert!(
+            matches!(&err, QueryError::Recovery(m) if m.contains("log ends at commit 1")),
+            "{err:?}"
+        );
     }
 }

@@ -51,7 +51,6 @@ pub mod graph;
 pub mod ids;
 pub mod loader;
 pub mod runs;
-pub mod snapshot;
 
 pub use builder::GraphBuilder;
 pub use dict::{DictView, Dictionary, SharedDictionary, Vocabulary};
@@ -59,4 +58,3 @@ pub use graph::{EdgeOp, Graph, VocabBatch};
 pub use ids::{Direction, LabelId, NodeId, SignedLabel};
 pub use loader::{load_edge_list, load_edge_list_str, LoadError};
 pub use runs::{ChunkCodec, GraphPublishStats, PairRun, Plain};
-pub use snapshot::GraphSnapshot;

@@ -63,10 +63,9 @@ impl<'a> CardinalityEstimator<'a> {
         if path.len() <= k {
             return self.chunk_cardinality(path);
         }
-        let mut chunks = path.chunks(k);
-        let first = chunks.next().expect("non-empty path has a first chunk");
+        let (first, rest) = path.split_at(k);
         let mut estimate = self.chunk_cardinality(first);
-        for chunk in chunks {
+        for chunk in rest.chunks(k) {
             estimate = self.join_cardinality(estimate, self.chunk_cardinality(chunk));
         }
         estimate

@@ -13,14 +13,17 @@
 //! ## Frame format
 //!
 //! Each record is framed as `[len: u32 LE | crc32: u32 LE | payload]`, where
-//! the CRC covers the payload bytes. Replay stops at the first frame that is
-//! truncated or fails its CRC — that frame is the torn tail of an append the
-//! crash interrupted, and its batch was never acknowledged.
+//! the CRC covers the payload bytes ([`frame`], [`read_frame`]). A frame
+//! that is cut short or fails its CRC is the torn tail of an append the
+//! crash interrupted, whose batch was never acknowledged, only when it is
+//! the log's last bytes; anywhere else it is corruption, and replay fails.
 //!
 //! The payload is a [`CommitRecord`]: a format byte, the sequence number,
 //! then the batch's interned names and its effective edge ops — the batch,
 //! not its effects on the index. A payload of another format fails
-//! [`CommitRecord::decode`] instead of being misread.
+//! [`CommitRecord::decode`] instead of being misread. The graph checkpoint
+//! next to the log is one such frame too, holding the whole graph as one
+//! record: every name new, every edge an insert.
 //!
 //! ## Segments
 //!
@@ -40,8 +43,7 @@ use std::path::{Path, PathBuf};
 /// Bytes after which [`Wal::append`] rotates to a fresh segment file.
 const SEGMENT_BYTES: u64 = 1 << 19;
 
-/// Sanity bound on one record's payload: a frame announcing more is treated
-/// as corruption (replay stops there) and appending one is refused.
+/// Sanity bound on one record's payload: appending a larger one is refused.
 const MAX_RECORD_BYTES: usize = 1 << 26;
 
 const SEGMENT_SUFFIX: &str = ".seg";
@@ -53,7 +55,7 @@ const SEGMENT_SUFFIX: &str = ".seg";
 const RECORD_FORMAT: u8 = 3;
 
 /// CRC-32 (IEEE 802.3, reflected) over `bytes` — the checksum guarding every
-/// WAL frame and the graph checkpoint file.
+/// frame.
 pub fn crc32(bytes: &[u8]) -> u32 {
     // Nibble-at-a-time table: 16 entries, built in const context so the
     // hot path is two lookups per byte with no runtime initialization.
@@ -78,6 +80,47 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         crc = (crc >> 4) ^ TABLE[((crc ^ (byte >> 4) as u32) & 0xF) as usize];
     }
     !crc
+}
+
+/// `payload` framed as `[len: u32 LE | crc32: u32 LE | payload]`.
+pub fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(8 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&crc32(payload).to_le_bytes());
+    frame.extend_from_slice(payload);
+    frame
+}
+
+/// The frame at the head of a byte string, as [`read_frame`] finds it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Frame<'a> {
+    /// An intact frame: its payload and the bytes after it.
+    Intact(&'a [u8], &'a [u8]),
+    /// A frame that is cut short or fails its CRC; `last` when no byte
+    /// follows the length it announces.
+    Damaged {
+        /// Nothing follows the frame.
+        last: bool,
+    },
+}
+
+/// Reads the frame at the head of `bytes`.
+pub fn read_frame(bytes: &[u8]) -> Frame<'_> {
+    let Some((header, rest)) = bytes.split_first_chunk::<8>() else {
+        return Frame::Damaged { last: true };
+    };
+    let [l0, l1, l2, l3, c0, c1, c2, c3] = *header;
+    let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+    if rest.len() < len {
+        return Frame::Damaged { last: true };
+    }
+    let (payload, rest) = rest.split_at(len);
+    if crc32(payload) != u32::from_le_bytes([c0, c1, c2, c3]) {
+        return Frame::Damaged {
+            last: rest.is_empty(),
+        };
+    }
+    Frame::Intact(payload, rest)
 }
 
 /// One committed update batch, exactly as the writer resolved it: the new
@@ -324,10 +367,7 @@ impl Wal {
             self.rotate()?;
         }
         fault::hit("wal-append")?;
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
+        let frame = frame(payload);
         self.file.write_all(&frame)?;
         self.segment_bytes += frame.len() as u64;
         self.stats.records_appended += 1;
@@ -394,38 +434,44 @@ impl Wal {
     }
 
     /// Reads every fully committed record payload under `dir`, oldest first.
-    ///
-    /// A truncated or CRC-failing frame ends the replay (it is the torn tail
-    /// of the append the crash interrupted); everything before it is intact.
     /// A missing directory replays as empty.
+    ///
+    /// A frame that is cut short or fails its CRC ends the replay when it is
+    /// the log's last bytes: nothing follows it in its segment and every
+    /// later segment is empty. It is then the torn tail of the append the
+    /// crash interrupted, and everything before it is intact. Any other
+    /// damaged frame would drop the acknowledged records after it, so it is
+    /// an [`io::ErrorKind::InvalidData`] error instead.
     pub fn replay<P: AsRef<Path>>(dir: P) -> io::Result<Vec<Vec<u8>>> {
         let dir = dir.as_ref();
         if !dir.exists() {
             return Ok(Vec::new());
         }
         let mut records = Vec::new();
-        'segments: for (_, path) in segments_in(dir)? {
+        let mut segments = segments_in(dir)?.into_iter();
+        while let Some((number, path)) = segments.next() {
             let mut bytes = Vec::new();
             File::open(&path)?.read_to_end(&mut bytes)?;
-            let mut pos = 0usize;
-            while pos < bytes.len() {
-                if bytes.len() - pos < 8 {
-                    break 'segments;
+            let mut rest = bytes.as_slice();
+            while !rest.is_empty() {
+                match read_frame(rest) {
+                    Frame::Intact(payload, after) => {
+                        records.push(payload.to_vec());
+                        rest = after;
+                    }
+                    Frame::Damaged { last } => {
+                        let mut tail = last;
+                        for (_, later) in segments.by_ref() {
+                            tail &= fs::metadata(&later)?.len() == 0;
+                        }
+                        if !tail {
+                            return Err(corrupt(&format!(
+                                "a damaged frame in segment {number} is not the log's tail"
+                            )));
+                        }
+                        return Ok(records);
+                    }
                 }
-                let mut buf = [0u8; 4];
-                buf.copy_from_slice(&bytes[pos..pos + 4]);
-                let len = u32::from_le_bytes(buf) as usize;
-                buf.copy_from_slice(&bytes[pos + 4..pos + 8]);
-                let expected = u32::from_le_bytes(buf);
-                if len > MAX_RECORD_BYTES || bytes.len() - pos - 8 < len {
-                    break 'segments;
-                }
-                let payload = &bytes[pos + 8..pos + 8 + len];
-                if crc32(payload) != expected {
-                    break 'segments;
-                }
-                records.push(payload.to_vec());
-                pos += 8 + len;
             }
         }
         Ok(records)
@@ -503,6 +549,61 @@ mod tests {
         fs::write(&seg, &bytes).unwrap();
         assert_eq!(Wal::replay(&dir).unwrap(), Vec::<Vec<u8>>::new());
         fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_damaged_frame_that_is_not_the_tail_is_an_error() {
+        let dir = temp_wal_dir("damaged");
+        let mut wal = Wal::open(&dir).unwrap();
+        for payload in [b"first", b"secnd"] {
+            wal.append(payload).unwrap();
+        }
+        wal.sync().unwrap();
+        drop(wal);
+        let seg = segments_in(&dir).unwrap().pop().unwrap().1;
+        let intact = fs::read(&seg).unwrap();
+
+        // A flipped payload byte in the first frame, with the second after it.
+        let mut bytes = intact.clone();
+        bytes[8] ^= 0xFF;
+        fs::write(&seg, &bytes).unwrap();
+        let err = Wal::replay(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+
+        // A torn last frame is the tail while every later segment is empty …
+        fs::write(&seg, &intact[..intact.len() - 2]).unwrap();
+        let later = segment_path(&dir, 2);
+        fs::write(&later, b"").unwrap();
+        assert_eq!(Wal::replay(&dir).unwrap(), vec![b"first".to_vec()]);
+
+        // … and an error once a later segment holds a record.
+        fs::write(&later, frame(b"third")).unwrap();
+        let err = Wal::replay(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn read_frame_finds_intact_and_damaged_frames() {
+        let framed = frame(b"payload");
+        let mut two = framed.clone();
+        two.extend_from_slice(&framed);
+        assert_eq!(read_frame(&framed), Frame::Intact(b"payload", &[]));
+        assert_eq!(read_frame(&two), Frame::Intact(b"payload", &framed[..]));
+        for cut in 0..framed.len() {
+            assert_eq!(
+                read_frame(&framed[..cut]),
+                Frame::Damaged { last: true },
+                "cut at {cut}"
+            );
+        }
+        let mut flipped = two.clone();
+        flipped[9] ^= 1;
+        assert_eq!(read_frame(&flipped), Frame::Damaged { last: false });
+        assert_eq!(
+            read_frame(&flipped[..framed.len()]),
+            Frame::Damaged { last: true }
+        );
     }
 
     #[test]

@@ -87,7 +87,8 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_union(&mut self) -> Result<ParsedExpr, ParseError> {
-        let mut parts = vec![self.parse_concat()?];
+        let first = self.parse_concat()?;
+        let mut parts = Vec::new();
         loop {
             self.skip_ws();
             if self.eat(b'|') {
@@ -96,15 +97,17 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        Ok(if parts.len() == 1 {
-            parts.pop().expect("one element")
+        Ok(if parts.is_empty() {
+            first
         } else {
+            parts.insert(0, first);
             Expr::Union(parts)
         })
     }
 
     fn parse_concat(&mut self) -> Result<ParsedExpr, ParseError> {
-        let mut parts = vec![self.parse_postfix()?];
+        let first = self.parse_postfix()?;
+        let mut parts = Vec::new();
         loop {
             self.skip_ws();
             if self.eat(b'/') || self.eat(b'.') {
@@ -113,9 +116,10 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        Ok(if parts.len() == 1 {
-            parts.pop().expect("one element")
+        Ok(if parts.is_empty() {
+            first
         } else {
+            parts.insert(0, first);
             Expr::Concat(parts)
         })
     }
@@ -193,9 +197,12 @@ impl<'a> Parser<'a> {
         if start == self.pos {
             return Err(self.error("expected a number"));
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are utf-8");
-        text.parse::<u32>()
-            .map_err(|_| self.error("repetition bound is too large"))
+        self.bytes[start..self.pos]
+            .iter()
+            .try_fold(0u32, |value, &digit| {
+                value.checked_mul(10)?.checked_add(u32::from(digit - b'0'))
+            })
+            .ok_or_else(|| self.error("repetition bound is too large"))
     }
 
     fn parse_atom(&mut self) -> Result<ParsedExpr, ParseError> {
@@ -244,9 +251,11 @@ impl<'a> Parser<'a> {
         while matches!(self.peek(), Some(b) if b.is_ascii_alphanumeric() || b == b'_') {
             self.pos += 1;
         }
-        Ok(std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("identifier bytes are ascii")
-            .to_owned())
+        // Identifier bytes are ASCII, so each is one `char`.
+        Ok(self.bytes[start..self.pos]
+            .iter()
+            .map(|&b| char::from(b))
+            .collect())
     }
 }
 

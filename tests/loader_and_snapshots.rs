@@ -1,9 +1,8 @@
 //! Integration tests for the data-in/data-out paths: edge-list loading and
-//! graph snapshots feeding the query pipeline.
+//! the on-disk database's close and open feeding the query pipeline.
 
 use pathix::graph::loader::{load_edge_list_str, to_edge_list_string};
-use pathix::graph::GraphSnapshot;
-use pathix::{PathDb, PathDbConfig, QueryOptions, Strategy};
+use pathix::{BackendChoice, PathDb, PathDbConfig, QueryOptions, Strategy};
 
 const EDGES: &str = "\
 # a tiny project/person graph
@@ -55,19 +54,33 @@ fn edge_list_roundtrip_preserves_query_answers() {
 }
 
 #[test]
-fn graph_snapshot_roundtrip_preserves_query_answers() {
+fn on_disk_close_and_open_preserve_query_answers() {
+    let dir = std::env::temp_dir().join(format!("pathix-close-open-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let config = PathDbConfig::with_k(2).with_backend(BackendChoice::OnDisk {
+        path: dir.join("db.pages"),
+        pool_frames: 16,
+    });
     let graph = load_edge_list_str(EDGES).unwrap();
-    let snapshot = GraphSnapshot::from_graph(&graph);
-    let restored = snapshot.into_graph();
-    let db1 = PathDb::build(graph, PathDbConfig::with_k(2));
-    let db2 = PathDb::build(restored, PathDbConfig::with_k(2));
+    let built = PathDb::build(graph.clone(), PathDbConfig::with_k(2));
+    let db = PathDb::try_build(graph, config.clone()).unwrap();
+    db.close().unwrap();
+    drop(db);
+    let reopened = PathDb::open(config).unwrap();
     for strategy in Strategy::all() {
-        let a = db1
+        let a = built
             .run("knows{1,3}/worksFor", QueryOptions::with_strategy(strategy))
             .unwrap();
-        let b = db2
+        let b = reopened
             .run("knows{1,3}/worksFor", QueryOptions::with_strategy(strategy))
             .unwrap();
         assert_eq!(a.pairs(), b.pairs());
     }
+    // Ids, and so every pair above, come back as they were built.
+    for name in ["alice", "bob", "carol", "dave", "acme", "globex"] {
+        assert_eq!(reopened.graph().node_id(name), built.graph().node_id(name));
+    }
+    reopened.close().unwrap();
+    drop(reopened);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
